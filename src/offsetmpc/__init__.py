@@ -7,13 +7,12 @@ from .model import (
     LinearModel,
     DisturbanceModel,
     EstimatorGains,
-    augment,
     check_augmented_observability,
     check_lemma1_nonsingularity,
     check_offset_free_condition,
 )
-from .estimator import AugmentedEstimate, CombinedDisturbance, DisturbanceEstimator
-from .target import TargetCalculator, TargetPair, solve_target
+from .estimator import AugmentedEstimate, DisturbanceEstimator
+from .target import TargetCalculator, TargetPair
 from .ocp import OcpConfig, build_prediction, condense, solve_qp, unconstrained_gain
 from .closed_loop import (
     ControllerMode,

@@ -10,9 +10,9 @@ input-file errors, 3 condition-check failure, 4 runtime failure.
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -29,6 +29,9 @@ EXIT_CONFIG = 2
 EXIT_CONDITION = 3
 EXIT_RUNTIME = 4
 
+# consecutive inadmissible draws after which sample_setpoints gives up
+MAX_REJECTED_DRAWS = 10_000
+
 
 class ConfigError(Exception):
     pass
@@ -44,10 +47,9 @@ class RunConfig:
     params: plant_mod.CstrParams
     op: plant_mod.OperatingPoint
     scenario: cl.ScenarioConfig
-    grnn_train: str
+    grnn_train: str          # absolute, or None
     sweep_cap: int
     out_dir: str
-    config_dir: str
     stem: str
 
     def make_gains(self):
@@ -77,11 +79,21 @@ def _vector(value, n, path):
     return _matrix(value, (n,), path)
 
 
-def _resolve(path, config_dir):
-    if os.path.isabs(path):
-        return path
-    local = os.path.join(config_dir, path)
-    return local if os.path.exists(local) else path
+def _number(value, path, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: not a number: {value!r}")
+
+
+def _sigma(value, path):
+    """'auto', or a kernel width that is finite and > 0."""
+    if value == "auto":
+        return value
+    sigma = _number(value, path)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"{path}: must be finite and > 0, got {value!r}")
+    return sigma
 
 
 def _coerce_params(section):
@@ -90,14 +102,11 @@ def _coerce_params(section):
     out = {}
     for key, val in section.items():
         if key == "substeps":
-            out[key] = int(val)
+            out[key] = _number(val, f"plant.{key}", int)
         elif key == "concentration_mismatch":
             out[key] = bool(val)
         else:
-            try:
-                out[key] = float(val)
-            except (TypeError, ValueError):
-                raise ConfigError(f"plant.{key}: not a number: {val!r}")
+            out[key] = _number(val, f"plant.{key}")
     return out
 
 
@@ -114,12 +123,12 @@ def load_config(path):
 
     op_sec = _get(raw, "operating_point", "")
     op = plant_mod.OperatingPoint(
-        np.array([_get(op_sec, k, "operating_point") for k in ("c", "T", "h")],
-                 dtype=float),
-        np.array([_get(op_sec, k, "operating_point") for k in ("Tc", "F")],
-                 dtype=float))
+        _vector([_get(op_sec, k, "operating_point") for k in ("c", "T", "h")],
+                3, "operating_point"),
+        _vector([_get(op_sec, k, "operating_point") for k in ("Tc", "F")],
+                2, "operating_point"))
 
-    dt = float(raw.get("dt", 1.0))
+    dt = _number(raw.get("dt", 1.0), "dt")
     msec = _get(raw, "model", "")
     A = _matrix(_get(msec, "A", "model"), (3, 3), "model.A")
     B = _matrix(_get(msec, "B", "model"), (3, 2), "model.B")
@@ -147,13 +156,12 @@ def load_config(path):
         x_bounds = (x_min - op.x_ss, x_max - op.x_ss)
     try:
         ocp_cfg = ocp_mod.OcpConfig(
-            N=_get(osec, "N", "ocp"),
+            N=_number(_get(osec, "N", "ocp"), "ocp.N", int),
             q_x=_vector(_get(osec, "q_x", "ocp"), 3, "ocp.q_x"),
             q_u=_vector(_get(osec, "q_u", "ocp"), 2, "ocp.q_u"),
             q_xN=_vector(_get(osec, "q_xN", "ocp"), 3, "ocp.q_xN"),
             u_bounds=(u_min - op.u_ss, u_max - op.u_ss),
-            x_bounds=x_bounds,
-            terminal_rho=osec.get("terminal_rho"))
+            x_bounds=x_bounds)
     except ValueError as exc:
         raise ConfigError(f"ocp: {exc}")
 
@@ -170,38 +178,43 @@ def load_config(path):
         schedule.append((row[0], (row[1] - op.x_ss[0], row[2] - op.x_ss[1])))
     events = []
     for i, ev in enumerate(ssec.get("events", [])):
-        if not isinstance(ev, dict) or "time" not in ev or "set" not in ev:
+        if (not isinstance(ev, dict) or "time" not in ev
+                or not isinstance(ev.get("set"), dict)):
             raise ConfigError(f"scenario.events[{i}]: need {{time, set}}")
-        events.append((float(ev["time"]), _coerce_params(ev["set"])))
+        events.append((_number(ev["time"], f"scenario.events[{i}].time"),
+                       _coerce_params(ev["set"])))
     steady = ssec.get("steady", {})
     gsec = ssec.get("grnn", {})
-    sigma = gsec.get("sigma", "auto")
-    if sigma != "auto":
-        sigma = float(sigma)
     try:
         scenario = cl.ScenarioConfig(
-            duration=float(_get(ssec, "duration", "scenario")),
+            duration=_number(_get(ssec, "duration", "scenario"),
+                             "scenario.duration"),
             schedule=tuple(schedule),
             mode=_get(ssec, "mode", "scenario", "nominal"),
-            grnn_capacity=int(gsec.get("capacity", 50)),
-            grnn_sigma=sigma,
+            grnn_capacity=_number(gsec.get("capacity", 50),
+                                  "scenario.grnn.capacity", int),
+            grnn_sigma=_sigma(gsec.get("sigma", "auto"), "scenario.grnn.sigma"),
             events=tuple(events),
             harvest=bool(ssec.get("harvest", False)),
-            steady_M=int(steady.get("M", 5)),
-            steady_tol_y=float(steady.get("tol_y", 1e-5)),
-            steady_tol_u=float(steady.get("tol_u", 1e-5)),
-            seed=int(ssec.get("seed", 0)))
+            steady_M=_number(steady.get("M", 5), "scenario.steady.M", int),
+            steady_tol_y=_number(steady.get("tol_y", 1e-5),
+                                 "scenario.steady.tol_y"),
+            steady_tol_u=_number(steady.get("tol_u", 1e-5),
+                                 "scenario.steady.tol_u"))
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}")
 
-    config_dir = os.path.dirname(os.path.abspath(path))
+    # a relative training file is read from the config's directory,
+    # whatever the working directory
+    train = gsec.get("train")
+    if train:
+        train = os.path.join(os.path.dirname(os.path.abspath(path)), train)
     return RunConfig(
         model=model, dist=dist, L_x=L_x, L_d=L_d, ocp_cfg=ocp_cfg,
         params=params, op=op, scenario=scenario,
-        grnn_train=gsec.get("train"),
-        sweep_cap=int(raw.get("sweep", {}).get("cap", 200)),
+        grnn_train=train,
+        sweep_cap=_number(raw.get("sweep", {}).get("cap", 200), "sweep.cap", int),
         out_dir=raw.get("output", {}).get("dir", "out"),
-        config_dir=config_dir,
         stem=os.path.splitext(os.path.basename(path))[0])
 
 
@@ -216,28 +229,28 @@ def run_checks(rc):
     lines.append(("PASS" if obs["holds"] else "FAIL",
                   f"augmented observability: rank {obs['rank']} (required {need})"))
 
-    shim = SimpleNamespace(L_x=rc.L_x, L_d=rc.L_d)
-    rho = numerics.spectral_radius(
-        model_mod.estimator_error_matrix(rc.model, rc.dist, shim))
-    stable = rho < 1.0
+    try:
+        gains = rc.make_gains()
+        rho = gains.spectral_radius
+    except model_mod.UnstableEstimator as exc:
+        gains, rho = None, exc.spectral_radius
+    stable = gains is not None
     ok &= stable
     lines.append(("PASS" if stable else "FAIL",
                   f"estimator stability: spectral radius {rho:.6f} (required < 1)"))
+    if not stable:
+        for name in ("steady-map nonsingularity", "offset-free null space"):
+            lines.append(("FAIL", f"{name}: skipped (estimator unstable)"))
+        return ok, lines
 
-    if stable:
-        lemma = model_mod.check_lemma1_nonsingularity(rc.model, rc.dist, shim)
-        ok &= lemma
-        lines.append(("PASS" if lemma else "FAIL",
-                      "steady-map nonsingularity"))
-    else:
-        ok = False
-        lines.append(("FAIL", "steady-map nonsingularity: skipped "
-                      "(estimator unstable)"))
+    lemma = model_mod.check_lemma1_nonsingularity(rc.model, rc.dist, gains)
+    ok &= lemma
+    lines.append(("PASS" if lemma else "FAIL", "steady-map nonsingularity"))
 
     try:
         pred = ocp_mod.build_prediction(rc.model, rc.dist, rc.ocp_cfg)
         k_un = ocp_mod.unconstrained_gain(pred, rc.ocp_cfg)
-        off = model_mod.check_offset_free_condition(rc.model, shim, k_un)
+        off = model_mod.check_offset_free_condition(rc.model, gains, k_un)
         ok &= off["holds"]
         lines.append(("PASS" if off["holds"] else "FAIL",
                       f"offset-free null space: residual {off['residual']:.3e} "
@@ -285,10 +298,9 @@ def _build_grnn(rc, mode):
         return None
     g = grnn_mod.make_model(rc.scenario.grnn_capacity, rc.dist.n_d)
     if rc.grnn_train:
-        train_path = _resolve(rc.grnn_train, rc.config_dir)
-        if not os.path.exists(train_path):
-            raise ConfigError(f"grnn train file not found: {train_path}")
-        for r, d in grnn_mod.load_samples(train_path):
+        if not os.path.exists(rc.grnn_train):
+            raise ConfigError(f"grnn train file not found: {rc.grnn_train}")
+        for r, d in grnn_mod.load_samples(rc.grnn_train):
             g = grnn_mod.add_sample(g, r, d)
     sigma = rc.scenario.grnn_sigma
     if sigma == "auto":
@@ -370,6 +382,7 @@ def cmd_sweep(args):
 
 
 def cmd_grnn_fit(args):
+    sigma = _sigma(args.sigma, "--sigma")
     samples = grnn_mod.load_samples(args.samples)
     if not samples:
         raise ConfigError("no samples in file")
@@ -377,10 +390,8 @@ def cmd_grnn_fit(args):
     g = grnn_mod.make_model(max(len(samples), 1), n_out)
     for r, d in samples:
         g = grnn_mod.add_sample(g, r, d)
-    if args.sigma == "auto":
+    if sigma == "auto":
         sigma = grnn_mod.select_sigma(g)
-    else:
-        sigma = float(args.sigma)
     g = grnn_mod.with_sigma(g, sigma)
 
     out = args.out or os.environ.get("OFFSETMPC_OUT_DIR") or "out"
@@ -422,14 +433,23 @@ def sample_setpoints(n, seed, params, op, c_range=(0.84, 0.91),
     """Seeded uniform setpoints over the given ranges, rejecting pairs whose
     steady level leaves [0.45, 1.15] m or whose temperature sits in the
     upper band where the level target collapses; visit order groups by
-    1-K temperature band, ascending concentration."""
+    1-K temperature band, ascending concentration. Raises ConfigError after
+    MAX_REJECTED_DRAWS rejections in a row."""
     rng = np.random.default_rng(seed)
     pts = []
+    rejected = 0
     while len(pts) < n:
         c = rng.uniform(*c_range)
         T = rng.uniform(*T_range)
         if 0.45 <= plant_mod.steady_height(c, T, params) <= 1.15 and T <= 328.5:
             pts.append((c, T))
+            rejected = 0
+        else:
+            rejected += 1
+            if rejected == MAX_REJECTED_DRAWS:
+                raise ConfigError(
+                    f"no admissible setpoint in {MAX_REJECTED_DRAWS} draws in a "
+                    f"row over c in {c_range}, T in {T_range}")
     pts.sort(key=lambda p: (round((p[1] - T_range[0]) / 1.0), p[0]))
     return pts
 

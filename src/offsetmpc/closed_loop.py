@@ -10,6 +10,7 @@ input. The estimator is not updated at k=0 (nothing stored yet).
 """
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import grnn as grnn_mod
 from . import ocp as ocp_mod
+from . import plant as plant_mod
 from .estimator import DisturbanceEstimator
 from .target import TargetCalculator
 
@@ -27,6 +29,10 @@ class CrossCheckFailed(Exception):
 
 class SteadyNotReached(Exception):
     pass
+
+
+# failures part-way through a run: the log keeps the intervals before them
+ABORTS = (ocp_mod.Infeasible, ocp_mod.MaxIterations, plant_mod.NonPhysicalState)
 
 
 class ControllerMode(enum.Enum):
@@ -46,7 +52,6 @@ class ScenarioConfig:
     steady_M: int = 5
     steady_tol_y: float = 1e-5
     steady_tol_u: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -115,22 +120,20 @@ class NonlinearPlant:
     """CSTR truth in deviation coordinates around an operating point."""
 
     def __init__(self, state, params, op, dt=1.0):
-        from . import plant as plant_mod
-        self._mod = plant_mod
         self.state = state
         self.params = params
         self.op = op
         self.dt = dt
 
     def measure(self):
-        return self._mod.measure(self.state, self.op)
+        return plant_mod.measure(self.state, self.op)
 
     def step(self, u_dev):
         u_abs = self.op.u_ss + np.asarray(u_dev, dtype=float)
-        self.state = self._mod.step(self.state, u_abs, self.params, self.dt)
+        self.state = plant_mod.step(self.state, u_abs, self.params, self.dt)
 
     def apply_event(self, event):
-        self.params = self._mod.apply_event(self.params, event)
+        self.params = plant_mod.apply_event(self.params, event)
 
 
 class LinearPlant:
@@ -154,20 +157,21 @@ class LinearPlant:
         if "d_star" in event and len(event) == 1:
             self.d_star = np.asarray(event["d_star"], dtype=float)
         else:
-            from .plant import UnknownEvent
-            raise UnknownEvent(f"linear plant only supports d_star overrides, got {event}")
+            raise plant_mod.UnknownEvent(
+                f"linear plant only supports d_star overrides, got {event}")
 
 
 def _steady_window(rs, ys, us, M, tol_y, tol_u):
-    """True iff the last M+1 entries share one setpoint and both y and u
-    moved less than the tolerances between consecutive entries."""
+    """True iff there are M+1 entries (the caller passes at most that many),
+    they share one setpoint, and both y and u moved less than the tolerances
+    between consecutive entries."""
     if len(ys) < M + 1:
         return False
-    R = rs[-(M + 1):]
-    if any(not np.array_equal(R[0], ri) for ri in R[1:]):
+    R = np.array(rs)
+    if (R != R[0]).any():
         return False
-    Y = np.array(ys[-(M + 1):])
-    U = np.array(us[-(M + 1):])
+    Y = np.array(ys)
+    U = np.array(us)
     return (np.abs(np.diff(Y, axis=0)).max() <= tol_y
             and np.abs(np.diff(U, axis=0)).max() <= tol_u)
 
@@ -175,9 +179,10 @@ def _steady_window(rs, ys, us, M, tol_y, tol_u):
 def detect_steady(records, tol_y=1e-5, tol_u=1e-5, M=5):
     if M < 2:
         raise ValueError("M must be >= 2")
-    return _steady_window([rec.r for rec in records],
-                          [rec.y_p for rec in records],
-                          [rec.u for rec in records], M, tol_y, tol_u)
+    window = records[-(M + 1):]
+    return _steady_window([rec.r for rec in window],
+                          [rec.y_p for rec in window],
+                          [rec.u for rec in window], M, tol_y, tol_u)
 
 
 def harvest_sample(estimator, record):
@@ -216,7 +221,9 @@ class ControlLoop:
         self.estimate = self.estimator.initial()
         self._prev = None            # (u, y_p, d_learned) at k-1
         self._warm = None            # previous QpSolution
-        self._rs, self._ys, self._us = [], [], []
+        # the steady detector reads only the last M+1 intervals
+        self._rs, self._ys, self._us = (deque(maxlen=steady_M + 1)
+                                        for _ in range(3))
         self._last_harvest_r = None
         self.harvested = []
         self.rejected_harvests = 0
@@ -295,7 +302,7 @@ class ControlLoop:
 
 def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None):
     """Deterministic replay of one scenario; events fire between intervals;
-    the run aborts with a diagnostic on QP infeasibility."""
+    the run aborts with a diagnostic on any of ABORTS."""
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant, scenario.mode,
                        grnn=grnn, harvest=scenario.harvest,
                        steady_M=scenario.steady_M,
@@ -313,7 +320,7 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None):
         r = scenario.setpoint_at(t)
         try:
             _, record = loop.control_step(r)
-        except ocp_mod.Infeasible as exc:
+        except ABORTS as exc:
             log.aborted = {"time": t, "reason": str(exc)}
             break
         log.records.append(record)
@@ -325,28 +332,26 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None):
 def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
                   steady_M=5, steady_tol_y=1e-5, steady_tol_u=1e-5):
     """Visit each setpoint until steady and harvest one sample there;
-    plant and estimator state carry over between setpoints."""
+    plant and estimator state carry over between setpoints. Any of ABORTS
+    ends the sweep with the samples harvested so far."""
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant,
                        ControllerMode.NOMINAL, harvest=True,
                        steady_M=steady_M, steady_tol_y=steady_tol_y,
                        steady_tol_u=steady_tol_u)
     log = ClosedLoopLog()
-    for r in setpoints:
-        reached = False
-        for _ in range(cap):
-            try:
+    try:
+        for r in setpoints:
+            for _ in range(cap):
                 _, record = loop.control_step(r)
-            except ocp_mod.Infeasible as exc:
-                log.aborted = {"time": loop.k - 1, "reason": str(exc)}
-                log.harvested = loop.harvested
-                return loop.harvested, log
-            log.records.append(record)
-            if record.harvested:
-                reached = True
-                break
-        if not reached:
-            raise SteadyNotReached(f"no steady state within {cap} steps at "
-                                   f"setpoint {np.asarray(r)}")
+                log.records.append(record)
+                if record.harvested:
+                    break
+            else:
+                raise SteadyNotReached(f"no steady state within {cap} steps at "
+                                       f"setpoint {np.asarray(r)}")
+    except ABORTS as exc:
+        # control_step raised before advancing k: k is the failing interval
+        log.aborted = {"time": loop.k, "reason": str(exc)}
     log.harvested = loop.harvested
     log.rejected_harvests = loop.rejected_harvests
     return loop.harvested, log

@@ -1,6 +1,6 @@
-"""Disturbance estimator: nominal recursion, learned-mismatch variant with a
-supplementary disturbance state, and direct steady-state back-calculation
-from plant I/O."""
+"""Disturbance estimator: one update with an exogenous learned disturbance
+(zero in nominal mode) and a supplementary disturbance state, and direct
+steady-state back-calculation from plant I/O."""
 
 from dataclasses import dataclass
 
@@ -23,20 +23,6 @@ class AugmentedEstimate:
 
     def stacked(self):
         return np.concatenate([self.x_hat, self.d_hat])
-
-
-@dataclass
-class CombinedDisturbance:
-    d_learned: np.ndarray
-    d_supp: np.ndarray
-
-    def __post_init__(self):
-        self.d_learned = np.asarray(self.d_learned, dtype=float).reshape(-1)
-        self.d_supp = np.asarray(self.d_supp, dtype=float).reshape(-1)
-
-    @property
-    def d_total(self):
-        return self.d_learned + self.d_supp
 
 
 class DisturbanceEstimator:
@@ -63,14 +49,8 @@ class DisturbanceEstimator:
         return AugmentedEstimate(np.zeros(self.model.n_x),
                                  np.zeros(self.dist.n_d))
 
-    def nominal_step(self, est, u, y_p):
-        w = (self.M_err @ est.stacked()
-             + self._B_stack @ np.asarray(u, dtype=float)
-             - self._L_stack @ np.asarray(y_p, dtype=float))
-        n_x = self.model.n_x
-        return AugmentedEstimate(w[:n_x], w[n_x:])
-
     def learned_step(self, est, u, y_p, d_learned):
+        """One update; the nominal estimator is this with d_learned = 0."""
         w = (self.M_err @ est.stacked()
              + self._B_stack @ np.asarray(u, dtype=float)
              - self._L_stack @ np.asarray(y_p, dtype=float)

@@ -1,4 +1,4 @@
-"""Linear prediction model, integrating-disturbance augmentation, and the
+"""Linear prediction model, integrating-disturbance model, and the
 structural checks offset-free tracking rests on.
 
 All model data live in deviation coordinates around the operating point.
@@ -22,6 +22,10 @@ class DimensionMismatch(Exception):
 
 class UnstableEstimator(Exception):
     """Gain set whose error matrix has spectral radius >= 1."""
+
+    def __init__(self, spectral_radius):
+        super().__init__(f"error matrix spectral radius {spectral_radius:.6f} >= 1")
+        self.spectral_radius = spectral_radius
 
 
 class SingularClosedLoop(Exception):
@@ -110,34 +114,8 @@ class EstimatorGains:
         rho = numerics.spectral_radius(
             estimator_error_matrix(model, dist, self))
         if not rho < 1.0:
-            raise UnstableEstimator(f"error matrix spectral radius {rho:.6f} >= 1")
+            raise UnstableEstimator(rho)
         self.spectral_radius = rho
-
-
-class AugmentedModel:
-    """Stacked model over (x, d) with the disturbance held by an integrator."""
-
-    def __init__(self, model, dist):
-        n_x, n_d = model.n_x, dist.n_d
-        self.A_aug = np.block([
-            [model.A, dist.B_d],
-            [np.zeros((n_d, n_x)), np.eye(n_d)],
-        ])
-        self.B_aug = np.vstack([model.B, np.zeros((n_d, model.n_u))])
-        self.C_aug = np.hstack([model.C, dist.C_d])
-        # selectors recovering x and d from the stacked state
-        self.S_x = np.hstack([np.eye(n_x), np.zeros((n_x, n_d))])
-        self.S_d = np.hstack([np.zeros((n_d, n_x)), np.eye(n_d)])
-        self.n_x = n_x
-        self.n_d = n_d
-
-
-def augment(model, dist):
-    if dist.B_d.shape[0] != model.n_x:
-        raise DimensionMismatch("B_d row count != n_x")
-    if dist.C_d.shape[0] != model.n_y:
-        raise DimensionMismatch("C_d row count != n_y")
-    return AugmentedModel(model, dist)
 
 
 def check_augmented_observability(model, dist):
@@ -163,13 +141,12 @@ def check_lemma1_nonsingularity(model, dist, gains):
     """Nonsingularity of the steady-state back-calculation matrix.
 
     Precondition: the error matrix is a contraction (enforced by
-    EstimatorGains); under it this must come back true, so a false return
-    flags an internal inconsistency rather than a valid configuration.
+    EstimatorGains, which stores its spectral radius); under it this must
+    come back true, so a false return flags an internal inconsistency rather
+    than a valid configuration.
     """
-    rho = numerics.spectral_radius(estimator_error_matrix(model, dist, gains))
-    if not rho < 1.0:
-        raise UnstableEstimator(
-            f"precondition violated: spectral radius {rho:.6f} >= 1")
+    if not gains.spectral_radius < 1.0:
+        raise UnstableEstimator(gains.spectral_radius)
     M = steady_io_matrix(model, dist, gains)
     try:
         numerics.solve_linear(M, np.zeros(M.shape[0]))

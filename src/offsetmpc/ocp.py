@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import model as model_mod
 from . import numerics
 
 
@@ -18,10 +19,6 @@ class Infeasible(Exception):
 
 
 class MaxIterations(Exception):
-    pass
-
-
-class DimensionMismatch(Exception):
     pass
 
 
@@ -37,7 +34,6 @@ class OcpConfig:
     q_xN: np.ndarray         # diagonal terminal weights
     u_bounds: tuple          # (lb, ub) arrays, deviation units
     x_bounds: Optional[tuple] = None
-    terminal_rho: Optional[float] = None
 
     def __post_init__(self):
         self.N = int(self.N)
@@ -112,11 +108,14 @@ def build_prediction(model, dist, cfg):
     return PredictionMatrices(Phi, Psi, Psi_d)
 
 
-def stacked_weights(cfg):
+def _hessian(pred, cfg):
+    """Stacked diagonal weights, Psi'Qx and H_j = Psi'Qx Psi + Qu: the parts
+    of the condensed cost that do not depend on the state or the target."""
     qx_stack = np.concatenate([np.tile(cfg.q_x, cfg.N - 1), cfg.q_xN]) \
         if cfg.N > 1 else cfg.q_xN.copy()
     qu_stack = np.tile(cfg.q_u, cfg.N)
-    return qx_stack, qu_stack
+    PsiTQx = pred.Psi.T * qx_stack
+    return qx_stack, qu_stack, PsiTQx, PsiTQx @ pred.Psi + np.diag(qu_stack)
 
 
 def condense(pred, cfg, x_hat, d_hat, tgt):
@@ -134,16 +133,14 @@ def condense(pred, cfg, x_hat, d_hat, tgt):
     N, n_x, n_u = cfg.N, cfg.n_x, cfg.n_u
     n_d = pred.Psi_d.shape[1] // N
     if x_hat.shape[0] != n_x or d_hat.shape[0] != n_d:
-        raise DimensionMismatch("x_hat/d_hat dimensions")
-    qx_stack, qu_stack = stacked_weights(cfg)
+        raise model_mod.DimensionMismatch("x_hat/d_hat dimensions")
+    qx_stack, qu_stack, PsiTQx, H_j = _hessian(pred, cfg)
     Psi, Phi, Psi_d = pred.Psi, pred.Phi, pred.Psi_d
     d_stack = np.tile(d_hat, N)
     xbar_stack = np.tile(tgt.x_bar, N)
     ubar_stack = np.tile(tgt.u_bar, N)
 
     g = Phi @ x_hat + Psi_d @ d_stack - xbar_stack
-    PsiTQx = Psi.T * qx_stack
-    H_j = PsiTQx @ Psi + np.diag(qu_stack)
     f_j = PsiTQx @ g - qu_stack * ubar_stack
     dx0 = x_hat - tgt.x_bar
     c_j = float(g @ (qx_stack * g) + ubar_stack @ (qu_stack * ubar_stack)
@@ -178,7 +175,8 @@ def _kkt_solve(H, f, G, h, W):
 
 
 def _active_set_core(H, f, G, h, x0, W0, itmax):
-    """min x'Hx + 2f'x s.t. Gx <= h from a feasible x0.
+    """min x'Hx + 2f'x s.t. Gx <= h from a feasible x0; returns the
+    minimizer, the final working set, its multipliers and the iteration count.
 
     Entering/leaving constraints follow Bland's lowest-index rule (the
     ascending scans pick the lowest achiever), which rules out cycling.
@@ -197,7 +195,7 @@ def _active_set_core(H, f, G, h, x0, W0, itmax):
         p = xs - x
         if np.abs(p).max() <= 1e-11 * (1.0 + np.abs(x).max()):
             if len(W) == 0 or lam.min() >= -TOL_KKT:
-                return xs, W, it
+                return xs, W, lam, it
             j = min(i for i, l in zip(W, lam) if l < -TOL_KKT)
             W.remove(j)
             continue
@@ -256,8 +254,7 @@ def solve_qp(qp, warm_start=None, active_guess=None):
         W0 = [i for i in active_guess if 0 <= i < m and act[i] >= -1e-9]
         if W0 and numerics.matrix_rank(G[W0]) < len(W0):
             W0 = []
-    x, W, it = _active_set_core(H, f, G, h, x0, W0, itmax)
-    _, lam = _kkt_solve(H, f, G, h, W)
+    x, W, lam, it = _active_set_core(H, f, G, h, x0, W0, itmax)
     res = _kkt_residual(H, f, G, h, x, W, lam)
     obj = float(x @ H @ x + 2.0 * f @ x + qp.c_j)
     return QpSolution(x, W, float(res), obj, it)
@@ -279,7 +276,7 @@ def _phase1(H, f, G, h, x0, itmax):
     h2 = np.concatenate([h, [0.0]])
     s0 = max((G @ x0 - h).max(), 0.0) + 1.0
     z0 = np.concatenate([x0, [s0]])
-    z, _, _ = _active_set_core(H2, f2, G2, h2, z0, [], itmax)
+    z, _, _, _ = _active_set_core(H2, f2, G2, h2, z0, [], itmax)
     if z[n] > 1e-8:
         raise Infeasible(f"phase-1 slack {z[n]:.3e} > 1e-8")
     return z[:n]
@@ -288,9 +285,7 @@ def _phase1(H, f, G, h, x0, itmax):
 def unconstrained_gain(pred, cfg):
     """First input block of the unconstrained minimizer as a linear gain on
     the deviation from target: u0 - u_bar = K (x_hat - x_bar)."""
-    qx_stack, qu_stack = stacked_weights(cfg)
-    PsiTQx = pred.Psi.T * qx_stack
-    H_j = PsiTQx @ pred.Psi + np.diag(qu_stack)
+    _, _, PsiTQx, H_j = _hessian(pred, cfg)
     K_full = numerics.solve_linear(H_j, -(PsiTQx @ pred.Phi))
     return K_full[:cfg.n_u, :]
 
@@ -300,9 +295,3 @@ def value_function(pred, cfg, x_hat, d_hat, tgt):
     qp = condense(pred, cfg, x_hat, d_hat, tgt)
     return solve_qp(qp).objective
 
-
-def check_terminal_set(cfg, x_N, tgt):
-    if cfg.terminal_rho is None:
-        raise ValueError("terminal_rho not configured")
-    dx = np.asarray(x_N, dtype=float) - tgt.x_bar
-    return float(dx @ (cfg.q_xN * dx)) <= cfg.terminal_rho

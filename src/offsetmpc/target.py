@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as model_mod
 from . import numerics
 
 log = logging.getLogger(__name__)
@@ -24,7 +25,11 @@ class TargetPair:
 class TargetCalculator:
     def __init__(self, model, dist, u_bounds=None, x_bounds=None):
         """u_bounds/x_bounds are optional (lb, ub) arrays in deviation
-        coordinates, used only to warn about unattainable targets."""
+        coordinates, used only to warn about unattainable targets. The
+        target matrix must be square: as many controlled outputs as inputs."""
+        if model.n_z != model.n_u:
+            raise model_mod.DimensionMismatch(
+                f"target needs n_z == n_u, got n_z={model.n_z}, n_u={model.n_u}")
         self.model = model
         self.dist = dist
         self.u_bounds = u_bounds
@@ -35,8 +40,7 @@ class TargetCalculator:
             [model.A - np.eye(n_x), model.B],
             [model.H @ model.C, np.zeros((n_z, n_u))],
         ])
-        self._square = (self.M.shape[0] == self.M.shape[1])
-        if numerics.matrix_rank(self.M) < min(self.M.shape):
+        if numerics.matrix_rank(self.M) < self.M.shape[0]:
             raise SingularTarget("target matrix rank-deficient")
 
     def rhs(self, d_hat, r):
@@ -49,14 +53,10 @@ class TargetCalculator:
 
     def solve(self, d_hat, r):
         rhs = self.rhs(d_hat, r)
-        if self._square:
-            try:
-                sol = numerics.solve_linear(self.M, rhs)
-            except numerics.SingularMatrix as exc:
-                raise SingularTarget(str(exc)) from exc
-        else:
-            # non-square: minimum-norm / least-squares solution
-            sol = numerics.pseudoinverse(self.M) @ rhs
+        try:
+            sol = numerics.solve_linear(self.M, rhs)
+        except numerics.SingularMatrix as exc:
+            raise SingularTarget(str(exc)) from exc
         n_x = self.model.n_x
         pair = TargetPair(sol[:n_x], sol[n_x:])
         self._warn_if_outside(pair)
@@ -78,8 +78,3 @@ class TargetCalculator:
                 if key not in self._warned:
                     self._warned.add(key)
                     log.warning("target state outside bounds: %s", pair.x_bar)
-
-
-def solve_target(model, dist, d_hat, r, u_bounds=None, x_bounds=None):
-    """One-shot convenience wrapper around TargetCalculator."""
-    return TargetCalculator(model, dist, u_bounds, x_bounds).solve(d_hat, r)

@@ -295,7 +295,7 @@ def test_criterion_09_lyapunov_descent(committed):
     log = cl.run_scenario(sc, m, dist, gains, cfg,
                           cl.LinearPlant(m, dist, d_star=d_star), grnn=g)
     pred = ocp.build_prediction(m, dist, cfg)
-    tgt = target.solve_target(m, dist, d_star, r)
+    tgt = target.TargetCalculator(m, dist).solve(d_star, r)
     trace = cl.lyapunov_trace(log, pred, cfg, tgt, d_star)
     margins = np.array(trace.margins)
     ok = (not trace.truncated and len(trace.values) == 100
@@ -356,15 +356,16 @@ def test_criterion_11_numerical_foundations(committed):
         return np.concatenate([e.x_hat, e.d_hat])
 
     lin_ok = True
+    zero = np.zeros(2)
     for _ in range(5):
         xa, xb = rng.normal(size=3), rng.normal(size=3)
         da, db = rng.normal(size=2), rng.normal(size=2)
         ua, ub = rng.normal(size=2), rng.normal(size=2)
         ya, yb = rng.normal(size=3), rng.normal(size=3)
-        both = est.nominal_step(est_mod.AugmentedEstimate(xa + xb, da + db),
-                                ua + ub, ya + yb)
-        one = est.nominal_step(est_mod.AugmentedEstimate(xa, da), ua, ya)
-        two = est.nominal_step(est_mod.AugmentedEstimate(xb, db), ub, yb)
+        both = est.learned_step(est_mod.AugmentedEstimate(xa + xb, da + db),
+                                ua + ub, ya + yb, zero)
+        one = est.learned_step(est_mod.AugmentedEstimate(xa, da), ua, ya, zero)
+        two = est.learned_step(est_mod.AugmentedEstimate(xb, db), ub, yb, zero)
         lin_ok &= np.allclose(vec(both), vec(one) + vec(two), atol=1e-10)
 
     # kernel regression: hull confinement and kernel-width limits

@@ -173,3 +173,54 @@ def test_sample_setpoints_deterministic(tmp_path, capsys):
     for c, T in ((float(r[0]), float(r[1])) for r in rows):
         assert 0.83 <= c <= 0.92
         assert 320.0 <= T <= 328.5
+
+
+# a malformed number exits 2 with a message, never with a traceback; each
+# case is (None, grnn-fit argv) or ((pattern, line) for the tracking config,
+# argv)
+BAD_NUMBERS = {
+    "grnn-fit --sigma abc": (None, ["grnn-fit", "--sigma", "abc"]),
+    "grnn-fit --sigma -1": (None, ["grnn-fit", "--sigma", "-1"]),
+    "dt: abc": ((r"^dt: .*$", "dt: abc"), ["check"]),
+    "scenario.grnn.sigma: -1": ((r"sigma: 0\.01", "sigma: -1"),
+                                ["run", "--mode", "learned"]),
+    "sweep.cap: abc": ((r"^  cap: .*$", "  cap: abc"), ["check"]),
+    "scenario.events[0].time: abc": (
+        (r"^  harvest: false$",
+         "  harvest: false\n  events:\n    - {time: abc, set: {U: 50.0}}"),
+        ["check"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_number_is_config_error(tmp_path, capsys, case):
+    sub, argv = BAD_NUMBERS[case]
+    if sub is None:
+        train = tmp_path / "train.txt"
+        grnn.write_samples(str(train), [(np.zeros(2), np.zeros(2)),
+                                        (np.ones(2), np.ones(2))])
+        argv = argv[:1] + [str(train)] + argv[1:] + ["--out",
+                                                      str(tmp_path / "out")]
+    else:
+        argv = argv + [str(rewrite_config(tmp_path, "bad.yaml", [sub]))]
+    assert cli.main(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_learned_run_reads_train_file_beside_config(tmp_path, monkeypatch,
+                                                   capsys):
+    """scenario.grnn.train is relative to the config's directory, so the run
+    does not depend on the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--mode", "learned", str(TRACKING),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "cstr_tracking_learned.csv").exists()
+
+
+def test_sample_setpoints_gives_up_without_admissible_point(tmp_path, capsys):
+    # a tenfold feed flow puts every steady level far above 1.15 m
+    cfg = rewrite_config(tmp_path, "big_feed.yaml", [(r"^  F0: .*$",
+                                                      "  F0: 1.0")])
+    assert cli.main(["sample-setpoints", str(cfg), "-n", "3",
+                     "--out", str(tmp_path / "pts.txt")]) == 2
+    assert "no admissible setpoint" in capsys.readouterr().err

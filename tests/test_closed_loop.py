@@ -5,7 +5,7 @@ import pytest
 
 from offsetmpc import closed_loop as cl
 from offsetmpc import estimator as est_mod
-from offsetmpc import grnn
+from offsetmpc import grnn, plant
 
 
 def scenario(duration, schedule, mode, **kw):
@@ -248,3 +248,39 @@ def test_learned_mode_with_exact_map_tracks_immediately(committed):
         assert np.array_equal(rec.d_learned, d_star)
         assert np.abs(rec.d_supp).max() < 1e-10
     assert np.abs(log.records[-1].z_p - log.records[-1].r).max() < 1e-8
+
+
+class FailingPlant(cl.LinearPlant):
+    """Linear plant whose step raises NonPhysicalState at interval k_fail."""
+
+    def __init__(self, model, dist, d_star, k_fail):
+        super().__init__(model, dist, d_star)
+        self.k = 0
+        self.k_fail = k_fail
+
+    def step(self, u_dev):
+        if self.k == self.k_fail:
+            raise plant.NonPhysicalState("left the physical region")
+        super().step(u_dev)
+        self.k += 1
+
+
+def test_failure_part_way_keeps_the_log(committed):
+    m, dist, gains, cfg = committed
+    sc = scenario(10.0, [(0.0, np.array([0.001, 0.1]))],
+                  cl.ControllerMode.NOMINAL)
+    log = cl.run_scenario(sc, m, dist, gains, cfg,
+                          FailingPlant(m, dist, np.zeros(2), k_fail=3))
+    assert len(log.records) == 3
+    assert log.aborted == {"time": 3.0, "reason": "left the physical region"}
+
+
+def test_sweep_failure_part_way_keeps_the_samples(committed):
+    m, dist, gains, cfg = committed
+    setpoints = [np.array([0.0, 0.0]), np.array([0.001, 0.1])]
+    samples, log = cl.sweep_harvest(
+        m, dist, gains, cfg, FailingPlant(m, dist, np.zeros(2), k_fail=10),
+        setpoints, cap=150)
+    assert len(log.records) == 10
+    assert len(samples) == 1 and log.harvested == samples
+    assert log.aborted == {"time": 10, "reason": "left the physical region"}

@@ -18,6 +18,11 @@ def make_est(x, d):
     return est_mod.AugmentedEstimate(np.asarray(x, float), np.asarray(d, float))
 
 
+def nominal(estimator, est, u, y_p):
+    """The nominal update: the learned update with d_learned = 0."""
+    return estimator.learned_step(est, u, y_p, np.zeros(2))
+
+
 def test_initial_is_zero(estimator):
     e0 = estimator.initial()
     assert np.array_equal(e0.x_hat, np.zeros(3))
@@ -28,8 +33,8 @@ def test_update_is_linear_in_all_arguments(estimator):
     """One step is a linear map of (x_hat, d_hat, u, y_p): superposition
     plus zero-maps-to-zero pins the whole affine structure."""
     rng = np.random.default_rng(21)
-    z = estimator.nominal_step(make_est(np.zeros(3), np.zeros(2)),
-                               np.zeros(2), np.zeros(3))
+    z = nominal(estimator, make_est(np.zeros(3), np.zeros(2)),
+                np.zeros(2), np.zeros(3))
     assert np.allclose(as_vec(z), 0.0)
     for _ in range(25):
         xa, xb = rng.normal(size=3), rng.normal(size=3)
@@ -37,23 +42,12 @@ def test_update_is_linear_in_all_arguments(estimator):
         ua, ub = rng.normal(size=2), rng.normal(size=2)
         ya, yb = rng.normal(size=3), rng.normal(size=3)
         a, b = rng.normal(), rng.normal()
-        lhs = estimator.nominal_step(
-            make_est(a * xa + b * xb, a * da + b * db),
-            a * ua + b * ub, a * ya + b * yb)
-        ra = estimator.nominal_step(make_est(xa, da), ua, ya)
-        rb = estimator.nominal_step(make_est(xb, db), ub, yb)
+        lhs = nominal(estimator, make_est(a * xa + b * xb, a * da + b * db),
+                      a * ua + b * ub, a * ya + b * yb)
+        ra = nominal(estimator, make_est(xa, da), ua, ya)
+        rb = nominal(estimator, make_est(xb, db), ub, yb)
         assert np.allclose(as_vec(lhs), a * as_vec(ra) + b * as_vec(rb),
                            atol=1e-10)
-
-
-def test_nominal_equals_learned_with_zero_split(estimator):
-    rng = np.random.default_rng(5)
-    e = make_est(rng.normal(size=3), rng.normal(size=2))
-    u, y = rng.normal(size=2), rng.normal(size=3)
-    a = estimator.nominal_step(e, u, y)
-    b = estimator.learned_step(e, u, y, np.zeros(2))
-    assert np.array_equal(a.x_hat, b.x_hat)
-    assert np.array_equal(a.d_hat, b.d_hat)
 
 
 def test_steady_state_from_io_is_fixed_point(estimator):
@@ -62,7 +56,7 @@ def test_steady_state_from_io_is_fixed_point(estimator):
         y = rng.normal(scale=0.5, size=3)
         u = rng.normal(scale=0.5, size=2)
         e_inf = estimator.steady_state_from_io(y, u)
-        e_next = estimator.nominal_step(e_inf, u, y)
+        e_next = nominal(estimator, e_inf, u, y)
         assert np.allclose(as_vec(e_next), as_vec(e_inf), atol=1e-9)
 
 
@@ -75,7 +69,7 @@ def test_convergence_under_constant_io(estimator):
     e = estimator.initial()
     errs = []
     for _ in range(40):
-        e = estimator.nominal_step(e, u, y)
+        e = nominal(estimator, e, u, y)
         errs.append(np.linalg.norm(as_vec(e) - e_inf))
     assert errs[-1] < 1e-12
     # asymptotic ratio matches the 0.2 pole placement
@@ -94,7 +88,7 @@ def test_learned_split_preserves_total(estimator):
     e_nom = estimator.initial()
     e_lrn = estimator.initial()
     for _ in range(60):
-        e_nom = estimator.nominal_step(e_nom, u, y)
+        e_nom = nominal(estimator, e_nom, u, y)
         e_lrn = estimator.learned_step(e_lrn, u, y, d_l)
     assert np.allclose(e_nom.x_hat, e_lrn.x_hat, atol=1e-10)
     assert np.allclose(e_nom.d_hat, d_l + e_lrn.d_hat, atol=1e-10)

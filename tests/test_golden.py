@@ -1,0 +1,59 @@
+"""Golden trajectories: the committed runs in out/ must reproduce.
+
+Each case reruns one committed scenario through the command line into a
+temporary directory and compares every CSV field and every numeric summary
+field with the committed file at |got - ref| <= TOL * max(1, |ref|); other
+fields must match exactly. Reruns on one machine are byte-identical; on
+another BLAS build the last digits move (by up to ~1e-12), which TOL
+absorbs while any change to the control arithmetic shows.
+"""
+
+import pathlib
+
+import pytest
+
+from offsetmpc import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOL = 1e-9
+
+# (config stem, --mode flag or None for the configured learned mode)
+RUNS = [("cstr_tracking", "both"), ("cstr_drift", None),
+        ("cstr_twovar", "both"), ("cstr_twovar_400", None)]
+
+
+def fields(path):
+    sep = "," if path.suffix == ".csv" else None
+    return [line.split(sep) for line in path.read_text().splitlines()]
+
+
+def worst_deviation(got_path, ref_path):
+    got, ref = fields(got_path), fields(ref_path)
+    assert len(got) == len(ref), f"{ref_path.name}: line count"
+    worst = 0.0
+    for n, (g_row, r_row) in enumerate(zip(got, ref), 1):
+        assert len(g_row) == len(r_row), f"{ref_path.name}:{n}: field count"
+        for g, r in zip(g_row, r_row):
+            try:
+                g_val, r_val = float(g), float(r)
+            except ValueError:
+                assert g == r, f"{ref_path.name}:{n}: {g!r} != {r!r}"
+                continue
+            worst = max(worst, abs(g_val - r_val) / max(1.0, abs(r_val)))
+    return worst
+
+
+@pytest.mark.parametrize("stem, mode", RUNS,
+                         ids=[f"{s}-{m or 'learned'}" for s, m in RUNS])
+def test_committed_run_reproduces(tmp_path, capsys, stem, mode):
+    argv = ["run", str(ROOT / "configs" / f"{stem}.yaml"),
+            "--out", str(tmp_path)]
+    if mode:
+        argv += ["--mode", mode]
+    assert cli.main(argv) == 0
+    modes = ["nominal", "learned"] if mode == "both" else ["learned"]
+    for m in modes:
+        for suffix in (".csv", "_summary.txt"):
+            name = f"{stem}_{m}{suffix}"
+            worst = worst_deviation(tmp_path / name, ROOT / "out" / name)
+            assert worst <= TOL, f"{name}: deviation {worst:.3e} > {TOL:.0e}"

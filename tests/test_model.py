@@ -109,15 +109,3 @@ def test_steady_io_matrix_invertible(committed):
     assert M.shape == (5, 5)
     assert numerics.matrix_rank(M) == 5
 
-
-def test_augment_consistency(committed):
-    m, dist, _, _ = committed
-    aug = mdl.augment(m, dist)
-    n, nd = 3, 2
-    assert aug.A_aug.shape == (n + nd, n + nd)
-    assert np.allclose(aug.A_aug[:n, :n], m.A)
-    assert np.allclose(aug.A_aug[:n, n:], dist.B_d)
-    assert np.allclose(aug.A_aug[n:, n:], np.eye(nd))
-    assert np.allclose(aug.A_aug[n:, :n], 0.0)
-    assert np.allclose(aug.C_aug[:, :n], m.C)
-    assert np.allclose(aug.C_aug[:, n:], dist.C_d)

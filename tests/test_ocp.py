@@ -51,7 +51,8 @@ def test_condensed_objective_matches_rollout(committed):
     for _ in range(10):
         x0 = rng.normal(scale=0.05, size=3)
         d = rng.normal(scale=0.05, size=2)
-        tgt = target.solve_target(m, dist, d, rng.normal(scale=0.005, size=2))
+        tgt = target.TargetCalculator(m, dist).solve(
+            d, rng.normal(scale=0.005, size=2))
         qp = ocp.condense(pred, cfg, x0, d, tgt)
         u = rng.normal(scale=0.2, size=qp.H_j.shape[0])
         J_qp = u @ qp.H_j @ u + 2.0 * qp.f_j @ u + qp.c_j
@@ -63,7 +64,7 @@ def test_condensed_objective_matches_rollout(committed):
 def test_condensed_bounds_encode_box(committed):
     m, dist, _, cfg = committed
     pred = ocp.build_prediction(m, dist, cfg)
-    tgt = target.solve_target(m, dist, np.zeros(2), np.zeros(2))
+    tgt = target.TargetCalculator(m, dist).solve(np.zeros(2), np.zeros(2))
     qp = ocp.condense(pred, cfg, np.zeros(3), np.zeros(2), tgt)
     n = qp.H_j.shape[0]
     assert n == cfg.N * 2
@@ -82,7 +83,7 @@ def test_unconstrained_gain_is_lqr_like_fixed_point(committed):
     K = ocp.unconstrained_gain(pred, cfg)
     assert K.shape == (2, 3)
     rng = np.random.default_rng(12)
-    tgt = target.solve_target(m, dist, np.zeros(2), np.zeros(2))
+    tgt = target.TargetCalculator(m, dist).solve(np.zeros(2), np.zeros(2))
     for _ in range(5):
         x0 = rng.normal(scale=1e-4, size=3)  # small enough to stay interior
         qp = ocp.condense(pred, cfg, x0, np.zeros(2), tgt)
@@ -100,7 +101,8 @@ def test_solve_qp_certificates(committed):
     for _ in range(10):
         x0 = rng.normal(scale=0.2, size=3)
         d = rng.normal(scale=0.2, size=2)
-        tgt = target.solve_target(m, dist, d, rng.normal(scale=0.01, size=2))
+        tgt = target.TargetCalculator(m, dist).solve(
+            d, rng.normal(scale=0.01, size=2))
         qp = ocp.condense(pred, cfg, x0, d, tgt)
         sol = ocp.solve_qp(qp)
         assert sol.kkt_residual <= 1e-8
@@ -118,7 +120,7 @@ def test_warm_start_matches_cold(committed):
     for _ in range(10):
         x0 = rng.normal(scale=0.3, size=3)
         d = rng.normal(scale=0.2, size=2)
-        tgt = target.solve_target(m, dist, d, np.zeros(2))
+        tgt = target.TargetCalculator(m, dist).solve(d, np.zeros(2))
         qp = ocp.condense(pred, cfg, x0, d, tgt)
         cold = ocp.solve_qp(qp)
         warm = ocp.solve_qp(qp,
@@ -163,12 +165,3 @@ def test_config_validation():
         ocp.OcpConfig(N=5, q_x=np.ones(3), q_u=np.ones(2), q_xN=np.ones(3),
                       u_bounds=(np.array([2.0, 2.0]), np.array([1.0, 1.0])))
 
-
-def test_terminal_set_membership(committed):
-    m, dist, _, cfg = committed
-    tgt = target.solve_target(m, dist, np.zeros(2), np.zeros(2))
-    tight = dataclasses.replace(cfg, terminal_rho=1e-6)
-    assert ocp.check_terminal_set(tight, tgt.x_bar, tgt) is True
-    assert ocp.check_terminal_set(tight, tgt.x_bar + 1.0, tgt) is False
-    with pytest.raises(ValueError):
-        ocp.check_terminal_set(cfg, tgt.x_bar, tgt)

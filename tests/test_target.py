@@ -9,18 +9,19 @@ from offsetmpc import target
 
 def test_origin_for_zero_inputs(committed):
     m, dist, _, _ = committed
-    tgt = target.solve_target(m, dist, np.zeros(2), np.zeros(2))
+    tgt = target.TargetCalculator(m, dist).solve(np.zeros(2), np.zeros(2))
     assert np.allclose(tgt.x_bar, 0.0, atol=1e-12)
     assert np.allclose(tgt.u_bar, 0.0, atol=1e-12)
 
 
 def test_target_satisfies_steady_equations(committed):
     m, dist, _, _ = committed
+    calc = target.TargetCalculator(m, dist)
     rng = np.random.default_rng(13)
     for _ in range(25):
         d = rng.normal(scale=0.3, size=2)
         r = rng.normal(scale=0.01, size=2)
-        tgt = target.solve_target(m, dist, d, r)
+        tgt = calc.solve(d, r)
         res_dyn = (m.A - np.eye(3)) @ tgt.x_bar + m.B @ tgt.u_bar + dist.B_d @ d
         res_out = m.H @ (m.C @ tgt.x_bar + dist.C_d @ d) - r
         assert np.linalg.norm(res_dyn) < 1e-9
@@ -32,10 +33,10 @@ def test_bounds_warn_but_never_clip(committed, caplog):
     # this setpoint needs a coolant move past the box; the pair must come
     # back exact anyway
     r = np.array([0.04, 0.0])
-    free = target.solve_target(m, dist, np.zeros(2), r)
+    free = target.TargetCalculator(m, dist).solve(np.zeros(2), r)
     with caplog.at_level(logging.WARNING, logger="offsetmpc.target"):
-        boxed = target.solve_target(m, dist, np.zeros(2), r,
-                                    u_bounds=cfg.u_bounds)
+        boxed = target.TargetCalculator(m, dist, u_bounds=cfg.u_bounds).solve(
+            np.zeros(2), r)
     assert np.array_equal(free.u_bar, boxed.u_bar)
     assert np.array_equal(free.x_bar, boxed.x_bar)
     assert not (cfg.u_bounds[0] <= boxed.u_bar).all() or \
@@ -63,17 +64,13 @@ def test_singular_pair_raises():
     m = mdl.LinearModel(A, B, np.eye(2), H, 1.0)
     dist = mdl.DisturbanceModel(np.array([[1.0], [0.0]]), np.zeros((2, 1)))
     with pytest.raises(target.SingularTarget):
-        target.solve_target(m, dist, np.zeros(1), np.zeros(1))
+        target.TargetCalculator(m, dist)
 
 
-def test_calculator_matches_free_function(committed):
+def test_non_square_target_rejected(committed):
+    """One controlled output for two inputs leaves the target problem
+    without a unique solution; the calculator refuses it."""
     m, dist, _, _ = committed
-    calc = target.TargetCalculator(m, dist)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        d = rng.normal(scale=0.2, size=2)
-        r = rng.normal(scale=0.005, size=2)
-        a = calc.solve(d, r)
-        b = target.solve_target(m, dist, d, r)
-        assert np.array_equal(a.x_bar, b.x_bar)
-        assert np.array_equal(a.u_bar, b.u_bar)
+    m_one = mdl.LinearModel(m.A, m.B, m.C, m.H[:1], m.dt)
+    with pytest.raises(mdl.DimensionMismatch):
+        target.TargetCalculator(m_one, dist)
