@@ -65,6 +65,15 @@ def _get(section, key, path, default=KeyError):
     return section[key]
 
 
+def _section(value, path, kind=dict):
+    """value, if it has the expected YAML kind: a mapping unless kind says
+    list or str."""
+    if not isinstance(value, kind):
+        what = {dict: "a mapping", list: "a list", str: "a string"}[kind]
+        raise ConfigError(f"{path}: not {what}")
+    return value
+
+
 def _matrix(value, shape, path):
     try:
         m = np.array(value, dtype=float)
@@ -72,6 +81,8 @@ def _matrix(value, shape, path):
         raise ConfigError(f"{path}: not a numeric matrix")
     if m.shape != shape:
         raise ConfigError(f"{path}: expected shape {shape}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ConfigError(f"{path}: entries must be finite")
     return m
 
 
@@ -81,9 +92,12 @@ def _vector(value, n, path):
 
 def _number(value, path, cast=float):
     try:
-        return cast(value)
-    except (TypeError, ValueError):
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: not a number: {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: not a finite number: {value!r}")
+    return number
 
 
 def _sigma(value, path):
@@ -91,8 +105,8 @@ def _sigma(value, path):
     if value == "auto":
         return value
     sigma = _number(value, path)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"{path}: must be finite and > 0, got {value!r}")
+    if not sigma > 0:
+        raise ConfigError(f"{path}: must be > 0, got {value!r}")
     return sigma
 
 
@@ -121,7 +135,7 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
 
-    op_sec = _get(raw, "operating_point", "")
+    op_sec = _section(_get(raw, "operating_point", ""), "operating_point")
     op = plant_mod.OperatingPoint(
         _vector([_get(op_sec, k, "operating_point") for k in ("c", "T", "h")],
                 3, "operating_point"),
@@ -129,15 +143,15 @@ def load_config(path):
                 2, "operating_point"))
 
     dt = _number(raw.get("dt", 1.0), "dt")
-    msec = _get(raw, "model", "")
+    msec = _section(_get(raw, "model", ""), "model")
     A = _matrix(_get(msec, "A", "model"), (3, 3), "model.A")
     B = _matrix(_get(msec, "B", "model"), (3, 2), "model.B")
     C = _matrix(_get(msec, "C", "model"), (3, 3), "model.C")
     H = _matrix(_get(msec, "H", "model"), (2, 3), "model.H")
-    dsec = _get(raw, "disturbance", "")
+    dsec = _section(_get(raw, "disturbance", ""), "disturbance")
     Bd = _matrix(_get(dsec, "Bd", "disturbance"), (3, 2), "disturbance.Bd")
     Cd = _matrix(_get(dsec, "Cd", "disturbance"), (3, 2), "disturbance.Cd")
-    esec = _get(raw, "estimator", "")
+    esec = _section(_get(raw, "estimator", ""), "estimator")
     L_x = _matrix(_get(esec, "Lx", "estimator"), (3, 3), "estimator.Lx")
     L_d = _matrix(_get(esec, "Ld", "estimator"), (2, 3), "estimator.Ld")
     try:
@@ -146,7 +160,7 @@ def load_config(path):
     except (model_mod.DimensionMismatch, ValueError) as exc:
         raise ConfigError(f"model: {exc}")
 
-    osec = _get(raw, "ocp", "")
+    osec = _section(_get(raw, "ocp", ""), "ocp")
     u_min = _vector(_get(osec, "u_min", "ocp"), 2, "ocp.u_min")
     u_max = _vector(_get(osec, "u_max", "ocp"), 2, "ocp.u_max")
     x_bounds = None
@@ -165,26 +179,28 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"ocp: {exc}")
 
-    psec = _get(raw, "plant", "")
+    psec = _section(_get(raw, "plant", ""), "plant")
     try:
         params = plant_mod.CstrParams(**_coerce_params(psec))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"plant: {exc}")
 
-    ssec = _get(raw, "scenario", "")
+    ssec = _section(_get(raw, "scenario", ""), "scenario")
     schedule = []
-    for i, row in enumerate(_get(ssec, "schedule", "scenario")):
+    for i, row in enumerate(_section(_get(ssec, "schedule", "scenario"),
+                                     "scenario.schedule", list)):
         row = _vector(row, 3, f"scenario.schedule[{i}]")
         schedule.append((row[0], (row[1] - op.x_ss[0], row[2] - op.x_ss[1])))
     events = []
-    for i, ev in enumerate(ssec.get("events", [])):
+    for i, ev in enumerate(_section(ssec.get("events", []),
+                                        "scenario.events", list)):
         if (not isinstance(ev, dict) or "time" not in ev
                 or not isinstance(ev.get("set"), dict)):
             raise ConfigError(f"scenario.events[{i}]: need {{time, set}}")
         events.append((_number(ev["time"], f"scenario.events[{i}].time"),
                        _coerce_params(ev["set"])))
-    steady = ssec.get("steady", {})
-    gsec = ssec.get("grnn", {})
+    steady = _section(ssec.get("steady", {}), "scenario.steady")
+    gsec = _section(ssec.get("grnn", {}), "scenario.grnn")
     try:
         scenario = cl.ScenarioConfig(
             duration=_number(_get(ssec, "duration", "scenario"),
@@ -208,13 +224,16 @@ def load_config(path):
     # whatever the working directory
     train = gsec.get("train")
     if train:
-        train = os.path.join(os.path.dirname(os.path.abspath(path)), train)
+        train = os.path.join(os.path.dirname(os.path.abspath(path)),
+                             _section(train, "scenario.grnn.train", str))
+    sweep_sec = _section(raw.get("sweep", {}), "sweep")
+    out_sec = _section(raw.get("output", {}), "output")
     return RunConfig(
         model=model, dist=dist, L_x=L_x, L_d=L_d, ocp_cfg=ocp_cfg,
         params=params, op=op, scenario=scenario,
         grnn_train=train,
-        sweep_cap=_number(raw.get("sweep", {}).get("cap", 200), "sweep.cap", int),
-        out_dir=raw.get("output", {}).get("dir", "out"),
+        sweep_cap=_number(sweep_sec.get("cap", 200), "sweep.cap", int),
+        out_dir=_section(out_sec.get("dir", "out"), "output.dir", str),
         stem=os.path.splitext(os.path.basename(path))[0])
 
 
@@ -409,7 +428,7 @@ def cmd_grnn_fit(args):
         else:
             fh.write("# single sample: loo undefined\n")
 
-    X = np.array([r for r, _ in samples])
+    X = g.X
     curve_path = os.path.join(out, f"{stem}_curve.txt")
     with open(curve_path, "w") as fh:
         fh.write("# prediction sweeps, one block per input dimension\n")

@@ -271,7 +271,6 @@ class ControlLoop:
         self._us.append(u.copy())
         steady = _steady_window(self._rs, self._ys, self._us, self.steady_M,
                                 self.steady_tol_y, self.steady_tol_u)
-        harvested = False
         record = StepRecord(
             time=self.k * self.model.dt, r=r.copy(), y_p=y_p, z_p=z_p, u=u,
             x_hat=self.estimate.x_hat.copy(), d_learned=d_l.copy(),
@@ -279,6 +278,12 @@ class ControlLoop:
             u_bar=tgt.u_bar.copy(), qp_objective=sol.objective,
             active_set_size=len(sol.active_set), steady=steady,
             harvested=False)
+
+        self._prev = (u.copy(), y_p.copy(), d_l.copy())
+        self._warm = sol
+        # harvest only once the interval has completed, so a failing plant
+        # step leaves no sample without its record
+        self.plant.step(u)
         if (self.harvest and steady
                 and (self._last_harvest_r is None
                      or not np.array_equal(self._last_harvest_r, r))):
@@ -286,16 +291,11 @@ class ControlLoop:
                 sample = harvest_sample(self.estimator, record)
                 self.harvested.append(sample)
                 self._last_harvest_r = r.copy()
-                harvested = True
+                record.harvested = True
                 if self.mode is ControllerMode.LEARNED and self.grnn is not None:
                     self.grnn = grnn_mod.add_sample(self.grnn, sample.r, sample.d_ss)
             except CrossCheckFailed:
                 self.rejected_harvests += 1
-        record.harvested = harvested
-
-        self._prev = (u.copy(), y_p.copy(), d_l.copy())
-        self._warm = sol
-        self.plant.step(u)
         self.k += 1
         return u, record
 

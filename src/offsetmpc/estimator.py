@@ -38,6 +38,7 @@ class DisturbanceEstimator:
         self.dist = dist
         self.gains = gains
         self.M_err = estimator_error_matrix(model, dist, gains)
+        self._io_lu = numerics.lu(steady_io_matrix(model, dist, gains))
         self._B_stack = np.vstack([model.B,
                                    np.zeros((dist.n_d, model.n_u))])
         self._L_stack = np.vstack([gains.L_x, gains.L_d])
@@ -64,13 +65,10 @@ class DisturbanceEstimator:
         Solves [[A-I+LxC, Bd+LxCd],[LdC, LdCd]] [x; d] =
                [Lx y_p - B u; Ld y_p].
         """
-        y_p_inf = np.asarray(y_p_inf, dtype=float)
-        u_inf = np.asarray(u_inf, dtype=float)
-        M = steady_io_matrix(self.model, self.dist, self.gains)
         rhs = np.concatenate([
             self.gains.L_x @ y_p_inf - self.model.B @ u_inf,
             self.gains.L_d @ y_p_inf,
         ])
-        sol = numerics.solve_linear(M, rhs)
+        sol = numerics.lu_solve(self._io_lu, rhs)
         n_x = self.model.n_x
         return AugmentedEstimate(sol[:n_x], sol[n_x:])

@@ -6,8 +6,7 @@ plant whose characteristics drift. Models are immutable; add_sample returns
 a new instance.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+import dataclasses
 
 import numpy as np
 
@@ -23,98 +22,88 @@ class ParseError(Exception):
 SIGMA_GRID = np.logspace(-2.0, 1.0, 31)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class GrnnModel:
-    samples: tuple           # ((input, output), ...) as 1-D float arrays
+    X: np.ndarray            # (k, n_in) window inputs, oldest first
+    Y: np.ndarray            # (k, n_out) window outputs
     sigma: float             # kernel width in standardized input units
     capacity: int
-    n_out: int
-    input_scale: Optional[tuple]   # (mean, spread) per input dimension
+    mean: np.ndarray         # per-input standardization of X
+    spread: np.ndarray
+    Xn: np.ndarray           # (X - mean) / spread
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be > 0")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if len(self.samples) > self.capacity:
+        if len(self.X) > self.capacity:
             raise ValueError("more samples than capacity")
+
+    @property
+    def n_out(self):
+        return self.Y.shape[1]
 
 
 def make_model(capacity, n_out, sigma=0.5):
-    return GrnnModel((), float(sigma), int(capacity), int(n_out), None)
+    empty = np.zeros((0, 0))
+    return GrnnModel(empty, np.zeros((0, int(n_out))), float(sigma),
+                     int(capacity), np.zeros(0), np.ones(0), empty)
 
 
-def _rescale(samples):
-    X = np.array([s[0] for s in samples])
+def add_sample(model, r, d_ss):
+    r = np.asarray(r, dtype=float).reshape(1, -1)
+    d_ss = np.asarray(d_ss, dtype=float).reshape(1, -1)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(d_ss))):
+        raise ValueError("sample must be finite")
+    if d_ss.shape[1] != model.n_out:
+        raise ValueError("output dimension mismatch")
+    if len(model.X) and model.X.shape[1] != r.shape[1]:
+        raise ValueError("input dimension mismatch")
+    X = np.vstack([model.X, r])[-model.capacity:] if len(model.X) else r
+    Y = np.vstack([model.Y, d_ss])[-model.capacity:]
     mean = X.mean(axis=0)
     spread = X.std(axis=0)
     # constant dimensions would blow up the normalization
     spread = np.where(spread < 1e-12, 1.0, spread)
-    return (mean, spread)
+    return GrnnModel(X, Y, model.sigma, model.capacity, mean, spread,
+                     (X - mean) / spread)
 
 
-def add_sample(model, r, d_ss):
-    r = np.asarray(r, dtype=float).reshape(-1).copy()
-    d_ss = np.asarray(d_ss, dtype=float).reshape(-1).copy()
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(d_ss))):
-        raise ValueError("sample must be finite")
-    if d_ss.shape[0] != model.n_out:
-        raise ValueError("output dimension mismatch")
-    if model.samples and model.samples[0][0].shape != r.shape:
-        raise ValueError("input dimension mismatch")
-    samples = model.samples + ((r, d_ss),)
-    if len(samples) > model.capacity:
-        samples = samples[1:]
-    return GrnnModel(samples, model.sigma, model.capacity, model.n_out,
-                     _rescale(samples))
-
-
-def _normalized(model):
-    mean, spread = model.input_scale
-    X = np.array([s[0] for s in model.samples])
-    return (X - mean) / spread
-
-
-def _weights(Xn, qn, sigma):
-    d2 = ((Xn - qn) ** 2).sum(axis=1)
+def _kernel_mean(d2, Y, sigma):
     # shifting by the minimum keeps the largest weight at 1, so the
     # average stays well defined down to the nearest-neighbor limit
     d2 = d2 - d2.min()
-    return np.exp(-d2 / (2.0 * sigma ** 2))
+    w = np.exp(-d2 / (2.0 * sigma ** 2))
+    return (w[:, None] * Y).sum(axis=0) / w.sum()
 
 
 def predict(model, r):
-    if not model.samples:
+    if not len(model.X):
         return np.zeros(model.n_out)
-    mean, spread = model.input_scale
-    qn = (np.asarray(r, dtype=float).reshape(-1) - mean) / spread
-    Xn = _normalized(model)
-    w = _weights(Xn, qn, model.sigma)
-    Y = np.array([s[1] for s in model.samples])
-    return (w[:, None] * Y).sum(axis=0) / w.sum()
+    qn = (np.asarray(r, dtype=float).reshape(-1) - model.mean) / model.spread
+    return _kernel_mean(((model.Xn - qn) ** 2).sum(axis=1), model.Y,
+                        model.sigma)
 
 
 def loo_error(model, sigma):
     """Mean squared leave-one-out prediction error at a given sigma."""
-    k = len(model.samples)
+    k = len(model.X)
     if k < 2:
         raise InsufficientData("need at least 2 samples")
-    Xn = _normalized(model)
-    Y = np.array([s[1] for s in model.samples])
     err = 0.0
     for j in range(k):
-        keep = np.arange(k) != j
-        w = _weights(Xn[keep], Xn[j], sigma)
-        pred = (w[:, None] * Y[keep]).sum(axis=0) / w.sum()
-        err += float(((pred - Y[j]) ** 2).sum())
+        d2 = ((model.Xn - model.Xn[j]) ** 2).sum(axis=1)
+        # an infinite distance gives the left-out sample zero weight
+        d2[j] = np.inf
+        pred = _kernel_mean(d2, model.Y, sigma)
+        err += float(((pred - model.Y[j]) ** 2).sum())
     return err / k
 
 
 def select_sigma(model, grid=None):
     """Leave-one-out sweep over an ascending sigma grid; ties keep the
-    smaller sigma."""
-    if len(model.samples) < 2:
-        raise InsufficientData("need at least 2 samples")
+    smaller sigma. Needs at least 2 samples, as loo_error does."""
     grid = SIGMA_GRID if grid is None else np.asarray(grid, dtype=float)
     best_s, best_e = None, np.inf
     for s in grid:
@@ -125,14 +114,13 @@ def select_sigma(model, grid=None):
 
 
 def default_sigma(model):
-    if len(model.samples) >= 5:
+    if len(model.X) >= 5:
         return select_sigma(model)
     return 0.5
 
 
 def with_sigma(model, sigma):
-    return GrnnModel(model.samples, float(sigma), model.capacity,
-                     model.n_out, model.input_scale)
+    return dataclasses.replace(model, sigma=float(sigma))
 
 
 # ---- line-oriented text serialization ----
@@ -172,6 +160,8 @@ def load_samples(path, n_in=None):
                 vals = [float(tok) for tok in body.split()]
             except ValueError:
                 raise ParseError(f"line {lineno}: non-numeric field")
+            if not np.all(np.isfinite(vals)):
+                raise ParseError(f"line {lineno}: non-finite field")
             rows.append((lineno, vals))
     if not rows:
         return []
@@ -196,9 +186,9 @@ def write_model(path, model):
         fh.write("sigma %.17g\n" % model.sigma)
         fh.write("capacity %d\n" % model.capacity)
         fh.write("outputs %d\n" % model.n_out)
-        if model.samples:
-            fh.write(f"# inputs {model.samples[0][0].shape[0]}\n")
-        for r, d in model.samples:
+        if len(model.X):
+            fh.write(f"# inputs {model.X.shape[1]}\n")
+        for r, d in zip(model.X, model.Y):
             fh.write(_fmt(r) + " " + _fmt(d) + "\n")
 
 

@@ -147,9 +147,8 @@ def check_lemma1_nonsingularity(model, dist, gains):
     """
     if not gains.spectral_radius < 1.0:
         raise UnstableEstimator(gains.spectral_radius)
-    M = steady_io_matrix(model, dist, gains)
     try:
-        numerics.solve_linear(M, np.zeros(M.shape[0]))
+        numerics.lu(steady_io_matrix(model, dist, gains))
     except numerics.SingularMatrix:
         return False
     return True

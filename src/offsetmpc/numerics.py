@@ -25,15 +25,13 @@ PIVOT_RTOL = 1e-12
 RANK_RTOL = 1e-9
 
 
-def solve_linear(A, b):
-    """Solve A x = b by LU with partial pivoting.
+def lu(A):
+    """LU factors of a square A with partial pivoting, for lu_solve.
 
-    Raises SingularMatrix when any pivot magnitude drops below
-    PIVOT_RTOL * max|A|.  b may be a vector or a matrix of stacked
-    right-hand sides.
+    Raises SingularMatrix when A is zero or any pivot magnitude drops
+    below PIVOT_RTOL * max|A|.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
     scale = np.abs(A).max() if A.size else 0.0
@@ -42,12 +40,20 @@ def solve_linear(A, b):
     with warnings.catch_warnings():
         # the pivot check below owns singularity reporting
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=True)
-    pivots = np.abs(np.diag(lu))
+        factors = scipy.linalg.lu_factor(A, check_finite=True)
+    pivots = np.abs(np.diag(factors[0]))
     if pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrix(
             f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * max|A| = {PIVOT_RTOL * scale:.3e}")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=True)
+    return factors
+
+
+lu_solve = scipy.linalg.lu_solve    # lu_solve(lu(A), b) solves A x = b
+
+
+def solve_linear(A, b):
+    """Solve A x = b by LU with partial pivoting; raises as lu does."""
+    return lu_solve(lu(A), b)
 
 
 def pseudoinverse(A):

@@ -67,9 +67,17 @@ class OcpConfig:
 
 @dataclass
 class PredictionMatrices:
+    """Condensed-QP data fixed by (model, disturbance model, OCP config);
+    H_j, A_in and b_box are shared read-only by every CondensedQp."""
     Phi: np.ndarray
     Psi: np.ndarray
     Psi_d: np.ndarray
+    qx_stack: np.ndarray     # stacked diagonal state weights, terminal last
+    qu_stack: np.ndarray     # stacked diagonal input weights
+    PsiTQx: np.ndarray
+    H_j: np.ndarray          # Psi'Qx Psi + Qu
+    A_in: np.ndarray         # inequality rows, in condense's order
+    b_box: np.ndarray        # right-hand side of A_in at zero state offset
 
 
 @dataclass
@@ -105,17 +113,24 @@ def build_prediction(model, dist, cfg):
         for j in range(1, i + 1):
             Psi[(i - 1) * n_x:i * n_x, (j - 1) * n_u:j * n_u] = powers[i - j] @ model.B
             Psi_d[(i - 1) * n_x:i * n_x, (j - 1) * n_d:j * n_d] = powers[i - j] @ dist.B_d
-    return PredictionMatrices(Phi, Psi, Psi_d)
+    qx_stack = np.concatenate([np.tile(cfg.q_x, N - 1), cfg.q_xN]) \
+        if N > 1 else cfg.q_xN.copy()
+    qu_stack = np.tile(cfg.q_u, N)
+    PsiTQx = Psi.T * qx_stack
+    H_j = PsiTQx @ Psi + np.diag(qu_stack)
 
-
-def _hessian(pred, cfg):
-    """Stacked diagonal weights, Psi'Qx and H_j = Psi'Qx Psi + Qu: the parts
-    of the condensed cost that do not depend on the state or the target."""
-    qx_stack = np.concatenate([np.tile(cfg.q_x, cfg.N - 1), cfg.q_xN]) \
-        if cfg.N > 1 else cfg.q_xN.copy()
-    qu_stack = np.tile(cfg.q_u, cfg.N)
-    PsiTQx = pred.Psi.T * qx_stack
-    return qx_stack, qu_stack, PsiTQx, PsiTQx @ pred.Psi + np.diag(qu_stack)
+    I_u = np.eye(N * n_u)
+    rows = [I_u, -I_u]
+    rhs = [np.tile(cfg.u_bounds[1], N), -np.tile(cfg.u_bounds[0], N)]
+    if cfg.x_bounds is not None:
+        rows += [Psi, -Psi]
+        rhs += [np.tile(cfg.x_bounds[1], N), -np.tile(cfg.x_bounds[0], N)]
+    A_in = np.vstack(rows)
+    b_box = np.concatenate(rhs)
+    for shared in (H_j, A_in, b_box):
+        shared.flags.writeable = False
+    return PredictionMatrices(Phi, Psi, Psi_d, qx_stack, qu_stack, PsiTQx,
+                              H_j, A_in, b_box)
 
 
 def condense(pred, cfg, x_hat, d_hat, tgt):
@@ -134,30 +149,20 @@ def condense(pred, cfg, x_hat, d_hat, tgt):
     n_d = pred.Psi_d.shape[1] // N
     if x_hat.shape[0] != n_x or d_hat.shape[0] != n_d:
         raise model_mod.DimensionMismatch("x_hat/d_hat dimensions")
-    qx_stack, qu_stack, PsiTQx, H_j = _hessian(pred, cfg)
-    Psi, Phi, Psi_d = pred.Psi, pred.Phi, pred.Psi_d
-    d_stack = np.tile(d_hat, N)
-    xbar_stack = np.tile(tgt.x_bar, N)
+    qx_stack, qu_stack = pred.qx_stack, pred.qu_stack
     ubar_stack = np.tile(tgt.u_bar, N)
 
-    g = Phi @ x_hat + Psi_d @ d_stack - xbar_stack
-    f_j = PsiTQx @ g - qu_stack * ubar_stack
+    x_free = pred.Phi @ x_hat + pred.Psi_d @ np.tile(d_hat, N)
+    g = x_free - np.tile(tgt.x_bar, N)
+    f_j = pred.PsiTQx @ g - qu_stack * ubar_stack
     dx0 = x_hat - tgt.x_bar
     c_j = float(g @ (qx_stack * g) + ubar_stack @ (qu_stack * ubar_stack)
                 + dx0 @ (cfg.q_x * dx0))
 
-    rows = []
-    rhs = []
-    I_u = np.eye(N * n_u)
-    rows.append(I_u); rhs.append(np.tile(cfg.u_bounds[1], N))
-    rows.append(-I_u); rhs.append(-np.tile(cfg.u_bounds[0], N))
+    b_in = pred.b_box
     if cfg.x_bounds is not None:
-        offset = Phi @ x_hat + Psi_d @ d_stack
-        rows.append(Psi); rhs.append(np.tile(cfg.x_bounds[1], N) - offset)
-        rows.append(-Psi); rhs.append(-(np.tile(cfg.x_bounds[0], N) - offset))
-    A_in = np.vstack(rows)
-    b_in = np.concatenate(rhs)
-    return CondensedQp(H_j, f_j, c_j, A_in, b_in)
+        b_in = b_in - np.concatenate([np.zeros(2 * N * n_u), x_free, -x_free])
+    return CondensedQp(pred.H_j, f_j, c_j, pred.A_in, b_in)
 
 
 def _kkt_solve(H, f, G, h, W):
@@ -285,8 +290,7 @@ def _phase1(H, f, G, h, x0, itmax):
 def unconstrained_gain(pred, cfg):
     """First input block of the unconstrained minimizer as a linear gain on
     the deviation from target: u0 - u_bar = K (x_hat - x_bar)."""
-    _, _, PsiTQx, H_j = _hessian(pred, cfg)
-    K_full = numerics.solve_linear(H_j, -(PsiTQx @ pred.Phi))
+    K_full = numerics.solve_linear(pred.H_j, -(pred.PsiTQx @ pred.Phi))
     return K_full[:cfg.n_u, :]
 
 

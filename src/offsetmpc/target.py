@@ -42,6 +42,10 @@ class TargetCalculator:
         ])
         if numerics.matrix_rank(self.M) < self.M.shape[0]:
             raise SingularTarget("target matrix rank-deficient")
+        try:
+            self._lu = numerics.lu(self.M)
+        except numerics.SingularMatrix as exc:
+            raise SingularTarget(str(exc)) from exc
 
     def rhs(self, d_hat, r):
         d_hat = np.asarray(d_hat, dtype=float)
@@ -52,11 +56,7 @@ class TargetCalculator:
         ])
 
     def solve(self, d_hat, r):
-        rhs = self.rhs(d_hat, r)
-        try:
-            sol = numerics.solve_linear(self.M, rhs)
-        except numerics.SingularMatrix as exc:
-            raise SingularTarget(str(exc)) from exc
+        sol = numerics.lu_solve(self._lu, self.rhs(d_hat, r))
         n_x = self.model.n_x
         pair = TargetPair(sol[:n_x], sol[n_x:])
         self._warn_if_outside(pair)

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from offsetmpc import cli, grnn
 from offsetmpc import closed_loop as cl
@@ -134,7 +135,7 @@ def test_grnn_fit_round_trip(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 0
     model = grnn.read_model(str(tmp_path / "out" / "train_model.txt"))
     assert model.sigma == 0.3
-    assert len(model.samples) == 8
+    assert len(model.X) == 8
     assert (tmp_path / "out" / "train_loo.txt").exists()
     assert (tmp_path / "out" / "train_curve.txt").exists()
 
@@ -224,3 +225,45 @@ def test_sample_setpoints_gives_up_without_admissible_point(tmp_path, capsys):
     assert cli.main(["sample-setpoints", str(cfg), "-n", "3",
                      "--out", str(tmp_path / "pts.txt")]) == 2
     assert "no admissible setpoint" in capsys.readouterr().err
+
+
+# a config section of the wrong YAML kind exits 2 naming the section; each
+# case is (key path, value)
+WRONG_KIND = {
+    "plant: 3": (("plant",), 3),
+    "sweep: [1]": (("sweep",), [1]),
+    "output: 5": (("output",), 5),
+    "operating_point: 1": (("operating_point",), 1),
+    "scenario: 2": (("scenario",), 2),
+    "scenario.grnn: 1": (("scenario", "grnn"), 1),
+    "scenario.steady: [1]": (("scenario", "steady"), [1]),
+    "model: x": (("model",), "x"),
+    "scenario.schedule: 5": (("scenario", "schedule"), 5),
+    "scenario.events: {time: 1}": (("scenario", "events"), {"time": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND))
+def test_section_of_wrong_kind_is_config_error(tmp_path, capsys, case):
+    keys, value = WRONG_KIND[case]
+    cfg = yaml.safe_load(TRACKING.read_text())
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    p = tmp_path / "kind.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["check", str(p)]) == 2
+    assert f"error: {'.'.join(keys)}: not a" in capsys.readouterr().err
+
+
+def test_non_finite_sample_is_input_error(tmp_path, capsys):
+    train = tmp_path / "nan.txt"
+    train.write_text("# inputs 2\n0.001 0.1 0.0 0.0\n0.002 nan 0.0 0.0\n")
+    assert cli.main(["grnn-fit", str(train),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "line 3: non-finite" in capsys.readouterr().err
+    cfg = rewrite_config(tmp_path, "nan_train.yaml", [
+        (r"train: \S+\}", f"train: {train}}}")])
+    assert cli.main(["run", "--mode", "learned", str(cfg)]) == 2
+    assert "line 3: non-finite" in capsys.readouterr().err

@@ -284,3 +284,15 @@ def test_sweep_failure_part_way_keeps_the_samples(committed):
     assert len(log.records) == 10
     assert len(samples) == 1 and log.harvested == samples
     assert log.aborted == {"time": 10, "reason": "left the physical region"}
+
+
+def test_failing_step_leaves_no_orphan_sample(committed):
+    """The plant fails on the interval that would harvest at the origin: that
+    interval has no record, so it has no sample either."""
+    m, dist, gains, cfg = committed
+    samples, log = cl.sweep_harvest(
+        m, dist, gains, cfg, FailingPlant(m, dist, np.zeros(2), k_fail=5),
+        [np.array([0.0, 0.0])], cap=150)
+    assert len(log.records) == 5
+    assert samples == [] and log.harvested == []
+    assert log.aborted == {"time": 5, "reason": "left the physical region"}

@@ -52,7 +52,7 @@ def test_prediction_stays_in_output_hull():
 def test_wide_kernel_limit_is_mean():
     m, _ = linear_map_model()
     m = grnn.with_sigma(m, 1e6)
-    outs = np.array([s[1] for s in m.samples])
+    outs = m.Y
     y = grnn.predict(m, np.array([0.2, 0.3]))
     assert np.allclose(y, outs.mean(axis=0), atol=1e-6)
 
@@ -61,8 +61,8 @@ def test_narrow_kernel_limit_is_nearest_neighbour():
     m, _ = linear_map_model()
     m = grnn.with_sigma(m, 1e-6)
     q = np.array([0.21, -0.37])
-    ins = np.array([s[0] for s in m.samples])
-    outs = np.array([s[1] for s in m.samples])
+    ins = m.X
+    outs = m.Y
     scaled = (ins - ins.mean(axis=0)) / np.where(ins.std(axis=0) < 1e-12, 1.0,
                                                  ins.std(axis=0))
     qs = (q - ins.mean(axis=0)) / np.where(ins.std(axis=0) < 1e-12, 1.0,
@@ -75,16 +75,16 @@ def test_fifo_eviction():
     m = grnn.make_model(capacity=3, n_out=1)
     for k in range(5):
         m = grnn.add_sample(m, np.array([float(k)]), np.array([float(k)]))
-    kept = [s[0][0] for s in m.samples]
+    kept = list(m.X[:, 0])
     assert kept == [2.0, 3.0, 4.0]
-    assert len(m.samples) == 3
+    assert len(m.X) == 3
 
 
 def test_add_sample_does_not_mutate():
     m0 = grnn.make_model(capacity=5, n_out=1)
     m1 = grnn.add_sample(m0, np.array([0.0]), np.array([1.0]))
-    assert len(m0.samples) == 0
-    assert len(m1.samples) == 1
+    assert len(m0.X) == 0
+    assert len(m1.X) == 1
 
 
 def test_permutation_invariance():
@@ -99,6 +99,42 @@ def test_permutation_invariance():
         b = grnn.add_sample(b, pts[order[i]], outs[order[i]])
     q = np.array([0.4, -0.2])
     assert np.allclose(grnn.predict(a, q), grnn.predict(b, q), atol=1e-12)
+
+
+def reference_loo(X, Y, sigma):
+    """Leave-one-out error written out row by row: each left-out row is
+    predicted from a masked copy of the others, under the standardization of
+    the full window."""
+    spread = X.std(axis=0)
+    spread = np.where(spread < 1e-12, 1.0, spread)
+    Xn = (X - X.mean(axis=0)) / spread
+    err = 0.0
+    for j in range(len(X)):
+        keep = np.arange(len(X)) != j
+        d2 = ((Xn[keep] - Xn[j]) ** 2).sum(axis=1)
+        w = np.exp(-(d2 - d2.min()) / (2.0 * sigma ** 2))
+        pred = w @ Y[keep] / w.sum()
+        err += ((pred - Y[j]) ** 2).sum()
+    return err / len(X)
+
+
+@pytest.mark.parametrize("window", ["duplicate inputs", "fifo evicted"])
+def test_loo_error_matches_masked_reference(window):
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(14, 2))
+    if window == "duplicate inputs":
+        X[5] = X[2]
+        X[9] = X[2]
+        X[11] = X[7]
+    Y = rng.normal(size=(14, 2))
+    m = grnn.make_model(capacity=9 if window == "fifo evicted" else 14,
+                        n_out=2)
+    for x, y in zip(X, Y):
+        m = grnn.add_sample(m, x, y)
+    X, Y = X[-m.capacity:], Y[-m.capacity:]
+    for sigma in (0.01, 0.1, 0.7, 5.0):
+        assert grnn.loo_error(m, sigma) == pytest.approx(
+            reference_loo(X, Y, sigma), rel=1e-12, abs=1e-12)
 
 
 def test_select_sigma_needs_two_samples():
@@ -158,7 +194,7 @@ def test_model_round_trip(tmp_path):
     assert back.sigma == m.sigma
     assert back.capacity == m.capacity
     assert back.n_out == m.n_out
-    assert len(back.samples) == len(m.samples)
+    assert len(back.X) == len(m.X)
     q = np.array([0.11, -0.53])
     assert np.array_equal(grnn.predict(back, q), grnn.predict(m, q))
 

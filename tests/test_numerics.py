@@ -23,17 +23,24 @@ def test_solve_linear_matrix_rhs():
     assert np.allclose(A @ X, B, atol=1e-10)
 
 
-def test_solve_linear_singular_raises():
+# solve_linear and the factorization it is built on raise alike
+FACTOR = {"solve_linear": lambda A: numerics.solve_linear(A, np.ones(len(A))),
+          "lu": numerics.lu}
+
+
+@pytest.mark.parametrize("factor", list(FACTOR.values()), ids=list(FACTOR))
+def test_solve_linear_singular_raises(factor):
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(numerics.SingularMatrix):
-        numerics.solve_linear(A, np.ones(2))
+        factor(A)
     with pytest.raises(numerics.SingularMatrix):
-        numerics.solve_linear(np.zeros((3, 3)), np.ones(3))
+        factor(np.zeros((3, 3)))
 
 
-def test_solve_linear_rejects_nonsquare():
+@pytest.mark.parametrize("factor", list(FACTOR.values()), ids=list(FACTOR))
+def test_solve_linear_rejects_nonsquare(factor):
     with pytest.raises(ValueError):
-        numerics.solve_linear(np.ones((2, 3)), np.ones(2))
+        factor(np.ones((2, 3)))
 
 
 def test_pseudoinverse_penrose_identities():

@@ -75,6 +75,25 @@ def test_condensed_bounds_encode_box(committed):
     assert (qp.A_in @ u_ok <= qp.b_in + 1e-12).all()
 
 
+def test_condense_shifts_the_fixed_rows_by_the_free_response(committed):
+    """H_j and A_in are the per-loop arrays, shared read-only; b_in moves the
+    state rows by the free response Phi x + Psi_d d."""
+    m, dist, _, cfg = committed
+    pred = ocp.build_prediction(m, dist, cfg)
+    tgt = target.TargetCalculator(m, dist).solve(np.zeros(2), np.zeros(2))
+    x0, d = np.array([0.01, -0.3, 0.02]), np.array([0.001, 0.2])
+    qp = ocp.condense(pred, cfg, x0, d, tgt)
+    assert qp.H_j is pred.H_j and qp.A_in is pred.A_in
+    with pytest.raises(ValueError):
+        qp.H_j[0, 0] = 0.0
+    free = pred.Phi @ x0 + pred.Psi_d @ np.tile(d, cfg.N)
+    (u_lb, u_ub), (x_lb, x_ub) = cfg.u_bounds, cfg.x_bounds
+    expected = np.concatenate([np.tile(u_ub, cfg.N), -np.tile(u_lb, cfg.N),
+                               np.tile(x_ub, cfg.N) - free,
+                               free - np.tile(x_lb, cfg.N)])
+    assert np.allclose(qp.b_in, expected, rtol=0.0, atol=1e-12)
+
+
 def test_unconstrained_gain_is_lqr_like_fixed_point(committed):
     """The receding-horizon gain must reproduce the QP minimizer head when
     no constraint is active."""
