@@ -220,11 +220,12 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}")
 
-    # a relative training file is read from the config's directory,
-    # whatever the working directory
+    # relative training and output paths are read from the config's
+    # directory, whatever the working directory
+    config_dir = os.path.dirname(os.path.abspath(path))
     train = gsec.get("train")
     if train:
-        train = os.path.join(os.path.dirname(os.path.abspath(path)),
+        train = os.path.join(config_dir,
                              _section(train, "scenario.grnn.train", str))
     sweep_sec = _section(raw.get("sweep", {}), "sweep")
     out_sec = _section(raw.get("output", {}), "output")
@@ -233,12 +234,14 @@ def load_config(path):
         params=params, op=op, scenario=scenario,
         grnn_train=train,
         sweep_cap=_number(sweep_sec.get("cap", 200), "sweep.cap", int),
-        out_dir=_section(out_sec.get("dir", "out"), "output.dir", str),
+        out_dir=os.path.join(config_dir, _section(out_sec.get("dir", "out"),
+                                                  "output.dir", str)),
         stem=os.path.splitext(os.path.basename(path))[0])
 
 
 def run_checks(rc):
-    """The four admissibility conditions; returns (all_pass, report lines)."""
+    """The four admissibility conditions; returns (all_pass, report lines,
+    estimator gains), the gains None when the estimator is unstable."""
     lines = []
     ok = True
 
@@ -260,7 +263,7 @@ def run_checks(rc):
     if not stable:
         for name in ("steady-map nonsingularity", "offset-free null space"):
             lines.append(("FAIL", f"{name}: skipped (estimator unstable)"))
-        return ok, lines
+        return ok, lines, gains
 
     lemma = model_mod.check_lemma1_nonsingularity(rc.model, rc.dist, gains)
     ok &= lemma
@@ -277,7 +280,7 @@ def run_checks(rc):
     except model_mod.SingularClosedLoop as exc:
         ok = False
         lines.append(("FAIL", f"offset-free null space: {exc}"))
-    return ok, lines
+    return ok, lines, gains
 
 
 def _print_checks(lines):
@@ -285,12 +288,15 @@ def _print_checks(lines):
         print(f"[{status}] {text}")
 
 
-def _ensure_checks(rc):
-    ok, lines = run_checks(rc)
+def _checked_gains(rc):
+    """The estimator gains if every check passes, else None after printing
+    the report."""
+    ok, lines, gains = run_checks(rc)
     if not ok:
         _print_checks(lines)
         print("condition checks failed", file=sys.stderr)
-    return ok
+        return None
+    return gains
 
 
 def _out_dir(rc, flag):
@@ -312,6 +318,17 @@ def _load_setpoints(path, op):
     return [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in pts]
 
 
+def _add_samples(g, samples, path):
+    """g with the samples read from path added in order; a sample the
+    window cannot take is an input error."""
+    try:
+        for r, d in samples:
+            g = grnn_mod.add_sample(g, r, d)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
+    return g
+
+
 def _build_grnn(rc, mode):
     if mode is not cl.ControllerMode.LEARNED:
         return None
@@ -319,8 +336,8 @@ def _build_grnn(rc, mode):
     if rc.grnn_train:
         if not os.path.exists(rc.grnn_train):
             raise ConfigError(f"grnn train file not found: {rc.grnn_train}")
-        for r, d in grnn_mod.load_samples(rc.grnn_train):
-            g = grnn_mod.add_sample(g, r, d)
+        g = _add_samples(g, grnn_mod.load_samples(rc.grnn_train),
+                         rc.grnn_train)
     sigma = rc.scenario.grnn_sigma
     if sigma == "auto":
         sigma = grnn_mod.default_sigma(g)
@@ -334,16 +351,16 @@ def _fresh_plant(rc):
 
 def cmd_check(args):
     rc = load_config(args.config)
-    ok, lines = run_checks(rc)
+    ok, lines, _ = run_checks(rc)
     _print_checks(lines)
     return EXIT_OK if ok else EXIT_CONDITION
 
 
 def cmd_run(args):
     rc = load_config(args.config)
-    if not _ensure_checks(rc):
+    gains = _checked_gains(rc)
+    if gains is None:
         return EXIT_CONDITION
-    gains = rc.make_gains()
     modes = ([cl.ControllerMode.NOMINAL, cl.ControllerMode.LEARNED]
              if args.mode == "both"
              else [cl.ControllerMode(args.mode) if args.mode
@@ -377,9 +394,9 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     rc = load_config(args.config)
-    if not _ensure_checks(rc):
+    gains = _checked_gains(rc)
+    if gains is None:
         return EXIT_CONDITION
-    gains = rc.make_gains()
     setpoints = _load_setpoints(args.setpoints, rc.op)
     samples, log = cl.sweep_harvest(
         rc.model, rc.dist, gains, rc.ocp_cfg, _fresh_plant(rc), setpoints,
@@ -406,9 +423,8 @@ def cmd_grnn_fit(args):
     if not samples:
         raise ConfigError("no samples in file")
     n_out = samples[0][1].shape[0]
-    g = grnn_mod.make_model(max(len(samples), 1), n_out)
-    for r, d in samples:
-        g = grnn_mod.add_sample(g, r, d)
+    g = _add_samples(grnn_mod.make_model(max(len(samples), 1), n_out),
+                     samples, args.samples)
     if sigma == "auto":
         sigma = grnn_mod.select_sigma(g)
     g = grnn_mod.with_sigma(g, sigma)

@@ -62,8 +62,12 @@ def add_sample(model, r, d_ss):
         raise ValueError("input dimension mismatch")
     X = np.vstack([model.X, r])[-model.capacity:] if len(model.X) else r
     Y = np.vstack([model.Y, d_ss])[-model.capacity:]
-    mean = X.mean(axis=0)
-    spread = X.std(axis=0)
+    # inputs near the float limit overflow the standardization
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        spread = X.std(axis=0)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(spread))):
+        raise ValueError("sample inputs overflow the window's standardization")
     # constant dimensions would blow up the normalization
     spread = np.where(spread < 1e-12, 1.0, spread)
     return GrnnModel(X, Y, model.sigma, model.capacity, mean, spread,

@@ -1,5 +1,6 @@
 """Nonlinear CSTR ground truth: exothermic first-order reaction in a
-cylindrical tank with level dynamics.
+cylindrical tank with level dynamics, stepped by classical RK4 on Python
+floats.
 
 States are concentration c (kmol/m3), temperature T (K), level h (m);
 inputs are coolant temperature T_c (K) and outlet flow F (m3/min). The
@@ -10,6 +11,7 @@ is available as concentration_mismatch (default off).
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +64,8 @@ class PlantState:
     h: float
 
     def __post_init__(self):
-        vals = (self.c, self.T, self.h)
-        if not all(np.isfinite(v) and v > 0 for v in vals):
-            raise NonPhysicalState(f"state {vals} left the physical region")
+        if not all(0.0 < v < math.inf for v in (self.c, self.T, self.h)):
+            raise _left_region(self.c, self.T, self.h)
 
     def as_array(self):
         return np.array([self.c, self.T, self.h])
@@ -81,46 +82,75 @@ def default_operating_point():
                           np.array([300.0, 0.1]))
 
 
-def _deriv(x, u, p):
-    c, T, h = x
-    if not (np.isfinite(c) and np.isfinite(T) and np.isfinite(h)
-            and c > 0 and T > 0 and h > 0):
-        raise NonPhysicalState(f"state ({c}, {T}, {h}) left the physical region")
-    Tc, F = u
-    V = p.area * h
-    kT = p.k0 * np.exp(-p.E_over_R / T)
-    dc = p.F0 * (p.c0 - c) / V - kT * c
-    if p.concentration_mismatch:
-        # alternative mismatch: outlet stream carries 1.03x the bulk
-        # concentration, which adds an extra outlet term to the balance
-        dc -= 0.03 * F * c / V
-    dT = (p.F0 * (p.T0 - T) / V
-          - p.dH / (p.rho * p.Cp) * kT * c
-          + 2.0 * p.U / (p.r * p.rho * p.Cp) * (Tc - T))
-    dh = (p.F0 - p.outlet_factor * F) / p.area
-    return np.array([dc, dT, dh])
+def _left_region(c, T, h):
+    return NonPhysicalState(
+        f"state ({float(c)}, {float(T)}, {float(h)}) left the physical region")
+
+
+def _rates(p, u):
+    """The right-hand side at fixed parameters and inputs u = (T_c, F), as
+    a function of (c, T, h) on Python floats that returns (dc, dT, dh).
+
+    The constants are computed once here. Each balance keeps the
+    association and evaluation order of the array form that
+    tests/test_plant.py holds as the reference, and the Arrhenius factor
+    uses numpy's exp, not math.exp, which can differ in the last bit; so
+    the two agree bit for bit.
+    """
+    Tc, F = (float(v) for v in u)
+    F0, T0, c0, k0, E_over_R = p.F0, p.T0, p.c0, p.k0, p.E_over_R
+    area = p.area
+    rxn = p.dH / (p.rho * p.Cp)
+    jacket = 2.0 * p.U / (p.r * p.rho * p.Cp)
+    # alternative mismatch: outlet stream carries 1.03x the bulk
+    # concentration, which adds an extra outlet term to the balance
+    extra_outlet = 0.03 * F if p.concentration_mismatch else None
+    # the level rate does not depend on the state
+    dh = (F0 - p.outlet_factor * F) / area
+    exp = np.exp
+    inf = math.inf
+
+    def rates(c, T, h):
+        V = area * h
+        # a level so small that the volume underflows to 0 is not physical
+        if not (0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf
+                and V > 0.0):
+            raise _left_region(c, T, h)
+        kT = k0 * float(exp(-E_over_R / T))
+        dc = F0 * (c0 - c) / V - kT * c
+        if extra_outlet is not None:
+            dc -= extra_outlet * c / V
+        dT = F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T)
+        return dc, dT, dh
+
+    return rates
 
 
 def derivatives(s, u, p):
-    return _deriv(s.as_array(), np.asarray(u, dtype=float), p)
+    return np.array(_rates(p, u)(float(s.c), float(s.T), float(s.h)))
 
 
 def step(s, u, p, dt):
-    """Classical RK4 with dt/substeps internal step."""
+    """Classical RK4 with dt/substeps internal step. The first stage of
+    each substep checks the state the previous one ended in, and
+    PlantState checks the last."""
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    u = np.asarray(u, dtype=float)
-    x = s.as_array()
-    hstep = dt / p.substeps
+    rates = _rates(p, u)
+    c, T, h = float(s.c), float(s.T), float(s.h)
+    hstep = float(dt) / p.substeps
+    half = 0.5 * hstep
+    sixth = hstep / 6.0
     for _ in range(p.substeps):
-        k1 = _deriv(x, u, p)
-        k2 = _deriv(x + 0.5 * hstep * k1, u, p)
-        k3 = _deriv(x + 0.5 * hstep * k2, u, p)
-        k4 = _deriv(x + hstep * k3, u, p)
-        x = x + hstep / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (np.all(np.isfinite(x)) and np.all(x > 0)):
-            raise NonPhysicalState(f"state {tuple(x)} left the physical region")
-    return PlantState(x[0], x[1], x[2])
+        dc1, dT1, dh1 = rates(c, T, h)
+        dc2, dT2, dh2 = rates(c + half * dc1, T + half * dT1, h + half * dh1)
+        dc3, dT3, dh3 = rates(c + half * dc2, T + half * dT2, h + half * dh2)
+        dc4, dT4, dh4 = rates(c + hstep * dc3, T + hstep * dT3,
+                              h + hstep * dh3)
+        c = c + sixth * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4)
+        T = T + sixth * (dT1 + 2.0 * dT2 + 2.0 * dT3 + dT4)
+        h = h + sixth * (dh1 + 2.0 * dh2 + 2.0 * dh3 + dh4)
+    return PlantState(c, T, h)
 
 
 def measure(s, op):

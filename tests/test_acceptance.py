@@ -138,7 +138,7 @@ def twovar_results(twovar_rc, twovar400_rc):
 
 def test_criterion_01_admissibility(tracking_rc):
     t0 = time.monotonic()
-    ok, results = cli.run_checks(tracking_rc)
+    ok, results, _ = cli.run_checks(tracking_rc)
     elapsed = time.monotonic() - t0
     n_pass = sum(1 for status, _ in results if status == "PASS")
     verdict("CRITERION 1", ok and n_pass == 4 and elapsed < 1.0,

@@ -267,3 +267,88 @@ def test_non_finite_sample_is_input_error(tmp_path, capsys):
         (r"train: \S+\}", f"train: {train}}}")])
     assert cli.main(["run", "--mode", "learned", str(cfg)]) == 2
     assert "line 3: non-finite" in capsys.readouterr().err
+
+
+def test_run_and_sweep_build_the_gains_once(tmp_path, monkeypatch, capsys):
+    """The checks hand their gains to the command instead of building them
+    a second time."""
+    built = []
+    real = cli.model_mod.EstimatorGains
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.model_mod, "EstimatorGains", counting)
+    cfg = rewrite_config(tmp_path, "once.yaml", [
+        (r"^  duration: .*$", "  duration: 3"),
+        (r"^  schedule:\n(?:    - .*\n)+", "  schedule:\n    - [0, 0.878, 324.5]\n"),
+    ])
+    assert cli.main(["run", str(cfg), "--mode", "nominal"]) == 0
+    assert len(built) == 1
+    sp = tmp_path / "one.txt"
+    sp.write_text("0.878 324.5\n")
+    assert cli.main(["sweep", str(cfg), "--setpoints", str(sp)]) == 0
+    assert len(built) == 2
+
+
+def test_abort_reason_prints_plain_floats(tmp_path, capsys):
+    """A rate constant 17 times the nominal one runs the reactor away within
+    the first interval; the summary names the state in plain numbers."""
+    cfg = rewrite_config(tmp_path, "runaway.yaml", [
+        (r"^  k0: .*$", "  k0: 1.2e12"),
+        (r"^  duration: .*$", "  duration: 3"),
+        (r"^  schedule:\n(?:    - .*\n)+", "  schedule:\n    - [0, 0.878, 324.5]\n"),
+    ])
+    assert cli.main(["run", str(cfg), "--mode", "nominal"]) == 4
+    summary = (tmp_path / "out" / "runaway_nominal_summary.txt").read_text()
+    aborted = [ln for ln in summary.splitlines() if ln.startswith("aborted")]
+    assert len(aborted) == 1
+    assert "np.float64" not in aborted[0]
+    number = r"-?\d[\d.e+-]*"
+    assert re.fullmatch(rf"aborted time 0 reason state \(({number}, ){{2}}"
+                        rf"{number}\) left the physical region", aborted[0])
+
+
+def test_overflowing_samples_are_input_error(tmp_path, capsys):
+    """Inputs near the float limit overflow the window's standardization:
+    exit 2 with one error line, no traceback and no model file."""
+    train = tmp_path / "huge.txt"
+    train.write_text("# inputs 1\n1e308 0 0\n-1e308 0 0\n1.7e308 0 0\n")
+    out = tmp_path / "fit"
+    assert cli.main(["grnn-fit", str(train), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow" in err
+    assert not (out / "huge_model.txt").exists()
+    cfg = rewrite_config(tmp_path, "huge_train.yaml", [
+        (r"train: \S+\}", f"train: {train}}}")])
+    assert cli.main(["run", "--mode", "learned", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_output_dir_resolves_against_config_dir(tmp_path, monkeypatch,
+                                                capsys):
+    """A relative output.dir is read from the config's directory, whatever
+    the working directory; --out stays relative to the working directory."""
+    text = TRACKING.read_text()
+    text = re.sub(r"^  duration: .*$", "  duration: 3", text, flags=re.M)
+    text = re.sub(r"^  schedule:\n(?:    - .*\n)+",
+                  "  schedule:\n    - [0, 0.878, 324.5]\n", text, flags=re.M)
+    text = re.sub(r"^  dir: .*$", "  dir: ../results", text, flags=re.M)
+    (tmp_path / "configs").mkdir()
+    cfg = tmp_path / "configs" / "rel.yaml"
+    cfg.write_text(text)
+    # one level deeper than the config, so that ../results differs
+    elsewhere = tmp_path / "work" / "elsewhere"
+    elsewhere.mkdir(parents=True)
+    monkeypatch.chdir(elsewhere)
+    monkeypatch.delenv("OFFSETMPC_OUT_DIR", raising=False)
+    assert cli.main(["check", str(cfg)]) == 0
+    assert cli.main(["run", str(cfg), "--mode", "nominal"]) == 0
+    assert (tmp_path / "results" / "rel_nominal.csv").exists()
+    assert cli.main(["run", str(cfg), "--mode", "nominal",
+                     "--out", "flagged"]) == 0
+    assert (elsewhere / "flagged" / "rel_nominal.csv").exists()
+    assert not (tmp_path / "work" / "results").exists()

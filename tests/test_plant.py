@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -162,3 +162,91 @@ def test_concentration_mismatch_term():
     assert tilted[0] - base[0] == pytest.approx(-0.03 * u[1] * s.c / V, rel=1e-9)
     assert tilted[1] == base[1]
     assert tilted[2] == base[2]
+
+
+# The RK4 step in array form, kept as the reference: plant.step's scalar
+# kernel must reproduce it bit for bit.
+def _deriv_reference(x, u, p):
+    c, T, h = x
+    if not (np.isfinite(c) and np.isfinite(T) and np.isfinite(h)
+            and c > 0 and T > 0 and h > 0):
+        raise plant.NonPhysicalState(
+            f"state ({c}, {T}, {h}) left the physical region")
+    Tc, F = u
+    V = p.area * h
+    kT = p.k0 * np.exp(-p.E_over_R / T)
+    dc = p.F0 * (p.c0 - c) / V - kT * c
+    if p.concentration_mismatch:
+        dc -= 0.03 * F * c / V
+    dT = (p.F0 * (p.T0 - T) / V
+          - p.dH / (p.rho * p.Cp) * kT * c
+          + 2.0 * p.U / (p.r * p.rho * p.Cp) * (Tc - T))
+    dh = (p.F0 - p.outlet_factor * F) / p.area
+    return np.array([dc, dT, dh])
+
+
+def _step_reference(s, u, p, dt):
+    u = np.asarray(u, dtype=float)
+    x = s.as_array()
+    hstep = dt / p.substeps
+    for _ in range(p.substeps):
+        k1 = _deriv_reference(x, u, p)
+        k2 = _deriv_reference(x + 0.5 * hstep * k1, u, p)
+        k3 = _deriv_reference(x + 0.5 * hstep * k2, u, p)
+        k4 = _deriv_reference(x + hstep * k3, u, p)
+        x = x + hstep / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (np.all(np.isfinite(x)) and np.all(x > 0)):
+            raise plant.NonPhysicalState(
+                f"state {tuple(x)} left the physical region")
+    return plant.PlantState(x[0], x[1], x[2])
+
+
+# every combination of outlet factor, mismatch reading, substeps and dt
+ORACLE_CASES = list(itertools.product((1.0, 1.03, 0.9), (False, True),
+                                      (1, 20), (0.5, 1.0)))
+
+
+def test_step_matches_array_reference_bit_for_bit():
+    rng = np.random.default_rng(4)
+    n_equal = 0
+    for i in range(1200):
+        outlet, conc, substeps, dt = ORACLE_CASES[i % len(ORACLE_CASES)]
+        p = plant.CstrParams(outlet_factor=outlet, substeps=substeps,
+                             concentration_mismatch=conc)
+        s = plant.PlantState(c=rng.uniform(0.5, 1.0),
+                             T=rng.uniform(310.0, 340.0),
+                             h=rng.uniform(0.1, 1.2))
+        u = np.array([rng.uniform(285.0, 315.0), rng.uniform(0.05, 0.15)])
+        assert np.array_equal(plant.derivatives(s, u, p),
+                              _deriv_reference(s.as_array(), u, p))
+        try:
+            ref = _step_reference(s, u, p, dt)
+        except plant.NonPhysicalState:
+            with pytest.raises(plant.NonPhysicalState):
+                plant.step(s, u, p, dt)
+            continue
+        got = plant.step(s, u, p, dt)
+        assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h), (i, s, u)
+        n_equal += 1
+    assert n_equal >= 1000
+
+
+@pytest.mark.parametrize("s, u, p, dt", [
+    # the tank drains below zero level
+    (plant.PlantState(c=0.9, T=324.0, h=0.02), np.array([300.0, 0.13]),
+     plant.CstrParams(substeps=5), 10.0),
+    # a hot coolant ignites the reaction and the concentration collapses
+    (plant.PlantState(c=0.9, T=420.0, h=0.6), np.array([450.0, 0.1]),
+     plant.CstrParams(substeps=1), 1.0),
+    # a level so small that the volume underflows to zero
+    (plant.PlantState(c=0.9, T=324.0, h=1e-323), np.array([300.0, 0.1]),
+     plant.CstrParams(), 1.0),
+], ids=["draining tank", "thermal runaway", "vanishing volume"])
+def test_step_and_reference_both_leave_the_physical_region(s, u, p, dt):
+    # the array form divides by the zero volume before it raises
+    with pytest.raises(plant.NonPhysicalState), np.errstate(divide="ignore"):
+        _step_reference(s, u, p, dt)
+    with pytest.raises(plant.NonPhysicalState, match=r"^state \([^()]*\) "
+                       r"left the physical region$") as exc:
+        plant.step(s, u, p, dt)
+    assert "np." not in str(exc.value)
