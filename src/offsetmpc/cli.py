@@ -9,7 +9,6 @@ input-file errors, 3 condition-check failure, 4 runtime failure.
 
 import argparse
 import dataclasses
-import logging
 import math
 import os
 import sys
@@ -403,6 +402,11 @@ def cmd_sweep(args):
         cap=rc.sweep_cap, steady_M=rc.scenario.steady_M,
         steady_tol_y=rc.scenario.steady_tol_y,
         steady_tol_u=rc.scenario.steady_tol_u)
+    exc = log.target_excursions
+    if exc.count:
+        print(f"WARNING target outside bounds on {exc.count} of "
+              f"{len(log.records)} intervals: first {exc.first.text('%.6g')}, "
+              f"last {exc.last.text('%.6g')}", file=sys.stderr)
     if log.aborted:
         print(f"sweep ABORTED at step {log.aborted['time']}: "
               f"{log.aborted['reason']}", file=sys.stderr)
@@ -425,8 +429,12 @@ def cmd_grnn_fit(args):
     n_out = samples[0][1].shape[0]
     g = _add_samples(grnn_mod.make_model(max(len(samples), 1), n_out),
                      samples, args.samples)
+    curve = []
     if sigma == "auto":
-        sigma = grnn_mod.select_sigma(g)
+        sigma = grnn_mod.select_sigma(g, curve=curve)
+    elif len(samples) >= 2:
+        curve = [(float(s), grnn_mod.loo_error(g, float(s)))
+                 for s in grnn_mod.SIGMA_GRID]
     g = grnn_mod.with_sigma(g, sigma)
 
     out = args.out or os.environ.get("OFFSETMPC_OUT_DIR") or "out"
@@ -438,10 +446,9 @@ def cmd_grnn_fit(args):
     loo_path = os.path.join(out, f"{stem}_loo.txt")
     with open(loo_path, "w") as fh:
         fh.write("# sigma loo_mean_squared_error\n")
-        if len(samples) >= 2:
-            for s in grnn_mod.SIGMA_GRID:
-                fh.write("%.17g %.17g\n" % (s, grnn_mod.loo_error(g, float(s))))
-        else:
+        for s, e in curve:
+            fh.write("%.17g %.17g\n" % (s, e))
+        if not curve:
             fh.write("# single sample: loo undefined\n")
 
     X = g.X
@@ -502,7 +509,6 @@ def cmd_sample_setpoints(args):
 
 
 def main(argv=None):
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = argparse.ArgumentParser(
         prog="offsetmpc",
         description="offset-free MPC with a learned mismatch map: "

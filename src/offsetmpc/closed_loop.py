@@ -20,7 +20,7 @@ from . import grnn as grnn_mod
 from . import ocp as ocp_mod
 from . import plant as plant_mod
 from .estimator import DisturbanceEstimator
-from .target import TargetCalculator
+from .target import BoundExcursions, TargetCalculator
 
 
 class CrossCheckFailed(Exception):
@@ -112,6 +112,7 @@ class ClosedLoopLog:
     records: list = field(default_factory=list)
     harvested: list = field(default_factory=list)
     rejected_harvests: int = 0
+    target_excursions: BoundExcursions = field(default_factory=BoundExcursions)
     events_applied: list = field(default_factory=list)
     aborted: Optional[dict] = None
 
@@ -326,6 +327,7 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None):
         log.records.append(record)
     log.harvested = loop.harvested
     log.rejected_harvests = loop.rejected_harvests
+    log.target_excursions = loop.targets.excursions
     return log
 
 
@@ -354,6 +356,7 @@ def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
         log.aborted = {"time": loop.k, "reason": str(exc)}
     log.harvested = loop.harvested
     log.rejected_harvests = loop.rejected_harvests
+    log.target_excursions = loop.targets.excursions
     return loop.harvested, log
 
 
@@ -524,3 +527,7 @@ def write_summary(log, path, dt=1.0, settle_tol=1e-3):
                         " ".join("%.17g" % v for v in s.d_ss), s.residual))
         if log.rejected_harvests:
             fh.write(f"rejected_harvests {log.rejected_harvests}\n")
+        exc = log.target_excursions
+        if exc.count:
+            fh.write("target_bound_excursions %d first %s last %s\n"
+                     % (exc.count, exc.first.text(), exc.last.text()))

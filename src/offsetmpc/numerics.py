@@ -14,7 +14,8 @@ import scipy.linalg
 
 
 class SingularMatrix(Exception):
-    """Raised when an LU pivot falls below the relative threshold."""
+    """Raised when an LU pivot falls below the relative threshold, or a
+    matrix to be Cholesky-factored is not positive definite."""
 
 
 class NoConvergence(Exception):
@@ -54,6 +55,28 @@ lu_solve = scipy.linalg.lu_solve    # lu_solve(lu(A), b) solves A x = b
 def solve_linear(A, b):
     """Solve A x = b by LU with partial pivoting; raises as lu does."""
     return lu_solve(lu(A), b)
+
+
+def cholesky(A):
+    """Lower Cholesky factor of a symmetric A, for cho_solve.
+
+    Raises SingularMatrix when A is not positive definite.
+    """
+    try:
+        return scipy.linalg.cholesky(A, lower=True, check_finite=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+
+
+# LAPACK potrs directly: scipy.linalg.cho_solve's argument checks cost
+# ~5x the solve itself at the QP's sizes
+_potrs = scipy.linalg.lapack.dpotrs
+
+
+def cho_solve(L, b):
+    """Solve A x = b from the lower Cholesky factor L of A; b is a vector
+    or a matrix of right-hand sides."""
+    return _potrs(L, b, lower=1)[0]
 
 
 def pseudoinverse(A):

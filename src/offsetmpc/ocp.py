@@ -65,10 +65,22 @@ class OcpConfig:
         return self.q_u.shape[0]
 
 
+@dataclass(frozen=True)
+class QpFactor:
+    """Solver data fixed by a Hessian H and inequality rows G: the lower
+    Cholesky factor L of 2H, Y = (2H)^-1 G' and S = G Y, the matrix whose
+    working-set block is the Schur complement of every working-set KKT
+    system."""
+    L: np.ndarray
+    Y: np.ndarray
+    S: np.ndarray
+
+
 @dataclass
 class PredictionMatrices:
     """Condensed-QP data fixed by (model, disturbance model, OCP config);
-    H_j, A_in and b_box are shared read-only by every CondensedQp."""
+    H_j, A_in, b_box and factor are shared read-only by every
+    CondensedQp."""
     Phi: np.ndarray
     Psi: np.ndarray
     Psi_d: np.ndarray
@@ -78,6 +90,7 @@ class PredictionMatrices:
     H_j: np.ndarray          # Psi'Qx Psi + Qu
     A_in: np.ndarray         # inequality rows, in condense's order
     b_box: np.ndarray        # right-hand side of A_in at zero state offset
+    factor: QpFactor         # of (H_j, A_in)
 
 
 @dataclass
@@ -87,6 +100,7 @@ class CondensedQp:
     c_j: float
     A_in: np.ndarray
     b_in: np.ndarray
+    factor: Optional[QpFactor] = None    # solve_qp factors when None
 
 
 @dataclass
@@ -127,10 +141,11 @@ def build_prediction(model, dist, cfg):
         rhs += [np.tile(cfg.x_bounds[1], N), -np.tile(cfg.x_bounds[0], N)]
     A_in = np.vstack(rows)
     b_box = np.concatenate(rhs)
-    for shared in (H_j, A_in, b_box):
+    factor = factor_qp(H_j, A_in)
+    for shared in (H_j, A_in, b_box, factor.L, factor.Y, factor.S):
         shared.flags.writeable = False
     return PredictionMatrices(Phi, Psi, Psi_d, qx_stack, qu_stack, PsiTQx,
-                              H_j, A_in, b_box)
+                              H_j, A_in, b_box, factor)
 
 
 def condense(pred, cfg, x_hat, d_hat, tgt):
@@ -162,59 +177,72 @@ def condense(pred, cfg, x_hat, d_hat, tgt):
     b_in = pred.b_box
     if cfg.x_bounds is not None:
         b_in = b_in - np.concatenate([np.zeros(2 * N * n_u), x_free, -x_free])
-    return CondensedQp(pred.H_j, f_j, c_j, pred.A_in, b_in)
+    return CondensedQp(pred.H_j, f_j, c_j, pred.A_in, b_in, pred.factor)
 
 
-def _kkt_solve(H, f, G, h, W):
-    n = H.shape[0]
-    m = len(W)
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = 2.0 * H
-    if m:
-        GW = G[W]
-        K[:n, n:] = GW.T
-        K[n:, :n] = GW
-    rhs = np.concatenate([-2.0 * f, h[W] if m else np.zeros(0)])
-    sol = np.linalg.solve(K, rhs)
-    return sol[:n], sol[n:]
+def factor_qp(H, G):
+    """QpFactor of the Hessian H and the inequality rows G; raises
+    numerics.SingularMatrix when H is not positive definite."""
+    L = numerics.cholesky(2.0 * H)
+    Y = numerics.cho_solve(L, G.T)
+    return QpFactor(L, Y, G @ Y)
 
 
-def _active_set_core(H, f, G, h, x0, W0, itmax):
-    """min x'Hx + 2f'x s.t. Gx <= h from a feasible x0; returns the
-    minimizer, the final working set, its multipliers and the iteration count.
+def _ratio_test(Gp, Gx, h, W):
+    """Step length along p in [0, 1] and the row that blocks it (-1 for a
+    full step), by the lowest-index rule: scanning rows outside W in
+    ascending order, a row moving toward its bound blocks when its ratio
+    undercuts the current step by more than 1e-12; the step is clamped
+    at 0.
 
-    Entering/leaving constraints follow Bland's lowest-index rule (the
-    ascending scans pick the lowest achiever), which rules out cycling.
+    The rows that cannot block (in W, not moving toward their bound, or
+    within 1e-12 of a full step) are dropped as one array expression;
+    only the few left are scanned.
     """
-    n = H.shape[0]
-    m = G.shape[0]
+    cand = Gp > 1e-13 * (1.0 + np.abs(h))
+    cand[W] = False
+    rows = np.flatnonzero(cand)
+    ratios = (h[rows] - Gx[rows]) / Gp[rows]
+    near = ratios < 1.0 - 1e-12
+    alpha, blocker = 1.0, -1
+    for i, ai in zip(rows[near].tolist(), ratios[near].tolist()):
+        if ai < alpha - 1e-12:
+            alpha, blocker = max(ai, 0.0), i
+    return alpha, blocker
+
+
+def _active_set_core(G, h, Y, S, x_u, r_u, x0, W0, itmax):
+    """min of a strictly convex quadratic s.t. Gx <= h from a feasible x0,
+    given its unconstrained minimizer x_u, Y = (2H)^-1 G', S = G Y and
+    r_u = G x_u - h; returns the minimizer, the final working set, its
+    multipliers and the iteration count.
+
+    The working-set KKT system is solved by its Schur complement:
+    S_WW lam = r_u[W], x = x_u - Y_W lam. Entering/leaving constraints
+    follow Bland's lowest-index rule, which rules out cycling.
+    """
     x = x0.copy()
     W = sorted(W0)
     for it in range(itmax):
-        try:
-            xs, lam = _kkt_solve(H, f, G, h, W)
-        except np.linalg.LinAlgError:
-            # dependent working set; drop the highest index and retry
-            W = W[:-1]
-            continue
+        if W:
+            try:
+                lam = np.linalg.solve(S[np.ix_(W, W)], r_u[W])
+            except np.linalg.LinAlgError:
+                # dependent working set; drop the highest index and retry
+                W = W[:-1]
+                continue
+            xs = x_u - Y[:, W] @ lam
+        else:
+            xs, lam = x_u, np.zeros(0)
         p = xs - x
         if np.abs(p).max() <= 1e-11 * (1.0 + np.abs(x).max()):
-            if len(W) == 0 or lam.min() >= -TOL_KKT:
+            if not W or lam.min() >= -TOL_KKT:
                 return xs, W, lam, it
-            j = min(i for i, l in zip(W, lam) if l < -TOL_KKT)
-            W.remove(j)
+            # W is ascending: the first negative multiplier has the
+            # lowest index
+            del W[int(np.argmax(lam < -TOL_KKT))]
             continue
-        alpha = 1.0
-        blocker = -1
-        Gp = G @ p
-        Gx = G @ x
-        for i in range(m):
-            if i in W or Gp[i] <= 1e-13 * (1.0 + abs(h[i])):
-                continue
-            ai = (h[i] - Gx[i]) / Gp[i]
-            if ai < alpha - 1e-12:
-                alpha = max(ai, 0.0)
-                blocker = i
+        alpha, blocker = _ratio_test(G @ p, G @ x, h, W)
         x = x + alpha * p
         if blocker >= 0:
             W.append(blocker)
@@ -224,8 +252,7 @@ def _active_set_core(H, f, G, h, x0, W0, itmax):
 
 def _kkt_residual(H, f, G, h, x, W, lam):
     mu = np.zeros(G.shape[0])
-    for i, l in zip(W, lam):
-        mu[i] = l
+    mu[W] = lam
     r_stat = np.abs(2.0 * H @ x + 2.0 * f + G.T @ mu).max()
     slack = G @ x - h
     r_prim = max(0.0, slack.max()) if slack.size else 0.0
@@ -237,51 +264,69 @@ def _kkt_residual(H, f, G, h, x, W, lam):
 def solve_qp(qp, warm_start=None, active_guess=None):
     """Minimize u'H_j u + 2 f_j'u + c_j subject to A_in u <= b_in.
 
-    warm_start seeds the initial point (projected to feasibility via a
-    phase-1 solve when needed); active_guess seeds the working set with
-    rows still active at that point.
+    The unconstrained minimizer, from the Cholesky factor of 2 H_j
+    (qp.factor, or one computed here), is the answer when it satisfies
+    every row: no active set, 0 iterations. Otherwise warm_start seeds the
+    initial point (projected to feasibility via a phase-1 solve when
+    needed) and active_guess seeds the working set with rows still active
+    at that point.
     """
     H, f, G, h = qp.H_j, qp.f_j, qp.A_in, qp.b_in
     n = H.shape[0]
-    m = G.shape[0] if G is not None and G.size else 0
-    if m == 0:
-        u = numerics.solve_linear(2.0 * H, -2.0 * f)
-        obj = float(u @ H @ u + 2.0 * f @ u + qp.c_j)
-        return QpSolution(u, [], 0.0, obj, 0)
-
-    itmax = 50 * (n + m + 1)
-    x0 = np.zeros(n) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-    if (G @ x0 - h).max() > TOL_FEAS:
-        x0 = _phase1(H, f, G, h, x0, itmax)
-    W0 = []
-    if active_guess:
-        act = G @ x0 - h
-        W0 = [i for i in active_guess if 0 <= i < m and act[i] >= -1e-9]
-        if W0 and numerics.matrix_rank(G[W0]) < len(W0):
-            W0 = []
-    x, W, lam, it = _active_set_core(H, f, G, h, x0, W0, itmax)
-    res = _kkt_residual(H, f, G, h, x, W, lam)
+    if G is None or not G.size:
+        G, h = np.zeros((0, n)), np.zeros(0)
+    fac = qp.factor if qp.factor is not None else factor_qp(H, G)
+    x_u = numerics.cho_solve(fac.L, -2.0 * f)
+    r_u = G @ x_u - h
+    if (r_u <= 0.0).all():
+        # no multipliers and no violated row: only stationarity can be off
+        x, W, it = x_u, [], 0
+        res = np.abs(2.0 * H @ x + 2.0 * f).max()
+    else:
+        m = G.shape[0]
+        itmax = 50 * (n + m + 1)
+        x0 = (np.zeros(n) if warm_start is None
+              else np.asarray(warm_start, dtype=float))
+        if (G @ x0 - h).max() > TOL_FEAS:
+            x0 = _phase1(H, f, G, h, fac, x_u, x0, itmax)
+        W0 = []
+        if active_guess:
+            act = G @ x0 - h
+            W0 = [i for i in active_guess if 0 <= i < m and act[i] >= -1e-9]
+            if W0 and numerics.matrix_rank(G[W0]) < len(W0):
+                W0 = []
+        x, W, lam, it = _active_set_core(G, h, fac.Y, fac.S, x_u, r_u, x0,
+                                         W0, itmax)
+        res = _kkt_residual(H, f, G, h, x, W, lam)
     obj = float(x @ H @ x + 2.0 * f @ x + qp.c_j)
     return QpSolution(x, W, float(res), obj, it)
 
 
-def _phase1(H, f, G, h, x0, itmax):
+def _phase1(H, f, G, h, fac, x_u, x0, itmax):
     """Single-slack relaxation: same objective plus a heavily weighted
     slack s, rows relaxed to Gx - s <= h with s >= 0. The start
-    (x0, max-violation + 1) is strictly feasible by construction."""
-    n = H.shape[0]
-    m = G.shape[0]
+    (x0, max-violation + 1) is strictly feasible by construction.
+
+    The Hessian is blockdiag(H, big), so the factor of 2H extends to it:
+    the slack adds a row of -1/(2 big) to Y, 1/(2 big) to every entry of
+    S, and s = -1 to the unconstrained minimizer."""
+    m, n = G.shape
     big = 1e6 * (np.trace(H) + np.abs(f).sum() + 1.0)
-    H2 = np.zeros((n + 1, n + 1))
-    H2[:n, :n] = H
-    H2[n, n] = big
-    f2 = np.concatenate([f, [big]])
-    G2 = np.hstack([G, -np.ones((m, 1))])
-    G2 = np.vstack([G2, np.concatenate([np.zeros(n), [-1.0]])])
-    h2 = np.concatenate([h, [0.0]])
+    c = 1.0 / (2.0 * big)
+    G2 = np.zeros((m + 1, n + 1))
+    G2[:m, :n] = G
+    G2[:, n] = -1.0
+    h2 = np.append(h, 0.0)
+    Y2 = np.zeros((n + 1, m + 1))
+    Y2[:n, :m] = fac.Y
+    Y2[n] = -c
+    S2 = np.full((m + 1, m + 1), c)
+    S2[:m, :m] += fac.S
+    z_u = np.append(x_u, -1.0)
     s0 = max((G @ x0 - h).max(), 0.0) + 1.0
-    z0 = np.concatenate([x0, [s0]])
-    z, _, _, _ = _active_set_core(H2, f2, G2, h2, z0, [], itmax)
+    z0 = np.append(x0, s0)
+    z, _, _, _ = _active_set_core(G2, h2, Y2, S2, z_u, G2 @ z_u - h2, z0,
+                                  [], itmax)
     if z[n] > 1e-8:
         raise Infeasible(f"phase-1 slack {z[n]:.3e} > 1e-8")
     return z[:n]

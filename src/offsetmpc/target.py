@@ -1,15 +1,13 @@
 """Steady-state target problem: map a disturbance estimate and a reference
 to the (x_bar, u_bar) pair the controller should settle at."""
 
-import logging
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import model as model_mod
 from . import numerics
-
-log = logging.getLogger(__name__)
 
 
 class SingularTarget(Exception):
@@ -21,12 +19,32 @@ class TargetPair:
     x_bar: np.ndarray
     u_bar: np.ndarray
 
+    def text(self, fmt="%.17g"):
+        return "u_bar %s x_bar %s" % (" ".join(fmt % v for v in self.u_bar),
+                                      " ".join(fmt % v for v in self.x_bar))
+
+
+@dataclass
+class BoundExcursions:
+    """Targets that left the input or state box: how many, and the first
+    and the last of them."""
+    count: int = 0
+    first: Optional[TargetPair] = None
+    last: Optional[TargetPair] = None
+
+    def add(self, pair):
+        self.count += 1
+        if self.first is None:
+            self.first = pair
+        self.last = pair
+
 
 class TargetCalculator:
     def __init__(self, model, dist, u_bounds=None, x_bounds=None):
         """u_bounds/x_bounds are optional (lb, ub) arrays in deviation
-        coordinates, used only to warn about unattainable targets. The
-        target matrix must be square: as many controlled outputs as inputs."""
+        coordinates, used only to count unattainable targets in
+        self.excursions; targets are never clipped. The target matrix must
+        be square: as many controlled outputs as inputs."""
         if model.n_z != model.n_u:
             raise model_mod.DimensionMismatch(
                 f"target needs n_z == n_u, got n_z={model.n_z}, n_u={model.n_u}")
@@ -34,7 +52,7 @@ class TargetCalculator:
         self.dist = dist
         self.u_bounds = u_bounds
         self.x_bounds = x_bounds
-        self._warned = set()
+        self.excursions = BoundExcursions()
         n_x, n_u, n_z = model.n_x, model.n_u, model.n_z
         self.M = np.block([
             [model.A - np.eye(n_x), model.B],
@@ -59,22 +77,14 @@ class TargetCalculator:
         sol = numerics.lu_solve(self._lu, self.rhs(d_hat, r))
         n_x = self.model.n_x
         pair = TargetPair(sol[:n_x], sol[n_x:])
-        self._warn_if_outside(pair)
+        if self._outside(pair):
+            self.excursions.add(pair)
         return pair
 
-    def _warn_if_outside(self, pair):
-        # dedupe on the rounded target so a persistent excursion logs once
-        if self.u_bounds is not None:
-            lb, ub = self.u_bounds
-            if np.any(pair.u_bar < lb - 1e-12) or np.any(pair.u_bar > ub + 1e-12):
-                key = ("u",) + tuple(np.round(pair.u_bar, 3))
-                if key not in self._warned:
-                    self._warned.add(key)
-                    log.warning("target input outside bounds: %s", pair.u_bar)
-        if self.x_bounds is not None:
-            lb, ub = self.x_bounds
-            if np.any(pair.x_bar < lb - 1e-12) or np.any(pair.x_bar > ub + 1e-12):
-                key = ("x",) + tuple(np.round(pair.x_bar, 3))
-                if key not in self._warned:
-                    self._warned.add(key)
-                    log.warning("target state outside bounds: %s", pair.x_bar)
+    def _outside(self, pair):
+        for bounds, v in ((self.u_bounds, pair.u_bar),
+                          (self.x_bounds, pair.x_bar)):
+            if bounds is not None and (np.any(v < bounds[0] - 1e-12)
+                                       or np.any(v > bounds[1] + 1e-12)):
+                return True
+        return False

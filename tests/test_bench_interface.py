@@ -12,8 +12,8 @@ import sys
 import numpy as np
 import pytest
 
+from offsetmpc import cli, grnn, ocp
 from offsetmpc import closed_loop as cl
-from offsetmpc import ocp
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,3 +70,32 @@ def test_names_the_benchmark_reads(committed):
                           cl.ControllerMode.NOMINAL)
     for attr in ("k", "harvested", "rejected_harvests"):
         assert hasattr(loop, attr), attr
+
+
+def test_grnn_fit_enters_through_select_sigma_and_sweeps_once(
+        monkeypatch, tmp_path, capsys):
+    """grnn_fit_400 starts its timed loop at grnn.select_sigma and times each
+    grnn.loo_error call: `grnn-fit --sigma auto` must call select_sigma
+    before any loo_error, and loo_error once per grid point (the _loo.txt
+    curve reuses the selection's sweep)."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("select_sigma", "loo_error"):
+        monkeypatch.setattr(grnn, name, counted(name, getattr(grnn, name)))
+    rng = np.random.default_rng(5)
+    samples = tmp_path / "small.txt"
+    grnn.write_samples(str(samples), [(rng.normal(size=2), rng.normal(size=2))
+                                      for _ in range(12)])
+    assert cli.main(["grnn-fit", str(samples), "--sigma", "auto",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert calls[0] == "select_sigma"
+    assert calls.count("select_sigma") == 1
+    assert calls.count("loo_error") == len(grnn.SIGMA_GRID)
+    curve = (tmp_path / "out" / "small_loo.txt").read_text().splitlines()
+    assert len(curve) == 1 + len(grnn.SIGMA_GRID)

@@ -116,6 +116,22 @@ def test_sweep_writes_training_file(tmp_path, capsys):
     assert np.allclose(rows[1][0], [0.0, 0.0], atol=1e-12)
 
 
+def test_sweep_reports_target_excursions_in_one_line(tmp_path, capsys):
+    """This twovar setpoint's targets leave the input box on most of its
+    intervals; stderr gets one line with the count, not one per
+    excursion."""
+    sp = tmp_path / "edge.txt"
+    sp.write_text("0.90568389 325.30717104\n")
+    assert cli.main(["sweep", str(ROOT / "configs" / "cstr_twovar.yaml"),
+                     "--setpoints", str(sp), "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    found = re.fullmatch(r"WARNING target outside bounds on (\d+) of (\d+) "
+                         r"intervals: first u_bar .* x_bar .*, "
+                         r"last u_bar .* x_bar .*", err[0])
+    assert found and 0 < int(found[1]) <= int(found[2])
+
+
 def test_sweep_with_tiny_cap_fails_runtime(tmp_path, capsys):
     sp = tmp_path / "one.txt"
     sp.write_text("0.878 324.5\n")

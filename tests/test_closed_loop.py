@@ -296,3 +296,29 @@ def test_failing_step_leaves_no_orphan_sample(committed):
     assert len(log.records) == 5
     assert samples == [] and log.harvested == []
     assert log.aborted == {"time": 5, "reason": "left the physical region"}
+
+
+def test_summary_counts_target_excursions_only_when_present(committed,
+                                                            tmp_path):
+    """A setpoint whose target needs a coolant move past the box gives one
+    summary line with the count and the first and last offending pairs;
+    a run inside the box gives none."""
+    m, dist, gains, cfg = committed
+    path = tmp_path / "summary.txt"
+    for r, expect in ((np.zeros(2), 0), (np.array([0.04, 0.0]), 5)):
+        sc = scenario(5.0, [(0.0, r)], cl.ControllerMode.NOMINAL)
+        log = cl.run_scenario(sc, m, dist, gains, cfg,
+                              cl.LinearPlant(m, dist, d_star=np.zeros(2)))
+        assert log.target_excursions.count == expect
+        cl.write_summary(log, path)
+        lines = [line for line in path.read_text().splitlines()
+                 if line.startswith("target_bound_excursions")]
+        if not expect:
+            assert lines == []
+            continue
+        first = log.target_excursions.first
+        assert np.array_equal(first.u_bar, log.records[0].u_bar)
+        assert np.array_equal(log.target_excursions.last.u_bar,
+                              log.records[-1].u_bar)
+        assert lines == ["target_bound_excursions 5 first %s last %s"
+                         % (first.text(), log.target_excursions.last.text())]

@@ -57,3 +57,15 @@ def test_committed_run_reproduces(tmp_path, capsys, stem, mode):
             name = f"{stem}_{m}{suffix}"
             worst = worst_deviation(tmp_path / name, ROOT / "out" / name)
             assert worst <= TOL, f"{name}: deviation {worst:.3e} > {TOL:.0e}"
+
+
+def test_committed_sweep_reproduces(tmp_path, capsys):
+    """The 100-setpoint twovar sweep: ~4.4k QPs, 224 of them from an
+    infeasible warm start and working sets of up to 10 rows, so it
+    exercises phase 1 and the working-set solves far more than the runs."""
+    argv = ["sweep", "--setpoints", str(ROOT / "configs" / "sweep_ct_100.txt"),
+            str(ROOT / "configs" / "cstr_twovar.yaml"), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    name = "sweep_ct_100_train.txt"
+    worst = worst_deviation(tmp_path / name, ROOT / "out" / name)
+    assert worst <= TOL, f"{name}: deviation {worst:.3e} > {TOL:.0e}"

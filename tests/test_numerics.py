@@ -23,6 +23,27 @@ def test_solve_linear_matrix_rhs():
     assert np.allclose(A @ X, B, atol=1e-10)
 
 
+def test_cho_solve_matches_lapack_oracle():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        n = int(rng.integers(1, 8))
+        R = rng.normal(size=(n, n))
+        A = R @ R.T + 0.1 * np.eye(n)
+        L = numerics.cholesky(A)
+        assert np.allclose(L @ L.T, A, atol=1e-12)
+        b, B = rng.normal(size=n), rng.normal(size=(n, 3))
+        assert np.allclose(numerics.cho_solve(L, b), np.linalg.solve(A, b),
+                           atol=1e-9)
+        assert np.allclose(numerics.cho_solve(L, B), np.linalg.solve(A, B),
+                           atol=1e-9)
+
+
+def test_cholesky_rejects_indefinite():
+    for A in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))):
+        with pytest.raises(numerics.SingularMatrix):
+            numerics.cholesky(A)
+
+
 # solve_linear and the factorization it is built on raise alike
 FACTOR = {"solve_linear": lambda A: numerics.solve_linear(A, np.ones(len(A))),
           "lu": numerics.lu}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from offsetmpc import model as mdl
-from offsetmpc import ocp, target
+from offsetmpc import numerics, ocp, target
 
 
 def rollout_cost(m, dist, cfg, x0, d, tgt, u_flat):
@@ -84,8 +84,10 @@ def test_condense_shifts_the_fixed_rows_by_the_free_response(committed):
     x0, d = np.array([0.01, -0.3, 0.02]), np.array([0.001, 0.2])
     qp = ocp.condense(pred, cfg, x0, d, tgt)
     assert qp.H_j is pred.H_j and qp.A_in is pred.A_in
-    with pytest.raises(ValueError):
-        qp.H_j[0, 0] = 0.0
+    assert qp.factor is pred.factor
+    for shared in (qp.H_j, qp.factor.L, qp.factor.Y, qp.factor.S):
+        with pytest.raises(ValueError):
+            shared[0, 0] = 0.0
     free = pred.Phi @ x0 + pred.Psi_d @ np.tile(d, cfg.N)
     (u_lb, u_ub), (x_lb, x_ub) = cfg.u_bounds, cfg.x_bounds
     expected = np.concatenate([np.tile(u_ub, cfg.N), -np.tile(u_lb, cfg.N),
@@ -149,6 +151,55 @@ def test_warm_start_matches_cold(committed):
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
 
 
+def test_factor_holds_the_schur_data(committed):
+    """L L' = 2 H_j, Y = (2 H_j)^-1 A_in' and S = A_in Y; a CondensedQp
+    without a factor gets the same one inside solve_qp, so both solve
+    alike bit for bit."""
+    m, dist, _, cfg = committed
+    pred = ocp.build_prediction(m, dist, cfg)
+    L, Y, S = pred.factor.L, pred.factor.Y, pred.factor.S
+    assert np.allclose(L @ L.T, 2.0 * pred.H_j, rtol=1e-12, atol=0.0)
+    assert np.allclose(2.0 * pred.H_j @ Y, pred.A_in.T, rtol=0.0, atol=1e-9)
+    assert np.allclose(S, pred.A_in @ Y, rtol=1e-12, atol=0.0)
+    calc = target.TargetCalculator(m, dist)
+    active = []
+    # an interior problem, one with an input row active, and one with
+    # input and state rows active
+    for r in ([0.0, 0.0], [-0.04, 0.0], [0.04, 0.0]):
+        tgt = calc.solve(np.zeros(2), np.array(r))
+        qp = ocp.condense(pred, cfg, np.array([0.02, 1.0, 0.05]),
+                          np.zeros(2), tgt)
+        a = ocp.solve_qp(qp)
+        b = ocp.solve_qp(dataclasses.replace(qp, factor=None))
+        assert np.array_equal(a.u_seq, b.u_seq)
+        assert a.active_set == b.active_set
+        active.append(len(a.active_set))
+    assert active[0] == 0 and active[1] >= 1 and active[2] >= 5
+
+
+def test_early_exit_returns_the_unconstrained_minimizer():
+    """A feasible unconstrained minimizer is returned with no active set
+    and 0 iterations, with or without rows, and whatever the warm start."""
+    H = np.array([[2.0, 0.5], [0.5, 1.0]])
+    f = np.array([-1.0, 0.5])
+    u_star = np.linalg.solve(H, -f)
+    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    for A_in, b_in, warm in ((np.zeros((0, 2)), np.zeros(0), None),
+                             (rows, u_star + 1.0, None),
+                             (rows, u_star + 1.0, u_star + 5.0)):
+        qp = ocp.CondensedQp(H_j=H, f_j=f, c_j=0.0, A_in=A_in, b_in=b_in)
+        sol = ocp.solve_qp(qp, warm_start=warm, active_guess=[0, 1])
+        assert sol.active_set == [] and sol.iterations == 0
+        assert np.allclose(sol.u_seq, u_star, rtol=0.0, atol=1e-14)
+        assert sol.kkt_residual <= 1e-14
+    # a row the minimizer violates by far less than TOL_FEAS still counts
+    b_in = u_star + [-1e-10, 1.0]
+    qp = ocp.CondensedQp(H_j=H, f_j=f, c_j=0.0, A_in=rows, b_in=b_in)
+    sol = ocp.solve_qp(qp)
+    assert sol.active_set == [0] and sol.iterations >= 1
+    assert sol.u_seq[0] == pytest.approx(b_in[0], rel=0.0, abs=1e-15)
+
+
 def test_infeasible_raises():
     H = np.eye(2)
     f = np.zeros(2)
@@ -184,3 +235,250 @@ def test_config_validation():
         ocp.OcpConfig(N=5, q_x=np.ones(3), q_u=np.ones(2), q_xN=np.ones(3),
                       u_bounds=(np.array([2.0, 2.0]), np.array([1.0, 1.0])))
 
+
+
+# ---- reference: the dense-KKT active-set solver that the prefactored one
+# replaced, kept as the oracle ----
+
+def ref_kkt_solve(H, f, G, h, W):
+    n = H.shape[0]
+    m = len(W)
+    K = np.zeros((n + m, n + m))
+    K[:n, :n] = 2.0 * H
+    if m:
+        GW = G[W]
+        K[:n, n:] = GW.T
+        K[n:, :n] = GW
+    rhs = np.concatenate([-2.0 * f, h[W] if m else np.zeros(0)])
+    sol = np.linalg.solve(K, rhs)
+    return sol[:n], sol[n:]
+
+
+def ref_active_set_core(H, f, G, h, x0, W0, itmax, steps):
+    """Full KKT solve per iteration and a per-row ratio loop; appends each
+    ratio test's (alpha, blocker) to steps."""
+    m = G.shape[0]
+    x = x0.copy()
+    W = sorted(W0)
+    for it in range(itmax):
+        try:
+            xs, lam = ref_kkt_solve(H, f, G, h, W)
+        except np.linalg.LinAlgError:
+            W = W[:-1]
+            continue
+        p = xs - x
+        if np.abs(p).max() <= 1e-11 * (1.0 + np.abs(x).max()):
+            if len(W) == 0 or lam.min() >= -ocp.TOL_KKT:
+                return xs, W, lam, it
+            j = min(i for i, l in zip(W, lam) if l < -ocp.TOL_KKT)
+            W.remove(j)
+            continue
+        alpha, blocker = ref_ratio_test(G @ p, G @ x, h, W)
+        steps.append((alpha, blocker))
+        x = x + alpha * p
+        if blocker >= 0:
+            W.append(blocker)
+            W.sort()
+    raise ocp.MaxIterations(f"no convergence in {itmax} iterations")
+
+
+def ref_ratio_test(Gp, Gx, h, W):
+    alpha = 1.0
+    blocker = -1
+    for i in range(Gp.shape[0]):
+        if i in W or Gp[i] <= 1e-13 * (1.0 + abs(h[i])):
+            continue
+        ai = (h[i] - Gx[i]) / Gp[i]
+        if ai < alpha - 1e-12:
+            alpha = max(ai, 0.0)
+            blocker = i
+    return alpha, blocker
+
+
+def ref_phase1(H, f, G, h, x0, itmax, steps):
+    n = H.shape[0]
+    m = G.shape[0]
+    big = 1e6 * (np.trace(H) + np.abs(f).sum() + 1.0)
+    H2 = np.zeros((n + 1, n + 1))
+    H2[:n, :n] = H
+    H2[n, n] = big
+    f2 = np.concatenate([f, [big]])
+    G2 = np.hstack([G, -np.ones((m, 1))])
+    G2 = np.vstack([G2, np.concatenate([np.zeros(n), [-1.0]])])
+    h2 = np.concatenate([h, [0.0]])
+    s0 = max((G @ x0 - h).max(), 0.0) + 1.0
+    z0 = np.concatenate([x0, [s0]])
+    z, _, _, _ = ref_active_set_core(H2, f2, G2, h2, z0, [], itmax, steps)
+    if z[n] > 1e-8:
+        raise ocp.Infeasible(f"phase-1 slack {z[n]:.3e} > 1e-8")
+    return z[:n]
+
+
+def ref_solve_qp(qp, warm_start=None, active_guess=None, steps=None):
+    """Returns (u, active set, phase 1 ran)."""
+    steps = [] if steps is None else steps
+    H, f, G, h = qp.H_j, qp.f_j, qp.A_in, qp.b_in
+    n, m = H.shape[0], G.shape[0]
+    itmax = 50 * (n + m + 1)
+    x0 = (np.zeros(n) if warm_start is None
+          else np.asarray(warm_start, dtype=float).copy())
+    phase1 = (G @ x0 - h).max() > ocp.TOL_FEAS
+    if phase1:
+        x0 = ref_phase1(H, f, G, h, x0, itmax, steps)
+    W0 = []
+    if active_guess:
+        act = G @ x0 - h
+        W0 = [i for i in active_guess if 0 <= i < m and act[i] >= -1e-9]
+        if W0 and numerics.matrix_rank(G[W0]) < len(W0):
+            W0 = []
+    x, W, _, _ = ref_active_set_core(H, f, G, h, x0, W0, itmax, steps)
+    return x, W, phase1
+
+
+def outcome(solve):
+    try:
+        return solve()
+    except (ocp.Infeasible, ocp.MaxIterations) as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="module")
+def twovar(twovar_rc):
+    rc = twovar_rc
+    return (rc.model, rc.dist, rc.ocp_cfg,
+            ocp.build_prediction(rc.model, rc.dist, rc.ocp_cfg),
+            target.TargetCalculator(rc.model, rc.dist))
+
+
+def test_solver_matches_dense_kkt_reference(twovar):
+    """Seeded twovar QPs whose states, disturbances and targets reach the
+    input and state boxes, solved cold, from a shifted warm start with the
+    shifted active set as guess, and from an infeasible warm start that
+    forces phase 1: the prefactored solver ends on the reference's active
+    set and input sequence, and fails where it fails."""
+    m, dist, cfg, pred, calc = twovar
+    (x_lo, x_hi), N, n_u = cfg.x_bounds, cfg.N, cfg.n_u
+    rng = np.random.default_rng(2024)
+    seen = {"phase1": 0, "infeasible": 0, "rows": 0, "solved": 0}
+    for k in range(36):
+        # every sixth state lies far outside the state box
+        x_hat = rng.uniform(x_lo, x_hi) * (3.0 if k % 6 == 0 else 1.3)
+        d = np.array([rng.uniform(-0.012, 0.004), rng.uniform(-1.0, 7.0)])
+        r = np.array([rng.uniform(-0.05, 0.045), rng.uniform(-4.5, 5.0)])
+        tgt = calc.solve(d, r)
+        qp = ocp.condense(pred, cfg, x_hat, d, tgt)
+        cold = outcome(lambda: ocp.solve_qp(qp))
+        starts = [(None, None), (rng.uniform(-20.0, 20.0, size=N * n_u), None)]
+        if not isinstance(cold, type):
+            # the next interval's problem from a slightly moved state, warm
+            # started as ControlLoop does: shifted inputs, shifted rows
+            shifted = np.concatenate([cold.u_seq[n_u:], tgt.u_bar])
+            guess = [i - n_u for i in cold.active_set
+                     if i % (N * n_u) >= n_u and i < 2 * N * n_u]
+            x_next = x_hat + rng.normal(scale=0.002, size=3)
+            qp = ocp.condense(pred, cfg, x_next, d, tgt)
+            starts += [(shifted, guess),
+                       (shifted + rng.normal(scale=0.5, size=N * n_u), guess)]
+        for warm, guess in starts:
+            got = outcome(lambda: ocp.solve_qp(qp, warm_start=warm,
+                                               active_guess=guess))
+            ref = outcome(lambda: ref_solve_qp(qp, warm, guess))
+            if isinstance(ref, type):
+                assert got is ref
+                seen["infeasible"] += ref is ocp.Infeasible
+                continue
+            u_ref, W_ref, phase1 = ref
+            assert not isinstance(got, type), got
+            assert got.active_set == W_ref
+            assert (np.abs(got.u_seq - u_ref)
+                    <= 1e-9 * np.maximum(1.0, np.abs(u_ref))).all()
+            seen["phase1"] += phase1
+            seen["rows"] = max(seen["rows"], len(W_ref))
+            seen["solved"] += 1
+    # the draws cover what the sweep meets: phase 1, infeasible problems
+    # and working sets of several rows
+    assert seen["phase1"] >= 50 and seen["infeasible"] >= 3
+    assert seen["rows"] >= 4 and seen["solved"] >= 100, seen
+
+
+def ratio_cases():
+    """(Gp, Gx, h, W) with ties: equal ratios, zero ratios, rows exactly at
+    their bound, ratios within the 1e-12 band of each other or of a full
+    step, rows barely moving, and random draws from a coarse grid."""
+    h = np.array([1.0, 1.0, 0.0, 2.0, 1.0, 3.0])
+    cases = [
+        (np.array([2.0, 2.0, 1.0, 4.0, 1.0, 1.0]),      # 0, 1, 3: ratio 0.5
+         np.zeros(6), h, []),
+        (np.array([2.0, 2.0, 1.0, 4.0, 1.0, 1.0]),      # row 2 at its bound
+         np.zeros(6), h, [2]),                          # but in W
+        (np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),      # 1 and 4 at bound: 0
+         np.array([0.5, 1.0, -1.0, 1.0, 1.0, 0.0]), h, []),
+        (np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]),      # slightly past: clamp
+         np.array([0.0, 1.0 + 1e-14, 0.0, 2.0 + 1e-13, 0.9, 0.0]), h, []),
+        (np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),      # inside the tie band
+         np.array([0.3, 0.3 - 5e-13, 0.0, 1.7 + 2e-12, 0.0, 0.0]), h, []),
+        (np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),      # 1e-12 short of 1
+         np.array([1e-12, 5e-13, -1.0, 1.0 + 2e-12, 0.0, 2.0]), h, []),
+        (np.array([1e-14, 2e-13, 1e-13, -1.0, 1.0, 0.0]),   # barely moving
+         np.zeros(6), np.array([1e-15, 1e-14, 0.0, 0.0, 0.0, 0.0]), []),
+    ]
+    rng = np.random.default_rng(3)
+    for _ in range(3000):
+        k = int(rng.integers(1, 12))
+        cases.append((rng.integers(-2, 3, size=k) / 2.0,
+                      rng.integers(-2, 3, size=k) / 4.0,
+                      rng.integers(-1, 3, size=k) / 4.0,
+                      sorted(rng.choice(k, size=int(rng.integers(0, k)),
+                                        replace=False).tolist())))
+    return cases
+
+
+def test_ratio_test_matches_sequential_loop():
+    for Gp, Gx, h, W in ratio_cases():
+        assert ocp._ratio_test(Gp, Gx, h, W) == ref_ratio_test(Gp, Gx, h, W), \
+            (Gp, Gx, h, W)
+
+
+@pytest.mark.parametrize("case", ["equal ratios", "zero ratio",
+                                  "row at bound", "phase 1 ties",
+                                  "leaving rows"])
+def test_blocker_sequence_matches_reference(case, monkeypatch):
+    """Hand-built QPs with tied blockers: both solvers take the same steps
+    and add the same rows in the same order."""
+    n = 4
+    H, f = np.eye(n), -np.full(n, 2.0)     # unconstrained minimizer at 2
+    G = np.vstack([np.eye(n), np.eye(n)])   # rows i and i + 4 coincide
+    h = np.ones(2 * n)
+    warm, guess = None, None
+    if case == "leaving rows":
+        # minimizer at -2, warm start at the upper bounds with all four
+        # guessed active: every multiplier is negative, and the rows leave
+        # lowest index first
+        f, G = -f, np.vstack([np.eye(n), -np.eye(n)])
+        warm, guess = np.ones(n), [0, 1, 2, 3]
+    elif case == "zero ratio":
+        warm = np.array([1.0, 0.0, 1.0, 0.0])   # rows 0, 2 (and 4, 6) at 1
+    elif case == "row at bound":
+        G = np.vstack([G, np.ones((1, n))])     # sum <= 1 holds with equality
+        h = np.append(h, 1.0)
+        warm = np.array([0.25, 0.25, 0.25, 0.25])
+    elif case == "phase 1 ties":
+        warm = np.full(n, 3.0)                  # every row violated equally
+    qp = ocp.CondensedQp(H_j=H, f_j=f, c_j=0.0, A_in=G, b_in=h)
+    steps = []
+    real = ocp._ratio_test
+
+    def recorded(*args):
+        steps.append(real(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(ocp, "_ratio_test", recorded)
+    sol = ocp.solve_qp(qp, warm_start=warm, active_guess=guess)
+    ref_steps = []
+    u_ref, W_ref, _ = ref_solve_qp(qp, warm, guess, ref_steps)
+    assert [b for _, b in steps] == [b for _, b in ref_steps]
+    assert np.allclose([a for a, _ in steps], [a for a, _ in ref_steps],
+                       rtol=0.0, atol=1e-12)
+    assert steps
+    assert sol.active_set == W_ref
+    assert np.allclose(sol.u_seq, u_ref, rtol=0.0, atol=1e-12)

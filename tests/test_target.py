@@ -28,32 +28,35 @@ def test_target_satisfies_steady_equations(committed):
         assert np.linalg.norm(res_out) < 1e-9
 
 
-def test_bounds_warn_but_never_clip(committed, caplog):
+def test_bounds_warn_but_never_clip(committed):
     m, dist, _, cfg = committed
     # this setpoint needs a coolant move past the box; the pair must come
-    # back exact anyway
+    # back exact anyway, and the excursion is counted
     r = np.array([0.04, 0.0])
     free = target.TargetCalculator(m, dist).solve(np.zeros(2), r)
-    with caplog.at_level(logging.WARNING, logger="offsetmpc.target"):
-        boxed = target.TargetCalculator(m, dist, u_bounds=cfg.u_bounds).solve(
-            np.zeros(2), r)
+    calc = target.TargetCalculator(m, dist, u_bounds=cfg.u_bounds)
+    boxed = calc.solve(np.zeros(2), r)
     assert np.array_equal(free.u_bar, boxed.u_bar)
     assert np.array_equal(free.x_bar, boxed.x_bar)
     assert not (cfg.u_bounds[0] <= boxed.u_bar).all() or \
            not (boxed.u_bar <= cfg.u_bounds[1]).all()
-    assert any("outside" in rec.message for rec in caplog.records)
+    assert calc.excursions.count == 1
 
 
-def test_repeat_warning_logged_once(committed, caplog):
+def test_repeat_excursions_counted_with_first_and_last(committed, caplog):
+    """Every excursion counts, none is logged; the first and the last
+    offending pairs are kept, and a target inside the box is not counted."""
     m, dist, _, cfg = committed
-    calc = target.TargetCalculator(m, dist, u_bounds=cfg.u_bounds)
-    r = np.array([0.04, 0.0])
-    with caplog.at_level(logging.WARNING, logger="offsetmpc.target"):
-        calc.solve(np.zeros(2), r)
-        calc.solve(np.zeros(2), r)
-        calc.solve(np.zeros(2), r)
-    hits = [rec for rec in caplog.records if "outside" in rec.message]
-    assert len(hits) == 1
+    calc = target.TargetCalculator(m, dist, u_bounds=cfg.u_bounds,
+                                   x_bounds=cfg.x_bounds)
+    with caplog.at_level(logging.DEBUG):
+        first = calc.solve(np.zeros(2), np.array([0.04, 0.0]))
+        calc.solve(np.zeros(2), np.array([0.04, 0.0]))
+        calc.solve(np.zeros(2), np.zeros(2))
+        last = calc.solve(np.zeros(2), np.array([0.05, 0.0]))
+    assert calc.excursions.count == 3
+    assert calc.excursions.first is first and calc.excursions.last is last
+    assert not caplog.records
 
 
 def test_singular_pair_raises():
