@@ -13,7 +13,7 @@ from .model import (
 )
 from .estimator import AugmentedEstimate, DisturbanceEstimator
 from .target import TargetCalculator, TargetPair
-from .ocp import OcpConfig, build_prediction, condense, solve_qp, unconstrained_gain
+from .ocp import OcpConfig, build_prediction, condense, solve_qp
 from .closed_loop import (
     ControllerMode,
     ScenarioConfig,

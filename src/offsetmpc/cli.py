@@ -22,6 +22,7 @@ from . import model as model_mod
 from . import numerics
 from . import ocp as ocp_mod
 from . import plant as plant_mod
+from . import target as target_mod
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -238,9 +239,10 @@ def load_config(path):
         stem=os.path.splitext(os.path.basename(path))[0])
 
 
-def run_checks(rc):
+def run_checks(rc, pred=None):
     """The four admissibility conditions; returns (all_pass, report lines,
-    estimator gains), the gains None when the estimator is unstable."""
+    estimator gains), the gains None when the estimator is unstable. pred
+    is ocp.build_prediction's data for rc, built here when None."""
     lines = []
     ok = True
 
@@ -269,14 +271,16 @@ def run_checks(rc):
     lines.append(("PASS" if lemma else "FAIL", "steady-map nonsingularity"))
 
     try:
-        pred = ocp_mod.build_prediction(rc.model, rc.dist, rc.ocp_cfg)
-        k_un = ocp_mod.unconstrained_gain(pred, rc.ocp_cfg)
+        if pred is None:
+            pred = ocp_mod.build_prediction(rc.model, rc.dist, rc.ocp_cfg)
+        # unconstrained first move against x_hat: u0 - u_bar = K (x_hat - x_bar)
+        k_un = pred.law.K[:rc.model.n_u, :rc.model.n_x]
         off = model_mod.check_offset_free_condition(rc.model, gains, k_un)
         ok &= off["holds"]
         lines.append(("PASS" if off["holds"] else "FAIL",
                       f"offset-free null space: residual {off['residual']:.3e} "
                       f"(tol 1e-8)"))
-    except model_mod.SingularClosedLoop as exc:
+    except (model_mod.SingularClosedLoop, target_mod.SingularTarget) as exc:
         ok = False
         lines.append(("FAIL", f"offset-free null space: {exc}"))
     return ok, lines, gains
@@ -287,10 +291,10 @@ def _print_checks(lines):
         print(f"[{status}] {text}")
 
 
-def _checked_gains(rc):
+def _checked_gains(rc, pred):
     """The estimator gains if every check passes, else None after printing
     the report."""
-    ok, lines, gains = run_checks(rc)
+    ok, lines, gains = run_checks(rc, pred)
     if not ok:
         _print_checks(lines)
         print("condition checks failed", file=sys.stderr)
@@ -357,7 +361,8 @@ def cmd_check(args):
 
 def cmd_run(args):
     rc = load_config(args.config)
-    gains = _checked_gains(rc)
+    pred = ocp_mod.build_prediction(rc.model, rc.dist, rc.ocp_cfg)
+    gains = _checked_gains(rc, pred)
     if gains is None:
         return EXIT_CONDITION
     modes = ([cl.ControllerMode.NOMINAL, cl.ControllerMode.LEARNED]
@@ -370,7 +375,7 @@ def cmd_run(args):
         scenario = dataclasses.replace(rc.scenario, mode=mode)
         grnn = _build_grnn(rc, mode)
         log = cl.run_scenario(scenario, rc.model, rc.dist, gains, rc.ocp_cfg,
-                              _fresh_plant(rc), grnn=grnn)
+                              _fresh_plant(rc), grnn=grnn, pred=pred)
         base = os.path.join(out, f"{rc.stem}_{mode.value}")
         cl.write_log_csv(log, base + ".csv")
         cl.write_summary(log, base + "_summary.txt", dt=rc.model.dt)
@@ -393,7 +398,8 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     rc = load_config(args.config)
-    gains = _checked_gains(rc)
+    pred = ocp_mod.build_prediction(rc.model, rc.dist, rc.ocp_cfg)
+    gains = _checked_gains(rc, pred)
     if gains is None:
         return EXIT_CONDITION
     setpoints = _load_setpoints(args.setpoints, rc.op)
@@ -401,7 +407,7 @@ def cmd_sweep(args):
         rc.model, rc.dist, gains, rc.ocp_cfg, _fresh_plant(rc), setpoints,
         cap=rc.sweep_cap, steady_M=rc.scenario.steady_M,
         steady_tol_y=rc.scenario.steady_tol_y,
-        steady_tol_u=rc.scenario.steady_tol_u)
+        steady_tol_u=rc.scenario.steady_tol_u, pred=pred)
     exc = log.target_excursions
     if exc.count:
         print(f"WARNING target outside bounds on {exc.count} of "
@@ -557,7 +563,8 @@ def main(argv=None):
     except (ConfigError, grnn_mod.ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (model_mod.UnstableEstimator, model_mod.SingularClosedLoop) as exc:
+    except (model_mod.UnstableEstimator, model_mod.SingularClosedLoop,
+            target_mod.SingularTarget) as exc:
         print(f"condition error: {exc}", file=sys.stderr)
         return EXIT_CONDITION
     except (ocp_mod.Infeasible, ocp_mod.MaxIterations, cl.SteadyNotReached,

@@ -202,7 +202,9 @@ class ControlLoop:
 
     def __init__(self, model, dist, gains, ocp_cfg, plant, mode,
                  grnn=None, harvest=False, steady_M=5,
-                 steady_tol_y=1e-5, steady_tol_u=1e-5):
+                 steady_tol_y=1e-5, steady_tol_u=1e-5, pred=None):
+        """pred is ocp.build_prediction(model, dist, ocp_cfg), built here
+        when None; loops of one command share it read-only."""
         self.model = model
         self.dist = dist
         self.cfg = ocp_cfg
@@ -210,7 +212,8 @@ class ControlLoop:
         self.targets = TargetCalculator(model, dist,
                                         u_bounds=ocp_cfg.u_bounds,
                                         x_bounds=ocp_cfg.x_bounds)
-        self.pred = ocp_mod.build_prediction(model, dist, ocp_cfg)
+        self.pred = (ocp_mod.build_prediction(model, dist, ocp_cfg)
+                     if pred is None else pred)
         self.plant = plant
         self.mode = mode
         self.grnn = grnn
@@ -261,9 +264,13 @@ class ControlLoop:
         d_s = self.estimate.d_hat
         d_tot = d_l + d_s
         tgt = self.targets.solve(d_tot, r)
-        qp = ocp_mod.condense(self.pred, self.cfg, self.estimate.x_hat, d_tot, tgt)
-        warm, guess = self._shifted_warm(tgt)
-        sol = ocp_mod.solve_qp(qp, warm_start=warm, active_guess=guess)
+        x_hat = self.estimate.x_hat
+        sol = ocp_mod.solve_unconstrained(
+            self.pred, np.concatenate([x_hat, d_tot, r]))
+        if sol is None:
+            qp = ocp_mod.condense(self.pred, self.cfg, x_hat, d_tot, tgt)
+            warm, guess = self._shifted_warm(tgt)
+            sol = ocp_mod.solve_qp(qp, warm_start=warm, active_guess=guess)
         u = sol.u_seq[:self.cfg.n_u].copy()
         z_p = self.model.H @ y_p
 
@@ -274,7 +281,7 @@ class ControlLoop:
                                 self.steady_tol_y, self.steady_tol_u)
         record = StepRecord(
             time=self.k * self.model.dt, r=r.copy(), y_p=y_p, z_p=z_p, u=u,
-            x_hat=self.estimate.x_hat.copy(), d_learned=d_l.copy(),
+            x_hat=x_hat.copy(), d_learned=d_l.copy(),
             d_supp=d_s.copy(), d_total=d_l + d_s, x_bar=tgt.x_bar.copy(),
             u_bar=tgt.u_bar.copy(), qp_objective=sol.objective,
             active_set_size=len(sol.active_set), steady=steady,
@@ -301,14 +308,16 @@ class ControlLoop:
         return u, record
 
 
-def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None):
+def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
+                 pred=None):
     """Deterministic replay of one scenario; events fire between intervals;
-    the run aborts with a diagnostic on any of ABORTS."""
+    the run aborts with a diagnostic on any of ABORTS. pred as for
+    ControlLoop."""
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant, scenario.mode,
                        grnn=grnn, harvest=scenario.harvest,
                        steady_M=scenario.steady_M,
                        steady_tol_y=scenario.steady_tol_y,
-                       steady_tol_u=scenario.steady_tol_u)
+                       steady_tol_u=scenario.steady_tol_u, pred=pred)
     log = ClosedLoopLog()
     n_steps = int(round(scenario.duration / model.dt))
     pending = sorted(scenario.events, key=lambda e: e[0])
@@ -332,14 +341,16 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None):
 
 
 def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
-                  steady_M=5, steady_tol_y=1e-5, steady_tol_u=1e-5):
+                  steady_M=5, steady_tol_y=1e-5, steady_tol_u=1e-5,
+                  pred=None):
     """Visit each setpoint until steady and harvest one sample there;
     plant and estimator state carry over between setpoints. Any of ABORTS
-    ends the sweep with the samples harvested so far."""
+    ends the sweep with the samples harvested so far. pred as for
+    ControlLoop."""
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant,
                        ControllerMode.NOMINAL, harvest=True,
                        steady_M=steady_M, steady_tol_y=steady_tol_y,
-                       steady_tol_u=steady_tol_u)
+                       steady_tol_u=steady_tol_u, pred=pred)
     log = ClosedLoopLog()
     try:
         for r in setpoints:

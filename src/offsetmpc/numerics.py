@@ -85,16 +85,31 @@ def pseudoinverse(A):
     return np.linalg.pinv(A)
 
 
+# LAPACK gesdd directly, singular values only: scipy.linalg.svdvals's
+# checks and workspace query cost about as much as the SVD at these sizes
+_gesdd = scipy.linalg.lapack.dgesdd
+
+
 def matrix_rank(A, tol=RANK_RTOL):
     """Number of singular values above tol * sigma_max.
 
-    tol is relative; sigma_max = 0 gives rank 0.
+    tol is relative; sigma_max = 0 gives rank 0. Raises ValueError when A
+    is not a matrix or holds NaN or Inf, and numpy.linalg.LinAlgError when
+    the SVD does not converge.
     """
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("expected matrix")
     if A.size == 0:
         return 0
-    s = scipy.linalg.svdvals(A)
-    smax = s[0] if len(s) else 0.0
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    _, s, _, info = _gesdd(A, compute_uv=0)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gesdd")
+    smax = s[0]
     if smax == 0.0:
         return 0
     return int(np.sum(s > tol * smax))

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import numerics
+from . import target as target_mod
 
 
 class Infeasible(Exception):
@@ -76,11 +77,24 @@ class QpFactor:
     S: np.ndarray
 
 
+@dataclass(frozen=True)
+class AffineLaw:
+    """The interval's problem as fixed maps of theta = [x_hat; d; r] while
+    no inequality row is active (the empty-active-set critical region of
+    explicit MPC): the target is linear in (d, r), so f_j, b_in and the
+    unconstrained minimizer are linear in theta and its objective is
+    quadratic."""
+    K: np.ndarray            # u* = K theta
+    S: np.ndarray            # A_in u* - b_in = S theta - b_box
+    Q: np.ndarray            # objective at u*: theta'Q theta, Q symmetric
+    R: np.ndarray            # stationarity 2 H_j u* + 2 f_j = R theta
+
+
 @dataclass
 class PredictionMatrices:
     """Condensed-QP data fixed by (model, disturbance model, OCP config);
-    H_j, A_in, b_box and factor are shared read-only by every
-    CondensedQp."""
+    H_j, A_in, b_box, factor and law are shared read-only by every
+    CondensedQp and every ControlLoop of one command."""
     Phi: np.ndarray
     Psi: np.ndarray
     Psi_d: np.ndarray
@@ -91,6 +105,7 @@ class PredictionMatrices:
     A_in: np.ndarray         # inequality rows, in condense's order
     b_box: np.ndarray        # right-hand side of A_in at zero state offset
     factor: QpFactor         # of (H_j, A_in)
+    law: AffineLaw
 
 
 @dataclass
@@ -142,10 +157,41 @@ def build_prediction(model, dist, cfg):
     A_in = np.vstack(rows)
     b_box = np.concatenate(rhs)
     factor = factor_qp(H_j, A_in)
-    for shared in (H_j, A_in, b_box, factor.L, factor.Y, factor.S):
+    law = _affine_law(cfg, target_mod.target_map(model, dist), Phi, Psi_d,
+                      qx_stack, qu_stack, PsiTQx, H_j, A_in, factor)
+    for shared in (H_j, A_in, b_box, factor.L, factor.Y, factor.S,
+                   law.K, law.S, law.Q, law.R):
         shared.flags.writeable = False
     return PredictionMatrices(Phi, Psi, Psi_d, qx_stack, qu_stack, PsiTQx,
-                              H_j, A_in, b_box, factor)
+                              H_j, A_in, b_box, factor, law)
+
+
+def _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, H_j, A_in,
+                factor):
+    """condense and the unconstrained minimizer of solve_qp, written as
+    matrices acting on theta = [x_hat; d; r]; T is the target map
+    [x_bar; u_bar] = T [d; r]."""
+    N, n_x = cfg.N, cfg.n_x
+    n_d = Psi_d.shape[1] // N
+    n_p = n_x + T.shape[1]
+    X0 = np.eye(n_x, n_p)                           # x_hat
+    D = np.eye(n_d, n_p, n_x)                       # d
+    tgt = np.hstack([np.zeros((T.shape[0], n_x)), T])
+    X_bar, U_bar = tgt[:n_x], tgt[n_x:]
+    X_free = Phi @ X0 + Psi_d @ np.tile(D, (N, 1))  # free response
+    G = X_free - np.tile(X_bar, (N, 1))             # condense's g
+    U_stack = np.tile(U_bar, (N, 1))                # stacked u_bar
+    D0 = X0 - X_bar                                 # x_hat - x_bar
+    F_f = PsiTQx @ G - qu_stack[:, None] * U_stack  # f_j = F_f theta
+    K = numerics.cho_solve(factor.L, -2.0 * F_f)
+    C = (G.T @ (qx_stack[:, None] * G) + U_stack.T @ (qu_stack[:, None] * U_stack)
+         + D0.T @ (cfg.q_x[:, None] * D0))          # c_j = theta'C theta
+    # u*'H u* + 2 f'u* + c_j = f'u* + c_j at the minimizer
+    Q = C + F_f.T @ K
+    S = A_in @ K
+    if cfg.x_bounds is not None:
+        S[2 * N * cfg.n_u:] += np.vstack([X_free, -X_free])
+    return AffineLaw(K, S, 0.5 * (Q + Q.T), 2.0 * (H_j @ K + F_f))
 
 
 def condense(pred, cfg, x_hat, d_hat, tgt):
@@ -261,6 +307,19 @@ def _kkt_residual(H, f, G, h, x, W, lam):
     return max(r_stat, r_prim, r_comp, r_dual)
 
 
+def solve_unconstrained(pred, theta):
+    """The QP of the interval at theta = [x_hat; d; r] when its
+    unconstrained minimizer satisfies every row, from pred.law alone: the
+    same exact test as solve_qp's early exit, and the same solution (no
+    active set, 0 iterations). None when a row is violated: the interval
+    then needs condense and solve_qp."""
+    law = pred.law
+    if not (law.S @ theta - pred.b_box <= 0.0).all():
+        return None
+    return QpSolution(law.K @ theta, [], float(np.abs(law.R @ theta).max()),
+                      float(theta @ law.Q @ theta), 0)
+
+
 def solve_qp(qp, warm_start=None, active_guess=None):
     """Minimize u'H_j u + 2 f_j'u + c_j subject to A_in u <= b_in.
 
@@ -330,13 +389,6 @@ def _phase1(H, f, G, h, fac, x_u, x0, itmax):
     if z[n] > 1e-8:
         raise Infeasible(f"phase-1 slack {z[n]:.3e} > 1e-8")
     return z[:n]
-
-
-def unconstrained_gain(pred, cfg):
-    """First input block of the unconstrained minimizer as a linear gain on
-    the deviation from target: u0 - u_bar = K (x_hat - x_bar)."""
-    K_full = numerics.solve_linear(pred.H_j, -(pred.PsiTQx @ pred.Phi))
-    return K_full[:cfg.n_u, :]
 
 
 def value_function(pred, cfg, x_hat, d_hat, tgt):

@@ -45,46 +45,48 @@ class TargetCalculator:
         coordinates, used only to count unattainable targets in
         self.excursions; targets are never clipped. The target matrix must
         be square: as many controlled outputs as inputs."""
-        if model.n_z != model.n_u:
-            raise model_mod.DimensionMismatch(
-                f"target needs n_z == n_u, got n_z={model.n_z}, n_u={model.n_u}")
-        self.model = model
-        self.dist = dist
-        self.u_bounds = u_bounds
-        self.x_bounds = x_bounds
+        self.T = target_map(model, dist)
+        self.n_x = model.n_x
         self.excursions = BoundExcursions()
-        n_x, n_u, n_z = model.n_x, model.n_u, model.n_z
-        self.M = np.block([
-            [model.A - np.eye(n_x), model.B],
-            [model.H @ model.C, np.zeros((n_z, n_u))],
-        ])
-        if numerics.matrix_rank(self.M) < self.M.shape[0]:
-            raise SingularTarget("target matrix rank-deficient")
-        try:
-            self._lu = numerics.lu(self.M)
-        except numerics.SingularMatrix as exc:
-            raise SingularTarget(str(exc)) from exc
-
-    def rhs(self, d_hat, r):
-        d_hat = np.asarray(d_hat, dtype=float)
-        r = np.asarray(r, dtype=float)
-        return np.concatenate([
-            -self.dist.B_d @ d_hat,
-            r - self.model.H @ self.dist.C_d @ d_hat,
-        ])
+        # a target entry more than 1e-12 past its bound leaves the box
+        self._lo = np.full(self.T.shape[0], -np.inf)
+        self._hi = np.full(self.T.shape[0], np.inf)
+        for bounds, part in ((x_bounds, slice(None, self.n_x)),
+                             (u_bounds, slice(self.n_x, None))):
+            if bounds is not None:
+                self._lo[part] = bounds[0] - 1e-12
+                self._hi[part] = bounds[1] + 1e-12
 
     def solve(self, d_hat, r):
-        sol = numerics.lu_solve(self._lu, self.rhs(d_hat, r))
-        n_x = self.model.n_x
-        pair = TargetPair(sol[:n_x], sol[n_x:])
-        if self._outside(pair):
+        sol = self.T @ np.concatenate([d_hat, r])
+        pair = TargetPair(sol[:self.n_x], sol[self.n_x:])
+        if ((sol < self._lo) | (sol > self._hi)).any():
             self.excursions.add(pair)
         return pair
 
-    def _outside(self, pair):
-        for bounds, v in ((self.u_bounds, pair.u_bar),
-                          (self.x_bounds, pair.x_bar)):
-            if bounds is not None and (np.any(v < bounds[0] - 1e-12)
-                                       or np.any(v > bounds[1] + 1e-12)):
-                return True
-        return False
+
+def target_map(model, dist):
+    """T with [x_bar; u_bar] = T [d; r]: the target equations
+    [[A - I, B], [H C, 0]] [x_bar; u_bar] = [-B_d d; r - H C_d d] have a
+    fixed matrix and a right-hand side linear in (d, r), so one LU solve
+    per loop gives the whole map. Raises SingularTarget when the target
+    matrix is rank-deficient."""
+    if model.n_z != model.n_u:
+        raise model_mod.DimensionMismatch(
+            f"target needs n_z == n_u, got n_z={model.n_z}, n_u={model.n_u}")
+    n_x, n_u, n_z = model.n_x, model.n_u, model.n_z
+    M = np.block([
+        [model.A - np.eye(n_x), model.B],
+        [model.H @ model.C, np.zeros((n_z, n_u))],
+    ])
+    if numerics.matrix_rank(M) < M.shape[0]:
+        raise SingularTarget("target matrix rank-deficient")
+    try:
+        lu = numerics.lu(M)
+    except numerics.SingularMatrix as exc:
+        raise SingularTarget(str(exc)) from exc
+    rhs = np.block([
+        [-dist.B_d, np.zeros((n_x, n_z))],
+        [-model.H @ dist.C_d, np.eye(n_z)],
+    ])
+    return numerics.lu_solve(lu, rhs)

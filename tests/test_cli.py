@@ -3,9 +3,10 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 
-from offsetmpc import cli, grnn
+from offsetmpc import cli, grnn, ocp
 from offsetmpc import closed_loop as cl
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -88,6 +89,52 @@ def test_run_short_nominal(tmp_path, capsys):
     log = cl.read_log_csv(str(tmp_path / "out" / "short_run_nominal.csv"))
     assert len(log.records) == 12
     assert (tmp_path / "out" / "short_run_nominal_summary.txt").exists()
+
+
+def test_run_both_builds_the_loop_data_once(tmp_path, monkeypatch, capsys):
+    """One build_prediction per command: the checks and both loops share
+    it."""
+    builds = []
+    real = ocp.build_prediction
+
+    def counted(*args):
+        builds.append(real(*args))
+        return builds[-1]
+
+    monkeypatch.setattr(ocp, "build_prediction", counted)
+    train = ROOT / "out" / "sweep_c_50_train.txt"
+    cfg = rewrite_config(tmp_path, "both.yaml", [
+        (r"^  duration: .*$", "  duration: 12"),
+        (r"^  schedule:\n(?:    - .*\n)+",
+         "  schedule:\n    - [0, 0.878, 324.5]\n"),
+        (r"train: [^}]*", f"train: {train}"),
+    ])
+    assert cli.main(["run", str(cfg), "--mode", "both"]) == 0
+    assert len(builds) == 1
+
+
+def test_singular_target_is_a_condition_failure(tmp_path, capsys):
+    """Controlled outputs that see the steady pairs in one direction only:
+    the target map cannot be built, check reports that as its failing
+    offset-free line, and run exits 3 with the reason, not a
+    traceback."""
+    m = cli.load_config(str(TRACKING)).model
+    # steady pairs (x, u) with (A - I) x + B u = 0 span null([A - I, B]);
+    # H = [h; h + v] with v' C X = 0 for their x parts X sees them in one
+    # direction only, so the target matrix loses rank
+    X = scipy.linalg.null_space(np.hstack([m.A - np.eye(3), m.B]))[:3]
+    v = np.linalg.svd(m.C @ X)[0][:, -1]
+    H = np.vstack([m.H[0], m.H[0] + v])
+    cfg = rewrite_config(tmp_path, "singular.yaml", [
+        (r"^  H: .*$", "  H: " + repr(H.tolist())),
+    ])
+    assert cli.main(["check", str(cfg)]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] offset-free null space: target matrix" in out
+    assert cli.main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "condition error: target matrix" in err
+    assert "Traceback" not in err
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from offsetmpc import closed_loop as cl
 from offsetmpc import estimator as est_mod
-from offsetmpc import grnn, plant
+from offsetmpc import grnn, ocp, plant
 
 
 def scenario(duration, schedule, mode, **kw):
@@ -322,3 +322,49 @@ def test_summary_counts_target_excursions_only_when_present(committed,
                               log.records[-1].u_bar)
         assert lines == ["target_bound_excursions 5 first %s last %s"
                          % (first.text(), log.target_excursions.last.text())]
+
+
+def test_qp_runs_exactly_on_the_constrained_intervals(twovar_rc,
+                                                      monkeypatch):
+    """The committed twovar scenario in nominal mode: condense and solve_qp
+    run once per record with a non-empty active set and on no other
+    interval. A strictly convex QP whose unconstrained minimizer violates a
+    row ends with an active row, so the affine law takes exactly the
+    unconstrained intervals."""
+    rc = twovar_rc
+    calls = {"condense": 0, "solve_qp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ocp, name, counted(name, getattr(ocp, name)))
+    sc = dataclasses.replace(rc.scenario, mode=cl.ControllerMode.NOMINAL)
+    log = cl.run_scenario(
+        sc, rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+        cl.NonlinearPlant(plant.PlantState(*rc.op.x_ss), rc.params, rc.op,
+                          dt=rc.model.dt))
+    assert log.aborted is None
+    constrained = sum(rec.active_set_size > 0 for rec in log.records)
+    assert 0 < constrained < len(log.records)
+    assert calls == {"condense": constrained, "solve_qp": constrained}
+
+
+def test_loops_sharing_prediction_data_count_excursions_apart(committed):
+    """Loops given one build_prediction result each count their own target
+    excursions, as many as a loop that builds its own."""
+    m, dist, gains, cfg = committed
+    # the coolant move this setpoint needs lies past the input box
+    sc = scenario(20.0, [(0.0, np.array([0.04, 0.0]))],
+                  cl.ControllerMode.NOMINAL)
+    pred = ocp.build_prediction(m, dist, cfg)
+    logs = [cl.run_scenario(sc, m, dist, gains, cfg,
+                            cl.LinearPlant(m, dist, d_star=np.zeros(2)),
+                            pred=shared)
+            for shared in (pred, pred, None)]
+    counts = [log.target_excursions.count for log in logs]
+    assert counts == [20, 20, 20]
+    assert logs[0].target_excursions is not logs[1].target_excursions

@@ -84,7 +84,7 @@ def test_lemma1_requires_stable_gains(committed):
 def test_offset_free_condition_committed(committed):
     m, dist, gains, cfg = committed
     pred = ocp.build_prediction(m, dist, cfg)
-    k_un = ocp.unconstrained_gain(pred, cfg)
+    k_un = pred.law.K[:cfg.n_u, :cfg.n_x]
     res = mdl.check_offset_free_condition(m, gains, k_un)
     assert res["holds"] is True
     assert res["residual"] < 1e-8
@@ -97,7 +97,7 @@ def test_offset_free_condition_fails_for_level_output(committed):
     m_bad = mdl.LinearModel(m.A, m.B, m.C, H_bad, m.dt)
     gains_bad = mdl.EstimatorGains(gains.L_x, gains.L_d, m_bad, dist)
     pred = ocp.build_prediction(m_bad, dist, cfg)
-    k_un = ocp.unconstrained_gain(pred, cfg)
+    k_un = pred.law.K[:cfg.n_u, :cfg.n_x]
     res = mdl.check_offset_free_condition(m_bad, gains_bad, k_un)
     assert res["holds"] is False
     assert res["residual"] > 1e-3

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from offsetmpc import numerics
 
@@ -86,6 +87,53 @@ def test_matrix_rank_on_constructed_rank():
         for _ in range(r):
             A += np.outer(rng.normal(size=6), rng.normal(size=5))
         assert numerics.matrix_rank(A) == r
+
+
+def ref_matrix_rank(A, tol=numerics.RANK_RTOL):
+    """The scipy.linalg.svdvals form that matrix_rank replaced."""
+    A = np.asarray(A, dtype=float)
+    if A.size == 0:
+        return 0
+    s = scipy.linalg.svdvals(A)
+    if s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
+def test_matrix_rank_matches_svdvals_oracle(monkeypatch):
+    """Random, rank-deficient (down to singular values at the relative
+    threshold), zero and empty matrices give the svdvals rank; NaN, Inf
+    and non-matrix input raise ValueError like svdvals, and an SVD that
+    does not converge raises LinAlgError."""
+    rng = np.random.default_rng(17)
+    cases = [np.zeros((3, 4)), np.zeros((0, 3)), np.zeros((2, 0)),
+             np.zeros((1, 1))]
+    for _ in range(200):
+        m, n = (int(k) for k in rng.integers(1, 9, size=2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        cases += [rng.normal(size=(m, n)) * 10.0 ** rng.integers(-6, 7), A]
+        if r:
+            # a direction scaled near the threshold from either side
+            U, _, Vt = np.linalg.svd(rng.normal(size=(m, n)))
+            s = np.ones(min(m, n))
+            s[-1] = numerics.RANK_RTOL * rng.choice([0.5, 2.0])
+            cases.append((U[:, :s.size] * s) @ Vt[:s.size])
+    ranks = set()
+    for A in cases:
+        assert numerics.matrix_rank(A) == ref_matrix_rank(A), A
+        ranks.add(numerics.matrix_rank(A))
+    assert ranks == set(range(9))
+    for bad in (np.array([[1.0, np.nan]]), np.array([[np.inf, 0.0]]),
+                np.ones(3)):
+        with pytest.raises(ValueError):
+            scipy.linalg.svdvals(bad)
+        with pytest.raises(ValueError):
+            numerics.matrix_rank(bad)
+    monkeypatch.setattr(numerics, "_gesdd",
+                        lambda A, compute_uv: (None, np.ones(1), None, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        numerics.matrix_rank(np.eye(2))
 
 
 def test_spectral_radius_known_values():

@@ -101,7 +101,7 @@ def test_unconstrained_gain_is_lqr_like_fixed_point(committed):
     no constraint is active."""
     m, dist, _, cfg = committed
     pred = ocp.build_prediction(m, dist, cfg)
-    K = ocp.unconstrained_gain(pred, cfg)
+    K = pred.law.K[:cfg.n_u, :cfg.n_x]
     assert K.shape == (2, 3)
     rng = np.random.default_rng(12)
     tgt = target.TargetCalculator(m, dist).solve(np.zeros(2), np.zeros(2))
@@ -399,6 +399,91 @@ def test_solver_matches_dense_kkt_reference(twovar):
     # and working sets of several rows
     assert seen["phase1"] >= 50 and seen["infeasible"] >= 3
     assert seen["rows"] >= 4 and seen["solved"] >= 100, seen
+
+
+# ---- reference: the per-interval target solve and condense that the
+# affine law replaced on unconstrained intervals, kept as its oracle ----
+
+def ref_target(m, dist, d, r):
+    """LU solve of the target equations with the right-hand side built
+    from (d, r) on the interval."""
+    M = np.block([[m.A - np.eye(m.n_x), m.B],
+                  [m.H @ m.C, np.zeros((m.n_z, m.n_u))]])
+    sol = numerics.solve_linear(M, np.concatenate([-dist.B_d @ d,
+                                                   r - m.H @ dist.C_d @ d]))
+    return target.TargetPair(sol[:m.n_x], sol[m.n_x:])
+
+
+def ref_chain(m, dist, cfg, pred, theta):
+    """(target, condensed QP, A_in u* - b_in) through the LU target and
+    condense."""
+    x_hat, d, r = np.split(theta, [m.n_x, m.n_x + dist.n_d])
+    tgt = ref_target(m, dist, d, r)
+    qp = ocp.condense(pred, cfg, x_hat, d, tgt)
+    u_star = numerics.cho_solve(pred.factor.L, -2.0 * qp.f_j)
+    return tgt, qp, qp.A_in @ u_star - qp.b_in
+
+
+def test_affine_law_matches_target_condense_qp_chain(twovar):
+    """Seeded theta = [x_hat; d; r] on twovar, with targets outside the box,
+    predicted states past x_bounds, and theta scaled so that the largest
+    slack of the unconstrained minimizer is +-1e-9: the affine law gives
+    the early-exit verdict of the LU target -> condense -> solve_qp chain,
+    and on the unconstrained intervals its input sequence, target and
+    objective."""
+    m, dist, cfg, pred, calc = twovar
+    n_u_rows = 2 * cfg.N * cfg.n_u
+    rng = np.random.default_rng(606)
+    (u_lo, u_hi), (x_lo, x_hi) = cfg.u_bounds, cfg.x_bounds
+    seen = {"exit": 0, "qp": 0, "edge_in": 0, "edge_out": 0,
+            "x_rows": 0, "u_rows": 0, "target_out": 0}
+    for _ in range(120):
+        x_hat = rng.uniform(x_lo, x_hi) * rng.choice([0.02, 0.2, 1.3])
+        d = np.array([rng.uniform(-0.012, 0.004), rng.uniform(-1.0, 7.0)])
+        r = np.array([rng.uniform(-0.05, 0.045), rng.uniform(-4.5, 5.0)])
+        theta = np.concatenate([x_hat, d, r])
+        thetas = [theta]
+        # the slack is linear in theta less b_box: scale theta so that its
+        # largest entry is +-1e-9
+        lin = ref_chain(m, dist, cfg, pred, theta)[2] + pred.b_box
+        up = lin > 0.0
+        for eps in (1e-9, -1e-9):
+            thetas.append(theta * ((pred.b_box[up] + eps) / lin[up]).min())
+        for j, th in enumerate(thetas):
+            tgt_ref, qp, slack = ref_chain(m, dist, cfg, pred, th)
+            if j:
+                assert slack.max() == pytest.approx(
+                    (1e-9, -1e-9)[j - 1], rel=1e-3)
+            tgt = calc.solve(th[3:5], th[5:])
+            for got, ref in ((tgt.x_bar, tgt_ref.x_bar),
+                             (tgt.u_bar, tgt_ref.u_bar)):
+                assert (np.abs(got - ref)
+                        <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+            seen["target_out"] += not ((u_lo <= tgt.u_bar).all()
+                                       and (tgt.u_bar <= u_hi).all()
+                                       and (x_lo <= tgt.x_bar).all()
+                                       and (tgt.x_bar <= x_hi).all())
+            fast = ocp.solve_unconstrained(pred, th)
+            sol = outcome(lambda: ocp.solve_qp(qp))
+            exits = (slack <= 0.0).all()
+            assert (fast is not None) == exits
+            assert (not isinstance(sol, type) and sol.iterations == 0
+                    and not sol.active_set) == exits
+            if not exits:
+                seen["qp"] += 1
+                seen["x_rows"] += bool((slack[n_u_rows:] > 0.0).any())
+                seen["u_rows"] += bool((slack[:n_u_rows] > 0.0).any())
+                seen["edge_out"] += j == 1
+                continue
+            seen["exit"] += 1
+            seen["edge_in"] += j == 2
+            assert fast.active_set == [] and fast.iterations == 0
+            assert (np.abs(fast.u_seq - sol.u_seq)
+                    <= 1e-12 * np.maximum(1.0, np.abs(sol.u_seq))).all()
+            assert fast.objective == pytest.approx(sol.objective, rel=1e-9,
+                                                   abs=1e-12)
+            assert fast.kkt_residual <= 1e-8
+    assert min(seen.values()) >= 20, seen
 
 
 def ratio_cases():

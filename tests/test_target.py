@@ -59,6 +59,23 @@ def test_repeat_excursions_counted_with_first_and_last(committed, caplog):
     assert not caplog.records
 
 
+def test_excursion_needs_more_than_1e12_past_a_bound(committed):
+    """A target on a bound, or less than 1e-12 past it, stays inside the
+    box; 1e-11 past either bound of the input or the state box counts."""
+    m, dist, _, _ = committed
+    d, r = np.array([0.001, 0.1]), np.array([0.002, 0.3])
+    pair = target.TargetCalculator(m, dist).solve(d, r)
+    for v, which in ((pair.u_bar, "u_bounds"), (pair.x_bar, "x_bounds")):
+        for lo, hi, outside in ((v, v + 1.0, False), (v - 1.0, v, False),
+                                (v + 5e-13, v + 1.0, False),
+                                (v - 1.0, v - 5e-13, False),
+                                (v + 1e-11, v + 1.0, True),
+                                (v - 1.0, v - 1e-11, True)):
+            calc = target.TargetCalculator(m, dist, **{which: (lo, hi)})
+            calc.solve(d, r)
+            assert calc.excursions.count == int(outside), (which, lo - v)
+
+
 def test_singular_pair_raises():
     # double integrator tracking velocity only: steady map loses rank
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
