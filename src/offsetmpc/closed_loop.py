@@ -113,6 +113,8 @@ class ClosedLoopLog:
     harvested: list = field(default_factory=list)
     rejected_harvests: int = 0
     target_excursions: BoundExcursions = field(default_factory=BoundExcursions)
+    table_hits: int = 0              # the loop's ActiveSetTable counts
+    table_misses: int = 0
     events_applied: list = field(default_factory=list)
     aborted: Optional[dict] = None
 
@@ -209,11 +211,13 @@ class ControlLoop:
         self.dist = dist
         self.cfg = ocp_cfg
         self.estimator = DisturbanceEstimator(model, dist, gains)
-        self.targets = TargetCalculator(model, dist,
-                                        u_bounds=ocp_cfg.u_bounds,
-                                        x_bounds=ocp_cfg.x_bounds)
         self.pred = (ocp_mod.build_prediction(model, dist, ocp_cfg)
                      if pred is None else pred)
+        self.targets = TargetCalculator(model, dist,
+                                        u_bounds=ocp_cfg.u_bounds,
+                                        x_bounds=ocp_cfg.x_bounds,
+                                        T=self.pred.T)
+        self.table = ocp_mod.ActiveSetTable(self.pred)
         self.plant = plant
         self.mode = mode
         self.grnn = grnn
@@ -265,12 +269,12 @@ class ControlLoop:
         d_tot = d_l + d_s
         tgt = self.targets.solve(d_tot, r)
         x_hat = self.estimate.x_hat
-        sol = ocp_mod.solve_unconstrained(
-            self.pred, np.concatenate([x_hat, d_tot, r]))
+        sol = self.table.solve(np.concatenate([x_hat, d_tot, r]))
         if sol is None:
             qp = ocp_mod.condense(self.pred, self.cfg, x_hat, d_tot, tgt)
             warm, guess = self._shifted_warm(tgt)
             sol = ocp_mod.solve_qp(qp, warm_start=warm, active_guess=guess)
+            self.table.insert(sol.active_set)
         u = sol.u_seq[:self.cfg.n_u].copy()
         z_p = self.model.H @ y_p
 
@@ -337,6 +341,7 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
     log.harvested = loop.harvested
     log.rejected_harvests = loop.rejected_harvests
     log.target_excursions = loop.targets.excursions
+    log.table_hits, log.table_misses = loop.table.hits, loop.table.misses
     return log
 
 
@@ -368,6 +373,7 @@ def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
     log.harvested = loop.harvested
     log.rejected_harvests = loop.rejected_harvests
     log.target_excursions = loop.targets.excursions
+    log.table_hits, log.table_misses = loop.table.hits, loop.table.misses
     return loop.harvested, log
 
 

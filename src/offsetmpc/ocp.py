@@ -25,6 +25,8 @@ class MaxIterations(Exception):
 
 TOL_KKT = 1e-8
 TOL_FEAS = 1e-9
+# entries of a loop's ActiveSetTable; the least recently used drops out
+TABLE_SIZE = 25
 
 
 @dataclass
@@ -88,6 +90,8 @@ class AffineLaw:
     S: np.ndarray            # A_in u* - b_in = S theta - b_box
     Q: np.ndarray            # objective at u*: theta'Q theta, Q symmetric
     R: np.ndarray            # stationarity 2 H_j u* + 2 f_j = R theta
+    F: np.ndarray            # f_j = F theta
+    B: np.ndarray            # b_in = b_box - B theta
 
 
 @dataclass
@@ -106,6 +110,7 @@ class PredictionMatrices:
     b_box: np.ndarray        # right-hand side of A_in at zero state offset
     factor: QpFactor         # of (H_j, A_in)
     law: AffineLaw
+    T: np.ndarray            # target map: [x_bar; u_bar] = T [d; r]
 
 
 @dataclass
@@ -157,13 +162,14 @@ def build_prediction(model, dist, cfg):
     A_in = np.vstack(rows)
     b_box = np.concatenate(rhs)
     factor = factor_qp(H_j, A_in)
-    law = _affine_law(cfg, target_mod.target_map(model, dist), Phi, Psi_d,
-                      qx_stack, qu_stack, PsiTQx, H_j, A_in, factor)
-    for shared in (H_j, A_in, b_box, factor.L, factor.Y, factor.S,
-                   law.K, law.S, law.Q, law.R):
+    T = target_mod.target_map(model, dist)
+    law = _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, H_j,
+                      A_in, factor)
+    for shared in (H_j, A_in, b_box, factor.L, factor.Y, factor.S, T,
+                   law.K, law.S, law.Q, law.R, law.F, law.B):
         shared.flags.writeable = False
     return PredictionMatrices(Phi, Psi, Psi_d, qx_stack, qu_stack, PsiTQx,
-                              H_j, A_in, b_box, factor, law)
+                              H_j, A_in, b_box, factor, law, T)
 
 
 def _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, H_j, A_in,
@@ -188,10 +194,11 @@ def _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, H_j, A_in,
          + D0.T @ (cfg.q_x[:, None] * D0))          # c_j = theta'C theta
     # u*'H u* + 2 f'u* + c_j = f'u* + c_j at the minimizer
     Q = C + F_f.T @ K
-    S = A_in @ K
+    B = np.zeros((A_in.shape[0], n_p))              # condense's b_in shift
     if cfg.x_bounds is not None:
-        S[2 * N * cfg.n_u:] += np.vstack([X_free, -X_free])
-    return AffineLaw(K, S, 0.5 * (Q + Q.T), 2.0 * (H_j @ K + F_f))
+        B[2 * N * cfg.n_u:] = np.vstack([X_free, -X_free])
+    return AffineLaw(K, A_in @ K + B, 0.5 * (Q + Q.T),
+                     2.0 * (H_j @ K + F_f), F_f, B)
 
 
 def condense(pred, cfg, x_hat, d_hat, tgt):
@@ -312,12 +319,102 @@ def solve_unconstrained(pred, theta):
     unconstrained minimizer satisfies every row, from pred.law alone: the
     same exact test as solve_qp's early exit, and the same solution (no
     active set, 0 iterations). None when a row is violated: the interval
-    then needs condense and solve_qp."""
-    law = pred.law
-    if not (law.S @ theta - pred.b_box <= 0.0).all():
+    then needs an ActiveSetTable entry or condense and solve_qp."""
+    if not (pred.law.S @ theta - pred.b_box <= 0.0).all():
         return None
+    return _unconstrained(pred.law, theta)
+
+
+def _unconstrained(law, theta):
     return QpSolution(law.K @ theta, [], float(np.abs(law.R @ theta).max()),
                       float(theta @ law.Q @ theta), 0)
+
+
+@dataclass(frozen=True)
+class ActiveSetLaw:
+    """The QP's solution on a fixed working set W as a law over theta:
+    with r_u = law.S theta - b_box the slack of the unconstrained
+    minimizer, the multipliers are lam = S_WW^-1 r_u[W], the row slacks
+    r_u - S[:, W] lam and the inputs law.K theta - Y[:, W] lam (the
+    Schur-complement solve of _active_set_core, with S and Y from
+    QpFactor)."""
+    W: list                  # ascending row indices, as solve_qp returns
+    rows: np.ndarray         # W as an index array
+    L: np.ndarray            # lower Cholesky factor of S_WW
+    S_W: np.ndarray          # S[:, W]
+    Y_W: np.ndarray          # Y[:, W]
+
+
+class ActiveSetTable:
+    """The non-empty optimal working sets of one loop's QPs, most recently
+    used first, at most TABLE_SIZE of them (partial enumeration:
+    Pannocchia, Rawlings & Wright, Automatica 43(5), 2007). An entry
+    depends only on (H_j, A_in), so it stays valid across setpoints,
+    learned-map updates and plant events. hits and misses count the
+    intervals with a violated row that an entry solved and that it did
+    not."""
+
+    def __init__(self, pred):
+        self.pred = pred
+        self.entries = []
+        self.hits = 0
+        self.misses = 0
+
+    def solve(self, theta):
+        """The QP of the interval at theta = [x_hat; d; r] from fixed maps:
+        solve_unconstrained's law when no row is violated, else the first
+        entry at which W is strictly complementary (every multiplier above
+        TOL_KKT, every other row's slack below -TOL_FEAS). The optimal
+        active set is then unique, so it is the one solve_qp returns. None
+        on a miss: the interval then needs condense and solve_qp."""
+        pred = self.pred
+        law = pred.law
+        r_u = law.S @ theta - pred.b_box
+        if (r_u <= 0.0).all():
+            return _unconstrained(law, theta)
+        for i, e in enumerate(self.entries):
+            r_W = r_u[e.rows]
+            lam = numerics.cho_solve(e.L, r_W)
+            if lam.min() <= TOL_KKT:
+                continue
+            slack = r_u - e.S_W @ lam
+            slack[e.rows] = -np.inf
+            if slack.max() >= -TOL_FEAS:
+                continue
+            self.hits += 1
+            self.entries.insert(0, self.entries.pop(i))
+            u = law.K @ theta - e.Y_W @ lam
+            res = _kkt_residual(pred.H_j, law.F @ theta, pred.A_in,
+                                pred.b_box - law.B @ theta, u, e.rows, lam)
+            # J(u* - Y_W lam) = J(u*) + lam'S_WW lam / 2
+            obj = float(theta @ law.Q @ theta + 0.5 * lam @ r_W)
+            return QpSolution(u, list(e.W), float(res), obj, 0)
+        self.misses += 1
+        return None
+
+    def insert(self, W):
+        """Put solve_qp's working set W first. An empty W is not stored,
+        nor one whose rows are dependent: S_WW is then singular, but
+        rounding can leave it a Cholesky factor with a pivot near zero, so
+        the rows are tested with numerics.matrix_rank, as solve_qp tests
+        its guessed working set, before S_WW is factored."""
+        if not W:
+            return
+        for i, e in enumerate(self.entries):
+            if e.W == W:
+                self.entries.insert(0, self.entries.pop(i))
+                return
+        fac = self.pred.factor
+        rows = np.array(W, dtype=np.intp)
+        if numerics.matrix_rank(self.pred.A_in[rows]) < len(W):
+            return
+        try:
+            L = numerics.cholesky(fac.S[np.ix_(rows, rows)])
+        except numerics.SingularMatrix:
+            return
+        self.entries.insert(0, ActiveSetLaw(list(W), rows, L, fac.S[:, rows],
+                                            fac.Y[:, rows]))
+        del self.entries[TABLE_SIZE:]
 
 
 def solve_qp(qp, warm_start=None, active_guess=None):

@@ -40,12 +40,13 @@ class BoundExcursions:
 
 
 class TargetCalculator:
-    def __init__(self, model, dist, u_bounds=None, x_bounds=None):
+    def __init__(self, model, dist, u_bounds=None, x_bounds=None, T=None):
         """u_bounds/x_bounds are optional (lb, ub) arrays in deviation
         coordinates, used only to count unattainable targets in
         self.excursions; targets are never clipped. The target matrix must
-        be square: as many controlled outputs as inputs."""
-        self.T = target_map(model, dist)
+        be square: as many controlled outputs as inputs. T is
+        target_map(model, dist), built here when None."""
+        self.T = target_map(model, dist) if T is None else T
         self.n_x = model.n_x
         self.excursions = BoundExcursions()
         # a target entry more than 1e-12 past its bound leaves the box

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import yaml
 
-from offsetmpc import cli, grnn, ocp
+from offsetmpc import cli, grnn, ocp, target
 from offsetmpc import closed_loop as cl
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -111,6 +111,28 @@ def test_run_both_builds_the_loop_data_once(tmp_path, monkeypatch, capsys):
     ])
     assert cli.main(["run", str(cfg), "--mode", "both"]) == 0
     assert len(builds) == 1
+
+
+def test_run_both_builds_the_target_map_once(tmp_path, monkeypatch, capsys):
+    """One target_map per command: build_prediction keeps it as pred.T and
+    both loops' TargetCalculators take it from there."""
+    calls = []
+    real = target.target_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(target, "target_map", counted)
+    train = ROOT / "out" / "sweep_c_50_train.txt"
+    cfg = rewrite_config(tmp_path, "both.yaml", [
+        (r"^  duration: .*$", "  duration: 12"),
+        (r"^  schedule:\n(?:    - .*\n)+",
+         "  schedule:\n    - [0, 0.878, 324.5]\n"),
+        (r"train: [^}]*", f"train: {train}"),
+    ])
+    assert cli.main(["run", str(cfg), "--mode", "both"]) == 0
+    assert len(calls) == 1
 
 
 def test_singular_target_is_a_condition_failure(tmp_path, capsys):

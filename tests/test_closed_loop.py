@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from offsetmpc import closed_loop as cl
 from offsetmpc import estimator as est_mod
 from offsetmpc import grnn, ocp, plant
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def scenario(duration, schedule, mode, **kw):
@@ -327,10 +330,11 @@ def test_summary_counts_target_excursions_only_when_present(committed,
 def test_qp_runs_exactly_on_the_constrained_intervals(twovar_rc,
                                                       monkeypatch):
     """The committed twovar scenario in nominal mode: condense and solve_qp
-    run once per record with a non-empty active set and on no other
-    interval. A strictly convex QP whose unconstrained minimizer violates a
-    row ends with an active row, so the affine law takes exactly the
-    unconstrained intervals."""
+    run once per ActiveSetTable miss and on no other interval, and the
+    misses and hits together are the records with a non-empty active set.
+    A strictly convex QP whose unconstrained minimizer violates a row ends
+    with an active row, so the affine law takes exactly the unconstrained
+    intervals, and the table or the QP the constrained ones."""
     rc = twovar_rc
     calls = {"condense": 0, "solve_qp": 0}
 
@@ -350,7 +354,29 @@ def test_qp_runs_exactly_on_the_constrained_intervals(twovar_rc,
     assert log.aborted is None
     constrained = sum(rec.active_set_size > 0 for rec in log.records)
     assert 0 < constrained < len(log.records)
-    assert calls == {"condense": constrained, "solve_qp": constrained}
+    assert calls == {"condense": log.table_misses,
+                     "solve_qp": log.table_misses}
+    assert log.table_misses + log.table_hits == constrained
+    assert log.table_hits >= 1
+
+
+def test_sweep_log_counts_table_hits_and_misses(twovar_rc):
+    """The first ten setpoints of the committed twovar sweep: the log
+    carries the loop's table counts, and they add up to the records with
+    a non-empty active set."""
+    rc = twovar_rc
+    # the file holds absolute (c, T); the loop takes deviations
+    setpoints = (np.loadtxt(CONFIGS / "sweep_ct_100.txt", ndmin=2)[:10]
+                 - rc.op.x_ss[:2])
+    _, log = cl.sweep_harvest(
+        rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+        cl.NonlinearPlant(plant.PlantState(*rc.op.x_ss), rc.params, rc.op,
+                          dt=rc.model.dt),
+        setpoints, cap=rc.sweep_cap)
+    assert log.aborted is None
+    constrained = sum(rec.active_set_size > 0 for rec in log.records)
+    assert log.table_hits + log.table_misses == constrained
+    assert log.table_hits >= 1 and log.table_misses >= 1
 
 
 def test_loops_sharing_prediction_data_count_excursions_apart(committed):

@@ -1,10 +1,15 @@
+import collections
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+from offsetmpc import closed_loop as cl
 from offsetmpc import model as mdl
 from offsetmpc import numerics, ocp, target
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def rollout_cost(m, dist, cfg, x0, d, tgt, u_flat):
@@ -484,6 +489,180 @@ def test_affine_law_matches_target_condense_qp_chain(twovar):
                                                    abs=1e-12)
             assert fast.kkt_residual <= 1e-8
     assert min(seen.values()) >= 20, seen
+
+
+# ---- partial enumeration: ActiveSetTable lookups against condense ->
+# solve_qp from a cold start ----
+
+def constrained_thetas():
+    """theta = [x_hat; d_total; r] on the intervals of the committed twovar
+    runs that end with an active row."""
+    thetas = []
+    for mode in ("nominal", "learned"):
+        log = cl.read_log_csv(str(ROOT / "out" / f"cstr_twovar_{mode}.csv"))
+        thetas += [np.concatenate([rec.x_hat, rec.d_total, rec.r])
+                   for rec in log.records if rec.active_set_size]
+    assert len(thetas) >= 4
+    return thetas
+
+
+def condense_at(twovar, theta):
+    m, dist, cfg, pred, calc = twovar
+    x_hat, d, r = np.split(theta, [m.n_x, m.n_x + dist.n_d])
+    return ocp.condense(pred, cfg, x_hat, d, calc.solve(d, r))
+
+
+def test_table_hits_match_cold_solve_qp(twovar):
+    """Seeded theta around the committed twovar runs' constrained
+    intervals, each fresh draw followed by three draws close to it: every
+    table hit returns the active set that condense -> solve_qp finds from
+    a cold start, its input sequence and objective, and a measured KKT
+    residual. A miss stores solve_qp's working set."""
+    pred = twovar[3]
+    table = ocp.ActiveSetTable(pred)
+    rng = np.random.default_rng(707)
+    hit_rows = collections.Counter()
+    residuals = set()
+    for theta0 in constrained_thetas():
+        for scale in (0.01, 0.1, 0.3, 0.6):
+            for _ in range(4):
+                base = theta0 * (1.0 + rng.normal(scale=scale,
+                                                  size=theta0.size))
+                for j in range(4):
+                    theta = (base * (1.0 + rng.normal(scale=1e-3,
+                                                      size=base.size))
+                             if j else base)
+                    ref = outcome(lambda: ocp.solve_qp(
+                        condense_at(twovar, theta)))
+                    hits = table.hits
+                    got = table.solve(theta)
+                    if table.hits == hits:
+                        if got is None and not isinstance(ref, type):
+                            table.insert(ref.active_set)
+                        continue
+                    assert not isinstance(ref, type), ref
+                    assert got.active_set == ref.active_set
+                    assert (np.abs(got.u_seq - ref.u_seq)
+                            <= 1e-12 * np.maximum(1.0, np.abs(ref.u_seq))).all()
+                    assert got.objective == pytest.approx(
+                        ref.objective, rel=1e-9, abs=1e-12)
+                    assert np.isfinite(got.kkt_residual)
+                    assert got.kkt_residual <= 1e-8
+                    assert got.iterations == 0
+                    hit_rows[len(got.active_set)] += 1
+                    residuals.add(got.kkt_residual)
+    assert sum(hit_rows.values()) == table.hits >= 300
+    # single input rows, input pairs and sets with many state rows
+    assert len(hit_rows) >= 3 and max(hit_rows) >= 5, hit_rows
+    assert len(residuals) > 1
+
+
+def test_table_misses_without_strict_complementarity(twovar):
+    """theta scaled along its ray so that one multiplier of a stored working
+    set W is within TOL_KKT of 0, or one row outside W within TOL_FEAS of
+    its bound, with every other condition holding by ten tolerances: the
+    lookup misses. Scaled to twice the tolerance instead, it hits with W.
+    Multipliers and slacks come from the dense KKT solve of W."""
+    pred = twovar[3]
+    n_rows = pred.A_in.shape[0]
+
+    def kkt_on(theta, W):
+        qp = condense_at(twovar, theta)
+        x, lam = ref_kkt_solve(qp.H_j, qp.f_j, qp.A_in, qp.b_in, W)
+        return lam, qp.A_in @ x - qp.b_in
+
+    rng = np.random.default_rng(808)
+    seen = collections.Counter()
+    for theta0 in constrained_thetas():
+        for _ in range(3):
+            theta = theta0 * (1.0 + rng.normal(scale=0.3, size=theta0.size))
+            sol = outcome(lambda: ocp.solve_qp(condense_at(twovar, theta)))
+            if isinstance(sol, type) or not sol.active_set:
+                continue
+            W = sol.active_set
+            out = np.setdiff1d(np.arange(n_rows), W)
+            # both are affine in s along s * theta
+            lam0, slack0 = kkt_on(0.0 * theta, W)
+            lam1, slack1 = kkt_on(theta, W)
+            cases = [("lam", i, ocp.TOL_KKT) for i in range(len(W))]
+            cases += [("slack", j, -ocp.TOL_FEAS) for j in out]
+            for kind, idx, tol in cases:
+                v0, v1 = ((lam0, lam1) if kind == "lam"
+                          else (slack0, slack1))
+                if v1[idx] == v0[idx]:
+                    continue
+                for c, hit in ((0.5, False), (2.0, True)):
+                    s = (c * tol - v0[idx]) / (v1[idx] - v0[idx])
+                    if not 0.2 < s < 5.0:
+                        continue
+                    lam, slack = kkt_on(s * theta, W)
+                    got_v = (lam if kind == "lam" else slack)[idx]
+                    others_lam = np.delete(lam, idx) if kind == "lam" else lam
+                    others_out = (out if kind == "lam"
+                                  else out[out != idx])
+                    if not (got_v == pytest.approx(c * tol, rel=1e-3)
+                            and (others_lam > 10 * ocp.TOL_KKT).all()
+                            and (slack[others_out]
+                                 < -10 * ocp.TOL_FEAS).all()):
+                        continue
+                    table = ocp.ActiveSetTable(pred)
+                    table.insert(W)
+                    got = table.solve(s * theta)
+                    if hit:
+                        assert got is not None and table.hits == 1
+                        assert got.active_set == W
+                    else:
+                        assert got is None and table.misses == 1
+                    seen[kind, hit] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 5, seen
+
+
+def test_table_never_stores_a_dependent_working_set(twovar):
+    """Working sets whose rows are dependent (an input's upper and lower
+    row, a predicted state's upper and lower row, 21 rows in 20 inputs) are
+    not stored, although rounding leaves some of them a Cholesky factor of
+    S_WW; an independent set is stored."""
+    m, dist, cfg, pred, calc = twovar
+    n_in, n_x_rows = cfg.N * cfg.n_u, cfg.N * cfg.n_x
+    x_up = 2 * n_in
+    rng = np.random.default_rng(11)
+    dependent = [[i, n_in + i] for i in range(n_in)]
+    dependent += [[x_up + k, x_up + n_x_rows + k] for k in range(n_x_rows)]
+    dependent += [sorted(rng.choice(pred.A_in.shape[0], size=n_in + 1,
+                                    replace=False).tolist())
+                  for _ in range(20)]
+    table = ocp.ActiveSetTable(pred)
+    for W in dependent:
+        assert numerics.matrix_rank(pred.A_in[W]) < len(W)
+        table.insert(W)
+        assert table.entries == [], W
+    table.insert([21, 23])
+    assert [e.W for e in table.entries] == [[21, 23]]
+
+
+def test_table_keeps_the_most_recent_sets_first(twovar):
+    """At most TABLE_SIZE entries, most recently inserted or hit first; a
+    set inserted again moves to the front and is not stored twice, and an
+    empty set is not stored."""
+    pred = twovar[3]
+    table = ocp.ActiveSetTable(pred)
+    for i in range(ocp.TABLE_SIZE + 5):
+        table.insert([i])
+    order = [e.W[0] for e in table.entries]
+    assert order == list(range(ocp.TABLE_SIZE + 4, 4, -1))
+    table.insert([10])
+    assert [e.W[0] for e in table.entries] == [10] + [i for i in order
+                                                      if i != 10]
+    table.insert([])
+    assert len(table.entries) == ocp.TABLE_SIZE
+    # the committed runs' first constrained interval has the one row 21
+    # active: a hit on the second entry moves it to the front
+    table = ocp.ActiveSetTable(pred)
+    table.insert([21])
+    table.insert([21, 23])
+    assert table.solve(constrained_thetas()[0]).active_set == [21]
+    assert table.hits == 1
+    assert [e.W for e in table.entries] == [[21], [21, 23]]
 
 
 def ratio_cases():
