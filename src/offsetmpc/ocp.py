@@ -25,7 +25,10 @@ class MaxIterations(Exception):
 
 TOL_KKT = 1e-8
 TOL_FEAS = 1e-9
-# entries of a loop's ActiveSetTable; the least recently used drops out
+# entries of a loop's ActiveSetTable; the least recently used drops out.
+# A miss scans every entry, so the cap bounds what a miss adds to the
+# fallback QP: with 25 entries about 50 us against a median of 360 us for
+# condense and solve_qp on twovar (README, "Partial enumeration").
 TABLE_SIZE = 25
 
 
@@ -314,22 +317,6 @@ def _kkt_residual(H, f, G, h, x, W, lam):
     return max(r_stat, r_prim, r_comp, r_dual)
 
 
-def solve_unconstrained(pred, theta):
-    """The QP of the interval at theta = [x_hat; d; r] when its
-    unconstrained minimizer satisfies every row, from pred.law alone: the
-    same exact test as solve_qp's early exit, and the same solution (no
-    active set, 0 iterations). None when a row is violated: the interval
-    then needs an ActiveSetTable entry or condense and solve_qp."""
-    if not (pred.law.S @ theta - pred.b_box <= 0.0).all():
-        return None
-    return _unconstrained(pred.law, theta)
-
-
-def _unconstrained(law, theta):
-    return QpSolution(law.K @ theta, [], float(np.abs(law.R @ theta).max()),
-                      float(theta @ law.Q @ theta), 0)
-
-
 @dataclass(frozen=True)
 class ActiveSetLaw:
     """The QP's solution on a fixed working set W as a law over theta:
@@ -338,8 +325,7 @@ class ActiveSetLaw:
     r_u - S[:, W] lam and the inputs law.K theta - Y[:, W] lam (the
     Schur-complement solve of _active_set_core, with S and Y from
     QpFactor)."""
-    W: list                  # ascending row indices, as solve_qp returns
-    rows: np.ndarray         # W as an index array
+    rows: np.ndarray         # W, ascending as solve_qp returns it
     L: np.ndarray            # lower Cholesky factor of S_WW
     S_W: np.ndarray          # S[:, W]
     Y_W: np.ndarray          # Y[:, W]
@@ -361,17 +347,21 @@ class ActiveSetTable:
         self.misses = 0
 
     def solve(self, theta):
-        """The QP of the interval at theta = [x_hat; d; r] from fixed maps:
-        solve_unconstrained's law when no row is violated, else the first
+        """The QP of the interval at theta = [x_hat; d; r] from fixed maps.
+        When the unconstrained minimizer K theta satisfies every row (the
+        exact test of solve_qp's early exit) it is the solution, with no
+        active set and 0 iterations. Otherwise it is read from the first
         entry at which W is strictly complementary (every multiplier above
-        TOL_KKT, every other row's slack below -TOL_FEAS). The optimal
+        TOL_KKT, every other row's slack below -TOL_FEAS): the optimal
         active set is then unique, so it is the one solve_qp returns. None
         on a miss: the interval then needs condense and solve_qp."""
         pred = self.pred
         law = pred.law
         r_u = law.S @ theta - pred.b_box
         if (r_u <= 0.0).all():
-            return _unconstrained(law, theta)
+            return QpSolution(law.K @ theta, [],
+                              float(np.abs(law.R @ theta).max()),
+                              float(theta @ law.Q @ theta), 0)
         for i, e in enumerate(self.entries):
             r_W = r_u[e.rows]
             lam = numerics.cho_solve(e.L, r_W)
@@ -388,7 +378,7 @@ class ActiveSetTable:
                                 pred.b_box - law.B @ theta, u, e.rows, lam)
             # J(u* - Y_W lam) = J(u*) + lam'S_WW lam / 2
             obj = float(theta @ law.Q @ theta + 0.5 * lam @ r_W)
-            return QpSolution(u, list(e.W), float(res), obj, 0)
+            return QpSolution(u, e.rows.tolist(), float(res), obj, 0)
         self.misses += 1
         return None
 
@@ -401,7 +391,7 @@ class ActiveSetTable:
         if not W:
             return
         for i, e in enumerate(self.entries):
-            if e.W == W:
+            if np.array_equal(e.rows, W):
                 self.entries.insert(0, self.entries.pop(i))
                 return
         fac = self.pred.factor
@@ -412,7 +402,7 @@ class ActiveSetTable:
             L = numerics.cholesky(fac.S[np.ix_(rows, rows)])
         except numerics.SingularMatrix:
             return
-        self.entries.insert(0, ActiveSetLaw(list(W), rows, L, fac.S[:, rows],
+        self.entries.insert(0, ActiveSetLaw(rows, L, fac.S[:, rows],
                                             fac.Y[:, rows]))
         del self.entries[TABLE_SIZE:]
 

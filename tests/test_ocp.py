@@ -432,10 +432,11 @@ def ref_chain(m, dist, cfg, pred, theta):
 def test_affine_law_matches_target_condense_qp_chain(twovar):
     """Seeded theta = [x_hat; d; r] on twovar, with targets outside the box,
     predicted states past x_bounds, and theta scaled so that the largest
-    slack of the unconstrained minimizer is +-1e-9: the affine law gives
-    the early-exit verdict of the LU target -> condense -> solve_qp chain,
-    and on the unconstrained intervals its input sequence, target and
-    objective."""
+    slack of the unconstrained minimizer is +-1e-9: the affine law, read
+    by ActiveSetTable.solve with an empty table as the loop reads it,
+    gives the early-exit verdict of the LU target -> condense -> solve_qp
+    chain, and on the unconstrained intervals its input sequence, target
+    and objective."""
     m, dist, cfg, pred, calc = twovar
     n_u_rows = 2 * cfg.N * cfg.n_u
     rng = np.random.default_rng(606)
@@ -468,7 +469,7 @@ def test_affine_law_matches_target_condense_qp_chain(twovar):
                                        and (tgt.u_bar <= u_hi).all()
                                        and (x_lo <= tgt.x_bar).all()
                                        and (tgt.x_bar <= x_hi).all())
-            fast = ocp.solve_unconstrained(pred, th)
+            fast = ocp.ActiveSetTable(pred).solve(th)
             sol = outcome(lambda: ocp.solve_qp(qp))
             exits = (slack <= 0.0).all()
             assert (fast is not None) == exits
@@ -637,7 +638,7 @@ def test_table_never_stores_a_dependent_working_set(twovar):
         table.insert(W)
         assert table.entries == [], W
     table.insert([21, 23])
-    assert [e.W for e in table.entries] == [[21, 23]]
+    assert [e.rows.tolist() for e in table.entries] == [[21, 23]]
 
 
 def test_table_keeps_the_most_recent_sets_first(twovar):
@@ -648,10 +649,10 @@ def test_table_keeps_the_most_recent_sets_first(twovar):
     table = ocp.ActiveSetTable(pred)
     for i in range(ocp.TABLE_SIZE + 5):
         table.insert([i])
-    order = [e.W[0] for e in table.entries]
+    order = [e.rows[0] for e in table.entries]
     assert order == list(range(ocp.TABLE_SIZE + 4, 4, -1))
     table.insert([10])
-    assert [e.W[0] for e in table.entries] == [10] + [i for i in order
+    assert [e.rows[0] for e in table.entries] == [10] + [i for i in order
                                                       if i != 10]
     table.insert([])
     assert len(table.entries) == ocp.TABLE_SIZE
@@ -662,7 +663,7 @@ def test_table_keeps_the_most_recent_sets_first(twovar):
     table.insert([21, 23])
     assert table.solve(constrained_thetas()[0]).active_set == [21]
     assert table.hits == 1
-    assert [e.W for e in table.entries] == [[21], [21, 23]]
+    assert [e.rows.tolist() for e in table.entries] == [[21], [21, 23]]
 
 
 def ratio_cases():
