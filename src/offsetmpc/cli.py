@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import yaml
@@ -310,11 +311,17 @@ def _out_dir(rc, flag):
 
 def _load_setpoints(path, op):
     try:
-        pts = np.loadtxt(path, comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data rows; that is the error
+            # raised below
+            warnings.simplefilter("ignore", UserWarning)
+            pts = np.loadtxt(path, comments="#", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read setpoints: {exc}")
     except ValueError as exc:
         raise ConfigError(f"setpoints file: {exc}")
+    if not pts.size:
+        raise ConfigError("setpoints file has no setpoints")
     if pts.shape[1] != 2:
         raise ConfigError(f"setpoints file must have 2 columns (c, T), "
                           f"got {pts.shape[1]}")

@@ -67,6 +67,10 @@ class ScenarioConfig:
             raise ValueError("schedule times must be strictly increasing")
         if self.duration < times[-1]:
             raise ValueError("duration does not cover the schedule")
+        if self.steady_M < 2:
+            raise ValueError("steady.M must be >= 2")
+        if self.grnn_capacity < 1:
+            raise ValueError("grnn.capacity must be >= 1")
 
     def setpoint_at(self, t):
         r = self.schedule[0][1]
@@ -228,32 +232,12 @@ class ControlLoop:
         self.k = 0
         self.estimate = self.estimator.initial()
         self._prev = None            # (u, y_p, d_learned) at k-1
-        self._warm = None            # previous QpSolution
         # the steady detector reads only the last M+1 intervals
         self._rs, self._ys, self._us = (deque(maxlen=steady_M + 1)
                                         for _ in range(3))
         self._last_harvest_r = None
         self.harvested = []
         self.rejected_harvests = 0
-
-    def _shifted_warm(self, tgt):
-        if self._warm is None:
-            return None, None
-        n_u, n_x, N = self.cfg.n_u, self.cfg.n_x, self.cfg.N
-        u_prev = self._warm.u_seq
-        start = np.concatenate([u_prev[n_u:], tgt.u_bar])
-        groups = [(0, n_u), (N * n_u, n_u)]
-        if self.cfg.x_bounds is not None:
-            groups += [(2 * N * n_u, n_x), (2 * N * n_u + N * n_x, n_x)]
-        guess = []
-        for idx in self._warm.active_set:
-            for off, blk in reversed(groups):
-                if idx >= off:
-                    t, pos = divmod(idx - off, blk)
-                    if t >= 1:
-                        guess.append(off + (t - 1) * blk + pos)
-                    break
-        return start, sorted(guess)
 
     def control_step(self, r):
         r = np.asarray(r, dtype=float).reshape(-1)
@@ -272,8 +256,7 @@ class ControlLoop:
         sol = self.table.solve(np.concatenate([x_hat, d_tot, r]))
         if sol is None:
             qp = ocp_mod.condense(self.pred, self.cfg, x_hat, d_tot, tgt)
-            warm, guess = self._shifted_warm(tgt)
-            sol = ocp_mod.solve_qp(qp, warm_start=warm, active_guess=guess)
+            sol = ocp_mod.solve_qp(qp)
             self.table.insert(sol.active_set)
         u = sol.u_seq[:self.cfg.n_u].copy()
         z_p = self.model.H @ y_p
@@ -292,7 +275,6 @@ class ControlLoop:
             harvested=False)
 
         self._prev = (u.copy(), y_p.copy(), d_l.copy())
-        self._warm = sol
         # harvest only once the interval has completed, so a failing plant
         # step leaves no sample without its record
         self.plant.step(u)

@@ -45,6 +45,8 @@ class LinearModel:
         self.C = np.atleast_2d(np.asarray(C, dtype=float))
         self.H = np.atleast_2d(np.asarray(H, dtype=float))
         self.dt = float(dt)
+        if not self.dt > 0.0:
+            raise ValueError("dt must be > 0")
         n_x = self.A.shape[0]
         if self.A.shape != (n_x, n_x):
             raise DimensionMismatch("A must be square")

@@ -386,8 +386,8 @@ class ActiveSetTable:
         """Put solve_qp's working set W first. An empty W is not stored,
         nor one whose rows are dependent: S_WW is then singular, but
         rounding can leave it a Cholesky factor with a pivot near zero, so
-        the rows are tested with numerics.matrix_rank, as solve_qp tests
-        its guessed working set, before S_WW is factored."""
+        the rows are tested with numerics.matrix_rank before S_WW is
+        factored."""
         if not W:
             return
         for i, e in enumerate(self.entries):
@@ -407,15 +407,14 @@ class ActiveSetTable:
         del self.entries[TABLE_SIZE:]
 
 
-def solve_qp(qp, warm_start=None, active_guess=None):
+def solve_qp(qp, warm_start=None):
     """Minimize u'H_j u + 2 f_j'u + c_j subject to A_in u <= b_in.
 
     The unconstrained minimizer, from the Cholesky factor of 2 H_j
     (qp.factor, or one computed here), is the answer when it satisfies
-    every row: no active set, 0 iterations. Otherwise warm_start seeds the
-    initial point (projected to feasibility via a phase-1 solve when
-    needed) and active_guess seeds the working set with rows still active
-    at that point.
+    every row: no active set, 0 iterations. Otherwise the active-set loop
+    starts from warm_start (zero when None) with an empty working set,
+    after a phase-1 solve when that point violates a row.
     """
     H, f, G, h = qp.H_j, qp.f_j, qp.A_in, qp.b_in
     n = H.shape[0]
@@ -435,14 +434,8 @@ def solve_qp(qp, warm_start=None, active_guess=None):
               else np.asarray(warm_start, dtype=float))
         if (G @ x0 - h).max() > TOL_FEAS:
             x0 = _phase1(H, f, G, h, fac, x_u, x0, itmax)
-        W0 = []
-        if active_guess:
-            act = G @ x0 - h
-            W0 = [i for i in active_guess if 0 <= i < m and act[i] >= -1e-9]
-            if W0 and numerics.matrix_rank(G[W0]) < len(W0):
-                W0 = []
         x, W, lam, it = _active_set_core(G, h, fac.Y, fac.S, x_u, r_u, x0,
-                                         W0, itmax)
+                                         [], itmax)
         res = _kkt_residual(H, f, G, h, x, W, lam)
     obj = float(x @ H @ x + 2.0 * f @ x + qp.c_j)
     return QpSolution(x, W, float(res), obj, it)

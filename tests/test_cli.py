@@ -1,5 +1,6 @@
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,18 @@ def test_sweep_reports_target_excursions_in_one_line(tmp_path, capsys):
     assert found and 0 < int(found[1]) <= int(found[2])
 
 
+@pytest.mark.parametrize("text", ["", "# absolute setpoints: c T\n\n"],
+                         ids=["empty", "comment only"])
+def test_sweep_without_setpoints_is_config_error(tmp_path, capsys, text):
+    sp = tmp_path / "none.txt"
+    sp.write_text(text)
+    cfg = rewrite_config(tmp_path, "nosp.yaml", [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep", str(cfg), "--setpoints", str(sp)]) == 2
+    assert capsys.readouterr().err == "error: setpoints file has no setpoints\n"
+
+
 def test_sweep_with_tiny_cap_fails_runtime(tmp_path, capsys):
     sp = tmp_path / "one.txt"
     sp.write_text("0.878 324.5\n")
@@ -291,6 +304,27 @@ def test_bad_number_is_config_error(tmp_path, capsys, case):
         argv = argv + [str(rewrite_config(tmp_path, "bad.yaml", [sub]))]
     assert cli.main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+# a value out of its range exits 2 with one error line, from check and run
+# alike; each case is (pattern, line) for the tracking config
+OUT_OF_RANGE = {
+    "scenario.steady.M: 0": (r"\{M: 5,", "{M: 0,"),
+    "scenario.steady.M: -3": (r"\{M: 5,", "{M: -3,"),
+    "dt: 0": (r"^dt: .*$", "dt: 0"),
+    "dt: -1": (r"^dt: .*$", "dt: -1"),
+    "scenario.grnn.capacity: 0": (r"capacity: 50", "capacity: 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_is_config_error(tmp_path, capsys, case, command):
+    cfg = rewrite_config(tmp_path, "range.yaml", [OUT_OF_RANGE[case]])
+    assert cli.main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err
 
 
 def test_learned_run_reads_train_file_beside_config(tmp_path, monkeypatch,

@@ -186,23 +186,6 @@ def test_runs_are_deterministic(committed, tmp_path):
     assert run_once("a") == run_once("b")
 
 
-def test_warm_start_does_not_change_trajectory(committed, monkeypatch):
-    m, dist, gains, cfg = committed
-    sc = scenario(30.0, [(0.0, np.array([0.002, 0.2]))],
-                  cl.ControllerMode.NOMINAL)
-    d_star = np.array([0.01, -0.4])
-    warm = cl.run_scenario(sc, m, dist, gains, cfg,
-                           cl.LinearPlant(m, dist, d_star=d_star))
-    monkeypatch.setattr(cl.ControlLoop, "_shifted_warm",
-                        lambda self, tgt: (None, None))
-    cold = cl.run_scenario(sc, m, dist, gains, cfg,
-                           cl.LinearPlant(m, dist, d_star=d_star))
-    for a, b in zip(warm.records, cold.records):
-        assert np.allclose(a.u, b.u, atol=1e-9)
-        assert a.qp_objective == pytest.approx(b.qp_objective,
-                                               rel=1e-9, abs=1e-12)
-
-
 def test_zero_duration_yields_empty_log(committed):
     m, dist, gains, cfg = committed
     sc = scenario(0.0, [(0.0, np.zeros(2))], cl.ControllerMode.NOMINAL)

@@ -62,11 +62,10 @@ def test_committed_run_reproduces(tmp_path, capsys, stem, mode):
 def test_committed_sweep_reproduces(tmp_path, capsys):
     """The 100-setpoint twovar sweep: ~4.4k intervals, 221 of them with an
     active row. The active-set table solves 214 of those (206 on one
-    10-row working set); condense and solve_qp run on the other 7, 6 of
-    them through phase 1. So the sweep mostly exercises table hits and
-    their warm starts for the next miss; phase 1 and the Schur working-set
-    solves are covered directly by test_ocp.py's
-    test_solver_matches_dense_kkt_reference and
+    10-row working set); condense and solve_qp run cold on the other 7,
+    4 of them through phase 1. So the sweep mostly exercises table hits;
+    phase 1 and the Schur working-set solves are covered directly by
+    test_ocp.py's test_solver_matches_dense_kkt_reference and
     test_blocker_sequence_matches_reference."""
     argv = ["sweep", "--setpoints", str(ROOT / "configs" / "sweep_ct_100.txt"),
             str(ROOT / "configs" / "cstr_twovar.yaml"), "--out", str(tmp_path)]

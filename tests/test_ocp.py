@@ -150,8 +150,7 @@ def test_warm_start_matches_cold(committed):
         qp = ocp.condense(pred, cfg, x0, d, tgt)
         cold = ocp.solve_qp(qp)
         warm = ocp.solve_qp(qp,
-                            warm_start=cold.u_seq.ravel() + rng.normal(scale=0.05, size=cold.u_seq.size),
-                            active_guess=cold.active_set)
+                            warm_start=cold.u_seq.ravel() + rng.normal(scale=0.05, size=cold.u_seq.size))
         assert np.allclose(warm.u_seq, cold.u_seq, atol=1e-8)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
 
@@ -193,7 +192,7 @@ def test_early_exit_returns_the_unconstrained_minimizer():
                              (rows, u_star + 1.0, None),
                              (rows, u_star + 1.0, u_star + 5.0)):
         qp = ocp.CondensedQp(H_j=H, f_j=f, c_j=0.0, A_in=A_in, b_in=b_in)
-        sol = ocp.solve_qp(qp, warm_start=warm, active_guess=[0, 1])
+        sol = ocp.solve_qp(qp, warm_start=warm)
         assert sol.active_set == [] and sol.iterations == 0
         assert np.allclose(sol.u_seq, u_star, rtol=0.0, atol=1e-14)
         assert sol.kkt_residual <= 1e-14
@@ -319,7 +318,7 @@ def ref_phase1(H, f, G, h, x0, itmax, steps):
     return z[:n]
 
 
-def ref_solve_qp(qp, warm_start=None, active_guess=None, steps=None):
+def ref_solve_qp(qp, warm_start=None, steps=None):
     """Returns (u, active set, phase 1 ran)."""
     steps = [] if steps is None else steps
     H, f, G, h = qp.H_j, qp.f_j, qp.A_in, qp.b_in
@@ -330,13 +329,7 @@ def ref_solve_qp(qp, warm_start=None, active_guess=None, steps=None):
     phase1 = (G @ x0 - h).max() > ocp.TOL_FEAS
     if phase1:
         x0 = ref_phase1(H, f, G, h, x0, itmax, steps)
-    W0 = []
-    if active_guess:
-        act = G @ x0 - h
-        W0 = [i for i in active_guess if 0 <= i < m and act[i] >= -1e-9]
-        if W0 and numerics.matrix_rank(G[W0]) < len(W0):
-            W0 = []
-    x, W, _, _ = ref_active_set_core(H, f, G, h, x0, W0, itmax, steps)
+    x, W, _, _ = ref_active_set_core(H, f, G, h, x0, [], itmax, steps)
     return x, W, phase1
 
 
@@ -357,9 +350,8 @@ def twovar(twovar_rc):
 
 def test_solver_matches_dense_kkt_reference(twovar):
     """Seeded twovar QPs whose states, disturbances and targets reach the
-    input and state boxes, solved cold, from a shifted warm start with the
-    shifted active set as guess, and from an infeasible warm start that
-    forces phase 1: the prefactored solver ends on the reference's active
+    input and state boxes, solved cold, from a shifted warm start, and
+    from an infeasible warm start that forces phase 1: the prefactored solver ends on the reference's active
     set and input sequence, and fails where it fails."""
     m, dist, cfg, pred, calc = twovar
     (x_lo, x_hi), N, n_u = cfg.x_bounds, cfg.N, cfg.n_u
@@ -373,21 +365,17 @@ def test_solver_matches_dense_kkt_reference(twovar):
         tgt = calc.solve(d, r)
         qp = ocp.condense(pred, cfg, x_hat, d, tgt)
         cold = outcome(lambda: ocp.solve_qp(qp))
-        starts = [(None, None), (rng.uniform(-20.0, 20.0, size=N * n_u), None)]
+        starts = [None, rng.uniform(-20.0, 20.0, size=N * n_u)]
         if not isinstance(cold, type):
-            # the next interval's problem from a slightly moved state, warm
-            # started as ControlLoop does: shifted inputs, shifted rows
+            # the next interval's problem from a slightly moved state,
+            # started from the shifted inputs
             shifted = np.concatenate([cold.u_seq[n_u:], tgt.u_bar])
-            guess = [i - n_u for i in cold.active_set
-                     if i % (N * n_u) >= n_u and i < 2 * N * n_u]
             x_next = x_hat + rng.normal(scale=0.002, size=3)
             qp = ocp.condense(pred, cfg, x_next, d, tgt)
-            starts += [(shifted, guess),
-                       (shifted + rng.normal(scale=0.5, size=N * n_u), guess)]
-        for warm, guess in starts:
-            got = outcome(lambda: ocp.solve_qp(qp, warm_start=warm,
-                                               active_guess=guess))
-            ref = outcome(lambda: ref_solve_qp(qp, warm, guess))
+            starts += [shifted, shifted + rng.normal(scale=0.5, size=N * n_u)]
+        for warm in starts:
+            got = outcome(lambda: ocp.solve_qp(qp, warm_start=warm))
+            ref = outcome(lambda: ref_solve_qp(qp, warm))
             if isinstance(ref, type):
                 assert got is ref
                 seen["infeasible"] += ref is ocp.Infeasible
@@ -714,13 +702,13 @@ def test_blocker_sequence_matches_reference(case, monkeypatch):
     H, f = np.eye(n), -np.full(n, 2.0)     # unconstrained minimizer at 2
     G = np.vstack([np.eye(n), np.eye(n)])   # rows i and i + 4 coincide
     h = np.ones(2 * n)
-    warm, guess = None, None
+    warm, W0 = None, []
     if case == "leaving rows":
-        # minimizer at -2, warm start at the upper bounds with all four
-        # guessed active: every multiplier is negative, and the rows leave
+        # minimizer at -2, start at the upper bounds with all four rows in
+        # the working set: every multiplier is negative, and the rows leave
         # lowest index first
         f, G = -f, np.vstack([np.eye(n), -np.eye(n)])
-        warm, guess = np.ones(n), [0, 1, 2, 3]
+        warm, W0 = np.ones(n), [0, 1, 2, 3]
     elif case == "zero ratio":
         warm = np.array([1.0, 0.0, 1.0, 0.0])   # rows 0, 2 (and 4, 6) at 1
     elif case == "row at bound":
@@ -738,12 +726,24 @@ def test_blocker_sequence_matches_reference(case, monkeypatch):
         return steps[-1]
 
     monkeypatch.setattr(ocp, "_ratio_test", recorded)
-    sol = ocp.solve_qp(qp, warm_start=warm, active_guess=guess)
     ref_steps = []
-    u_ref, W_ref, _ = ref_solve_qp(qp, warm, guess, ref_steps)
+    if W0:
+        # solve_qp starts from an empty working set, so a given one is
+        # passed to the core of each solver
+        fac = ocp.factor_qp(H, G)
+        x_u = numerics.cho_solve(fac.L, -2.0 * f)
+        itmax = 50 * (n + G.shape[0] + 1)
+        u, W, _, _ = ocp._active_set_core(G, h, fac.Y, fac.S, x_u,
+                                          G @ x_u - h, warm, W0, itmax)
+        u_ref, W_ref, _, _ = ref_active_set_core(H, f, G, h, warm, W0,
+                                                 itmax, ref_steps)
+    else:
+        sol = ocp.solve_qp(qp, warm_start=warm)
+        u, W = sol.u_seq, sol.active_set
+        u_ref, W_ref, _ = ref_solve_qp(qp, warm, ref_steps)
     assert [b for _, b in steps] == [b for _, b in ref_steps]
     assert np.allclose([a for a, _ in steps], [a for a, _ in ref_steps],
                        rtol=0.0, atol=1e-12)
     assert steps
-    assert sol.active_set == W_ref
-    assert np.allclose(sol.u_seq, u_ref, rtol=0.0, atol=1e-12)
+    assert W == W_ref
+    assert np.allclose(u, u_ref, rtol=0.0, atol=1e-12)
