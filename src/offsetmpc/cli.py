@@ -111,6 +111,13 @@ def _sigma(value, path):
     return sigma
 
 
+def _sweep_cap(value):
+    cap = _number(value, "sweep.cap", int)
+    if cap < 1:
+        raise ConfigError(f"sweep.cap: must be >= 1, got {value!r}")
+    return cap
+
+
 def _coerce_params(section):
     """Plant parameter values as proper numbers; YAML reads unsigned
     exponents like 7.2e10 as strings."""
@@ -234,7 +241,7 @@ def load_config(path):
         model=model, dist=dist, L_x=L_x, L_d=L_d, ocp_cfg=ocp_cfg,
         params=params, op=op, scenario=scenario,
         grnn_train=train,
-        sweep_cap=_number(sweep_sec.get("cap", 200), "sweep.cap", int),
+        sweep_cap=_sweep_cap(sweep_sec.get("cap", 200)),
         out_dir=os.path.join(config_dir, _section(out_sec.get("dir", "out"),
                                                   "output.dir", str)),
         stem=os.path.splitext(os.path.basename(path))[0])
@@ -328,26 +335,25 @@ def _load_setpoints(path, op):
     return [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in pts]
 
 
-def _add_samples(g, samples, path):
-    """g with the samples read from path added in order; a sample the
-    window cannot take is an input error."""
+def _sample_window(capacity, n_out, samples, path):
+    """A model whose window holds the last capacity samples read from path;
+    a sample the window cannot take is an input error."""
     try:
-        for r, d in samples:
-            g = grnn_mod.add_sample(g, r, d)
+        return grnn_mod.from_samples(capacity, n_out, 0.5, samples)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
-    return g
 
 
 def _build_grnn(rc, mode):
     if mode is not cl.ControllerMode.LEARNED:
         return None
-    g = grnn_mod.make_model(rc.scenario.grnn_capacity, rc.dist.n_d)
+    samples = []
     if rc.grnn_train:
         if not os.path.exists(rc.grnn_train):
             raise ConfigError(f"grnn train file not found: {rc.grnn_train}")
-        g = _add_samples(g, grnn_mod.load_samples(rc.grnn_train),
-                         rc.grnn_train)
+        samples = grnn_mod.load_samples(rc.grnn_train)
+    g = _sample_window(rc.scenario.grnn_capacity, rc.dist.n_d, samples,
+                       rc.grnn_train)
     sigma = rc.scenario.grnn_sigma
     if sigma == "auto":
         sigma = grnn_mod.default_sigma(g)
@@ -440,8 +446,7 @@ def cmd_grnn_fit(args):
     if not samples:
         raise ConfigError("no samples in file")
     n_out = samples[0][1].shape[0]
-    g = _add_samples(grnn_mod.make_model(max(len(samples), 1), n_out),
-                     samples, args.samples)
+    g = _sample_window(len(samples), n_out, samples, args.samples)
     curve = []
     if sigma == "auto":
         sigma = grnn_mod.select_sigma(g, curve=curve)

@@ -71,6 +71,10 @@ class ScenarioConfig:
             raise ValueError("steady.M must be >= 2")
         if self.grnn_capacity < 1:
             raise ValueError("grnn.capacity must be >= 1")
+        if self.steady_tol_y < 0:
+            raise ValueError("steady.tol_y must be >= 0")
+        if self.steady_tol_u < 0:
+            raise ValueError("steady.tol_u must be >= 0")
 
     def setpoint_at(self, t):
         r = self.schedule[0][1]
@@ -236,6 +240,7 @@ class ControlLoop:
         self._rs, self._ys, self._us = (deque(maxlen=steady_M + 1)
                                         for _ in range(3))
         self._last_harvest_r = None
+        self._lookup = None          # (grnn, r, d_learned) of the last predict
         self.harvested = []
         self.rejected_harvests = 0
 
@@ -243,7 +248,13 @@ class ControlLoop:
         r = np.asarray(r, dtype=float).reshape(-1)
         y_p = self.plant.measure()
         if self.mode is ControllerMode.LEARNED and self.grnn is not None:
-            d_l = grnn_mod.predict(self.grnn, r)
+            # models are immutable, so the map changes only with the model
+            # (a harvest) or the setpoint
+            if (self._lookup is None or self._lookup[0] is not self.grnn
+                    or not np.array_equal(self._lookup[1], r)):
+                self._lookup = (self.grnn, r.copy(),
+                                grnn_mod.predict(self.grnn, r))
+            d_l = self._lookup[2]
         else:
             d_l = np.zeros(self.dist.n_d)
         if self.k > 0:

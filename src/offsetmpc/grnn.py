@@ -7,6 +7,7 @@ a new instance.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -20,6 +21,10 @@ class ParseError(Exception):
 
 
 SIGMA_GRID = np.logspace(-2.0, 1.0, 31)
+
+# rows of the distance matrix per leave-one-out kernel evaluation: a block's
+# temporaries stay small while each numpy call still covers many rows
+LOO_BLOCK = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,6 +49,23 @@ class GrnnModel:
     def n_out(self):
         return self.Y.shape[1]
 
+    @functools.cached_property
+    def loo_d2(self):
+        """(k, k) standardized squared distances between window rows,
+        read-only, with an infinite diagonal so that a left-out row gives
+        itself zero weight. Row j equals ((Xn - Xn[j]) ** 2).sum(axis=1)
+        bit for bit; built once per model, since it does not depend on
+        sigma."""
+        Xn = self.Xn
+        k = len(Xn)
+        d2 = np.empty((k, k))
+        for i in range(0, k, LOO_BLOCK):
+            np.sum((Xn[i:i + LOO_BLOCK, None, :] - Xn) ** 2, axis=2,
+                   out=d2[i:i + LOO_BLOCK])
+        np.fill_diagonal(d2, np.inf)
+        d2.flags.writeable = False
+        return d2
+
 
 def make_model(capacity, n_out, sigma=0.5):
     empty = np.zeros((0, 0))
@@ -62,6 +84,32 @@ def add_sample(model, r, d_ss):
         raise ValueError("input dimension mismatch")
     X = np.vstack([model.X, r])[-model.capacity:] if len(model.X) else r
     Y = np.vstack([model.Y, d_ss])[-model.capacity:]
+    return _window(model, X, Y)
+
+
+def from_samples(capacity, n_out, sigma, samples):
+    """The model that folding add_sample over samples [(r, d_ss), ...] from
+    make_model(capacity, n_out, sigma) gives, window arrays bit for bit,
+    built in one step. Raises ValueError for a non-finite sample,
+    inconsistent dimensions, or inputs that overflow the kept window's
+    standardization."""
+    model = make_model(capacity, n_out, sigma)
+    if not samples:
+        return model
+    rs = [np.asarray(r, dtype=float).reshape(-1) for r, _ in samples]
+    ds = [np.asarray(d, dtype=float).reshape(-1) for _, d in samples]
+    if any(len(d) != model.n_out for d in ds):
+        raise ValueError("output dimension mismatch")
+    if any(len(r) != len(rs[0]) for r in rs):
+        raise ValueError("input dimension mismatch")
+    X, Y = np.array(rs), np.array(ds)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+        raise ValueError("sample must be finite")
+    return _window(model, X[-model.capacity:], Y[-model.capacity:])
+
+
+def _window(model, X, Y):
+    """model with the window X, Y and its standardization."""
     # inputs near the float limit overflow the standardization
     with np.errstate(over="ignore", invalid="ignore"):
         mean = X.mean(axis=0)
@@ -95,13 +143,17 @@ def loo_error(model, sigma):
     k = len(model.X)
     if k < 2:
         raise InsufficientData("need at least 2 samples")
+    D, Y = model.loo_d2, model.Y
     err = 0.0
-    for j in range(k):
-        d2 = ((model.Xn - model.Xn[j]) ** 2).sum(axis=1)
-        # an infinite distance gives the left-out sample zero weight
-        d2[j] = np.inf
-        pred = _kernel_mean(d2, model.Y, sigma)
-        err += float(((pred - model.Y[j]) ** 2).sum())
+    for i in range(0, k, LOO_BLOCK):
+        # _kernel_mean for a block of rows at once, with its per-row shift
+        # by the minimum
+        d2 = D[i:i + LOO_BLOCK]
+        w = d2 - d2.min(axis=1, keepdims=True)
+        w /= -2.0 * sigma ** 2
+        np.exp(w, out=w)
+        pred = (w @ Y) / w.sum(axis=1, keepdims=True)
+        err += float(((pred - Y[i:i + LOO_BLOCK]) ** 2).sum())
     return err / k
 
 
@@ -231,9 +283,7 @@ def read_model(path):
                 raise ParseError(f"line {lineno}: non-numeric field")
     if sigma is None or capacity is None or n_out is None:
         raise ParseError("missing sigma/capacity/outputs header")
-    model = make_model(capacity, n_out, sigma)
-    for vals in rows:
-        if n_in is None:
-            n_in = len(vals) - n_out
-        model = add_sample(model, vals[:n_in], vals[n_in:])
-    return model
+    if rows and n_in is None:
+        n_in = len(rows[0]) - n_out
+    return from_samples(capacity, n_out, sigma,
+                        [(vals[:n_in], vals[n_in:]) for vals in rows])

@@ -314,17 +314,28 @@ OUT_OF_RANGE = {
     "dt: 0": (r"^dt: .*$", "dt: 0"),
     "dt: -1": (r"^dt: .*$", "dt: -1"),
     "scenario.grnn.capacity: 0": (r"capacity: 50", "capacity: 0"),
+    "scenario.steady.tol_y: -1": (r"tol_y: 1\.0e-5", "tol_y: -1"),
+    "scenario.steady.tol_u: -1": (r"tol_u: 1\.0e-5", "tol_u: -1"),
+    "sweep.cap: 0": (r"cap: 200", "cap: 0"),
+    "sweep.cap: -1": (r"cap: 200", "cap: -1"),
 }
 
 
-@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("command", ["check", "run", "sweep"])
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_value_is_config_error(tmp_path, capsys, case, command):
     cfg = rewrite_config(tmp_path, "range.yaml", [OUT_OF_RANGE[case]])
-    assert cli.main([command, str(cfg)]) == 2
+    argv = [command, str(cfg)]
+    if command == "sweep":
+        setpoints = tmp_path / "one.txt"
+        setpoints.write_text("0.84 324.5\n")
+        argv += ["--setpoints", str(setpoints)]
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert "Traceback" not in err
+    # the line names the field, not some later failure
+    assert case.split(":")[0].rsplit(".", 1)[-1] in err, err
 
 
 def test_learned_run_reads_train_file_beside_config(tmp_path, monkeypatch,

@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from offsetmpc import cli
 from offsetmpc import closed_loop as cl
 from offsetmpc import estimator as est_mod
 from offsetmpc import grnn, ocp, plant
@@ -377,3 +378,54 @@ def test_loops_sharing_prediction_data_count_excursions_apart(committed):
     counts = [log.target_excursions.count for log in logs]
     assert counts == [20, 20, 20]
     assert logs[0].target_excursions is not logs[1].target_excursions
+
+
+def test_learned_map_is_looked_up_once_per_setpoint(twovar_rc, monkeypatch):
+    """The committed twovar learned run: the model does not change without a
+    harvest, so grnn.predict runs on the first interval and on each interval
+    whose setpoint differs from the previous one, and on no other."""
+    rc = twovar_rc
+    g = cli._build_grnn(rc, cl.ControllerMode.LEARNED)
+    calls = []
+    real = grnn.predict
+
+    def counted(model, r):
+        calls.append(1)
+        return real(model, r)
+
+    monkeypatch.setattr(grnn, "predict", counted)
+    log = cl.run_scenario(
+        rc.scenario, rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+        cl.NonlinearPlant(plant.PlantState(*rc.op.x_ss), rc.params, rc.op,
+                          dt=rc.model.dt), grnn=g)
+    assert log.aborted is None and not rc.scenario.harvest
+    changes = sum(not np.array_equal(a.r, b.r)
+                  for a, b in zip(log.records, log.records[1:]))
+    assert 0 < changes < len(log.records) - 1
+    assert len(calls) == changes + 1
+
+
+def test_learned_map_is_looked_up_again_after_a_harvest(committed,
+                                                        monkeypatch):
+    """A harvest gives the loop a new model, so the next interval predicts
+    again even at an unchanged setpoint."""
+    m, dist, gains, cfg = committed
+    g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
+                        np.array([0.003, -0.2]), np.zeros(2))
+    loop = cl.ControlLoop(m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, d_star=np.array([0.01, -0.5])),
+                          cl.ControllerMode.LEARNED, grnn=g, harvest=True)
+    looked_up = []
+    real = grnn.predict
+
+    def counted(model, r):
+        looked_up.append(loop.k)
+        return real(model, r)
+
+    monkeypatch.setattr(grnn, "predict", counted)
+    setpoints = ([np.array([0.001, 0.1])] * 100
+                 + [np.array([-0.001, -0.1])] * 100)
+    harvested = [k for k, r in enumerate(setpoints)
+                 if loop.control_step(r)[1].harvested]
+    assert len(harvested) == 2 and len(loop.grnn.X) == 3
+    assert looked_up == sorted({0, 100} | {k + 1 for k in harvested})

@@ -1,7 +1,12 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from offsetmpc import grnn
+
+TRAIN_400 = (pathlib.Path(__file__).resolve().parent.parent / "out"
+             / "sweep_ct_400_train.txt")
 
 
 def linear_map_model(n=20, seed=3, capacity=50):
@@ -118,23 +123,86 @@ def reference_loo(X, Y, sigma):
     return err / len(X)
 
 
-@pytest.mark.parametrize("window", ["duplicate inputs", "fifo evicted"])
+B = grnn.LOO_BLOCK
+# window: (samples, capacity, rows copied from an earlier row as (to, from))
+LOO_WINDOWS = {
+    "duplicate inputs": (14, 14, [(5, 2), (9, 2), (11, 7)]),
+    "fifo evicted": (14, 9, []),
+    # more than three row blocks, the last one partial
+    "k = 100": (100, 100, []),
+    "duplicates across a block boundary": (100, 100, [(B, B - 1),
+                                                      (2 * B + 3, 4)]),
+}
+
+
+@pytest.mark.parametrize("window", sorted(LOO_WINDOWS))
 def test_loo_error_matches_masked_reference(window):
+    n, capacity, copies = LOO_WINDOWS[window]
     rng = np.random.default_rng(29)
-    X = rng.normal(size=(14, 2))
-    if window == "duplicate inputs":
-        X[5] = X[2]
-        X[9] = X[2]
-        X[11] = X[7]
-    Y = rng.normal(size=(14, 2))
-    m = grnn.make_model(capacity=9 if window == "fifo evicted" else 14,
-                        n_out=2)
+    X = rng.normal(size=(n, 2))
+    for to, frm in copies:
+        X[to] = X[frm]
+    Y = rng.normal(size=(n, 2))
+    m = grnn.make_model(capacity=capacity, n_out=2)
     for x, y in zip(X, Y):
         m = grnn.add_sample(m, x, y)
     X, Y = X[-m.capacity:], Y[-m.capacity:]
-    for sigma in (0.01, 0.1, 0.7, 5.0):
+    for sigma in (grnn.SIGMA_GRID[0], 0.1, 0.7, 5.0, grnn.SIGMA_GRID[-1]):
         assert grnn.loo_error(m, sigma) == pytest.approx(
             reference_loo(X, Y, sigma), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_in", [1, 2, 3])
+def test_loo_distances_equal_the_row_formula(n_in):
+    """The distance matrix is built in row blocks, once per model, but each
+    row is the per-row formula bit for bit, with inf on the diagonal."""
+    X = np.random.default_rng(n_in).normal(size=(2 * B + 7, n_in))
+    m = grnn.from_samples(len(X), 1, 0.5, [(x, [0.0]) for x in X])
+    d2 = m.loo_d2
+    assert d2 is m.loo_d2 and not d2.flags.writeable
+    for j in range(len(X)):
+        row = ((m.Xn - m.Xn[j]) ** 2).sum(axis=1)
+        row[j] = np.inf
+        assert d2[j].tobytes() == row.tobytes(), j
+
+
+def test_select_sigma_on_the_committed_400_samples():
+    samples = grnn.load_samples(str(TRAIN_400))
+    assert len(samples) == 400
+    m = grnn.from_samples(len(samples), 2, 0.5, samples)
+    assert grnn.select_sigma(m) == 0.1
+
+
+def folded(capacity, n_out, sigma, samples):
+    m = grnn.make_model(capacity, n_out, sigma)
+    for r, d in samples:
+        m = grnn.add_sample(m, r, d)
+    return m
+
+
+@pytest.mark.parametrize("capacity", [400, 150])
+def test_from_samples_equals_folding_add_sample(capacity):
+    """The committed 400-sample file, whole and longer than the window."""
+    samples = grnn.load_samples(str(TRAIN_400))
+    a = folded(capacity, 2, 0.3, samples)
+    b = grnn.from_samples(capacity, 2, 0.3, samples)
+    assert (b.sigma, b.capacity, len(b.X)) == (0.3, capacity, capacity)
+    for name in ("X", "Y", "mean", "spread", "Xn"):
+        got, ref = getattr(b, name), getattr(a, name)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("samples", [
+    [([0.0, 1.0], [1.0]), ([np.nan, 1.0], [1.0])],
+    [([0.0, 1.0], [1.0]), ([0.0, 1.0], [1.0, 2.0])],
+    [([0.0, 1.0], [1.0]), ([0.0, 1.0, 2.0], [1.0])],
+    [([1e308], [0.0]), ([-1e308], [0.0]), ([1.7e308], [0.0])],
+], ids=["non-finite", "output dimension", "input dimension", "overflow"])
+def test_from_samples_rejects_what_add_sample_rejects(samples):
+    with pytest.raises(ValueError):
+        folded(5, 1, 0.5, samples)
+    with pytest.raises(ValueError):
+        grnn.from_samples(5, 1, 0.5, samples)
 
 
 def test_select_sigma_needs_two_samples():
