@@ -53,15 +53,17 @@ class GrnnModel:
     def loo_d2(self):
         """(k, k) standardized squared distances between window rows,
         read-only, with an infinite diagonal so that a left-out row gives
-        itself zero weight. Row j equals ((Xn - Xn[j]) ** 2).sum(axis=1)
-        bit for bit; built once per model, since it does not depend on
-        sigma."""
-        Xn = self.Xn
-        k = len(Xn)
-        d2 = np.empty((k, k))
+        itself zero weight. Built once per model, since it does not depend
+        on sigma, one row block and input column at a time. Row j equals
+        ((Xn - Xn[j]) ** 2).sum(axis=1) bit for bit for fewer than 8
+        inputs, which numpy sums left to right as this loop does; it sums
+        longer rows pairwise, which moves the last bits only."""
+        k = len(self.Xn)
+        d2 = np.zeros((k, k))
         for i in range(0, k, LOO_BLOCK):
-            np.sum((Xn[i:i + LOO_BLOCK, None, :] - Xn) ** 2, axis=2,
-                   out=d2[i:i + LOO_BLOCK])
+            block = d2[i:i + LOO_BLOCK]
+            for x in self.Xn.T:
+                block += (x[i:i + LOO_BLOCK, None] - x) ** 2
         np.fill_diagonal(d2, np.inf)
         d2.flags.writeable = False
         return d2
@@ -152,7 +154,10 @@ def loo_error(model, sigma):
         w = d2 - d2.min(axis=1, keepdims=True)
         w /= -2.0 * sigma ** 2
         np.exp(w, out=w)
-        pred = (w @ Y) / w.sum(axis=1, keepdims=True)
+        # column sums rather than w @ Y: the matrix product is faster, but
+        # its BLAS work buffers add ~0.3 MB (0.5%) to grnn-fit's peak memory
+        num = np.column_stack([(w * y).sum(axis=1) for y in Y.T])
+        pred = num / w.sum(axis=1, keepdims=True)
         err += float(((pred - Y[i:i + LOO_BLOCK]) ** 2).sum())
     return err / k
 

@@ -306,8 +306,8 @@ def test_bad_number_is_config_error(tmp_path, capsys, case):
     assert "error" in capsys.readouterr().err
 
 
-# a value out of its range exits 2 with one error line, from check and run
-# alike; each case is (pattern, line) for the tracking config
+# a value out of its range exits 2 with one error line, from check, run and
+# sweep alike; each case is (pattern, line) for the tracking config
 OUT_OF_RANGE = {
     "scenario.steady.M: 0": (r"\{M: 5,", "{M: 0,"),
     "scenario.steady.M: -3": (r"\{M: 5,", "{M: -3,"),

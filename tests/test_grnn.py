@@ -154,8 +154,9 @@ def test_loo_error_matches_masked_reference(window):
 
 @pytest.mark.parametrize("n_in", [1, 2, 3])
 def test_loo_distances_equal_the_row_formula(n_in):
-    """The distance matrix is built in row blocks, once per model, but each
-    row is the per-row formula bit for bit, with inf on the diagonal."""
+    """The distance matrix is built once per model, by row block and input
+    column, but with fewer than 8 inputs each row is the per-row formula
+    bit for bit, with inf on the diagonal."""
     X = np.random.default_rng(n_in).normal(size=(2 * B + 7, n_in))
     m = grnn.from_samples(len(X), 1, 0.5, [(x, [0.0]) for x in X])
     d2 = m.loo_d2
