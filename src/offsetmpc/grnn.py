@@ -22,8 +22,9 @@ class ParseError(Exception):
 
 SIGMA_GRID = np.logspace(-2.0, 1.0, 31)
 
-# rows of the distance matrix per leave-one-out kernel evaluation: a block's
-# temporaries stay small while each numpy call still covers many rows
+# rows of the leave-one-out distance matrix per block, when it is built and
+# in each kernel evaluation: a block's temporaries stay small while each
+# numpy call still covers many rows
 LOO_BLOCK = 32
 
 
