@@ -9,8 +9,8 @@ and the finite-horizon QP with the combined disturbance; apply the first
 input. The estimator is not updated at k=0 (nothing stored yet).
 """
 
+import collections.abc
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -115,9 +115,74 @@ class HarvestSample:
     time: float
 
 
+# the float fields of a log row in CSV order: time and qp_objective are
+# numbers, the others vectors
+FLOAT_FIELDS = ("time", "r", "y_p", "z_p", "u", "x_hat", "d_learned",
+                "d_supp", "d_total", "x_bar", "u_bar", "qp_objective")
+SCALAR_FIELDS = ("time", "qp_objective")
+FLAG_FIELDS = ("active_set_size", "steady", "harvested")
+
+
+class Records(collections.abc.Sequence):
+    """The log of a run as columns, one row per interval: `values` holds
+    the FLOAT_FIELDS side by side (widths[name] columns each) and
+    `active_set_size`, `steady` and `harvested` one entry per row. Rows
+    [0, n) are written; the arrays may hold more. Indexing gives
+    StepRecord row views, whose arrays are views of `values`."""
+
+    def __init__(self, widths=None, capacity=0):
+        self.widths = dict(widths or {})
+        self.slices = {}
+        start = 0
+        for name, width in self.widths.items():
+            self.slices[name] = slice(start, start + width)
+            start += width
+        self.values = np.zeros((capacity, start))
+        self.active_set_size = np.zeros(capacity, dtype=np.intp)
+        self.steady = np.zeros(capacity, dtype=bool)
+        self.harvested = np.zeros(capacity, dtype=bool)
+        self.n = 0
+
+    def reserve(self, capacity):
+        """Room for capacity rows; the written rows are kept."""
+        if capacity <= len(self.values):
+            return
+        for name in ("values",) + FLAG_FIELDS:
+            old = getattr(self, name)
+            new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[:self.n] = old[:self.n]
+            setattr(self, name, new)
+
+    def column(self, name):
+        """The written rows of one field: an (n, width) view of a vector
+        field, an (n,) view of a number or flag."""
+        if name in FLAG_FIELDS:
+            return getattr(self, name)[:self.n]
+        sl = self.slices[name]
+        return self.values[:self.n, sl.start if name in SCALAR_FIELDS else sl]
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.n))]
+        if not -self.n <= i < self.n:
+            raise IndexError("record index out of range")
+        i %= self.n
+        row = self.values[i]
+        fields = {name: row[sl] for name, sl in self.slices.items()}
+        for name in SCALAR_FIELDS:
+            fields[name] = float(row[self.slices[name].start])
+        return StepRecord(**fields,
+                          active_set_size=int(self.active_set_size[i]),
+                          steady=bool(self.steady[i]),
+                          harvested=bool(self.harvested[i]))
+
+
 @dataclass
 class ClosedLoopLog:
-    records: list = field(default_factory=list)
+    records: Records = field(default_factory=Records)
     harvested: list = field(default_factory=list)
     rejected_harvests: int = 0
     target_excursions: BoundExcursions = field(default_factory=BoundExcursions)
@@ -172,28 +237,51 @@ class LinearPlant:
                 f"linear plant only supports d_star overrides, got {event}")
 
 
-def _steady_window(rs, ys, us, M, tol_y, tol_u):
-    """True iff there are M+1 entries (the caller passes at most that many),
-    they share one setpoint, and both y and u moved less than the tolerances
-    between consecutive entries."""
-    if len(ys) < M + 1:
-        return False
-    R = np.array(rs)
-    if (R != R[0]).any():
-        return False
-    Y = np.array(ys)
-    U = np.array(us)
-    return (np.abs(np.diff(Y, axis=0)).max() <= tol_y
-            and np.abs(np.diff(U, axis=0)).max() <= tol_u)
+def _same(a, b):
+    """a == b for two lists of floats of one length; False on a NaN."""
+    for x, y in zip(a, b):
+        if not x == y:
+            return False
+    return True
 
 
-def detect_steady(records, tol_y=1e-5, tol_u=1e-5, M=5):
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    window = records[-(M + 1):]
-    return _steady_window([rec.r for rec in window],
-                          [rec.y_p for rec in window],
-                          [rec.u for rec in window], M, tol_y, tol_u)
+def _within(a, b, tol):
+    """max |a - b| <= tol for two lists of floats of one length; False on
+    a NaN."""
+    for x, y in zip(a, b):
+        if not abs(x - y) <= tol:
+            return False
+    return True
+
+
+class SteadyDetector:
+    """Steady when the last M+1 intervals share one setpoint and both y and
+    u moved at most the tolerances between consecutive intervals. That is a
+    count of consecutive quiet transitions against the previous interval,
+    steady once it reaches M: exact equality is transitive, and the
+    largest move over the window is the largest over its transitions."""
+
+    def __init__(self, M=5, tol_y=1e-5, tol_u=1e-5):
+        if M < 2:
+            raise ValueError("M must be >= 2")
+        self.M = M
+        self.tol_y = float(tol_y)
+        self.tol_u = float(tol_u)
+        self.count = 0
+        self._last = None            # (r, y_p, u) of the previous interval
+
+    def update(self, r, y_p, u):
+        """Take one interval's r, y_p and u, each a list of floats; True
+        if it ends a steady window."""
+        last = self._last
+        if (last is not None and _same(r, last[0])
+                and _within(y_p, last[1], self.tol_y)
+                and _within(u, last[2], self.tol_u)):
+            self.count += 1
+        else:
+            self.count = 0
+        self._last = (r, y_p, u)
+        return self.count >= self.M
 
 
 def harvest_sample(estimator, record):
@@ -230,36 +318,42 @@ class ControlLoop:
         self.mode = mode
         self.grnn = grnn
         self.harvest = harvest
-        self.steady_M = steady_M
-        self.steady_tol_y = steady_tol_y
-        self.steady_tol_u = steady_tol_u
         self.k = 0
         self.estimate = self.estimator.initial()
-        self._prev = None            # (u, y_p, d_learned) at k-1
-        # the steady detector reads only the last M+1 intervals
-        self._rs, self._ys, self._us = (deque(maxlen=steady_M + 1)
-                                        for _ in range(3))
+        self._prev = None            # (u, y_p, d_learned) of interval k-1
+        self.detector = SteadyDetector(steady_M, steady_tol_y, steady_tol_u)
+        self._no_map = np.zeros(dist.n_d)
+        self._no_map.flags.writeable = False
         self._last_harvest_r = None
         self._lookup = None          # (grnn, r, d_learned) of the last predict
+        self.records = Records(
+            {"time": 1, "r": model.n_z, "y_p": model.n_y, "z_p": model.n_z,
+             "u": model.n_u, "x_hat": model.n_x, "d_learned": dist.n_d,
+             "d_supp": dist.n_d, "d_total": dist.n_d, "x_bar": model.n_x,
+             "u_bar": model.n_u, "qp_objective": 1}, 64)
         self.harvested = []
         self.rejected_harvests = 0
 
     def control_step(self, r):
+        """Advance one interval and write its row k of self.records;
+        returns (u, whether the interval harvested a sample)."""
         r = np.asarray(r, dtype=float).reshape(-1)
+        r_list = r.tolist()
+        k = self.k
         y_p = self.plant.measure()
         if self.mode is ControllerMode.LEARNED and self.grnn is not None:
             # models are immutable, so the map changes only with the model
             # (a harvest) or the setpoint
             if (self._lookup is None or self._lookup[0] is not self.grnn
-                    or not np.array_equal(self._lookup[1], r)):
-                self._lookup = (self.grnn, r.copy(),
+                    or not _same(self._lookup[1], r_list)):
+                self._lookup = (self.grnn, r_list,
                                 grnn_mod.predict(self.grnn, r))
             d_l = self._lookup[2]
         else:
-            d_l = np.zeros(self.dist.n_d)
-        if self.k > 0:
-            u1, y1, dl1 = self._prev
-            self.estimate = self.estimator.learned_step(self.estimate, u1, y1, dl1)
+            d_l = self._no_map
+        if k > 0:
+            self.estimate = self.estimator.learned_step(self.estimate,
+                                                        *self._prev)
         d_s = self.estimate.d_hat
         d_tot = d_l + d_s
         tgt = self.targets.solve(d_tot, r)
@@ -269,40 +363,41 @@ class ControlLoop:
             qp = ocp_mod.condense(self.pred, self.cfg, x_hat, d_tot, tgt)
             sol = ocp_mod.solve_qp(qp)
             self.table.insert(sol.active_set)
-        u = sol.u_seq[:self.cfg.n_u].copy()
+        # u_seq and y_p are new arrays every interval and never written
+        u = sol.u_seq[:self.cfg.n_u]
         z_p = self.model.H @ y_p
+        steady = self.detector.update(r_list, y_p.tolist(), u.tolist())
 
-        self._rs.append(r.copy())
-        self._ys.append(y_p.copy())
-        self._us.append(u.copy())
-        steady = _steady_window(self._rs, self._ys, self._us, self.steady_M,
-                                self.steady_tol_y, self.steady_tol_u)
-        record = StepRecord(
-            time=self.k * self.model.dt, r=r.copy(), y_p=y_p, z_p=z_p, u=u,
-            x_hat=x_hat.copy(), d_learned=d_l.copy(),
-            d_supp=d_s.copy(), d_total=d_l + d_s, x_bar=tgt.x_bar.copy(),
-            u_bar=tgt.u_bar.copy(), qp_objective=sol.objective,
-            active_set_size=len(sol.active_set), steady=steady,
-            harvested=False)
-
-        self._prev = (u.copy(), y_p.copy(), d_l.copy())
-        # harvest only once the interval has completed, so a failing plant
-        # step leaves no sample without its record
+        log = self.records
+        if k == len(log.values):
+            log.reserve(2 * k)
+        row = log.values[k]
+        row[0] = k * self.model.dt
+        np.concatenate([r, y_p, z_p, u, x_hat, d_l, d_s, d_tot, tgt.x_bar,
+                        tgt.u_bar], out=row[1:-1])
+        row[-1] = sol.objective
+        log.active_set_size[k] = len(sol.active_set)
+        log.steady[k] = steady
+        self._prev = (u, y_p, d_l)
+        # the row counts and a sample is taken only once the plant step has
+        # completed, so a failing step leaves neither
         self.plant.step(u)
+        log.n = k + 1
+        harvested = False
         if (self.harvest and steady
                 and (self._last_harvest_r is None
-                     or not np.array_equal(self._last_harvest_r, r))):
+                     or not _same(self._last_harvest_r, r_list))):
             try:
-                sample = harvest_sample(self.estimator, record)
+                sample = harvest_sample(self.estimator, log[k])
                 self.harvested.append(sample)
-                self._last_harvest_r = r.copy()
-                record.harvested = True
+                self._last_harvest_r = r_list
+                log.harvested[k] = harvested = True
                 if self.mode is ControllerMode.LEARNED and self.grnn is not None:
                     self.grnn = grnn_mod.add_sample(self.grnn, sample.r, sample.d_ss)
             except CrossCheckFailed:
                 self.rejected_harvests += 1
-        self.k += 1
-        return u, record
+        self.k = k + 1
+        return u, harvested
 
 
 def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
@@ -315,8 +410,9 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
                        steady_M=scenario.steady_M,
                        steady_tol_y=scenario.steady_tol_y,
                        steady_tol_u=scenario.steady_tol_u, pred=pred)
-    log = ClosedLoopLog()
     n_steps = int(round(scenario.duration / model.dt))
+    loop.records.reserve(n_steps)
+    log = ClosedLoopLog(records=loop.records)
     pending = sorted(scenario.events, key=lambda e: e[0])
     for k in range(n_steps):
         t = k * model.dt
@@ -326,16 +422,11 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
             log.events_applied.append((t, dict(event)))
         r = scenario.setpoint_at(t)
         try:
-            _, record = loop.control_step(r)
+            loop.control_step(r)
         except ABORTS as exc:
             log.aborted = {"time": t, "reason": str(exc)}
             break
-        log.records.append(record)
-    log.harvested = loop.harvested
-    log.rejected_harvests = loop.rejected_harvests
-    log.target_excursions = loop.targets.excursions
-    log.table_hits, log.table_misses = loop.table.hits, loop.table.misses
-    return log
+    return _counted(log, loop)
 
 
 def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
@@ -349,13 +440,11 @@ def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
                        ControllerMode.NOMINAL, harvest=True,
                        steady_M=steady_M, steady_tol_y=steady_tol_y,
                        steady_tol_u=steady_tol_u, pred=pred)
-    log = ClosedLoopLog()
+    log = ClosedLoopLog(records=loop.records)
     try:
         for r in setpoints:
             for _ in range(cap):
-                _, record = loop.control_step(r)
-                log.records.append(record)
-                if record.harvested:
+                if loop.control_step(r)[1]:
                     break
             else:
                 raise SteadyNotReached(f"no steady state within {cap} steps at "
@@ -363,11 +452,16 @@ def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
     except ABORTS as exc:
         # control_step raised before advancing k: k is the failing interval
         log.aborted = {"time": loop.k, "reason": str(exc)}
+    return loop.harvested, _counted(log, loop)
+
+
+def _counted(log, loop):
+    """log with the loop's samples and counts."""
     log.harvested = loop.harvested
     log.rejected_harvests = loop.rejected_harvests
     log.target_excursions = loop.targets.excursions
     log.table_hits, log.table_misses = loop.table.hits, loop.table.misses
-    return loop.harvested, log
+    return log
 
 
 # ---- metrics ----
@@ -384,37 +478,36 @@ class SegmentSummary:
 
 
 def segment_bounds(records):
-    bounds = []
-    start = 0
-    for i in range(1, len(records)):
-        if not np.array_equal(records[i].r, records[start].r):
-            bounds.append((start, i))
-            start = i
-    if records:
-        bounds.append((start, len(records)))
-    return bounds
+    """(start, end) row ranges of the runs of one setpoint."""
+    if not len(records):
+        return []
+    R = records.column("r")
+    cuts = (np.flatnonzero((R[1:] != R[:-1]).any(axis=1)) + 1).tolist()
+    edges = [0] + cuts + [len(R)]
+    return list(zip(edges, edges[1:]))
 
 
 def metrics(log, dt=1.0, settle_tol=1e-3):
-    if not log.records:
+    records = log.records
+    if not len(records):
         raise ValueError("empty log")
+    time = records.column("time")
+    R, Z = records.column("r"), records.column("z_p")
     segments = []
     total_ise = 0.0
-    for a, b in segment_bounds(log.records):
-        recs = log.records[a:b]
-        errs = np.array([rec.z_p - rec.r for rec in recs])
+    for a, b in segment_bounds(records):
+        # row by row in C order, so the sum adds in the order of the rows
+        errs = np.subtract(Z[a:b], R[a:b], order="C")
         ise = float((errs ** 2).sum() * dt)
-        peak = float(np.abs(errs).max())
-        below = np.abs(errs).max(axis=1) <= settle_tol
-        settling = None
-        for i in range(len(recs)):
-            if below[i:].all():
-                settling = recs[i].time - recs[0].time
-                break
+        abs_errs = np.abs(errs)
+        peak = float(abs_errs.max())
+        # settled from the row after the last one above the tolerance
+        above = np.flatnonzero(abs_errs.max(axis=1) > settle_tol)
+        i = int(above[-1]) + 1 if above.size else 0
+        settling = float(time[a + i] - time[a]) if i < b - a else None
         segments.append(SegmentSummary(
-            start=recs[0].time, end=recs[-1].time + dt, r=recs[0].r.copy(),
-            terminal_e=np.abs(errs[-1]), ise=ise, peak=peak,
-            settling=settling))
+            start=float(time[a]), end=float(time[b - 1]) + dt, r=R[a].copy(),
+            terminal_e=abs_errs[-1], ise=ise, peak=peak, settling=settling))
         total_ise += ise
     return {"segments": segments, "total_ise": total_ise}
 
@@ -449,62 +542,52 @@ def lyapunov_trace(log, pred, cfg, tgt, d_hat):
 
 # ---- serialization ----
 
-def _columns(rec):
-    cols = [("time", np.array([rec.time]))]
-    for name in ("r", "y_p", "z_p", "u", "x_hat", "d_learned", "d_supp",
-                 "d_total", "x_bar", "u_bar"):
-        cols.append((name, getattr(rec, name)))
-    cols.append(("qp_objective", np.array([rec.qp_objective])))
-    return cols
-
-
 def write_log_csv(log, path):
     """One record per row, full double precision; stable column order:
     time, r, y_p, z_p, u, x_hat, d_learned, d_supp, d_total, x_bar, u_bar,
-    qp_objective, active_set_size, steady, harvested."""
+    qp_objective, active_set_size, steady, harvested. Raises ValueError,
+    before the file is opened, when d_total is not d_learned + d_supp."""
+    records = log.records
+    n = len(records)
+    if n and not np.array_equal(records.column("d_total"),
+                                records.column("d_learned")
+                                + records.column("d_supp")):
+        raise ValueError("d_total must equal d_learned + d_supp exactly")
+    header = ["time"]
+    if n:
+        header = []
+        for name, width in records.widths.items():
+            header += ([name] if width == 1
+                       else [f"{name}_{i}" for i in range(width)])
+        header += list(FLAG_FIELDS)
+    fmt = ",".join(["%.17g"] * records.values.shape[1] + ["%d"] * 3) + "\n"
     with open(path, "w") as fh:
-        if log.records:
-            header = []
-            for name, vec in _columns(log.records[0]):
-                if vec.shape[0] == 1:
-                    header.append(name)
-                else:
-                    header.extend(f"{name}_{i}" for i in range(vec.shape[0]))
-            header += ["active_set_size", "steady", "harvested"]
-        else:
-            header = ["time"]
         fh.write(",".join(header) + "\n")
-        for rec in log.records:
-            vals = []
-            for _, vec in _columns(rec):
-                vals.extend("%.17g" % v for v in vec)
-            vals.append(str(rec.active_set_size))
-            vals.append(str(int(rec.steady)))
-            vals.append(str(int(rec.harvested)))
-            fh.write(",".join(vals) + "\n")
+        fh.writelines(fmt % (*vals, *flags) for vals, flags in zip(
+            records.values[:n].tolist(),
+            zip(*(records.column(name).tolist() for name in FLAG_FIELDS))))
 
 
 def read_log_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = [[float(t) for t in line.strip().split(",")]
+                for line in fh if line.strip()]
+    log = ClosedLoopLog()
+    if not rows:
+        return log
     groups = {}
     for idx, name in enumerate(header):
         base = name.rsplit("_", 1)[0] if name.rsplit("_", 1)[-1].isdigit() else name
         groups.setdefault(base, []).append(idx)
-    log = ClosedLoopLog()
-    for row in rows:
-        vec = lambda base: np.array([float(row[i]) for i in groups[base]])
-        log.records.append(StepRecord(
-            time=float(row[groups["time"][0]]),
-            r=vec("r"), y_p=vec("y_p"), z_p=vec("z_p"), u=vec("u"),
-            x_hat=vec("x_hat"), d_learned=vec("d_learned"),
-            d_supp=vec("d_supp"), d_total=vec("d_total"),
-            x_bar=vec("x_bar"), u_bar=vec("u_bar"),
-            qp_objective=float(row[groups["qp_objective"][0]]),
-            active_set_size=int(row[groups["active_set_size"][0]]),
-            steady=bool(int(row[groups["steady"][0]])),
-            harvested=bool(int(row[groups["harvested"][0]]))))
+    table = np.array(rows)
+    records = log.records = Records(
+        {name: len(groups[name]) for name in FLOAT_FIELDS}, len(rows))
+    records.values[:] = table[:, [i for name in FLOAT_FIELDS
+                                  for i in groups[name]]]
+    for name in FLAG_FIELDS:
+        getattr(records, name)[:] = table[:, groups[name][0]]
+    records.n = len(rows)
     return log
 
 

@@ -21,6 +21,14 @@ class AugmentedEstimate:
         if not (np.all(np.isfinite(self.x_hat)) and np.all(np.isfinite(self.d_hat))):
             raise ValueError("non-finite estimate")
 
+    @classmethod
+    def split(cls, w, n_x):
+        """x_hat = w[:n_x], d_hat = w[n_x:] as views of w, without
+        __post_init__: the caller has checked that w is finite."""
+        est = cls.__new__(cls)
+        est.x_hat, est.d_hat = w[:n_x], w[n_x:]
+        return est
+
     def stacked(self):
         return np.concatenate([self.x_hat, self.d_hat])
 
@@ -51,13 +59,13 @@ class DisturbanceEstimator:
                                  np.zeros(self.dist.n_d))
 
     def learned_step(self, est, u, y_p, d_learned):
-        """One update; the nominal estimator is this with d_learned = 0."""
-        w = (self.M_err @ est.stacked()
-             + self._B_stack @ np.asarray(u, dtype=float)
-             - self._L_stack @ np.asarray(y_p, dtype=float)
-             + self._D_stack @ np.asarray(d_learned, dtype=float))
-        n_x = self.model.n_x
-        return AugmentedEstimate(w[:n_x], w[n_x:])
+        """One update; the nominal estimator is this with d_learned = 0.
+        Raises ValueError when the new estimate is not finite."""
+        w = (self.M_err @ est.stacked() + self._B_stack @ u
+             - self._L_stack @ y_p + self._D_stack @ d_learned)
+        if not np.isfinite(w).all():
+            raise ValueError("non-finite estimate")
+        return AugmentedEstimate.split(w, self.model.n_x)
 
     def steady_state_from_io(self, y_p_inf, u_inf):
         """Invert the steady-state estimate equations for constant (y_p, u).

@@ -15,9 +15,13 @@ TRACKING = ROOT / "configs" / "cstr_tracking.yaml"
 
 
 def rewrite_config(tmp_path, name, subs, out_dir="out"):
-    """Copy the reference config applying line-level regex substitutions."""
+    """Copy the reference config applying line-level regex substitutions.
+    The copy's relative paths would resolve under tmp_path, so the output
+    goes to tmp_path / out_dir and the training file is the committed one
+    under ROOT/out, as the reference config reads it."""
     text = TRACKING.read_text()
-    subs = list(subs) + [(r"^  dir: .*$", f"  dir: {tmp_path / out_dir}")]
+    subs = [(r"train: \.\./out/", f"train: {ROOT / 'out'}/")] + list(subs) + [
+        (r"^  dir: .*$", f"  dir: {tmp_path / out_dir}")]
     for pat, rep in subs:
         text, n = re.subn(pat, rep, text, flags=re.M)
         assert n > 0, pat
@@ -66,6 +70,8 @@ def test_bad_schedule_is_config_error(tmp_path, capsys):
         (r"^  duration: .*$", "  duration: 5"),
     ])
     assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: scenario: duration does not cover the schedule\n"
 
 
 def test_run_zero_duration_writes_header_only(tmp_path, capsys):
@@ -303,7 +309,11 @@ def test_bad_number_is_config_error(tmp_path, capsys, case):
     else:
         argv = argv + [str(rewrite_config(tmp_path, "bad.yaml", [sub]))]
     assert cli.main(argv) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # one line that names the field: "dt: abc" -> "dt", "grnn-fit --sigma
+    # abc" -> "--sigma"
+    field = case.rsplit(" ", 1)[0].rstrip(":").split()[-1]
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {field}: "), err
 
 
 # a value out of its range exits 2 with one error line, from check, run and

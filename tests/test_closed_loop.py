@@ -9,7 +9,8 @@ from offsetmpc import closed_loop as cl
 from offsetmpc import estimator as est_mod
 from offsetmpc import grnn, ocp, plant
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def scenario(duration, schedule, mode, **kw):
@@ -66,19 +67,141 @@ def test_modeled_disturbance_is_rejected_without_offset(committed):
     assert tail.steady
 
 
+# ---- steady detection: SteadyDetector's counter against the window rule it
+# replaced, kept here as the oracle ----
+
+def ref_steady_window(rs, ys, us, M, tol_y, tol_u):
+    """True iff there are M+1 entries (the caller passes at most that many),
+    they share one setpoint, and both y and u moved less than the tolerances
+    between consecutive entries."""
+    if len(ys) < M + 1:
+        return False
+    R = np.array(rs)
+    if (R != R[0]).any():
+        return False
+    Y = np.array(ys)
+    U = np.array(us)
+    return (np.abs(np.diff(Y, axis=0)).max() <= tol_y
+            and np.abs(np.diff(U, axis=0)).max() <= tol_u)
+
+
+def ref_detect_steady(records, tol_y=1e-5, tol_u=1e-5, M=5):
+    if M < 2:
+        raise ValueError("M must be >= 2")
+    window = records[-(M + 1):]
+    return ref_steady_window([rec.r for rec in window],
+                             [rec.y_p for rec in window],
+                             [rec.u for rec in window], M, tol_y, tol_u)
+
+
+def counter_flags(seq, M, tol_y, tol_u):
+    """SteadyDetector's answer after each (r, y_p, u) of seq."""
+    det = cl.SteadyDetector(M, tol_y, tol_u)
+    return [det.update(np.asarray(r, float).tolist(),
+                       np.asarray(y, float).tolist(),
+                       np.asarray(u, float).tolist()) for r, y, u in seq]
+
+
+def oracle_flags(seq, M, tol_y, tol_u):
+    """The window rule on the last M+1 entries of every prefix of seq."""
+    out = []
+    for k in range(len(seq)):
+        window = seq[max(0, k - M):k + 1]
+        out.append(bool(ref_steady_window([w[0] for w in window],
+                                          [w[1] for w in window],
+                                          [w[2] for w in window],
+                                          M, tol_y, tol_u)))
+    return out
+
+
 def test_detect_steady_window():
+    def steady_after(recs, M=5):
+        flags = counter_flags([(rec.r, rec.y_p, rec.u) for rec in recs],
+                              M, 1e-5, 1e-5)
+        assert bool(flags and flags[-1]) == ref_detect_steady(recs, M=M)
+        return bool(flags and flags[-1])
+
     recs = [zrec(time=float(k)) for k in range(6)]
-    assert cl.detect_steady(recs, M=5)
-    assert not cl.detect_steady(recs[:5], M=5)  # needs M+1 records
+    assert steady_after(recs, M=5)
+    assert not steady_after(recs[:5], M=5)  # needs M+1 records
     moved = recs[:-1] + [zrec(time=5.0, y_p=np.array([1e-3, 0.0, 0.0]))]
-    assert not cl.detect_steady(moved, M=5)
+    assert not steady_after(moved, M=5)
     wiggly_u = recs[:-1] + [zrec(time=5.0, u=np.array([1e-3, 0.0]))]
-    assert not cl.detect_steady(wiggly_u, M=5)
+    assert not steady_after(wiggly_u, M=5)
     # setpoint change inside the window disqualifies it
     switched = recs[:-1] + [zrec(time=5.0, r=np.array([0.01, 0.0]))]
-    assert not cl.detect_steady(switched, M=5)
+    assert not steady_after(switched, M=5)
     with pytest.raises(ValueError):
-        cl.detect_steady(recs, M=1)
+        cl.SteadyDetector(M=1)
+
+
+TOL = 2.0 ** -10          # moves of exactly TOL are representable
+
+
+def walk(rng, n, steps, r_choices):
+    """n intervals of (r, y_p, u): r drawn from r_choices with long runs,
+    y_p (3) and u (2) moving by steps drawn from `steps` per channel."""
+    r = r_choices[0]
+    y, u = np.zeros(3), np.zeros(2)
+    seq = []
+    for _ in range(n):
+        if rng.random() < 0.1:
+            r = r_choices[rng.integers(len(r_choices))]
+        y = y + rng.choice(steps, size=3) * rng.choice([-1.0, 1.0], size=3)
+        u = u + rng.choice(steps, size=2) * rng.choice([-1.0, 1.0], size=2)
+        seq.append((np.array(r, float), y.copy(), u.copy()))
+    return seq
+
+
+def adversarial_sequences():
+    z2, z3 = np.zeros(2), np.zeros(3)
+    r0, r1 = np.array([0.001, 0.1]), np.array([0.002, 0.1])
+    nan = float("nan")
+    ramp = [(r0, np.full(3, k * TOL), np.full(2, -k * TOL)) for k in range(9)]
+    over = [(r0, np.full(3, k * TOL * (1 + 2 ** -40)), z2) for k in range(9)]
+    switch = ([(r0, z3, z2)] * 4 + [(r1, z3, z2)] + [(r0, z3, z2)] * 8)
+    cases = {
+        "|dy| == tol and |du| == tol": (ramp, 5),
+        "|dy| just above tol": (over, 5),
+        "setpoint switch inside the window": (switch, 5),
+        "setpoint switch and back, M = 2": (switch, 2),
+        "M = 2 ramp": (ramp, 2),
+        "fewer than M+1 entries": ([(r0, z3, z2)] * 5, 5),
+        "exactly M+1 entries": ([(r0, z3, z2)] * 6, 5),
+        "NaN in y": ([(r0, z3, z2)] * 3 + [(r0, np.array([nan, 0, 0]), z2)]
+                     + [(r0, z3, z2)] * 8, 2),
+        "NaN in u": ([(r0, z3, z2)] * 6 + [(r0, z3, np.array([0, nan]))]
+                     + [(r0, z3, z2)] * 6, 5),
+        "NaN in r": ([(r0, z3, z2)] * 3 + [(np.array([nan, 0.1]), z3, z2)] * 4
+                     + [(r0, z3, z2)] * 4, 2),
+        "NaN held in y": ([(r0, np.array([nan, 0, 0]), z2)] * 8, 2),
+        "negative zero setpoint": ([(np.array([0.0, 0.1]), z3, z2),
+                                    (np.array([-0.0, 0.1]), z3, z2)] * 4, 3),
+    }
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(adversarial_sequences()))
+def test_steady_counter_matches_the_window_on_adversarial_prefixes(case):
+    seq, M = adversarial_sequences()[case]
+    flags = counter_flags(seq, M, TOL, TOL)
+    assert flags == oracle_flags(seq, M, TOL, TOL)
+
+
+def test_steady_counter_matches_the_window_on_random_prefixes():
+    rng = np.random.default_rng(11)
+    steps = np.array([0.0, 0.0, 0.5 * TOL, TOL, TOL, 2.0 * TOL])
+    r_choices = [np.array([0.001, 0.1]), np.array([0.002, 0.1]),
+                 np.array([0.001, -0.1])]
+    n_steady = 0
+    for M in (2, 3, 5):
+        for _ in range(20):
+            seq = walk(rng, 120, steps, r_choices)
+            flags = counter_flags(seq, M, TOL, TOL)
+            assert flags == oracle_flags(seq, M, TOL, TOL)
+            n_steady += sum(flags)
+    # the walks reach steady windows, so both answers are exercised
+    assert 0 < n_steady
 
 
 def test_harvest_matches_true_disturbance(committed):
@@ -108,8 +231,21 @@ def test_run_scenario_harvests_on_steady(committed):
     assert len(flagged) == len(log.harvested)
 
 
+def stacked(recs):
+    """The columns of a non-empty list of StepRecords."""
+    out = cl.Records({name: np.size(getattr(recs[0], name))
+                      for name in cl.FLOAT_FIELDS}, len(recs))
+    for i, rec in enumerate(recs):
+        out.values[i] = np.concatenate(
+            [np.atleast_1d(getattr(rec, name)) for name in cl.FLOAT_FIELDS])
+        for name in cl.FLAG_FIELDS:
+            getattr(out, name)[i] = getattr(rec, name)
+    out.n = len(recs)
+    return out
+
+
 def recs_to_log(recs):
-    return cl.ClosedLoopLog(records=recs)
+    return cl.ClosedLoopLog(records=stacked(recs))
 
 
 def test_metrics_closed_forms():
@@ -136,7 +272,7 @@ def test_segment_bounds_split_on_setpoint():
     recs = ([zrec(time=float(k)) for k in range(5)]
             + [zrec(time=float(5 + k), r=np.array([0.01, 0.0]))
                for k in range(5)])
-    bounds = cl.segment_bounds(recs)
+    bounds = cl.segment_bounds(stacked(recs))
     assert bounds == [(0, 5), (5, 10)]
 
 
@@ -192,7 +328,7 @@ def test_zero_duration_yields_empty_log(committed):
     sc = scenario(0.0, [(0.0, np.zeros(2))], cl.ControllerMode.NOMINAL)
     log = cl.run_scenario(sc, m, dist, gains, cfg,
                           cl.LinearPlant(m, dist, d_star=np.zeros(2)))
-    assert log.records == []
+    assert len(log.records) == 0 and list(log.records) == []
     assert log.aborted is None
 
 
@@ -426,6 +562,149 @@ def test_learned_map_is_looked_up_again_after_a_harvest(committed,
     setpoints = ([np.array([0.001, 0.1])] * 100
                  + [np.array([-0.001, -0.1])] * 100)
     harvested = [k for k, r in enumerate(setpoints)
-                 if loop.control_step(r)[1].harvested]
+                 if loop.control_step(r)[1]]
     assert len(harvested) == 2 and len(loop.grnn.X) == 3
     assert looked_up == sorted({0, 100} | {k + 1 for k in harvested})
+
+
+# ---- the columnar log: the per-record metrics it replaced, kept here as
+# the oracle ----
+
+def ref_segment_bounds(records):
+    bounds = []
+    start = 0
+    for i in range(1, len(records)):
+        if not np.array_equal(records[i].r, records[start].r):
+            bounds.append((start, i))
+            start = i
+    if records:
+        bounds.append((start, len(records)))
+    return bounds
+
+
+def ref_metrics(records, dt=1.0, settle_tol=1e-3):
+    segments = []
+    total_ise = 0.0
+    for a, b in ref_segment_bounds(records):
+        recs = records[a:b]
+        errs = np.array([rec.z_p - rec.r for rec in recs])
+        ise = float((errs ** 2).sum() * dt)
+        peak = float(np.abs(errs).max())
+        below = np.abs(errs).max(axis=1) <= settle_tol
+        settling = None
+        for i in range(len(recs)):
+            if below[i:].all():
+                settling = recs[i].time - recs[0].time
+                break
+        segments.append(cl.SegmentSummary(
+            start=recs[0].time, end=recs[-1].time + dt, r=recs[0].r.copy(),
+            terminal_e=np.abs(errs[-1]), ise=ise, peak=peak,
+            settling=settling))
+        total_ise += ise
+    return {"segments": segments, "total_ise": total_ise}
+
+
+COMMITTED_LOGS = sorted((ROOT / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)
+def test_committed_log_reads_back_to_the_same_bytes(path, tmp_path):
+    log = cl.read_log_csv(str(path))
+    assert len(log.records) > 0
+    out = tmp_path / path.name
+    cl.write_log_csv(log, str(out))
+    assert out.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)
+def test_column_metrics_equal_the_per_record_metrics(path):
+    log = cl.read_log_csv(str(path))
+    recs = list(log.records)
+    assert cl.segment_bounds(log.records) == ref_segment_bounds(recs)
+    for dt, settle_tol in ((1.0, 1e-3), (0.5, 1e-5), (1.0, 1e-12)):
+        got = cl.metrics(log, dt=dt, settle_tol=settle_tol)
+        want = ref_metrics(recs, dt=dt, settle_tol=settle_tol)
+        assert got["total_ise"] == want["total_ise"]
+        assert len(got["segments"]) == len(want["segments"])
+        for g, w in zip(got["segments"], want["segments"]):
+            assert (g.start, g.end, g.ise, g.peak, g.settling) == \
+                (w.start, w.end, w.ise, w.peak, w.settling)
+            assert type(g.settling) is type(w.settling)
+            assert np.array_equal(g.r, w.r)
+            assert np.array_equal(g.terminal_e, w.terminal_e)
+
+
+def test_broken_invariant_raises_before_anything_is_written(committed,
+                                                            tmp_path):
+    m, dist, gains, cfg = committed
+    sc = scenario(10.0, [(0.0, np.array([0.001, 0.1]))],
+                  cl.ControllerMode.NOMINAL)
+    log = cl.run_scenario(sc, m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, d_star=np.array([0.01, 0.2])))
+    log.records.values[7, log.records.slices["d_total"].start] += 1e-9
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("an earlier log\n")
+    for path in (fresh, kept):
+        with pytest.raises(ValueError, match="d_total"):
+            cl.write_log_csv(log, str(path))
+    assert not fresh.exists()
+    assert kept.read_text() == "an earlier log\n"
+    with pytest.raises(ValueError, match="d_total"):
+        log.records[7]             # a row view checks its own row
+
+
+def test_sweep_keeps_every_row_as_the_log_grows(committed, monkeypatch):
+    """Each interval's row and flags, copied as control_step returns, are
+    the sweep log's rows at the end, although the arrays were reallocated
+    on the way."""
+    m, dist, gains, cfg = committed
+    rows, capacities = [], set()
+    real = cl.ControlLoop.control_step
+
+    def copied(loop, r):
+        out = real(loop, r)
+        rec = loop.records
+        k = loop.k - 1
+        rows.append((rec.values[k].copy(), rec.active_set_size[k],
+                     rec.steady[k], rec.harvested[k]))
+        capacities.add(len(rec.values))
+        return out
+
+    monkeypatch.setattr(cl.ControlLoop, "control_step", copied)
+    # consecutive setpoints differ
+    setpoints = [np.array([0.001 * (i % 3 - 1), 0.1 * (i % 4 - 1.5)])
+                 for i in range(12)]
+    samples, log = cl.sweep_harvest(
+        m, dist, gains, cfg,
+        cl.LinearPlant(m, dist, d_star=np.array([0.01, 0.3])), setpoints,
+        cap=150)
+    assert len(samples) == 12 and len(capacities) >= 3
+    recs = log.records
+    assert len(recs) == len(rows) > min(capacities)
+    assert np.array_equal(recs.column("time"), np.arange(len(rows)) * m.dt)
+    for i, (vals, active, steady, harvested) in enumerate(rows):
+        assert np.array_equal(recs.values[i], vals)
+        assert (recs.active_set_size[i], recs.steady[i],
+                recs.harvested[i]) == (active, steady, harvested)
+    assert recs.column("harvested").sum() == 12
+    assert [rec.time for rec in recs[-3:]] == recs.column("time")[-3:].tolist()
+    with pytest.raises(IndexError):
+        recs[len(rows)]
+
+
+def test_aborted_run_writes_its_rows_up_to_the_failure(committed, tmp_path):
+    """The rows of a run that fails at interval 6 are the first six rows
+    of the same run on a plant that does not fail."""
+    m, dist, gains, cfg = committed
+    sc = scenario(10.0, [(0.0, np.array([0.001, 0.1]))],
+                  cl.ControllerMode.NOMINAL)
+    texts = []
+    for plant_ in (cl.LinearPlant(m, dist, np.zeros(2)),
+                   FailingPlant(m, dist, np.zeros(2), k_fail=6)):
+        log = cl.run_scenario(sc, m, dist, gains, cfg, plant_)
+        path = tmp_path / "log.csv"
+        cl.write_log_csv(log, str(path))
+        texts.append(path.read_text().splitlines())
+    assert log.aborted == {"time": 6.0, "reason": "left the physical region"}
+    assert len(texts[0]) == 11
+    assert texts[1] == texts[0][:7]

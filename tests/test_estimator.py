@@ -92,3 +92,51 @@ def test_learned_split_preserves_total(estimator):
         e_lrn = estimator.learned_step(e_lrn, u, y, d_l)
     assert np.allclose(e_nom.x_hat, e_lrn.x_hat, atol=1e-10)
     assert np.allclose(e_nom.d_hat, d_l + e_lrn.d_hat, atol=1e-10)
+
+
+def ref_learned_step(estimator, est, u, y_p, d_learned):
+    """The update as it was written before learned_step dropped the input
+    conversions and the second validation; the oracle."""
+    w = (estimator.M_err @ est.stacked()
+         + estimator._B_stack @ np.asarray(u, dtype=float)
+         - estimator._L_stack @ np.asarray(y_p, dtype=float)
+         + estimator._D_stack @ np.asarray(d_learned, dtype=float))
+    n_x = estimator.model.n_x
+    return est_mod.AugmentedEstimate(w[:n_x], w[n_x:])
+
+
+def test_learned_step_is_bit_identical_to_the_old_formula(estimator):
+    """On random estimates and inputs, fresh or views into a wider array as
+    the control loop passes them, and along a chain of steps."""
+    rng = np.random.default_rng(29)
+    for scale in (1e-6, 1.0, 1e6):
+        for _ in range(50):
+            est = make_est(rng.normal(scale=scale, size=3),
+                           rng.normal(scale=scale, size=2))
+            row = rng.normal(scale=scale, size=12)
+            for u, y, d_l in ((rng.normal(size=2) * scale,
+                               rng.normal(size=3) * scale,
+                               rng.normal(size=2) * scale),
+                              (row[:2], row[2:5], row[7:9])):
+                got = estimator.learned_step(est, u, y, d_l)
+                want = ref_learned_step(estimator, est, u, y, d_l)
+                assert np.array_equal(got.x_hat, want.x_hat)
+                assert np.array_equal(got.d_hat, want.d_hat)
+    got = want = estimator.initial()
+    for _ in range(30):
+        u, y, d_l = rng.normal(size=2), rng.normal(size=3), rng.normal(size=2)
+        got = estimator.learned_step(got, u, y, d_l)
+        want = ref_learned_step(estimator, want, u, y, d_l)
+        assert np.array_equal(as_vec(got), as_vec(want))
+
+
+@pytest.mark.parametrize("where", ["u", "y_p", "d_learned"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(estimator, where, bad):
+    args = {"u": np.zeros(2), "y_p": np.zeros(3), "d_learned": np.zeros(2)}
+    args[where] = args[where].copy()
+    args[where][-1] = bad
+    # inf times a zero gain is NaN
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite"):
+        estimator.learned_step(estimator.initial(), **args)
