@@ -91,14 +91,23 @@ def _vector(value, n, path):
     return _matrix(value, (n,), path)
 
 
-def _number(value, path, cast=float):
+def _number(value, path):
     try:
-        number = cast(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: not a number: {value!r}")
     if not math.isfinite(number):
         raise ConfigError(f"{path}: not a finite number: {value!r}")
     return number
+
+
+def _integer(value, path):
+    """A finite number with no fractional part, as an int: 20 and 20.0 are
+    20, 2.5 is an error."""
+    number = _number(value, path)
+    if not number.is_integer():
+        raise ConfigError(f"{path}: not an integer: {value!r}")
+    return int(number)
 
 
 def _sigma(value, path):
@@ -112,23 +121,23 @@ def _sigma(value, path):
 
 
 def _sweep_cap(value):
-    cap = _number(value, "sweep.cap", int)
+    cap = _integer(value, "sweep.cap")
     if cap < 1:
         raise ConfigError(f"sweep.cap: must be >= 1, got {value!r}")
     return cap
 
 
-def _coerce_params(section):
+def _coerce_params(section, path):
     """Plant parameter values as proper numbers; YAML reads unsigned
     exponents like 7.2e10 as strings."""
     out = {}
     for key, val in section.items():
         if key == "substeps":
-            out[key] = _number(val, f"plant.{key}", int)
+            out[key] = _integer(val, f"{path}.{key}")
         elif key == "concentration_mismatch":
             out[key] = bool(val)
         else:
-            out[key] = _number(val, f"plant.{key}")
+            out[key] = _number(val, f"{path}.{key}")
     return out
 
 
@@ -178,7 +187,7 @@ def load_config(path):
         x_bounds = (x_min - op.x_ss, x_max - op.x_ss)
     try:
         ocp_cfg = ocp_mod.OcpConfig(
-            N=_number(_get(osec, "N", "ocp"), "ocp.N", int),
+            N=_integer(_get(osec, "N", "ocp"), "ocp.N"),
             q_x=_vector(_get(osec, "q_x", "ocp"), 3, "ocp.q_x"),
             q_u=_vector(_get(osec, "q_u", "ocp"), 2, "ocp.q_u"),
             q_xN=_vector(_get(osec, "q_xN", "ocp"), 3, "ocp.q_xN"),
@@ -189,7 +198,7 @@ def load_config(path):
 
     psec = _section(_get(raw, "plant", ""), "plant")
     try:
-        params = plant_mod.CstrParams(**_coerce_params(psec))
+        params = plant_mod.CstrParams(**_coerce_params(psec, "plant"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"plant: {exc}")
 
@@ -205,8 +214,17 @@ def load_config(path):
         if (not isinstance(ev, dict) or "time" not in ev
                 or not isinstance(ev.get("set"), dict)):
             raise ConfigError(f"scenario.events[{i}]: need {{time, set}}")
-        events.append((_number(ev["time"], f"scenario.events[{i}].time"),
-                       _coerce_params(ev["set"])))
+        where = f"scenario.events[{i}]"
+        events.append((_number(ev["time"], f"{where}.time"),
+                       _coerce_params(ev["set"], f"{where}.set")))
+    # the parameters each event leaves must be valid, in the order the run
+    # applies the events, so a bad one fails here rather than mid-run
+    event_params = params
+    for i in sorted(range(len(events)), key=lambda i: events[i][0]):
+        try:
+            event_params = plant_mod.apply_event(event_params, events[i][1])
+        except (ValueError, plant_mod.UnknownEvent) as exc:
+            raise ConfigError(f"scenario.events[{i}]: {exc}")
     steady = _section(ssec.get("steady", {}), "scenario.steady")
     gsec = _section(ssec.get("grnn", {}), "scenario.grnn")
     try:
@@ -215,12 +233,12 @@ def load_config(path):
                              "scenario.duration"),
             schedule=tuple(schedule),
             mode=_get(ssec, "mode", "scenario", "nominal"),
-            grnn_capacity=_number(gsec.get("capacity", 50),
-                                  "scenario.grnn.capacity", int),
+            grnn_capacity=_integer(gsec.get("capacity", 50),
+                                   "scenario.grnn.capacity"),
             grnn_sigma=_sigma(gsec.get("sigma", "auto"), "scenario.grnn.sigma"),
             events=tuple(events),
             harvest=bool(ssec.get("harvest", False)),
-            steady_M=_number(steady.get("M", 5), "scenario.steady.M", int),
+            steady_M=_integer(steady.get("M", 5), "scenario.steady.M"),
             steady_tol_y=_number(steady.get("tol_y", 1e-5),
                                  "scenario.steady.tol_y"),
             steady_tol_u=_number(steady.get("tol_u", 1e-5),

@@ -12,7 +12,7 @@ input. The estimator is not updated at k=0 (nothing stored yet).
 import collections.abc
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -105,6 +105,16 @@ class StepRecord:
     def __post_init__(self):
         if not np.array_equal(self.d_total, self.d_learned + self.d_supp):
             raise ValueError("d_total must equal d_learned + d_supp exactly")
+
+
+class HarvestRow(NamedTuple):
+    """The fields of a log row that harvest_sample reads, as views of the
+    row; a StepRecord has the same fields."""
+    time: float
+    r: np.ndarray
+    y_p: np.ndarray
+    u: np.ndarray
+    d_total: np.ndarray
 
 
 @dataclass
@@ -285,8 +295,9 @@ class SteadyDetector:
 
 
 def harvest_sample(estimator, record):
-    """Training sample (r, steady combined disturbance) from a steady record,
-    cross-checked against the algebraic steady-state inversion."""
+    """Training sample (r, steady combined disturbance) from a steady record
+    (a StepRecord or a HarvestRow), cross-checked against the algebraic
+    steady-state inversion."""
     io = estimator.steady_state_from_io(record.y_p, record.u)
     residual = float(np.abs(record.d_total - io.d_hat).max())
     if residual > 1e-4:
@@ -331,6 +342,9 @@ class ControlLoop:
              "u": model.n_u, "x_hat": model.n_x, "d_learned": dist.n_d,
              "d_supp": dist.n_d, "d_total": dist.n_d, "x_bar": model.n_x,
              "u_bar": model.n_u, "qp_objective": 1}, 64)
+        sl = self.records.slices
+        self._harvest_cols = (sl["r"], sl["y_p"], sl["u"], sl["d_learned"],
+                              sl["d_supp"], sl["d_total"])
         self.harvested = []
         self.rejected_harvests = 0
 
@@ -387,8 +401,14 @@ class ControlLoop:
         if (self.harvest and steady
                 and (self._last_harvest_r is None
                      or not _same(self._last_harvest_r, r_list))):
+            r_k, y_k, u_k, dl_k, ds_k, d_k = [row[sl] for sl in
+                                              self._harvest_cols]
+            if not (d_k == dl_k + ds_k).all():
+                raise ValueError(
+                    "d_total must equal d_learned + d_supp exactly")
             try:
-                sample = harvest_sample(self.estimator, log[k])
+                sample = harvest_sample(self.estimator, HarvestRow(
+                    float(row[0]), r_k, y_k, u_k, d_k))
                 self.harvested.append(sample)
                 self._last_harvest_r = r_list
                 log.harvested[k] = harvested = True

@@ -12,25 +12,27 @@ from .model import estimator_error_matrix, steady_io_matrix
 
 @dataclass
 class AugmentedEstimate:
+    """x_hat and d_hat as views of the stacked estimate w = [x_hat; d_hat],
+    which the next update multiplies."""
     x_hat: np.ndarray
     d_hat: np.ndarray
 
     def __post_init__(self):
-        self.x_hat = np.asarray(self.x_hat, dtype=float).reshape(-1)
-        self.d_hat = np.asarray(self.d_hat, dtype=float).reshape(-1)
-        if not (np.all(np.isfinite(self.x_hat)) and np.all(np.isfinite(self.d_hat))):
+        x_hat = np.asarray(self.x_hat, dtype=float).reshape(-1)
+        d_hat = np.asarray(self.d_hat, dtype=float).reshape(-1)
+        if not (np.all(np.isfinite(x_hat)) and np.all(np.isfinite(d_hat))):
             raise ValueError("non-finite estimate")
+        self.w = np.concatenate([x_hat, d_hat])
+        self.x_hat, self.d_hat = self.w[:x_hat.size], self.w[x_hat.size:]
 
     @classmethod
     def split(cls, w, n_x):
         """x_hat = w[:n_x], d_hat = w[n_x:] as views of w, without
         __post_init__: the caller has checked that w is finite."""
         est = cls.__new__(cls)
+        est.w = w
         est.x_hat, est.d_hat = w[:n_x], w[n_x:]
         return est
-
-    def stacked(self):
-        return np.concatenate([self.x_hat, self.d_hat])
 
 
 class DisturbanceEstimator:
@@ -46,7 +48,12 @@ class DisturbanceEstimator:
         self.dist = dist
         self.gains = gains
         self.M_err = estimator_error_matrix(model, dist, gains)
-        self._io_lu = numerics.lu(steady_io_matrix(model, dist, gains))
+        # [x; d] = M_io [y_p; u] at steady state; lu raises SingularMatrix
+        # when the steady map is singular
+        self.M_io = numerics.lu_solve(
+            numerics.lu(steady_io_matrix(model, dist, gains)),
+            np.block([[gains.L_x, -model.B],
+                      [gains.L_d, np.zeros((dist.n_d, model.n_u))]]))
         self._B_stack = np.vstack([model.B,
                                    np.zeros((dist.n_d, model.n_u))])
         self._L_stack = np.vstack([gains.L_x, gains.L_d])
@@ -61,7 +68,7 @@ class DisturbanceEstimator:
     def learned_step(self, est, u, y_p, d_learned):
         """One update; the nominal estimator is this with d_learned = 0.
         Raises ValueError when the new estimate is not finite."""
-        w = (self.M_err @ est.stacked() + self._B_stack @ u
+        w = (self.M_err @ est.w + self._B_stack @ u
              - self._L_stack @ y_p + self._D_stack @ d_learned)
         if not np.isfinite(w).all():
             raise ValueError("non-finite estimate")
@@ -70,13 +77,11 @@ class DisturbanceEstimator:
     def steady_state_from_io(self, y_p_inf, u_inf):
         """Invert the steady-state estimate equations for constant (y_p, u).
 
-        Solves [[A-I+LxC, Bd+LxCd],[LdC, LdCd]] [x; d] =
-               [Lx y_p - B u; Ld y_p].
+        [[A-I+LxC, Bd+LxCd],[LdC, LdCd]] [x; d] = [Lx y_p - B u; Ld y_p]
+        is linear in (y_p, u), so the solution is the fixed map
+        M_io [y_p; u]. Raises ValueError when it is not finite.
         """
-        rhs = np.concatenate([
-            self.gains.L_x @ y_p_inf - self.model.B @ u_inf,
-            self.gains.L_d @ y_p_inf,
-        ])
-        sol = numerics.lu_solve(self._io_lu, rhs)
-        n_x = self.model.n_x
-        return AugmentedEstimate(sol[:n_x], sol[n_x:])
+        sol = self.M_io @ np.concatenate([y_p_inf, u_inf])
+        if not np.isfinite(sol).all():
+            raise ValueError("non-finite estimate")
+        return AugmentedEstimate.split(sol, self.model.n_x)

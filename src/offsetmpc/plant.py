@@ -87,75 +87,116 @@ def _left_region(c, T, h):
         f"state ({float(c)}, {float(T)}, {float(h)}) left the physical region")
 
 
-def _rates(p, u):
-    """The right-hand side at fixed parameters and inputs u = (T_c, F), as
-    a function of (c, T, h) on Python floats that returns (dc, dT, dh).
+def derivatives(s, u, p):
+    """The right-hand side (dc, dT, dh) at state s and inputs u = (T_c, F).
 
-    The constants are computed once here. Each balance keeps the
-    association and evaluation order of the array form that
-    tests/test_plant.py holds as the reference, and the Arrhenius factor
-    uses numpy's exp, not math.exp, which can differ in the last bit; so
-    the two agree bit for bit.
+    Each balance keeps the association and evaluation order of the array
+    form that tests/test_plant.py holds as the reference, and the
+    Arrhenius factor uses numpy's exp, not math.exp, which can differ in
+    the last bit; so the two agree bit for bit. step writes the same
+    expressions out for each RK4 stage.
     """
+    Tc, F = (float(v) for v in u)
+    c, T, h = float(s.c), float(s.T), float(s.h)
+    area = p.area
+    V = area * h
+    # a level so small that the volume underflows to 0 is not physical
+    if not (0.0 < c < math.inf and 0.0 < T < math.inf and 0.0 < h < math.inf
+            and V > 0.0):
+        raise _left_region(c, T, h)
+    kT = p.k0 * float(np.exp(-p.E_over_R / T))
+    dc = p.F0 * (p.c0 - c) / V - kT * c
+    if p.concentration_mismatch:
+        # alternative mismatch: outlet stream carries 1.03x the bulk
+        # concentration, which adds an extra outlet term to the balance
+        dc -= 0.03 * F * c / V
+    dT = (p.F0 * (p.T0 - T) / V - p.dH / (p.rho * p.Cp) * kT * c
+          + 2.0 * p.U / (p.r * p.rho * p.Cp) * (Tc - T))
+    dh = (p.F0 - p.outlet_factor * F) / area
+    return np.array([dc, dT, dh])
+
+
+def step(s, u, p, dt):
+    """Classical RK4 with dt/substeps internal step, on Python floats.
+
+    The four stages are derivatives' expressions written out, with the
+    constants computed once per call and the same check of the stage's
+    input state before each stage; PlantState checks the last state.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
     Tc, F = (float(v) for v in u)
     F0, T0, c0, k0, E_over_R = p.F0, p.T0, p.c0, p.k0, p.E_over_R
     area = p.area
     rxn = p.dH / (p.rho * p.Cp)
     jacket = 2.0 * p.U / (p.r * p.rho * p.Cp)
-    # alternative mismatch: outlet stream carries 1.03x the bulk
-    # concentration, which adds an extra outlet term to the balance
     extra_outlet = 0.03 * F if p.concentration_mismatch else None
     # the level rate does not depend on the state
     dh = (F0 - p.outlet_factor * F) / area
     exp = np.exp
     inf = math.inf
-
-    def rates(c, T, h):
-        V = area * h
-        # a level so small that the volume underflows to 0 is not physical
-        if not (0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf
-                and V > 0.0):
-            raise _left_region(c, T, h)
-        kT = k0 * float(exp(-E_over_R / T))
-        dc = F0 * (c0 - c) / V - kT * c
-        if extra_outlet is not None:
-            dc -= extra_outlet * c / V
-        dT = F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T)
-        return dc, dT, dh
-
-    return rates
-
-
-def derivatives(s, u, p):
-    return np.array(_rates(p, u)(float(s.c), float(s.T), float(s.h)))
-
-
-def step(s, u, p, dt):
-    """Classical RK4 with dt/substeps internal step. The first stage of
-    each substep checks the state the previous one ended in, and
-    PlantState checks the last."""
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    rates = _rates(p, u)
     c, T, h = float(s.c), float(s.T), float(s.h)
     hstep = float(dt) / p.substeps
     half = 0.5 * hstep
     sixth = hstep / 6.0
+    # the level rate is the same in every stage, and so are the level's
+    # increments: to stages 2 and 3, to stage 4, and over the substep
+    h_half = half * dh
+    h_full = hstep * dh
+    h_next = sixth * (dh + 2.0 * dh + 2.0 * dh + dh)
     for _ in range(p.substeps):
-        dc1, dT1, dh1 = rates(c, T, h)
-        dc2, dT2, dh2 = rates(c + half * dc1, T + half * dT1, h + half * dh1)
-        dc3, dT3, dh3 = rates(c + half * dc2, T + half * dT2, h + half * dh2)
-        dc4, dT4, dh4 = rates(c + hstep * dc3, T + hstep * dT3,
-                              h + hstep * dh3)
+        V = area * h
+        if not (0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf
+                and V > 0.0):
+            raise _left_region(c, T, h)
+        kT = k0 * float(exp(-E_over_R / T))
+        dc1 = F0 * (c0 - c) / V - kT * c
+        if extra_outlet is not None:
+            dc1 -= extra_outlet * c / V
+        dT1 = F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T)
+
+        c2, T2, h2 = c + half * dc1, T + half * dT1, h + h_half
+        V = area * h2
+        if not (0.0 < c2 < inf and 0.0 < T2 < inf and 0.0 < h2 < inf
+                and V > 0.0):
+            raise _left_region(c2, T2, h2)
+        kT = k0 * float(exp(-E_over_R / T2))
+        dc2 = F0 * (c0 - c2) / V - kT * c2
+        if extra_outlet is not None:
+            dc2 -= extra_outlet * c2 / V
+        dT2 = F0 * (T0 - T2) / V - rxn * kT * c2 + jacket * (Tc - T2)
+
+        c3, T3, h3 = c + half * dc2, T + half * dT2, h + h_half
+        V = area * h3
+        if not (0.0 < c3 < inf and 0.0 < T3 < inf and 0.0 < h3 < inf
+                and V > 0.0):
+            raise _left_region(c3, T3, h3)
+        kT = k0 * float(exp(-E_over_R / T3))
+        dc3 = F0 * (c0 - c3) / V - kT * c3
+        if extra_outlet is not None:
+            dc3 -= extra_outlet * c3 / V
+        dT3 = F0 * (T0 - T3) / V - rxn * kT * c3 + jacket * (Tc - T3)
+
+        c4, T4, h4 = c + hstep * dc3, T + hstep * dT3, h + h_full
+        V = area * h4
+        if not (0.0 < c4 < inf and 0.0 < T4 < inf and 0.0 < h4 < inf
+                and V > 0.0):
+            raise _left_region(c4, T4, h4)
+        kT = k0 * float(exp(-E_over_R / T4))
+        dc4 = F0 * (c0 - c4) / V - kT * c4
+        if extra_outlet is not None:
+            dc4 -= extra_outlet * c4 / V
+        dT4 = F0 * (T0 - T4) / V - rxn * kT * c4 + jacket * (Tc - T4)
+
         c = c + sixth * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4)
         T = T + sixth * (dT1 + 2.0 * dT2 + 2.0 * dT3 + dT4)
-        h = h + sixth * (dh1 + 2.0 * dh2 + 2.0 * dh3 + dh4)
+        h = h + h_next
     return PlantState(c, T, h)
 
 
 def measure(s, op):
     """Full-state measurement in deviation coordinates."""
-    return s.as_array() - op.x_ss
+    return np.array([s.c, s.T, s.h]) - op.x_ss
 
 
 def apply_event(p, event):

@@ -492,3 +492,61 @@ def test_output_dir_resolves_against_config_dir(tmp_path, monkeypatch,
                      "--out", "flagged"]) == 0
     assert (elsewhere / "flagged" / "rel_nominal.csv").exists()
     assert not (tmp_path / "work" / "results").exists()
+
+
+# an event whose parameters are out of range or unknown exits 2 from
+# load_config, before any interval runs; the bad event is listed second but
+# applies first, so the message names its own index
+BAD_EVENTS = {"k0: -1": "k0 must be > 0",
+              "substeps: 0": "substeps must be >= 1",
+              "dH: 5": "dH must be < 0",
+              "foo: 1": "unknown plant parameter 'foo'"}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EVENTS))
+def test_bad_event_is_config_error(tmp_path, capsys, case):
+    cfg = rewrite_config(tmp_path, "event.yaml", [
+        (r"^  harvest: false$",
+         "  harvest: false\n  events:\n    - {time: 50, set: {U: 50.0}}\n"
+         f"    - {{time: 20, set: {{{case}}}}}")])
+    assert cli.main(["run", str(cfg), "--mode", "nominal"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: scenario.events[1]: "), err
+    assert BAD_EVENTS[case] in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "event_nominal.csv").exists()
+
+
+# an integer field with a fractional part exits 2 instead of truncating
+FRACTIONAL = {"plant.substeps": (r"^  substeps: 20$", "  substeps: 2.5"),
+              "sweep.cap": (r"cap: 200", "cap: 2.5"),
+              "scenario.steady.M": (r"\{M: 5,", "{M: 5.5,"),
+              "scenario.grnn.capacity": (r"capacity: 50", "capacity: 50.5"),
+              "ocp.N": (r"^  N: 10$", "  N: 10.5")}
+
+
+@pytest.mark.parametrize("field", sorted(FRACTIONAL))
+def test_fractional_integer_field_is_config_error(tmp_path, capsys, field):
+    cfg = rewrite_config(tmp_path, "frac.yaml", [FRACTIONAL[field]])
+    assert cli.main(["check", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {field}: not an integer"), err
+
+
+def test_integral_float_is_accepted_as_an_integer(tmp_path, capsys):
+    cfg = rewrite_config(tmp_path, "whole.yaml", [
+        (r"^  substeps: 20$", "  substeps: 20.0"),
+        (r"cap: 200", "cap: 200.0"),
+        (r"\{M: 5,", "{M: 5.0,"),
+        (r"capacity: 50", "capacity: 50.0"),
+        (r"^  N: 10$", "  N: 10.0")])
+    rc = cli.load_config(str(cfg))
+    ref = cli.load_config(str(TRACKING))
+    for got, want in ((rc.params.substeps, ref.params.substeps),
+                      (rc.sweep_cap, ref.sweep_cap),
+                      (rc.scenario.steady_M, ref.scenario.steady_M),
+                      (rc.scenario.grnn_capacity, ref.scenario.grnn_capacity),
+                      (rc.ocp_cfg.N, ref.ocp_cfg.N)):
+        assert type(got) is int and got == want
+    assert cli.main(["check", str(cfg)]) == 0

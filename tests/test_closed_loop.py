@@ -355,6 +355,58 @@ def test_sweep_collects_one_sample_per_setpoint(committed):
         assert np.allclose(s.d_ss, [0.01, 0.3], atol=1e-5)
 
 
+SWEEP_SETPOINTS = [np.array([0.0, 0.0]), np.array([0.001, 0.1]),
+                   np.array([-0.001, -0.1])]
+
+
+def test_harvest_equals_harvest_sample_on_its_logged_row(committed):
+    """The loop hands harvest_sample views of row k; the sample is the one
+    harvest_sample makes from that row's StepRecord, and owns its arrays."""
+    m, dist, gains, cfg = committed
+    samples, log = cl.sweep_harvest(
+        m, dist, gains, cfg,
+        cl.LinearPlant(m, dist, d_star=np.array([0.01, 0.3])),
+        SWEEP_SETPOINTS, cap=150)
+    rows = np.flatnonzero(log.records.column("harvested"))
+    assert len(rows) == len(samples) == 3
+    est = est_mod.DisturbanceEstimator(m, dist, gains)
+    for k, got in zip(rows.tolist(), samples):
+        want = cl.harvest_sample(est, log.records[k])
+        assert (got.time, got.residual) == (want.time, want.residual)
+        assert np.array_equal(got.r, want.r)
+        assert np.array_equal(got.d_ss, want.d_ss)
+        assert not np.shares_memory(got.r, log.records.values)
+        assert not np.shares_memory(got.d_ss, log.records.values)
+
+
+def test_harvest_calls_the_module_and_class_attributes(committed,
+                                                       monkeypatch):
+    """perfbench times and counts each harvest by replacing
+    closed_loop.harvest_sample and DisturbanceEstimator.steady_state_from_io;
+    a loop that reached either another way would leave its counts at 0."""
+    counts = {"harvest_sample": 0, "steady_state_from_io": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cl, "harvest_sample",
+                        counting("harvest_sample", cl.harvest_sample))
+    monkeypatch.setattr(est_mod.DisturbanceEstimator, "steady_state_from_io",
+                        counting("steady_state_from_io",
+                                 est_mod.DisturbanceEstimator
+                                 .steady_state_from_io))
+    m, dist, gains, cfg = committed
+    harvested, _ = cl.sweep_harvest(
+        m, dist, gains, cfg,
+        cl.LinearPlant(m, dist, d_star=np.array([0.01, 0.3])),
+        SWEEP_SETPOINTS, cap=150)
+    assert len(harvested) == 3
+    assert counts == {"harvest_sample": 3, "steady_state_from_io": 3}
+
+
 def test_learned_mode_with_exact_map_tracks_immediately(committed):
     """A single-sample map that already stores d_star makes the learned loop
     a perfect feedforward: the supplementary estimate stays at zero."""

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from offsetmpc import estimator as est_mod
+from offsetmpc import numerics
+from offsetmpc.model import steady_io_matrix
 
 
 @pytest.fixture
@@ -97,7 +101,7 @@ def test_learned_split_preserves_total(estimator):
 def ref_learned_step(estimator, est, u, y_p, d_learned):
     """The update as it was written before learned_step dropped the input
     conversions and the second validation; the oracle."""
-    w = (estimator.M_err @ est.stacked()
+    w = (estimator.M_err @ np.concatenate([est.x_hat, est.d_hat])
          + estimator._B_stack @ np.asarray(u, dtype=float)
          - estimator._L_stack @ np.asarray(y_p, dtype=float)
          + estimator._D_stack @ np.asarray(d_learned, dtype=float))
@@ -140,3 +144,40 @@ def test_non_finite_input_raises(estimator, where, bad):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                       match="non-finite"):
         estimator.learned_step(estimator.initial(), **args)
+
+
+def ref_steady_state_from_io(estimator, y_p, u):
+    """The steady-state inversion as it was before the fixed map M_io: one
+    LU solve of the steady-IO matrix per call; the oracle."""
+    m, dist, gains = estimator.model, estimator.dist, estimator.gains
+    rhs = np.concatenate([gains.L_x @ y_p - m.B @ u, gains.L_d @ y_p])
+    return numerics.lu_solve(numerics.lu(steady_io_matrix(m, dist, gains)),
+                             rhs)
+
+
+def test_steady_state_from_io_matches_the_lu_solve(estimator):
+    rng = np.random.default_rng(31)
+    for scale in (1e-6, 1.0, 1e6):
+        for _ in range(100):
+            y, u = rng.normal(scale=scale, size=3), rng.normal(scale=scale,
+                                                                 size=2)
+            got = as_vec(estimator.steady_state_from_io(y, u))
+            want = ref_steady_state_from_io(estimator, y, u)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_singular_steady_map_raises_on_construction(committed):
+    """With L_d = 0 the steady map's disturbance rows vanish; the gains
+    are not EstimatorGains, which would reject them as unstable first."""
+    m, dist, gains, _ = committed
+    shim = SimpleNamespace(L_x=gains.L_x, L_d=np.zeros((2, 3)))
+    with pytest.raises(numerics.SingularMatrix):
+        est_mod.DisturbanceEstimator(m, dist, shim)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_io_raises(estimator, bad):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite"):
+        estimator.steady_state_from_io(np.array([0.0, bad, 0.0]),
+                                       np.zeros(2))

@@ -250,3 +250,92 @@ def test_step_and_reference_both_leave_the_physical_region(s, u, p, dt):
                        r"left the physical region$") as exc:
         plant.step(s, u, p, dt)
     assert "np." not in str(exc.value)
+
+
+# plant.step as it was written before its four stages were inlined: a
+# derivative closure called once per stage. The second reference, for the
+# stage at which a step leaves the physical region and the message it
+# raises; `calls` counts the closure's calls, so a failure's stage is
+# calls % 4 (4 for the last stage).
+def _closure_rates(p, u, calls):
+    Tc, F = (float(v) for v in u)
+    F0, T0, c0, k0, E_over_R = p.F0, p.T0, p.c0, p.k0, p.E_over_R
+    area = p.area
+    rxn = p.dH / (p.rho * p.Cp)
+    jacket = 2.0 * p.U / (p.r * p.rho * p.Cp)
+    extra_outlet = 0.03 * F if p.concentration_mismatch else None
+    dh = (F0 - p.outlet_factor * F) / area
+
+    def rates(c, T, h):
+        calls.append(1)
+        V = area * h
+        if not (0.0 < c < math.inf and 0.0 < T < math.inf
+                and 0.0 < h < math.inf and V > 0.0):
+            raise plant.NonPhysicalState(
+                f"state ({float(c)}, {float(T)}, {float(h)}) left the "
+                f"physical region")
+        kT = k0 * float(np.exp(-E_over_R / T))
+        dc = F0 * (c0 - c) / V - kT * c
+        if extra_outlet is not None:
+            dc -= extra_outlet * c / V
+        dT = F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T)
+        return dc, dT, dh
+
+    return rates
+
+
+def _closure_step_reference(s, u, p, dt, calls=None):
+    rates = _closure_rates(p, u, [] if calls is None else calls)
+    c, T, h = float(s.c), float(s.T), float(s.h)
+    hstep = float(dt) / p.substeps
+    half = 0.5 * hstep
+    sixth = hstep / 6.0
+    for _ in range(p.substeps):
+        dc1, dT1, dh1 = rates(c, T, h)
+        dc2, dT2, dh2 = rates(c + half * dc1, T + half * dT1, h + half * dh1)
+        dc3, dT3, dh3 = rates(c + half * dc2, T + half * dT2, h + half * dh2)
+        dc4, dT4, dh4 = rates(c + hstep * dc3, T + hstep * dT3,
+                              h + hstep * dh3)
+        c = c + sixth * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4)
+        T = T + sixth * (dT1 + 2.0 * dT2 + 2.0 * dT3 + dT4)
+        h = h + sixth * (dh1 + 2.0 * dh2 + 2.0 * dh3 + dh4)
+    return plant.PlantState(c, T, h)
+
+
+# (state, inputs, params, dt, closure calls when the step fails): calls
+# = 4 (substep - 1) + stage
+STAGE_FAILURES = {
+    "stage 2": (plant.PlantState(c=0.29, T=397.0, h=0.98), [492.0, 0.16],
+                plant.CstrParams(substeps=1), 5.0, 2),
+    "stage 3": (plant.PlantState(c=0.89, T=363.0, h=0.03), [462.0, 0.06],
+                plant.CstrParams(substeps=1), 1.0, 3),
+    "stage 4": (plant.PlantState(c=0.18, T=338.0, h=0.54), [379.0, 0.19],
+                plant.CstrParams(substeps=1), 0.5, 4),
+    "substep 4, stage 2": (plant.PlantState(c=0.28, T=301.0, h=0.65),
+                           [438.0, 0.18], plant.CstrParams(), 2.0, 14),
+    "substep 15, stage 3, concentration mismatch": (
+        plant.PlantState(c=0.83, T=336.0, h=0.63), [323.0, 0.09],
+        plant.CstrParams(concentration_mismatch=True), 0.5, 59),
+    "substep 10, stage 4": (plant.PlantState(c=0.83, T=333.0, h=0.38),
+                            [350.0, 0.15], plant.CstrParams(), 0.5, 40),
+    "end of substep 8": (plant.PlantState(c=0.4, T=301.0, h=0.27),
+                         [373.0, 0.07], plant.CstrParams(), 1.0, 33),
+    "draining tank, stage 2": (plant.PlantState(c=0.9, T=324.0, h=0.02),
+                               [300.0, 0.13], plant.CstrParams(substeps=5),
+                               10.0, 2),
+    "draining tank, stage 4": (plant.PlantState(c=0.9, T=324.0, h=0.02),
+                               [300.0, 0.13], plant.CstrParams(substeps=1),
+                               0.12, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(STAGE_FAILURES))
+def test_step_fails_at_the_closure_forms_stage_with_its_message(case):
+    s, u, p, dt, calls = STAGE_FAILURES[case]
+    made = []
+    with pytest.raises(plant.NonPhysicalState) as want:
+        _closure_step_reference(s, np.array(u), p, dt, made)
+    assert len(made) == calls
+    with pytest.raises(plant.NonPhysicalState) as got:
+        plant.step(s, np.array(u), p, dt)
+    assert str(got.value) == str(want.value)
