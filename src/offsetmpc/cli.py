@@ -245,6 +245,16 @@ def load_config(path):
                                  "scenario.steady.tol_u"))
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}")
+    # run_scenario fires an event at the first interval start k dt at or
+    # past its time less 1e-9, so one past the last start never fires and
+    # one before 0 would fire at 0
+    last_start = (round(scenario.duration / dt, 0) - 1.0) * dt
+    for i, (time, _) in enumerate(events):
+        if not 0.0 <= time <= last_start + 1e-9:
+            raise ConfigError(
+                f"scenario.events[{i}].time: {time:.17g} is outside the run; "
+                f"an event must fall in [0, {last_start:.17g}], the first "
+                "to the last interval's start")
 
     # relative training and output paths are read from the config's
     # directory, whatever the working directory

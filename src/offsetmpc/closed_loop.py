@@ -370,14 +370,20 @@ class ControlLoop:
                                                         *self._prev)
         d_s = self.estimate.d_hat
         d_tot = d_l + d_s
-        tgt = self.targets.solve(d_tot, r)
         x_hat = self.estimate.x_hat
-        sol = self.table.solve(np.concatenate([x_hat, d_tot, r]))
+        theta = np.concatenate([x_hat, d_tot, r])
+        # the target, the slack, u* and Q theta of the affine law at once
+        law = self.pred.law
+        z = law.P @ theta
+        t = z[:law.n_t]
+        tgt = self.targets.check(t)
+        sol = self.table.solve(theta, z)
         if sol is None:
             qp = ocp_mod.condense(self.pred, self.cfg, x_hat, d_tot, tgt)
             sol = ocp_mod.solve_qp(qp)
             self.table.insert(sol.active_set)
-        # u_seq and y_p are new arrays every interval and never written
+        # u_seq (a view of z or a new array) and y_p are new every
+        # interval and never written
         u = sol.u_seq[:self.cfg.n_u]
         z_p = self.model.H @ y_p
         steady = self.detector.update(r_list, y_p.tolist(), u.tolist())
@@ -387,8 +393,8 @@ class ControlLoop:
             log.reserve(2 * k)
         row = log.values[k]
         row[0] = k * self.model.dt
-        np.concatenate([r, y_p, z_p, u, x_hat, d_l, d_s, d_tot, tgt.x_bar,
-                        tgt.u_bar], out=row[1:-1])
+        np.concatenate([r, y_p, z_p, u, x_hat, d_l, d_s, d_tot, t],
+                       out=row[1:-1])
         row[-1] = sol.objective
         log.active_set_size[k] = len(sol.active_set)
         log.steady[k] = steady

@@ -54,12 +54,16 @@ class DisturbanceEstimator:
             numerics.lu(steady_io_matrix(model, dist, gains)),
             np.block([[gains.L_x, -model.B],
                       [gains.L_d, np.zeros((dist.n_d, model.n_u))]]))
-        self._B_stack = np.vstack([model.B,
-                                   np.zeros((dist.n_d, model.n_u))])
-        self._L_stack = np.vstack([gains.L_x, gains.L_d])
-        # forcing injected by an exogenous learned disturbance
-        self._D_stack = np.vstack([dist.B_d + gains.L_x @ dist.C_d,
-                                   gains.L_d @ dist.C_d])
+        # w+ = M_step [w; u; y_p; d_learned]: the error dynamics, the
+        # input, the output injection and the forcing of an exogenous
+        # learned disturbance side by side
+        self.M_step = np.block([
+            [self.M_err,
+             np.vstack([model.B, np.zeros((dist.n_d, model.n_u))]),
+             -np.vstack([gains.L_x, gains.L_d]),
+             np.vstack([dist.B_d + gains.L_x @ dist.C_d,
+                        gains.L_d @ dist.C_d])]])
+        self.M_step.flags.writeable = False
 
     def initial(self):
         return AugmentedEstimate(np.zeros(self.model.n_x),
@@ -68,8 +72,7 @@ class DisturbanceEstimator:
     def learned_step(self, est, u, y_p, d_learned):
         """One update; the nominal estimator is this with d_learned = 0.
         Raises ValueError when the new estimate is not finite."""
-        w = (self.M_err @ est.w + self._B_stack @ u
-             - self._L_stack @ y_p + self._D_stack @ d_learned)
+        w = self.M_step @ np.concatenate([est.w, u, y_p, d_learned])
         if not np.isfinite(w).all():
             raise ValueError("non-finite estimate")
         return AugmentedEstimate.split(w, self.model.n_x)

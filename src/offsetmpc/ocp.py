@@ -88,13 +88,13 @@ class AffineLaw:
     no inequality row is active (the empty-active-set critical region of
     explicit MPC): the target is linear in (d, r), so f_j, b_in and the
     unconstrained minimizer are linear in theta and its objective is
-    quadratic."""
-    K: np.ndarray            # u* = K theta
+    quadratic. The maps are stacked in P, so one product z = P theta
+    gives all of them; S, K and Q are row views of P."""
+    P: np.ndarray            # [T acting on theta[n_x:]; S; K; Q]
+    n_t: int                 # rows of the target block: z[:n_t] = [x_bar; u_bar]
     S: np.ndarray            # A_in u* - b_in = S theta - b_box
+    K: np.ndarray            # u* = K theta
     Q: np.ndarray            # objective at u*: theta'Q theta, Q symmetric
-    R: np.ndarray            # stationarity 2 H_j u* + 2 f_j = R theta
-    F: np.ndarray            # f_j = F theta
-    B: np.ndarray            # b_in = b_box - B theta
 
 
 @dataclass
@@ -130,7 +130,7 @@ class CondensedQp:
 class QpSolution:
     u_seq: np.ndarray
     active_set: list
-    kkt_residual: float
+    kkt_residual: Optional[float]    # solve_qp's; None from ActiveSetTable
     objective: float
     iterations: int = 0
 
@@ -166,20 +166,20 @@ def build_prediction(model, dist, cfg):
     b_box = np.concatenate(rhs)
     factor = factor_qp(H_j, A_in)
     T = target_mod.target_map(model, dist)
-    law = _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, H_j,
-                      A_in, factor)
+    law = _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, A_in,
+                      factor)
     for shared in (H_j, A_in, b_box, factor.L, factor.Y, factor.S, T,
-                   law.K, law.S, law.Q, law.R, law.F, law.B):
+                   law.P, law.S, law.K, law.Q):
         shared.flags.writeable = False
     return PredictionMatrices(Phi, Psi, Psi_d, qx_stack, qu_stack, PsiTQx,
                               H_j, A_in, b_box, factor, law, T)
 
 
-def _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, H_j, A_in,
+def _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, A_in,
                 factor):
-    """condense and the unconstrained minimizer of solve_qp, written as
-    matrices acting on theta = [x_hat; d; r]; T is the target map
-    [x_bar; u_bar] = T [d; r]."""
+    """The target, condense and the unconstrained minimizer of solve_qp,
+    written as matrices acting on theta = [x_hat; d; r]; T is the target
+    map [x_bar; u_bar] = T [d; r]."""
     N, n_x = cfg.N, cfg.n_x
     n_d = Psi_d.shape[1] // N
     n_p = n_x + T.shape[1]
@@ -197,11 +197,13 @@ def _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, H_j, A_in,
          + D0.T @ (cfg.q_x[:, None] * D0))          # c_j = theta'C theta
     # u*'H u* + 2 f'u* + c_j = f'u* + c_j at the minimizer
     Q = C + F_f.T @ K
-    B = np.zeros((A_in.shape[0], n_p))              # condense's b_in shift
+    S = A_in @ K                                    # plus condense's b_in shift
     if cfg.x_bounds is not None:
-        B[2 * N * cfg.n_u:] = np.vstack([X_free, -X_free])
-    return AffineLaw(K, A_in @ K + B, 0.5 * (Q + Q.T),
-                     2.0 * (H_j @ K + F_f), F_f, B)
+        S[2 * N * cfg.n_u:] += np.vstack([X_free, -X_free])
+    P = np.vstack([tgt, S, K, 0.5 * (Q + Q.T)])
+    n_t, n_s, n_k = tgt.shape[0], S.shape[0], K.shape[0]
+    return AffineLaw(P, n_t, P[n_t:n_t + n_s], P[n_t + n_s:n_t + n_s + n_k],
+                     P[n_t + n_s + n_k:])
 
 
 def condense(pred, cfg, x_hat, d_hat, tgt):
@@ -345,23 +347,28 @@ class ActiveSetTable:
         self.entries = []
         self.hits = 0
         self.misses = 0
-
-    def solve(self, theta):
-        """The QP of the interval at theta = [x_hat; d; r] from fixed maps.
-        When the unconstrained minimizer K theta satisfies every row (the
-        exact test of solve_qp's early exit) it is the solution, with no
-        active set and 0 iterations. Otherwise it is read from the first
-        entry at which W is strictly complementary (every multiplier above
-        TOL_KKT, every other row's slack below -TOL_FEAS): the optimal
-        active set is then unique, so it is the one solve_qp returns. None
-        on a miss: the interval then needs condense and solve_qp."""
-        pred = self.pred
         law = pred.law
-        r_u = law.S @ theta - pred.b_box
+        s_end = law.n_t + law.S.shape[0]
+        k_end = s_end + law.K.shape[0]
+        # where S theta, K theta and Q theta sit in z = law.P theta
+        self._rows = (slice(law.n_t, s_end), slice(s_end, k_end),
+                      slice(k_end, None))
+
+    def solve(self, theta, z):
+        """The QP of the interval at theta = [x_hat; d; r] from fixed maps,
+        with z = pred.law.P @ theta. When the unconstrained minimizer
+        K theta satisfies every row (the exact test of solve_qp's early
+        exit) it is the solution, with no active set and 0 iterations.
+        Otherwise it is read from the first entry at which W is strictly
+        complementary (every multiplier above TOL_KKT, every other row's
+        slack below -TOL_FEAS): the optimal active set is then unique, so
+        it is the one solve_qp returns. No KKT residual is measured. None
+        on a miss: the interval then needs condense and solve_qp."""
+        s_rows, k_rows, q_rows = self._rows
+        r_u = z[s_rows] - self.pred.b_box
         if (r_u <= 0.0).all():
-            return QpSolution(law.K @ theta, [],
-                              float(np.abs(law.R @ theta).max()),
-                              float(theta @ law.Q @ theta), 0)
+            return QpSolution(z[k_rows], [], None, float(theta @ z[q_rows]),
+                              0)
         for i, e in enumerate(self.entries):
             r_W = r_u[e.rows]
             lam = numerics.cho_solve(e.L, r_W)
@@ -373,12 +380,10 @@ class ActiveSetTable:
                 continue
             self.hits += 1
             self.entries.insert(0, self.entries.pop(i))
-            u = law.K @ theta - e.Y_W @ lam
-            res = _kkt_residual(pred.H_j, law.F @ theta, pred.A_in,
-                                pred.b_box - law.B @ theta, u, e.rows, lam)
             # J(u* - Y_W lam) = J(u*) + lam'S_WW lam / 2
-            obj = float(theta @ law.Q @ theta + 0.5 * lam @ r_W)
-            return QpSolution(u, e.rows.tolist(), float(res), obj, 0)
+            obj = float(theta @ z[q_rows] + 0.5 * lam @ r_W)
+            return QpSolution(z[k_rows] - e.Y_W @ lam, e.rows.tolist(),
+                              None, obj, 0)
         self.misses += 1
         return None
 

@@ -59,7 +59,11 @@ class TargetCalculator:
                 self._hi[part] = bounds[1] + 1e-12
 
     def solve(self, d_hat, r):
-        sol = self.T @ np.concatenate([d_hat, r])
+        return self.check(self.T @ np.concatenate([d_hat, r]))
+
+    def check(self, sol):
+        """The pair sol = [x_bar; u_bar] as views of sol, counted in
+        self.excursions when it leaves the box."""
         pair = TargetPair(sol[:self.n_x], sol[self.n_x:])
         if ((sol < self._lo) | (sol > self._hi)).any():
             self.excursions.add(pair)

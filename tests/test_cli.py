@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import re
 import warnings
@@ -550,3 +551,32 @@ def test_integral_float_is_accepted_as_an_integer(tmp_path, capsys):
                       (rc.ocp_cfg.N, ref.ocp_cfg.N)):
         assert type(got) is int and got == want
     assert cli.main(["check", str(cfg)]) == 0
+
+
+# the tracking run has 120 intervals of 1 minute: events fire at the
+# interval starts 0 to 119, and one outside them exits 2 from load_config
+@pytest.mark.parametrize("time", ["5000", "-3", "119.5"])
+def test_event_outside_the_run_is_config_error(tmp_path, capsys, time):
+    cfg = rewrite_config(tmp_path, "late.yaml", [
+        (r"^  harvest: false$",
+         "  harvest: false\n  events:\n    - {time: 50, set: {U: 50.0}}\n"
+         f"    - {{time: {time}, set: {{U: 40.0}}}}")])
+    assert cli.main(["run", str(cfg), "--mode", "nominal"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: scenario.events[1].time: "), err
+    assert "outside the run" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "late_nominal.csv").exists()
+
+
+def test_event_at_the_last_interval_start_is_applied(tmp_path, capsys):
+    cfg = rewrite_config(tmp_path, "last.yaml", [
+        (r"^  harvest: false$",
+         "  harvest: false\n  events:\n    - {time: 119, set: {U: 40.0}}")])
+    rc = cli.load_config(str(cfg))
+    scenario = dataclasses.replace(rc.scenario,
+                                   mode=cl.ControllerMode.NOMINAL)
+    log = cl.run_scenario(scenario, rc.model, rc.dist, rc.make_gains(),
+                          rc.ocp_cfg, cli._fresh_plant(rc))
+    assert len(log.records) == 120
+    assert log.events_applied == [(119.0, {"U": 40.0})]

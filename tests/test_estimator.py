@@ -99,20 +99,35 @@ def test_learned_split_preserves_total(estimator):
 
 
 def ref_learned_step(estimator, est, u, y_p, d_learned):
-    """The update as it was written before learned_step dropped the input
-    conversions and the second validation; the oracle."""
+    """The update as four products, with the input, output-injection and
+    learned-forcing matrices built here from (model, dist, gains); the
+    oracle of the stacked map M_step."""
+    m, dist, gains = estimator.model, estimator.dist, estimator.gains
+    B_stack = np.vstack([m.B, np.zeros((dist.n_d, m.n_u))])
+    L_stack = np.vstack([gains.L_x, gains.L_d])
+    D_stack = np.vstack([dist.B_d + gains.L_x @ dist.C_d,
+                         gains.L_d @ dist.C_d])
     w = (estimator.M_err @ np.concatenate([est.x_hat, est.d_hat])
-         + estimator._B_stack @ np.asarray(u, dtype=float)
-         - estimator._L_stack @ np.asarray(y_p, dtype=float)
-         + estimator._D_stack @ np.asarray(d_learned, dtype=float))
-    n_x = estimator.model.n_x
+         + B_stack @ np.asarray(u, dtype=float)
+         - L_stack @ np.asarray(y_p, dtype=float)
+         + D_stack @ np.asarray(d_learned, dtype=float))
+    n_x = m.n_x
     return est_mod.AugmentedEstimate(w[:n_x], w[n_x:])
 
 
-def test_learned_step_is_bit_identical_to_the_old_formula(estimator):
+def test_learned_step_matches_the_four_product_formula(estimator):
     """On random estimates and inputs, fresh or views into a wider array as
-    the control loop passes them, and along a chain of steps."""
+    the control loop passes them, and along a chain of steps: each entry
+    is within 1e-14 of the oracle's relative to |M_step| |v|, the sum of
+    the magnitudes it adds, v = [w; u; y_p; d_learned]; so a cancelling
+    entry is held to its operands, not to its own size."""
     rng = np.random.default_rng(29)
+    abs_M = np.abs(estimator.M_step)
+
+    def assert_close(got, want, est, u, y, d_l):
+        scale = abs_M @ np.abs(np.concatenate([as_vec(est), u, y, d_l]))
+        assert (np.abs(as_vec(got) - as_vec(want)) <= 1e-14 * scale).all()
+
     for scale in (1e-6, 1.0, 1e6):
         for _ in range(50):
             est = make_est(rng.normal(scale=scale, size=3),
@@ -124,14 +139,30 @@ def test_learned_step_is_bit_identical_to_the_old_formula(estimator):
                               (row[:2], row[2:5], row[7:9])):
                 got = estimator.learned_step(est, u, y, d_l)
                 want = ref_learned_step(estimator, est, u, y, d_l)
-                assert np.array_equal(got.x_hat, want.x_hat)
-                assert np.array_equal(got.d_hat, want.d_hat)
+                assert_close(got, want, est, u, y, d_l)
     got = want = estimator.initial()
     for _ in range(30):
         u, y, d_l = rng.normal(size=2), rng.normal(size=3), rng.normal(size=2)
+        prev = want
         got = estimator.learned_step(got, u, y, d_l)
         want = ref_learned_step(estimator, want, u, y, d_l)
-        assert np.array_equal(as_vec(got), as_vec(want))
+        assert_close(got, want, prev, u, y, d_l)
+
+
+def test_step_matrix_is_the_four_maps_side_by_side(estimator):
+    """M_step = [M_err | B_stack | -L_stack | D_stack], read-only."""
+    m, dist, gains = estimator.model, estimator.dist, estimator.gains
+    n_w = m.n_x + dist.n_d
+    M = estimator.M_step
+    assert M.shape == (n_w, n_w + m.n_u + m.n_y + dist.n_d)
+    assert np.array_equal(M[:, :n_w], estimator.M_err)
+    cols = np.cumsum([n_w, m.n_u, m.n_y])
+    B, L, D = np.split(M[:, n_w:], cols[1:] - n_w, axis=1)
+    assert np.array_equal(B, np.vstack([m.B, np.zeros((dist.n_d, m.n_u))]))
+    assert np.array_equal(L, -np.vstack([gains.L_x, gains.L_d]))
+    assert np.array_equal(D, np.vstack([dist.B_d + gains.L_x @ dist.C_d,
+                                        gains.L_d @ dist.C_d]))
+    assert not M.flags.writeable
 
 
 @pytest.mark.parametrize("where", ["u", "y_p", "d_learned"])

@@ -457,7 +457,7 @@ def test_affine_law_matches_target_condense_qp_chain(twovar):
                                        and (tgt.u_bar <= u_hi).all()
                                        and (x_lo <= tgt.x_bar).all()
                                        and (tgt.x_bar <= x_hi).all())
-            fast = ocp.ActiveSetTable(pred).solve(th)
+            fast = table_solve(ocp.ActiveSetTable(pred), th)
             sol = outcome(lambda: ocp.solve_qp(qp))
             exits = (slack <= 0.0).all()
             assert (fast is not None) == exits
@@ -476,8 +476,31 @@ def test_affine_law_matches_target_condense_qp_chain(twovar):
                     <= 1e-12 * np.maximum(1.0, np.abs(sol.u_seq))).all()
             assert fast.objective == pytest.approx(sol.objective, rel=1e-9,
                                                    abs=1e-12)
-            assert fast.kkt_residual <= 1e-8
+            assert fast.kkt_residual is None
+            assert table_residual(twovar, th, fast) <= 1e-8
     assert min(seen.values()) >= 20, seen
+
+
+def test_stacked_law_holds_the_target_and_the_law_as_read_only_rows(twovar):
+    """law.P stacks [0 | T], S, K and Q; S, K and Q are its row views, so
+    one product z = P theta gives them all, and none can be written."""
+    m, dist, cfg, pred, calc = twovar
+    law = pred.law
+    n_t, n_s, n_k = m.n_x + m.n_u, pred.A_in.shape[0], cfg.N * cfg.n_u
+    n_p = m.n_x + dist.n_d + m.n_z
+    assert law.n_t == n_t and law.P.shape == (n_t + n_s + n_k + n_p, n_p)
+    assert np.array_equal(law.P[:n_t],
+                          np.hstack([np.zeros((n_t, m.n_x)), pred.T]))
+    for view, rows in ((law.S, slice(n_t, n_t + n_s)),
+                       (law.K, slice(n_t + n_s, n_t + n_s + n_k)),
+                       (law.Q, slice(n_t + n_s + n_k, None))):
+        assert view.base is law.P and np.array_equal(view, law.P[rows])
+    assert law.S.shape == (n_s, n_p) and law.K.shape == (n_k, n_p)
+    assert np.array_equal(law.Q, law.Q.T)
+    for a in (law.P, law.S, law.K, law.Q):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
 
 
 # ---- partial enumeration: ActiveSetTable lookups against condense ->
@@ -499,6 +522,24 @@ def condense_at(twovar, theta):
     m, dist, cfg, pred, calc = twovar
     x_hat, d, r = np.split(theta, [m.n_x, m.n_x + dist.n_d])
     return ocp.condense(pred, cfg, x_hat, d, calc.solve(d, r))
+
+
+def table_solve(table, theta):
+    """ActiveSetTable.solve as the control loop calls it, with the affine
+    law's product z = P theta."""
+    return table.solve(theta, table.pred.law.P @ theta)
+
+
+def table_residual(twovar, theta, got):
+    """The KKT residual of a table result on condense_at(theta), measured
+    as solve_qp measures it; the multipliers of a hit come from the dense
+    KKT solve of its working set, and the free path has none."""
+    qp = condense_at(twovar, theta)
+    W = got.active_set
+    lam = (ref_kkt_solve(qp.H_j, qp.f_j, qp.A_in, qp.b_in, W)[1] if W
+           else np.zeros(0))
+    return ocp._kkt_residual(qp.H_j, qp.f_j, qp.A_in, qp.b_in, got.u_seq,
+                             W, lam)
 
 
 def test_table_hits_match_cold_solve_qp(twovar):
@@ -524,7 +565,7 @@ def test_table_hits_match_cold_solve_qp(twovar):
                     ref = outcome(lambda: ocp.solve_qp(
                         condense_at(twovar, theta)))
                     hits = table.hits
-                    got = table.solve(theta)
+                    got = table_solve(table, theta)
                     if table.hits == hits:
                         if got is None and not isinstance(ref, type):
                             table.insert(ref.active_set)
@@ -535,11 +576,13 @@ def test_table_hits_match_cold_solve_qp(twovar):
                             <= 1e-12 * np.maximum(1.0, np.abs(ref.u_seq))).all()
                     assert got.objective == pytest.approx(
                         ref.objective, rel=1e-9, abs=1e-12)
-                    assert np.isfinite(got.kkt_residual)
-                    assert got.kkt_residual <= 1e-8
+                    assert got.kkt_residual is None
+                    res = table_residual(twovar, theta, got)
+                    assert np.isfinite(res)
+                    assert res <= 1e-8
                     assert got.iterations == 0
                     hit_rows[len(got.active_set)] += 1
-                    residuals.add(got.kkt_residual)
+                    residuals.add(res)
     assert sum(hit_rows.values()) == table.hits >= 300
     # single input rows, input pairs and sets with many state rows
     assert len(hit_rows) >= 3 and max(hit_rows) >= 5, hit_rows
@@ -596,7 +639,7 @@ def test_table_misses_without_strict_complementarity(twovar):
                         continue
                     table = ocp.ActiveSetTable(pred)
                     table.insert(W)
-                    got = table.solve(s * theta)
+                    got = table_solve(table, s * theta)
                     if hit:
                         assert got is not None and table.hits == 1
                         assert got.active_set == W
@@ -649,7 +692,7 @@ def test_table_keeps_the_most_recent_sets_first(twovar):
     table = ocp.ActiveSetTable(pred)
     table.insert([21])
     table.insert([21, 23])
-    assert table.solve(constrained_thetas()[0]).active_set == [21]
+    assert table_solve(table, constrained_thetas()[0]).active_set == [21]
     assert table.hits == 1
     assert [e.rows.tolist() for e in table.entries] == [[21], [21, 23]]
 

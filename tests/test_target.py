@@ -1,10 +1,14 @@
 import logging
+import pathlib
 
 import numpy as np
 import pytest
 
+from offsetmpc import closed_loop as cl
 from offsetmpc import model as mdl
-from offsetmpc import target
+from offsetmpc import ocp, target
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_origin_for_zero_inputs(committed):
@@ -94,3 +98,39 @@ def test_non_square_target_rejected(committed):
     m_one = mdl.LinearModel(m.A, m.B, m.C, m.H[:1], m.dt)
     with pytest.raises(mdl.DimensionMismatch):
         target.TargetCalculator(m_one, dist)
+
+
+def test_check_of_the_stacked_product_matches_solve(twovar_rc):
+    """On theta = [x_hat; d; r] of every interval of the committed twovar
+    runs and on random theta, check(z[:n_t]) with z = law.P theta gives
+    the pair of solve(d, r) within 1e-12 relative to max(1, |value|), and
+    the same excursion verdict."""
+    rc = twovar_rc
+    m, dist, cfg = rc.model, rc.dist, rc.ocp_cfg
+    law = ocp.build_prediction(m, dist, cfg).law
+    thetas = []
+    for mode in ("nominal", "learned"):
+        log = cl.read_log_csv(str(ROOT / "out" / f"cstr_twovar_{mode}.csv"))
+        thetas += [np.concatenate([rec.x_hat, rec.d_total, rec.r])
+                   for rec in log.records]
+    rng = np.random.default_rng(41)
+    (x_lo, x_hi) = cfg.x_bounds
+    for _ in range(500):
+        thetas.append(np.concatenate([
+            rng.uniform(x_lo, x_hi) * 1.3,
+            [rng.uniform(-0.012, 0.004), rng.uniform(-1.0, 7.0)],
+            [rng.uniform(-0.05, 0.045), rng.uniform(-4.5, 5.0)]]))
+    boxes = {"u_bounds": cfg.u_bounds, "x_bounds": cfg.x_bounds}
+    fast = target.TargetCalculator(m, dist, **boxes)
+    ref = target.TargetCalculator(m, dist, **boxes)
+    verdicts = set()
+    for theta in thetas:
+        d, r = theta[m.n_x:m.n_x + dist.n_d], theta[m.n_x + dist.n_d:]
+        before = fast.excursions.count
+        got = fast.check((law.P @ theta)[:law.n_t])
+        want = ref.solve(d, r)
+        for g, w in ((got.x_bar, want.x_bar), (got.u_bar, want.u_bar)):
+            assert (np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w))).all()
+        assert fast.excursions.count == ref.excursions.count
+        verdicts.add(fast.excursions.count > before)
+    assert verdicts == {False, True}
