@@ -245,6 +245,11 @@ def load_config(path):
                                  "scenario.steady.tol_u"))
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}")
+    # run_scenario runs round(duration / dt) intervals
+    if not math.isfinite(scenario.duration / dt):
+        raise ConfigError(
+            f"dt: {dt!r} is too small: scenario.duration / dt is not "
+            f"finite for duration {scenario.duration!r}")
     # run_scenario fires an event at the first interval start k dt at or
     # past its time less 1e-9, so one past the last start never fires and
     # one before 0 would fire at 0

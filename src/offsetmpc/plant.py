@@ -64,8 +64,9 @@ class PlantState:
     h: float
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.c, self.T, self.h)):
-            raise _left_region(self.c, self.T, self.h)
+        c, T, h, inf = self.c, self.T, self.h, math.inf
+        if not (0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf):
+            raise _left_region(c, T, h)
 
     def as_array(self):
         return np.array([self.c, self.T, self.h])
@@ -91,10 +92,10 @@ def derivatives(s, u, p):
     """The right-hand side (dc, dT, dh) at state s and inputs u = (T_c, F).
 
     Each balance keeps the association and evaluation order of the array
-    form that tests/test_plant.py holds as the reference, and the
-    Arrhenius factor uses numpy's exp, not math.exp, which can differ in
-    the last bit; so the two agree bit for bit. step writes the same
-    expressions out for each RK4 stage.
+    form that tests/test_plant.py holds as the reference, and both take
+    the Arrhenius factor from math.exp; so the two agree bit for bit.
+    step writes the same expressions out for each RK4 stage. The exp's
+    argument is <= 0 once T is finite and > 0, so it cannot overflow.
     """
     Tc, F = (float(v) for v in u)
     c, T, h = float(s.c), float(s.T), float(s.h)
@@ -104,7 +105,7 @@ def derivatives(s, u, p):
     if not (0.0 < c < math.inf and 0.0 < T < math.inf and 0.0 < h < math.inf
             and V > 0.0):
         raise _left_region(c, T, h)
-    kT = p.k0 * float(np.exp(-p.E_over_R / T))
+    kT = p.k0 * math.exp(-p.E_over_R / T)
     dc = p.F0 * (p.c0 - c) / V - kT * c
     if p.concentration_mismatch:
         # alternative mismatch: outlet stream carries 1.03x the bulk
@@ -126,14 +127,15 @@ def step(s, u, p, dt):
     if not dt > 0:
         raise ValueError("dt must be > 0")
     Tc, F = (float(v) for v in u)
-    F0, T0, c0, k0, E_over_R = p.F0, p.T0, p.c0, p.k0, p.E_over_R
+    F0, T0, c0, k0 = p.F0, p.T0, p.c0, p.k0
+    neg_E = -p.E_over_R
     area = p.area
     rxn = p.dH / (p.rho * p.Cp)
     jacket = 2.0 * p.U / (p.r * p.rho * p.Cp)
     extra_outlet = 0.03 * F if p.concentration_mismatch else None
     # the level rate does not depend on the state
     dh = (F0 - p.outlet_factor * F) / area
-    exp = np.exp
+    exp = math.exp
     inf = math.inf
     c, T, h = float(s.c), float(s.T), float(s.h)
     hstep = float(dt) / p.substeps
@@ -149,7 +151,7 @@ def step(s, u, p, dt):
         if not (0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf
                 and V > 0.0):
             raise _left_region(c, T, h)
-        kT = k0 * float(exp(-E_over_R / T))
+        kT = k0 * exp(neg_E / T)
         dc1 = F0 * (c0 - c) / V - kT * c
         if extra_outlet is not None:
             dc1 -= extra_outlet * c / V
@@ -160,7 +162,7 @@ def step(s, u, p, dt):
         if not (0.0 < c2 < inf and 0.0 < T2 < inf and 0.0 < h2 < inf
                 and V > 0.0):
             raise _left_region(c2, T2, h2)
-        kT = k0 * float(exp(-E_over_R / T2))
+        kT = k0 * exp(neg_E / T2)
         dc2 = F0 * (c0 - c2) / V - kT * c2
         if extra_outlet is not None:
             dc2 -= extra_outlet * c2 / V
@@ -171,7 +173,7 @@ def step(s, u, p, dt):
         if not (0.0 < c3 < inf and 0.0 < T3 < inf and 0.0 < h3 < inf
                 and V > 0.0):
             raise _left_region(c3, T3, h3)
-        kT = k0 * float(exp(-E_over_R / T3))
+        kT = k0 * exp(neg_E / T3)
         dc3 = F0 * (c0 - c3) / V - kT * c3
         if extra_outlet is not None:
             dc3 -= extra_outlet * c3 / V
@@ -182,7 +184,7 @@ def step(s, u, p, dt):
         if not (0.0 < c4 < inf and 0.0 < T4 < inf and 0.0 < h4 < inf
                 and V > 0.0):
             raise _left_region(c4, T4, h4)
-        kT = k0 * float(exp(-E_over_R / T4))
+        kT = k0 * exp(neg_E / T4)
         dc4 = F0 * (c0 - c4) / V - kT * c4
         if extra_outlet is not None:
             dc4 -= extra_outlet * c4 / V

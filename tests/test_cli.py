@@ -324,6 +324,8 @@ OUT_OF_RANGE = {
     "scenario.steady.M: -3": (r"\{M: 5,", "{M: -3,"),
     "dt: 0": (r"^dt: .*$", "dt: 0"),
     "dt: -1": (r"^dt: .*$", "dt: -1"),
+    # 120 minutes over dt is not a finite interval count
+    "dt: 1.0e-310": (r"^dt: .*$", "dt: 1.0e-310"),
     "scenario.grnn.capacity: 0": (r"capacity: 50", "capacity: 0"),
     "scenario.steady.tol_y: -1": (r"tol_y: 1\.0e-5", "tol_y: -1"),
     "scenario.steady.tol_u: -1": (r"tol_u: 1\.0e-5", "tol_u: -1"),
