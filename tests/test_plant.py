@@ -271,12 +271,10 @@ def test_step_moves_from_the_numpy_exp_form_by_at_most_1e_13():
 
 # T at the smallest subnormal, far below and far above any physical value,
 # each also with an activation temperature near the largest float: the
-# Arrhenius exponent is then -inf or near 0, never > 0
-EXTREME_T = (5e-324, 1e-300, 1e300)
-
-
+# Arrhenius exponent -E_over_R / T then lies between -inf and nearly 0,
+# never above 0
 @pytest.mark.parametrize("E_over_R", [8750.0, 1e308])
-@pytest.mark.parametrize("T", EXTREME_T)
+@pytest.mark.parametrize("T", [5e-324, 1e-300, 1e300])
 def test_extreme_temperature_gives_a_state_or_leaves_the_region(T, E_over_R):
     p = plant.CstrParams(E_over_R=E_over_R)
     s = plant.PlantState(c=0.9, T=T, h=0.6)
@@ -288,7 +286,7 @@ def test_extreme_temperature_gives_a_state_or_leaves_the_region(T, E_over_R):
             plant.step(s, u, p, 1.0)
         except plant.NonPhysicalState:
             pass
-    assert rates.shape == (3,)
+    assert np.all(np.isfinite(rates))
 
 
 @pytest.mark.parametrize("s, u, p, dt", [
