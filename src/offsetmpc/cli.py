@@ -365,6 +365,11 @@ def _load_setpoints(path, op):
     if pts.shape[1] != 2:
         raise ConfigError(f"setpoints file must have 2 columns (c, T), "
                           f"got {pts.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        c, T = pts[bad[0]]
+        raise ConfigError(f"setpoints file: setpoint {bad[0] + 1} is not "
+                          f"finite: {c:g} {T:g}")
     return [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in pts]
 
 
@@ -548,6 +553,10 @@ def sample_setpoints(n, seed, params, op, c_range=(0.84, 0.91),
 
 
 def cmd_sample_setpoints(args):
+    if args.n < 1:
+        raise ConfigError(f"-n: must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     rc = load_config(args.config)
     pts = sample_setpoints(args.n, args.seed, rc.params, rc.op)
     dest = args.out or f"setpoints_{args.n}_{args.seed}.txt"

@@ -1,16 +1,15 @@
 """Dense linear algebra kernels used across the toolkit.
 
-Thin wrappers over LAPACK (via numpy/scipy) with explicit singularity
-detection and fixed tolerance semantics, so every caller shares one
-notion of "singular", "rank", and "spectral radius".
+numpy only: LU with partial pivoting and the triangular substitutions
+are written out here, the Cholesky factor and the SVD come from
+numpy.linalg. Explicit singularity detection and fixed tolerance
+semantics mean every caller shares one notion of "singular", "rank",
+and "spectral radius".
 
 Matrices are 2-D float ndarrays, vectors are 1-D.
 """
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 
 class SingularMatrix(Exception):
@@ -26,30 +25,72 @@ PIVOT_RTOL = 1e-12
 RANK_RTOL = 1e-9
 
 
-def lu(A):
-    """LU factors of a square A with partial pivoting, for lu_solve.
-
-    Raises SingularMatrix when A is zero or any pivot magnitude drops
-    below PIVOT_RTOL * max|A|.
-    """
+def _finite_square(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
-    scale = np.abs(A).max() if A.size else 0.0
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return A
+
+
+def lu(A):
+    """LU factors (lu, piv) of a square A with partial pivoting, for
+    lu_solve: the unit lower and the upper factor share lu, and row k was
+    swapped with row piv[k], in the order k = 0, 1, ...
+
+    Raises ValueError when A is not square or holds NaN or Inf, and
+    SingularMatrix when A is zero or a pivot magnitude drops below
+    PIVOT_RTOL * max|A|; elimination stops at that pivot.
+    """
+    a = _finite_square(A).copy()
+    scale = np.abs(a).max() if a.size else 0.0
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    with warnings.catch_warnings():
-        # the pivot check below owns singularity reporting
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        factors = scipy.linalg.lu_factor(A, check_finite=True)
-    pivots = np.abs(np.diag(factors[0]))
-    if pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * max|A| = {PIVOT_RTOL * scale:.3e}")
-    return factors
+    n = a.shape[0]
+    piv = np.arange(n)
+    for k in range(n):
+        p = k + int(np.abs(a[k:, k]).argmax())
+        if p != k:
+            piv[k] = p
+            a[[k, p]] = a[[p, k]]
+        pivot = abs(a[k, k])
+        if pivot < PIVOT_RTOL * scale:
+            raise SingularMatrix(
+                f"pivot {pivot:.3e} below {PIVOT_RTOL:.0e} * max|A| = {PIVOT_RTOL * scale:.3e}")
+        a[k + 1:, k] /= a[k, k]
+        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+    return a, piv
 
 
-lu_solve = scipy.linalg.lu_solve    # lu_solve(lu(A), b) solves A x = b
+def _rhs(n, b):
+    """A float copy x of a right-hand side b for an n x n system, and x as
+    a matrix view, to be solved in place. Raises ValueError when b does
+    not fit or holds NaN or Inf."""
+    x = np.array(b, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"right-hand side of shape {x.shape} does not fit "
+                         f"a {n}x{n} matrix")
+    if not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return x, (x if x.ndim == 2 else x[:, None])
+
+
+def lu_solve(factors, b):
+    """x with A x = b from factors = lu(A); b is a vector or a matrix of
+    right-hand sides."""
+    a, piv = factors
+    n = a.shape[0]
+    x, X = _rhs(n, b)
+    for k, p in enumerate(piv.tolist()):
+        if p != k:
+            X[[k, p]] = X[[p, k]]
+    for k in range(n - 1):                  # unit lower: forward
+        X[k + 1:] -= a[k + 1:, k, None] * X[k]
+    for k in range(n - 1, -1, -1):          # upper: back
+        X[k] /= a[k, k]
+        X[:k] -= a[:k, k, None] * X[k]
+    return x
 
 
 def solve_linear(A, b):
@@ -58,36 +99,37 @@ def solve_linear(A, b):
 
 
 def cholesky(A):
-    """Lower Cholesky factor of a symmetric A, for cho_solve.
+    """Lower Cholesky factor of a symmetric A (its lower triangle is
+    read), for cho_solve.
 
-    Raises SingularMatrix when A is not positive definite.
+    Raises ValueError when A is not square or holds NaN or Inf, and
+    SingularMatrix when A is not positive definite.
     """
+    A = _finite_square(A)
     try:
-        return scipy.linalg.cholesky(A, lower=True, check_finite=True)
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
 
 
-# LAPACK potrs directly: scipy.linalg.cho_solve's argument checks cost
-# ~5x the solve itself at the QP's sizes
-_potrs = scipy.linalg.lapack.dpotrs
-
-
 def cho_solve(L, b):
-    """Solve A x = b from the lower Cholesky factor L of A; b is a vector
-    or a matrix of right-hand sides."""
-    return _potrs(L, b, lower=1)[0]
+    """Solve A x = b from the lower Cholesky factor L of A, by forward and
+    back substitution; b is a vector or a matrix of right-hand sides."""
+    n = L.shape[0]
+    x, X = _rhs(n, b)
+    for k in range(n):                      # L y = b
+        X[k] /= L[k, k]
+        X[k + 1:] -= L[k + 1:, k, None] * X[k]
+    for k in range(n - 1, -1, -1):          # L' x = y
+        X[k] /= L[k, k]
+        X[:k] -= L[k, :k, None] * X[k]
+    return x
 
 
 def pseudoinverse(A):
     """Moore-Penrose pseudoinverse via SVD (rank-revealing)."""
     A = np.asarray(A, dtype=float)
     return np.linalg.pinv(A)
-
-
-# LAPACK gesdd directly, singular values only: scipy.linalg.svdvals's
-# checks and workspace query cost about as much as the SVD at these sizes
-_gesdd = scipy.linalg.lapack.dgesdd
 
 
 def matrix_rank(A, tol=RANK_RTOL):
@@ -104,11 +146,7 @@ def matrix_rank(A, tol=RANK_RTOL):
         return 0
     if not np.isfinite(A).all():
         raise ValueError("array must not contain infs or NaNs")
-    _, s, _, info = _gesdd(A, compute_uv=0)
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gesdd")
+    s = np.linalg.svd(A, compute_uv=False)    # gesdd, descending
     smax = s[0]
     if smax == 0.0:
         return 0

@@ -326,9 +326,10 @@ class ActiveSetLaw:
     minimizer, the multipliers are lam = S_WW^-1 r_u[W], the row slacks
     r_u - S[:, W] lam and the inputs law.K theta - Y[:, W] lam (the
     Schur-complement solve of _active_set_core, with S and Y from
-    QpFactor)."""
+    QpFactor). S_WW^-1 is stored, so each try of an entry is one
+    product."""
     rows: np.ndarray         # W, ascending as solve_qp returns it
-    L: np.ndarray            # lower Cholesky factor of S_WW
+    S_inv: np.ndarray        # S_WW^-1, from its Cholesky factor; read-only
     S_W: np.ndarray          # S[:, W]
     Y_W: np.ndarray          # Y[:, W]
 
@@ -371,7 +372,7 @@ class ActiveSetTable:
                               0)
         for i, e in enumerate(self.entries):
             r_W = r_u[e.rows]
-            lam = numerics.cho_solve(e.L, r_W)
+            lam = e.S_inv @ r_W
             if lam.min() <= TOL_KKT:
                 continue
             slack = r_u - e.S_W @ lam
@@ -407,7 +408,9 @@ class ActiveSetTable:
             L = numerics.cholesky(fac.S[np.ix_(rows, rows)])
         except numerics.SingularMatrix:
             return
-        self.entries.insert(0, ActiveSetLaw(rows, L, fac.S[:, rows],
+        S_inv = numerics.cho_solve(L, np.eye(len(W)))
+        S_inv.flags.writeable = False
+        self.entries.insert(0, ActiveSetLaw(rows, S_inv, fac.S[:, rows],
                                             fac.Y[:, rows]))
         del self.entries[TABLE_SIZE:]
 

@@ -1,6 +1,9 @@
 import dataclasses
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -221,6 +224,17 @@ def test_sweep_without_setpoints_is_config_error(tmp_path, capsys, text):
     assert capsys.readouterr().err == "error: setpoints file has no setpoints\n"
 
 
+@pytest.mark.parametrize("row", ["0.88 nan", "inf 324.5", "0.88 -inf"])
+def test_non_finite_setpoint_is_config_error(tmp_path, capsys, row):
+    sp = tmp_path / "bad.txt"
+    sp.write_text(f"# c T\n0.877 324.5\n\n{row}\n")
+    cfg = rewrite_config(tmp_path, "nansp.yaml", [])
+    assert cli.main(["sweep", str(cfg), "--setpoints", str(sp)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: setpoints file: setpoint 2 is not finite: {row}\n")
+    assert not (tmp_path / "out" / "bad_train.txt").exists()
+
+
 def test_sweep_with_tiny_cap_fails_runtime(tmp_path, capsys):
     sp = tmp_path / "one.txt"
     sp.write_text("0.878 324.5\n")
@@ -279,6 +293,39 @@ def test_sample_setpoints_deterministic(tmp_path, capsys):
     for c, T in ((float(r[0]), float(r[1])) for r in rows):
         assert 0.83 <= c <= 0.92
         assert 320.0 <= T <= 328.5
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["-n", "0"], "-n: must be >= 1, got 0"),
+    (["-n", "-3"], "-n: must be >= 1, got -3"),
+    (["--seed", "-1"], "--seed: must be >= 0, got -1"),
+], ids=["n 0", "n -3", "seed -1"])
+def test_sample_setpoints_rejects_bad_flags(tmp_path, capsys, flags, message):
+    dest = tmp_path / "pts.txt"
+    assert cli.main(["sample-setpoints", str(TRACKING), *flags,
+                     "--out", str(dest)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not dest.exists()
+
+
+def test_the_program_never_imports_scipy(tmp_path):
+    """check and run --mode both in a fresh interpreter leave no scipy
+    module loaded: the program's linear algebra is numpy only."""
+    code = (
+        "import sys\n"
+        "from offsetmpc import cli\n"
+        f"assert cli.main(['check', {str(ROOT / 'configs' / 'cstr_twovar.yaml')!r}]) == 0\n"
+        f"assert cli.main(['run', '--mode', 'both', {str(TRACKING)!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "cstr_tracking_learned.csv").exists()
 
 
 # a malformed number exits 2 with a message, never with a traceback; each

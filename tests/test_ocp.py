@@ -589,6 +589,43 @@ def test_table_hits_match_cold_solve_qp(twovar):
     assert len(residuals) > 1
 
 
+def test_table_hit_multipliers_match_the_cholesky_solve(twovar):
+    """Each entry stores S_WW^-1, read-only. On every hit, its product with
+    r_u[W] matches the multipliers of the Cholesky solve of S_WW (the form
+    it replaced) within TOL_KKT, and the hit's inputs are K theta - Y_W lam
+    for those multipliers."""
+    pred = twovar[3]
+    law, fac = pred.law, pred.factor
+    table = ocp.ActiveSetTable(pred)
+    rng = np.random.default_rng(909)
+    hits = 0
+    for theta0 in constrained_thetas():
+        for _ in range(8):
+            theta = theta0 * (1.0 + rng.normal(scale=0.3, size=theta0.size))
+            before = table.hits
+            got = table_solve(table, theta)
+            if table.hits == before:
+                if got is None:
+                    sol = outcome(lambda: ocp.solve_qp(
+                        condense_at(twovar, theta)))
+                    if not isinstance(sol, type):
+                        table.insert(sol.active_set)
+                continue
+            W = got.active_set
+            entry = table.entries[0]
+            assert entry.rows.tolist() == W
+            assert not entry.S_inv.flags.writeable
+            r_W = (law.S @ theta - pred.b_box)[W]
+            lam = numerics.cho_solve(
+                numerics.cholesky(fac.S[np.ix_(W, W)]), r_W)
+            assert np.abs(entry.S_inv @ r_W - lam).max() <= ocp.TOL_KKT
+            u_ref = law.K @ theta - fac.Y[:, W] @ lam
+            assert (np.abs(got.u_seq - u_ref)
+                    <= 1e-12 * np.maximum(1.0, np.abs(u_ref))).all()
+            hits += 1
+    assert hits == table.hits >= 20
+
+
 def test_table_misses_without_strict_complementarity(twovar):
     """theta scaled along its ray so that one multiplier of a stored working
     set W is within TOL_KKT of 0, or one row outside W within TOL_FEAS of
