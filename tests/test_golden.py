@@ -5,17 +5,17 @@ temporary directory and compares every CSV field and every numeric summary
 field with the committed file at |got - ref| <= TOL * max(1, |ref|); other
 fields must match exactly. Reruns on one machine are byte-identical; on
 another BLAS build the last digits move (by up to ~1e-12), which TOL
-absorbs while any change to the control arithmetic shows. The plant's
-Arrhenius factor comes from math.exp, which differs from numpy's exp
-before it in the last bit for about 4.6% of temperatures. On one machine
-that moved a rerun, relative to max(1, |value|), by at most (CSV /
-summary): cstr_drift_learned 2.3e-13 / 2.8e-13, cstr_tracking_learned
-2.8e-13 / 1.7e-13, cstr_tracking_nominal 3.4e-13 / 1.7e-13,
-cstr_twovar_400_learned 2.2e-13 / 1.9e-13, cstr_twovar_learned 0 / 0,
-cstr_twovar_nominal 2.8e-13 / 1.4e-13, and sweep_ct_100_train.txt
-1.3e-13, with every active_set_size, steady and harvested value and every
+absorbs while any change to the control arithmetic shows. The linear
+algebra is numpy only: LU, forward and back substitution written out, so
+its rounding differs from the LAPACK kernels it replaced. On one machine
+that moved a rerun from the LAPACK form's, relative to max(1, |value|),
+by at most (CSV / summary): cstr_drift_learned 4.0e-13 / 3.5e-13,
+cstr_tracking_learned 2.3e-13 / 1.7e-13, cstr_tracking_nominal 3.1e-13 /
+1.7e-13, cstr_twovar_400_learned 2.0e-13 / 2.8e-13, cstr_twovar_learned
+2.3e-13 / 2.5e-13, cstr_twovar_nominal 2.5e-13 / 3.2e-13, and
+sweep_ct_100_train.txt 1.4e-13, with every active_set_size, steady and harvested value and every
 sweep harvest interval unchanged. Such a rerun differs from out/ by at
-most 5.9e-13 (cstr_drift_learned.csv).
+most 5.3e-13 (cstr_drift_learned.csv).
 """
 
 import pathlib
