@@ -75,6 +75,16 @@ def _section(value, path, kind=dict):
     return value
 
 
+def _keys(section, known, path=None):
+    """section, if every key is one that the loader reads; a misspelled key
+    is an error rather than a silent default."""
+    for key in section:
+        if key not in known:
+            where = f"{path}.{key}" if path else key
+            raise ConfigError(f"{where}: unknown key")
+    return section
+
+
 def _matrix(value, shape, path):
     try:
         m = np.array(value, dtype=float)
@@ -110,6 +120,13 @@ def _integer(value, path):
     return int(number)
 
 
+def _boolean(value, path):
+    """A YAML boolean: true or false, never a string or a number."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: not a boolean (true or false): {value!r}")
+    return value
+
+
 def _sigma(value, path):
     """'auto', or a kernel width that is finite and > 0."""
     if value == "auto":
@@ -135,7 +152,7 @@ def _coerce_params(section, path):
         if key == "substeps":
             out[key] = _integer(val, f"{path}.{key}")
         elif key == "concentration_mismatch":
-            out[key] = bool(val)
+            out[key] = _boolean(val, f"{path}.{key}")
         else:
             out[key] = _number(val, f"{path}.{key}")
     return out
@@ -151,8 +168,12 @@ def load_config(path):
         raise ConfigError(f"config is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
+    _keys(raw, ("operating_point", "dt", "model", "disturbance", "estimator",
+                "ocp", "plant", "scenario", "sweep", "output"))
 
-    op_sec = _section(_get(raw, "operating_point", ""), "operating_point")
+    op_sec = _keys(_section(_get(raw, "operating_point", ""),
+                            "operating_point"),
+                   ("c", "T", "h", "Tc", "F"), "operating_point")
     op = plant_mod.OperatingPoint(
         _vector([_get(op_sec, k, "operating_point") for k in ("c", "T", "h")],
                 3, "operating_point"),
@@ -160,15 +181,18 @@ def load_config(path):
                 2, "operating_point"))
 
     dt = _number(raw.get("dt", 1.0), "dt")
-    msec = _section(_get(raw, "model", ""), "model")
+    msec = _keys(_section(_get(raw, "model", ""), "model"),
+                 ("A", "B", "C", "H"), "model")
     A = _matrix(_get(msec, "A", "model"), (3, 3), "model.A")
     B = _matrix(_get(msec, "B", "model"), (3, 2), "model.B")
     C = _matrix(_get(msec, "C", "model"), (3, 3), "model.C")
     H = _matrix(_get(msec, "H", "model"), (2, 3), "model.H")
-    dsec = _section(_get(raw, "disturbance", ""), "disturbance")
+    dsec = _keys(_section(_get(raw, "disturbance", ""), "disturbance"),
+                 ("Bd", "Cd"), "disturbance")
     Bd = _matrix(_get(dsec, "Bd", "disturbance"), (3, 2), "disturbance.Bd")
     Cd = _matrix(_get(dsec, "Cd", "disturbance"), (3, 2), "disturbance.Cd")
-    esec = _section(_get(raw, "estimator", ""), "estimator")
+    esec = _keys(_section(_get(raw, "estimator", ""), "estimator"),
+                 ("Lx", "Ld"), "estimator")
     L_x = _matrix(_get(esec, "Lx", "estimator"), (3, 3), "estimator.Lx")
     L_d = _matrix(_get(esec, "Ld", "estimator"), (2, 3), "estimator.Ld")
     try:
@@ -177,7 +201,9 @@ def load_config(path):
     except (model_mod.DimensionMismatch, ValueError) as exc:
         raise ConfigError(f"model: {exc}")
 
-    osec = _section(_get(raw, "ocp", ""), "ocp")
+    osec = _keys(_section(_get(raw, "ocp", ""), "ocp"),
+                 ("N", "q_x", "q_u", "q_xN", "u_min", "u_max", "x_min",
+                  "x_max"), "ocp")
     u_min = _vector(_get(osec, "u_min", "ocp"), 2, "ocp.u_min")
     u_max = _vector(_get(osec, "u_max", "ocp"), 2, "ocp.u_max")
     x_bounds = None
@@ -202,7 +228,9 @@ def load_config(path):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"plant: {exc}")
 
-    ssec = _section(_get(raw, "scenario", ""), "scenario")
+    ssec = _keys(_section(_get(raw, "scenario", ""), "scenario"),
+                 ("duration", "mode", "schedule", "events", "harvest",
+                  "steady", "grnn"), "scenario")
     schedule = []
     for i, row in enumerate(_section(_get(ssec, "schedule", "scenario"),
                                      "scenario.schedule", list)):
@@ -215,6 +243,7 @@ def load_config(path):
                 or not isinstance(ev.get("set"), dict)):
             raise ConfigError(f"scenario.events[{i}]: need {{time, set}}")
         where = f"scenario.events[{i}]"
+        _keys(ev, ("time", "set"), where)
         events.append((_number(ev["time"], f"{where}.time"),
                        _coerce_params(ev["set"], f"{where}.set")))
     # the parameters each event leaves must be valid, in the order the run
@@ -225,8 +254,10 @@ def load_config(path):
             event_params = plant_mod.apply_event(event_params, events[i][1])
         except (ValueError, plant_mod.UnknownEvent) as exc:
             raise ConfigError(f"scenario.events[{i}]: {exc}")
-    steady = _section(ssec.get("steady", {}), "scenario.steady")
-    gsec = _section(ssec.get("grnn", {}), "scenario.grnn")
+    steady = _keys(_section(ssec.get("steady", {}), "scenario.steady"),
+                   ("M", "tol_y", "tol_u"), "scenario.steady")
+    gsec = _keys(_section(ssec.get("grnn", {}), "scenario.grnn"),
+                 ("capacity", "sigma", "train"), "scenario.grnn")
     try:
         scenario = cl.ScenarioConfig(
             duration=_number(_get(ssec, "duration", "scenario"),
@@ -237,7 +268,7 @@ def load_config(path):
                                    "scenario.grnn.capacity"),
             grnn_sigma=_sigma(gsec.get("sigma", "auto"), "scenario.grnn.sigma"),
             events=tuple(events),
-            harvest=bool(ssec.get("harvest", False)),
+            harvest=_boolean(ssec.get("harvest", False), "scenario.harvest"),
             steady_M=_integer(steady.get("M", 5), "scenario.steady.M"),
             steady_tol_y=_number(steady.get("tol_y", 1e-5),
                                  "scenario.steady.tol_y"),
@@ -268,8 +299,10 @@ def load_config(path):
     if train:
         train = os.path.join(config_dir,
                              _section(train, "scenario.grnn.train", str))
-    sweep_sec = _section(raw.get("sweep", {}), "sweep")
-    out_sec = _section(raw.get("output", {}), "output")
+    sweep_sec = _keys(_section(raw.get("sweep", {}), "sweep"), ("cap",),
+                      "sweep")
+    out_sec = _keys(_section(raw.get("output", {}), "output"), ("dir",),
+                    "output")
     return RunConfig(
         model=model, dist=dist, L_x=L_x, L_d=L_d, ocp_cfg=ocp_cfg,
         params=params, op=op, scenario=scenario,
@@ -429,7 +462,7 @@ def cmd_run(args):
                               _fresh_plant(rc), grnn=grnn, pred=pred)
         base = os.path.join(out, f"{rc.stem}_{mode.value}")
         cl.write_log_csv(log, base + ".csv")
-        cl.write_summary(log, base + "_summary.txt", dt=rc.model.dt)
+        m = cl.write_summary(log, base + "_summary.txt", dt=rc.model.dt)
         if log.aborted:
             print(f"{mode.value}: ABORTED at t={log.aborted['time']}: "
                   f"{log.aborted['reason']}", file=sys.stderr)
@@ -438,7 +471,6 @@ def cmd_run(args):
         if not log.records:
             print(f"{mode.value}: 0 steps -> {base}.csv")
             continue
-        m = cl.metrics(log, dt=rc.model.dt)
         worst = max(seg.terminal_e.max() for seg in m["segments"])
         print(f"{mode.value}: {len(log.records)} steps, "
               f"{len(m['segments'])} segments, total ISE {m['total_ise']:.6g}, "

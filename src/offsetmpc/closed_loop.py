@@ -11,8 +11,8 @@ input. The estimator is not updated at k=0 (nothing stored yet).
 
 import collections.abc
 import enum
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import grnn as grnn_mod
 from . import ocp as ocp_mod
 from . import plant as plant_mod
 from .estimator import DisturbanceEstimator
-from .target import BoundExcursions, TargetCalculator
+from .target import BoundExcursions, TargetCalculator, TargetPair
 
 
 class CrossCheckFailed(Exception):
@@ -107,16 +107,6 @@ class StepRecord:
             raise ValueError("d_total must equal d_learned + d_supp exactly")
 
 
-class HarvestRow(NamedTuple):
-    """The fields of a log row that harvest_sample reads, as views of the
-    row; a StepRecord has the same fields."""
-    time: float
-    r: np.ndarray
-    y_p: np.ndarray
-    u: np.ndarray
-    d_total: np.ndarray
-
-
 @dataclass
 class HarvestSample:
     r: np.ndarray
@@ -125,20 +115,18 @@ class HarvestSample:
     time: float
 
 
-# the float fields of a log row in CSV order: time and qp_objective are
-# numbers, the others vectors
-FLOAT_FIELDS = ("time", "r", "y_p", "z_p", "u", "x_hat", "d_learned",
-                "d_supp", "d_total", "x_bar", "u_bar", "qp_objective")
-SCALAR_FIELDS = ("time", "qp_objective")
-FLAG_FIELDS = ("active_set_size", "steady", "harvested")
+# the fields of a log row in CSV order, as StepRecord declares them, and
+# their types: a vector takes one column per entry, a number or flag one
+# column (the flags are small integers, which floats hold exactly)
+_TYPES = {f.name: f.type for f in fields(StepRecord)}
+FIELDS = tuple(_TYPES)
 
 
 class Records(collections.abc.Sequence):
-    """The log of a run as columns, one row per interval: `values` holds
-    the FLOAT_FIELDS side by side (widths[name] columns each) and
-    `active_set_size`, `steady` and `harvested` one entry per row. Rows
-    [0, n) are written; the arrays may hold more. Indexing gives
-    StepRecord row views, whose arrays are views of `values`."""
+    """The log of a run as one float block, one row per interval: `values`
+    holds the FIELDS side by side, widths[name] columns each. Rows [0, n)
+    are written; the block may hold more. Indexing gives StepRecord row
+    views, whose arrays are views of `values`."""
 
     def __init__(self, widths=None, capacity=0):
         self.widths = dict(widths or {})
@@ -148,28 +136,22 @@ class Records(collections.abc.Sequence):
             self.slices[name] = slice(start, start + width)
             start += width
         self.values = np.zeros((capacity, start))
-        self.active_set_size = np.zeros(capacity, dtype=np.intp)
-        self.steady = np.zeros(capacity, dtype=bool)
-        self.harvested = np.zeros(capacity, dtype=bool)
         self.n = 0
 
     def reserve(self, capacity):
         """Room for capacity rows; the written rows are kept."""
         if capacity <= len(self.values):
             return
-        for name in ("values",) + FLAG_FIELDS:
-            old = getattr(self, name)
-            new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
-            new[:self.n] = old[:self.n]
-            setattr(self, name, new)
+        values = np.zeros((capacity, self.values.shape[1]))
+        values[:self.n] = self.values[:self.n]
+        self.values = values
 
     def column(self, name):
         """The written rows of one field: an (n, width) view of a vector
         field, an (n,) view of a number or flag."""
-        if name in FLAG_FIELDS:
-            return getattr(self, name)[:self.n]
         sl = self.slices[name]
-        return self.values[:self.n, sl.start if name in SCALAR_FIELDS else sl]
+        return self.values[:self.n,
+                           sl if _TYPES[name] is np.ndarray else sl.start]
 
     def __len__(self):
         return self.n
@@ -181,13 +163,10 @@ class Records(collections.abc.Sequence):
             raise IndexError("record index out of range")
         i %= self.n
         row = self.values[i]
-        fields = {name: row[sl] for name, sl in self.slices.items()}
-        for name in SCALAR_FIELDS:
-            fields[name] = float(row[self.slices[name].start])
-        return StepRecord(**fields,
-                          active_set_size=int(self.active_set_size[i]),
-                          steady=bool(self.steady[i]),
-                          harvested=bool(self.harvested[i]))
+        return StepRecord(**{
+            name: row[sl] if _TYPES[name] is np.ndarray
+            else _TYPES[name](row[sl.start])
+            for name, sl in self.slices.items()})
 
 
 @dataclass
@@ -294,16 +273,15 @@ class SteadyDetector:
         return self.count >= self.M
 
 
-def harvest_sample(estimator, record):
-    """Training sample (r, steady combined disturbance) from a steady record
-    (a StepRecord or a HarvestRow), cross-checked against the algebraic
-    steady-state inversion."""
-    io = estimator.steady_state_from_io(record.y_p, record.u)
-    residual = float(np.abs(record.d_total - io.d_hat).max())
+def harvest_sample(estimator, time, r, y_p, u, d_total):
+    """Training sample (r, steady combined disturbance) from the values of
+    a steady interval, cross-checked against the algebraic steady-state
+    inversion; the sample keeps copies of r and d_total."""
+    io = estimator.steady_state_from_io(y_p, u)
+    residual = float(np.abs(d_total - io.d_hat).max())
     if residual > 1e-4:
         raise CrossCheckFailed(f"steady-state cross-check residual {residual:.3e}")
-    return HarvestSample(record.r.copy(), record.d_total.copy(), residual,
-                         record.time)
+    return HarvestSample(r.copy(), d_total.copy(), residual, time)
 
 
 class ControlLoop:
@@ -341,10 +319,8 @@ class ControlLoop:
             {"time": 1, "r": model.n_z, "y_p": model.n_y, "z_p": model.n_z,
              "u": model.n_u, "x_hat": model.n_x, "d_learned": dist.n_d,
              "d_supp": dist.n_d, "d_total": dist.n_d, "x_bar": model.n_x,
-             "u_bar": model.n_u, "qp_objective": 1}, 64)
-        sl = self.records.slices
-        self._harvest_cols = (sl["r"], sl["y_p"], sl["u"], sl["d_learned"],
-                              sl["d_supp"], sl["d_total"])
+             "u_bar": model.n_u, "qp_objective": 1, "active_set_size": 1,
+             "steady": 1, "harvested": 1}, 64)
         self.harvested = []
         self.rejected_harvests = 0
 
@@ -376,10 +352,11 @@ class ControlLoop:
         law = self.pred.law
         z = law.P @ theta
         t = z[:law.n_t]
-        tgt = self.targets.check(t)
         sol = self.table.solve(theta, z)
         if sol is None:
-            qp = ocp_mod.condense(self.pred, self.cfg, x_hat, d_tot, tgt)
+            n_x = self.model.n_x
+            qp = ocp_mod.condense(self.pred, self.cfg, x_hat, d_tot,
+                                  TargetPair(t[:n_x], t[n_x:]))
             sol = ocp_mod.solve_qp(qp)
             self.table.insert(sol.active_set)
         # u_seq (a view of z or a new array) and y_p are new every
@@ -392,32 +369,29 @@ class ControlLoop:
         if k == len(log.values):
             log.reserve(2 * k)
         row = log.values[k]
-        row[0] = k * self.model.dt
+        row[0] = time = k * self.model.dt
         np.concatenate([r, y_p, z_p, u, x_hat, d_l, d_s, d_tot, t],
-                       out=row[1:-1])
-        row[-1] = sol.objective
-        log.active_set_size[k] = len(sol.active_set)
-        log.steady[k] = steady
+                       out=row[1:-4])
+        row[-4] = sol.objective
+        row[-3] = len(sol.active_set)
+        row[-2] = steady
         self._prev = (u, y_p, d_l)
-        # the row counts and a sample is taken only once the plant step has
-        # completed, so a failing step leaves neither
+        # the row counts, its target excursion is counted and a sample is
+        # taken only once the plant step has completed, so a failing step
+        # leaves none of them
         self.plant.step(u)
         log.n = k + 1
+        self.targets.check(t)
         harvested = False
         if (self.harvest and steady
                 and (self._last_harvest_r is None
                      or not _same(self._last_harvest_r, r_list))):
-            r_k, y_k, u_k, dl_k, ds_k, d_k = [row[sl] for sl in
-                                              self._harvest_cols]
-            if not (d_k == dl_k + ds_k).all():
-                raise ValueError(
-                    "d_total must equal d_learned + d_supp exactly")
             try:
-                sample = harvest_sample(self.estimator, HarvestRow(
-                    float(row[0]), r_k, y_k, u_k, d_k))
+                sample = harvest_sample(self.estimator, time, r, y_p, u,
+                                        d_tot)
                 self.harvested.append(sample)
                 self._last_harvest_r = r_list
-                log.harvested[k] = harvested = True
+                row[-1] = harvested = True
                 if self.mode is ControllerMode.LEARNED and self.grnn is not None:
                     self.grnn = grnn_mod.add_sample(self.grnn, sample.r, sample.d_ss)
             except CrossCheckFailed:
@@ -574,24 +548,19 @@ def write_log_csv(log, path):
     qp_objective, active_set_size, steady, harvested. Raises ValueError,
     before the file is opened, when d_total is not d_learned + d_supp."""
     records = log.records
-    n = len(records)
-    if n and not np.array_equal(records.column("d_total"),
-                                records.column("d_learned")
-                                + records.column("d_supp")):
+    if not np.array_equal(records.column("d_total"),
+                          records.column("d_learned")
+                          + records.column("d_supp")):
         raise ValueError("d_total must equal d_learned + d_supp exactly")
-    header = ["time"]
-    if n:
-        header = []
-        for name, width in records.widths.items():
-            header += ([name] if width == 1
-                       else [f"{name}_{i}" for i in range(width)])
-        header += list(FLAG_FIELDS)
-    fmt = ",".join(["%.17g"] * records.values.shape[1] + ["%d"] * 3) + "\n"
+    header = []
+    for name, width in records.widths.items():
+        header += [name] if width == 1 else [f"{name}_{i}" for i in range(width)]
+    # %.17g writes a flag as the integer it holds
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % (*vals, *flags) for vals, flags in zip(
-            records.values[:n].tolist(),
-            zip(*(records.column(name).tolist() for name in FLAG_FIELDS))))
+        fh.writelines(fmt % tuple(vals)
+                      for vals in records.values[:len(records)].tolist())
 
 
 def read_log_csv(path):
@@ -599,25 +568,21 @@ def read_log_csv(path):
         header = fh.readline().strip().split(",")
         rows = [[float(t) for t in line.strip().split(",")]
                 for line in fh if line.strip()]
-    log = ClosedLoopLog()
-    if not rows:
-        return log
     groups = {}
     for idx, name in enumerate(header):
         base = name.rsplit("_", 1)[0] if name.rsplit("_", 1)[-1].isdigit() else name
         groups.setdefault(base, []).append(idx)
-    table = np.array(rows)
-    records = log.records = Records(
-        {name: len(groups[name]) for name in FLOAT_FIELDS}, len(rows))
-    records.values[:] = table[:, [i for name in FLOAT_FIELDS
-                                  for i in groups[name]]]
-    for name in FLAG_FIELDS:
-        getattr(records, name)[:] = table[:, groups[name][0]]
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    records = Records({name: len(groups[name]) for name in FIELDS}, len(rows))
+    records.values[:] = table[:, [i for name in FIELDS for i in groups[name]]]
     records.n = len(rows)
-    return log
+    return ClosedLoopLog(records=records)
 
 
 def write_summary(log, path, dt=1.0, settle_tol=1e-3):
+    """Writes the summary; returns metrics(log), or None for a log without
+    rows."""
+    m = None
     with open(path, "w") as fh:
         fh.write("# closed-loop summary\n")
         fh.write(f"steps {len(log.records)}\n")
@@ -650,3 +615,4 @@ def write_summary(log, path, dt=1.0, settle_tol=1e-3):
         if exc.count:
             fh.write("target_bound_excursions %d first %s last %s\n"
                      % (exc.count, exc.first.text(), exc.last.text()))
+    return m

@@ -88,7 +88,44 @@ def test_run_zero_duration_writes_header_only(tmp_path, capsys):
     assert csv.exists()
     lines = csv.read_text().strip().splitlines()
     assert len(lines) == 1  # header only
+    # the full header, as a run with rows writes it
+    assert lines == full_header()
     assert "0 steps" in capsys.readouterr().out
+
+
+def full_header():
+    committed = ROOT / "out" / "cstr_tracking_nominal.csv"
+    return committed.read_text().splitlines()[:1]
+
+
+def runaway_config(tmp_path):
+    """A rate constant 17 times the nominal one runs the reactor away within
+    the first interval; at c = 0.95 the target also leaves the input box."""
+    return rewrite_config(tmp_path, "runaway.yaml", [
+        (r"^  k0: .*$", "  k0: 1.2e12"),
+        (r"^  duration: .*$", "  duration: 3"),
+        (r"^  schedule:\n(?:    - .*\n)+",
+         "  schedule:\n    - [0, 0.95, 324.5]\n"),
+    ])
+
+
+def test_first_interval_abort_counts_no_target_excursion(tmp_path, capsys):
+    """The interval that aborts has no row, so neither the run's summary nor
+    the sweep's warning counts its target excursion; the CSV still has the
+    full header."""
+    cfg = runaway_config(tmp_path)
+    assert cli.main(["run", str(cfg), "--mode", "nominal"]) == 4
+    summary = (tmp_path / "out" / "runaway_nominal_summary.txt").read_text()
+    assert "steps 0\n" in summary and "\naborted time 0 " in summary
+    assert "target_bound_excursions" not in summary
+    csv = (tmp_path / "out" / "runaway_nominal.csv").read_text()
+    assert csv.splitlines() == full_header()
+    capsys.readouterr()
+    sp = tmp_path / "edge.txt"
+    sp.write_text("0.95 324.5\n")
+    assert cli.main(["sweep", str(cfg), "--setpoints", str(sp)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("sweep ABORTED at step 0: "), err
 
 
 def test_run_short_nominal(tmp_path, capsys):
@@ -417,6 +454,18 @@ def test_sample_setpoints_gives_up_without_admissible_point(tmp_path, capsys):
     assert "no admissible setpoint" in capsys.readouterr().err
 
 
+def dumped_config(tmp_path, keys, value):
+    """The tracking config with the entry at the key path set to value."""
+    cfg = yaml.safe_load(TRACKING.read_text())
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    p = tmp_path / "dumped.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    return p
+
+
 # a config section of the wrong YAML kind exits 2 naming the section; each
 # case is (key path, value)
 WRONG_KIND = {
@@ -436,14 +485,7 @@ WRONG_KIND = {
 @pytest.mark.parametrize("case", sorted(WRONG_KIND))
 def test_section_of_wrong_kind_is_config_error(tmp_path, capsys, case):
     keys, value = WRONG_KIND[case]
-    cfg = yaml.safe_load(TRACKING.read_text())
-    node = cfg
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] = value
-    p = tmp_path / "kind.yaml"
-    p.write_text(yaml.safe_dump(cfg))
-    assert cli.main(["check", str(p)]) == 2
+    assert cli.main(["check", str(dumped_config(tmp_path, keys, value))]) == 2
     assert f"error: {'.'.join(keys)}: not a" in capsys.readouterr().err
 
 
@@ -629,3 +671,106 @@ def test_event_at_the_last_interval_start_is_applied(tmp_path, capsys):
                           rc.ocp_cfg, cli._fresh_plant(rc))
     assert len(log.records) == 120
     assert log.events_applied == [(119.0, {"U": 40.0})]
+
+
+# a boolean field takes a YAML boolean only: the string "false" would be
+# true under bool(); each case is (key path, value)
+NOT_BOOLEAN = {
+    "scenario.harvest": (("scenario", "harvest"), "false"),
+    "plant.concentration_mismatch": (("plant", "concentration_mismatch"),
+                                     "false"),
+    "scenario.events[0].set.concentration_mismatch": (
+        ("scenario", "events"),
+        [{"time": 10, "set": {"concentration_mismatch": "false"}}]),
+    "scenario.harvest: 1": (("scenario", "harvest"), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_BOOLEAN))
+def test_non_boolean_flag_is_config_error(tmp_path, capsys, case):
+    keys, value = NOT_BOOLEAN[case]
+    assert cli.main(["check", str(dumped_config(tmp_path, keys, value))]) == 2
+    err = capsys.readouterr().err
+    field = case.split(":")[0]
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {field}: not a boolean"), err
+
+
+def test_yaml_booleans_are_accepted(tmp_path):
+    cfg = yaml.safe_load(TRACKING.read_text())
+    cfg["scenario"]["harvest"] = True
+    cfg["plant"]["concentration_mismatch"] = True
+    cfg["scenario"]["events"] = [{"time": 10,
+                                  "set": {"concentration_mismatch": False}}]
+    p = tmp_path / "flags.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    rc = cli.load_config(str(p))
+    assert rc.scenario.harvest is True
+    assert rc.params.concentration_mismatch is True
+    assert rc.scenario.events == ((10.0, {"concentration_mismatch": False}),)
+
+
+# a key that no section reads exits 2 naming its path, one case per
+# section; plant keys fail through CstrParams. Each case is (key path,
+# value)
+UNKNOWN_KEYS = {
+    "sweeep": (("sweeep",), {"cap": 5}),
+    "operating_point.TT": (("operating_point", "TT"), 300.0),
+    "model.D": (("model", "D"), [[0, 0]]),
+    "disturbance.Bdd": (("disturbance", "Bdd"), [[0, 0]]),
+    "estimator.L": (("estimator", "L"), [[0]]),
+    "ocp.n": (("ocp", "n"), 10),
+    "scenario.stedy": (("scenario", "stedy"), {"M": 9}),
+    "scenario.steady.m": (("scenario", "steady", "m"), 9),
+    "scenario.grnn.sigm": (("scenario", "grnn", "sigm"), 0.1),
+    "scenario.events[0].sett": (
+        ("scenario", "events"),
+        [{"time": 10, "set": {"U": 50.0}, "sett": {"U": 40.0}}]),
+    "sweep.capp": (("sweep", "capp"), 5),
+    "output.dirr": (("output", "dirr"), "elsewhere"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_unknown_key_is_config_error(tmp_path, capsys, case):
+    keys, value = UNKNOWN_KEYS[case]
+    assert cli.main(["check", str(dumped_config(tmp_path, keys, value))]) == 2
+    assert capsys.readouterr().err == f"error: {case}: unknown key\n"
+
+
+def test_dumped_reference_config_loads(tmp_path):
+    """A yaml.safe_dump of a reference config with a longer schedule, as
+    the benchmark writes it, has no key the loader does not read."""
+    cfg = yaml.safe_load((ROOT / "configs" / "cstr_twovar_400.yaml")
+                         .read_text())
+    base = cfg["scenario"]["schedule"]
+    cfg["scenario"]["schedule"] = base + [[t + 180] + sp
+                                          for t, *sp in base]
+    cfg["scenario"]["duration"] = 360
+    cfg["scenario"]["grnn"]["train"] = str(ROOT / "out"
+                                           / "sweep_ct_400_train.txt")
+    p = tmp_path / "cstr_twovar_400.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    assert cli.load_config(str(p)).scenario.duration == 360.0
+
+
+def test_run_computes_the_metrics_once_per_mode(tmp_path, monkeypatch,
+                                                capsys):
+    calls = []
+    real = cl.metrics
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cl, "metrics", counted)
+    cfg = rewrite_config(tmp_path, "once.yaml", [
+        (r"^  duration: .*$", "  duration: 20"),
+        (r"^  schedule:\n(?:    - .*\n)+",
+         "  schedule:\n    - [0, 0.878, 324.5]\n    - [10, 0.88, 324.5]\n"),
+    ])
+    assert cli.main(["run", str(cfg), "--mode", "both"]) == 0
+    assert len(calls) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["nominal", "learned"]
+    assert all("20 steps, 2 segments, total ISE " in line for line in out)

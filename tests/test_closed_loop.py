@@ -214,7 +214,8 @@ def test_harvest_matches_true_disturbance(committed):
     rec = log.records[-1]
     assert rec.steady
     est = est_mod.DisturbanceEstimator(m, dist, gains)
-    sample = cl.harvest_sample(est, rec)
+    sample = cl.harvest_sample(est, rec.time, rec.r, rec.y_p, rec.u,
+                               rec.d_total)
     assert sample.residual <= 1e-4
     assert np.allclose(sample.d_ss, d_star, atol=1e-6)
     assert np.array_equal(sample.r, rec.r)
@@ -234,12 +235,10 @@ def test_run_scenario_harvests_on_steady(committed):
 def stacked(recs):
     """The columns of a non-empty list of StepRecords."""
     out = cl.Records({name: np.size(getattr(recs[0], name))
-                      for name in cl.FLOAT_FIELDS}, len(recs))
+                      for name in cl.FIELDS}, len(recs))
     for i, rec in enumerate(recs):
         out.values[i] = np.concatenate(
-            [np.atleast_1d(getattr(rec, name)) for name in cl.FLOAT_FIELDS])
-        for name in cl.FLAG_FIELDS:
-            getattr(out, name)[i] = getattr(rec, name)
+            [np.atleast_1d(getattr(rec, name)) for name in cl.FIELDS])
     out.n = len(recs)
     return out
 
@@ -332,6 +331,26 @@ def test_zero_duration_yields_empty_log(committed):
     assert log.aborted is None
 
 
+def test_empty_log_round_trips_with_the_full_header(committed, tmp_path):
+    """A log without rows writes every column name; reading it back keeps
+    the widths, and writing it again gives the same bytes."""
+    m, dist, gains, cfg = committed
+    sc = scenario(0.0, [(0.0, np.zeros(2))], cl.ControllerMode.NOMINAL)
+    log = cl.run_scenario(sc, m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, d_star=np.zeros(2)))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    cl.write_log_csv(log, str(first))
+    back = cl.read_log_csv(str(first))
+    assert len(back.records) == 0
+    assert back.records.widths == log.records.widths
+    cl.write_log_csv(back, str(second))
+    assert second.read_bytes() == first.read_bytes()
+    header = first.read_text().splitlines()
+    assert len(header) == 1
+    assert header[0].split(",")[:3] == ["time", "r_0", "r_1"]
+    assert header[0].endswith(",qp_objective,active_set_size,steady,harvested")
+
+
 def test_sweep_insufficient_cap_raises(committed):
     m, dist, gains, cfg = committed
     with pytest.raises(cl.SteadyNotReached):
@@ -360,8 +379,9 @@ SWEEP_SETPOINTS = [np.array([0.0, 0.0]), np.array([0.001, 0.1]),
 
 
 def test_harvest_equals_harvest_sample_on_its_logged_row(committed):
-    """The loop hands harvest_sample views of row k; the sample is the one
-    harvest_sample makes from that row's StepRecord, and owns its arrays."""
+    """The loop hands harvest_sample the interval's own arrays; the sample
+    is the one harvest_sample makes from the StepRecord of the row it
+    logged, and owns its arrays."""
     m, dist, gains, cfg = committed
     samples, log = cl.sweep_harvest(
         m, dist, gains, cfg,
@@ -371,7 +391,9 @@ def test_harvest_equals_harvest_sample_on_its_logged_row(committed):
     assert len(rows) == len(samples) == 3
     est = est_mod.DisturbanceEstimator(m, dist, gains)
     for k, got in zip(rows.tolist(), samples):
-        want = cl.harvest_sample(est, log.records[k])
+        rec = log.records[k]
+        want = cl.harvest_sample(est, rec.time, rec.r, rec.y_p, rec.u,
+                                 rec.d_total)
         assert (got.time, got.residual) == (want.time, want.residual)
         assert np.array_equal(got.r, want.r)
         assert np.array_equal(got.d_ss, want.d_ss)
@@ -471,6 +493,19 @@ def test_failing_step_leaves_no_orphan_sample(committed):
     assert len(log.records) == 5
     assert samples == [] and log.harvested == []
     assert log.aborted == {"time": 5, "reason": "left the physical region"}
+
+
+def test_failing_interval_counts_no_target_excursion(committed):
+    """Every target of this setpoint leaves the box; the interval whose
+    plant step fails has no row, so its excursion is not counted either."""
+    m, dist, gains, cfg = committed
+    sc = scenario(10.0, [(0.0, np.array([0.04, 0.0]))],
+                  cl.ControllerMode.NOMINAL)
+    log = cl.run_scenario(sc, m, dist, gains, cfg,
+                          FailingPlant(m, dist, np.zeros(2), k_fail=3))
+    assert len(log.records) == log.target_excursions.count == 3
+    assert np.array_equal(log.target_excursions.last.u_bar,
+                          log.records[-1].u_bar)
 
 
 def test_summary_counts_target_excursions_only_when_present(committed,
@@ -706,9 +741,9 @@ def test_broken_invariant_raises_before_anything_is_written(committed,
 
 
 def test_sweep_keeps_every_row_as_the_log_grows(committed, monkeypatch):
-    """Each interval's row and flags, copied as control_step returns, are
-    the sweep log's rows at the end, although the arrays were reallocated
-    on the way."""
+    """Each interval's row, flags included, copied as control_step
+    returns, is the sweep log's row at the end, although the block was
+    reallocated on the way."""
     m, dist, gains, cfg = committed
     rows, capacities = [], set()
     real = cl.ControlLoop.control_step
@@ -717,8 +752,7 @@ def test_sweep_keeps_every_row_as_the_log_grows(committed, monkeypatch):
         out = real(loop, r)
         rec = loop.records
         k = loop.k - 1
-        rows.append((rec.values[k].copy(), rec.active_set_size[k],
-                     rec.steady[k], rec.harvested[k]))
+        rows.append(rec.values[k].copy())
         capacities.add(len(rec.values))
         return out
 
@@ -734,10 +768,8 @@ def test_sweep_keeps_every_row_as_the_log_grows(committed, monkeypatch):
     recs = log.records
     assert len(recs) == len(rows) > min(capacities)
     assert np.array_equal(recs.column("time"), np.arange(len(rows)) * m.dt)
-    for i, (vals, active, steady, harvested) in enumerate(rows):
+    for i, vals in enumerate(rows):
         assert np.array_equal(recs.values[i], vals)
-        assert (recs.active_set_size[i], recs.steady[i],
-                recs.harvested[i]) == (active, steady, harvested)
     assert recs.column("harvested").sum() == 12
     assert [rec.time for rec in recs[-3:]] == recs.column("time")[-3:].tolist()
     with pytest.raises(IndexError):
