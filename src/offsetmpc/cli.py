@@ -102,6 +102,10 @@ def _vector(value, n, path):
 
 
 def _number(value, path):
+    """A finite float; a YAML boolean is not a number, although float()
+    takes it as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: not a number: {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):

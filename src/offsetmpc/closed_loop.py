@@ -20,7 +20,7 @@ from . import grnn as grnn_mod
 from . import ocp as ocp_mod
 from . import plant as plant_mod
 from .estimator import DisturbanceEstimator
-from .target import BoundExcursions, TargetCalculator, TargetPair
+from .target import BoundExcursions, TargetCalculator
 
 
 class CrossCheckFailed(Exception):
@@ -294,7 +294,6 @@ class ControlLoop:
         when None; loops of one command share it read-only."""
         self.model = model
         self.dist = dist
-        self.cfg = ocp_cfg
         self.estimator = DisturbanceEstimator(model, dist, gains)
         self.pred = (ocp_mod.build_prediction(model, dist, ocp_cfg)
                      if pred is None else pred)
@@ -353,15 +352,9 @@ class ControlLoop:
         z = law.P @ theta
         t = z[:law.n_t]
         sol = self.table.solve(theta, z)
-        if sol is None:
-            n_x = self.model.n_x
-            qp = ocp_mod.condense(self.pred, self.cfg, x_hat, d_tot,
-                                  TargetPair(t[:n_x], t[n_x:]))
-            sol = ocp_mod.solve_qp(qp)
-            self.table.insert(sol.active_set)
         # u_seq (a view of z or a new array) and y_p are new every
         # interval and never written
-        u = sol.u_seq[:self.cfg.n_u]
+        u = sol.u_seq[:self.model.n_u]
         z_p = self.model.H @ y_p
         steady = self.detector.update(r_list, y_p.tolist(), u.tolist())
 
@@ -564,6 +557,8 @@ def write_log_csv(log, path):
 
 
 def read_log_csv(path):
+    """The log write_log_csv wrote; raises ValueError naming the file and
+    the first field of FIELDS that has no column."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [[float(t) for t in line.strip().split(",")]
@@ -572,6 +567,9 @@ def read_log_csv(path):
     for idx, name in enumerate(header):
         base = name.rsplit("_", 1)[0] if name.rsplit("_", 1)[-1].isdigit() else name
         groups.setdefault(base, []).append(idx)
+    for name in FIELDS:
+        if name not in groups:
+            raise ValueError(f"{path}: no column {name!r}")
     table = np.array(rows, dtype=float).reshape(len(rows), len(header))
     records = Records({name: len(groups[name]) for name in FIELDS}, len(rows))
     records.values[:] = table[:, [i for name in FIELDS for i in groups[name]]]

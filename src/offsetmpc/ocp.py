@@ -26,9 +26,10 @@ class MaxIterations(Exception):
 TOL_KKT = 1e-8
 TOL_FEAS = 1e-9
 # entries of a loop's ActiveSetTable; the least recently used drops out.
-# A miss scans every entry, so the cap bounds what a miss adds to the
-# fallback QP: with 25 entries about 50 us against a median of 360 us for
-# condense and solve_qp on twovar (README, "Partial enumeration").
+# A miss scans every entry before the table solves the QP itself, so the
+# cap bounds what the scan adds to that solve: with 25 entries about
+# 50 us, against a median of 360 us for the condense and solve_qp that
+# solved a miss when the cap was set (README, "Partial enumeration").
 TABLE_SIZE = 25
 
 
@@ -328,7 +329,7 @@ class ActiveSetLaw:
     Schur-complement solve of _active_set_core, with S and Y from
     QpFactor). S_WW^-1 is stored, so each try of an entry is one
     product."""
-    rows: np.ndarray         # W, ascending as solve_qp returns it
+    rows: np.ndarray         # W, ascending as _active_set_core returns it
     S_inv: np.ndarray        # S_WW^-1, from its Cholesky factor; read-only
     S_W: np.ndarray          # S[:, W]
     Y_W: np.ndarray          # Y[:, W]
@@ -358,21 +359,24 @@ class ActiveSetTable:
     def solve(self, theta, z):
         """The QP of the interval at theta = [x_hat; d; r] from fixed maps,
         with z = pred.law.P @ theta. When the unconstrained minimizer
-        K theta satisfies every row (the exact test of solve_qp's early
-        exit) it is the solution, with no active set and 0 iterations.
-        Otherwise it is read from the first entry at which W is strictly
-        complementary (every multiplier above TOL_KKT, every other row's
-        slack below -TOL_FEAS): the optimal active set is then unique, so
-        it is the one solve_qp returns. No KKT residual is measured. None
-        on a miss: the interval then needs condense and solve_qp."""
+        u* = K theta satisfies every row (the exact test of solve_qp's
+        early exit) it is the solution, with no active set and 0
+        iterations. Otherwise it is read from the first entry at which W is
+        strictly complementary (every multiplier above TOL_KKT, every other
+        row's slack below -TOL_FEAS): the optimal active set is then
+        unique, so it is the one solve_qp returns. On a miss the table
+        solves the QP itself from u* and its slack r_u, with b_in =
+        A_in u* - r_u, as solve_qp does from a cold start, and stores the
+        optimal working set; it raises Infeasible or MaxIterations where
+        solve_qp would, and stores nothing then. Never None; no KKT
+        residual is measured."""
         s_rows, k_rows, q_rows = self._rows
+        u_star = z[k_rows]
         r_u = z[s_rows] - self.pred.b_box
         if (r_u <= 0.0).all():
-            return QpSolution(z[k_rows], [], None, float(theta @ z[q_rows]),
-                              0)
+            return QpSolution(u_star, [], None, float(theta @ z[q_rows]), 0)
         for i, e in enumerate(self.entries):
-            r_W = r_u[e.rows]
-            lam = e.S_inv @ r_W
+            lam = e.S_inv @ r_u[e.rows]
             if lam.min() <= TOL_KKT:
                 continue
             slack = r_u - e.S_W @ lam
@@ -381,19 +385,24 @@ class ActiveSetTable:
                 continue
             self.hits += 1
             self.entries.insert(0, self.entries.pop(i))
-            # J(u* - Y_W lam) = J(u*) + lam'S_WW lam / 2
-            obj = float(theta @ z[q_rows] + 0.5 * lam @ r_W)
-            return QpSolution(z[k_rows] - e.Y_W @ lam, e.rows.tolist(),
-                              None, obj, 0)
-        self.misses += 1
-        return None
+            u, W, it = u_star - e.Y_W @ lam, e.rows.tolist(), 0
+            break
+        else:
+            self.misses += 1
+            H, G = self.pred.H_j, self.pred.A_in
+            u, W, lam, it = _solve_from(H, -H @ u_star, G, G @ u_star - r_u,
+                                        self.pred.factor, u_star, r_u, None)
+            self.insert(W)
+        # J(u* - Y_W lam) = J(u*) + lam'S_WW lam / 2, and S_WW lam = r_u[W]
+        obj = float(theta @ z[q_rows] + 0.5 * lam @ r_u[W])
+        return QpSolution(u, W, None, obj, it)
 
     def insert(self, W):
-        """Put solve_qp's working set W first. An empty W is not stored,
-        nor one whose rows are dependent: S_WW is then singular, but
-        rounding can leave it a Cholesky factor with a pivot near zero, so
-        the rows are tested with numerics.matrix_rank before S_WW is
-        factored."""
+        """Put an optimal working set W first, as solve does with a
+        miss's. An empty W is not stored, nor one whose rows are
+        dependent: S_WW is then singular, but rounding can leave it a
+        Cholesky factor with a pivot near zero, so the rows are tested
+        with numerics.matrix_rank before S_WW is factored."""
         if not W:
             return
         for i, e in enumerate(self.entries):
@@ -436,17 +445,21 @@ def solve_qp(qp, warm_start=None):
         x, W, it = x_u, [], 0
         res = np.abs(2.0 * H @ x + 2.0 * f).max()
     else:
-        m = G.shape[0]
-        itmax = 50 * (n + m + 1)
-        x0 = (np.zeros(n) if warm_start is None
-              else np.asarray(warm_start, dtype=float))
-        if (G @ x0 - h).max() > TOL_FEAS:
-            x0 = _phase1(H, f, G, h, fac, x_u, x0, itmax)
-        x, W, lam, it = _active_set_core(G, h, fac.Y, fac.S, x_u, r_u, x0,
-                                         [], itmax)
+        x, W, lam, it = _solve_from(H, f, G, h, fac, x_u, r_u, warm_start)
         res = _kkt_residual(H, f, G, h, x, W, lam)
     obj = float(x @ H @ x + 2.0 * f @ x + qp.c_j)
     return QpSolution(x, W, float(res), obj, it)
+
+
+def _solve_from(H, f, G, h, fac, x_u, r_u, x0):
+    """The active-set loop from x0 (zero when None) with an empty working
+    set, after a phase-1 solve when x0 violates a row; x_u and r_u as for
+    _active_set_core, and f is read by phase 1 only."""
+    itmax = 50 * (len(x_u) + len(h) + 1)
+    x0 = np.zeros(len(x_u)) if x0 is None else np.asarray(x0, dtype=float)
+    if (G @ x0 - h).max() > TOL_FEAS:
+        x0 = _phase1(H, f, G, h, fac, x_u, x0, itmax)
+    return _active_set_core(G, h, fac.Y, fac.S, x_u, r_u, x0, [], itmax)
 
 
 def _phase1(H, f, G, h, fac, x_u, x0, itmax):
@@ -481,6 +494,5 @@ def _phase1(H, f, G, h, fac, x_u, x0, itmax):
 
 def value_function(pred, cfg, x_hat, d_hat, tgt):
     """Optimal objective of the constrained horizon problem."""
-    qp = condense(pred, cfg, x_hat, d_hat, tgt)
-    return solve_qp(qp).objective
+    return solve_qp(condense(pred, cfg, x_hat, d_hat, tgt)).objective
 

@@ -375,6 +375,10 @@ BAD_NUMBERS = {
     "scenario.grnn.sigma: -1": ((r"sigma: 0\.01", "sigma: -1"),
                                 ["run", "--mode", "learned"]),
     "sweep.cap: abc": ((r"^  cap: .*$", "  cap: abc"), ["check"]),
+    # float() reads a YAML boolean as 1.0 or 0.0
+    "sweep.cap: true": ((r"^  cap: .*$", "  cap: true"), ["check"]),
+    "ocp.N: true": ((r"^  N: .*$", "  N: true"), ["check"]),
+    "dt: true": ((r"^dt: .*$", "dt: true"), ["check"]),
     "scenario.events[0].time: abc": (
         (r"^  harvest: false$",
          "  harvest: false\n  events:\n    - {time: abc, set: {U: 50.0}}"),

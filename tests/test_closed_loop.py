@@ -536,12 +536,13 @@ def test_summary_counts_target_excursions_only_when_present(committed,
 
 def test_qp_runs_exactly_on_the_constrained_intervals(twovar_rc,
                                                       monkeypatch):
-    """The committed twovar scenario in nominal mode: condense and solve_qp
-    run once per ActiveSetTable miss and on no other interval, and the
-    misses and hits together are the records with a non-empty active set.
-    A strictly convex QP whose unconstrained minimizer violates a row ends
-    with an active row, so the affine law takes exactly the unconstrained
-    intervals, and the table or the QP the constrained ones."""
+    """The committed twovar scenario in nominal mode: the loop calls
+    neither condense nor solve_qp, since the ActiveSetTable solves its own
+    misses, and the misses and hits together are the records with a
+    non-empty active set. A strictly convex QP whose unconstrained
+    minimizer violates a row ends with an active row, so the affine law
+    takes exactly the unconstrained intervals, and the table the
+    constrained ones."""
     rc = twovar_rc
     calls = {"condense": 0, "solve_qp": 0}
 
@@ -561,10 +562,49 @@ def test_qp_runs_exactly_on_the_constrained_intervals(twovar_rc,
     assert log.aborted is None
     constrained = sum(rec.active_set_size > 0 for rec in log.records)
     assert 0 < constrained < len(log.records)
-    assert calls == {"condense": log.table_misses,
-                     "solve_qp": log.table_misses}
+    assert calls == {"condense": 0, "solve_qp": 0}
     assert log.table_misses + log.table_hits == constrained
-    assert log.table_hits >= 1
+    assert log.table_hits >= 1 and log.table_misses >= 1
+
+
+def test_failed_table_miss_aborts_the_run_and_stores_no_entry(twovar_rc,
+                                                              monkeypatch):
+    """A MaxIterations raised while the ActiveSetTable solves a miss ends
+    run_scenario at that interval: the log keeps the rows before it, says
+    why it stopped, and the table counts the miss but stores no working
+    set. The first constrained interval is a miss, since the table starts
+    empty."""
+    rc = twovar_rc
+    sc = dataclasses.replace(rc.scenario, mode=cl.ControllerMode.NOMINAL)
+
+    def run():
+        return cl.run_scenario(
+            sc, rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+            cl.NonlinearPlant(plant.PlantState(*rc.op.x_ss), rc.params,
+                              rc.op, dt=rc.model.dt))
+
+    full = run()
+    k = int(np.flatnonzero(full.records.column("active_set_size"))[0])
+    assert k > 0
+    tables = []
+
+    class Recorded(ocp.ActiveSetTable):
+        def __init__(self, pred):
+            super().__init__(pred)
+            tables.append(self)
+
+    def stuck(*args, **kwargs):
+        raise ocp.MaxIterations("active set did not converge")
+
+    monkeypatch.setattr(ocp, "ActiveSetTable", Recorded)
+    monkeypatch.setattr(ocp, "_active_set_core", stuck)
+    log = run()
+    assert log.aborted == {"time": k * rc.model.dt,
+                           "reason": "active set did not converge"}
+    assert len(log.records) == k
+    assert np.array_equal(log.records.values[:k], full.records.values[:k])
+    assert (log.table_misses, log.table_hits) == (1, 0)
+    assert len(tables) == 1 and tables[0].entries == []
 
 
 def test_sweep_log_counts_table_hits_and_misses(twovar_rc):
@@ -692,6 +732,26 @@ def ref_metrics(records, dt=1.0, settle_tol=1e-3):
 
 
 COMMITTED_LOGS = sorted((ROOT / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("drop", ["r", "harvested", "d_supp"])
+def test_log_without_a_column_names_it(tmp_path, drop):
+    """A CSV that lacks a field's columns, as a header of `time` alone
+    does, raises ValueError naming the file and the first field of FIELDS
+    it lacks."""
+    lines = (ROOT / "out" / "cstr_tracking_nominal.csv").read_text() \
+        .splitlines()[:3]
+    table = [line.split(",") for line in lines]
+    keep = [i for i, name in enumerate(table[0])
+            if name != drop and name.rsplit("_", 1)[0] != drop]
+    path = tmp_path / "short.csv"
+    path.write_text("".join(",".join(row[i] for i in keep) + "\n"
+                            for row in table))
+    with pytest.raises(ValueError, match=f"short.csv: no column '{drop}'"):
+        cl.read_log_csv(str(path))
+    path.write_text("time\n")
+    with pytest.raises(ValueError, match="short.csv: no column 'r'"):
+        cl.read_log_csv(str(path))
 
 
 @pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)

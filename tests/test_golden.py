@@ -14,8 +14,14 @@ cstr_tracking_learned 2.3e-13 / 1.7e-13, cstr_tracking_nominal 3.1e-13 /
 1.7e-13, cstr_twovar_400_learned 2.0e-13 / 2.8e-13, cstr_twovar_learned
 2.3e-13 / 2.5e-13, cstr_twovar_nominal 2.5e-13 / 3.2e-13, and
 sweep_ct_100_train.txt 1.4e-13, with every active_set_size, steady and harvested value and every
-sweep harvest interval unchanged. Such a rerun differs from out/ by at
-most 5.3e-13 (cstr_drift_learned.csv).
+sweep harvest interval unchanged. Solving a table miss from the affine
+law's product instead of condense and solve_qp then moved a rerun, on
+one machine, by at most (CSV / summary): cstr_twovar_400_learned 1.6e-15
+/ 0, cstr_twovar_learned 2.8e-13 / 1.7e-13, cstr_twovar_nominal 3.0e-13
+/ 3.3e-13, and sweep_ct_100_train.txt 8.5e-14; the tracking and drift
+outputs stayed byte-identical, and every active_set_size, steady and
+harvested value and every sweep harvest interval stayed unchanged. Such
+a rerun differs from out/ by at most 5.3e-13 (cstr_drift_learned.csv).
 """
 
 import pathlib
@@ -71,12 +77,13 @@ def test_committed_run_reproduces(tmp_path, capsys, stem, mode):
 
 def test_committed_sweep_reproduces(tmp_path, capsys):
     """The 100-setpoint twovar sweep: ~4.4k intervals, 221 of them with an
-    active row. The active-set table solves 214 of those (206 on one
-    10-row working set); condense and solve_qp run cold on the other 7,
-    4 of them through phase 1. So the sweep mostly exercises table hits;
-    phase 1 and the Schur working-set solves are covered directly by
-    test_ocp.py's test_solver_matches_dense_kkt_reference and
-    test_blocker_sequence_matches_reference."""
+    active row. The active-set table reads 214 of those from its entries
+    (206 on one 10-row working set) and solves the other 7 itself from a
+    cold start, 4 of them through phase 1. So the sweep mostly exercises
+    table hits; phase 1 and the Schur working-set solves are covered
+    directly by test_ocp.py's test_solver_matches_dense_kkt_reference,
+    test_blocker_sequence_matches_reference and
+    test_table_misses_match_cold_solve_qp."""
     argv = ["sweep", "--setpoints", str(ROOT / "configs" / "sweep_ct_100.txt"),
             str(ROOT / "configs" / "cstr_twovar.yaml"), "--out", str(tmp_path)]
     assert cli.main(argv) == 0

@@ -422,9 +422,10 @@ def test_affine_law_matches_target_condense_qp_chain(twovar):
     predicted states past x_bounds, and theta scaled so that the largest
     slack of the unconstrained minimizer is +-1e-9: the affine law, read
     by ActiveSetTable.solve with an empty table as the loop reads it,
-    gives the early-exit verdict of the LU target -> condense -> solve_qp
-    chain, and on the unconstrained intervals its input sequence, target
-    and objective."""
+    takes its free path (an empty active set and no miss) exactly when
+    the LU target -> condense -> solve_qp chain exits early, with the
+    chain's input sequence, target and objective. Otherwise the table's
+    miss ends where the chain's cold solve_qp does."""
     m, dist, cfg, pred, calc = twovar
     n_u_rows = 2 * cfg.N * cfg.n_u
     rng = np.random.default_rng(606)
@@ -457,13 +458,15 @@ def test_affine_law_matches_target_condense_qp_chain(twovar):
                                        and (tgt.u_bar <= u_hi).all()
                                        and (x_lo <= tgt.x_bar).all()
                                        and (tgt.x_bar <= x_hi).all())
-            fast = table_solve(ocp.ActiveSetTable(pred), th)
+            table = ocp.ActiveSetTable(pred)
+            fast = outcome(lambda: table_solve(table, th))
             sol = outcome(lambda: ocp.solve_qp(qp))
             exits = (slack <= 0.0).all()
-            assert (fast is not None) == exits
+            assert (table.misses == 0) == exits
             assert (not isinstance(sol, type) and sol.iterations == 0
                     and not sol.active_set) == exits
             if not exits:
+                assert_same_solution(fast, sol)
                 seen["qp"] += 1
                 seen["x_rows"] += bool((slack[n_u_rows:] > 0.0).any())
                 seen["u_rows"] += bool((slack[:n_u_rows] > 0.0).any())
@@ -542,12 +545,71 @@ def table_residual(twovar, theta, got):
                              W, lam)
 
 
+def assert_same_solution(got, ref):
+    """A table result equals solve_qp's: the same exception, or the same
+    active set, the input sequence within 1e-12 and the objective within
+    1e-9, relative."""
+    if isinstance(ref, type):
+        assert got is ref
+        return
+    assert not isinstance(got, type), got
+    assert got.active_set == ref.active_set
+    assert (np.abs(got.u_seq - ref.u_seq)
+            <= 1e-12 * np.maximum(1.0, np.abs(ref.u_seq))).all()
+    assert got.objective == pytest.approx(ref.objective, rel=1e-9,
+                                          abs=1e-12)
+
+
+def test_table_misses_match_cold_solve_qp(twovar, monkeypatch):
+    """On every constrained interval of the committed twovar runs, and on
+    seeded draws around them, an empty table misses and solves the QP
+    itself from the affine law's u* and slack: it ends on the active set,
+    input sequence, objective and iteration count of condense -> solve_qp
+    from a cold start, through phase 1 where solve_qp takes it, and stores
+    that working set first."""
+    pred = twovar[3]
+    phase1 = []
+    real = ocp._phase1
+
+    def counted(*args):
+        phase1.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ocp, "_phase1", counted)
+    rng = np.random.default_rng(505)
+    seen = collections.Counter()
+    for theta0 in constrained_thetas():
+        for theta in [theta0] + [
+                theta0 * (1.0 + rng.normal(scale=0.3, size=theta0.size))
+                for _ in range(7)]:
+            del phase1[:]
+            ref = outcome(lambda: ocp.solve_qp(condense_at(twovar, theta)))
+            ref_phase1 = len(phase1)
+            table = ocp.ActiveSetTable(pred)
+            got = outcome(lambda: table_solve(table, theta))
+            if not isinstance(ref, type) and not ref.active_set:
+                assert table.misses == 0
+                continue
+            # phase 1 ran for the table's solve as often as for solve_qp
+            assert table.misses == 1 and len(phase1) == 2 * ref_phase1
+            assert_same_solution(got, ref)
+            if isinstance(ref, type):
+                seen["failed"] += 1
+                continue
+            assert got.iterations == ref.iterations
+            assert got.kkt_residual is None
+            assert table.entries[0].rows.tolist() == got.active_set
+            seen["phase1"] += ref_phase1
+            seen["solved"] += 1
+    assert seen["solved"] >= 40 and seen["phase1"] >= 10, seen
+
+
 def test_table_hits_match_cold_solve_qp(twovar):
     """Seeded theta around the committed twovar runs' constrained
     intervals, each fresh draw followed by three draws close to it: every
     table hit returns the active set that condense -> solve_qp finds from
     a cold start, its input sequence and objective, and a measured KKT
-    residual. A miss stores solve_qp's working set."""
+    residual. A miss stores its own working set."""
     pred = twovar[3]
     table = ocp.ActiveSetTable(pred)
     rng = np.random.default_rng(707)
@@ -565,10 +627,8 @@ def test_table_hits_match_cold_solve_qp(twovar):
                     ref = outcome(lambda: ocp.solve_qp(
                         condense_at(twovar, theta)))
                     hits = table.hits
-                    got = table_solve(table, theta)
+                    got = outcome(lambda: table_solve(table, theta))
                     if table.hits == hits:
-                        if got is None and not isinstance(ref, type):
-                            table.insert(ref.active_set)
                         continue
                     assert not isinstance(ref, type), ref
                     assert got.active_set == ref.active_set
@@ -603,13 +663,8 @@ def test_table_hit_multipliers_match_the_cholesky_solve(twovar):
         for _ in range(8):
             theta = theta0 * (1.0 + rng.normal(scale=0.3, size=theta0.size))
             before = table.hits
-            got = table_solve(table, theta)
+            got = outcome(lambda: table_solve(table, theta))
             if table.hits == before:
-                if got is None:
-                    sol = outcome(lambda: ocp.solve_qp(
-                        condense_at(twovar, theta)))
-                    if not isinstance(sol, type):
-                        table.insert(sol.active_set)
                 continue
             W = got.active_set
             entry = table.entries[0]
@@ -630,7 +685,8 @@ def test_table_misses_without_strict_complementarity(twovar):
     """theta scaled along its ray so that one multiplier of a stored working
     set W is within TOL_KKT of 0, or one row outside W within TOL_FEAS of
     its bound, with every other condition holding by ten tolerances: the
-    lookup misses. Scaled to twice the tolerance instead, it hits with W.
+    lookup misses, and the table's own solve ends on the active set of a
+    cold solve_qp. Scaled to twice the tolerance instead, it hits with W.
     Multipliers and slacks come from the dense KKT solve of W."""
     pred = twovar[3]
     n_rows = pred.A_in.shape[0]
@@ -676,12 +732,14 @@ def test_table_misses_without_strict_complementarity(twovar):
                         continue
                     table = ocp.ActiveSetTable(pred)
                     table.insert(W)
-                    got = table_solve(table, s * theta)
+                    got = outcome(lambda: table_solve(table, s * theta))
                     if hit:
-                        assert got is not None and table.hits == 1
-                        assert got.active_set == W
+                        assert table.hits == 1 and got.active_set == W
                     else:
-                        assert got is None and table.misses == 1
+                        cold = outcome(lambda: ocp.solve_qp(
+                            condense_at(twovar, s * theta)))
+                        assert table.misses == 1
+                        assert got.active_set == cold.active_set
                     seen[kind, hit] += 1
     assert len(seen) == 4 and min(seen.values()) >= 5, seen
 
