@@ -58,17 +58,20 @@ class RunConfig:
                                         self.dist)
 
 
-def _get(section, key, path, default=KeyError):
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _get(section, key, path=None, default=KeyError):
     if key not in section:
         if default is KeyError:
-            raise ConfigError(f"missing required field {path}.{key}")
+            raise ConfigError(f"missing required field {_join(path, key)}")
         return default
     return section[key]
 
 
-def _section(value, path, kind=dict):
-    """value, if it has the expected YAML kind: a mapping unless kind says
-    list or str."""
+def _kind(value, path, kind):
+    """value, if it has the expected YAML kind: dict, list or str."""
     if not isinstance(value, kind):
         what = {dict: "a mapping", list: "a list", str: "a string"}[kind]
         raise ConfigError(f"{path}: not {what}")
@@ -80,9 +83,17 @@ def _keys(section, known, path=None):
     is an error rather than a silent default."""
     for key in section:
         if key not in known:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"{where}: unknown key")
+            raise ConfigError(f"{_join(path, key)}: unknown key")
     return section
+
+
+def _section(parent, key, known, path=None, default=KeyError):
+    """The mapping parent[key], required unless a default is given, whose
+    keys are all in known (any keys when known is None); path is parent's
+    own path, None at the top level."""
+    where = _join(path, key)
+    section = _kind(_get(parent, key, path, default), where, dict)
+    return section if known is None else _keys(section, known, where)
 
 
 def _matrix(value, shape, path):
@@ -175,9 +186,7 @@ def load_config(path):
     _keys(raw, ("operating_point", "dt", "model", "disturbance", "estimator",
                 "ocp", "plant", "scenario", "sweep", "output"))
 
-    op_sec = _keys(_section(_get(raw, "operating_point", ""),
-                            "operating_point"),
-                   ("c", "T", "h", "Tc", "F"), "operating_point")
+    op_sec = _section(raw, "operating_point", ("c", "T", "h", "Tc", "F"))
     op = plant_mod.OperatingPoint(
         _vector([_get(op_sec, k, "operating_point") for k in ("c", "T", "h")],
                 3, "operating_point"),
@@ -185,18 +194,15 @@ def load_config(path):
                 2, "operating_point"))
 
     dt = _number(raw.get("dt", 1.0), "dt")
-    msec = _keys(_section(_get(raw, "model", ""), "model"),
-                 ("A", "B", "C", "H"), "model")
+    msec = _section(raw, "model", ("A", "B", "C", "H"))
     A = _matrix(_get(msec, "A", "model"), (3, 3), "model.A")
     B = _matrix(_get(msec, "B", "model"), (3, 2), "model.B")
     C = _matrix(_get(msec, "C", "model"), (3, 3), "model.C")
     H = _matrix(_get(msec, "H", "model"), (2, 3), "model.H")
-    dsec = _keys(_section(_get(raw, "disturbance", ""), "disturbance"),
-                 ("Bd", "Cd"), "disturbance")
+    dsec = _section(raw, "disturbance", ("Bd", "Cd"))
     Bd = _matrix(_get(dsec, "Bd", "disturbance"), (3, 2), "disturbance.Bd")
     Cd = _matrix(_get(dsec, "Cd", "disturbance"), (3, 2), "disturbance.Cd")
-    esec = _keys(_section(_get(raw, "estimator", ""), "estimator"),
-                 ("Lx", "Ld"), "estimator")
+    esec = _section(raw, "estimator", ("Lx", "Ld"))
     L_x = _matrix(_get(esec, "Lx", "estimator"), (3, 3), "estimator.Lx")
     L_d = _matrix(_get(esec, "Ld", "estimator"), (2, 3), "estimator.Ld")
     try:
@@ -205,9 +211,8 @@ def load_config(path):
     except (model_mod.DimensionMismatch, ValueError) as exc:
         raise ConfigError(f"model: {exc}")
 
-    osec = _keys(_section(_get(raw, "ocp", ""), "ocp"),
-                 ("N", "q_x", "q_u", "q_xN", "u_min", "u_max", "x_min",
-                  "x_max"), "ocp")
+    osec = _section(raw, "ocp", ("N", "q_x", "q_u", "q_xN", "u_min", "u_max",
+                                 "x_min", "x_max"))
     u_min = _vector(_get(osec, "u_min", "ocp"), 2, "ocp.u_min")
     u_max = _vector(_get(osec, "u_max", "ocp"), 2, "ocp.u_max")
     x_bounds = None
@@ -226,23 +231,23 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"ocp: {exc}")
 
-    psec = _section(_get(raw, "plant", ""), "plant")
+    # any keys: CstrParams rejects one it does not take
+    psec = _section(raw, "plant", None)
     try:
         params = plant_mod.CstrParams(**_coerce_params(psec, "plant"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"plant: {exc}")
 
-    ssec = _keys(_section(_get(raw, "scenario", ""), "scenario"),
-                 ("duration", "mode", "schedule", "events", "harvest",
-                  "steady", "grnn"), "scenario")
+    ssec = _section(raw, "scenario", ("duration", "mode", "schedule",
+                                      "events", "harvest", "steady", "grnn"))
     schedule = []
-    for i, row in enumerate(_section(_get(ssec, "schedule", "scenario"),
-                                     "scenario.schedule", list)):
+    for i, row in enumerate(_kind(_get(ssec, "schedule", "scenario"),
+                                  "scenario.schedule", list)):
         row = _vector(row, 3, f"scenario.schedule[{i}]")
         schedule.append((row[0], (row[1] - op.x_ss[0], row[2] - op.x_ss[1])))
     events = []
-    for i, ev in enumerate(_section(ssec.get("events", []),
-                                        "scenario.events", list)):
+    for i, ev in enumerate(_kind(ssec.get("events", []), "scenario.events",
+                                 list)):
         if (not isinstance(ev, dict) or "time" not in ev
                 or not isinstance(ev.get("set"), dict)):
             raise ConfigError(f"scenario.events[{i}]: need {{time, set}}")
@@ -258,10 +263,9 @@ def load_config(path):
             event_params = plant_mod.apply_event(event_params, events[i][1])
         except (ValueError, plant_mod.UnknownEvent) as exc:
             raise ConfigError(f"scenario.events[{i}]: {exc}")
-    steady = _keys(_section(ssec.get("steady", {}), "scenario.steady"),
-                   ("M", "tol_y", "tol_u"), "scenario.steady")
-    gsec = _keys(_section(ssec.get("grnn", {}), "scenario.grnn"),
-                 ("capacity", "sigma", "train"), "scenario.grnn")
+    steady = _section(ssec, "steady", ("M", "tol_y", "tol_u"), "scenario", {})
+    gsec = _section(ssec, "grnn", ("capacity", "sigma", "train"), "scenario",
+                    {})
     try:
         scenario = cl.ScenarioConfig(
             duration=_number(_get(ssec, "duration", "scenario"),
@@ -302,18 +306,16 @@ def load_config(path):
     train = gsec.get("train")
     if train:
         train = os.path.join(config_dir,
-                             _section(train, "scenario.grnn.train", str))
-    sweep_sec = _keys(_section(raw.get("sweep", {}), "sweep"), ("cap",),
-                      "sweep")
-    out_sec = _keys(_section(raw.get("output", {}), "output"), ("dir",),
-                    "output")
+                             _kind(train, "scenario.grnn.train", str))
+    sweep_sec = _section(raw, "sweep", ("cap",), default={})
+    out_sec = _section(raw, "output", ("dir",), default={})
     return RunConfig(
         model=model, dist=dist, L_x=L_x, L_d=L_d, ocp_cfg=ocp_cfg,
         params=params, op=op, scenario=scenario,
         grnn_train=train,
         sweep_cap=_sweep_cap(sweep_sec.get("cap", 200)),
-        out_dir=os.path.join(config_dir, _section(out_sec.get("dir", "out"),
-                                                  "output.dir", str)),
+        out_dir=os.path.join(config_dir, _kind(out_sec.get("dir", "out"),
+                                               "output.dir", str)),
         stem=os.path.splitext(os.path.basename(path))[0])
 
 
@@ -369,19 +371,22 @@ def _print_checks(lines):
         print(f"[{status}] {text}")
 
 
-def _checked_gains(rc, pred):
-    """The estimator gains if every check passes, else None after printing
-    the report."""
+def _checked(path):
+    """The config at path, its prediction data and the estimator gains;
+    the gains are None, after the report is printed, unless every check
+    passes."""
+    rc = load_config(path)
+    pred = ocp_mod.build_prediction(rc.model, rc.dist, rc.ocp_cfg)
     ok, lines, gains = run_checks(rc, pred)
     if not ok:
         _print_checks(lines)
         print("condition checks failed", file=sys.stderr)
-        return None
-    return gains
+        gains = None
+    return rc, pred, gains
 
 
-def _out_dir(rc, flag):
-    out = flag or os.environ.get("OFFSETMPC_OUT_DIR") or rc.out_dir
+def _out_dir(flag, default):
+    out = flag or os.environ.get("OFFSETMPC_OUT_DIR") or default
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -448,16 +453,14 @@ def cmd_check(args):
 
 
 def cmd_run(args):
-    rc = load_config(args.config)
-    pred = ocp_mod.build_prediction(rc.model, rc.dist, rc.ocp_cfg)
-    gains = _checked_gains(rc, pred)
+    rc, pred, gains = _checked(args.config)
     if gains is None:
         return EXIT_CONDITION
     modes = ([cl.ControllerMode.NOMINAL, cl.ControllerMode.LEARNED]
              if args.mode == "both"
              else [cl.ControllerMode(args.mode) if args.mode
                    else rc.scenario.mode])
-    out = _out_dir(rc, args.out)
+    out = _out_dir(args.out, rc.out_dir)
     code = EXIT_OK
     for mode in modes:
         scenario = dataclasses.replace(rc.scenario, mode=mode)
@@ -484,9 +487,7 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    rc = load_config(args.config)
-    pred = ocp_mod.build_prediction(rc.model, rc.dist, rc.ocp_cfg)
-    gains = _checked_gains(rc, pred)
+    rc, pred, gains = _checked(args.config)
     if gains is None:
         return EXIT_CONDITION
     setpoints = _load_setpoints(args.setpoints, rc.op)
@@ -501,10 +502,10 @@ def cmd_sweep(args):
               f"{len(log.records)} intervals: first {exc.first.text('%.6g')}, "
               f"last {exc.last.text('%.6g')}", file=sys.stderr)
     if log.aborted:
-        print(f"sweep ABORTED at step {log.aborted['time']}: "
+        print(f"sweep ABORTED at step {len(log.records)}: "
               f"{log.aborted['reason']}", file=sys.stderr)
         return EXIT_RUNTIME
-    out = _out_dir(rc, args.out)
+    out = _out_dir(args.out, rc.out_dir)
     sp_stem = os.path.splitext(os.path.basename(args.setpoints))[0]
     dest = os.path.join(out, f"{sp_stem}_train.txt")
     grnn_mod.write_samples(dest, [(s.r, s.d_ss) for s in samples])
@@ -522,15 +523,12 @@ def cmd_grnn_fit(args):
     n_out = samples[0][1].shape[0]
     g = _sample_window(len(samples), n_out, samples, args.samples)
     curve = []
-    if sigma == "auto":
-        sigma = grnn_mod.select_sigma(g, curve=curve)
-    elif len(samples) >= 2:
-        curve = [(float(s), grnn_mod.loo_error(g, float(s)))
-                 for s in grnn_mod.SIGMA_GRID]
-    g = grnn_mod.with_sigma(g, sigma)
+    # one sample has no leave-one-out curve, and auto fails on it
+    if sigma == "auto" or len(samples) >= 2:
+        selected = grnn_mod.select_sigma(g, curve=curve)
+    g = grnn_mod.with_sigma(g, selected if sigma == "auto" else sigma)
 
-    out = args.out or os.environ.get("OFFSETMPC_OUT_DIR") or "out"
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args.out, "out")
     stem = os.path.splitext(os.path.basename(args.samples))[0]
     model_path = os.path.join(out, f"{stem}_model.txt")
     grnn_mod.write_model(model_path, g)
@@ -557,7 +555,7 @@ def cmd_grnn_fit(args):
                 pred = grnn_mod.predict(g, query)
                 fh.write("%.17g " % q + " ".join("%.17g" % v for v in pred)
                          + "\n")
-    print(f"fitted sigma {sigma:.6g} on {len(samples)} samples -> "
+    print(f"fitted sigma {g.sigma:.6g} on {len(samples)} samples -> "
           f"{model_path}")
     return EXIT_OK
 

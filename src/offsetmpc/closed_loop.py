@@ -303,8 +303,8 @@ class ControlLoop:
                                         T=self.pred.T)
         self.table = ocp_mod.ActiveSetTable(self.pred)
         self.plant = plant
-        self.mode = mode
-        self.grnn = grnn
+        # the learned map is looked up and grown only in learned mode
+        self.grnn = grnn if mode is ControllerMode.LEARNED else None
         self.harvest = harvest
         self.k = 0
         self.estimate = self.estimator.initial()
@@ -330,7 +330,7 @@ class ControlLoop:
         r_list = r.tolist()
         k = self.k
         y_p = self.plant.measure()
-        if self.mode is ControllerMode.LEARNED and self.grnn is not None:
+        if self.grnn is not None:
             # models are immutable, so the map changes only with the model
             # (a harvest) or the setpoint
             if (self._lookup is None or self._lookup[0] is not self.grnn
@@ -385,7 +385,7 @@ class ControlLoop:
                 self.harvested.append(sample)
                 self._last_harvest_r = r_list
                 row[-1] = harvested = True
-                if self.mode is ControllerMode.LEARNED and self.grnn is not None:
+                if self.grnn is not None:
                     self.grnn = grnn_mod.add_sample(self.grnn, sample.r, sample.d_ss)
             except CrossCheckFailed:
                 self.rejected_harvests += 1
@@ -444,7 +444,7 @@ def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
                                        f"setpoint {np.asarray(r)}")
     except ABORTS as exc:
         # control_step raised before advancing k: k is the failing interval
-        log.aborted = {"time": loop.k, "reason": str(exc)}
+        log.aborted = {"time": loop.k * model.dt, "reason": str(exc)}
     return loop.harvested, _counted(log, loop)
 
 
@@ -558,11 +558,22 @@ def write_log_csv(log, path):
 
 def read_log_csv(path):
     """The log write_log_csv wrote; raises ValueError naming the file and
-    the first field of FIELDS that has no column."""
+    the first field of FIELDS that has no column, or the file and the line
+    of a row that is not one number per column."""
+    rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [[float(t) for t in line.strip().split(",")]
-                for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = line.strip().split(",")
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {lineno}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            try:
+                rows.append([float(t) for t in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}")
     groups = {}
     for idx, name in enumerate(header):
         base = name.rsplit("_", 1)[0] if name.rsplit("_", 1)[-1].isdigit() else name

@@ -77,17 +77,7 @@ def make_model(capacity, n_out, sigma=0.5):
 
 
 def add_sample(model, r, d_ss):
-    r = np.asarray(r, dtype=float).reshape(1, -1)
-    d_ss = np.asarray(d_ss, dtype=float).reshape(1, -1)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(d_ss))):
-        raise ValueError("sample must be finite")
-    if d_ss.shape[1] != model.n_out:
-        raise ValueError("output dimension mismatch")
-    if len(model.X) and model.X.shape[1] != r.shape[1]:
-        raise ValueError("input dimension mismatch")
-    X = np.vstack([model.X, r])[-model.capacity:] if len(model.X) else r
-    Y = np.vstack([model.Y, d_ss])[-model.capacity:]
-    return _window(model, X, Y)
+    return _grown(model, [r], [d_ss])
 
 
 def from_samples(capacity, n_out, sigma, samples):
@@ -99,15 +89,24 @@ def from_samples(capacity, n_out, sigma, samples):
     model = make_model(capacity, n_out, sigma)
     if not samples:
         return model
-    rs = [np.asarray(r, dtype=float).reshape(-1) for r, _ in samples]
-    ds = [np.asarray(d, dtype=float).reshape(-1) for _, d in samples]
+    return _grown(model, [r for r, _ in samples], [d for _, d in samples])
+
+
+def _grown(model, rs, ds):
+    """model with the samples of inputs rs and outputs ds stacked under its
+    window, which keeps the last capacity rows."""
+    rs = [np.asarray(r, dtype=float).reshape(-1) for r in rs]
+    ds = [np.asarray(d, dtype=float).reshape(-1) for d in ds]
     if any(len(d) != model.n_out for d in ds):
         raise ValueError("output dimension mismatch")
-    if any(len(r) != len(rs[0]) for r in rs):
+    n_in = model.X.shape[1] if len(model.X) else len(rs[0])
+    if any(len(r) != n_in for r in rs):
         raise ValueError("input dimension mismatch")
     X, Y = np.array(rs), np.array(ds)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("sample must be finite")
+    if len(model.X):
+        X, Y = np.vstack([model.X, X]), np.vstack([model.Y, Y])
     return _window(model, X[-model.capacity:], Y[-model.capacity:])
 
 
@@ -196,54 +195,62 @@ def _fmt(v):
 
 
 def write_samples(path, samples, n_in=None):
-    if samples:
-        n_in = samples[0][0].shape[0]
     with open(path, "w") as fh:
         fh.write("# steady-state training samples\n")
-        if n_in is not None:
-            fh.write(f"# inputs {n_in}\n")
-        for r, d in samples:
-            fh.write(_fmt(r) + " " + _fmt(d) + "\n")
+        _write_rows(fh, samples, n_in)
+
+
+def _write_rows(fh, samples, n_in=None):
+    """The '# inputs k' directive, k from the first sample when there is
+    one, then one row per sample, as _parse_rows reads them."""
+    if samples:
+        n_in = len(samples[0][0])
+    if n_in is not None:
+        fh.write(f"# inputs {n_in}\n")
+    for r, d in samples:
+        fh.write(_fmt(r) + " " + _fmt(d) + "\n")
 
 
 def load_samples(path, n_in=None):
     """Whitespace-separated numeric rows, '#' comments; the input/output
     split comes from an '# inputs k' directive or the n_in argument."""
-    rows = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)
-            comment = line[1].strip() if len(line) > 1 else ""
-            if comment.startswith("inputs"):
-                try:
-                    n_in = int(comment.split()[1])
-                except (IndexError, ValueError):
-                    raise ParseError(f"line {lineno}: bad inputs directive")
-            body = line[0].strip()
-            if not body:
-                continue
+        return _parse_rows(path, enumerate(fh, start=1), n_in)
+
+
+def _parse_rows(path, lines, n_in=None):
+    """The samples [(r, d), ...] of the (line number, text) pairs of a
+    sample or model file; a ParseError names path and, for a bad line, its
+    number."""
+    rows = []
+    for lineno, raw in lines:
+        body, _, comment = raw.partition("#")
+        if comment.strip().startswith("inputs"):
             try:
-                vals = [float(tok) for tok in body.split()]
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric field")
-            if not np.all(np.isfinite(vals)):
-                raise ParseError(f"line {lineno}: non-finite field")
-            rows.append((lineno, vals))
+                n_in = int(comment.split()[1])
+            except (IndexError, ValueError):
+                raise ParseError(f"{path}: line {lineno}: bad inputs directive")
+        if not body.strip():
+            continue
+        try:
+            vals = [float(tok) for tok in body.split()]
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric field")
+        if not np.all(np.isfinite(vals)):
+            raise ParseError(f"{path}: line {lineno}: non-finite field")
+        if rows and len(vals) != len(rows[0]):
+            raise ParseError(f"{path}: line {lineno}: expected {len(rows[0])} "
+                             f"fields, got {len(vals)}")
+        rows.append(vals)
     if not rows:
         return []
-    width = len(rows[0][1])
     if n_in is None:
-        raise ParseError("input dimension unknown: no '# inputs k' directive")
-    if not 0 < n_in < width:
-        raise ParseError(f"inputs directive {n_in} inconsistent with "
-                         f"{width}-column rows")
-    out = []
-    for lineno, vals in rows:
-        if len(vals) != width:
-            raise ParseError(f"line {lineno}: expected {width} fields, "
-                             f"got {len(vals)}")
-        out.append((np.array(vals[:n_in]), np.array(vals[n_in:])))
-    return out
+        raise ParseError(f"{path}: input dimension unknown: no '# inputs k' "
+                         "directive")
+    if not 0 < n_in < len(rows[0]):
+        raise ParseError(f"{path}: inputs directive {n_in} inconsistent with "
+                         f"{len(rows[0])}-column rows")
+    return [(np.array(vals[:n_in]), np.array(vals[n_in:])) for vals in rows]
 
 
 def write_model(path, model):
@@ -252,44 +259,25 @@ def write_model(path, model):
         fh.write("sigma %.17g\n" % model.sigma)
         fh.write("capacity %d\n" % model.capacity)
         fh.write("outputs %d\n" % model.n_out)
-        if len(model.X):
-            fh.write(f"# inputs {model.X.shape[1]}\n")
-        for r, d in zip(model.X, model.Y):
-            fh.write(_fmt(r) + " " + _fmt(d) + "\n")
+        _write_rows(fh, list(zip(model.X, model.Y)))
 
 
 def read_model(path):
-    sigma, capacity, n_out, n_in = None, None, None, None
-    rows = []
+    """The model write_model wrote: its sigma, capacity and outputs lines,
+    then samples as load_samples reads them."""
+    header, rest = {}, []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)
-            comment = line[1].strip() if len(line) > 1 else ""
-            if comment.startswith("inputs"):
-                n_in = int(comment.split()[1])
-            body = line[0].strip()
-            if not body:
-                continue
-            head = body.split()[0]
-            if head in ("sigma", "capacity", "outputs"):
+            words = raw.split("#", 1)[0].split()
+            if words and words[0] in ("sigma", "capacity", "outputs"):
                 try:
-                    val = float(body.split()[1])
+                    header[words[0]] = float(words[1])
                 except (IndexError, ValueError):
-                    raise ParseError(f"line {lineno}: bad {head} line")
-                if head == "sigma":
-                    sigma = val
-                elif head == "capacity":
-                    capacity = int(val)
-                else:
-                    n_out = int(val)
-                continue
-            try:
-                rows.append([float(tok) for tok in body.split()])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric field")
-    if sigma is None or capacity is None or n_out is None:
-        raise ParseError("missing sigma/capacity/outputs header")
-    if rows and n_in is None:
-        n_in = len(rows[0]) - n_out
-    return from_samples(capacity, n_out, sigma,
-                        [(vals[:n_in], vals[n_in:]) for vals in rows])
+                    raise ParseError(f"{path}: line {lineno}: bad {words[0]} "
+                                     "line")
+            else:
+                rest.append((lineno, raw))
+    if len(header) < 3:
+        raise ParseError(f"{path}: missing sigma/capacity/outputs header")
+    return from_samples(int(header["capacity"]), int(header["outputs"]),
+                        header["sigma"], _parse_rows(path, rest))

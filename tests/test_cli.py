@@ -505,6 +505,41 @@ def test_non_finite_sample_is_input_error(tmp_path, capsys):
     assert "line 3: non-finite" in capsys.readouterr().err
 
 
+def test_bad_train_file_error_names_the_file(tmp_path, capsys):
+    """A sample-file error names the file and the line, in one line."""
+    train = tmp_path / "bad_train.txt"
+    train.write_text("# inputs 2\n0.001 0.1 0.0 0.0\n0.002 oops 0.0 0.0\n")
+    cfg = rewrite_config(tmp_path, "bad_train.yaml", [
+        (r"train: \S+\}", f"train: {train}}}")])
+    assert cli.main(["run", "--mode", "learned", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {train}: line 3: non-numeric field\n"
+
+
+REQUIRED_SECTIONS = ("operating_point", "model", "disturbance", "estimator",
+                     "ocp", "plant", "scenario")
+
+
+@pytest.mark.parametrize("name", REQUIRED_SECTIONS)
+def test_missing_section_is_config_error(tmp_path, capsys, name):
+    cfg = yaml.safe_load(TRACKING.read_text())
+    del cfg[name]
+    p = tmp_path / "missing.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: missing required field {name}\n"
+
+
+def test_grnn_fit_fixed_sigma_writes_the_selection_curve(tmp_path, capsys):
+    """The _loo.txt curve of a fixed --sigma is the auto selection's sweep."""
+    train = ROOT / "out" / "sweep_c_50_train.txt"
+    for sigma in ("0.05", "auto"):
+        assert cli.main(["grnn-fit", str(train), "--sigma", sigma,
+                         "--out", str(tmp_path / sigma)]) == 0
+    assert ((tmp_path / "0.05" / "sweep_c_50_train_loo.txt").read_bytes()
+            == (tmp_path / "auto" / "sweep_c_50_train_loo.txt").read_bytes())
+
+
 def test_run_and_sweep_build_the_gains_once(tmp_path, monkeypatch, capsys):
     """The checks hand their gains to the command instead of building them
     a second time."""

@@ -8,6 +8,7 @@ from offsetmpc import cli
 from offsetmpc import closed_loop as cl
 from offsetmpc import estimator as est_mod
 from offsetmpc import grnn, ocp, plant
+from offsetmpc import model as model_mod
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -483,6 +484,42 @@ def test_sweep_failure_part_way_keeps_the_samples(committed):
     assert log.aborted == {"time": 10, "reason": "left the physical region"}
 
 
+def test_sweep_abort_time_is_in_minutes(tracking_rc):
+    """A sweep's abort time is the failing interval's start k dt, as a
+    run's is, not the interval index k."""
+    rc = tracking_rc
+    m = model_mod.LinearModel(rc.model.A, rc.model.B, rc.model.C,
+                              rc.model.H, 0.5)
+    gains = model_mod.EstimatorGains(rc.L_x, rc.L_d, m, rc.dist)
+    samples, log = cl.sweep_harvest(
+        m, rc.dist, gains, rc.ocp_cfg,
+        FailingPlant(m, rc.dist, np.zeros(2), k_fail=9),
+        [np.array([0.001, 0.1])], cap=150)
+    assert len(log.records) == 9 and samples == []
+    assert log.aborted == {"time": 4.5, "reason": "left the physical region"}
+
+
+def test_nominal_loop_never_reads_or_grows_the_map(committed, monkeypatch):
+    """A map handed to a nominal loop that harvests is neither looked up
+    nor grown: only learned mode keeps it."""
+    m, dist, gains, cfg = committed
+    g = grnn.from_samples(5, 2, 0.5, [(np.zeros(2), np.array([0.01, 0.3]))])
+
+    def forbidden(*args):
+        raise AssertionError("the map was used in nominal mode")
+
+    monkeypatch.setattr(grnn, "predict", forbidden)
+    monkeypatch.setattr(grnn, "add_sample", forbidden)
+    loop = cl.ControlLoop(m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, d_star=np.array([0.01, 0.3])),
+                          cl.ControllerMode.NOMINAL, grnn=g, harvest=True)
+    for _ in range(150):
+        if loop.control_step(np.array([0.001, 0.1]))[1]:
+            break
+    assert len(loop.harvested) == 1
+    assert not loop.records.column("d_learned").any()
+
+
 def test_failing_step_leaves_no_orphan_sample(committed):
     """The plant fails on the interval that would harvest at the origin: that
     interval has no record, so it has no sample either."""
@@ -752,6 +789,27 @@ def test_log_without_a_column_names_it(tmp_path, drop):
     path.write_text("time\n")
     with pytest.raises(ValueError, match="short.csv: no column 'r'"):
         cl.read_log_csv(str(path))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row[:-1], "expected {n} fields, got {m}"),
+    (lambda row: row[:4] + ["abc"] + row[5:],
+     "could not convert string to float: 'abc'"),
+], ids=["short row", "non-numeric field"])
+def test_bad_log_row_names_the_file_and_line(tmp_path, edit, message):
+    """A committed log with its second data row cut short, or with a field
+    that is not a number, raises ValueError naming the file and the line."""
+    lines = (ROOT / "out" / "cstr_tracking_nominal.csv").read_text() \
+        .splitlines()[:4]
+    row = edit(lines[2].split(","))
+    lines[2] = ",".join(row)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    n = len(lines[0].split(","))
+    with pytest.raises(ValueError) as exc:
+        cl.read_log_csv(str(path))
+    assert str(exc.value) == (f"{path}: line 3: "
+                              + message.format(n=n, m=len(row)))
 
 
 @pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)

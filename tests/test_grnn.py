@@ -273,7 +273,7 @@ def test_load_samples_reports_bad_line(tmp_path):
     path.write_text("# inputs 2\n0.1 0.2 1.0 2.0\n0.3 oops 1.0 2.0\n")
     with pytest.raises(grnn.ParseError) as exc:
         grnn.load_samples(str(path))
-    assert "3" in str(exc.value)
+    assert str(exc.value) == f"{path}: line 3: non-numeric field"
 
 
 def test_load_samples_rejects_ragged(tmp_path):
@@ -281,3 +281,23 @@ def test_load_samples_rejects_ragged(tmp_path):
     path.write_text("# inputs 2\n0.1 0.2 1.0 2.0\n0.3 0.4 1.0\n")
     with pytest.raises(grnn.ParseError):
         grnn.load_samples(str(path))
+
+
+@pytest.mark.parametrize("line, text, message", [
+    (5, "# inputs two", "bad inputs directive"),
+    (7, "0.1 0.2 1.0", "expected 4 fields, got 3"),
+    (6, "0.1 nan 1.0 2.0", "non-finite field"),
+], ids=["directive", "short row", "nan"])
+def test_read_model_reports_bad_line(tmp_path, line, text, message):
+    """A model file's samples are read by the sample parser, so a bad line
+    is a ParseError naming the file and the line."""
+    m, _ = linear_map_model(n=4)
+    path = tmp_path / "model.txt"
+    grnn.write_model(str(path), m)
+    lines = path.read_text().splitlines()
+    assert lines[4] == "# inputs 2"
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(grnn.ParseError) as exc:
+        grnn.read_model(str(path))
+    assert str(exc.value) == f"{path}: line {line}: {message}"
