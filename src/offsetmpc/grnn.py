@@ -272,6 +272,10 @@ def read_model(path):
             if words and words[0] in ("sigma", "capacity", "outputs"):
                 try:
                     header[words[0]] = float(words[1])
+                    # a count must be whole, not truncated to one
+                    if (words[0] != "sigma"
+                            and not header[words[0]].is_integer()):
+                        raise ValueError(words[1])
                 except (IndexError, ValueError):
                     raise ParseError(f"{path}: line {lineno}: bad {words[0]} "
                                      "line")

@@ -1,6 +1,7 @@
 """Nonlinear CSTR ground truth: exothermic first-order reaction in a
-cylindrical tank with level dynamics, stepped by classical RK4 on Python
-floats.
+cylindrical tank with level dynamics, stepped by classical RK4 whose
+substep loop runs in a small C kernel built with gcc on the first step,
+or on Python floats where it cannot be built; both give the same floats.
 
 States are concentration c (kmol/m3), temperature T (K), level h (m);
 inputs are coolant temperature T_c (K) and outlet flow F (m3/min). The
@@ -11,7 +12,12 @@ is available as concentration_mismatch (default off).
 """
 
 import dataclasses
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +62,15 @@ class CstrParams:
     def area(self):
         return np.pi * self.r ** 2
 
+    @functools.cached_property
+    def rk4_constants(self):
+        """The parameters and combinations of them that step's RK4 loop
+        reads, computed once: the dataclass is frozen."""
+        return (self.F0, self.T0, self.c0, self.k0, -self.E_over_R, self.area,
+                self.dH / (self.rho * self.Cp),
+                2.0 * self.U / (self.r * self.rho * self.Cp),
+                self.outlet_factor, self.concentration_mismatch, self.substeps)
+
 
 @dataclass(frozen=True)
 class PlantState:
@@ -94,7 +109,8 @@ def derivatives(s, u, p):
     Each balance keeps the association and evaluation order of the array
     form that tests/test_plant.py holds as the reference, and both take
     the Arrhenius factor from math.exp; so the two agree bit for bit.
-    step writes the same expressions out for each RK4 stage. The exp's
+    _rk4_python and _rk4.c write the same expressions out for each RK4
+    stage. The exp's
     argument is <= 0 once T is finite and > 0, so it cannot overflow.
     """
     Tc, F = (float(v) for v in u)
@@ -120,25 +136,20 @@ def derivatives(s, u, p):
 def step(s, u, p, dt):
     """Classical RK4 with dt/substeps internal step, on Python floats.
 
-    The four stages are derivatives' expressions written out, with the
-    constants computed once per call and the same check of the stage's
-    input state before each stage; PlantState checks the last state.
+    The per-call constants are computed here; the substep loop runs in the
+    compiled kernel, built and loaded on the first step, or in
+    _rk4_python, which it reproduces bit for bit, when the kernel cannot
+    be built (fallback_reason says why). A stage whose input state fails
+    the region check raises; PlantState checks the last state.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
     Tc, F = (float(v) for v in u)
-    F0, T0, c0, k0 = p.F0, p.T0, p.c0, p.k0
-    neg_E = -p.E_over_R
-    area = p.area
-    rxn = p.dH / (p.rho * p.Cp)
-    jacket = 2.0 * p.U / (p.r * p.rho * p.Cp)
-    extra_outlet = 0.03 * F if p.concentration_mismatch else None
+    F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, mismatch, substeps = (
+        p.rk4_constants)
     # the level rate does not depend on the state
-    dh = (F0 - p.outlet_factor * F) / area
-    exp = math.exp
-    inf = math.inf
-    c, T, h = float(s.c), float(s.T), float(s.h)
-    hstep = float(dt) / p.substeps
+    dh = (F0 - outlet * F) / area
+    hstep = float(dt) / substeps
     half = 0.5 * hstep
     sixth = hstep / 6.0
     # the level rate is the same in every stage, and so are the level's
@@ -146,14 +157,34 @@ def step(s, u, p, dt):
     h_half = half * dh
     h_full = hstep * dh
     h_next = sixth * (dh + 2.0 * dh + 2.0 * dh + dh)
-    for _ in range(p.substeps):
+    c, T, h, ok = (_rk4 or _load_kernel())(
+        float(s.c), float(s.T), float(s.h), Tc, F0, T0, c0, k0, neg_E, area,
+        rxn, jacket, 0.03 * F, hstep, half, sixth, h_half, h_full, h_next,
+        mismatch, substeps)
+    if not ok:
+        raise _left_region(c, T, h)
+    return PlantState(c, T, h)
+
+
+def _rk4_python(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
+                extra_outlet, hstep, half, sixth, h_half, h_full, h_next,
+                mismatch, substeps):
+    """step's substep loop: the four stages are derivatives' expressions
+    written out, each after the check of its input state. Returns the
+    state after the last substep and True, or the input state of the
+    first stage that fails the check and False. _rk4.c is this loop,
+    compiled; the extra outlet term, extra_outlet = 0.03 F, counts only
+    when mismatch is set."""
+    exp = math.exp
+    inf = math.inf
+    for _ in range(substeps):
         V = area * h
         if not (0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf
                 and V > 0.0):
-            raise _left_region(c, T, h)
+            return c, T, h, False
         kT = k0 * exp(neg_E / T)
         dc1 = F0 * (c0 - c) / V - kT * c
-        if extra_outlet is not None:
+        if mismatch:
             dc1 -= extra_outlet * c / V
         dT1 = F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T)
 
@@ -161,10 +192,10 @@ def step(s, u, p, dt):
         V = area * h2
         if not (0.0 < c2 < inf and 0.0 < T2 < inf and 0.0 < h2 < inf
                 and V > 0.0):
-            raise _left_region(c2, T2, h2)
+            return c2, T2, h2, False
         kT = k0 * exp(neg_E / T2)
         dc2 = F0 * (c0 - c2) / V - kT * c2
-        if extra_outlet is not None:
+        if mismatch:
             dc2 -= extra_outlet * c2 / V
         dT2 = F0 * (T0 - T2) / V - rxn * kT * c2 + jacket * (Tc - T2)
 
@@ -172,10 +203,10 @@ def step(s, u, p, dt):
         V = area * h3
         if not (0.0 < c3 < inf and 0.0 < T3 < inf and 0.0 < h3 < inf
                 and V > 0.0):
-            raise _left_region(c3, T3, h3)
+            return c3, T3, h3, False
         kT = k0 * exp(neg_E / T3)
         dc3 = F0 * (c0 - c3) / V - kT * c3
-        if extra_outlet is not None:
+        if mismatch:
             dc3 -= extra_outlet * c3 / V
         dT3 = F0 * (T0 - T3) / V - rxn * kT * c3 + jacket * (Tc - T3)
 
@@ -183,17 +214,90 @@ def step(s, u, p, dt):
         V = area * h4
         if not (0.0 < c4 < inf and 0.0 < T4 < inf and 0.0 < h4 < inf
                 and V > 0.0):
-            raise _left_region(c4, T4, h4)
+            return c4, T4, h4, False
         kT = k0 * exp(neg_E / T4)
         dc4 = F0 * (c0 - c4) / V - kT * c4
-        if extra_outlet is not None:
+        if mismatch:
             dc4 -= extra_outlet * c4 / V
         dT4 = F0 * (T0 - T4) / V - rxn * kT * c4 + jacket * (Tc - T4)
 
         c = c + sixth * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4)
         T = T + sixth * (dT1 + 2.0 * dT2 + 2.0 * dT3 + dT4)
         h = h + h_next
-    return PlantState(c, T, h)
+    return c, T, h, True
+
+
+# ---- the compiled loop: _rk4.c, built with gcc on the first step ----
+
+KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "_rk4.c")
+BUILD_DIR = os.path.join(os.path.dirname(KERNEL_SOURCE), "build")
+# no contraction into fused multiply-adds and no fast math: the kernel's
+# rounding is then the Python loop's, operation for operation
+KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared",
+                "-fPIC")
+
+_rk4 = None              # the loop step runs; chosen on the first step
+fallback_reason = None   # why step runs _rk4_python, when it does
+
+
+def kernel_path():
+    """The build of the current source with KERNEL_FLAGS for this
+    interpreter: named by the CRC-32 of both, so two trees with different
+    kernels never load each other's build."""
+    with open(KERNEL_SOURCE, "rb") as fh:
+        tag = zlib.crc32(fh.read() + " ".join(KERNEL_FLAGS).encode())
+    return os.path.join(BUILD_DIR, f"_rk4-{tag:08x}"
+                        f"{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+
+
+def kernel_command(out):
+    """The gcc command line that builds the kernel into out."""
+    import sysconfig
+    return ["gcc", *KERNEL_FLAGS, "-I" + sysconfig.get_paths()["include"],
+            KERNEL_SOURCE, "-o", out, "-lm"]
+
+
+def _build_kernel(path):
+    """Compile into a temporary file in BUILD_DIR and move it to path, so
+    a process building at the same time never sees a partial file; gcc's
+    own temporary files go to BUILD_DIR too."""
+    import subprocess
+    import tempfile
+    os.makedirs(BUILD_DIR, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=BUILD_DIR)
+    os.close(fd)
+    try:
+        proc = subprocess.run(kernel_command(tmp), capture_output=True,
+                              text=True, env=dict(os.environ, TMPDIR=BUILD_DIR))
+        if proc.returncode:
+            raise ImportError(f"gcc exited with code {proc.returncode}: "
+                              + proc.stderr.strip())
+        # mkstemp made the file private, and the linker kept its mode
+        os.chmod(tmp, 0o755)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load_kernel():
+    """Load the compiled loop, built first if its file is missing, as the
+    loop step runs. When gcc is missing, the build fails or BUILD_DIR is
+    not writable, step runs _rk4_python instead and fallback_reason says
+    why."""
+    global _rk4, fallback_reason
+    try:
+        path = kernel_path()
+        if not os.path.exists(path):
+            _build_kernel(path)
+        spec = importlib.util.spec_from_file_location("offsetmpc._rk4", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        _rk4, fallback_reason = module.rk4, None
+    except (OSError, ImportError) as exc:
+        _rk4, fallback_reason = _rk4_python, f"{type(exc).__name__}: {exc}"
+    return _rk4
 
 
 def measure(s, op):

@@ -3,10 +3,23 @@ import pathlib
 import numpy as np
 import pytest
 
-from offsetmpc import cli
+from offsetmpc import cli, plant
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+
+
+@pytest.fixture(scope="session")
+def compiled_rk4():
+    """The compiled RK4 loop that plant.step runs, built on first use. A
+    kernel that did not load fails the test, never skips it: the message
+    gives the reason and the command that builds it."""
+    loop = plant._rk4 or plant._load_kernel()
+    if loop is plant._rk4_python:
+        command = " ".join(plant.kernel_command(plant.kernel_path()))
+        pytest.fail(f"the compiled plant step did not load "
+                    f"({plant.fallback_reason}); build it with: {command}")
+    return loop
 
 
 @pytest.fixture(scope="session")

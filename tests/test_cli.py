@@ -345,6 +345,17 @@ def test_sample_setpoints_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert not dest.exists()
 
 
+def fresh_python(code):
+    """The last stdout line of code run in a fresh interpreter that imports
+    offsetmpc from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_the_program_never_imports_scipy(tmp_path):
     """check and run --mode both in a fresh interpreter leave no scipy
     module loaded: the program's linear algebra is numpy only."""
@@ -356,13 +367,33 @@ def test_the_program_never_imports_scipy(tmp_path):
         f"'--out', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m == 'scipy' or m.startswith('scipy.')))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert fresh_python(code) == "[]"
     assert (tmp_path / "cstr_tracking_learned.csv").exists()
+
+
+def test_a_plant_step_imports_no_build_tools(compiled_rk4):
+    """With the kernel built, the first plant.step in a fresh interpreter
+    loads it without importing subprocess or sysconfig, which only a build
+    needs, or hashlib, which would add ~4 MB to the process."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from offsetmpc import cli, plant\n"
+        "plant.step(plant.PlantState(0.878, 324.5, 0.659),\n"
+        "           np.array([300.0, 0.1]), plant.CstrParams(), 1.0)\n"
+        "assert plant.fallback_reason is None, plant.fallback_reason\n"
+        "print(sorted(m for m in ('hashlib', 'subprocess', 'sysconfig')\n"
+        "             if m in sys.modules))\n")
+    assert fresh_python(code) == "[]"
+
+
+def test_grnn_fit_never_loads_the_compiled_plant_step(tmp_path):
+    code = (
+        "from offsetmpc import cli, plant\n"
+        f"assert cli.main(['grnn-fit', {str(ROOT / 'out' / 'sweep_c_50_train.txt')!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        "print(plant._rk4)\n")
+    assert fresh_python(code) == "None"
 
 
 # a malformed number exits 2 with a message, never with a traceback; each

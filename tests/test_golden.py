@@ -22,13 +22,16 @@ one machine, by at most (CSV / summary): cstr_twovar_400_learned 1.6e-15
 outputs stayed byte-identical, and every active_set_size, steady and
 harvested value and every sweep harvest interval stayed unchanged. Such
 a rerun differs from out/ by at most 5.3e-13 (cstr_drift_learned.csv).
+The compiled plant step left every rerun byte-identical; each case also
+runs with the kernel switched off, through the Python loop it
+reproduces, which is the plant step wherever the kernel cannot be built.
 """
 
 import pathlib
 
 import pytest
 
-from offsetmpc import cli
+from offsetmpc import cli, plant
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOL = 1e-9
@@ -36,6 +39,7 @@ TOL = 1e-9
 # (config stem, --mode flag or None for the configured learned mode)
 RUNS = [("cstr_tracking", "both"), ("cstr_drift", None),
         ("cstr_twovar", "both"), ("cstr_twovar_400", None)]
+RUN_IDS = [f"{s}-{m or 'learned'}" for s, m in RUNS]
 
 
 def fields(path):
@@ -59,9 +63,20 @@ def worst_deviation(got_path, ref_path):
     return worst
 
 
-@pytest.mark.parametrize("stem, mode", RUNS,
-                         ids=[f"{s}-{m or 'learned'}" for s, m in RUNS])
+@pytest.mark.parametrize("stem, mode", RUNS, ids=RUN_IDS)
 def test_committed_run_reproduces(tmp_path, capsys, stem, mode):
+    check_run(tmp_path, stem, mode)
+
+
+@pytest.mark.parametrize("stem, mode", RUNS, ids=RUN_IDS)
+def test_committed_run_reproduces_with_the_python_loop(
+        tmp_path, capsys, monkeypatch, stem, mode):
+    """The fallback plant step, with the compiled kernel switched off."""
+    monkeypatch.setattr(plant, "_rk4", plant._rk4_python)
+    check_run(tmp_path, stem, mode)
+
+
+def check_run(tmp_path, stem, mode):
     argv = ["run", str(ROOT / "configs" / f"{stem}.yaml"),
             "--out", str(tmp_path)]
     if mode:
@@ -84,6 +99,16 @@ def test_committed_sweep_reproduces(tmp_path, capsys):
     directly by test_ocp.py's test_solver_matches_dense_kkt_reference,
     test_blocker_sequence_matches_reference and
     test_table_misses_match_cold_solve_qp."""
+    check_sweep(tmp_path)
+
+
+def test_committed_sweep_reproduces_with_the_python_loop(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(plant, "_rk4", plant._rk4_python)
+    check_sweep(tmp_path)
+
+
+def check_sweep(tmp_path):
     argv = ["sweep", "--setpoints", str(ROOT / "configs" / "sweep_ct_100.txt"),
             str(ROOT / "configs" / "cstr_twovar.yaml"), "--out", str(tmp_path)]
     assert cli.main(argv) == 0

@@ -287,7 +287,10 @@ def test_load_samples_rejects_ragged(tmp_path):
     (5, "# inputs two", "bad inputs directive"),
     (7, "0.1 0.2 1.0", "expected 4 fields, got 3"),
     (6, "0.1 nan 1.0 2.0", "non-finite field"),
-], ids=["directive", "short row", "nan"])
+    (3, "capacity 2.5", "bad capacity line"),
+    (4, "outputs 1.5", "bad outputs line"),
+], ids=["directive", "short row", "nan", "fractional capacity",
+        "fractional outputs"])
 def test_read_model_reports_bad_line(tmp_path, line, text, message):
     """A model file's samples are read by the sample parser, so a bad line
     is a ParseError naming the file and the line."""

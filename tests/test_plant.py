@@ -1,11 +1,38 @@
+import importlib.machinery
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from offsetmpc import plant
+
+
+@pytest.fixture
+def step_both(compiled_rk4, monkeypatch):
+    """plant.step through the compiled loop and through _rk4_python, the
+    loop it reproduces: the two must give the same state bit for bit, or
+    raise the same NonPhysicalState message, which the returned function
+    then returns or raises."""
+    def step(s, u, p, dt):
+        outcomes = []
+        for loop in (compiled_rk4, plant._rk4_python):
+            monkeypatch.setattr(plant, "_rk4", loop)
+            try:
+                outcomes.append(plant.step(s, u, p, dt))
+            except plant.NonPhysicalState as exc:
+                outcomes.append(exc)
+        got, oracle = outcomes
+        if isinstance(oracle, Exception):
+            assert str(got) == str(oracle), (s, u, p, dt)
+            raise got
+        assert (got.c, got.T, got.h) == (oracle.c, oracle.T, oracle.h), (
+            s, u, p, dt)
+        return got
+
+    return step
 
 
 def exact_equilibrium(c, T, p):
@@ -73,22 +100,22 @@ def test_heat_balance_linear_in_heat_transfer_coefficient():
     assert dTs[2] - dTs[1] == pytest.approx(dTs[1] - dTs[0], abs=1e-12)
 
 
-def test_exact_equilibrium_is_rk4_fixed_point():
+def test_exact_equilibrium_is_rk4_fixed_point(step_both):
     p = plant.CstrParams()
     s, u = exact_equilibrium(0.878, 324.5, p)
     assert np.abs(plant.derivatives(s, u, p)).max() < 5e-13
-    s2 = plant.step(s, u, p, 1.0)
+    s2 = step_both(s, u, p, 1.0)
     assert abs(s2.c - s.c) < 1e-9
     assert abs(s2.T - s.T) < 1e-9
     assert abs(s2.h - s.h) < 1e-9
 
 
-def test_equilibrium_holds_over_long_horizon():
+def test_equilibrium_holds_over_long_horizon(step_both):
     p = plant.CstrParams()
     s, u = exact_equilibrium(0.878, 324.5, p)
     ref = s.as_array()
     for _ in range(100):
-        s = plant.step(s, u, p, 1.0)
+        s = step_both(s, u, p, 1.0)
     assert np.abs(s.as_array() - ref).max() < 1e-9
 
 
@@ -100,7 +127,7 @@ def test_outlet_mismatch_breaks_level_balance():
     assert dx[2] == pytest.approx(-0.03 * 0.1 / p.area, rel=1e-12)
 
 
-def test_integration_order_is_four():
+def test_integration_order_is_four(step_both):
     """Richardson step-halving on a transient: the dt^4 error law gives
     ratios near 16."""
     p = plant.CstrParams(substeps=1)
@@ -110,7 +137,7 @@ def test_integration_order_is_four():
     def advance(dt, n):
         st = s
         for _ in range(n):
-            st = plant.step(st, u, p, dt)
+            st = step_both(st, u, p, dt)
         return st.as_array()
 
     # base step small enough for the dt^4 term to dominate, large enough
@@ -124,12 +151,12 @@ def test_integration_order_is_four():
     assert 12.0 <= num / den <= 20.0
 
 
-def test_step_raises_when_tank_drains():
+def test_step_raises_when_tank_drains(step_both):
     p = plant.CstrParams(substeps=5)
     s = plant.PlantState(c=0.9, T=324.0, h=0.02)
     # maximum outlet flow against nominal feed empties 2 cm fast
     with pytest.raises(plant.NonPhysicalState):
-        plant.step(s, np.array([300.0, 0.13]), p, 10.0)
+        step_both(s, np.array([300.0, 0.13]), p, 10.0)
 
 
 def test_measure_is_deviation_from_op():
@@ -231,7 +258,7 @@ def _oracle_draws():
         yield i, s, u, p, dt
 
 
-def test_step_matches_array_reference_bit_for_bit():
+def test_step_matches_array_reference_bit_for_bit(step_both):
     n_equal = 0
     for i, s, u, p, dt in _oracle_draws():
         assert np.array_equal(plant.derivatives(s, u, p),
@@ -240,15 +267,15 @@ def test_step_matches_array_reference_bit_for_bit():
             ref = _step_reference(s, u, p, dt)
         except plant.NonPhysicalState:
             with pytest.raises(plant.NonPhysicalState):
-                plant.step(s, u, p, dt)
+                step_both(s, u, p, dt)
             continue
-        got = plant.step(s, u, p, dt)
+        got = step_both(s, u, p, dt)
         assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h), (i, s, u)
         n_equal += 1
     assert n_equal >= 1000
 
 
-def test_step_moves_from_the_numpy_exp_form_by_at_most_1e_13():
+def test_step_moves_from_the_numpy_exp_form_by_at_most_1e_13(step_both):
     """math.exp in place of numpy's exp moves a step's result by rounding
     alone: on these draws at most 1e-13 relative in each of c, T and h
     (16 of 3114 components moved, by at most 2.1e-14, on one machine),
@@ -260,9 +287,9 @@ def test_step_moves_from_the_numpy_exp_form_by_at_most_1e_13():
             old = _step_reference_numpy_exp(s, u, p, dt)
         except plant.NonPhysicalState:
             with pytest.raises(plant.NonPhysicalState):
-                plant.step(s, u, p, dt)
+                step_both(s, u, p, dt)
             continue
-        got = plant.step(s, u, p, dt)
+        got = step_both(s, u, p, dt)
         for g, o in ((got.c, old.c), (got.T, old.T), (got.h, old.h)):
             assert abs(g - o) <= 1e-13 * abs(o), (i, s, u, g, o)
         n_steps += 1
@@ -275,7 +302,8 @@ def test_step_moves_from_the_numpy_exp_form_by_at_most_1e_13():
 # never above 0
 @pytest.mark.parametrize("E_over_R", [8750.0, 1e308])
 @pytest.mark.parametrize("T", [5e-324, 1e-300, 1e300])
-def test_extreme_temperature_gives_a_state_or_leaves_the_region(T, E_over_R):
+def test_extreme_temperature_gives_a_state_or_leaves_the_region(
+        T, E_over_R, step_both):
     p = plant.CstrParams(E_over_R=E_over_R)
     s = plant.PlantState(c=0.9, T=T, h=0.6)
     u = np.array([300.0, 0.1])
@@ -283,7 +311,7 @@ def test_extreme_temperature_gives_a_state_or_leaves_the_region(T, E_over_R):
         warnings.simplefilter("error")
         rates = plant.derivatives(s, u, p)
         try:
-            plant.step(s, u, p, 1.0)
+            step_both(s, u, p, 1.0)
         except plant.NonPhysicalState:
             pass
     assert np.all(np.isfinite(rates))
@@ -300,13 +328,14 @@ def test_extreme_temperature_gives_a_state_or_leaves_the_region(T, E_over_R):
     (plant.PlantState(c=0.9, T=324.0, h=1e-323), np.array([300.0, 0.1]),
      plant.CstrParams(), 1.0),
 ], ids=["draining tank", "thermal runaway", "vanishing volume"])
-def test_step_and_reference_both_leave_the_physical_region(s, u, p, dt):
+def test_step_and_reference_both_leave_the_physical_region(s, u, p, dt,
+                                                          step_both):
     # the array form divides by the zero volume before it raises
     with pytest.raises(plant.NonPhysicalState), np.errstate(divide="ignore"):
         _step_reference(s, u, p, dt)
     with pytest.raises(plant.NonPhysicalState, match=r"^state \([^()]*\) "
                        r"left the physical region$") as exc:
-        plant.step(s, u, p, dt)
+        step_both(s, u, p, dt)
     assert "np." not in str(exc.value)
 
 
@@ -388,12 +417,115 @@ STAGE_FAILURES = {
 
 
 @pytest.mark.parametrize("case", list(STAGE_FAILURES))
-def test_step_fails_at_the_closure_forms_stage_with_its_message(case):
+def test_step_fails_at_the_closure_forms_stage_with_its_message(case,
+                                                                step_both):
     s, u, p, dt, calls = STAGE_FAILURES[case]
     made = []
     with pytest.raises(plant.NonPhysicalState) as want:
         _closure_step_reference(s, np.array(u), p, dt, made)
     assert len(made) == calls
     with pytest.raises(plant.NonPhysicalState) as got:
-        plant.step(s, np.array(u), p, dt)
+        step_both(s, np.array(u), p, dt)
     assert str(got.value) == str(want.value)
+
+
+# ---- the compiled loop: built on first use, the Python loop its oracle ----
+
+def _kernel_draws(n):
+    """n (state, inputs, params, dt) cycling through ORACLE_CASES, from a
+    range wide enough that about half the steps leave the physical region
+    (10 842 of 20 000, at each of the four stages)."""
+    rng = np.random.default_rng(19)
+    for i in range(n):
+        outlet, conc, substeps, dt = ORACLE_CASES[i % len(ORACLE_CASES)]
+        p = plant.CstrParams(outlet_factor=outlet, substeps=substeps,
+                             concentration_mismatch=conc)
+        s = plant.PlantState(c=rng.uniform(0.1, 1.0),
+                             T=rng.uniform(300.0, 350.0),
+                             h=rng.uniform(0.02, 1.2))
+        u = np.array([rng.uniform(270.0, 380.0), rng.uniform(0.02, 0.2)])
+        yield s, u, p, dt
+
+
+def test_compiled_loop_matches_the_python_loop_on_20000_draws(step_both):
+    left = 0
+    for s, u, p, dt in _kernel_draws(20000):
+        try:
+            step_both(s, u, p, dt)
+        except plant.NonPhysicalState:
+            left += 1
+    assert 5000 <= left <= 15000
+
+
+def test_the_first_step_loads_the_compiled_loop(compiled_rk4, monkeypatch):
+    """compiled_rk4 fails this test, with the reason and the gcc command,
+    when the kernel cannot be built or loaded."""
+    monkeypatch.setattr(plant, "_rk4", None)
+    plant.step(plant.PlantState(c=0.878, T=324.5, h=0.659),
+               np.array([300.0, 0.1]), plant.CstrParams(), 1.0)
+    assert plant._rk4 is not plant._rk4_python
+    assert plant.fallback_reason is None
+
+
+def test_the_first_step_builds_into_an_empty_directory(tmp_path,
+                                                       monkeypatch):
+    build = tmp_path / "build"
+    monkeypatch.setattr(plant, "BUILD_DIR", str(build))
+    monkeypatch.setattr(plant, "_rk4", None)
+    monkeypatch.setattr(plant, "fallback_reason", None)
+    s, u, p = (plant.PlantState(c=0.9, T=320.0, h=0.7),
+               np.array([295.0, 0.11]), plant.CstrParams())
+    got = plant.step(s, u, p, 1.0)
+    assert plant.fallback_reason is None
+    assert plant._rk4 is not plant._rk4_python
+    # the build alone, under its tagged name: no temporary file is left
+    name = os.path.basename(plant.kernel_path())
+    assert os.listdir(build) == [name]
+    assert name.startswith("_rk4-") and name.endswith(
+        importlib.machinery.EXTENSION_SUFFIXES[0])
+    ref = _step_reference(s, u, p, 1.0)
+    assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h)
+
+
+def _no_gcc(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+
+
+def _bad_source(tmp_path, monkeypatch):
+    source = tmp_path / "_rk4.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(plant, "KERNEL_SOURCE", str(source))
+
+
+def _unwritable_build_dir(tmp_path, monkeypatch):
+    # a regular file where a directory should be: no directory can be made
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(plant, "BUILD_DIR", str(tmp_path / "file" / "build"))
+
+
+# case: (set-up, start of fallback_reason)
+FALLBACKS = {
+    "gcc missing": (_no_gcc, "FileNotFoundError: "),
+    "build fails": (_bad_source, "ImportError: gcc exited with code 1: "),
+    "build directory not writable": (_unwritable_build_dir,
+                                     "NotADirectoryError: "),
+}
+
+
+@pytest.mark.parametrize("case", list(FALLBACKS))
+def test_step_falls_back_to_the_python_loop(case, tmp_path, monkeypatch):
+    set_up, reason = FALLBACKS[case]
+    monkeypatch.setattr(plant, "BUILD_DIR", str(tmp_path / "build"))
+    monkeypatch.setattr(plant, "_rk4", None)
+    monkeypatch.setattr(plant, "fallback_reason", None)
+    set_up(tmp_path, monkeypatch)
+    s, u, p = (plant.PlantState(c=0.9, T=320.0, h=0.7),
+               np.array([295.0, 0.11]), plant.CstrParams())
+    got = plant.step(s, u, p, 1.0)
+    assert plant._rk4 is plant._rk4_python
+    assert plant.fallback_reason.startswith(reason), plant.fallback_reason
+    ref = _step_reference(s, u, p, 1.0)
+    assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h)
+    # a failed build leaves no temporary file behind
+    if os.path.isdir(plant.BUILD_DIR):
+        assert os.listdir(plant.BUILD_DIR) == []
