@@ -110,8 +110,8 @@ def derivatives(s, u, p):
     form that tests/test_plant.py holds as the reference, and both take
     the Arrhenius factor from math.exp; so the two agree bit for bit.
     _rk4_python and _rk4.c write the same expressions out for each RK4
-    stage. The exp's
-    argument is <= 0 once T is finite and > 0, so it cannot overflow.
+    stage. The exp's argument is <= 0 once T is finite and > 0, so it
+    cannot overflow.
     """
     Tc, F = (float(v) for v in u)
     c, T, h = float(s.c), float(s.T), float(s.h)
@@ -134,7 +134,7 @@ def derivatives(s, u, p):
 
 
 def step(s, u, p, dt):
-    """Classical RK4 with dt/substeps internal step, on Python floats.
+    """Classical RK4 with dt/substeps internal step.
 
     The per-call constants are computed here; the substep loop runs in the
     compiled kernel, built and loaded on the first step, or in
@@ -269,7 +269,8 @@ def _build_kernel(path):
     os.close(fd)
     try:
         proc = subprocess.run(kernel_command(tmp), capture_output=True,
-                              text=True, env=dict(os.environ, TMPDIR=BUILD_DIR))
+                              text=True,
+                              env=dict(os.environ, TMPDIR=BUILD_DIR))
         if proc.returncode:
             raise ImportError(f"gcc exited with code {proc.returncode}: "
                               + proc.stderr.strip())

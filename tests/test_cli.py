@@ -388,9 +388,10 @@ def test_a_plant_step_imports_no_build_tools(compiled_rk4):
 
 
 def test_grnn_fit_never_loads_the_compiled_plant_step(tmp_path):
+    samples = str(ROOT / "out" / "sweep_c_50_train.txt")
     code = (
         "from offsetmpc import cli, plant\n"
-        f"assert cli.main(['grnn-fit', {str(ROOT / 'out' / 'sweep_c_50_train.txt')!r}, "
+        f"assert cli.main(['grnn-fit', {samples!r}, "
         f"'--out', {str(tmp_path)!r}]) == 0\n"
         "print(plant._rk4)\n")
     assert fresh_python(code) == "None"
