@@ -12,7 +12,6 @@ import dataclasses
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 import yaml
@@ -174,11 +173,11 @@ def _coerce_params(section, path):
 
 
 def load_config(path):
+    # bytes, which PyYAML decodes itself: a config that is not UTF-8 is a
+    # YAMLError naming the file and the byte position
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}")
     if not isinstance(raw, dict):
@@ -392,26 +391,14 @@ def _out_dir(flag, default):
 
 
 def _load_setpoints(path, op):
-    try:
-        with warnings.catch_warnings():
-            # loadtxt warns on a file without data rows; that is the error
-            # raised below
-            warnings.simplefilter("ignore", UserWarning)
-            pts = np.loadtxt(path, comments="#", ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read setpoints: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"setpoints file: {exc}")
-    if not pts.size:
+    # the sample files' row rules, whose comments here are free text
+    with grnn_mod.open_text(path) as fh:
+        pts = grnn_mod.read_rows(path, enumerate(fh, start=1))
+    if not pts:
         raise ConfigError("setpoints file has no setpoints")
-    if pts.shape[1] != 2:
+    if len(pts[0]) != 2:
         raise ConfigError(f"setpoints file must have 2 columns (c, T), "
-                          f"got {pts.shape[1]}")
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        c, T = pts[bad[0]]
-        raise ConfigError(f"setpoints file: setpoint {bad[0] + 1} is not "
-                          f"finite: {c:g} {T:g}")
+                          f"got {len(pts[0])}")
     return [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in pts]
 
 
@@ -429,8 +416,6 @@ def _build_grnn(rc, mode):
         return None
     samples = []
     if rc.grnn_train:
-        if not os.path.exists(rc.grnn_train):
-            raise ConfigError(f"grnn train file not found: {rc.grnn_train}")
         samples = grnn_mod.load_samples(rc.grnn_train)
     g = _sample_window(rc.scenario.grnn_capacity, rc.dist.n_d, samples,
                        rc.grnn_train)
@@ -536,8 +521,7 @@ def cmd_grnn_fit(args):
     loo_path = os.path.join(out, f"{stem}_loo.txt")
     with open(loo_path, "w") as fh:
         fh.write("# sigma loo_mean_squared_error\n")
-        for s, e in curve:
-            fh.write("%.17g %.17g\n" % (s, e))
+        grnn_mod.write_rows(fh, curve)
         if not curve:
             fh.write("# single sample: loo undefined\n")
 
@@ -547,14 +531,10 @@ def cmd_grnn_fit(args):
         fh.write("# prediction sweeps, one block per input dimension\n")
         for j in range(X.shape[1]):
             fh.write(f"# dim {j} sweep, other dims at sample mean\n")
-            qs = np.linspace(X[:, j].min(), X[:, j].max(), 101)
-            base = X.mean(axis=0)
-            for q in qs:
-                query = base.copy()
-                query[j] = q
-                pred = grnn_mod.predict(g, query)
-                fh.write("%.17g " % q + " ".join("%.17g" % v for v in pred)
-                         + "\n")
+            queries = np.tile(X.mean(axis=0), (101, 1))
+            queries[:, j] = np.linspace(X[:, j].min(), X[:, j].max(), 101)
+            grnn_mod.write_rows(fh, ((q[j], *grnn_mod.predict(g, q))
+                                     for q in queries))
     print(f"fitted sigma {g.sigma:.6g} on {len(samples)} samples -> "
           f"{model_path}")
     return EXIT_OK
@@ -596,8 +576,7 @@ def cmd_sample_setpoints(args):
     dest = args.out or f"setpoints_{args.n}_{args.seed}.txt"
     with open(dest, "w") as fh:
         fh.write("# absolute setpoints: c (kmol/m3), T (K)\n")
-        for c, T in pts:
-            fh.write("%.17g %.17g\n" % (c, T))
+        grnn_mod.write_rows(fh, pts)
     print(f"wrote {len(pts)} setpoints -> {dest}")
     return EXIT_OK
 
@@ -646,9 +625,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_sample_setpoints)
 
     args = parser.parse_args(argv)
+    # the one place an error becomes an exit code; an OSError's message
+    # names the file that could not be opened, read or written
     try:
         return args.func(args)
-    except (ConfigError, grnn_mod.ParseError, FileNotFoundError) as exc:
+    except (ConfigError, grnn_mod.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (model_mod.UnstableEstimator, model_mod.SingularClosedLoop,

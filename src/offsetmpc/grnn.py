@@ -8,6 +8,7 @@ a new instance.
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -194,54 +195,79 @@ def _fmt(v):
     return " ".join("%.17g" % x for x in v)
 
 
-def write_samples(path, samples, n_in=None):
-    with open(path, "w") as fh:
-        fh.write("# steady-state training samples\n")
-        _write_rows(fh, samples, n_in)
+def write_rows(fh, rows):
+    """One line per row of numbers in %.17g, which read_rows reads back."""
+    for row in rows:
+        fh.write(_fmt(row) + "\n")
 
 
-def _write_rows(fh, samples, n_in=None):
-    """The '# inputs k' directive, k from the first sample when there is
-    one, then one row per sample, as _parse_rows reads them."""
-    if samples:
-        n_in = len(samples[0][0])
-    if n_in is not None:
-        fh.write(f"# inputs {n_in}\n")
-    for r, d in samples:
-        fh.write(_fmt(r) + " " + _fmt(d) + "\n")
+def open_text(path):
+    """path opened to read as UTF-8 whatever the locale; a byte that is not
+    UTF-8 stays in as a lone surrogate, which fails as a non-numeric field."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def load_samples(path, n_in=None):
-    """Whitespace-separated numeric rows, '#' comments; the input/output
-    split comes from an '# inputs k' directive or the n_in argument."""
-    with open(path) as fh:
-        return _parse_rows(path, enumerate(fh, start=1), n_in)
-
-
-def _parse_rows(path, lines, n_in=None):
-    """The samples [(r, d), ...] of the (line number, text) pairs of a
-    sample or model file; a ParseError names path and, for a bad line, its
-    number."""
+def read_rows(path, lines, comment=None):
+    """The rows of the (line number, text) pairs of a numeric text file:
+    finite floats, as many per row as in the first, with '#' starting a
+    comment, which comment(lineno, text) is given when passed ('' for a
+    line without one). A ParseError names path and the line."""
     rows = []
     for lineno, raw in lines:
-        body, _, comment = raw.partition("#")
-        if comment.strip().startswith("inputs"):
-            try:
-                n_in = int(comment.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"{path}: line {lineno}: bad inputs directive")
+        body, _, text = raw.partition("#")
+        if comment is not None:
+            comment(lineno, text)
         if not body.strip():
             continue
         try:
             vals = [float(tok) for tok in body.split()]
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric field")
-        if not np.all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise ParseError(f"{path}: line {lineno}: non-finite field")
         if rows and len(vals) != len(rows[0]):
             raise ParseError(f"{path}: line {lineno}: expected {len(rows[0])} "
                              f"fields, got {len(vals)}")
         rows.append(vals)
+    return rows
+
+
+def write_samples(path, samples):
+    with open(path, "w") as fh:
+        fh.write("# steady-state training samples\n")
+        _write_samples(fh, samples)
+
+
+def _write_samples(fh, samples):
+    """The '# inputs k' directive, k from the first sample, then one row
+    per sample, as _parse_rows reads them; nothing for no samples."""
+    if samples:
+        fh.write(f"# inputs {len(samples[0][0])}\n")
+    write_rows(fh, ((*r, *d) for r, d in samples))
+
+
+def load_samples(path):
+    """Whitespace-separated numeric rows, '#' comments; the input/output
+    split comes from an '# inputs k' directive."""
+    with open_text(path) as fh:
+        return _parse_rows(path, enumerate(fh, start=1))
+
+
+def _parse_rows(path, lines):
+    """The samples [(r, d), ...] of the (line number, text) pairs of a
+    sample or model file: read_rows' rows, split after the first k fields
+    by the last '# inputs k' directive."""
+    n_in = None
+
+    def directive(lineno, text):
+        nonlocal n_in
+        if text.strip().startswith("inputs"):
+            try:
+                n_in = int(text.split()[1])
+            except (IndexError, ValueError):
+                raise ParseError(f"{path}: line {lineno}: bad inputs directive")
+
+    rows = read_rows(path, lines, directive)
     if not rows:
         return []
     if n_in is None:
@@ -259,14 +285,14 @@ def write_model(path, model):
         fh.write("sigma %.17g\n" % model.sigma)
         fh.write("capacity %d\n" % model.capacity)
         fh.write("outputs %d\n" % model.n_out)
-        _write_rows(fh, list(zip(model.X, model.Y)))
+        _write_samples(fh, list(zip(model.X, model.Y)))
 
 
 def read_model(path):
     """The model write_model wrote: its sigma, capacity and outputs lines,
     then samples as load_samples reads them."""
     header, rest = {}, []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             words = raw.split("#", 1)[0].split()
             if words and words[0] in ("sigma", "capacity", "outputs"):

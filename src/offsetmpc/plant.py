@@ -16,6 +16,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import zlib
 from dataclasses import dataclass
@@ -55,6 +56,12 @@ class CstrParams:
                 raise ValueError(f"{name} must be > 0")
         if not self.dH < 0:
             raise ValueError("dH must be < 0 (exothermic)")
+        # a count of substeps: a float, even 3.0, or a bool is not one,
+        # while a numpy integer is
+        if (isinstance(self.substeps, bool)
+                or not isinstance(self.substeps, numbers.Integral)):
+            raise ValueError(f"substeps must be an integer, got "
+                             f"{self.substeps!r}")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
 

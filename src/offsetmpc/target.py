@@ -37,6 +37,7 @@ class BoundExcursions:
         if self.first is None:
             self.first = pair
         self.last = pair
+        return pair
 
 
 class TargetCalculator:
@@ -59,15 +60,19 @@ class TargetCalculator:
                 self._hi[part] = bounds[1] + 1e-12
 
     def solve(self, d_hat, r):
-        return self.check(self.T @ np.concatenate([d_hat, r]))
+        sol = self.T @ np.concatenate([d_hat, r])
+        return self.check(sol) or self.pair(sol)
+
+    def pair(self, sol):
+        """The pair sol = [x_bar; u_bar] as views of sol."""
+        return TargetPair(sol[:self.n_x], sol[self.n_x:])
 
     def check(self, sol):
-        """The pair sol = [x_bar; u_bar] as views of sol, counted in
-        self.excursions when it leaves the box."""
-        pair = TargetPair(sol[:self.n_x], sol[self.n_x:])
+        """The pair of sol, built and counted in self.excursions only when
+        it leaves the box; None when it stays inside."""
         if ((sol < self._lo) | (sol > self._hi)).any():
-            self.excursions.add(pair)
-        return pair
+            return self.excursions.add(self.pair(sol))
+        return None
 
 
 def target_map(model, dist):

@@ -15,7 +15,8 @@ from offsetmpc import cli, grnn, ocp, target
 from offsetmpc import closed_loop as cl
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TRACKING = ROOT / "configs" / "cstr_tracking.yaml"
+CONFIGS = ROOT / "configs"
+TRACKING = CONFIGS / "cstr_tracking.yaml"
 
 
 def rewrite_config(tmp_path, name, subs, out_dir="out"):
@@ -267,8 +268,7 @@ def test_non_finite_setpoint_is_config_error(tmp_path, capsys, row):
     sp.write_text(f"# c T\n0.877 324.5\n\n{row}\n")
     cfg = rewrite_config(tmp_path, "nansp.yaml", [])
     assert cli.main(["sweep", str(cfg), "--setpoints", str(sp)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: setpoints file: setpoint 2 is not finite: {row}\n")
+    assert capsys.readouterr().err == f"error: {sp}: line 4: non-finite field\n"
     assert not (tmp_path / "out" / "bad_train.txt").exists()
 
 
@@ -546,6 +546,114 @@ def test_bad_train_file_error_names_the_file(tmp_path, capsys):
     assert cli.main(["run", "--mode", "learned", str(cfg)]) == 2
     assert capsys.readouterr().err == \
         f"error: {train}: line 3: non-numeric field\n"
+
+
+def fails_naming(capsys, argv, path):
+    """main(argv) exits 2 with one 'error:' line that names path, or, for
+    a config PyYAML cannot read, one that PyYAML's 'in "<path>"' line
+    follows, and no traceback."""
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    first, *rest = err.splitlines()
+    assert first.startswith("error: ") and len(rest) <= 3, err
+    assert str(path) in (first if not rest else rest[-1]), err
+
+
+def learned_run_reading(tmp_path, train):
+    """run --mode learned argv for the tracking config whose training file
+    is train."""
+    cfg = rewrite_config(tmp_path, "train_at.yaml", [
+        (r"train: \S+\}", f"train: {train}}}")])
+    return ["run", "--mode", "learned", cfg]
+
+
+NOT_UTF8 = b"# inputs 2\n0.001 0.1 0.0 0.0\n0.002 0.1 \xe9 0.0\n"
+
+
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    """A byte that is not UTF-8 in a sample, training or setpoints file is
+    its line's non-numeric field, whatever the locale; in a config it is a
+    YAML error at its byte position."""
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(NOT_UTF8)
+    for argv in (["grnn-fit", bad, "--out", tmp_path / "out"],
+                 learned_run_reading(tmp_path, bad)):
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 3: non-numeric field\n"
+    sp = tmp_path / "sp.txt"
+    sp.write_bytes(b"# c T \xe9\n0.877 324.5\n0.878\xff 324.5\n")
+    assert cli.main(["sweep", str(TRACKING), "--setpoints", str(sp)]) == 2
+    assert capsys.readouterr().err == f"error: {sp}: line 3: non-numeric field\n"
+    cfg = tmp_path / "latin.yaml"
+    cfg.write_bytes(TRACKING.read_bytes().replace(b"# ", b"# \xe9", 1))
+    fails_naming(capsys, ["check", cfg], cfg)
+
+
+@pytest.mark.parametrize("command", ["check", "sweep", "run"])
+def test_missing_config_names_the_file(tmp_path, capsys, command):
+    cfg = tmp_path / "nope.yaml"
+    argv = [command, cfg] + (["--setpoints", cfg] if command == "sweep" else [])
+    fails_naming(capsys, argv, cfg)
+
+
+def test_missing_or_directory_input_file_names_it(tmp_path, capsys):
+    """A setpoints, sample or training file that is missing or is a
+    directory exits 2 naming it."""
+    for path in (tmp_path / "nope.txt", tmp_path):
+        fails_naming(capsys, ["sweep", TRACKING, "--setpoints", path], path)
+        fails_naming(capsys, ["grnn-fit", path, "--out", tmp_path / "out"],
+                     path)
+        fails_naming(capsys, learned_run_reading(tmp_path, path), path)
+
+
+def test_output_that_cannot_be_written_names_it(tmp_path, capsys):
+    """An --out that names a regular file where a directory is wanted, or a
+    directory where a file is wanted, exits 2 naming it."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    sp = tmp_path / "one.txt"
+    sp.write_text("0.878 324.5\n")
+    for argv in (["grnn-fit", ROOT / "out" / "sweep_c_50_train.txt"],
+                 ["sweep", TRACKING, "--setpoints", sp],
+                 ["run", TRACKING, "--mode", "nominal"]):
+        fails_naming(capsys, argv + ["--out", taken], taken)
+    fails_naming(capsys, ["sample-setpoints", TRACKING, "-n", "2",
+                          "--out", tmp_path], tmp_path)
+    assert taken.read_text() == ""
+
+
+SETPOINT_FILES = [CONFIGS / name for name in
+                  ("sweep_c_50.txt", "sweep_ct_100.txt", "sweep_ct_400.txt")]
+
+
+def test_setpoints_read_as_numpy_loadtxt_reads_them(tmp_path, capsys):
+    """The setpoint reader gives the floats np.loadtxt, its former
+    implementation, gives on the committed setpoint files and on a fresh
+    sample-setpoints file."""
+    fresh = tmp_path / "fresh.txt"
+    assert cli.main(["sample-setpoints", str(TRACKING), "-n", "5", "--seed",
+                     "3", "--out", str(fresh)]) == 0
+    op = cli.load_config(str(TRACKING)).op
+    for path in SETPOINT_FILES + [fresh]:
+        want = np.loadtxt(path, comments="#", ndmin=2)
+        got = cli._load_setpoints(str(path), op)
+        assert np.array_equal(np.array(got) + op.x_ss[:2], want)
+        assert got == [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in want]
+
+
+@pytest.mark.parametrize("comment", ["# inputs 1", "# inputs", "# inputs x",
+                                     "0.877 324.5 # inputs 5"])
+def test_setpoint_comment_is_free_text(tmp_path, capsys, comment):
+    """A setpoint comment that starts with 'inputs' is not the sample
+    files' '# inputs k' directive."""
+    sp = tmp_path / "sp.txt"
+    sp.write_text(f"{comment}\n0.878 324.5\n")
+    want = np.loadtxt(sp, comments="#", ndmin=2)
+    op = cli.load_config(str(TRACKING)).op
+    got = cli._load_setpoints(str(sp), op)
+    assert got == [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in want]
 
 
 REQUIRED_SECTIONS = ("operating_point", "model", "disturbance", "estimator",

@@ -68,3 +68,28 @@ def test_grnn_fit_maps_any_sample_file_to_an_exit_code(tmp_path, n_in, rows):
                  + "".join(" ".join(row) + "\n" for row in rows))
     assert cli.main(["grnn-fit", str(p), "--out",
                      str(tmp_path / "out")]) in {0, 2, 4}
+
+
+@settings(FUZZ, max_examples=60)
+@given(data=st.binary(max_size=64))
+def test_any_bytes_as_an_input_file_map_to_an_exit_code(tmp_path, capsys,
+                                                        data):
+    """Arbitrary bytes, UTF-8 or not, as the config of check, the sample
+    file of grnn-fit, the setpoints file of sweep and the training file of
+    a learned run: each exits with a documented code and no traceback."""
+    p = tmp_path / "fuzz.bin"
+    p.write_bytes(data)
+    cfg = copy.deepcopy(BASE)
+    cfg["scenario"]["grnn"]["train"] = str(p)
+    cfg["scenario"]["duration"] = 1
+    cfg["scenario"]["schedule"] = cfg["scenario"]["schedule"][:1]
+    learned = tmp_path / "learned.yaml"
+    learned.write_text(yaml.safe_dump(cfg))
+    out = str(tmp_path / "out")
+    for argv in (["check", str(p)],
+                 ["grnn-fit", str(p), "--out", out],
+                 ["sweep", str(ROOT / "configs" / "cstr_tracking.yaml"),
+                  "--setpoints", str(p), "--out", out],
+                 ["run", "--mode", "learned", str(learned), "--out", out]):
+        assert cli.main(argv) in {0, 2, 3, 4}, argv
+        assert "Traceback" not in capsys.readouterr().err, argv

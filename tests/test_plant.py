@@ -182,6 +182,30 @@ def test_apply_event_rejects_unknown_field():
         plant.apply_event(p, {"volume": 3.0})
 
 
+@pytest.mark.parametrize("substeps", [2.5, 3.0, np.float64(3.0), True, False,
+                                      "3", None],
+                         ids=["2.5", "3.0", "float64", "True", "False", "str",
+                              "None"])
+def test_substeps_that_is_not_an_integer_is_rejected(substeps):
+    """A count of RK4 substeps that is not an integer fails at construction,
+    directly and through an event, rather than later in step (a float) or
+    as one substep (True)."""
+    with pytest.raises(ValueError, match="substeps must be an integer"):
+        plant.CstrParams(substeps=substeps)
+    with pytest.raises(ValueError, match="substeps must be an integer"):
+        plant.apply_event(plant.CstrParams(), {"substeps": substeps})
+
+
+@pytest.mark.parametrize("substeps", [3, np.int64(3)], ids=["int", "int64"])
+def test_integer_substeps_step(substeps):
+    """A Python or a numpy integer is a count; both step alike."""
+    s, u = plant.PlantState(c=0.878, T=324.5, h=0.659), np.array([300.0, 0.1])
+    for p in (plant.CstrParams(substeps=substeps),
+              plant.apply_event(plant.CstrParams(), {"substeps": substeps})):
+        assert plant.step(s, u, p, 1.0) == plant.step(
+            s, u, plant.CstrParams(substeps=3), 1.0)
+
+
 def test_concentration_mismatch_term():
     s = plant.PlantState(c=0.878, T=324.5, h=0.659)
     u = np.array([300.0, 0.1])

@@ -102,9 +102,10 @@ def test_non_square_target_rejected(committed):
 
 def test_check_of_the_stacked_product_matches_solve(twovar_rc):
     """On theta = [x_hat; d; r] of every interval of the committed twovar
-    runs and on random theta, check(z[:n_t]) with z = law.P theta gives
+    runs and on random theta, pair(z) with z = (law.P theta)[:n_t] gives
     the pair of solve(d, r) within 1e-12 relative to max(1, |value|), and
-    the same excursion verdict."""
+    check(z) the same excursion verdict, returning the pair it counted or
+    None."""
     rc = twovar_rc
     m, dist, cfg = rc.model, rc.dist, rc.ocp_cfg
     law = ocp.build_prediction(m, dist, cfg).law
@@ -127,7 +128,10 @@ def test_check_of_the_stacked_product_matches_solve(twovar_rc):
     for theta in thetas:
         d, r = theta[m.n_x:m.n_x + dist.n_d], theta[m.n_x + dist.n_d:]
         before = fast.excursions.count
-        got = fast.check((law.P @ theta)[:law.n_t])
+        z = (law.P @ theta)[:law.n_t]
+        counted = fast.check(z)
+        assert counted is None or counted is fast.excursions.last
+        got = fast.pair(z)
         want = ref.solve(d, r)
         for g, w in ((got.x_bar, want.x_bar), (got.u_bar, want.u_bar)):
             assert (np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w))).all()
