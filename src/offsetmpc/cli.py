@@ -476,6 +476,8 @@ def cmd_sweep(args):
     if gains is None:
         return EXIT_CONDITION
     setpoints = _load_setpoints(args.setpoints, rc.op)
+    # made before the sweep, so an unwritable --out costs no interval
+    out = _out_dir(args.out, rc.out_dir)
     samples, log = cl.sweep_harvest(
         rc.model, rc.dist, gains, rc.ocp_cfg, _fresh_plant(rc), setpoints,
         cap=rc.sweep_cap, steady_M=rc.scenario.steady_M,
@@ -490,7 +492,6 @@ def cmd_sweep(args):
         print(f"sweep ABORTED at step {len(log.records)}: "
               f"{log.aborted['reason']}", file=sys.stderr)
         return EXIT_RUNTIME
-    out = _out_dir(args.out, rc.out_dir)
     sp_stem = os.path.splitext(os.path.basename(args.setpoints))[0]
     dest = os.path.join(out, f"{sp_stem}_train.txt")
     grnn_mod.write_samples(dest, [(s.r, s.d_ss) for s in samples])
@@ -507,13 +508,14 @@ def cmd_grnn_fit(args):
         raise ConfigError("no samples in file")
     n_out = samples[0][1].shape[0]
     g = _sample_window(len(samples), n_out, samples, args.samples)
+    # made before the fit, so an unwritable --out costs no sweep
+    out = _out_dir(args.out, "out")
     curve = []
     # one sample has no leave-one-out curve, and auto fails on it
     if sigma == "auto" or len(samples) >= 2:
         selected = grnn_mod.select_sigma(g, curve=curve)
     g = grnn_mod.with_sigma(g, selected if sigma == "auto" else sigma)
 
-    out = _out_dir(args.out, "out")
     stem = os.path.splitext(os.path.basename(args.samples))[0]
     model_path = os.path.join(out, f"{stem}_model.txt")
     grnn_mod.write_model(model_path, g)

@@ -6,7 +6,10 @@ Within a control interval k the order is: read y_p(k); look up the learned
 disturbance at the current setpoint; advance the estimator one step using
 the stored (u, y_p, learned d) from interval k-1; solve the target problem
 and the finite-horizon QP with the combined disturbance; apply the first
-input. The estimator is not updated at k=0 (nothing stored yet).
+input. At k=0 the stored values are zeros, from which the update gives the
+initial (zero) estimate. The update, the affine law's product and its
+free-path tests run in one call of plant's compiled interval, or of its
+numpy form where the kernels cannot be built.
 """
 
 import collections.abc
@@ -307,8 +310,20 @@ class ControlLoop:
         self.grnn = grnn if mode is ControllerMode.LEARNED else None
         self.harvest = harvest
         self.k = 0
-        self.estimate = self.estimator.initial()
-        self._prev = None            # (u, y_p, d_learned) of interval k-1
+        # the interval's input v = [w_{k-1}; u_{k-1}; y_{k-1}; d_l_{k-1};
+        # d_l_k; r_k], written in place through one slice per part, and
+        # the estimate w = [x_hat; d_hat] and theta = [x_hat; d_l_k +
+        # d_hat; r_k] it gives
+        n_w = model.n_x + dist.n_d
+        ends = np.cumsum([n_w, model.n_u, model.n_y, dist.n_d, dist.n_d,
+                          model.n_z]).tolist()
+        self._parts = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self._v = np.zeros(ends[-1])
+        self._w = np.empty(n_w)
+        self._theta = np.empty(n_w + model.n_z)
+        law = self.pred.law
+        u_row = law.n_t + law.S.shape[0]
+        self._u_rows = slice(u_row, u_row + model.n_u)   # u* in z
         self.detector = SteadyDetector(steady_M, steady_tol_y, steady_tol_u)
         self._no_map = np.zeros(dist.n_d)
         self._no_map.flags.writeable = False
@@ -327,6 +342,10 @@ class ControlLoop:
         """Advance one interval and write its row k of self.records;
         returns (u, whether the interval harvested a sample)."""
         r = np.asarray(r, dtype=float).reshape(-1)
+        if len(r) != self.model.n_z:
+            # v takes r by slice assignment, which would broadcast one entry
+            raise ValueError(f"setpoint has {len(r)} entries, the model "
+                             f"controls {self.model.n_z}")
         r_list = r.tolist()
         k = self.k
         y_p = self.plant.measure()
@@ -340,21 +359,33 @@ class ControlLoop:
             d_l = self._lookup[2]
         else:
             d_l = self._no_map
-        if k > 0:
-            self.estimate = self.estimator.learned_step(self.estimate,
-                                                        *self._prev)
-        d_s = self.estimate.d_hat
-        d_tot = d_l + d_s
-        x_hat = self.estimate.x_hat
-        theta = np.concatenate([x_hat, d_tot, r])
-        # the target, the slack, u* and Q theta of the affine law at once
+        v, w, theta = self._v, self._w, self._theta
+        w_part, u_part, y_part, d_l_prev_part, d_l_part, r_part = self._parts
+        v[d_l_part] = d_l
+        v[r_part] = r
+        n_x = self.model.n_x
+        # the estimate, theta, z = P theta (target, slacks, u*, Q theta)
+        # and the free-path tests; z is new every interval, since u and a
+        # counted target are views of it
         law = self.pred.law
-        z = law.P @ theta
+        z = np.empty(len(law.P))
+        flag, objective, excursion = (
+            plant_mod._interval or plant_mod._load_kernel()[1])(
+                self.estimator.M_step, law.P, self.pred.b_box,
+                self.targets.lo, self.targets.hi, v, w, theta, z, n_x,
+                law.n_t)
+        if not flag:
+            raise ValueError("non-finite estimate")
+        if flag == 1:
+            u, n_active = z[self._u_rows], 0
+        else:
+            # a violated row: the table's entries or its own QP; u_seq is
+            # a new array
+            sol = self.table.solve(theta, z)
+            u = sol.u_seq[:self.model.n_u]
+            objective, n_active = sol.objective, len(sol.active_set)
         t = z[:law.n_t]
-        sol = self.table.solve(theta, z)
-        # u_seq (a view of z or a new array) and y_p are new every
-        # interval and never written
-        u = sol.u_seq[:self.model.n_u]
+        d_tot = theta[n_x:len(w)]
         z_p = self.model.H @ y_p
         steady = self.detector.update(r_list, y_p.tolist(), u.tolist())
 
@@ -363,18 +394,23 @@ class ControlLoop:
             log.reserve(2 * k)
         row = log.values[k]
         row[0] = time = k * self.model.dt
-        np.concatenate([r, y_p, z_p, u, x_hat, d_l, d_s, d_tot, t],
+        np.concatenate([r, y_p, z_p, u, w[:n_x], d_l, w[n_x:], d_tot, t],
                        out=row[1:-4])
-        row[-4] = sol.objective
-        row[-3] = len(sol.active_set)
+        row[-4] = objective
+        row[-3] = n_active
         row[-2] = steady
-        self._prev = (u, y_p, d_l)
+        # what the next interval's update reads
+        v[w_part] = w
+        v[u_part] = u
+        v[y_part] = y_p
+        v[d_l_prev_part] = d_l
         # the row counts, its target excursion is counted and a sample is
         # taken only once the plant step has completed, so a failing step
         # leaves none of them
         self.plant.step(u)
         log.n = k + 1
-        self.targets.check(t)
+        if excursion:
+            self.targets.excursions.add(self.targets.pair(t))
         harvested = False
         if (self.harvest and steady
                 and (self._last_harvest_r is None

@@ -2,6 +2,9 @@
 cylindrical tank with level dynamics, stepped by classical RK4 whose
 substep loop runs in a small C kernel built with gcc on the first step,
 or on Python floats where it cannot be built; both give the same floats.
+The same build holds the controller's free-path interval (see
+_interval_python), so this module loads the program's one compiled
+extension.
 
 States are concentration c (kmol/m3), temperature T (K), level h (m);
 inputs are coolant temperature T_c (K) and outlet flow F (m3/min). The
@@ -164,7 +167,7 @@ def step(s, u, p, dt):
     h_half = half * dh
     h_full = hstep * dh
     h_next = sixth * (dh + 2.0 * dh + 2.0 * dh + dh)
-    c, T, h, ok = (_rk4 or _load_kernel())(
+    c, T, h, ok = (_rk4 or _load_kernel()[0])(
         float(s.c), float(s.T), float(s.h), Tc, F0, T0, c0, k0, neg_E, area,
         rxn, jacket, 0.03 * F, hstep, half, sixth, h_half, h_full, h_next,
         mismatch, substeps)
@@ -179,8 +182,8 @@ def _rk4_python(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
     """step's substep loop: the four stages are derivatives' expressions
     written out, each after the check of its input state. Returns the
     state after the last substep and True, or the input state of the
-    first stage that fails the check and False. _rk4.c is this loop,
-    compiled; the extra outlet term, extra_outlet = 0.03 F, counts only
+    first stage that fails the check and False. _kernels.c's rk4 is this
+    loop, compiled; the extra outlet term, extra_outlet = 0.03 F, counts only
     when mismatch is set."""
     exp = math.exp
     inf = math.inf
@@ -234,18 +237,49 @@ def _rk4_python(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
     return c, T, h, True
 
 
-# ---- the compiled loop: _rk4.c, built with gcc on the first step ----
+def _interval_python(M_step, P, b_box, lo, hi, v, w, theta, z, n_x, n_t):
+    """The free-path part of closed_loop.ControlLoop.control_step in numpy,
+    writing into the caller's w, theta and z. With v = [w_{k-1}; u_{k-1};
+    y_{k-1}; d_l_{k-1}; d_l_k; r_k] and n_in = M_step's columns:
+    w = M_step v[:n_in] is the estimator update [x_hat; d_hat]; theta =
+    [x_hat; d_l_k + d_hat; r_k], an IEEE add, so that d_total is exactly
+    d_learned + d_supp; z = P theta is the affine law's product (the
+    target t = z[:n_t] first, the slacks S theta next, Q theta last).
+    Returns (flag, objective, excursion): flag 0 when w is not finite, 1
+    on the free path, where every slack z[S] - b_box is <= 0, and 2 when a
+    row is violated; objective theta'(Q theta); excursion whether t leaves
+    [lo, hi]. _kernels.c's interval is this, compiled."""
+    n_w = len(w)
+    n_in = M_step.shape[1]
+    n_dl = n_in + n_w - n_x
+    np.matmul(M_step, v[:n_in], out=w)
+    if not np.isfinite(w).all():
+        return 0, 0.0, False
+    theta[:n_x] = w[:n_x]
+    np.add(v[n_in:n_dl], w[n_x:], out=theta[n_x:n_w])
+    theta[n_w:] = v[n_dl:]
+    np.matmul(P, theta, out=z)
+    t = z[:n_t]
+    free = (z[n_t:n_t + len(b_box)] - b_box <= 0.0).all()
+    return (1 if free else 2, float(theta @ z[len(z) - len(theta):]),
+            bool(((t < lo) | (t > hi)).any()))
+
+
+# ---- the compiled kernels: _kernels.c, built with gcc on first use ----
 
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                             "_rk4.c")
+                             "_kernels.c")
 BUILD_DIR = os.path.join(os.path.dirname(KERNEL_SOURCE), "build")
-# no contraction into fused multiply-adds and no fast math: the kernel's
-# rounding is then the Python loop's, operation for operation
+# no contraction into fused multiply-adds and no fast math: rk4's rounding
+# is then the Python loop's, operation for operation
 KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared",
                 "-fPIC")
 
-_rk4 = None              # the loop step runs; chosen on the first step
-fallback_reason = None   # why step runs _rk4_python, when it does
+# the functions that run, both chosen by the first plant step or control
+# interval of the process
+_rk4 = None              # step's substep loop
+_interval = None         # ControlLoop's free-path interval
+fallback_reason = None   # why both run their Python forms, when they do
 
 
 def kernel_path():
@@ -254,12 +288,12 @@ def kernel_path():
     kernels never load each other's build."""
     with open(KERNEL_SOURCE, "rb") as fh:
         tag = zlib.crc32(fh.read() + " ".join(KERNEL_FLAGS).encode())
-    return os.path.join(BUILD_DIR, f"_rk4-{tag:08x}"
+    return os.path.join(BUILD_DIR, f"_kernels-{tag:08x}"
                         f"{importlib.machinery.EXTENSION_SUFFIXES[0]}")
 
 
 def kernel_command(out):
-    """The gcc command line that builds the kernel into out."""
+    """The gcc command line that builds the kernels into out."""
     import sysconfig
     return ["gcc", *KERNEL_FLAGS, "-I" + sysconfig.get_paths()["include"],
             KERNEL_SOURCE, "-o", out, "-lm"]
@@ -290,22 +324,25 @@ def _build_kernel(path):
 
 
 def _load_kernel():
-    """Load the compiled loop, built first if its file is missing, as the
-    loop step runs. When gcc is missing, the build fails or BUILD_DIR is
-    not writable, step runs _rk4_python instead and fallback_reason says
+    """Load the compiled kernels, built first if their file is missing, as
+    the (rk4, interval) pair that runs. When gcc is missing, the build
+    fails or BUILD_DIR is not writable, both run their Python forms,
+    _rk4_python and _interval_python, instead, and fallback_reason says
     why."""
-    global _rk4, fallback_reason
+    global _rk4, _interval, fallback_reason
     try:
         path = kernel_path()
         if not os.path.exists(path):
             _build_kernel(path)
-        spec = importlib.util.spec_from_file_location("offsetmpc._rk4", path)
+        spec = importlib.util.spec_from_file_location("offsetmpc._kernels",
+                                                      path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        _rk4, fallback_reason = module.rk4, None
+        _rk4, _interval, fallback_reason = module.rk4, module.interval, None
     except (OSError, ImportError) as exc:
-        _rk4, fallback_reason = _rk4_python, f"{type(exc).__name__}: {exc}"
-    return _rk4
+        _rk4, _interval = _rk4_python, _interval_python
+        fallback_reason = f"{type(exc).__name__}: {exc}"
+    return _rk4, _interval
 
 
 def measure(s, op):

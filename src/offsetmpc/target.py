@@ -50,14 +50,14 @@ class TargetCalculator:
         self.T = target_map(model, dist) if T is None else T
         self.n_x = model.n_x
         self.excursions = BoundExcursions()
-        # a target entry more than 1e-12 past its bound leaves the box
-        self._lo = np.full(self.T.shape[0], -np.inf)
-        self._hi = np.full(self.T.shape[0], np.inf)
+        # the box: a target entry more than 1e-12 past its bound leaves it
+        self.lo = np.full(self.T.shape[0], -np.inf)
+        self.hi = np.full(self.T.shape[0], np.inf)
         for bounds, part in ((x_bounds, slice(None, self.n_x)),
                              (u_bounds, slice(self.n_x, None))):
             if bounds is not None:
-                self._lo[part] = bounds[0] - 1e-12
-                self._hi[part] = bounds[1] + 1e-12
+                self.lo[part] = bounds[0] - 1e-12
+                self.hi[part] = bounds[1] + 1e-12
 
     def solve(self, d_hat, r):
         sol = self.T @ np.concatenate([d_hat, r])
@@ -70,7 +70,7 @@ class TargetCalculator:
     def check(self, sol):
         """The pair of sol, built and counted in self.excursions only when
         it leaves the box; None when it stays inside."""
-        if ((sol < self._lo) | (sol > self._hi)).any():
+        if ((sol < self.lo) | (sol > self.hi)).any():
             return self.excursions.add(self.pair(sol))
         return None
 

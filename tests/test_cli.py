@@ -371,30 +371,46 @@ def test_the_program_never_imports_scipy(tmp_path):
     assert (tmp_path / "cstr_tracking_learned.csv").exists()
 
 
-def test_a_plant_step_imports_no_build_tools(compiled_rk4):
-    """With the kernel built, the first plant.step in a fresh interpreter
-    loads it without importing subprocess or sysconfig, which only a build
-    needs, or hashlib, which would add ~4 MB to the process."""
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from offsetmpc import cli, plant\n"
+def test_a_plant_step_imports_no_build_tools(compiled_kernels):
+    """With the kernels built, the first plant.step, or the first
+    ControlLoop.control_step, in a fresh interpreter loads both without
+    importing subprocess or sysconfig, which only a build needs, or
+    hashlib, which would add ~4 MB to the process."""
+    first_step = (
         "plant.step(plant.PlantState(0.878, 324.5, 0.659),\n"
-        "           np.array([300.0, 0.1]), plant.CstrParams(), 1.0)\n"
-        "assert plant.fallback_reason is None, plant.fallback_reason\n"
-        "print(sorted(m for m in ('hashlib', 'subprocess', 'sysconfig')\n"
-        "             if m in sys.modules))\n")
-    assert fresh_python(code) == "[]"
+        "           np.array([300.0, 0.1]), plant.CstrParams(), 1.0)\n")
+    first_interval = (
+        f"rc = cli.load_config({str(TRACKING)!r})\n"
+        "loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(),\n"
+        "                      rc.ocp_cfg, cli._fresh_plant(rc),\n"
+        "                      cl.ControllerMode.NOMINAL)\n"
+        "assert plant._interval is None\n"
+        "loop.control_step(np.zeros(2))\n")
+    for first in (first_step, first_interval):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from offsetmpc import cli, plant\n"
+            "from offsetmpc import closed_loop as cl\n"
+            + first +
+            "assert plant.fallback_reason is None, plant.fallback_reason\n"
+            "assert plant._rk4 is not plant._rk4_python\n"
+            "assert plant._interval not in (None, plant._interval_python)\n"
+            "print(sorted(m for m in ('hashlib', 'subprocess', 'sysconfig')\n"
+            "             if m in sys.modules))\n")
+        assert fresh_python(code) == "[]", first
 
 
 def test_grnn_fit_never_loads_the_compiled_plant_step(tmp_path):
+    """grnn-fit runs no plant step and no control interval, so it loads
+    neither compiled kernel."""
     samples = str(ROOT / "out" / "sweep_c_50_train.txt")
     code = (
         "from offsetmpc import cli, plant\n"
         f"assert cli.main(['grnn-fit', {samples!r}, "
         f"'--out', {str(tmp_path)!r}]) == 0\n"
-        "print(plant._rk4)\n")
-    assert fresh_python(code) == "None"
+        "print(plant._rk4, plant._interval)\n")
+    assert fresh_python(code) == "None None"
 
 
 # a malformed number exits 2 with a message, never with a traceback; each
@@ -608,17 +624,27 @@ def test_missing_or_directory_input_file_names_it(tmp_path, capsys):
         fails_naming(capsys, learned_run_reading(tmp_path, path), path)
 
 
-def test_output_that_cannot_be_written_names_it(tmp_path, capsys):
+def test_output_that_cannot_be_written_names_it(tmp_path, capsys,
+                                                monkeypatch):
     """An --out that names a regular file where a directory is wanted, or a
-    directory where a file is wanted, exits 2 naming it."""
+    directory where a file is wanted, exits 2 naming it, before any
+    control interval or leave-one-out sweep has run."""
     taken = tmp_path / "taken"
     taken.write_text("")
     sp = tmp_path / "one.txt"
     sp.write_text("0.878 324.5\n")
+    calls = []
+    for owner, name in ((cl.ControlLoop, "control_step"),
+                        (grnn, "loo_error")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
     for argv in (["grnn-fit", ROOT / "out" / "sweep_c_50_train.txt"],
                  ["sweep", TRACKING, "--setpoints", sp],
                  ["run", TRACKING, "--mode", "nominal"]):
         fails_naming(capsys, argv + ["--out", taken], taken)
+    assert calls == []
     fails_naming(capsys, ["sample-setpoints", TRACKING, "-n", "2",
                           "--out", tmp_path], tmp_path)
     assert taken.read_text() == ""

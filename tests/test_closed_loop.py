@@ -910,3 +910,163 @@ def test_aborted_run_writes_its_rows_up_to_the_failure(committed, tmp_path):
     assert log.aborted == {"time": 6.0, "reason": "left the physical region"}
     assert len(texts[0]) == 11
     assert texts[1] == texts[0][:7]
+
+
+# ---- the free-path interval: compiled, with its numpy form as the oracle ----
+
+@pytest.fixture(params=["compiled", "python"])
+def either_interval(request, compiled_kernels, monkeypatch):
+    """ControlLoop.control_step through the compiled interval, or through
+    plant._interval_python, the fallback it reproduces up to rounding."""
+    if request.param == "python":
+        monkeypatch.setattr(plant, "_interval", plant._interval_python)
+    else:
+        monkeypatch.setattr(plant, "_interval", compiled_kernels[1])
+    return request.param
+
+
+def test_returned_values_never_change_afterwards(twovar_rc, either_interval):
+    """The loop reuses its v, w and theta buffers across intervals, and u
+    on the free path is a view of z: every returned u, every record view,
+    every sample and the counted targets keep the values they had when
+    they were made. The loop visits sweep setpoints 0, 60 and 61: 216
+    intervals, 119 of them with a violated row (113 table hits, 6
+    misses) and 118 with a target outside the box."""
+    rc = twovar_rc
+    loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+                          cli._fresh_plant(rc), cl.ControllerMode.NOMINAL,
+                          harvest=True)
+    made = []                        # (object, its arrays' values then)
+
+    def keep(obj, *arrays):
+        made.append((obj, [np.array(a) for a in arrays]))
+
+    setpoints = cli._load_setpoints(str(CONFIGS / "sweep_ct_100.txt"),
+                                    rc.op)
+    exc = loop.targets.excursions
+    for r in (setpoints[0], setpoints[60], setpoints[61]):
+        for _ in range(rc.sweep_cap):
+            counted = exc.count
+            u, harvested = loop.control_step(np.array(r))
+            rec = loop.records[loop.k - 1]
+            keep(u, u)
+            keep(rec, *(getattr(rec, f) for f in cl.FIELDS
+                        if isinstance(getattr(rec, f), np.ndarray)))
+            if exc.count > counted:
+                keep(exc.last, exc.last.x_bar, exc.last.u_bar)
+            if harvested:
+                s = loop.harvested[-1]
+                keep(s, s.r, s.d_ss)
+                break
+    assert (len(loop.harvested), loop.k, exc.count) == (3, 216, 118)
+    assert (loop.table.hits, loop.table.misses) == (113, 6)
+    for obj, then in made:
+        if isinstance(obj, np.ndarray):
+            now = [obj]
+        elif isinstance(obj, cl.HarvestSample):
+            now = [obj.r, obj.d_ss]
+        elif isinstance(obj, cl.StepRecord):
+            now = [getattr(obj, f) for f in cl.FIELDS
+                   if isinstance(getattr(obj, f), np.ndarray)]
+        else:
+            now = [obj.x_bar, obj.u_bar]
+        assert all(np.array_equal(a, b) for a, b in zip(now, then)), obj
+
+
+@pytest.mark.parametrize("r", [[0.0], [0.0, 0.0, 0.0]], ids=["1", "3"])
+def test_setpoint_of_the_wrong_size_raises(committed, r):
+    """A setpoint with another number of entries than the controlled
+    outputs raises before the interval runs, never broadcasts."""
+    model, dist, gains, ocp_cfg = committed
+    loop = cl.ControlLoop(model, dist, gains, ocp_cfg,
+                          cl.LinearPlant(model, dist, np.zeros(dist.n_d)),
+                          cl.ControllerMode.NOMINAL)
+    with pytest.raises(ValueError, match="setpoint has"):
+        loop.control_step(np.array(r))
+    assert loop.k == 0 and len(loop.records) == 0
+
+
+def interval_arguments(rc):
+    """The fixed arguments of the twovar loop's interval, M_step, P, b_box,
+    lo and hi, with n_x and n_t, and the box of v = [w; u; y; d_l; d_l; r]
+    that draws cover: states and outputs over the state box, inputs over
+    the input box, disturbances over [-0.01, 0.01] x [-6, 6] (the sweep's
+    harvested disturbances lie within [-0.008, 0.0003] x [1.0, 5.1]) and
+    setpoints over the (c, T) box."""
+    loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+                          cli._fresh_plant(rc), cl.ControllerMode.NOMINAL)
+    x_box, u_box = rc.ocp_cfg.x_bounds, rc.ocp_cfg.u_bounds
+    d_box = (np.array([-0.01, -6.0]), np.array([0.01, 6.0]))
+    v_box = [np.concatenate([x[side] for x in (x_box, d_box, u_box, x_box,
+                                               d_box, d_box)]
+                            + [x_box[side][:2]]) for side in (0, 1)]
+    fixed = (loop.estimator.M_step, loop.pred.law.P, loop.pred.b_box,
+             loop.targets.lo, loop.targets.hi)
+    return fixed, rc.model.n_x, loop.pred.law.n_t, v_box
+
+
+def run_interval(fn, fixed, v, n_x, n_t):
+    """(flag, objective, excursion, w, theta, z) of one call into new
+    buffers."""
+    M_step, P = fixed[0], fixed[1]
+    w, theta, z = (np.empty(len(M_step)), np.empty(P.shape[1]),
+                   np.empty(len(P)))
+    return (*fn(*fixed, v, w, theta, z, n_x, n_t), w, theta, z)
+
+
+def test_compiled_interval_matches_numpy_on_20000_draws(twovar_rc,
+                                                        compiled_kernels):
+    """w, theta, z and the objective agree within 1e-12 relative to
+    max(1, |value|) (4.4e-15 at most on one machine); the flag and the
+    excursion agree unless the largest slack, or the target's largest
+    step past the box, is within 1e-12 of zero, which no draw is. 2 786
+    draws take the free path and 8 857 leave the target box."""
+    fixed, n_x, n_t, (lo, hi) = interval_arguments(twovar_rc)
+    b_box = fixed[2]
+    rng = np.random.default_rng(22)
+    free = outside = band = 0
+    for _ in range(20000):
+        v = rng.uniform(lo, hi)
+        got = run_interval(compiled_kernels[1], fixed, v, n_x, n_t)
+        want = run_interval(plant._interval_python, fixed, v, n_x, n_t)
+        for a, b in zip(got[3:] + (got[1],), want[3:] + (want[1],)):
+            assert (np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))).all()
+        z, t = want[5], want[5][:n_t]
+        slack = (z[n_t:n_t + len(b_box)] - b_box).max()
+        past = np.maximum(fixed[3] - t, t - fixed[4]).max()
+        if min(abs(slack), abs(past)) <= 1e-12:
+            band += 1
+            continue
+        assert got[:3:2] == want[:3:2]
+        free += want[0] == 1
+        outside += want[2]
+    assert band == 0
+    assert (free, outside) == (2786, 8857)
+
+
+def test_non_finite_estimate_gives_flag_0_and_stops_the_loop(
+        twovar_rc, either_interval):
+    """An estimate that is not finite is flag 0 in both forms, and
+    control_step raises ValueError('non-finite estimate') at the interval
+    whose update reads the non-finite measurement."""
+    rc = twovar_rc
+    model, dist = rc.model, rc.dist
+    fixed, n_x, n_t, (lo, hi) = interval_arguments(rc)
+    for bad in (np.nan, np.inf, -np.inf):
+        v = (lo + hi) / 2
+        v[9] = bad                   # an entry of y_{k-1}
+        with np.errstate(invalid="ignore"):
+            assert run_interval(plant._interval, fixed, v, n_x, n_t)[0] == 0
+
+    class BrokenSensor(cl.LinearPlant):
+        def measure(self):
+            return np.full(model.n_y, np.inf)
+
+    loop = cl.ControlLoop(model, dist, rc.make_gains(), rc.ocp_cfg,
+                          BrokenSensor(model, dist, np.zeros(dist.n_d)),
+                          cl.ControllerMode.NOMINAL)
+    with np.errstate(invalid="ignore"):
+        loop.control_step(np.zeros(model.n_z))
+        with pytest.raises(ValueError, match="non-finite estimate"):
+            loop.control_step(np.zeros(model.n_z))
+    assert loop.k == 1 and len(loop.records) == 1

@@ -22,16 +22,29 @@ one machine, by at most (CSV / summary): cstr_twovar_400_learned 1.6e-15
 outputs stayed byte-identical, and every active_set_size, steady and
 harvested value and every sweep harvest interval stayed unchanged. Such
 a rerun differs from out/ by at most 5.3e-13 (cstr_drift_learned.csv).
-The compiled plant step left every rerun byte-identical; each case also
-runs with the kernel switched off, through the Python loop it
-reproduces, which is the plant step wherever the kernel cannot be built.
+The compiled plant step left every rerun byte-identical. The compiled
+free-path interval sums its products left to right where numpy's BLAS
+sums them in another order: on one machine that moved a rerun by at most
+(CSV / summary) cstr_drift_learned 5.7e-13 / 5.7e-13, cstr_drift_nominal
+6.8e-13 / 4.0e-13, cstr_tracking_learned 3.2e-13 / 1.7e-13,
+cstr_tracking_nominal 1.7e-13 / 1.1e-13, cstr_twovar_400_learned
+3.2e-13 / 2.9e-13, cstr_twovar_learned 2.3e-13 / 2.6e-13,
+cstr_twovar_nominal 3.9e-13 / 5.4e-13, and sweep_ct_100_train.txt
+8.7e-14, with every active_set_size, steady and harvested value, every
+sweep harvest interval and the sweep's table hits, misses and phase-1
+runs unchanged; such a rerun differs from out/ by at most 5.8e-13
+(cstr_drift_learned.csv). Each case also runs with every compiled kernel
+switched off, through the Python forms they reproduce, which run
+wherever the kernels cannot be built; those reruns are byte-identical to
+the ones before the compiled interval.
 """
 
 import pathlib
 
 import pytest
 
-from offsetmpc import cli, plant
+from offsetmpc import cli, ocp
+from offsetmpc import closed_loop as cl
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOL = 1e-9
@@ -70,9 +83,9 @@ def test_committed_run_reproduces(tmp_path, capsys, stem, mode):
 
 @pytest.mark.parametrize("stem, mode", RUNS, ids=RUN_IDS)
 def test_committed_run_reproduces_with_the_python_loop(
-        tmp_path, capsys, monkeypatch, stem, mode):
-    """The fallback plant step, with the compiled kernel switched off."""
-    monkeypatch.setattr(plant, "_rk4", plant._rk4_python)
+        tmp_path, capsys, python_kernels, stem, mode):
+    """The fallback plant step and interval, with every compiled kernel
+    switched off."""
     check_run(tmp_path, stem, mode)
 
 
@@ -90,7 +103,7 @@ def check_run(tmp_path, stem, mode):
             assert worst <= TOL, f"{name}: deviation {worst:.3e} > {TOL:.0e}"
 
 
-def test_committed_sweep_reproduces(tmp_path, capsys):
+def test_committed_sweep_reproduces(tmp_path, capsys, monkeypatch):
     """The 100-setpoint twovar sweep: ~4.4k intervals, 221 of them with an
     active row. The active-set table reads 214 of those from its entries
     (206 on one 10-row working set) and solves the other 7 itself from a
@@ -99,19 +112,37 @@ def test_committed_sweep_reproduces(tmp_path, capsys):
     directly by test_ocp.py's test_solver_matches_dense_kkt_reference,
     test_blocker_sequence_matches_reference and
     test_table_misses_match_cold_solve_qp."""
-    check_sweep(tmp_path)
+    check_sweep(tmp_path, monkeypatch)
 
 
 def test_committed_sweep_reproduces_with_the_python_loop(tmp_path, capsys,
-                                                         monkeypatch):
-    monkeypatch.setattr(plant, "_rk4", plant._rk4_python)
-    check_sweep(tmp_path)
+                                                         monkeypatch,
+                                                         python_kernels):
+    check_sweep(tmp_path, monkeypatch)
 
 
-def check_sweep(tmp_path):
+def check_sweep(tmp_path, monkeypatch):
+    """The sweep's samples, and its table hits, misses and phase-1 runs,
+    which are exact."""
+    logs, phase1 = [], []
+    sweep_harvest, _phase1 = cl.sweep_harvest, ocp._phase1
+
+    def sweep_logged(*args, **kwargs):
+        samples, log = sweep_harvest(*args, **kwargs)
+        logs.append(log)
+        return samples, log
+
+    def phase1_counted(*args):
+        phase1.append(1)
+        return _phase1(*args)
+
+    monkeypatch.setattr(cl, "sweep_harvest", sweep_logged)
+    monkeypatch.setattr(ocp, "_phase1", phase1_counted)
     argv = ["sweep", "--setpoints", str(ROOT / "configs" / "sweep_ct_100.txt"),
             str(ROOT / "configs" / "cstr_twovar.yaml"), "--out", str(tmp_path)]
     assert cli.main(argv) == 0
+    (log,) = logs
+    assert (log.table_hits, log.table_misses, len(phase1)) == (214, 7, 4)
     name = "sweep_ct_100_train.txt"
     worst = worst_deviation(tmp_path / name, ROOT / "out" / name)
     assert worst <= TOL, f"{name}: deviation {worst:.3e} > {TOL:.0e}"

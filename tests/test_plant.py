@@ -11,7 +11,7 @@ from offsetmpc import plant
 
 
 @pytest.fixture
-def step_both(compiled_rk4, monkeypatch):
+def step_both(compiled_kernels, monkeypatch):
     """plant.step through the compiled loop and through _rk4_python, the
     loop it reproduces: the two must give the same state bit for bit, or
     raise the same NonPhysicalState message, which the returned function
@@ -26,7 +26,7 @@ def step_both(compiled_rk4, monkeypatch):
         return got, (got.c, got.T, got.h)
 
     def step(s, u, p, dt):
-        got, key = outcome(compiled_rk4, s, u, p, dt)
+        got, key = outcome(compiled_kernels[0], s, u, p, dt)
         _, oracle_key = outcome(plant._rk4_python, s, u, p, dt)
         assert key == oracle_key, (s, u, p, dt)
         if isinstance(got, Exception):
@@ -482,13 +482,17 @@ def test_compiled_loop_matches_the_python_loop_on_20000_draws(step_both):
     assert 5000 <= left <= 15000
 
 
-def test_the_first_step_loads_the_compiled_loop(compiled_rk4, monkeypatch):
-    """compiled_rk4 fails this test, with the reason and the gcc command,
-    when the kernel cannot be built or loaded."""
+def test_the_first_step_loads_the_compiled_loop(compiled_kernels,
+                                                monkeypatch):
+    """compiled_kernels fails this test, with the reason and the gcc
+    command, when the kernels cannot be built or loaded. The one load
+    gives both kernels."""
     monkeypatch.setattr(plant, "_rk4", None)
+    monkeypatch.setattr(plant, "_interval", None)
     plant.step(plant.PlantState(c=0.878, T=324.5, h=0.659),
                np.array([300.0, 0.1]), plant.CstrParams(), 1.0)
     assert plant._rk4 is not plant._rk4_python
+    assert plant._interval not in (None, plant._interval_python)
     assert plant.fallback_reason is None
 
 
@@ -497,16 +501,18 @@ def test_the_first_step_builds_into_an_empty_directory(tmp_path,
     build = tmp_path / "build"
     monkeypatch.setattr(plant, "BUILD_DIR", str(build))
     monkeypatch.setattr(plant, "_rk4", None)
+    monkeypatch.setattr(plant, "_interval", None)
     monkeypatch.setattr(plant, "fallback_reason", None)
     s, u, p = (plant.PlantState(c=0.9, T=320.0, h=0.7),
                np.array([295.0, 0.11]), plant.CstrParams())
     got = plant.step(s, u, p, 1.0)
     assert plant.fallback_reason is None
     assert plant._rk4 is not plant._rk4_python
-    # the build alone, under its tagged name: no temporary file is left
+    assert plant._interval not in (None, plant._interval_python)
+    # the one build, under its tagged name: no temporary file is left
     name = os.path.basename(plant.kernel_path())
     assert os.listdir(build) == [name]
-    assert name.startswith("_rk4-") and name.endswith(
+    assert name.startswith("_kernels-") and name.endswith(
         importlib.machinery.EXTENSION_SUFFIXES[0])
     ref = _step_reference(s, u, p, 1.0)
     assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h)
@@ -517,7 +523,7 @@ def _no_gcc(tmp_path, monkeypatch):
 
 
 def _bad_source(tmp_path, monkeypatch):
-    source = tmp_path / "_rk4.c"
+    source = tmp_path / "_kernels.c"
     source.write_text("this is not C\n")
     monkeypatch.setattr(plant, "KERNEL_SOURCE", str(source))
 
@@ -539,15 +545,19 @@ FALLBACKS = {
 
 @pytest.mark.parametrize("case", list(FALLBACKS))
 def test_step_falls_back_to_the_python_loop(case, tmp_path, monkeypatch):
+    """One failed build sets both kernels to their Python forms, with one
+    fallback_reason."""
     set_up, reason = FALLBACKS[case]
     monkeypatch.setattr(plant, "BUILD_DIR", str(tmp_path / "build"))
     monkeypatch.setattr(plant, "_rk4", None)
+    monkeypatch.setattr(plant, "_interval", None)
     monkeypatch.setattr(plant, "fallback_reason", None)
     set_up(tmp_path, monkeypatch)
     s, u, p = (plant.PlantState(c=0.9, T=320.0, h=0.7),
                np.array([295.0, 0.11]), plant.CstrParams())
     got = plant.step(s, u, p, 1.0)
     assert plant._rk4 is plant._rk4_python
+    assert plant._interval is plant._interval_python
     assert plant.fallback_reason.startswith(reason), plant.fallback_reason
     ref = _step_reference(s, u, p, 1.0)
     assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h)
