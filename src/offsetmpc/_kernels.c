@@ -203,7 +203,7 @@ interval(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     double *w, *theta, *z, objective = 0.0;
     Py_ssize_t n_x, n_t, n_w, n_d, n_r, n_in, n_s, n_z, n_theta, i;
     int n_held = 0, flag = 0, excursion = 0;
-    PyObject *out = NULL, *item;
+    PyObject *out = NULL;
 
     if (nargs != N_BUFFERS + 2) {
         PyErr_Format(PyExc_TypeError,
@@ -217,6 +217,7 @@ interval(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     n_t = PyLong_AsSsize_t(args[N_BUFFERS + 1]);
     if (n_t == -1 && PyErr_Occurred())
         return NULL;
+    /* the last three, w, theta and z, are written */
     for (; n_held < N_BUFFERS; n_held++)
         if (get_floats(args[n_held], &buf[n_held], n_held >= 6))
             goto done;
@@ -262,22 +263,8 @@ interval(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             objective += theta[i] * q[i];
     }
 
-    out = PyTuple_New(3);
-    if (out == NULL)
-        goto done;
-    item = PyLong_FromLong(flag);
-    if (item == NULL) {
-        Py_CLEAR(out);
-        goto done;
-    }
-    PyTuple_SET_ITEM(out, 0, item);
-    item = PyFloat_FromDouble(objective);
-    if (item == NULL) {
-        Py_CLEAR(out);
-        goto done;
-    }
-    PyTuple_SET_ITEM(out, 1, item);
-    PyTuple_SET_ITEM(out, 2, PyBool_FromLong(excursion));
+    out = Py_BuildValue("(idO)", flag, objective,
+                        excursion ? Py_True : Py_False);
 done:
     while (n_held > 0)
         PyBuffer_Release(&buf[--n_held]);

@@ -1070,3 +1070,34 @@ def test_non_finite_estimate_gives_flag_0_and_stops_the_loop(
         with pytest.raises(ValueError, match="non-finite estimate"):
             loop.control_step(np.zeros(model.n_z))
     assert loop.k == 1 and len(loop.records) == 1
+
+
+def test_compiled_interval_rejects_buffers_that_do_not_fit(twovar_rc,
+                                                           compiled_kernels):
+    """The kernel reads and writes raw buffers, so it refuses any that is
+    not a C-contiguous float64 array of the size the others imply, and an
+    output it cannot write."""
+    fixed, n_x, n_t, (lo, hi) = interval_arguments(twovar_rc)
+    interval = compiled_kernels[1]
+    M_step, P = fixed[0], fixed[1]
+
+    def call(**swap):
+        buffers = dict(v=(lo + hi) / 2, w=np.empty(len(M_step)),
+                       theta=np.empty(P.shape[1]), z=np.empty(len(P)))
+        buffers.update(swap)
+        return interval(*fixed, *buffers.values(), n_x, n_t)
+
+    assert call()[0] in (1, 2)
+    read_only = np.empty(len(M_step))
+    read_only.flags.writeable = False
+    for swap, error in (
+            ({"v": np.zeros(2 * len(lo))[::2]}, ValueError),
+            ({"v": ((lo + hi) / 2).astype(np.float32)}, TypeError),
+            ({"v": ((lo + hi) / 2).tolist()}, TypeError),
+            ({"w": read_only}, ValueError),
+            ({"z": np.empty(len(P) - 1)}, ValueError),
+            ({"theta": np.empty(P.shape[1] + 1)}, ValueError)):
+        with pytest.raises(error):
+            call(**swap)
+    with pytest.raises(TypeError, match="11 arguments"):
+        interval(*fixed)
