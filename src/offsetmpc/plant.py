@@ -326,9 +326,9 @@ def _build_kernel(path):
 def _load_kernel():
     """Load the compiled kernels, built first if their file is missing, as
     the (rk4, interval) pair that runs. When gcc is missing, the build
-    fails or BUILD_DIR is not writable, both run their Python forms,
-    _rk4_python and _interval_python, instead, and fallback_reason says
-    why."""
+    fails, BUILD_DIR is not writable or the module lacks a kernel, both
+    run their Python forms, _rk4_python and _interval_python, instead, and
+    fallback_reason says why."""
     global _rk4, _interval, fallback_reason
     try:
         path = kernel_path()
@@ -339,7 +339,7 @@ def _load_kernel():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         _rk4, _interval, fallback_reason = module.rk4, module.interval, None
-    except (OSError, ImportError) as exc:
+    except (OSError, ImportError, AttributeError) as exc:
         _rk4, _interval = _rk4_python, _interval_python
         fallback_reason = f"{type(exc).__name__}: {exc}"
     return _rk4, _interval

@@ -528,6 +528,18 @@ def _bad_source(tmp_path, monkeypatch):
     monkeypatch.setattr(plant, "KERNEL_SOURCE", str(source))
 
 
+def _kernel_missing(tmp_path, monkeypatch):
+    # a module that builds and loads but holds neither kernel
+    source = tmp_path / "_kernels.c"
+    source.write_text(
+        "#include <Python.h>\n"
+        "static struct PyModuleDef module = {\n"
+        "    PyModuleDef_HEAD_INIT, \"_kernels\", NULL, -1, NULL};\n"
+        "PyMODINIT_FUNC PyInit__kernels(void)\n"
+        "{ return PyModule_Create(&module); }\n")
+    monkeypatch.setattr(plant, "KERNEL_SOURCE", str(source))
+
+
 def _unwritable_build_dir(tmp_path, monkeypatch):
     # a regular file where a directory should be: no directory can be made
     (tmp_path / "file").write_text("")
@@ -538,6 +550,7 @@ def _unwritable_build_dir(tmp_path, monkeypatch):
 FALLBACKS = {
     "gcc missing": (_no_gcc, "FileNotFoundError: "),
     "build fails": (_bad_source, "ImportError: gcc exited with code 1: "),
+    "kernel missing": (_kernel_missing, "AttributeError: "),
     "build directory not writable": (_unwritable_build_dir,
                                      "NotADirectoryError: "),
 }
@@ -561,6 +574,9 @@ def test_step_falls_back_to_the_python_loop(case, tmp_path, monkeypatch):
     assert plant.fallback_reason.startswith(reason), plant.fallback_reason
     ref = _step_reference(s, u, p, 1.0)
     assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h)
-    # a failed build leaves no temporary file behind
+    # a failed build leaves no temporary file behind, and a completed one
+    # only its tagged file
     if os.path.isdir(plant.BUILD_DIR):
-        assert os.listdir(plant.BUILD_DIR) == []
+        built = ([os.path.basename(plant.kernel_path())]
+                 if case == "kernel missing" else [])
+        assert os.listdir(plant.BUILD_DIR) == built
