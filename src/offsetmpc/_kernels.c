@@ -1,9 +1,10 @@
 /* The compiled kernels of offsetmpc: one extension module, which
-   plant.py builds on first use and loads once. Each function takes the
-   arguments of a Python function that is its fallback and the tests'
-   oracle, and returns what that function returns. plant.py builds this
-   file with -ffp-contract=off -fno-fast-math, so the compiler fuses no
-   multiply-add and reorders nothing.
+   plant.py builds on first use and loads once as plant.kernels. Each
+   function takes the arguments of the function of the same name in
+   plant.PYTHON_KERNELS, which is its fallback and the tests' oracle, and
+   returns what that function returns. plant.py builds this file with
+   -ffp-contract=off -fno-fast-math, so the compiler fuses no multiply-add
+   and reorders nothing.
 
    rk4(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, extra_outlet,
        hstep, half, sixth, h_half, h_full, h_next, mismatch, substeps)
@@ -15,12 +16,14 @@
    expression keeps the Python loop's association and exp is libm's, as
    CPython's math.exp is: each state is the Python loop's bit for bit.
 
-   interval(M_step, P, b_box, lo, hi, v, w, theta, z, n_x, n_t)
+   interval(M_step, P, b_box, lo, hi, v, w, theta, z, n_x)
    -> (flag, objective, excursion)
 
    is the free-path part of closed_loop.ControlLoop.control_step,
-   plant._interval_python compiled. Its sums run left to right where the
-   fallback's products run in BLAS, so the two agree to rounding only. */
+   plant._interval_python compiled; its 10 arguments are 9 buffers and
+   n_x, and the target's length n_t is len(lo). Its sums run left to
+   right where the fallback's products run in BLAS, so the two agree to
+   rounding only. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -36,28 +39,6 @@ in_region(double c, double T, double h, double V)
 {
     return 0.0 < c && c < INFINITY && 0.0 < T && T < INFINITY
            && 0.0 < h && h < INFINITY && V > 0.0;
-}
-
-static PyObject *
-result(double c, double T, double h, int ok)
-{
-    PyObject *out = PyTuple_New(4);
-    PyObject *item;
-    double x[3] = {c, T, h};
-    int i;
-
-    if (out == NULL)
-        return NULL;
-    for (i = 0; i < 3; i++) {
-        item = PyFloat_FromDouble(x[i]);
-        if (item == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(out, i, item);
-    }
-    PyTuple_SET_ITEM(out, 3, PyBool_FromLong(ok));
-    return out;
 }
 
 static PyObject *
@@ -96,7 +77,7 @@ rk4(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     for (k = 0; k < substeps; k++) {
         V = area * h;
         if (!in_region(c, T, h, V))
-            return result(c, T, h, 0);
+            return Py_BuildValue("(dddO)", c, T, h, Py_False);
         kT = k0 * exp(neg_E / T);
         dc1 = F0 * (c0 - c) / V - kT * c;
         if (mismatch)
@@ -106,7 +87,7 @@ rk4(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         c2 = c + half * dc1; T2 = T + half * dT1; h2 = h + h_half;
         V = area * h2;
         if (!in_region(c2, T2, h2, V))
-            return result(c2, T2, h2, 0);
+            return Py_BuildValue("(dddO)", c2, T2, h2, Py_False);
         kT = k0 * exp(neg_E / T2);
         dc2 = F0 * (c0 - c2) / V - kT * c2;
         if (mismatch)
@@ -116,7 +97,7 @@ rk4(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         c3 = c + half * dc2; T3 = T + half * dT2; h3 = h + h_half;
         V = area * h3;
         if (!in_region(c3, T3, h3, V))
-            return result(c3, T3, h3, 0);
+            return Py_BuildValue("(dddO)", c3, T3, h3, Py_False);
         kT = k0 * exp(neg_E / T3);
         dc3 = F0 * (c0 - c3) / V - kT * c3;
         if (mismatch)
@@ -126,7 +107,7 @@ rk4(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         c4 = c + hstep * dc3; T4 = T + hstep * dT3; h4 = h + h_full;
         V = area * h4;
         if (!in_region(c4, T4, h4, V))
-            return result(c4, T4, h4, 0);
+            return Py_BuildValue("(dddO)", c4, T4, h4, Py_False);
         kT = k0 * exp(neg_E / T4);
         dc4 = F0 * (c0 - c4) / V - kT * c4;
         if (mismatch)
@@ -137,7 +118,7 @@ rk4(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         T = T + sixth * (dT1 + 2.0 * dT2 + 2.0 * dT3 + dT4);
         h = h + h_next;
     }
-    return result(c, T, h, 1);
+    return Py_BuildValue("(dddO)", c, T, h, Py_True);
 }
 
 #define N_BUFFERS 9
@@ -205,17 +186,14 @@ interval(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     int n_held = 0, flag = 0, excursion = 0;
     PyObject *out = NULL;
 
-    if (nargs != N_BUFFERS + 2) {
+    if (nargs != N_BUFFERS + 1) {
         PyErr_Format(PyExc_TypeError,
                      "interval takes %d arguments (%zd given)",
-                     N_BUFFERS + 2, nargs);
+                     N_BUFFERS + 1, nargs);
         return NULL;
     }
     n_x = PyLong_AsSsize_t(args[N_BUFFERS]);
     if (n_x == -1 && PyErr_Occurred())
-        return NULL;
-    n_t = PyLong_AsSsize_t(args[N_BUFFERS + 1]);
-    if (n_t == -1 && PyErr_Occurred())
         return NULL;
     /* the last three, w, theta and z, are written */
     for (; n_held < N_BUFFERS; n_held++)
@@ -223,15 +201,16 @@ interval(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             goto done;
 #define LEN(i) (buf[i].len / (Py_ssize_t)sizeof(double))
     n_s = LEN(2);
+    n_t = LEN(3);
     n_w = LEN(6);
     n_theta = LEN(7);
     n_z = LEN(8);
     n_d = n_w - n_x;
     n_r = n_theta - n_w;
     n_in = LEN(5) - n_d - n_r;
-    if (n_x < 0 || n_d < 0 || n_r < 0 || n_in < 1 || n_t < 0
+    if (n_x < 0 || n_d < 0 || n_r < 0 || n_in < 1
         || LEN(0) != n_w * n_in || LEN(1) != n_z * n_theta
-        || LEN(3) != n_t || LEN(4) != n_t || n_t + n_s + n_theta > n_z) {
+        || LEN(4) != n_t || n_t + n_s + n_theta > n_z) {
         PyErr_SetString(PyExc_ValueError,
                         "interval: buffer sizes do not fit together");
         goto done;

@@ -370,10 +370,9 @@ class ControlLoop:
         law = self.pred.law
         z = np.empty(len(law.P))
         flag, objective, excursion = (
-            plant_mod._interval or plant_mod._load_kernel()[1])(
+            plant_mod.kernels or plant_mod._load_kernel()).interval(
                 self.estimator.M_step, law.P, self.pred.b_box,
-                self.targets.lo, self.targets.hi, v, w, theta, z, n_x,
-                law.n_t)
+                self.targets.lo, self.targets.hi, v, w, theta, z, n_x)
         if not flag:
             raise ValueError("non-finite estimate")
         if flag == 1:

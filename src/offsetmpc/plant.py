@@ -21,6 +21,7 @@ import importlib.util
 import math
 import numbers
 import os
+import types
 import zlib
 from dataclasses import dataclass
 
@@ -119,9 +120,9 @@ def derivatives(s, u, p):
     Each balance keeps the association and evaluation order of the array
     form that tests/test_plant.py holds as the reference, and both take
     the Arrhenius factor from math.exp; so the two agree bit for bit.
-    _rk4_python and _rk4.c write the same expressions out for each RK4
-    stage. The exp's argument is <= 0 once T is finite and > 0, so it
-    cannot overflow.
+    _rk4_python and _kernels.c's rk4 write the same expressions out for
+    each RK4 stage. The exp's argument is <= 0 once T is finite and > 0,
+    so it cannot overflow.
     """
     Tc, F = (float(v) for v in u)
     c, T, h = float(s.c), float(s.T), float(s.h)
@@ -167,7 +168,7 @@ def step(s, u, p, dt):
     h_half = half * dh
     h_full = hstep * dh
     h_next = sixth * (dh + 2.0 * dh + 2.0 * dh + dh)
-    c, T, h, ok = (_rk4 or _load_kernel()[0])(
+    c, T, h, ok = (kernels or _load_kernel()).rk4(
         float(s.c), float(s.T), float(s.h), Tc, F0, T0, c0, k0, neg_E, area,
         rxn, jacket, 0.03 * F, hstep, half, sixth, h_half, h_full, h_next,
         mismatch, substeps)
@@ -237,14 +238,15 @@ def _rk4_python(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
     return c, T, h, True
 
 
-def _interval_python(M_step, P, b_box, lo, hi, v, w, theta, z, n_x, n_t):
+def _interval_python(M_step, P, b_box, lo, hi, v, w, theta, z, n_x):
     """The free-path part of closed_loop.ControlLoop.control_step in numpy,
     writing into the caller's w, theta and z. With v = [w_{k-1}; u_{k-1};
     y_{k-1}; d_l_{k-1}; d_l_k; r_k] and n_in = M_step's columns:
     w = M_step v[:n_in] is the estimator update [x_hat; d_hat]; theta =
     [x_hat; d_l_k + d_hat; r_k], an IEEE add, so that d_total is exactly
     d_learned + d_supp; z = P theta is the affine law's product (the
-    target t = z[:n_t] first, the slacks S theta next, Q theta last).
+    target t = z[:n_t] first, n_t = len(lo), the slacks S theta next, Q
+    theta last).
     Returns (flag, objective, excursion): flag 0 when w is not finite, 1
     on the free path, where every slack z[S] - b_box is <= 0, and 2 when a
     row is violated; objective theta'(Q theta); excursion whether t leaves
@@ -252,6 +254,7 @@ def _interval_python(M_step, P, b_box, lo, hi, v, w, theta, z, n_x, n_t):
     n_w = len(w)
     n_in = M_step.shape[1]
     n_dl = n_in + n_w - n_x
+    n_t = len(lo)
     np.matmul(M_step, v[:n_in], out=w)
     if not np.isfinite(w).all():
         return 0, 0.0, False
@@ -275,11 +278,14 @@ BUILD_DIR = os.path.join(os.path.dirname(KERNEL_SOURCE), "build")
 KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared",
                 "-fPIC")
 
-# the functions that run, both chosen by the first plant step or control
-# interval of the process
-_rk4 = None              # step's substep loop
-_interval = None         # ControlLoop's free-path interval
-fallback_reason = None   # why both run their Python forms, when they do
+# the Python forms of the compiled kernels, which run where they cannot be
+# built
+PYTHON_KERNELS = types.SimpleNamespace(rk4=_rk4_python,
+                                       interval=_interval_python)
+# the kernels that run: None until the first plant step or control interval
+# of the process loads them, then the compiled module or PYTHON_KERNELS
+kernels = None
+fallback_reason = None   # why PYTHON_KERNELS run, when they do
 
 
 def kernel_path():
@@ -324,12 +330,12 @@ def _build_kernel(path):
 
 
 def _load_kernel():
-    """Load the compiled kernels, built first if their file is missing, as
-    the (rk4, interval) pair that runs. When gcc is missing, the build
-    fails, BUILD_DIR is not writable or the module lacks a kernel, both
-    run their Python forms, _rk4_python and _interval_python, instead, and
-    fallback_reason says why."""
-    global _rk4, _interval, fallback_reason
+    """Set kernels to the compiled module, built first if its file is
+    missing, and return it. When gcc is missing, the build fails,
+    BUILD_DIR is not writable or the module lacks a kernel of
+    PYTHON_KERNELS, kernels is PYTHON_KERNELS instead and fallback_reason
+    says why."""
+    global kernels, fallback_reason
     try:
         path = kernel_path()
         if not os.path.exists(path):
@@ -338,11 +344,13 @@ def _load_kernel():
                                                       path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        _rk4, _interval, fallback_reason = module.rk4, module.interval, None
+        for name in vars(PYTHON_KERNELS):
+            getattr(module, name)    # AttributeError when one is missing
+        kernels, fallback_reason = module, None
     except (OSError, ImportError, AttributeError) as exc:
-        _rk4, _interval = _rk4_python, _interval_python
+        kernels = PYTHON_KERNELS
         fallback_reason = f"{type(exc).__name__}: {exc}"
-    return _rk4, _interval
+    return kernels
 
 
 def measure(s, op):

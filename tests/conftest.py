@@ -11,21 +11,15 @@ CONFIGS = ROOT / "configs"
 
 @pytest.fixture(scope="session")
 def compiled_kernels():
-    """(rk4, interval): the compiled RK4 loop that plant.step runs and the
-    compiled free-path interval that ControlLoop.control_step runs, built
-    on first use. A kernel that did not load fails the test, never skips
-    it: the message gives the reason and the command that builds it."""
-    kernels = (plant._rk4, plant._interval)
-    if None in kernels:
-        kernels = plant._load_kernel()
-    for what, got, fallback in (
-            ("plant step", kernels[0], plant._rk4_python),
-            ("free-path interval", kernels[1], plant._interval_python)):
-        if got is fallback:
-            command = " ".join(plant.kernel_command(plant.kernel_path()))
-            pytest.fail(f"the compiled {what} did not load "
-                        f"({plant.fallback_reason}); build it with: "
-                        f"{command}")
+    """The compiled kernels' module: the RK4 loop that plant.step runs and
+    the free-path interval that ControlLoop.control_step runs, built on
+    first use. Kernels that did not load fail the test, never skip it: the
+    message gives the reason and the command that builds them."""
+    kernels = plant.kernels or plant._load_kernel()
+    if kernels is plant.PYTHON_KERNELS:
+        command = " ".join(plant.kernel_command(plant.kernel_path()))
+        pytest.fail(f"the compiled kernels did not load "
+                    f"({plant.fallback_reason}); build them with: {command}")
     return kernels
 
 
@@ -34,8 +28,7 @@ def python_kernels(monkeypatch):
     """Every compiled kernel switched off: plant.step and
     ControlLoop.control_step run the Python forms, as they do wherever the
     kernels cannot be built."""
-    monkeypatch.setattr(plant, "_rk4", plant._rk4_python)
-    monkeypatch.setattr(plant, "_interval", plant._interval_python)
+    monkeypatch.setattr(plant, "kernels", plant.PYTHON_KERNELS)
 
 
 @pytest.fixture(scope="session")

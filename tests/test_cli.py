@@ -384,7 +384,7 @@ def test_a_plant_step_imports_no_build_tools(compiled_kernels):
         "loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(),\n"
         "                      rc.ocp_cfg, cli._fresh_plant(rc),\n"
         "                      cl.ControllerMode.NOMINAL)\n"
-        "assert plant._interval is None\n"
+        "assert plant.kernels is None\n"
         "loop.control_step(np.zeros(2))\n")
     for first in (first_step, first_interval):
         code = (
@@ -394,8 +394,7 @@ def test_a_plant_step_imports_no_build_tools(compiled_kernels):
             "from offsetmpc import closed_loop as cl\n"
             + first +
             "assert plant.fallback_reason is None, plant.fallback_reason\n"
-            "assert plant._rk4 is not plant._rk4_python\n"
-            "assert plant._interval not in (None, plant._interval_python)\n"
+            "assert plant.kernels not in (None, plant.PYTHON_KERNELS)\n"
             "print(sorted(m for m in ('hashlib', 'subprocess', 'sysconfig')\n"
             "             if m in sys.modules))\n")
         assert fresh_python(code) == "[]", first
@@ -409,8 +408,8 @@ def test_grnn_fit_never_loads_the_compiled_plant_step(tmp_path):
         "from offsetmpc import cli, plant\n"
         f"assert cli.main(['grnn-fit', {samples!r}, "
         f"'--out', {str(tmp_path)!r}]) == 0\n"
-        "print(plant._rk4, plant._interval)\n")
-    assert fresh_python(code) == "None None"
+        "print(plant.kernels)\n")
+    assert fresh_python(code) == "None"
 
 
 # a malformed number exits 2 with a message, never with a traceback; each

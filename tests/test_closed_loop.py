@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -918,11 +920,33 @@ def test_aborted_run_writes_its_rows_up_to_the_failure(committed, tmp_path):
 def either_interval(request, compiled_kernels, monkeypatch):
     """ControlLoop.control_step through the compiled interval, or through
     plant._interval_python, the fallback it reproduces up to rounding."""
-    if request.param == "python":
-        monkeypatch.setattr(plant, "_interval", plant._interval_python)
-    else:
-        monkeypatch.setattr(plant, "_interval", compiled_kernels[1])
+    monkeypatch.setattr(plant, "kernels", compiled_kernels
+                        if request.param == "compiled"
+                        else plant.PYTHON_KERNELS)
     return request.param
+
+
+def test_a_switch_of_the_kernels_is_never_undone(tracking_rc, monkeypatch):
+    """Kernels set before any load are the ones that run: the first
+    control_step neither loads the compiled module nor replaces them."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    switched = types.SimpleNamespace(
+        **{name: counted(name, fn)
+           for name, fn in vars(plant.PYTHON_KERNELS).items()})
+    monkeypatch.setattr(plant, "kernels", switched)
+    rc = tracking_rc
+    loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+                          cli._fresh_plant(rc), cl.ControllerMode.NOMINAL)
+    loop.control_step(np.zeros(rc.model.n_z))
+    assert plant.kernels is switched
+    assert calls == {"rk4": 1, "interval": 1}
 
 
 def test_returned_values_never_change_afterwards(twovar_rc, either_interval):
@@ -1005,13 +1029,13 @@ def interval_arguments(rc):
     return fixed, rc.model.n_x, loop.pred.law.n_t, v_box
 
 
-def run_interval(fn, fixed, v, n_x, n_t):
+def run_interval(fn, fixed, v, n_x):
     """(flag, objective, excursion, w, theta, z) of one call into new
     buffers."""
     M_step, P = fixed[0], fixed[1]
     w, theta, z = (np.empty(len(M_step)), np.empty(P.shape[1]),
                    np.empty(len(P)))
-    return (*fn(*fixed, v, w, theta, z, n_x, n_t), w, theta, z)
+    return (*fn(*fixed, v, w, theta, z, n_x), w, theta, z)
 
 
 def test_compiled_interval_matches_numpy_on_20000_draws(twovar_rc,
@@ -1027,8 +1051,8 @@ def test_compiled_interval_matches_numpy_on_20000_draws(twovar_rc,
     free = outside = band = 0
     for _ in range(20000):
         v = rng.uniform(lo, hi)
-        got = run_interval(compiled_kernels[1], fixed, v, n_x, n_t)
-        want = run_interval(plant._interval_python, fixed, v, n_x, n_t)
+        got = run_interval(compiled_kernels.interval, fixed, v, n_x)
+        want = run_interval(plant._interval_python, fixed, v, n_x)
         for a, b in zip(got[3:] + (got[1],), want[3:] + (want[1],)):
             assert (np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))).all()
         z, t = want[5], want[5][:n_t]
@@ -1057,7 +1081,7 @@ def test_non_finite_estimate_gives_flag_0_and_stops_the_loop(
         v = (lo + hi) / 2
         v[9] = bad                   # an entry of y_{k-1}
         with np.errstate(invalid="ignore"):
-            assert run_interval(plant._interval, fixed, v, n_x, n_t)[0] == 0
+            assert run_interval(plant.kernels.interval, fixed, v, n_x)[0] == 0
 
     class BrokenSensor(cl.LinearPlant):
         def measure(self):
@@ -1079,14 +1103,15 @@ def test_compiled_interval_rejects_buffers_that_do_not_fit(twovar_rc,
     not a C-contiguous float64 array of the size the others imply, and an
     output it cannot write."""
     fixed, n_x, n_t, (lo, hi) = interval_arguments(twovar_rc)
-    interval = compiled_kernels[1]
+    interval = compiled_kernels.interval
     M_step, P = fixed[0], fixed[1]
 
     def call(**swap):
-        buffers = dict(v=(lo + hi) / 2, w=np.empty(len(M_step)),
+        buffers = dict(zip(("M_step", "P", "b_box", "lo", "hi"), fixed),
+                       v=(lo + hi) / 2, w=np.empty(len(M_step)),
                        theta=np.empty(P.shape[1]), z=np.empty(len(P)))
         buffers.update(swap)
-        return interval(*fixed, *buffers.values(), n_x, n_t)
+        return interval(*buffers.values(), n_x)
 
     assert call()[0] in (1, 2)
     read_only = np.empty(len(M_step))
@@ -1097,8 +1122,9 @@ def test_compiled_interval_rejects_buffers_that_do_not_fit(twovar_rc,
             ({"v": ((lo + hi) / 2).tolist()}, TypeError),
             ({"w": read_only}, ValueError),
             ({"z": np.empty(len(P) - 1)}, ValueError),
-            ({"theta": np.empty(P.shape[1] + 1)}, ValueError)):
+            ({"theta": np.empty(P.shape[1] + 1)}, ValueError),
+            ({"hi": fixed[4][:-1]}, ValueError)):
         with pytest.raises(error):
             call(**swap)
-    with pytest.raises(TypeError, match="11 arguments"):
+    with pytest.raises(TypeError, match="10 arguments"):
         interval(*fixed)

@@ -2,6 +2,8 @@ import importlib.machinery
 import itertools
 import math
 import os
+import subprocess
+import types
 import warnings
 
 import numpy as np
@@ -16,9 +18,9 @@ def step_both(compiled_kernels, monkeypatch):
     loop it reproduces: the two must give the same state bit for bit, or
     raise the same NonPhysicalState message, which the returned function
     then returns or raises."""
-    def outcome(loop, s, u, p, dt):
+    def outcome(kernels, s, u, p, dt):
         """(the state or the exception, the floats or the message)"""
-        monkeypatch.setattr(plant, "_rk4", loop)
+        monkeypatch.setattr(plant, "kernels", kernels)
         try:
             got = plant.step(s, u, p, dt)
         except plant.NonPhysicalState as exc:
@@ -26,8 +28,8 @@ def step_both(compiled_kernels, monkeypatch):
         return got, (got.c, got.T, got.h)
 
     def step(s, u, p, dt):
-        got, key = outcome(compiled_kernels[0], s, u, p, dt)
-        _, oracle_key = outcome(plant._rk4_python, s, u, p, dt)
+        got, key = outcome(compiled_kernels, s, u, p, dt)
+        _, oracle_key = outcome(plant.PYTHON_KERNELS, s, u, p, dt)
         assert key == oracle_key, (s, u, p, dt)
         if isinstance(got, Exception):
             raise got
@@ -486,13 +488,11 @@ def test_the_first_step_loads_the_compiled_loop(compiled_kernels,
                                                 monkeypatch):
     """compiled_kernels fails this test, with the reason and the gcc
     command, when the kernels cannot be built or loaded. The one load
-    gives both kernels."""
-    monkeypatch.setattr(plant, "_rk4", None)
-    monkeypatch.setattr(plant, "_interval", None)
+    gives the module that holds both kernels."""
+    monkeypatch.setattr(plant, "kernels", None)
     plant.step(plant.PlantState(c=0.878, T=324.5, h=0.659),
                np.array([300.0, 0.1]), plant.CstrParams(), 1.0)
-    assert plant._rk4 is not plant._rk4_python
-    assert plant._interval not in (None, plant._interval_python)
+    assert isinstance(plant.kernels, types.ModuleType)
     assert plant.fallback_reason is None
 
 
@@ -500,15 +500,13 @@ def test_the_first_step_builds_into_an_empty_directory(tmp_path,
                                                        monkeypatch):
     build = tmp_path / "build"
     monkeypatch.setattr(plant, "BUILD_DIR", str(build))
-    monkeypatch.setattr(plant, "_rk4", None)
-    monkeypatch.setattr(plant, "_interval", None)
+    monkeypatch.setattr(plant, "kernels", None)
     monkeypatch.setattr(plant, "fallback_reason", None)
     s, u, p = (plant.PlantState(c=0.9, T=320.0, h=0.7),
                np.array([295.0, 0.11]), plant.CstrParams())
     got = plant.step(s, u, p, 1.0)
     assert plant.fallback_reason is None
-    assert plant._rk4 is not plant._rk4_python
-    assert plant._interval not in (None, plant._interval_python)
+    assert isinstance(plant.kernels, types.ModuleType)
     # the one build, under its tagged name: no temporary file is left
     name = os.path.basename(plant.kernel_path())
     assert os.listdir(build) == [name]
@@ -516,6 +514,15 @@ def test_the_first_step_builds_into_an_empty_directory(tmp_path,
         importlib.machinery.EXTENSION_SUFFIXES[0])
     ref = _step_reference(s, u, p, 1.0)
     assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h)
+
+
+def test_the_kernels_compile_without_a_warning(tmp_path):
+    """The build passes no warning flags, so a warning would never show:
+    here -Wall -Werror turns each into a failure that prints it."""
+    proc = subprocess.run(
+        plant.kernel_command(str(tmp_path / "kernels.so"))
+        + ["-Wall", "-Werror"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _no_gcc(tmp_path, monkeypatch):
@@ -558,19 +565,17 @@ FALLBACKS = {
 
 @pytest.mark.parametrize("case", list(FALLBACKS))
 def test_step_falls_back_to_the_python_loop(case, tmp_path, monkeypatch):
-    """One failed build sets both kernels to their Python forms, with one
+    """One failed build sets kernels to their Python forms, with one
     fallback_reason."""
     set_up, reason = FALLBACKS[case]
     monkeypatch.setattr(plant, "BUILD_DIR", str(tmp_path / "build"))
-    monkeypatch.setattr(plant, "_rk4", None)
-    monkeypatch.setattr(plant, "_interval", None)
+    monkeypatch.setattr(plant, "kernels", None)
     monkeypatch.setattr(plant, "fallback_reason", None)
     set_up(tmp_path, monkeypatch)
     s, u, p = (plant.PlantState(c=0.9, T=320.0, h=0.7),
                np.array([295.0, 0.11]), plant.CstrParams())
     got = plant.step(s, u, p, 1.0)
-    assert plant._rk4 is plant._rk4_python
-    assert plant._interval is plant._interval_python
+    assert plant.kernels is plant.PYTHON_KERNELS
     assert plant.fallback_reason.startswith(reason), plant.fallback_reason
     ref = _step_reference(s, u, p, 1.0)
     assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h)
