@@ -918,8 +918,9 @@ def test_aborted_run_writes_its_rows_up_to_the_failure(committed, tmp_path):
 
 @pytest.fixture(params=["compiled", "python"])
 def either_interval(request, compiled_kernels, monkeypatch):
-    """ControlLoop.control_step through the compiled interval, or through
-    plant._interval_python, the fallback it reproduces up to rounding."""
+    """ControlLoop.control_step through the compiled kernels, or through
+    plant.PYTHON_KERNELS, whose interval the compiled one reproduces up to
+    rounding."""
     monkeypatch.setattr(plant, "kernels", compiled_kernels
                         if request.param == "compiled"
                         else plant.PYTHON_KERNELS)
@@ -1076,7 +1077,7 @@ def test_non_finite_estimate_gives_flag_0_and_stops_the_loop(
     whose update reads the non-finite measurement."""
     rc = twovar_rc
     model, dist = rc.model, rc.dist
-    fixed, n_x, n_t, (lo, hi) = interval_arguments(rc)
+    fixed, n_x, _, (lo, hi) = interval_arguments(rc)
     for bad in (np.nan, np.inf, -np.inf):
         v = (lo + hi) / 2
         v[9] = bad                   # an entry of y_{k-1}
@@ -1102,7 +1103,7 @@ def test_compiled_interval_rejects_buffers_that_do_not_fit(twovar_rc,
     """The kernel reads and writes raw buffers, so it refuses any that is
     not a C-contiguous float64 array of the size the others imply, and an
     output it cannot write."""
-    fixed, n_x, n_t, (lo, hi) = interval_arguments(twovar_rc)
+    fixed, n_x, _, (lo, hi) = interval_arguments(twovar_rc)
     interval = compiled_kernels.interval
     M_step, P = fixed[0], fixed[1]
 
