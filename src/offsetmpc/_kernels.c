@@ -123,18 +123,18 @@ rk4(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 #define N_BUFFERS 9
 
-/* a C-contiguous float64 buffer of obj, writable when asked */
+/* a C-contiguous float64 buffer of obj, with its shape, writable when
+   asked; fn names the kernel in the error */
 static int
-get_floats(PyObject *obj, Py_buffer *view, int writable)
+get_floats(PyObject *obj, Py_buffer *view, int writable, const char *fn)
 {
-    if (PyObject_GetBuffer(obj, view,
-                           PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0)))
+    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_ND
+                           | (writable ? PyBUF_WRITABLE : 0)))
         return -1;
     if (view->itemsize != sizeof(double) || view->format == NULL
         || strcmp(view->format, "d") != 0) {
         PyBuffer_Release(view);
-        PyErr_SetString(PyExc_TypeError,
-                        "interval takes float64 arrays");
+        PyErr_Format(PyExc_TypeError, "%s takes float64 arrays", fn);
         return -1;
     }
     return 0;
@@ -197,7 +197,8 @@ interval(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     /* the last three, w, theta and z, are written */
     for (; n_held < N_BUFFERS; n_held++)
-        if (get_floats(args[n_held], &buf[n_held], n_held >= 6))
+        if (get_floats(args[n_held], &buf[n_held], n_held >= 6,
+                       "interval"))
             goto done;
 #define LEN(i) (buf[i].len / (Py_ssize_t)sizeof(double))
     n_s = LEN(2);
@@ -250,12 +251,146 @@ done:
     return out;
 }
 
+#define N_RECORD_BUFFERS 8
+#define N_RECORD_ARGS (N_RECORD_BUFFERS + 9)
+
+/* dst[i] = src[i] for i < n; returns dst + n */
+static double *
+put(double *dst, const double *src, Py_ssize_t n)
+{
+    memmove(dst, src, n * sizeof(double));
+    return dst + n;
+}
+
+/* The buffers, in argument order: the log block values (rows x width,
+   written), H (n_z x n_y), y_p (n_y), u (n_u), w (n_w = n_x + n_d),
+   theta (n_w + n_z), z (at least n_t = n_x + n_u) and v (n_w + n_u + n_y
+   + 2 n_d + n_z, written); then k, time, objective, n_active, count, M,
+   tol_y, tol_u and n_x. Writes row k of values, [time; r; y_p; H y_p; u;
+   w[:n_x]; d_l; w[n_x:]; theta[n_x:n_w]; z[:n_t]; objective; n_active;
+   steady], leaving its last entry, the harvested flag, as it is, with r
+   and d_l the last two parts of v; then carries [w; u; y_p; d_l] into
+   the first four parts of v. The interval is quiet when k > 0 and,
+   against row k-1, every entry of r is equal, and every entry of y_p and
+   of u moved at most tol_y and tol_u; the new count is count + 1 when it
+   is quiet and 0 otherwise, and steady is whether it is >= M. */
+static PyObject *
+record(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer buf[N_RECORD_BUFFERS];
+    const double *H, *y_p, *u, *w, *theta, *z, *r, *d_l, *prev;
+    double *row, *p, *v, time, objective, n_active, tol_y, tol_u;
+    long long count, M;
+    Py_ssize_t k, n_x, n_y, n_u, n_w, n_d, n_z, width, i;
+    int n_held = 0, quiet;
+    PyObject *out = NULL;
+
+    if (nargs != N_RECORD_ARGS) {
+        PyErr_Format(PyExc_TypeError, "record takes %d arguments (%zd given)",
+                     N_RECORD_ARGS, nargs);
+        return NULL;
+    }
+    k = PyLong_AsSsize_t(args[8]);
+    if (k == -1 && PyErr_Occurred())
+        return NULL;
+    time = PyFloat_AsDouble(args[9]);
+    if (time == -1.0 && PyErr_Occurred())
+        return NULL;
+    objective = PyFloat_AsDouble(args[10]);
+    if (objective == -1.0 && PyErr_Occurred())
+        return NULL;
+    n_active = PyFloat_AsDouble(args[11]);
+    if (n_active == -1.0 && PyErr_Occurred())
+        return NULL;
+    count = PyLong_AsLongLong(args[12]);
+    if (count == -1 && PyErr_Occurred())
+        return NULL;
+    M = PyLong_AsLongLong(args[13]);
+    if (M == -1 && PyErr_Occurred())
+        return NULL;
+    tol_y = PyFloat_AsDouble(args[14]);
+    if (tol_y == -1.0 && PyErr_Occurred())
+        return NULL;
+    tol_u = PyFloat_AsDouble(args[15]);
+    if (tol_u == -1.0 && PyErr_Occurred())
+        return NULL;
+    n_x = PyLong_AsSsize_t(args[16]);
+    if (n_x == -1 && PyErr_Occurred())
+        return NULL;
+    /* the first, values, and the last, v, are written */
+    for (; n_held < N_RECORD_BUFFERS; n_held++)
+        if (get_floats(args[n_held], &buf[n_held],
+                       n_held == 0 || n_held == N_RECORD_BUFFERS - 1,
+                       "record"))
+            goto done;
+#define LEN(i) (buf[i].len / (Py_ssize_t)sizeof(double))
+    n_y = LEN(2);
+    n_u = LEN(3);
+    n_w = LEN(4);
+    n_z = LEN(5) - n_w;
+    n_d = n_w - n_x;
+    width = 1 + n_z + n_y + n_z + n_u + n_x + 3 * n_d + n_x + n_u + 4;
+    if (n_x < 0 || n_d < 0 || n_z < 0 || buf[0].ndim != 2
+        || buf[0].shape[1] != width || k < 0 || k >= buf[0].shape[0]
+        || LEN(1) != n_z * n_y || LEN(6) < n_x + n_u
+        || LEN(7) != n_w + n_u + n_y + 2 * n_d + n_z) {
+        PyErr_SetString(PyExc_ValueError,
+                        "record: buffer sizes do not fit together");
+        goto done;
+    }
+#undef LEN
+    H = buf[1].buf; y_p = buf[2].buf; u = buf[3].buf; w = buf[4].buf;
+    theta = buf[5].buf; z = buf[6].buf; v = buf[7].buf;
+    d_l = v + n_w + n_u + n_y + n_d;
+    r = d_l + n_d;
+    row = (double *)buf[0].buf + k * width;
+
+    p = row;
+    *p++ = time;
+    p = put(p, r, n_z);
+    p = put(p, y_p, n_y);
+    product(H, y_p, p, n_z, n_y);
+    p = put(p + n_z, u, n_u);
+    p = put(p, w, n_x);
+    p = put(p, d_l, n_d);
+    p = put(p, w + n_x, n_d);
+    p = put(p, theta + n_x, n_d);
+    p = put(p, z, n_x + n_u);
+
+    quiet = k > 0;
+    prev = row - width;
+    for (i = 1; quiet && i < 1 + n_z; i++)
+        quiet = row[i] == prev[i];
+    for (i = 1 + n_z; quiet && i < 1 + n_z + n_y; i++)
+        quiet = fabs(row[i] - prev[i]) <= tol_y;
+    for (i = 1 + 2 * n_z + n_y; quiet && i < 1 + 2 * n_z + n_y + n_u; i++)
+        quiet = fabs(row[i] - prev[i]) <= tol_u;
+    count = quiet ? count + 1 : 0;
+    *p++ = objective;
+    *p++ = n_active;
+    *p = count >= M ? 1.0 : 0.0;
+
+    p = put(v, w, n_w);
+    p = put(p, u, n_u);
+    p = put(p, y_p, n_y);
+    put(p, d_l, n_d);
+
+    out = PyLong_FromLongLong(count);
+done:
+    while (n_held > 0)
+        PyBuffer_Release(&buf[--n_held]);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"rk4", (PyCFunction)(void (*)(void))rk4, METH_FASTCALL,
      "The RK4 substep loop of plant.step: plant._rk4_python, compiled."},
     {"interval", (PyCFunction)(void (*)(void))interval, METH_FASTCALL,
      "The free-path interval of ControlLoop.control_step: "
      "plant._interval_python, compiled."},
+    {"record", (PyCFunction)(void (*)(void))record, METH_FASTCALL,
+     "The log row, steady count and carry of ControlLoop.control_step: "
+     "plant._record_python, compiled."},
     {NULL, NULL, 0, NULL}
 };
 

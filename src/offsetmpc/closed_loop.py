@@ -12,6 +12,7 @@ free-path tests run in one call of plant's compiled interval, or of its
 numpy form where the kernels cannot be built.
 """
 
+import bisect
 import collections.abc
 import enum
 from dataclasses import dataclass, field, fields
@@ -78,13 +79,14 @@ class ScenarioConfig:
             raise ValueError("steady.tol_y must be >= 0")
         if self.steady_tol_u < 0:
             raise ValueError("steady.tol_u must be >= 0")
+        # an entry holds from 1e-9 before its start time
+        self._starts = [t - 1e-9 for t in times]
 
     def setpoint_at(self, t):
-        r = self.schedule[0][1]
-        for ts, rv in self.schedule:
-            if t >= ts - 1e-9:
-                r = rv
-        return r
+        """The setpoint of the last entry that has started at t, the first
+        entry's before it."""
+        i = bisect.bisect_right(self._starts, t) - 1
+        return self.schedule[max(i, 0)][1]
 
 
 @dataclass
@@ -317,14 +319,19 @@ class ControlLoop:
         n_w = model.n_x + dist.n_d
         ends = np.cumsum([n_w, model.n_u, model.n_y, dist.n_d, dist.n_d,
                           model.n_z]).tolist()
-        self._parts = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self._d_l_part = slice(ends[3], ends[4])
+        self._r_part = slice(ends[4], ends[5])
         self._v = np.zeros(ends[-1])
         self._w = np.empty(n_w)
         self._theta = np.empty(n_w + model.n_z)
         law = self.pred.law
         u_row = law.n_t + law.S.shape[0]
         self._u_rows = slice(u_row, u_row + model.n_u)   # u* in z
-        self.detector = SteadyDetector(steady_M, steady_tol_y, steady_tol_u)
+        if steady_M < 2:
+            raise ValueError("M must be >= 2")
+        # the steady test: count consecutive quiet intervals, steady from M
+        self._steady = (steady_M, float(steady_tol_y), float(steady_tol_u))
+        self._count = 0
         self._no_map = np.zeros(dist.n_d)
         self._no_map.flags.writeable = False
         self._last_harvest_r = None
@@ -360,19 +367,18 @@ class ControlLoop:
         else:
             d_l = self._no_map
         v, w, theta = self._v, self._w, self._theta
-        w_part, u_part, y_part, d_l_prev_part, d_l_part, r_part = self._parts
-        v[d_l_part] = d_l
-        v[r_part] = r
+        v[self._d_l_part] = d_l
+        v[self._r_part] = r
         n_x = self.model.n_x
         # the estimate, theta, z = P theta (target, slacks, u*, Q theta)
         # and the free-path tests; z is new every interval, since u and a
         # counted target are views of it
         law = self.pred.law
         z = np.empty(len(law.P))
-        flag, objective, excursion = (
-            plant_mod.kernels or plant_mod._load_kernel()).interval(
-                self.estimator.M_step, law.P, self.pred.b_box,
-                self.targets.lo, self.targets.hi, v, w, theta, z, n_x)
+        kernels = plant_mod.kernels or plant_mod._load_kernel()
+        flag, objective, excursion = kernels.interval(
+            self.estimator.M_step, law.P, self.pred.b_box, self.targets.lo,
+            self.targets.hi, v, w, theta, z, n_x)
         if not flag:
             raise ValueError("non-finite estimate")
         if flag == 1:
@@ -383,43 +389,33 @@ class ControlLoop:
             sol = self.table.solve(theta, z)
             u = sol.u_seq[:self.model.n_u]
             objective, n_active = sol.objective, len(sol.active_set)
-        t = z[:law.n_t]
-        d_tot = theta[n_x:len(w)]
-        z_p = self.model.H @ y_p
-        steady = self.detector.update(r_list, y_p.tolist(), u.tolist())
-
+        # row k of the log, the steady count and v's parts for the next
+        # interval's update
         log = self.records
         if k == len(log.values):
             log.reserve(2 * k)
-        row = log.values[k]
-        row[0] = time = k * self.model.dt
-        np.concatenate([r, y_p, z_p, u, w[:n_x], d_l, w[n_x:], d_tot, t],
-                       out=row[1:-4])
-        row[-4] = objective
-        row[-3] = n_active
-        row[-2] = steady
-        # what the next interval's update reads
-        v[w_part] = w
-        v[u_part] = u
-        v[y_part] = y_p
-        v[d_l_prev_part] = d_l
+        time = k * self.model.dt
+        M, tol_y, tol_u = self._steady
+        self._count = kernels.record(
+            log.values, self.model.H, y_p, u, w, theta, z, v, k, time,
+            objective, n_active, self._count, M, tol_y, tol_u, n_x)
         # the row counts, its target excursion is counted and a sample is
         # taken only once the plant step has completed, so a failing step
         # leaves none of them
         self.plant.step(u)
         log.n = k + 1
         if excursion:
-            self.targets.excursions.add(self.targets.pair(t))
+            self.targets.excursions.add(self.targets.pair(z[:law.n_t]))
         harvested = False
-        if (self.harvest and steady
+        if (self.harvest and self._count >= M
                 and (self._last_harvest_r is None
                      or not _same(self._last_harvest_r, r_list))):
             try:
                 sample = harvest_sample(self.estimator, time, r, y_p, u,
-                                        d_tot)
+                                        theta[n_x:len(w)])
                 self.harvested.append(sample)
                 self._last_harvest_r = r_list
-                row[-1] = harvested = True
+                log.values[k, -1] = harvested = True
                 if self.grnn is not None:
                     self.grnn = grnn_mod.add_sample(self.grnn, sample.r, sample.d_ss)
             except CrossCheckFailed:

@@ -43,7 +43,8 @@ class LinearModel:
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.B = np.atleast_2d(np.asarray(B, dtype=float))
         self.C = np.atleast_2d(np.asarray(C, dtype=float))
-        self.H = np.atleast_2d(np.asarray(H, dtype=float))
+        # C order: the compiled log row reads H as a raw buffer
+        self.H = np.atleast_2d(np.asarray(H, dtype=float, order="C"))
         self.dt = float(dt)
         if not self.dt > 0.0:
             raise ValueError("dt must be > 0")

@@ -268,6 +268,52 @@ def _interval_python(M_step, P, b_box, lo, hi, v, w, theta, z, n_x):
             bool(((t < lo) | (t > hi)).any()))
 
 
+def _record_python(values, H, y_p, u, w, theta, z, v, k, time, objective,
+                   n_active, count, M, tol_y, tol_u, n_x):
+    """The bookkeeping of closed_loop.ControlLoop.control_step between the
+    choice of u and the plant step, in numpy. Writes row k of the log
+    block values, [time; r; y_p; z_p = H y_p; u; x_hat; d_l; d_hat;
+    d_total; x_bar; u_bar; objective; n_active; steady] with the
+    harvested flag left as it is, from v = [w_{k-1}; u_{k-1}; y_{k-1};
+    d_l_{k-1}; d_l_k; r_k] (r and d_l), w, theta (d_total) and z (the
+    target, its first n_x + len(u) entries); then carries [w; u; y_p;
+    d_l_k] into the first four parts of v for the next interval's update.
+    Interval k is quiet when k > 0 and, against row k-1, r is the same
+    and no entry of y_p or u moved more than tol_y or tol_u (a NaN never
+    is); the count of consecutive quiet intervals is count + 1 then and 0
+    otherwise, and the interval is steady once it reaches M. Returns the
+    count. _kernels.c's record is this, compiled."""
+    n_w, n_u, n_y = len(w), len(u), len(y_p)
+    n_d = n_w - n_x
+    n_z = len(theta) - n_w
+    d_l_at = n_w + n_u + n_y + n_d
+    r, d_l = v[d_l_at + n_d:], v[d_l_at:d_l_at + n_d]
+    row = values[k]
+    row[0] = time
+    np.concatenate([r, y_p, H @ y_p, u, w[:n_x], d_l, w[n_x:],
+                    theta[n_x:n_w], z[:n_x + n_u]], out=row[1:-4])
+    if k > 0:
+        prev = values[k - 1]
+        y_at = 1 + n_z
+        u_at = y_at + n_y + n_z
+        quiet = ((row[1:y_at] == prev[1:y_at]).all()
+                 and (abs(row[y_at:y_at + n_y] - prev[y_at:y_at + n_y])
+                      <= tol_y).all()
+                 and (abs(row[u_at:u_at + n_u] - prev[u_at:u_at + n_u])
+                      <= tol_u).all())
+    else:
+        quiet = False
+    count = count + 1 if quiet else 0
+    row[-4] = objective
+    row[-3] = n_active
+    row[-2] = count >= M
+    v[:n_w] = w
+    v[n_w:n_w + n_u] = u
+    v[n_w + n_u:n_w + n_u + n_y] = y_p
+    v[d_l_at - n_d:d_l_at] = d_l
+    return count
+
+
 # ---- the compiled kernels: _kernels.c, built with gcc on first use ----
 
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -281,7 +327,8 @@ KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared",
 # the Python forms of the compiled kernels, which run where they cannot be
 # built
 PYTHON_KERNELS = types.SimpleNamespace(rk4=_rk4_python,
-                                       interval=_interval_python)
+                                       interval=_interval_python,
+                                       record=_record_python)
 # the kernels that run: None until the first plant step or control interval
 # of the process loads them, then the compiled module or PYTHON_KERNELS
 kernels = None

@@ -947,7 +947,7 @@ def test_a_switch_of_the_kernels_is_never_undone(tracking_rc, monkeypatch):
                           cli._fresh_plant(rc), cl.ControllerMode.NOMINAL)
     loop.control_step(np.zeros(rc.model.n_z))
     assert plant.kernels is switched
-    assert calls == {"rk4": 1, "interval": 1}
+    assert calls == {"rk4": 1, "interval": 1, "record": 1}
 
 
 def test_returned_values_never_change_afterwards(twovar_rc, either_interval):
