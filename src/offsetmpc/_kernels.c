@@ -280,8 +280,7 @@ record(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_buffer buf[N_RECORD_BUFFERS];
     const double *H, *y_p, *u, *w, *theta, *z, *r, *d_l, *prev;
     double *row, *p, *v, time, objective, n_active, tol_y, tol_u;
-    long long count, M;
-    Py_ssize_t k, n_x, n_y, n_u, n_w, n_d, n_z, width, i;
+    Py_ssize_t k, count, M, n_x, n_y, n_u, n_w, n_d, n_z, width, i;
     int n_held = 0, quiet;
     PyObject *out = NULL;
 
@@ -290,33 +289,19 @@ record(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                      N_RECORD_ARGS, nargs);
         return NULL;
     }
-    k = PyLong_AsSsize_t(args[8]);
-    if (k == -1 && PyErr_Occurred())
-        return NULL;
-    time = PyFloat_AsDouble(args[9]);
-    if (time == -1.0 && PyErr_Occurred())
-        return NULL;
-    objective = PyFloat_AsDouble(args[10]);
-    if (objective == -1.0 && PyErr_Occurred())
-        return NULL;
-    n_active = PyFloat_AsDouble(args[11]);
-    if (n_active == -1.0 && PyErr_Occurred())
-        return NULL;
-    count = PyLong_AsLongLong(args[12]);
-    if (count == -1 && PyErr_Occurred())
-        return NULL;
-    M = PyLong_AsLongLong(args[13]);
-    if (M == -1 && PyErr_Occurred())
-        return NULL;
-    tol_y = PyFloat_AsDouble(args[14]);
-    if (tol_y == -1.0 && PyErr_Occurred())
-        return NULL;
-    tol_u = PyFloat_AsDouble(args[15]);
-    if (tol_u == -1.0 && PyErr_Occurred())
-        return NULL;
-    n_x = PyLong_AsSsize_t(args[16]);
-    if (n_x == -1 && PyErr_Occurred())
-        return NULL;
+#define GET(x, convert, i) \
+    if ((x = convert(args[i])) == -1 && PyErr_Occurred()) \
+        return NULL
+    GET(k, PyLong_AsSsize_t, 8);
+    GET(time, PyFloat_AsDouble, 9);
+    GET(objective, PyFloat_AsDouble, 10);
+    GET(n_active, PyFloat_AsDouble, 11);
+    GET(count, PyLong_AsSsize_t, 12);
+    GET(M, PyLong_AsSsize_t, 13);
+    GET(tol_y, PyFloat_AsDouble, 14);
+    GET(tol_u, PyFloat_AsDouble, 15);
+    GET(n_x, PyLong_AsSsize_t, 16);
+#undef GET
     /* the first, values, and the last, v, are written */
     for (; n_held < N_RECORD_BUFFERS; n_held++)
         if (get_floats(args[n_held], &buf[n_held],
@@ -358,7 +343,7 @@ record(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     p = put(p, z, n_x + n_u);
 
     quiet = k > 0;
-    prev = row - width;
+    prev = quiet ? row - width : row;
     for (i = 1; quiet && i < 1 + n_z; i++)
         quiet = row[i] == prev[i];
     for (i = 1 + n_z; quiet && i < 1 + n_z + n_y; i++)
@@ -375,7 +360,7 @@ record(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     p = put(p, y_p, n_y);
     put(p, d_l, n_d);
 
-    out = PyLong_FromLongLong(count);
+    out = PyLong_FromSsize_t(count);
 done:
     while (n_held > 0)
         PyBuffer_Release(&buf[--n_held]);

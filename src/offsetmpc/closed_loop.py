@@ -313,15 +313,15 @@ class ControlLoop:
         self.harvest = harvest
         self.k = 0
         # the interval's input v = [w_{k-1}; u_{k-1}; y_{k-1}; d_l_{k-1};
-        # d_l_k; r_k], written in place through one slice per part, and
-        # the estimate w = [x_hat; d_hat] and theta = [x_hat; d_l_k +
-        # d_hat; r_k] it gives
+        # d_l_k; r_k], written in place: its last two parts here, the
+        # first four by record at the end of the interval before; and the
+        # estimate w = [x_hat; d_hat] and theta = [x_hat; d_l_k + d_hat;
+        # r_k] it gives
         n_w = model.n_x + dist.n_d
-        ends = np.cumsum([n_w, model.n_u, model.n_y, dist.n_d, dist.n_d,
-                          model.n_z]).tolist()
-        self._d_l_part = slice(ends[3], ends[4])
-        self._r_part = slice(ends[4], ends[5])
-        self._v = np.zeros(ends[-1])
+        d_l_at = n_w + model.n_u + model.n_y + dist.n_d
+        self._d_l_part = slice(d_l_at, d_l_at + dist.n_d)
+        self._r_part = slice(d_l_at + dist.n_d, None)
+        self._v = np.zeros(d_l_at + dist.n_d + model.n_z)
         self._w = np.empty(n_w)
         self._theta = np.empty(n_w + model.n_z)
         law = self.pred.law
