@@ -23,7 +23,21 @@
    plant._interval_python compiled; its 10 arguments are 9 buffers and
    n_x, and the target's length n_t is len(lo). Its sums run left to
    right where the fallback's products run in BLAS, so the two agree to
-   rounding only. */
+   rounding only.
+
+   record(values, H, y_p, u, w, theta, z, v, k, time, objective, n_active,
+          count, M, tol_y, tol_u, n_x)
+   -> count
+
+   is the rest of the interval up to the plant step, plant._record_python
+   compiled; its 17 arguments are 8 buffers and 9 numbers. It writes row
+   k of the log block values, z_p = H y_p among it, updates the count of
+   consecutive quiet intervals against row k-1, writes steady = count >=
+   M into the row, and carries [w; u; y_p; d_l_k] into v for the next
+   interval's update; it returns the new count. Every entry it writes is
+   a copy of an input, but for z_p, whose sums run left to right: for a
+   0/1 selector H, as every committed config has, all of it is the
+   fallback's bit for bit. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -8,8 +8,11 @@ the stored (u, y_p, learned d) from interval k-1; solve the target problem
 and the finite-horizon QP with the combined disturbance; apply the first
 input. At k=0 the stored values are zeros, from which the update gives the
 initial (zero) estimate. The update, the affine law's product and its
-free-path tests run in one call of plant's compiled interval, or of its
-numpy form where the kernels cannot be built.
+free-path tests run in one call of plant's compiled interval; the log
+row, the steady test against the row before and the carry of [w; u; y_p;
+d_l] into the next interval's input run in one call of its record, after
+interval or after the active-set table when a row is violated. Where the
+kernels cannot be built, both run in their numpy forms.
 """
 
 import bisect
@@ -253,7 +256,9 @@ class SteadyDetector:
     u moved at most the tolerances between consecutive intervals. That is a
     count of consecutive quiet transitions against the previous interval,
     steady once it reaches M: exact equality is transitive, and the
-    largest move over the window is the largest over its transitions."""
+    largest move over the window is the largest over its transitions.
+    ControlLoop runs the same count in plant's record, against the log's
+    previous row; this standalone form is the tests' oracle for it."""
 
     def __init__(self, M=5, tol_y=1e-5, tol_u=1e-5):
         if M < 2:

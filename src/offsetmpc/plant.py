@@ -2,9 +2,9 @@
 cylindrical tank with level dynamics, stepped by classical RK4 whose
 substep loop runs in a small C kernel built with gcc on the first step,
 or on Python floats where it cannot be built; both give the same floats.
-The same build holds the controller's free-path interval (see
-_interval_python), so this module loads the program's one compiled
-extension.
+The same build holds the controller's free-path interval and its log
+row, steady count and carry (see _interval_python and _record_python),
+so this module loads the program's one compiled extension.
 
 States are concentration c (kmol/m3), temperature T (K), level h (m);
 inputs are coolant temperature T_c (K) and outlet flow F (m3/min). The

@@ -43,6 +43,36 @@ def test_schedule_validation():
     assert np.array_equal(sc.setpoint_at(4.0), np.ones(2))
 
 
+def scan_setpoint(schedule, t):
+    """The setpoint at t by a scan of the whole schedule, as setpoint_at
+    found it before its bisection: the last entry whose start, less 1e-9,
+    is <= t, else the first."""
+    r = schedule[0][1]
+    for ts, rv in schedule:
+        if t >= ts - 1e-9:
+            r = rv
+    return r
+
+
+def test_setpoint_at_matches_the_linear_scan():
+    """On 200 random strictly increasing schedules of 1 to 80 entries,
+    setpoint_at returns the entry the scan returns at every start ts, at
+    ts +- 1e-9 and ts +- 2e-9, and before 0."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(1, 81))
+        gaps = rng.choice([1e-9, 2e-9, 0.5, 1.0, 7.25], n - 1)
+        times = np.concatenate([[0.0], np.cumsum(gaps)]).tolist()
+        sc = scenario(times[-1] + 1.0,
+                      [(t, np.full(2, float(i))) for i, t in enumerate(times)],
+                      cl.ControllerMode.NOMINAL)
+        probes = [-1.0, -2e-9, -1e-9] + [t + d for t in times
+                                         for d in (-2e-9, -1e-9, 0.0, 1e-9,
+                                                   2e-9)]
+        for t in probes:
+            assert sc.setpoint_at(t) is scan_setpoint(sc.schedule, t), t
+
+
 def test_origin_is_closed_loop_equilibrium(committed):
     m, dist, gains, cfg = committed
     sc = scenario(30.0, [(0.0, np.zeros(2))], cl.ControllerMode.NOMINAL)
@@ -1129,3 +1159,190 @@ def test_compiled_interval_rejects_buffers_that_do_not_fit(twovar_rc,
             call(**swap)
     with pytest.raises(TypeError, match="10 arguments"):
         interval(*fixed)
+
+
+# ---- the log row, steady count and carry: compiled, with its numpy form
+# as the oracle ----
+
+def record_arguments(rc):
+    """The twovar loop's H, n_x and n_d, the width of its log rows, and
+    the boxes that record's draws cover: v over interval_arguments' box,
+    y_p over the state box and u over the input box."""
+    fixed, n_x, n_t, v_box = interval_arguments(rc)
+    model, n_d = rc.model, rc.dist.n_d
+    width = sum(cl.ControlLoop(model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+                               cli._fresh_plant(rc),
+                               cl.ControllerMode.NOMINAL).records.widths
+                .values())
+    boxes = dict(v=v_box, y_p=rc.ocp_cfg.x_bounds, u=rc.ocp_cfg.u_bounds)
+    return model.H, n_x, n_d, width, boxes
+
+
+def same_floats(a, b):
+    """a and b hold the same floats: NaN at the same places, and equal with
+    the same sign everywhere else, so +0.0 and -0.0 differ."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan], b[~nan])
+            and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+def test_compiled_record_matches_python_on_20000_draws(twovar_rc,
+                                                      compiled_kernels):
+    """Each draw fills a 3-row block with noise and writes row k in {0, 1,
+    2} through both forms. The previous row (at k = 0 the last) holds the same r (a zero with
+    the other sign), or one that differs in one entry's last ulp or
+    anywhere, and y_p and u moved by 0 or up to 1e-4; the tolerances are
+    1e-5 or exactly the largest moves, and a tenth of the draws put a NaN,
+    +0.0 or -0.0 into y_p, u or r. With the twovar loop's 0/1 selector H,
+    the blocks, v and counts are the same floats; with a dense H each
+    z_p agrees within 1e-12 of max(1, |value|) and the rest is the same.
+    8 035 draws are quiet and 5 085 steady; 2 840 are quiet with a move
+    exactly at its tolerance and 192 with a +0.0 against a -0.0 in r; no
+    r that differs in its last ulp is quiet, and no row 0 is, though the
+    block's last row, which row 0 must not read, would be."""
+    H, n_x, n_d, width, boxes = record_arguments(twovar_rc)
+    n_y, n_z = H.shape[1], H.shape[0]
+    n_u, n_w = len(boxes["u"][0]), n_x + n_d
+    r_at, y_at, zp_at = 1, 1 + n_z, 1 + n_z + n_y
+    u_at = zp_at + n_z
+    rng = np.random.default_rng(24)
+    tally = collections.Counter()
+    for _ in range(20000):
+        v, y_p, u = (rng.uniform(*boxes[name]) for name in ("v", "y_p", "u"))
+        r = v[len(v) - n_z:]
+        w = v[:n_w].copy()
+        theta = np.concatenate([w, r])
+        z = rng.uniform(-10.0, 10.0, n_x + n_u + 3)
+        if rng.uniform() < 0.1:
+            x = (y_p, u, r)[int(rng.integers(0, 3))]
+            x[int(rng.integers(0, len(x)))] = rng.choice([np.nan, 0.0, -0.0])
+        values = rng.uniform(-1.0, 1.0, (3, width))
+        k = int(rng.integers(0, 3))
+        tol_y = tol_u = 1e-5
+        edge = False
+        # at k = 0, the block's last row: no row precedes row 0
+        prev = values[k - 1]
+        which = rng.uniform()
+        if which < 0.9:
+            # the same r, where a zero may have the other sign
+            prev[r_at:y_at] = np.where(r == 0.0, -r, r)
+        ulp = 0.8 <= which < 0.9
+        if which >= 0.8:
+            j = r_at + int(rng.integers(0, n_z))
+            prev[j] = np.nextafter(prev[j], rng.choice([-np.inf, np.inf]))
+        for at, x in ((y_at, y_p), (u_at, u)):
+            prev[at:at + len(x)] = x + rng.choice(
+                [0.0, 1e-6, 1e-5, 1e-4]) * rng.uniform(-1, 1, len(x))
+        if rng.uniform() < 0.5:
+            with np.errstate(invalid="ignore"):
+                tol_y, tol_u = (
+                    float(np.abs(x - prev[at:at + len(x)]).max())
+                    for at, x in ((y_at, y_p), (u_at, u)))
+            edge = tol_y > 0.0 and tol_u > 0.0
+        args = (k, float(rng.uniform(0, 1e3)), float(rng.normal()),
+                int(rng.integers(0, 5)), int(rng.integers(0, 8)),
+                int(rng.integers(2, 7)), tol_y, tol_u, n_x)
+        for H_draw in (H, rng.uniform(-1.0, 1.0, H.shape)):
+            got_values, got_v = values.copy(), v.copy()
+            want_values, want_v = values.copy(), v.copy()
+            got = compiled_kernels.record(got_values, H_draw, y_p, u, w,
+                                          theta, z, got_v, *args)
+            with np.errstate(invalid="ignore"):
+                want = plant._record_python(want_values, H_draw, y_p, u, w,
+                                            theta, z, want_v, *args)
+            assert got == want
+            assert same_floats(got_v, want_v)
+            if H_draw is H:
+                assert same_floats(got_values, want_values)
+                continue
+            zp = slice(zp_at, zp_at + n_z)
+            a, b = got_values[k, zp], want_values[k, zp]
+            assert (np.isnan(a) == np.isnan(b)).all()
+            assert (np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))[
+                ~np.isnan(b)].all()
+            got_values[k, zp] = want_values[k, zp]
+            assert same_floats(got_values, want_values)
+        tally["quiet"] += want > 0
+        tally["steady"] += want >= args[5]
+        tally["ulp, quiet"] += ulp and want > 0
+        tally["edge, quiet"] += edge and want > 0
+        tally["signed zero in r, quiet"] += (r == 0.0).any() and want > 0
+        tally["k = 0, quiet"] += k == 0 and want > 0
+    assert tally == {"quiet": 8035, "steady": 5085, "ulp, quiet": 0,
+                     "edge, quiet": 2840, "signed zero in r, quiet": 192,
+                     "k = 0, quiet": 0}
+
+
+def test_compiled_record_rejects_buffers_that_do_not_fit(twovar_rc,
+                                                         compiled_kernels):
+    """record, like interval, refuses any buffer that is not a
+    C-contiguous float64 array of the size the others imply, a block that
+    is not 2-D or has no row k, and an output it cannot write."""
+    H, n_x, n_d, width, boxes = record_arguments(twovar_rc)
+    v_lo, v_hi = boxes["v"]
+    n_w, n_z = n_x + n_d, H.shape[0]
+    record = compiled_kernels.record
+
+    def call(k=1, **swap):
+        buffers = dict(values=np.zeros((4, width)), H=H,
+                       y_p=np.zeros(H.shape[1]), u=np.zeros(2),
+                       w=np.zeros(n_w), theta=np.zeros(n_w + n_z),
+                       z=np.zeros(n_x + 2), v=(v_lo + v_hi) / 2)
+        buffers.update(swap)
+        return record(*buffers.values(), k, 1.0, 0.0, 0, 0, 5, 1e-5, 1e-5,
+                      n_x)
+
+    assert call() == 0
+    read_only = np.zeros(len(v_lo))
+    read_only.flags.writeable = False
+    for k, swap, error in (
+            (4, {}, ValueError),
+            (-1, {}, ValueError),
+            (1, {"values": np.zeros(4 * width)}, ValueError),
+            (1, {"values": np.zeros((4, width + 1))}, ValueError),
+            (1, {"values": np.zeros((width, 4)).T}, ValueError),
+            (1, {"values": np.zeros((4, width), np.float32)}, TypeError),
+            (1, {"y_p": np.zeros(3).tolist()}, TypeError),
+            (1, {"u": np.zeros(4)[::2]}, ValueError),
+            (1, {"v": read_only}, ValueError),
+            (1, {"v": np.zeros(len(v_lo) + 1)}, ValueError),
+            (1, {"H": H[:, :2].copy()}, ValueError),
+            (1, {"theta": np.zeros(n_w + n_z + 1)}, ValueError),
+            (1, {"z": np.zeros(n_x + 1)}, ValueError)):
+        with pytest.raises(error):
+            call(k, **swap)
+    with pytest.raises(TypeError, match="17 arguments"):
+        record(np.zeros((4, width)))
+
+
+def test_steady_column_matches_the_detector(twovar_rc, drift_rc,
+                                            either_interval):
+    """The steady column, which record writes from row k-1 of the log
+    block, is SteadyDetector's answer on the rows' (r, y_p, u): on the
+    committed sweep_ct_100 sweep, whose block grows from 64 rows to 8192
+    on the way, and on the drift run in learned mode, whose harvests
+    change the map."""
+    rc = twovar_rc
+    setpoints = cli._load_setpoints(str(CONFIGS / "sweep_ct_100.txt"), rc.op)
+    samples, sweep = cl.sweep_harvest(
+        rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg, cli._fresh_plant(rc),
+        setpoints, cap=rc.sweep_cap, steady_M=rc.scenario.steady_M,
+        steady_tol_y=rc.scenario.steady_tol_y,
+        steady_tol_u=rc.scenario.steady_tol_u)
+    assert (len(samples), len(sweep.records)) == (100, 4366)
+    assert len(sweep.records.values) == 8192
+    rc = drift_rc
+    scenario = dataclasses.replace(rc.scenario,
+                                   mode=cl.ControllerMode.LEARNED)
+    run = cl.run_scenario(scenario, rc.model, rc.dist, rc.make_gains(),
+                          rc.ocp_cfg, cli._fresh_plant(rc),
+                          grnn=cli._build_grnn(rc, scenario.mode))
+    assert (len(run.harvested), len(run.records)) == (16, 1120)
+    for log, sc in ((sweep, twovar_rc.scenario), (run, scenario)):
+        recs = log.records
+        rows = zip(recs.column("r"), recs.column("y_p"), recs.column("u"))
+        flags = counter_flags(list(rows), sc.steady_M, sc.steady_tol_y,
+                              sc.steady_tol_u)
+        assert flags == recs.column("steady").astype(bool).tolist()
+        assert 0 < sum(flags) < len(flags)
