@@ -24,4 +24,4 @@ from .closed_loop import (
     sweep_harvest,
     metrics,
 )
-from .plant import CstrParams, PlantState, OperatingPoint, default_operating_point
+from .plant import CstrParams, PlantState, OperatingPoint

@@ -12,9 +12,11 @@
 
    is the RK4 substep loop of plant.step, plant._rk4_python compiled: the
    state after `substeps` RK4 substeps and ok = True, or the input state
-   of the first stage that fails the region check and ok = False. Every
-   expression keeps the Python loop's association and exp is libm's, as
-   CPython's math.exp is: each state is the Python loop's bit for bit.
+   of the first stage that fails the region check and ok = False. Its four
+   stages share rates, the CSTR stage, as the Python loop's share
+   plant._rates. Every expression keeps the Python loop's association and
+   exp is libm's, as CPython's math.exp is: each state is the Python
+   loop's bit for bit.
 
    interval(M_step, P, b_box, lo, hi, v, w, theta, z, n_x)
    -> (flag, objective, excursion)
@@ -22,8 +24,8 @@
    is the free-path part of closed_loop.ControlLoop.control_step,
    plant._interval_python compiled; its 10 arguments are 9 buffers and
    n_x, and the target's length n_t is len(lo). Its sums run left to
-   right where the fallback's products run in BLAS, so the two agree to
-   rounding only.
+   right from 0.0, as the fallback's plant._product sums them, so the two
+   agree bit for bit.
 
    record(values, H, y_p, u, w, theta, z, v, k, time, objective, n_active,
           count, M, tol_y, tol_u, n_x)
@@ -35,9 +37,8 @@
    consecutive quiet intervals against row k-1, writes steady = count >=
    M into the row, and carries [w; u; y_p; d_l_k] into v for the next
    interval's update; it returns the new count. Every entry it writes is
-   a copy of an input, but for z_p, whose sums run left to right: for a
-   0/1 selector H, as every committed config has, all of it is the
-   fallback's bit for bit. */
+   a copy of an input, but for z_p, whose sums run left to right as the
+   fallback's do: all of it is the fallback's bit for bit. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -47,22 +48,40 @@
 #define N_FLOATS 19
 #define N_ARGS (N_FLOATS + 2)
 
-/* the state and the volume it fills are finite and > 0 */
-static int
-in_region(double c, double T, double h, double V)
+/* the constants of a CSTR stage, in rk4's argument order */
+struct cstr {
+    double Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, extra_outlet;
+    int mismatch;
+};
+
+/* The CSTR stage, plant._rates compiled: the rates *dc and *dT at (c, T,
+   h) and 1, or 0 with neither written when the state or the volume it
+   fills is not finite and > 0. */
+static inline int
+rates(const struct cstr *p, double c, double T, double h, double *dc,
+      double *dT)
 {
-    return 0.0 < c && c < INFINITY && 0.0 < T && T < INFINITY
-           && 0.0 < h && h < INFINITY && V > 0.0;
+    double V = p->area * h, kT;
+
+    if (!(0.0 < c && c < INFINITY && 0.0 < T && T < INFINITY
+          && 0.0 < h && h < INFINITY && V > 0.0))
+        return 0;
+    kT = p->k0 * exp(p->neg_E / T);
+    *dc = p->F0 * (p->c0 - c) / V - kT * c;
+    if (p->mismatch)
+        *dc -= p->extra_outlet * c / V;
+    *dT = p->F0 * (p->T0 - T) / V - p->rxn * kT * c + p->jacket * (p->Tc - T);
+    return 1;
 }
 
 static PyObject *
 rk4(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     double x[N_FLOATS];
-    double c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket;
-    double extra_outlet, hstep, half, sixth, h_half, h_full, h_next;
-    double V, kT, c2, T2, h2, c3, T3, h3, c4, T4, h4;
+    double c, T, h, hstep, half, sixth, h_half, h_full, h_next;
+    double c2, T2, h2, c3, T3, h3, c4, T4, h4;
     double dc1, dT1, dc2, dT2, dc3, dT3, dc4, dT4;
+    struct cstr p;
     int mismatch, i;
     long substeps, k;
 
@@ -82,52 +101,24 @@ rk4(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     substeps = PyLong_AsLong(args[N_FLOATS + 1]);
     if (substeps == -1 && PyErr_Occurred())
         return NULL;
-    c = x[0]; T = x[1]; h = x[2]; Tc = x[3];
-    F0 = x[4]; T0 = x[5]; c0 = x[6]; k0 = x[7]; neg_E = x[8];
-    area = x[9]; rxn = x[10]; jacket = x[11]; extra_outlet = x[12];
+    c = x[0]; T = x[1]; h = x[2];
+    p = (struct cstr){x[3], x[4], x[5], x[6], x[7], x[8], x[9], x[10], x[11],
+                      x[12], mismatch};
     hstep = x[13]; half = x[14]; sixth = x[15];
     h_half = x[16]; h_full = x[17]; h_next = x[18];
 
     for (k = 0; k < substeps; k++) {
-        V = area * h;
-        if (!in_region(c, T, h, V))
+        if (!rates(&p, c, T, h, &dc1, &dT1))
             return Py_BuildValue("(dddO)", c, T, h, Py_False);
-        kT = k0 * exp(neg_E / T);
-        dc1 = F0 * (c0 - c) / V - kT * c;
-        if (mismatch)
-            dc1 -= extra_outlet * c / V;
-        dT1 = F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T);
-
         c2 = c + half * dc1; T2 = T + half * dT1; h2 = h + h_half;
-        V = area * h2;
-        if (!in_region(c2, T2, h2, V))
+        if (!rates(&p, c2, T2, h2, &dc2, &dT2))
             return Py_BuildValue("(dddO)", c2, T2, h2, Py_False);
-        kT = k0 * exp(neg_E / T2);
-        dc2 = F0 * (c0 - c2) / V - kT * c2;
-        if (mismatch)
-            dc2 -= extra_outlet * c2 / V;
-        dT2 = F0 * (T0 - T2) / V - rxn * kT * c2 + jacket * (Tc - T2);
-
         c3 = c + half * dc2; T3 = T + half * dT2; h3 = h + h_half;
-        V = area * h3;
-        if (!in_region(c3, T3, h3, V))
+        if (!rates(&p, c3, T3, h3, &dc3, &dT3))
             return Py_BuildValue("(dddO)", c3, T3, h3, Py_False);
-        kT = k0 * exp(neg_E / T3);
-        dc3 = F0 * (c0 - c3) / V - kT * c3;
-        if (mismatch)
-            dc3 -= extra_outlet * c3 / V;
-        dT3 = F0 * (T0 - T3) / V - rxn * kT * c3 + jacket * (Tc - T3);
-
         c4 = c + hstep * dc3; T4 = T + hstep * dT3; h4 = h + h_full;
-        V = area * h4;
-        if (!in_region(c4, T4, h4, V))
+        if (!rates(&p, c4, T4, h4, &dc4, &dT4))
             return Py_BuildValue("(dddO)", c4, T4, h4, Py_False);
-        kT = k0 * exp(neg_E / T4);
-        dc4 = F0 * (c0 - c4) / V - kT * c4;
-        if (mismatch)
-            dc4 -= extra_outlet * c4 / V;
-        dT4 = F0 * (T0 - T4) / V - rxn * kT * c4 + jacket * (Tc - T4);
-
         c = c + sixth * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4);
         T = T + sixth * (dT1 + 2.0 * dT2 + 2.0 * dT3 + dT4);
         h = h + h_next;

@@ -641,7 +641,8 @@ def main(argv=None):
     except (ocp_mod.Infeasible, ocp_mod.MaxIterations, cl.SteadyNotReached,
             cl.CrossCheckFailed, plant_mod.NonPhysicalState,
             plant_mod.UnknownEvent, grnn_mod.InsufficientData,
-            numerics.SingularMatrix, numerics.NoConvergence) as exc:
+            numerics.SingularMatrix, numerics.NoConvergence,
+            MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

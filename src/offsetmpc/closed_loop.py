@@ -147,10 +147,15 @@ class Records(collections.abc.Sequence):
         self.n = 0
 
     def reserve(self, capacity):
-        """Room for capacity rows; the written rows are kept."""
+        """Room for capacity rows; the written rows are kept. A block
+        that cannot be allocated raises MemoryError."""
         if capacity <= len(self.values):
             return
-        values = np.zeros((capacity, self.values.shape[1]))
+        try:
+            values = np.zeros((capacity, self.values.shape[1]))
+        except ValueError as exc:
+            # numpy's refusal of a size beyond its index range
+            raise MemoryError(f"no room for {capacity} log rows: {exc}")
         values[:self.n] = self.values[:self.n]
         self.values = values
 

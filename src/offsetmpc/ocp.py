@@ -141,12 +141,14 @@ def build_prediction(model, dist, cfg):
     with blocks A^(i-j) B and A^(i-j) B_d."""
     n_x, n_u, n_d = model.n_x, model.n_u, dist.n_d
     N = cfg.N
+    # the largest blocks first: a horizon too long for any memory fails
+    # here, before N matrix powers are built
+    Psi = np.zeros((N * n_x, N * n_u))
+    Psi_d = np.zeros((N * n_x, N * n_d))
     powers = [np.eye(n_x)]
     for _ in range(N):
         powers.append(model.A @ powers[-1])
     Phi = np.vstack([powers[i] for i in range(1, N + 1)])
-    Psi = np.zeros((N * n_x, N * n_u))
-    Psi_d = np.zeros((N * n_x, N * n_d))
     for i in range(1, N + 1):
         for j in range(1, i + 1):
             Psi[(i - 1) * n_x:i * n_x, (j - 1) * n_u:j * n_u] = powers[i - j] @ model.B

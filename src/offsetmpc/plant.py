@@ -1,10 +1,13 @@
 """Nonlinear CSTR ground truth: exothermic first-order reaction in a
 cylindrical tank with level dynamics, stepped by classical RK4 whose
 substep loop runs in a small C kernel built with gcc on the first step,
-or on Python floats where it cannot be built; both give the same floats.
-The same build holds the controller's free-path interval and its log
-row, steady count and carry (see _interval_python and _record_python),
-so this module loads the program's one compiled extension.
+or on Python floats where it cannot be built. The CSTR stage, the
+balances at one state, is written once in each: _rates here, rates in
+_kernels.c. The same build holds the controller's free-path interval and
+its log row, steady count and carry (see _interval_python and
+_record_python), so this module loads the program's one compiled
+extension. Each kernel's Python form gives its floats bit for bit, so
+the outputs do not depend on whether gcc is installed.
 
 States are concentration c (kmol/m3), temperature T (K), level h (m);
 inputs are coolant temperature T_c (K) and outlet flow F (m3/min). The
@@ -104,44 +107,48 @@ class OperatingPoint:
     u_ss: np.ndarray         # (T_c, F)
 
 
-def default_operating_point():
-    return OperatingPoint(np.array([0.878, 324.5, 0.659]),
-                          np.array([300.0, 0.1]))
-
-
 def _left_region(c, T, h):
     return NonPhysicalState(
         f"state ({float(c)}, {float(T)}, {float(h)}) left the physical region")
 
 
-def derivatives(s, u, p):
-    """The right-hand side (dc, dT, dh) at state s and inputs u = (T_c, F).
-
-    Each balance keeps the association and evaluation order of the array
-    form that tests/test_plant.py holds as the reference, and both take
-    the Arrhenius factor from math.exp; so the two agree bit for bit.
-    _rk4_python and _kernels.c's rk4 write the same expressions out for
-    each RK4 stage. The exp's argument is <= 0 once T is finite and > 0,
-    so it cannot overflow.
-    """
-    Tc, F = (float(v) for v in u)
-    c, T, h = float(s.c), float(s.T), float(s.h)
-    area = p.area
+def _rates(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
+           extra_outlet, mismatch):
+    """The CSTR stage: the rates (dc, dT) at state (c, T, h) and coolant
+    temperature Tc, from the constants of CstrParams.rk4_constants and
+    extra_outlet = 0.03 F, or None when the state or the volume it fills
+    is not finite and > 0 (a level so small that the volume underflows to
+    0 is not physical). With mismatch set, the outlet stream carries 1.03x
+    the bulk concentration, which adds an extra outlet term to the species
+    balance. The Arrhenius factor is math.exp's, whose argument is <= 0
+    once T is finite and > 0, so it cannot overflow. _kernels.c's rates is
+    this, compiled."""
     V = area * h
-    # a level so small that the volume underflows to 0 is not physical
     if not (0.0 < c < math.inf and 0.0 < T < math.inf and 0.0 < h < math.inf
             and V > 0.0):
+        return None
+    kT = k0 * math.exp(neg_E / T)
+    dc = F0 * (c0 - c) / V - kT * c
+    if mismatch:
+        dc -= extra_outlet * c / V
+    return dc, F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T)
+
+
+def derivatives(s, u, p):
+    """The right-hand side (dc, dT, dh) at state s and inputs u = (T_c, F):
+    _rates and the level balance, from the constants that step reads.
+    Each balance keeps the association and evaluation order of the array
+    form that tests/test_plant.py holds as the reference, so the two agree
+    bit for bit."""
+    Tc, F = (float(v) for v in u)
+    c, T, h = float(s.c), float(s.T), float(s.h)
+    F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, mismatch, _ = (
+        p.rk4_constants)
+    rates = _rates(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
+                   0.03 * F, mismatch)
+    if rates is None:
         raise _left_region(c, T, h)
-    kT = p.k0 * math.exp(-p.E_over_R / T)
-    dc = p.F0 * (p.c0 - c) / V - kT * c
-    if p.concentration_mismatch:
-        # alternative mismatch: outlet stream carries 1.03x the bulk
-        # concentration, which adds an extra outlet term to the balance
-        dc -= 0.03 * F * c / V
-    dT = (p.F0 * (p.T0 - T) / V - p.dH / (p.rho * p.Cp) * kT * c
-          + 2.0 * p.U / (p.r * p.rho * p.Cp) * (Tc - T))
-    dh = (p.F0 - p.outlet_factor * F) / area
-    return np.array([dc, dT, dh])
+    return np.array([*rates, (F0 - outlet * F) / area])
 
 
 def step(s, u, p, dt):
@@ -180,62 +187,42 @@ def step(s, u, p, dt):
 def _rk4_python(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
                 extra_outlet, hstep, half, sixth, h_half, h_full, h_next,
                 mismatch, substeps):
-    """step's substep loop: the four stages are derivatives' expressions
-    written out, each after the check of its input state. Returns the
-    state after the last substep and True, or the input state of the
-    first stage that fails the check and False. _kernels.c's rk4 is this
-    loop, compiled; the extra outlet term, extra_outlet = 0.03 F, counts only
-    when mismatch is set."""
-    exp = math.exp
-    inf = math.inf
+    """step's substep loop: each of the four stages takes its rates k_i =
+    (dc, dT) from _rates at its input state. Returns the state after the
+    last substep and True, or the input state of the first stage that
+    fails the region check and False. _kernels.c's rk4 is this loop,
+    compiled."""
+    stage = (Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, extra_outlet,
+             mismatch)
     for _ in range(substeps):
-        V = area * h
-        if not (0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf
-                and V > 0.0):
+        k1 = _rates(c, T, h, *stage)
+        if k1 is None:
             return c, T, h, False
-        kT = k0 * exp(neg_E / T)
-        dc1 = F0 * (c0 - c) / V - kT * c
-        if mismatch:
-            dc1 -= extra_outlet * c / V
-        dT1 = F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T)
-
-        c2, T2, h2 = c + half * dc1, T + half * dT1, h + h_half
-        V = area * h2
-        if not (0.0 < c2 < inf and 0.0 < T2 < inf and 0.0 < h2 < inf
-                and V > 0.0):
+        c2, T2, h2 = c + half * k1[0], T + half * k1[1], h + h_half
+        k2 = _rates(c2, T2, h2, *stage)
+        if k2 is None:
             return c2, T2, h2, False
-        kT = k0 * exp(neg_E / T2)
-        dc2 = F0 * (c0 - c2) / V - kT * c2
-        if mismatch:
-            dc2 -= extra_outlet * c2 / V
-        dT2 = F0 * (T0 - T2) / V - rxn * kT * c2 + jacket * (Tc - T2)
-
-        c3, T3, h3 = c + half * dc2, T + half * dT2, h + h_half
-        V = area * h3
-        if not (0.0 < c3 < inf and 0.0 < T3 < inf and 0.0 < h3 < inf
-                and V > 0.0):
+        c3, T3, h3 = c + half * k2[0], T + half * k2[1], h + h_half
+        k3 = _rates(c3, T3, h3, *stage)
+        if k3 is None:
             return c3, T3, h3, False
-        kT = k0 * exp(neg_E / T3)
-        dc3 = F0 * (c0 - c3) / V - kT * c3
-        if mismatch:
-            dc3 -= extra_outlet * c3 / V
-        dT3 = F0 * (T0 - T3) / V - rxn * kT * c3 + jacket * (Tc - T3)
-
-        c4, T4, h4 = c + hstep * dc3, T + hstep * dT3, h + h_full
-        V = area * h4
-        if not (0.0 < c4 < inf and 0.0 < T4 < inf and 0.0 < h4 < inf
-                and V > 0.0):
+        c4, T4, h4 = c + hstep * k3[0], T + hstep * k3[1], h + h_full
+        k4 = _rates(c4, T4, h4, *stage)
+        if k4 is None:
             return c4, T4, h4, False
-        kT = k0 * exp(neg_E / T4)
-        dc4 = F0 * (c0 - c4) / V - kT * c4
-        if mismatch:
-            dc4 -= extra_outlet * c4 / V
-        dT4 = F0 * (T0 - T4) / V - rxn * kT * c4 + jacket * (Tc - T4)
-
-        c = c + sixth * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4)
-        T = T + sixth * (dT1 + 2.0 * dT2 + 2.0 * dT3 + dT4)
+        c = c + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        T = T + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         h = h + h_next
     return c, T, h, True
+
+
+def _product(A, x):
+    """A x with each row's products summed left to right from 0.0, as
+    _kernels.c's product() sums them; for a 1-D A, the number A'x summed
+    the same way. cumsum adds in order, where matmul and @ sum in BLAS's
+    order, and + 0.0 turns a sum of -0.0 products into the C sum's
+    +0.0."""
+    return np.cumsum(A * x, axis=-1)[..., -1] + 0.0
 
 
 def _interval_python(M_step, P, b_box, lo, hi, v, w, theta, z, n_x):
@@ -250,21 +237,23 @@ def _interval_python(M_step, P, b_box, lo, hi, v, w, theta, z, n_x):
     Returns (flag, objective, excursion): flag 0 when w is not finite, 1
     on the free path, where every slack z[S] - b_box is <= 0, and 2 when a
     row is violated; objective theta'(Q theta); excursion whether t leaves
-    [lo, hi]. _kernels.c's interval is this, compiled."""
+    [lo, hi]. Each product and the objective is a _product, so
+    _kernels.c's interval is this, compiled, bit for bit."""
     n_w = len(w)
     n_in = M_step.shape[1]
     n_dl = n_in + n_w - n_x
     n_t = len(lo)
-    np.matmul(M_step, v[:n_in], out=w)
+    w[:] = _product(M_step, v[:n_in])
     if not np.isfinite(w).all():
         return 0, 0.0, False
     theta[:n_x] = w[:n_x]
     np.add(v[n_in:n_dl], w[n_x:], out=theta[n_x:n_w])
     theta[n_w:] = v[n_dl:]
-    np.matmul(P, theta, out=z)
+    z[:] = _product(P, theta)
     t = z[:n_t]
     free = (z[n_t:n_t + len(b_box)] - b_box <= 0.0).all()
-    return (1 if free else 2, float(theta @ z[len(z) - len(theta):]),
+    objective = _product(theta, z[len(z) - len(theta):])
+    return (1 if free else 2, float(objective),
             bool(((t < lo) | (t > hi)).any()))
 
 
@@ -282,7 +271,8 @@ def _record_python(values, H, y_p, u, w, theta, z, v, k, time, objective,
     and no entry of y_p or u moved more than tol_y or tol_u (a NaN never
     is); the count of consecutive quiet intervals is count + 1 then and 0
     otherwise, and the interval is steady once it reaches M. Returns the
-    count. _kernels.c's record is this, compiled."""
+    count. z_p is a _product, so _kernels.c's record is this, compiled,
+    bit for bit."""
     n_w, n_u, n_y = len(w), len(u), len(y_p)
     n_d = n_w - n_x
     n_z = len(theta) - n_w
@@ -290,7 +280,7 @@ def _record_python(values, H, y_p, u, w, theta, z, v, k, time, objective,
     r, d_l = v[d_l_at + n_d:], v[d_l_at:d_l_at + n_d]
     row = values[k]
     row[0] = time
-    np.concatenate([r, y_p, H @ y_p, u, w[:n_x], d_l, w[n_x:],
+    np.concatenate([r, y_p, _product(H, y_p), u, w[:n_x], d_l, w[n_x:],
                     theta[n_x:n_w], z[:n_x + n_u]], out=row[1:-4])
     if k > 0:
         prev = values[k - 1]

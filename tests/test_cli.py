@@ -486,6 +486,32 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, case, command):
     assert case.split(":")[0].rsplit(".", 1)[-1] in err, err
 
 
+# an allocation that no machine can make exits 4 with one line; each case
+# is (command, pattern, line) for the tracking config. Every size lies
+# beyond a 128 TiB address space, so numpy refuses it at once and nothing
+# is allocated: N = 1e7 asks build_prediction for 4.26 PiB, a duration of
+# 1e15 intervals asks the log block for 199 PiB, and one of 1e18 for more
+# bytes than numpy can index
+IMPOSSIBLE = {
+    "check ocp.N: 10000000": ("check", r"^  N: 10$", "  N: 10000000"),
+    "run ocp.N: 10000000": ("run", r"^  N: 10$", "  N: 10000000"),
+    "run scenario.duration: 1e15": ("run", r"^  duration: 120$",
+                                    "  duration: 1e15"),
+    "run scenario.duration: 1e18": ("run", r"^  duration: 120$",
+                                    "  duration: 1e18"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPOSSIBLE))
+def test_impossible_allocation_is_runtime_error(tmp_path, capsys, case):
+    command, pattern, line = IMPOSSIBLE[case]
+    cfg = rewrite_config(tmp_path, "huge.yaml", [(pattern, line)])
+    assert cli.main([command, str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("runtime error:") and "Traceback" not in err, err
+
+
 def test_learned_run_reads_train_file_beside_config(tmp_path, monkeypatch,
                                                    capsys):
     """scenario.grnn.train is relative to the config's directory, so the run

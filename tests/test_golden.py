@@ -35,15 +35,27 @@ sweep harvest interval and the sweep's table hits, misses and phase-1
 runs unchanged; such a rerun differs from out/ by at most 5.8e-13
 (cstr_drift_learned.csv). Each case also runs with every compiled kernel
 switched off, through the Python forms they reproduce, which run
-wherever the kernels cannot be built; those reruns are byte-identical to
-the ones before the compiled interval.
+wherever the kernels cannot be built. Those forms now sum each product
+left to right as the compiled kernels do, so those reruns are
+byte-identical to the reruns with the kernels on, which
+test_the_kernels_on_and_off_write_the_same_bytes checks; that moved
+them, on one machine, from the BLAS-ordered sums before by at most (CSV
+/ summary): cstr_drift_learned 5.7e-13 / 5.7e-13, cstr_drift_nominal
+6.8e-13 / 4.0e-13, cstr_tracking_learned 3.2e-13 / 1.7e-13,
+cstr_tracking_nominal 1.7e-13 / 1.1e-13, cstr_twovar_400_learned
+3.2e-13 / 2.9e-13, cstr_twovar_400_nominal 3.9e-13 / 5.4e-13,
+cstr_twovar_learned 2.3e-13 / 2.6e-13, cstr_twovar_nominal 3.9e-13 /
+5.4e-13, and sweep_ct_100_train.txt 8.7e-14, with every
+active_set_size, steady and harvested value and every sweep harvest
+interval unchanged.
 """
 
+import filecmp
 import pathlib
 
 import pytest
 
-from offsetmpc import cli, ocp
+from offsetmpc import cli, ocp, plant
 from offsetmpc import closed_loop as cl
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -146,3 +158,30 @@ def check_sweep(tmp_path, monkeypatch):
     name = "sweep_ct_100_train.txt"
     worst = worst_deviation(tmp_path / name, ROOT / "out" / name)
     assert worst <= TOL, f"{name}: deviation {worst:.3e} > {TOL:.0e}"
+
+
+def test_the_kernels_on_and_off_write_the_same_bytes(tmp_path, capsys,
+                                                    monkeypatch,
+                                                    compiled_kernels):
+    """Each Python form gives its compiled kernel's floats, so no output
+    depends on whether the kernels could be built: the drift run in both
+    modes (events, harvests and the learned map) and the 100-setpoint
+    twovar sweep (table hits and misses) write the same bytes either
+    way."""
+    dirs = {}
+    for name, kernels in (("on", compiled_kernels),
+                          ("off", plant.PYTHON_KERNELS)):
+        monkeypatch.setattr(plant, "kernels", kernels)
+        out = dirs[name] = tmp_path / name
+        assert cli.main(["run", str(ROOT / "configs" / "cstr_drift.yaml"),
+                         "--mode", "both", "--out", str(out)]) == 0
+        assert cli.main(["sweep", "--setpoints",
+                         str(ROOT / "configs" / "sweep_ct_100.txt"),
+                         str(ROOT / "configs" / "cstr_twovar.yaml"),
+                         "--out", str(out)]) == 0
+    names = sorted(p.name for p in dirs["on"].iterdir())
+    assert names == sorted(p.name for p in dirs["off"].iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert filecmp.cmp(dirs["on"] / name, dirs["off"] / name,
+                           shallow=False), name

@@ -69,9 +69,9 @@ def test_state_positivity():
         plant.PlantState(c=0.5, T=300.0, h=0.0)
 
 
-def test_operating_point_is_near_equilibrium():
+def test_operating_point_is_near_equilibrium(tracking_rc):
     p = plant.CstrParams()
-    op = plant.default_operating_point()
+    op = tracking_rc.op
     s = plant.PlantState(*op.x_ss)
     dx = plant.derivatives(s, op.u_ss, p)
     assert np.abs(dx).max() < 1e-2
@@ -162,8 +162,8 @@ def test_step_raises_when_tank_drains(step_both):
         step_both(s, np.array([300.0, 0.13]), p, 10.0)
 
 
-def test_measure_is_deviation_from_op():
-    op = plant.default_operating_point()
+def test_measure_is_deviation_from_op(tracking_rc):
+    op = tracking_rc.op
     s = plant.PlantState(*op.x_ss)
     assert np.array_equal(plant.measure(s, op), np.zeros(3))
     s2 = plant.PlantState(op.x_ss[0] + 0.01, op.x_ss[1] - 2.0, op.x_ss[2] + 0.1)
