@@ -38,9 +38,9 @@ switched off, through the Python forms they reproduce, which run
 wherever the kernels cannot be built. Those forms now sum each product
 left to right as the compiled kernels do, so those reruns are
 byte-identical to the reruns with the kernels on, which
-test_the_kernels_on_and_off_write_the_same_bytes checks; that moved
-them, on one machine, from the BLAS-ordered sums before by at most (CSV
-/ summary): cstr_drift_learned 5.7e-13 / 5.7e-13, cstr_drift_nominal
+test_the_kernels_on_and_off_write_the_same_bytes checks. On one
+machine that moved them from the reruns with BLAS-ordered sums by at
+most (CSV / summary): cstr_drift_learned 5.7e-13 / 5.7e-13, cstr_drift_nominal
 6.8e-13 / 4.0e-13, cstr_tracking_learned 3.2e-13 / 1.7e-13,
 cstr_tracking_nominal 1.7e-13 / 1.1e-13, cstr_twovar_400_learned
 3.2e-13 / 2.9e-13, cstr_twovar_400_nominal 3.9e-13 / 5.4e-13,
