@@ -6,17 +6,25 @@
    -ffp-contract=off -fno-fast-math, so the compiler fuses no multiply-add
    and reorders nothing.
 
-   rk4(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, extra_outlet,
-       hstep, half, sixth, h_half, h_full, h_next, mismatch, substeps)
-   -> (c, T, h, ok)
+   advance(x, y, u, u_ss, x_ss, constants, dt) -> True or (c, T, h)
 
-   is the RK4 substep loop of plant.step, plant._rk4_python compiled: the
-   state after `substeps` RK4 substeps and ok = True, or the input state
-   of the first stage that fails the region check and ok = False. Its four
-   stages share rates, the CSTR stage, as the Python loop's share
-   plant._rates. Every expression keeps the Python loop's association and
-   exp is libm's, as CPython's math.exp is: each state is the Python
-   loop's bit for bit.
+   is one plant interval of closed_loop.NonlinearPlant, plant's
+   _advance_python compiled; its 7 arguments are 6 float64 buffers and dt.
+   x = [c, T, h] (written) is the plant's state, y (3, written) its
+   measurement, u (2) the input in deviation from the operating input u_ss
+   (2), x_ss (3) the operating state and constants (11) the per-params
+   buffer CstrParams.rk4_constants, [F0, T0, c0, k0, -E_over_R, area, rxn,
+   jacket, outlet_factor, concentration_mismatch, substeps]. From the
+   absolute input (Tc, F) = u_ss + u it computes the step constants with
+   plant.step's expressions of before, runs `substeps` RK4 substeps of
+   length dt / substeps from x, checks the last state as PlantState does,
+   and writes it into x and y = x - x_ss; it returns True. When a stage's
+   input state or the last state leaves the physical region it writes
+   neither buffer and returns that state. The four stages of each substep
+   share rates, the CSTR stage, as the Python loop plant._rk4_python's
+   share plant._rates. Every expression keeps the Python loop's
+   association and exp is libm's, as CPython's math.exp is: each state is
+   the Python form's bit for bit.
 
    interval(M_step, P, b_box, lo, hi, v, w, theta, z, n_x)
    -> (flag, objective, excursion)
@@ -45,14 +53,26 @@
 #include <math.h>
 #include <string.h>
 
-#define N_FLOATS 19
-#define N_ARGS (N_FLOATS + 2)
-
-/* the constants of a CSTR stage, in rk4's argument order */
+/* the constants of a CSTR stage */
 struct cstr {
     double Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, extra_outlet;
     int mismatch;
 };
+
+/* the step of one RK4 substep, half and a sixth of it, and the level's
+   increments, which are the same in every substep: to stages 2 and 3, to
+   stage 4, and over the substep */
+struct substep {
+    double hstep, half, sixth, h_half, h_full, h_next;
+};
+
+/* whether c, T and h are all finite and > 0, PlantState's check */
+static inline int
+in_region(double c, double T, double h)
+{
+    return 0.0 < c && c < INFINITY && 0.0 < T && T < INFINITY
+           && 0.0 < h && h < INFINITY;
+}
 
 /* The CSTR stage, plant._rates compiled: the rates *dc and *dT at (c, T,
    h) and 1, or 0 with neither written when the state or the volume it
@@ -63,8 +83,7 @@ rates(const struct cstr *p, double c, double T, double h, double *dc,
 {
     double V = p->area * h, kT;
 
-    if (!(0.0 < c && c < INFINITY && 0.0 < T && T < INFINITY
-          && 0.0 < h && h < INFINITY && V > 0.0))
+    if (!(in_region(c, T, h) && V > 0.0))
         return 0;
     kT = p->k0 * exp(p->neg_E / T);
     *dc = p->F0 * (p->c0 - c) / V - kT * c;
@@ -74,56 +93,47 @@ rates(const struct cstr *p, double c, double T, double h, double *dc,
     return 1;
 }
 
-static PyObject *
-rk4(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* s = (c, T, h) and 0: rk4's failure */
+static int
+left(double *s, double c, double T, double h)
 {
-    double x[N_FLOATS];
-    double c, T, h, hstep, half, sixth, h_half, h_full, h_next;
+    s[0] = c;
+    s[1] = T;
+    s[2] = h;
+    return 0;
+}
+
+/* The RK4 substep loop, plant._rk4_python compiled: advances s = [c, T,
+   h] by n substeps and returns 1, or sets s to the input state of the
+   first stage that fails the region check and returns 0. */
+static int
+rk4(const struct cstr *p, const struct substep *d, long n, double *s)
+{
+    double c = s[0], T = s[1], h = s[2];
     double c2, T2, h2, c3, T3, h3, c4, T4, h4;
     double dc1, dT1, dc2, dT2, dc3, dT3, dc4, dT4;
-    struct cstr p;
-    int mismatch, i;
-    long substeps, k;
+    long k;
 
-    if (nargs != N_ARGS) {
-        PyErr_Format(PyExc_TypeError, "rk4 takes %d arguments (%zd given)",
-                     N_ARGS, nargs);
-        return NULL;
+    for (k = 0; k < n; k++) {
+        if (!rates(p, c, T, h, &dc1, &dT1))
+            return left(s, c, T, h);
+        c2 = c + d->half * dc1; T2 = T + d->half * dT1; h2 = h + d->h_half;
+        if (!rates(p, c2, T2, h2, &dc2, &dT2))
+            return left(s, c2, T2, h2);
+        c3 = c + d->half * dc2; T3 = T + d->half * dT2; h3 = h + d->h_half;
+        if (!rates(p, c3, T3, h3, &dc3, &dT3))
+            return left(s, c3, T3, h3);
+        c4 = c + d->hstep * dc3; T4 = T + d->hstep * dT3; h4 = h + d->h_full;
+        if (!rates(p, c4, T4, h4, &dc4, &dT4))
+            return left(s, c4, T4, h4);
+        c = c + d->sixth * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4);
+        T = T + d->sixth * (dT1 + 2.0 * dT2 + 2.0 * dT3 + dT4);
+        h = h + d->h_next;
     }
-    for (i = 0; i < N_FLOATS; i++) {
-        x[i] = PyFloat_AsDouble(args[i]);
-        if (x[i] == -1.0 && PyErr_Occurred())
-            return NULL;
-    }
-    mismatch = PyObject_IsTrue(args[N_FLOATS]);
-    if (mismatch < 0)
-        return NULL;
-    substeps = PyLong_AsLong(args[N_FLOATS + 1]);
-    if (substeps == -1 && PyErr_Occurred())
-        return NULL;
-    c = x[0]; T = x[1]; h = x[2];
-    p = (struct cstr){x[3], x[4], x[5], x[6], x[7], x[8], x[9], x[10], x[11],
-                      x[12], mismatch};
-    hstep = x[13]; half = x[14]; sixth = x[15];
-    h_half = x[16]; h_full = x[17]; h_next = x[18];
-
-    for (k = 0; k < substeps; k++) {
-        if (!rates(&p, c, T, h, &dc1, &dT1))
-            return Py_BuildValue("(dddO)", c, T, h, Py_False);
-        c2 = c + half * dc1; T2 = T + half * dT1; h2 = h + h_half;
-        if (!rates(&p, c2, T2, h2, &dc2, &dT2))
-            return Py_BuildValue("(dddO)", c2, T2, h2, Py_False);
-        c3 = c + half * dc2; T3 = T + half * dT2; h3 = h + h_half;
-        if (!rates(&p, c3, T3, h3, &dc3, &dT3))
-            return Py_BuildValue("(dddO)", c3, T3, h3, Py_False);
-        c4 = c + hstep * dc3; T4 = T + hstep * dT3; h4 = h + h_full;
-        if (!rates(&p, c4, T4, h4, &dc4, &dT4))
-            return Py_BuildValue("(dddO)", c4, T4, h4, Py_False);
-        c = c + sixth * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4);
-        T = T + sixth * (dT1 + 2.0 * dT2 + 2.0 * dT3 + dT4);
-        h = h + h_next;
-    }
-    return Py_BuildValue("(dddO)", c, T, h, Py_True);
+    s[0] = c;
+    s[1] = T;
+    s[2] = h;
+    return 1;
 }
 
 #define N_BUFFERS 9
@@ -143,6 +153,81 @@ get_floats(PyObject *obj, Py_buffer *view, int writable, const char *fn)
         return -1;
     }
     return 0;
+}
+
+#define N_ADVANCE_BUFFERS 6
+
+/* The buffers, in argument order: x = [c, T, h] and y (written), u,
+   u_ss, x_ss and the constants, of the lengths below; then dt. See the
+   header. */
+static PyObject *
+advance(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const Py_ssize_t lengths[N_ADVANCE_BUFFERS] = {3, 3, 2, 2, 3, 11};
+    Py_buffer buf[N_ADVANCE_BUFFERS];
+    const double *u, *u_ss, *x_ss, *k;
+    double *x, *y, s[3], dt, F, dh, n;
+    struct cstr p;
+    struct substep d;
+    int n_held = 0, i;
+    PyObject *out = NULL;
+
+    if (nargs != N_ADVANCE_BUFFERS + 1) {
+        PyErr_Format(PyExc_TypeError,
+                     "advance takes %d arguments (%zd given)",
+                     N_ADVANCE_BUFFERS + 1, nargs);
+        return NULL;
+    }
+    dt = PyFloat_AsDouble(args[N_ADVANCE_BUFFERS]);
+    if (dt == -1.0 && PyErr_Occurred())
+        return NULL;
+    /* the first two, x and y, are written */
+    for (; n_held < N_ADVANCE_BUFFERS; n_held++)
+        if (get_floats(args[n_held], &buf[n_held], n_held < 2, "advance"))
+            goto done;
+    for (i = 0; i < N_ADVANCE_BUFFERS; i++)
+        if (buf[i].len != lengths[i] * (Py_ssize_t)sizeof(double)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "advance: buffer sizes do not fit together");
+            goto done;
+        }
+    x = buf[0].buf; y = buf[1].buf; u = buf[2].buf;
+    u_ss = buf[3].buf; x_ss = buf[4].buf; k = buf[5].buf;
+    /* the substep count, a whole number that a long holds */
+    n = k[10];
+    if (!(n >= 1.0 && n < (double)LONG_MAX && n == floor(n))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "advance: substeps must be a whole number >= 1");
+        goto done;
+    }
+
+    F = u_ss[1] + u[1];
+    p = (struct cstr){u_ss[0] + u[0], k[0], k[1], k[2], k[3], k[4], k[5],
+                      k[6], k[7], 0.03 * F, k[9] != 0.0};
+    /* the level rate does not depend on the state */
+    dh = (p.F0 - k[8] * F) / p.area;
+    d.hstep = dt / n;
+    d.half = 0.5 * d.hstep;
+    d.sixth = d.hstep / 6.0;
+    d.h_half = d.half * dh;
+    d.h_full = d.hstep * dh;
+    d.h_next = d.sixth * (dh + 2.0 * dh + 2.0 * dh + dh);
+    for (i = 0; i < 3; i++)
+        s[i] = x[i];
+    if (rk4(&p, &d, (long)n, s) && in_region(s[0], s[1], s[2])) {
+        for (i = 0; i < 3; i++) {
+            x[i] = s[i];
+            y[i] = s[i] - x_ss[i];
+        }
+        Py_INCREF(Py_True);
+        out = Py_True;
+    }
+    else
+        out = Py_BuildValue("(ddd)", s[0], s[1], s[2]);
+done:
+    while (n_held > 0)
+        PyBuffer_Release(&buf[--n_held]);
+    return out;
 }
 
 /* y = A x for a row-major n_rows x n_cols A, each row summed left to
@@ -373,8 +458,9 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"rk4", (PyCFunction)(void (*)(void))rk4, METH_FASTCALL,
-     "The RK4 substep loop of plant.step: plant._rk4_python, compiled."},
+    {"advance", (PyCFunction)(void (*)(void))advance, METH_FASTCALL,
+     "One plant interval of NonlinearPlant.step in place: "
+     "plant._advance_python, compiled."},
     {"interval", (PyCFunction)(void (*)(void))interval, METH_FASTCALL,
      "The free-path interval of ControlLoop.control_step: "
      "plant._interval_python, compiled."},

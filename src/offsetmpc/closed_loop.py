@@ -18,6 +18,7 @@ kernels cannot be built, both run in their numpy forms.
 import bisect
 import collections.abc
 import enum
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -65,7 +66,11 @@ class ScenarioConfig:
             self.mode = ControllerMode(self.mode)
         sched = []
         for t, r in self.schedule:
-            sched.append((float(t), np.asarray(r, dtype=float).reshape(-1)))
+            # a read-only copy, which a loop need not convert again while
+            # its entry holds
+            r = np.asarray(r, dtype=float).reshape(-1).copy()
+            r.flags.writeable = False
+            sched.append((float(t), r))
         self.schedule = tuple(sched)
         times = [t for t, _ in self.schedule]
         if not times or times[0] != 0.0:
@@ -195,20 +200,43 @@ class ClosedLoopLog:
 
 
 class NonlinearPlant:
-    """CSTR truth in deviation coordinates around an operating point."""
+    """CSTR truth in deviation coordinates around an operating point. The
+    plant owns two float64 buffers, its state [c, T, h] and its
+    measurement y_p = [c, T, h] - x_ss, and a step is one call of plant's
+    kernel advance (or its Python form), which steps both in place.
+    measure() returns the measurement buffer itself, valid until the next
+    step. state builds a PlantState of the buffer on demand. A step that
+    leaves the physical region raises NonPhysicalState and writes neither
+    buffer, so state stays the last good state."""
 
     def __init__(self, state, params, op, dt=1.0):
-        self.state = state
+        if not dt > 0:
+            raise ValueError("dt must be > 0")
         self.params = params
         self.op = op
         self.dt = dt
+        self._x = np.empty(3)
+        self._y = np.empty(3)
+        self.state = state
+
+    @property
+    def state(self):
+        return plant_mod.PlantState(*self._x.tolist())
+
+    @state.setter
+    def state(self, s):
+        self._x[:] = s.c, s.T, s.h
+        np.subtract(self._x, self.op.x_ss, out=self._y)
 
     def measure(self):
-        return plant_mod.measure(self.state, self.op)
+        return self._y
 
     def step(self, u_dev):
-        u_abs = self.op.u_ss + np.asarray(u_dev, dtype=float)
-        self.state = plant_mod.step(self.state, u_abs, self.params, self.dt)
+        left = (plant_mod.kernels or plant_mod._load_kernel()).advance(
+            self._x, self._y, np.asarray(u_dev, dtype=float), self.op.u_ss,
+            self.op.x_ss, self.params.rk4_constants, self.dt)
+        if left is not True:
+            raise plant_mod._left_region(*left)
 
     def apply_event(self, event):
         self.params = plant_mod.apply_event(self.params, event)
@@ -288,6 +316,16 @@ class SteadyDetector:
         return self.count >= self.M
 
 
+def _frozen(r):
+    """Whether the setpoint r cannot change while a loop holds it: a tuple
+    of numbers, or a read-only array that owns its data (the base of a
+    read-only view may still be written)."""
+    if isinstance(r, tuple):
+        return all(isinstance(e, numbers.Real) for e in r)
+    return (isinstance(r, np.ndarray) and r.base is None
+            and not r.flags.writeable)
+
+
 def harvest_sample(estimator, time, r, y_p, u, d_total):
     """Training sample (r, steady combined disturbance) from the values of
     a steady interval, cross-checked against the algebraic steady-state
@@ -346,26 +384,31 @@ class ControlLoop:
         self._no_map.flags.writeable = False
         self._last_harvest_r = None
         self._lookup = None          # (grnn, r, d_learned) of the last predict
+        # the setpoint object of the last interval, whether it can change,
+        # the map v's d_l part was taken from, and r as an array and a list
+        self._r_in = None
+        self._r_frozen = False
+        self._r_grnn = None
+        self._r = self._r_list = None
         self.records = Records(
             {"time": 1, "r": model.n_z, "y_p": model.n_y, "z_p": model.n_z,
              "u": model.n_u, "x_hat": model.n_x, "d_learned": dist.n_d,
              "d_supp": dist.n_d, "d_total": dist.n_d, "x_bar": model.n_x,
              "u_bar": model.n_u, "qp_objective": 1, "active_set_size": 1,
              "steady": 1, "harvested": 1}, 64)
+        self._y_p_cols = self.records.slices["y_p"]
         self.harvested = []
         self.rejected_harvests = 0
 
-    def control_step(self, r):
-        """Advance one interval and write its row k of self.records;
-        returns (u, whether the interval harvested a sample)."""
-        r = np.asarray(r, dtype=float).reshape(-1)
+    def _take_setpoint(self, r_in):
+        """Write v's d_l and r parts for the setpoint r_in, after checking
+        its size, and keep r_in as the last setpoint."""
+        r = np.asarray(r_in, dtype=float).reshape(-1)
         if len(r) != self.model.n_z:
             # v takes r by slice assignment, which would broadcast one entry
             raise ValueError(f"setpoint has {len(r)} entries, the model "
                              f"controls {self.model.n_z}")
         r_list = r.tolist()
-        k = self.k
-        y_p = self.plant.measure()
         if self.grnn is not None:
             # models are immutable, so the map changes only with the model
             # (a harvest) or the setpoint
@@ -376,9 +419,27 @@ class ControlLoop:
             d_l = self._lookup[2]
         else:
             d_l = self._no_map
+        self._v[self._d_l_part] = d_l
+        self._v[self._r_part] = r
+        self._r_in, self._r_frozen = r_in, _frozen(r_in)
+        self._r_grnn = self.grnn
+        self._r, self._r_list = r, r_list
+
+    def control_step(self, r):
+        """Advance one interval and write its row k of self.records;
+        returns (u, whether the interval harvested a sample). v's r and
+        d_l parts stay as the last interval wrote them when r is the same
+        object as then, one that cannot change (_frozen), and the map is
+        the same: the sweep's tuples and a scenario's schedule arrays."""
+        if (r is not self._r_in or not self._r_frozen
+                or self.grnn is not self._r_grnn):
+            self._take_setpoint(r)
+        r, r_list = self._r, self._r_list
+        k = self.k
+        # the plant's own buffer for a NonlinearPlant, which its step
+        # overwrites: read from row k after the step
+        y_p = self.plant.measure()
         v, w, theta = self._v, self._w, self._theta
-        v[self._d_l_part] = d_l
-        v[self._r_part] = r
         n_x = self.model.n_x
         # the estimate, theta, z = P theta (target, slacks, u*, Q theta)
         # and the free-path tests; z is new every interval, since u and a
@@ -421,7 +482,8 @@ class ControlLoop:
                 and (self._last_harvest_r is None
                      or not _same(self._last_harvest_r, r_list))):
             try:
-                sample = harvest_sample(self.estimator, time, r, y_p, u,
+                sample = harvest_sample(self.estimator, time, r,
+                                        log.values[k, self._y_p_cols], u,
                                         theta[n_x:len(w)])
                 self.harvested.append(sample)
                 self._last_harvest_r = r_list

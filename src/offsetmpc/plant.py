@@ -1,7 +1,9 @@
 """Nonlinear CSTR ground truth: exothermic first-order reaction in a
-cylindrical tank with level dynamics, stepped by classical RK4 whose
-substep loop runs in a small C kernel built with gcc on the first step,
-or on Python floats where it cannot be built. The CSTR stage, the
+cylindrical tank with level dynamics, stepped by classical RK4 in one
+call of a small C kernel, advance, built with gcc on the first step, or
+on Python floats where it cannot be built. advance steps a state buffer
+in place and writes the measurement beside it, so
+closed_loop.NonlinearPlant's interval is that one call. The CSTR stage, the
 balances at one state, is written once in each: _rates here, rates in
 _kernels.c. The same build holds the controller's free-path interval and
 its log row, steady count and carry (see _interval_python and
@@ -78,12 +80,19 @@ class CstrParams:
 
     @functools.cached_property
     def rk4_constants(self):
-        """The parameters and combinations of them that step's RK4 loop
-        reads, computed once: the dataclass is frozen."""
-        return (self.F0, self.T0, self.c0, self.k0, -self.E_over_R, self.area,
-                self.dH / (self.rho * self.Cp),
-                2.0 * self.U / (self.r * self.rho * self.Cp),
-                self.outlet_factor, self.concentration_mismatch, self.substeps)
+        """The parameters and combinations of them that the RK4 step
+        reads, computed once, since the dataclass is frozen: the read-only
+        float64 buffer [F0, T0, c0, k0, -E_over_R, area, rxn, jacket,
+        outlet_factor, concentration_mismatch, substeps] that the kernel
+        advance takes, with the flag as 0 or 1."""
+        constants = np.array(
+            [self.F0, self.T0, self.c0, self.k0, -self.E_over_R, self.area,
+             self.dH / (self.rho * self.Cp),
+             2.0 * self.U / (self.r * self.rho * self.Cp),
+             self.outlet_factor, self.concentration_mismatch, self.substeps],
+            dtype=float)
+        constants.flags.writeable = False
+        return constants
 
 
 @dataclass(frozen=True)
@@ -93,9 +102,8 @@ class PlantState:
     h: float
 
     def __post_init__(self):
-        c, T, h, inf = self.c, self.T, self.h, math.inf
-        if not (0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf):
-            raise _left_region(c, T, h)
+        if not _in_region(self.c, self.T, self.h):
+            raise _left_region(self.c, self.T, self.h)
 
     def as_array(self):
         return np.array([self.c, self.T, self.h])
@@ -105,6 +113,12 @@ class PlantState:
 class OperatingPoint:
     x_ss: np.ndarray         # (c, T, h)
     u_ss: np.ndarray         # (T_c, F)
+
+
+def _in_region(c, T, h):
+    """Whether c, T and h are all finite and > 0."""
+    inf = math.inf
+    return 0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf
 
 
 def _left_region(c, T, h):
@@ -143,7 +157,7 @@ def derivatives(s, u, p):
     Tc, F = (float(v) for v in u)
     c, T, h = float(s.c), float(s.T), float(s.h)
     F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, mismatch, _ = (
-        p.rk4_constants)
+        p.rk4_constants.tolist())
     rates = _rates(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
                    0.03 * F, mismatch)
     if rates is None:
@@ -151,20 +165,42 @@ def derivatives(s, u, p):
     return np.array([*rates, (F0 - outlet * F) / area])
 
 
-def step(s, u, p, dt):
-    """Classical RK4 with dt/substeps internal step.
+# the operating point of a one-shot step: its input and state are absolute
+_ORIGIN_U = np.zeros(2)
+_ORIGIN_X = np.zeros(3)
+_ORIGIN_U.flags.writeable = _ORIGIN_X.flags.writeable = False
 
-    The per-call constants are computed here; the substep loop runs in the
-    compiled kernel, built and loaded on the first step, or in
-    _rk4_python, which it reproduces bit for bit, when the kernel cannot
-    be built (fallback_reason says why). A stage whose input state fails
-    the region check raises; PlantState checks the last state.
-    """
+
+def step(s, u, p, dt):
+    """Classical RK4 with dt/substeps internal step: the state after dt
+    from s at the absolute inputs u, through the kernel advance, built
+    and loaded on the first step, or _advance_python, which it reproduces
+    bit for bit, when it cannot be built (fallback_reason says why). A
+    stage whose input state, or a last state, that fails the region check
+    raises. closed_loop.NonlinearPlant steps its own buffers through the
+    same kernel."""
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    Tc, F = (float(v) for v in u)
+    x = np.array([s.c, s.T, s.h], dtype=float)
+    left = (kernels or _load_kernel()).advance(
+        x, np.empty(3), np.asarray(u, dtype=float), _ORIGIN_U, _ORIGIN_X,
+        p.rk4_constants, float(dt))
+    if left is not True:
+        raise _left_region(*left)
+    return PlantState(*x.tolist())
+
+
+def _advance_python(x, y, u, u_ss, x_ss, constants, dt):
+    """One plant interval on float64 buffers: from the absolute inputs
+    (Tc, F) = u_ss + u and the constants CstrParams.rk4_constants, the
+    step constants, then _rk4_python's substeps of dt / substeps from the
+    state x = [c, T, h]. Writes the last state into x and y = x - x_ss and
+    returns True, or, when a stage's input state or the last state fails
+    the region check, writes neither and returns that state (c, T, h).
+    _kernels.c's advance is this, compiled."""
     F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, mismatch, substeps = (
-        p.rk4_constants)
+        constants.tolist())
+    Tc, F = (u_ss + u).tolist()
     # the level rate does not depend on the state
     dh = (F0 - outlet * F) / area
     hstep = float(dt) / substeps
@@ -175,23 +211,24 @@ def step(s, u, p, dt):
     h_half = half * dh
     h_full = hstep * dh
     h_next = sixth * (dh + 2.0 * dh + 2.0 * dh + dh)
-    c, T, h, ok = (kernels or _load_kernel()).rk4(
-        float(s.c), float(s.T), float(s.h), Tc, F0, T0, c0, k0, neg_E, area,
-        rxn, jacket, 0.03 * F, hstep, half, sixth, h_half, h_full, h_next,
-        mismatch, substeps)
-    if not ok:
-        raise _left_region(c, T, h)
-    return PlantState(c, T, h)
+    c, T, h, ok = _rk4_python(
+        *x.tolist(), Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, 0.03 * F,
+        hstep, half, sixth, h_half, h_full, h_next, mismatch, int(substeps))
+    if not (ok and _in_region(c, T, h)):
+        return c, T, h
+    x[:] = c, T, h
+    np.subtract(x, x_ss, out=y)
+    return True
 
 
 def _rk4_python(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
                 extra_outlet, hstep, half, sixth, h_half, h_full, h_next,
                 mismatch, substeps):
-    """step's substep loop: each of the four stages takes its rates k_i =
-    (dc, dT) from _rates at its input state. Returns the state after the
-    last substep and True, or the input state of the first stage that
-    fails the region check and False. _kernels.c's rk4 is this loop,
-    compiled."""
+    """The RK4 substep loop of _advance_python: each of the four stages
+    takes its rates k_i = (dc, dT) from _rates at its input state. Returns
+    the state after the last substep and True, or the input state of the
+    first stage that fails the region check and False. _kernels.c's rk4
+    is this loop, compiled, which advance calls."""
     stage = (Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, extra_outlet,
              mismatch)
     for _ in range(substeps):
@@ -309,14 +346,14 @@ def _record_python(values, H, y_p, u, w, theta, z, v, k, time, objective,
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "_kernels.c")
 BUILD_DIR = os.path.join(os.path.dirname(KERNEL_SOURCE), "build")
-# no contraction into fused multiply-adds and no fast math: rk4's rounding
-# is then the Python loop's, operation for operation
+# no contraction into fused multiply-adds and no fast math: advance's
+# rounding is then the Python loop's, operation for operation
 KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared",
                 "-fPIC")
 
 # the Python forms of the compiled kernels, which run where they cannot be
 # built
-PYTHON_KERNELS = types.SimpleNamespace(rk4=_rk4_python,
+PYTHON_KERNELS = types.SimpleNamespace(advance=_advance_python,
                                        interval=_interval_python,
                                        record=_record_python)
 # the kernels that run: None until the first plant step or control interval

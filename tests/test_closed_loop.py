@@ -977,7 +977,124 @@ def test_a_switch_of_the_kernels_is_never_undone(tracking_rc, monkeypatch):
                           cli._fresh_plant(rc), cl.ControllerMode.NOMINAL)
     loop.control_step(np.zeros(rc.model.n_z))
     assert plant.kernels is switched
-    assert calls == {"rk4": 1, "interval": 1, "record": 1}
+    assert calls == {"advance": 1, "interval": 1, "record": 1}
+
+
+def test_a_draining_tank_aborts_the_run_and_keeps_the_last_state(
+        tracking_rc, either_interval):
+    """The committed tracking run with the outlet doubled from t = 10 on a
+    real plant: the tank drains, and the step of interval 11 leaves the
+    physical region. The run aborts with the plant's message, the log
+    holds the 11 rows before, as the run without the event wrote them, and
+    the plant keeps the state after interval 10, which one-shot steps over
+    the logged inputs reach too."""
+    rc = tracking_rc
+    event = {"outlet_factor": 2.0}
+    sc = dataclasses.replace(rc.scenario, events=((10.0, event),))
+    plant_ = cli._fresh_plant(rc)
+    log = cl.run_scenario(sc, rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+                          plant_)
+    assert log.aborted == {
+        "time": 11.0,
+        "reason": "state (-0.1921818059104219, 468.73443803099156, "
+                  "-0.014158154763513031) left the physical region"}
+    assert len(log.records) == 11
+    full = cl.run_scenario(rc.scenario, rc.model, rc.dist, rc.make_gains(),
+                           rc.ocp_cfg, cli._fresh_plant(rc))
+    assert np.array_equal(log.records.values[:11], full.records.values[:11])
+    assert plant_.state == plant.PlantState(
+        c=0.9267052082128819, T=351.6543382086857, h=0.03271381642503414)
+    s, params = plant.PlantState(*rc.op.x_ss), rc.params
+    for k, rec in enumerate(log.records):
+        if k == 10:
+            params = plant.apply_event(params, event)
+        s = plant.step(s, rc.op.u_ss + rec.u, params, rc.model.dt)
+    assert plant_.state == s
+    assert np.array_equal(plant_.measure(), plant.measure(s, rc.op))
+
+
+def test_a_setpoint_array_changed_in_place_is_read_again(committed):
+    """A writable setpoint array is read on every interval: written between
+    two intervals, the second logs and tracks its new value, as a loop
+    given a new array does."""
+    m, dist, gains, cfg = committed
+    logs = []
+    for fresh in (False, True):
+        loop = cl.ControlLoop(m, dist, gains, cfg,
+                              cl.LinearPlant(m, dist, np.zeros(2)),
+                              cl.ControllerMode.NOMINAL)
+        r = np.array([0.001, 0.1])
+        loop.control_step(r)
+        if fresh:
+            r = r.copy()
+        r[:] = [0.002, -0.1]
+        loop.control_step(r)
+        logs.append(loop.records)
+    assert logs[0].column("r").tolist() == [[0.001, 0.1], [0.002, -0.1]]
+    assert np.array_equal(logs[0].values, logs[1].values)
+
+
+def test_a_frozen_setpoint_is_taken_once_until_the_map_changes(
+        committed, monkeypatch):
+    """A tuple of numbers, or a schedule's read-only array, cannot change,
+    so the loop converts it and writes v's r and d_l parts only when the
+    object changes or a harvest gives a new map. The rows are those of a
+    loop given a new writable array every interval: in learned mode with
+    harvests, two setpoints of 100 intervals each take 2 harvests."""
+    m, dist, gains, cfg = committed
+    taken = []
+    real = cl.ControlLoop._take_setpoint
+
+    def counted(loop, r):
+        taken.append(loop.k)
+        real(loop, r)
+
+    monkeypatch.setattr(cl.ControlLoop, "_take_setpoint", counted)
+    logs, takes = [], []
+    for kind in ("tuple", "array"):
+        g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
+                            np.array([0.003, -0.2]), np.zeros(2))
+        loop = cl.ControlLoop(m, dist, gains, cfg,
+                              cl.LinearPlant(m, dist,
+                                             d_star=np.array([0.01, -0.5])),
+                              cl.ControllerMode.LEARNED, grnn=g,
+                              harvest=True)
+        taken.clear()
+        first, second = (0.001, 0.1), (-0.001, -0.1)
+        harvested = []
+        for k in range(200):
+            r = first if k < 100 else second
+            if kind == "array":
+                r = np.array(r)
+            if loop.control_step(r)[1]:
+                harvested.append(k)
+        logs.append(loop.records.values[:200])
+        takes.append(list(taken))
+    assert len(harvested) == 2
+    assert takes == [sorted({0, 100} | {k + 1 for k in harvested}),
+                     list(range(200))]
+    assert np.array_equal(logs[0], logs[1])
+    # a scenario's schedule, whose entries are read-only arrays
+    taken.clear()
+    sc = scenario(200.0, [(0.0, first), (100.0, second)],
+                  cl.ControllerMode.LEARNED, harvest=True)
+    assert not sc.schedule[0][1].flags.writeable
+    g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
+                        np.array([0.003, -0.2]), np.zeros(2))
+    log = cl.run_scenario(
+        sc, m, dist, gains, cfg,
+        cl.LinearPlant(m, dist, d_star=np.array([0.01, -0.5])), grnn=g)
+    assert np.array_equal(log.records.values, logs[0])
+    assert taken == takes[0]
+
+
+def test_a_schedule_keeps_its_own_read_only_setpoints():
+    r = np.array([0.001, 0.1])
+    sc = scenario(10.0, [(0.0, r)], cl.ControllerMode.NOMINAL)
+    r[0] = 0.5
+    kept = sc.setpoint_at(0.0)
+    assert kept.tolist() == [0.001, 0.1]
+    assert not kept.flags.writeable and kept.base is None
 
 
 def test_returned_values_never_change_afterwards(twovar_rc, either_interval):

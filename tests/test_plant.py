@@ -440,6 +440,9 @@ STAGE_FAILURES = {
     "draining tank, stage 4": (plant.PlantState(c=0.9, T=324.0, h=0.02),
                                [300.0, 0.13], plant.CstrParams(substeps=1),
                                0.12, 4),
+    # every stage in the region, the last state not: PlantState raises
+    "last state": (plant.PlantState(c=0.746, T=339.0, h=0.656),
+                   [304.3, 0.185], plant.CstrParams(substeps=1), 1.0, 4),
 }
 
 
@@ -482,6 +485,122 @@ def test_compiled_loop_matches_the_python_loop_on_20000_draws(step_both):
         except plant.NonPhysicalState:
             left += 1
     assert 5000 <= left <= 15000
+
+
+def _advance(fn, x, u, u_ss, x_ss, p, dt):
+    """(what advance returns, x, y) of one call on a copy of x and a y of
+    NaNs"""
+    x, y = x.copy(), np.full(3, np.nan)
+    return fn(x, y, u, u_ss, x_ss, p.rk4_constants, dt), x, y
+
+
+def _bits(values):
+    """The bit patterns of floats, so that NaNs and zeros' signs compare."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_compiled_advance_matches_python_on_20000_draws(compiled_kernels):
+    """The compiled advance and _advance_python on the draws above, with the
+    inputs split into an operating input and a deviation: both return True
+    and write the same x and y = x - x_ss, or both return the same state,
+    the input of the stage or the last state that left the region, and
+    leave x and y as they were. 426 of the 10 842 failing draws fail only
+    at the last state."""
+    u_ss = np.array([300.0, 0.1])
+    x_ss = np.array([0.878, 324.5, 0.659])
+    left = 0
+    for s, u, p, dt in _kernel_draws(20000):
+        x = s.as_array()
+        got = _advance(compiled_kernels.advance, x, u - u_ss, u_ss, x_ss, p,
+                       dt)
+        want = _advance(plant._advance_python, x, u - u_ss, u_ss, x_ss, p,
+                        dt)
+        if want[0] is True:
+            assert got[0] is True
+            assert _bits(want[2]) == _bits(want[1] - x_ss)
+        else:
+            assert _bits(got[0]) == _bits(want[0]), (s, u, p, dt)
+            assert _bits(want[1]) == _bits(x)
+            assert np.isnan(want[2]).all()
+            left += 1
+        assert _bits(got[1]) == _bits(want[1])
+        assert _bits(got[2]) == _bits(want[2])
+    assert left == 10842
+
+
+def test_compiled_advance_rejects_buffers_that_do_not_fit(compiled_kernels):
+    x, y, u = np.array([0.9, 320.0, 0.7]), np.empty(3), np.zeros(2)
+    constants = plant.CstrParams().rk4_constants
+    args = (x, y, u, np.array([300.0, 0.1]), np.zeros(3), constants, 1.0)
+    assert compiled_kernels.advance(*args) is True
+    for i, bad in ((0, np.zeros(4)), (2, np.zeros(3)), (5, constants[:10])):
+        with pytest.raises(ValueError, match="do not fit together"):
+            compiled_kernels.advance(*args[:i], bad, *args[i + 1:])
+    for i, bad in ((0, x.astype(np.float32)), (2, [0.0, 0.0])):
+        with pytest.raises(TypeError):
+            compiled_kernels.advance(*args[:i], bad, *args[i + 1:])
+    # the state is written, the constants are only read
+    with pytest.raises(ValueError):
+        compiled_kernels.advance(constants.copy(), *args[1:5], constants, 1.0)
+    for substeps in (0.0, 2.5, np.nan):
+        bad = constants.copy()
+        bad[10] = substeps
+        with pytest.raises(ValueError, match="substeps"):
+            compiled_kernels.advance(*args[:5], bad, 1.0)
+
+
+@pytest.fixture(params=["compiled", "python"])
+def either_kernels(request, compiled_kernels, monkeypatch):
+    """The compiled kernels, or plant.PYTHON_KERNELS."""
+    monkeypatch.setattr(plant, "kernels", compiled_kernels
+                        if request.param == "compiled"
+                        else plant.PYTHON_KERNELS)
+
+
+def test_a_plant_steps_as_a_chain_of_one_shot_steps(tracking_rc,
+                                                    either_kernels):
+    """NonlinearPlant over 200 intervals, with an outlet_factor event at
+    interval 100: its state and measure() equal those of plant.step and
+    plant.measure chained from the same state, bit for bit. The inputs
+    feed back the measured temperature and level, which holds the open-
+    loop unstable operating point, plus noise."""
+    from offsetmpc import closed_loop as cl
+    rc = tracking_rc
+    op, dt = rc.op, rc.model.dt
+    s, params = plant.PlantState(*op.x_ss), rc.params
+    plant_ = cl.NonlinearPlant(s, params, op, dt=dt)
+    rng = np.random.default_rng(26)
+    for k in range(200):
+        if k == 100:
+            plant_.apply_event({"outlet_factor": 0.95})
+            params = plant.apply_event(params, {"outlet_factor": 0.95})
+        y = plant_.measure()
+        u = ([-0.5 * y[1], 0.2 * y[2]]
+             + rng.uniform(-1.0, 1.0, 2) * [2.0, 0.002])
+        plant_.step(u)
+        s = plant.step(s, op.u_ss + u, params, dt)
+        assert plant_.state == s, k
+        assert _bits(plant_.measure()) == _bits(plant.measure(s, op)), k
+    assert params.outlet_factor == plant_.params.outlet_factor == 0.95
+
+
+def test_a_step_out_of_the_region_writes_nothing(tracking_rc,
+                                                  either_kernels):
+    """A NonlinearPlant whose step fails at a stage or at its last state
+    raises step's message and keeps its state and measurement."""
+    from offsetmpc import closed_loop as cl
+    op = tracking_rc.op
+    for case in ("draining tank, stage 2", "last state"):
+        s, u, p, dt, _ = STAGE_FAILURES[case]
+        plant_ = cl.NonlinearPlant(s, p, op, dt=dt)
+        y = plant_.measure().copy()
+        with pytest.raises(plant.NonPhysicalState) as want:
+            plant.step(s, np.array(u), p, dt)
+        with pytest.raises(plant.NonPhysicalState) as got:
+            plant_.step(np.array(u) - op.u_ss)
+        assert str(got.value) == str(want.value)
+        assert plant_.state == s
+        assert _bits(plant_.measure()) == _bits(y)
 
 
 def test_the_first_step_loads_the_compiled_loop(compiled_kernels,
