@@ -8,23 +8,30 @@
 
    advance(x, y, u, u_ss, x_ss, constants, dt) -> True or (c, T, h)
 
-   is one plant interval of closed_loop.NonlinearPlant, plant's
-   _advance_python compiled; its 7 arguments are 6 float64 buffers and dt.
-   x = [c, T, h] (written) is the plant's state, y (3, written) its
-   measurement, u (2) the input in deviation from the operating input u_ss
-   (2), x_ss (3) the operating state and constants (11) the per-params
-   buffer CstrParams.rk4_constants, [F0, T0, c0, k0, -E_over_R, area, rxn,
-   jacket, outlet_factor, concentration_mismatch, substeps]. From the
-   absolute input (Tc, F) = u_ss + u it computes the step constants with
-   plant.step's expressions of before, runs `substeps` RK4 substeps of
-   length dt / substeps from x, checks the last state as PlantState does,
-   and writes it into x and y = x - x_ss; it returns True. When a stage's
-   input state or the last state leaves the physical region it writes
-   neither buffer and returns that state. The four stages of each substep
-   share rates, the CSTR stage, as the Python loop plant._rk4_python's
-   share plant._rates. Every expression keeps the Python loop's
-   association and exp is libm's, as CPython's math.exp is: each state is
-   the Python form's bit for bit.
+   is one plant step of closed_loop.NonlinearPlant in place,
+   plant._advance_python compiled; its 7 arguments are 6 float64 buffers
+   and dt. The buffers:
+
+     x = [c, T, h] (3, written), the plant's state;
+     y (3, written), its measurement;
+     u (2), the input in deviation from the operating input u_ss (2);
+     x_ss (3), the operating state;
+     constants (11), CstrParams.rk4_constants: [F0, T0, c0, k0,
+       -E_over_R, area, rxn, jacket, outlet_factor,
+       concentration_mismatch, substeps].
+
+   From the absolute input (Tc, F) = u_ss + u it computes 0.03 F, the
+   level rate dh and the level's increments, then runs `substeps` RK4
+   substeps of length dt / substeps from x. When every stage's input
+   state and the last state are in the physical region (PlantState's
+   check, which the stages add V > 0 to), it writes the last state into x
+   and y = x - x_ss and returns True. Otherwise it writes neither buffer
+   and returns the first state that left the region, from which the
+   caller raises NonPhysicalState. The four stages of each substep share
+   rates, the CSTR stage, as plant._rk4_python's share plant._rates.
+   Every expression keeps the Python form's association and exp is
+   libm's, as CPython's math.exp is: each state is the Python form's bit
+   for bit.
 
    interval(M_step, P, b_box, lo, hi, v, w, theta, z, n_x)
    -> (flag, objective, excursion)

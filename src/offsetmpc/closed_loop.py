@@ -11,8 +11,10 @@ initial (zero) estimate. The update, the affine law's product and its
 free-path tests run in one call of plant's compiled interval; the log
 row, the steady test against the row before and the carry of [w; u; y_p;
 d_l] into the next interval's input run in one call of its record, after
-interval or after the active-set table when a row is violated. Where the
-kernels cannot be built, both run in their numpy forms.
+interval or after the active-set table when a row is violated. The plant
+step is one call of its advance, which steps NonlinearPlant's state and
+measurement buffers in place. Where the kernels cannot be built, all
+three run in their Python forms.
 """
 
 import bisect
@@ -233,8 +235,8 @@ class NonlinearPlant:
 
     def step(self, u_dev):
         left = (plant_mod.kernels or plant_mod._load_kernel()).advance(
-            self._x, self._y, np.asarray(u_dev, dtype=float), self.op.u_ss,
-            self.op.x_ss, self.params.rk4_constants, self.dt)
+            self._x, self._y, np.ascontiguousarray(u_dev, dtype=float),
+            self.op.u_ss, self.op.x_ss, self.params.rk4_constants, self.dt)
         if left is not True:
             raise plant_mod._left_region(*left)
 

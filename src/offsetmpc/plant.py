@@ -2,8 +2,8 @@
 cylindrical tank with level dynamics, stepped by classical RK4 in one
 call of a small C kernel, advance, built with gcc on the first step, or
 on Python floats where it cannot be built. advance steps a state buffer
-in place and writes the measurement beside it, so
-closed_loop.NonlinearPlant's interval is that one call. The CSTR stage, the
+in place and writes the measurement beside it, so a step of
+closed_loop.NonlinearPlant is that one call. The CSTR stage, the
 balances at one state, is written once in each: _rates here, rates in
 _kernels.c. The same build holds the controller's free-path interval and
 its log row, steady count and carry (see _interval_python and
@@ -175,16 +175,16 @@ def step(s, u, p, dt):
     """Classical RK4 with dt/substeps internal step: the state after dt
     from s at the absolute inputs u, through the kernel advance, built
     and loaded on the first step, or _advance_python, which it reproduces
-    bit for bit, when it cannot be built (fallback_reason says why). A
-    stage whose input state, or a last state, that fails the region check
-    raises. closed_loop.NonlinearPlant steps its own buffers through the
-    same kernel."""
+    bit for bit, when it cannot be built (fallback_reason says why).
+    Raises NonPhysicalState when a stage's input state or the last state
+    fails the region check. closed_loop.NonlinearPlant steps its own
+    buffers through the same kernel."""
     if not dt > 0:
         raise ValueError("dt must be > 0")
     x = np.array([s.c, s.T, s.h], dtype=float)
     left = (kernels or _load_kernel()).advance(
-        x, np.empty(3), np.asarray(u, dtype=float), _ORIGIN_U, _ORIGIN_X,
-        p.rk4_constants, float(dt))
+        x, np.empty(3), np.ascontiguousarray(u, dtype=float), _ORIGIN_U,
+        _ORIGIN_X, p.rk4_constants, float(dt))
     if left is not True:
         raise _left_region(*left)
     return PlantState(*x.tolist())

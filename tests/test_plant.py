@@ -584,6 +584,31 @@ def test_a_plant_steps_as_a_chain_of_one_shot_steps(tracking_rc,
     assert params.outlet_factor == plant_.params.outlet_factor == 0.95
 
 
+def test_a_step_takes_any_sequence_of_two_inputs(tracking_rc,
+                                                 either_kernels):
+    """A list, an integer array and a strided view give the state that a
+    float64 array gives, in plant.step (absolute inputs) and in
+    NonlinearPlant.step (deviations)."""
+    from offsetmpc import closed_loop as cl
+    op = tracking_rc.op
+    s, p = plant.PlantState(*op.x_ss), tracking_rc.params
+
+    def forms(u):
+        strided = np.repeat(u, 2)[::2]
+        assert not strided.flags.c_contiguous
+        return [u.tolist(), u.astype(int), strided]
+
+    u_abs, u_dev = np.array([300.0, 0.0]), np.array([2.0, 0.0])
+    want = plant.step(s, u_abs, p, 1.0)
+    assert all(plant.step(s, u, p, 1.0) == want for u in forms(u_abs))
+    ref = cl.NonlinearPlant(s, p, op)
+    ref.step(u_dev)
+    for u in forms(u_dev):
+        plant_ = cl.NonlinearPlant(s, p, op)
+        plant_.step(u)
+        assert plant_.state == ref.state
+
+
 def test_a_step_out_of_the_region_writes_nothing(tracking_rc,
                                                   either_kernels):
     """A NonlinearPlant whose step fails at a stage or at its last state
