@@ -1014,24 +1014,28 @@ def test_a_draining_tank_aborts_the_run_and_keeps_the_last_state(
 
 
 def test_a_setpoint_array_changed_in_place_is_read_again(committed):
-    """A writable setpoint array is read on every interval: written between
-    two intervals, the second logs and tracks its new value, as a loop
-    given a new array does."""
+    """A writable setpoint array, or a read-only view of one, is read on
+    every interval: written between two intervals, the second logs and
+    tracks its new value, as a loop given a new array does."""
     m, dist, gains, cfg = committed
     logs = []
-    for fresh in (False, True):
+    for kind in ("writable", "read-only view", "new array"):
         loop = cl.ControlLoop(m, dist, gains, cfg,
                               cl.LinearPlant(m, dist, np.zeros(2)),
                               cl.ControllerMode.NOMINAL)
-        r = np.array([0.001, 0.1])
+        data = np.array([0.001, 0.1])
+        r = data
+        if kind == "read-only view":
+            r = data.view()
+            r.flags.writeable = False
         loop.control_step(r)
-        if fresh:
-            r = r.copy()
-        r[:] = [0.002, -0.1]
+        if kind == "new array":
+            r = data = data.copy()
+        data[:] = [0.002, -0.1]
         loop.control_step(r)
         logs.append(loop.records)
     assert logs[0].column("r").tolist() == [[0.001, 0.1], [0.002, -0.1]]
-    assert np.array_equal(logs[0].values, logs[1].values)
+    assert all(np.array_equal(log.values, logs[0].values) for log in logs)
 
 
 def test_a_frozen_setpoint_is_taken_once_until_the_map_changes(
