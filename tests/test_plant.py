@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from offsetmpc import closed_loop as cl
 from offsetmpc import plant
 
 
@@ -564,7 +565,6 @@ def test_a_plant_steps_as_a_chain_of_one_shot_steps(tracking_rc,
     plant.measure chained from the same state, bit for bit. The inputs
     feed back the measured temperature and level, which holds the open-
     loop unstable operating point, plus noise."""
-    from offsetmpc import closed_loop as cl
     rc = tracking_rc
     op, dt = rc.op, rc.model.dt
     s, params = plant.PlantState(*op.x_ss), rc.params
@@ -589,7 +589,6 @@ def test_a_step_takes_any_sequence_of_two_inputs(tracking_rc,
     """A list, an integer array and a strided view give the state that a
     float64 array gives, in plant.step (absolute inputs) and in
     NonlinearPlant.step (deviations)."""
-    from offsetmpc import closed_loop as cl
     op = tracking_rc.op
     s, p = plant.PlantState(*op.x_ss), tracking_rc.params
 
@@ -613,7 +612,6 @@ def test_a_step_out_of_the_region_writes_nothing(tracking_rc,
                                                   either_kernels):
     """A NonlinearPlant whose step fails at a stage or at its last state
     raises step's message and keeps its state and measurement."""
-    from offsetmpc import closed_loop as cl
     op = tracking_rc.op
     for case in ("draining tank, stage 2", "last state"):
         s, u, p, dt, _ = STAGE_FAILURES[case]
