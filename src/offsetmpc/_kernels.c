@@ -1,15 +1,15 @@
 /* The compiled kernels of offsetmpc: one extension module, which
-   plant.py builds on first use and loads once as plant.kernels. Each
+   kernels.py builds on first use and loads once as kernels.active. Each
    function takes the arguments of the function of the same name in
-   plant.PYTHON_KERNELS, which is its fallback and the tests' oracle, and
-   returns what that function returns. plant.py builds this file with
-   -ffp-contract=off -fno-fast-math, so the compiler fuses no multiply-add
-   and reorders nothing.
+   kernels.PYTHON_KERNELS, which is its fallback and the tests' oracle,
+   and returns what that function returns. kernels.py builds this file
+   with -ffp-contract=off -fno-fast-math, so the compiler fuses no
+   multiply-add and reorders nothing.
 
    advance(x, y, u, u_ss, x_ss, constants, dt) -> True or (c, T, h)
 
    is one plant step of closed_loop.NonlinearPlant in place,
-   plant._advance_python compiled; its 7 arguments are 6 float64 buffers
+   kernels._advance_python compiled; its 7 arguments are 6 float64 buffers
    and dt. The buffers:
 
      x = [c, T, h] (3, written), the plant's state;
@@ -28,7 +28,7 @@
    and y = x - x_ss and returns True. Otherwise it writes neither buffer
    and returns the first state that left the region, from which the
    caller raises NonPhysicalState. The four stages of each substep share
-   rates, the CSTR stage, as plant._rk4_python's share plant._rates.
+   rates, the CSTR stage, as kernels._rk4_python's share kernels._rates.
    Every expression keeps the Python form's association and exp is
    libm's, as CPython's math.exp is: each state is the Python form's bit
    for bit.
@@ -37,23 +37,24 @@
    -> (flag, objective, excursion)
 
    is the free-path part of closed_loop.ControlLoop.control_step,
-   plant._interval_python compiled; its 10 arguments are 9 buffers and
+   kernels._interval_python compiled; its 10 arguments are 9 buffers and
    n_x, and the target's length n_t is len(lo). Its sums run left to
-   right from 0.0, as the fallback's plant._product sums them, so the two
-   agree bit for bit.
+   right from 0.0, as the fallback's kernels._product sums them, so the
+   two agree bit for bit.
 
    record(values, H, y_p, u, w, theta, z, v, k, time, objective, n_active,
           count, M, tol_y, tol_u, n_x)
    -> count
 
-   is the rest of the interval up to the plant step, plant._record_python
-   compiled; its 17 arguments are 8 buffers and 9 numbers. It writes row
-   k of the log block values, z_p = H y_p among it, updates the count of
-   consecutive quiet intervals against row k-1, writes steady = count >=
-   M into the row, and carries [w; u; y_p; d_l_k] into v for the next
-   interval's update; it returns the new count. Every entry it writes is
-   a copy of an input, but for z_p, whose sums run left to right as the
-   fallback's do: all of it is the fallback's bit for bit. */
+   is the rest of the interval up to the plant step,
+   kernels._record_python compiled; its 17 arguments are 8 buffers and 9
+   numbers. It writes row k of the log block values, z_p = H y_p among
+   it, updates the count of consecutive quiet intervals against row k-1,
+   writes steady = count >= M into the row, and carries [w; u; y_p; d_l_k]
+   into v for the next interval's update; it returns the new count.
+   Every entry it writes is a copy of an input, but for z_p, whose sums
+   run left to right as the fallback's do: all of it is the fallback's
+   bit for bit. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -81,7 +82,7 @@ in_region(double c, double T, double h)
            && 0.0 < h && h < INFINITY;
 }
 
-/* The CSTR stage, plant._rates compiled: the rates *dc and *dT at (c, T,
+/* The CSTR stage, kernels._rates compiled: the rates *dc and *dT at (c, T,
    h) and 1, or 0 with neither written when the state or the volume it
    fills is not finite and > 0. */
 static inline int
@@ -110,7 +111,7 @@ left(double *s, double c, double T, double h)
     return 0;
 }
 
-/* The RK4 substep loop, plant._rk4_python compiled: advances s = [c, T,
+/* The RK4 substep loop, kernels._rk4_python compiled: advances s = [c, T,
    h] by n substeps and returns 1, or sets s to the input state of the
    first stage that fails the region check and returns 0. */
 static int
@@ -467,13 +468,13 @@ done:
 static PyMethodDef methods[] = {
     {"advance", (PyCFunction)(void (*)(void))advance, METH_FASTCALL,
      "One plant interval of NonlinearPlant.step in place: "
-     "plant._advance_python, compiled."},
+     "kernels._advance_python, compiled."},
     {"interval", (PyCFunction)(void (*)(void))interval, METH_FASTCALL,
      "The free-path interval of ControlLoop.control_step: "
-     "plant._interval_python, compiled."},
+     "kernels._interval_python, compiled."},
     {"record", (PyCFunction)(void (*)(void))record, METH_FASTCALL,
      "The log row, steady count and carry of ControlLoop.control_step: "
-     "plant._record_python, compiled."},
+     "kernels._record_python, compiled."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -8,13 +8,13 @@ the stored (u, y_p, learned d) from interval k-1; solve the target problem
 and the finite-horizon QP with the combined disturbance; apply the first
 input. At k=0 the stored values are zeros, from which the update gives the
 initial (zero) estimate. The update, the affine law's product and its
-free-path tests run in one call of plant's compiled interval; the log
-row, the steady test against the row before and the carry of [w; u; y_p;
-d_l] into the next interval's input run in one call of its record, after
-interval or after the active-set table when a row is violated. The plant
-step is one call of its advance, which steps NonlinearPlant's state and
-measurement buffers in place. Where the kernels cannot be built, all
-three run in their Python forms.
+free-path tests run in one call of the compiled kernel interval (see
+kernels.py); the log row, the steady test against the row before and the
+carry of [w; u; y_p; d_l] into the next interval's input run in one call
+of the kernel record, after interval or after the active-set table when a
+row is violated. The plant step is one call of the kernel advance, which
+steps NonlinearPlant's state and measurement buffers in place. Where the
+kernels cannot be built, all three run in their Python forms.
 """
 
 import bisect
@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import grnn as grnn_mod
+from . import kernels
 from . import ocp as ocp_mod
 from . import plant as plant_mod
 from .estimator import DisturbanceEstimator
@@ -204,7 +205,7 @@ class ClosedLoopLog:
 class NonlinearPlant:
     """CSTR truth in deviation coordinates around an operating point. The
     plant owns two float64 buffers, its state [c, T, h] and its
-    measurement y_p = [c, T, h] - x_ss, and a step is one call of plant's
+    measurement y_p = [c, T, h] - x_ss, and a step is one call of the
     kernel advance (or its Python form), which steps both in place.
     measure() returns the measurement buffer itself, valid until the next
     step. state builds a PlantState of the buffer on demand. A step that
@@ -234,7 +235,7 @@ class NonlinearPlant:
         return self._y
 
     def step(self, u_dev):
-        left = (plant_mod.kernels or plant_mod._load_kernel()).advance(
+        left = (kernels.active or kernels.load()).advance(
             self._x, self._y, np.ascontiguousarray(u_dev, dtype=float),
             self.op.u_ss, self.op.x_ss, self.params.rk4_constants, self.dt)
         if left is not True:
@@ -275,47 +276,6 @@ def _same(a, b):
         if not x == y:
             return False
     return True
-
-
-def _within(a, b, tol):
-    """max |a - b| <= tol for two lists of floats of one length; False on
-    a NaN."""
-    for x, y in zip(a, b):
-        if not abs(x - y) <= tol:
-            return False
-    return True
-
-
-class SteadyDetector:
-    """Steady when the last M+1 intervals share one setpoint and both y and
-    u moved at most the tolerances between consecutive intervals. That is a
-    count of consecutive quiet transitions against the previous interval,
-    steady once it reaches M: exact equality is transitive, and the
-    largest move over the window is the largest over its transitions.
-    ControlLoop runs the same count in plant's record, against the log's
-    previous row; this standalone form is the tests' oracle for it."""
-
-    def __init__(self, M=5, tol_y=1e-5, tol_u=1e-5):
-        if M < 2:
-            raise ValueError("M must be >= 2")
-        self.M = M
-        self.tol_y = float(tol_y)
-        self.tol_u = float(tol_u)
-        self.count = 0
-        self._last = None            # (r, y_p, u) of the previous interval
-
-    def update(self, r, y_p, u):
-        """Take one interval's r, y_p and u, each a list of floats; True
-        if it ends a steady window."""
-        last = self._last
-        if (last is not None and _same(r, last[0])
-                and _within(y_p, last[1], self.tol_y)
-                and _within(u, last[2], self.tol_u)):
-            self.count += 1
-        else:
-            self.count = 0
-        self._last = (r, y_p, u)
-        return self.count >= self.M
 
 
 def _frozen(r):
@@ -448,8 +408,8 @@ class ControlLoop:
         # counted target are views of it
         law = self.pred.law
         z = np.empty(len(law.P))
-        kernels = plant_mod.kernels or plant_mod._load_kernel()
-        flag, objective, excursion = kernels.interval(
+        active = kernels.active or kernels.load()
+        flag, objective, excursion = active.interval(
             self.estimator.M_step, law.P, self.pred.b_box, self.targets.lo,
             self.targets.hi, v, w, theta, z, n_x)
         if not flag:
@@ -469,7 +429,7 @@ class ControlLoop:
             log.reserve(2 * k)
         time = k * self.model.dt
         M, tol_y, tol_u = self._steady
-        self._count = kernels.record(
+        self._count = active.record(
             log.values, self.model.H, y_p, u, w, theta, z, v, k, time,
             objective, n_active, self._count, M, tol_y, tol_u, n_x)
         # the row counts, its target excursion is counted and a sample is

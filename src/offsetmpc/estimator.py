@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import kernels, numerics
 from .model import estimator_error_matrix, steady_io_matrix
 
 
@@ -71,8 +71,11 @@ class DisturbanceEstimator:
 
     def learned_step(self, est, u, y_p, d_learned):
         """One update; the nominal estimator is this with d_learned = 0.
-        Raises ValueError when the new estimate is not finite."""
-        w = self.M_step @ np.concatenate([est.w, u, y_p, d_learned])
+        Its w is the kernel interval's, bit for bit: the same product
+        M_step [w; u; y_p; d_learned], summed left to right. Raises
+        ValueError when the new estimate is not finite."""
+        w = kernels._product(self.M_step,
+                             np.concatenate([est.w, u, y_p, d_learned]))
         if not np.isfinite(w).all():
             raise ValueError("non-finite estimate")
         return AugmentedEstimate.split(w, self.model.n_x)

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from offsetmpc import cli, plant
+from offsetmpc import cli, kernels
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -11,16 +11,17 @@ CONFIGS = ROOT / "configs"
 
 @pytest.fixture(scope="session")
 def compiled_kernels():
-    """The compiled kernels' module: the RK4 loop that plant.step runs and
-    the free-path interval that ControlLoop.control_step runs, built on
-    first use. Kernels that did not load fail the test, never skip it: the
-    message gives the reason and the command that builds them."""
-    kernels = plant.kernels or plant._load_kernel()
-    if kernels is plant.PYTHON_KERNELS:
-        command = " ".join(plant.kernel_command(plant.kernel_path()))
+    """The compiled kernels' module, built on first use: advance, the plant
+    step that plant.step and NonlinearPlant.step run, and interval and
+    record, which ControlLoop.control_step runs. Kernels that did not load
+    fail the test, never skip it: the message gives the reason and the
+    command that builds them."""
+    active = kernels.active or kernels.load()
+    if active is kernels.PYTHON_KERNELS:
+        command = " ".join(kernels.kernel_command(kernels.kernel_path()))
         pytest.fail(f"the compiled kernels did not load "
-                    f"({plant.fallback_reason}); build them with: {command}")
-    return kernels
+                    f"({kernels.fallback_reason}); build them with: {command}")
+    return active
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ def python_kernels(monkeypatch):
     """Every compiled kernel switched off: plant.step and
     ControlLoop.control_step run the Python forms, as they do wherever the
     kernels cannot be built."""
-    monkeypatch.setattr(plant, "kernels", plant.PYTHON_KERNELS)
+    monkeypatch.setattr(kernels, "active", kernels.PYTHON_KERNELS)
 
 
 @pytest.fixture(scope="session")

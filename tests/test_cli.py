@@ -384,32 +384,33 @@ def test_a_plant_step_imports_no_build_tools(compiled_kernels):
         "loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(),\n"
         "                      rc.ocp_cfg, cli._fresh_plant(rc),\n"
         "                      cl.ControllerMode.NOMINAL)\n"
-        "assert plant.kernels is None\n"
+        "assert kernels.active is None\n"
         "loop.control_step(np.zeros(2))\n")
     for first in (first_step, first_interval):
         code = (
             "import sys\n"
             "import numpy as np\n"
-            "from offsetmpc import cli, plant\n"
+            "from offsetmpc import cli, kernels, plant\n"
             "from offsetmpc import closed_loop as cl\n"
             + first +
-            "assert plant.fallback_reason is None, plant.fallback_reason\n"
-            "assert plant.kernels not in (None, plant.PYTHON_KERNELS)\n"
+            "assert kernels.fallback_reason is None, kernels.fallback_reason\n"
+            "assert kernels.active not in (None, kernels.PYTHON_KERNELS)\n"
             "print(sorted(m for m in ('hashlib', 'subprocess', 'sysconfig')\n"
             "             if m in sys.modules))\n")
         assert fresh_python(code) == "[]", first
 
 
 def test_grnn_fit_never_loads_the_compiled_plant_step(tmp_path):
-    """grnn-fit runs no plant step and no control interval, so it loads
-    neither compiled kernel."""
+    """grnn-fit and check run no plant step and no control interval, so
+    each, in a fresh interpreter, loads no compiled kernel."""
     samples = str(ROOT / "out" / "sweep_c_50_train.txt")
-    code = (
-        "from offsetmpc import cli, plant\n"
-        f"assert cli.main(['grnn-fit', {samples!r}, "
-        f"'--out', {str(tmp_path)!r}]) == 0\n"
-        "print(plant.kernels)\n")
-    assert fresh_python(code) == "None"
+    for argv in (["grnn-fit", samples, "--out", str(tmp_path)],
+                 ["check", str(ROOT / "configs" / "cstr_twovar.yaml")]):
+        code = (
+            "from offsetmpc import cli, kernels\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(kernels.active)\n")
+        assert fresh_python(code) == "None", argv[0]
 
 
 # a malformed number exits 2 with a message, never with a traceback; each

@@ -9,7 +9,7 @@ import pytest
 from offsetmpc import cli
 from offsetmpc import closed_loop as cl
 from offsetmpc import estimator as est_mod
-from offsetmpc import grnn, ocp, plant
+from offsetmpc import grnn, kernels, ocp, plant
 from offsetmpc import model as model_mod
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -103,6 +103,47 @@ def test_modeled_disturbance_is_rejected_without_offset(committed):
 # ---- steady detection: SteadyDetector's counter against the window rule it
 # replaced, kept here as the oracle ----
 
+def _within(a, b, tol):
+    """max |a - b| <= tol for two lists of floats of one length; False on
+    a NaN."""
+    for x, y in zip(a, b):
+        if not abs(x - y) <= tol:
+            return False
+    return True
+
+
+class SteadyDetector:
+    """Steady when the last M+1 intervals share one setpoint and both y and
+    u moved at most the tolerances between consecutive intervals. That is a
+    count of consecutive quiet transitions against the previous interval,
+    steady once it reaches M: exact equality is transitive, and the
+    largest move over the window is the largest over its transitions.
+    ControlLoop runs the same count in the kernel record, against the
+    log's previous row; this standalone form is the oracle for it."""
+
+    def __init__(self, M=5, tol_y=1e-5, tol_u=1e-5):
+        if M < 2:
+            raise ValueError("M must be >= 2")
+        self.M = M
+        self.tol_y = float(tol_y)
+        self.tol_u = float(tol_u)
+        self.count = 0
+        self._last = None            # (r, y_p, u) of the previous interval
+
+    def update(self, r, y_p, u):
+        """Take one interval's r, y_p and u, each a list of floats; True
+        if it ends a steady window."""
+        last = self._last
+        if (last is not None and cl._same(r, last[0])
+                and _within(y_p, last[1], self.tol_y)
+                and _within(u, last[2], self.tol_u)):
+            self.count += 1
+        else:
+            self.count = 0
+        self._last = (r, y_p, u)
+        return self.count >= self.M
+
+
 def ref_steady_window(rs, ys, us, M, tol_y, tol_u):
     """True iff there are M+1 entries (the caller passes at most that many),
     they share one setpoint, and both y and u moved less than the tolerances
@@ -129,7 +170,7 @@ def ref_detect_steady(records, tol_y=1e-5, tol_u=1e-5, M=5):
 
 def counter_flags(seq, M, tol_y, tol_u):
     """SteadyDetector's answer after each (r, y_p, u) of seq."""
-    det = cl.SteadyDetector(M, tol_y, tol_u)
+    det = SteadyDetector(M, tol_y, tol_u)
     return [det.update(np.asarray(r, float).tolist(),
                        np.asarray(y, float).tolist(),
                        np.asarray(u, float).tolist()) for r, y, u in seq]
@@ -165,7 +206,7 @@ def test_detect_steady_window():
     switched = recs[:-1] + [zrec(time=5.0, r=np.array([0.01, 0.0]))]
     assert not steady_after(switched, M=5)
     with pytest.raises(ValueError):
-        cl.SteadyDetector(M=1)
+        SteadyDetector(M=1)
 
 
 TOL = 2.0 ** -10          # moves of exactly TOL are representable
@@ -949,11 +990,11 @@ def test_aborted_run_writes_its_rows_up_to_the_failure(committed, tmp_path):
 @pytest.fixture(params=["compiled", "python"])
 def either_interval(request, compiled_kernels, monkeypatch):
     """ControlLoop.control_step through the compiled kernels, or through
-    plant.PYTHON_KERNELS, which the compiled ones reproduce bit for
+    kernels.PYTHON_KERNELS, which the compiled ones reproduce bit for
     bit."""
-    monkeypatch.setattr(plant, "kernels", compiled_kernels
+    monkeypatch.setattr(kernels, "active", compiled_kernels
                         if request.param == "compiled"
-                        else plant.PYTHON_KERNELS)
+                        else kernels.PYTHON_KERNELS)
     return request.param
 
 
@@ -970,13 +1011,13 @@ def test_a_switch_of_the_kernels_is_never_undone(tracking_rc, monkeypatch):
 
     switched = types.SimpleNamespace(
         **{name: counted(name, fn)
-           for name, fn in vars(plant.PYTHON_KERNELS).items()})
-    monkeypatch.setattr(plant, "kernels", switched)
+           for name, fn in vars(kernels.PYTHON_KERNELS).items()})
+    monkeypatch.setattr(kernels, "active", switched)
     rc = tracking_rc
     loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
                           cli._fresh_plant(rc), cl.ControllerMode.NOMINAL)
     loop.control_step(np.zeros(rc.model.n_z))
-    assert plant.kernels is switched
+    assert kernels.active is switched
     assert calls == {"advance": 1, "interval": 1, "record": 1}
 
 
@@ -1214,7 +1255,7 @@ def test_compiled_interval_matches_numpy_on_20000_draws(twovar_rc,
     for _ in range(20000):
         v = rng.uniform(lo, hi)
         got = run_interval(compiled_kernels.interval, fixed, v, n_x)
-        want = run_interval(plant._interval_python, fixed, v, n_x)
+        want = run_interval(kernels._interval_python, fixed, v, n_x)
         assert got[:3] == want[:3]
         assert all(same_floats(a, b) for a, b in zip(got[3:], want[3:]))
         w, theta, z = want[3:]
@@ -1223,6 +1264,34 @@ def test_compiled_interval_matches_numpy_on_20000_draws(twovar_rc,
         free += want[0] == 1
         outside += want[2]
     assert (free, outside) == (2786, 8857)
+
+
+def test_learned_step_is_the_interval_update_bit_for_bit(twovar_rc,
+                                                        compiled_kernels):
+    """DisturbanceEstimator.learned_step, the package's one Python
+    estimator update, gives the w of both forms of interval on every draw,
+    zeros' signs included. numpy's matmul, which sums in BLAS's order,
+    differs from them in the last bits on 1897 of the 2000 draws."""
+    rc = twovar_rc
+    fixed, n_x, _, (lo, hi) = interval_arguments(rc)
+    estimator = est_mod.DisturbanceEstimator(rc.model, rc.dist,
+                                             rc.make_gains())
+    M_step = estimator.M_step
+    assert np.array_equal(M_step, fixed[0])
+    n_w = len(M_step)
+    cuts = np.cumsum([n_x, n_w - n_x, rc.model.n_u, rc.model.n_y,
+                      n_w - n_x])
+    rng = np.random.default_rng(27)
+    blas = 0
+    for _ in range(2000):
+        v = rng.uniform(lo, hi)
+        x_hat, d_hat, u, y_p, d_l = np.split(v, cuts)[:5]
+        est = est_mod.AugmentedEstimate(x_hat, d_hat)
+        got = estimator.learned_step(est, u, y_p, d_l).w
+        for fn in (kernels._interval_python, compiled_kernels.interval):
+            assert same_floats(got, run_interval(fn, fixed, v, n_x)[3])
+        blas += not same_floats(got, M_step @ v[:M_step.shape[1]])
+    assert blas == 1897
 
 
 def test_non_finite_estimate_gives_flag_0_and_stops_the_loop(
@@ -1237,7 +1306,7 @@ def test_non_finite_estimate_gives_flag_0_and_stops_the_loop(
         v = (lo + hi) / 2
         v[9] = bad                   # an entry of y_{k-1}
         with np.errstate(invalid="ignore"):
-            assert run_interval(plant.kernels.interval, fixed, v, n_x)[0] == 0
+            assert run_interval(kernels.active.interval, fixed, v, n_x)[0] == 0
 
     class BrokenSensor(cl.LinearPlant):
         def measure(self):
@@ -1364,8 +1433,8 @@ def test_compiled_record_matches_python_on_20000_draws(twovar_rc,
             got = compiled_kernels.record(got_values, H_draw, y_p, u, w,
                                           theta, z, got_v, *args)
             with np.errstate(invalid="ignore"):
-                want = plant._record_python(want_values, H_draw, y_p, u, w,
-                                            theta, z, want_v, *args)
+                want = kernels._record_python(want_values, H_draw, y_p, u,
+                                              w, theta, z, want_v, *args)
             assert got == want
             assert same_floats(got_v, want_v)
             assert same_floats(got_values, want_values)

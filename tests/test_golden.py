@@ -55,7 +55,7 @@ import pathlib
 
 import pytest
 
-from offsetmpc import cli, ocp, plant
+from offsetmpc import cli, kernels, ocp
 from offsetmpc import closed_loop as cl
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -169,9 +169,9 @@ def test_the_kernels_on_and_off_write_the_same_bytes(tmp_path, capsys,
     twovar sweep (table hits and misses) write the same bytes either
     way."""
     dirs = {}
-    for name, kernels in (("on", compiled_kernels),
-                          ("off", plant.PYTHON_KERNELS)):
-        monkeypatch.setattr(plant, "kernels", kernels)
+    for name, active in (("on", compiled_kernels),
+                         ("off", kernels.PYTHON_KERNELS)):
+        monkeypatch.setattr(kernels, "active", active)
         out = dirs[name] = tmp_path / name
         assert cli.main(["run", str(ROOT / "configs" / "cstr_drift.yaml"),
                          "--mode", "both", "--out", str(out)]) == 0

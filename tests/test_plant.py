@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from offsetmpc import closed_loop as cl
-from offsetmpc import plant
+from offsetmpc import kernels, plant
 
 
 @pytest.fixture
@@ -19,9 +19,9 @@ def step_both(compiled_kernels, monkeypatch):
     loop it reproduces: the two must give the same state bit for bit, or
     raise the same NonPhysicalState message, which the returned function
     then returns or raises."""
-    def outcome(kernels, s, u, p, dt):
+    def outcome(active, s, u, p, dt):
         """(the state or the exception, the floats or the message)"""
-        monkeypatch.setattr(plant, "kernels", kernels)
+        monkeypatch.setattr(kernels, "active", active)
         try:
             got = plant.step(s, u, p, dt)
         except plant.NonPhysicalState as exc:
@@ -30,7 +30,7 @@ def step_both(compiled_kernels, monkeypatch):
 
     def step(s, u, p, dt):
         got, key = outcome(compiled_kernels, s, u, p, dt)
-        _, oracle_key = outcome(plant.PYTHON_KERNELS, s, u, p, dt)
+        _, oracle_key = outcome(kernels.PYTHON_KERNELS, s, u, p, dt)
         assert key == oracle_key, (s, u, p, dt)
         if isinstance(got, Exception):
             raise got
@@ -514,7 +514,7 @@ def test_compiled_advance_matches_python_on_20000_draws(compiled_kernels):
         x = s.as_array()
         got = _advance(compiled_kernels.advance, x, u - u_ss, u_ss, x_ss, p,
                        dt)
-        want = _advance(plant._advance_python, x, u - u_ss, u_ss, x_ss, p,
+        want = _advance(kernels._advance_python, x, u - u_ss, u_ss, x_ss, p,
                         dt)
         if want[0] is True:
             assert got[0] is True
@@ -552,10 +552,10 @@ def test_compiled_advance_rejects_buffers_that_do_not_fit(compiled_kernels):
 
 @pytest.fixture(params=["compiled", "python"])
 def either_kernels(request, compiled_kernels, monkeypatch):
-    """The compiled kernels, or plant.PYTHON_KERNELS."""
-    monkeypatch.setattr(plant, "kernels", compiled_kernels
+    """The compiled kernels, or kernels.PYTHON_KERNELS."""
+    monkeypatch.setattr(kernels, "active", compiled_kernels
                         if request.param == "compiled"
-                        else plant.PYTHON_KERNELS)
+                        else kernels.PYTHON_KERNELS)
 
 
 def test_a_plant_steps_as_a_chain_of_one_shot_steps(tracking_rc,
@@ -631,26 +631,26 @@ def test_the_first_step_loads_the_compiled_loop(compiled_kernels,
     """compiled_kernels fails this test, with the reason and the gcc
     command, when the kernels cannot be built or loaded. The one load
     gives the module that holds both kernels."""
-    monkeypatch.setattr(plant, "kernels", None)
+    monkeypatch.setattr(kernels, "active", None)
     plant.step(plant.PlantState(c=0.878, T=324.5, h=0.659),
                np.array([300.0, 0.1]), plant.CstrParams(), 1.0)
-    assert isinstance(plant.kernels, types.ModuleType)
-    assert plant.fallback_reason is None
+    assert isinstance(kernels.active, types.ModuleType)
+    assert kernels.fallback_reason is None
 
 
 def test_the_first_step_builds_into_an_empty_directory(tmp_path,
                                                        monkeypatch):
     build = tmp_path / "build"
-    monkeypatch.setattr(plant, "BUILD_DIR", str(build))
-    monkeypatch.setattr(plant, "kernels", None)
-    monkeypatch.setattr(plant, "fallback_reason", None)
+    monkeypatch.setattr(kernels, "BUILD_DIR", str(build))
+    monkeypatch.setattr(kernels, "active", None)
+    monkeypatch.setattr(kernels, "fallback_reason", None)
     s, u, p = (plant.PlantState(c=0.9, T=320.0, h=0.7),
                np.array([295.0, 0.11]), plant.CstrParams())
     got = plant.step(s, u, p, 1.0)
-    assert plant.fallback_reason is None
-    assert isinstance(plant.kernels, types.ModuleType)
+    assert kernels.fallback_reason is None
+    assert isinstance(kernels.active, types.ModuleType)
     # the one build, under its tagged name: no temporary file is left
-    name = os.path.basename(plant.kernel_path())
+    name = os.path.basename(kernels.kernel_path())
     assert os.listdir(build) == [name]
     assert name.startswith("_kernels-") and name.endswith(
         importlib.machinery.EXTENSION_SUFFIXES[0])
@@ -662,7 +662,7 @@ def test_the_kernels_compile_without_a_warning(tmp_path):
     """The build passes no warning flags, so a warning would never show:
     here -Wall -Werror turns each into a failure that prints it."""
     proc = subprocess.run(
-        plant.kernel_command(str(tmp_path / "kernels.so"))
+        kernels.kernel_command(str(tmp_path / "kernels.so"))
         + ["-Wall", "-Werror"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -674,7 +674,7 @@ def _no_gcc(tmp_path, monkeypatch):
 def _bad_source(tmp_path, monkeypatch):
     source = tmp_path / "_kernels.c"
     source.write_text("this is not C\n")
-    monkeypatch.setattr(plant, "KERNEL_SOURCE", str(source))
+    monkeypatch.setattr(kernels, "KERNEL_SOURCE", str(source))
 
 
 def _kernel_missing(tmp_path, monkeypatch):
@@ -686,13 +686,13 @@ def _kernel_missing(tmp_path, monkeypatch):
         "    PyModuleDef_HEAD_INIT, \"_kernels\", NULL, -1, NULL};\n"
         "PyMODINIT_FUNC PyInit__kernels(void)\n"
         "{ return PyModule_Create(&module); }\n")
-    monkeypatch.setattr(plant, "KERNEL_SOURCE", str(source))
+    monkeypatch.setattr(kernels, "KERNEL_SOURCE", str(source))
 
 
 def _unwritable_build_dir(tmp_path, monkeypatch):
     # a regular file where a directory should be: no directory can be made
     (tmp_path / "file").write_text("")
-    monkeypatch.setattr(plant, "BUILD_DIR", str(tmp_path / "file" / "build"))
+    monkeypatch.setattr(kernels, "BUILD_DIR", str(tmp_path / "file" / "build"))
 
 
 # case: (set-up, start of fallback_reason)
@@ -710,20 +710,20 @@ def test_step_falls_back_to_the_python_loop(case, tmp_path, monkeypatch):
     """One failed build sets kernels to their Python forms, with one
     fallback_reason."""
     set_up, reason = FALLBACKS[case]
-    monkeypatch.setattr(plant, "BUILD_DIR", str(tmp_path / "build"))
-    monkeypatch.setattr(plant, "kernels", None)
-    monkeypatch.setattr(plant, "fallback_reason", None)
+    monkeypatch.setattr(kernels, "BUILD_DIR", str(tmp_path / "build"))
+    monkeypatch.setattr(kernels, "active", None)
+    monkeypatch.setattr(kernels, "fallback_reason", None)
     set_up(tmp_path, monkeypatch)
     s, u, p = (plant.PlantState(c=0.9, T=320.0, h=0.7),
                np.array([295.0, 0.11]), plant.CstrParams())
     got = plant.step(s, u, p, 1.0)
-    assert plant.kernels is plant.PYTHON_KERNELS
-    assert plant.fallback_reason.startswith(reason), plant.fallback_reason
+    assert kernels.active is kernels.PYTHON_KERNELS
+    assert kernels.fallback_reason.startswith(reason), kernels.fallback_reason
     ref = _step_reference(s, u, p, 1.0)
     assert (got.c, got.T, got.h) == (ref.c, ref.T, ref.h)
     # a failed build leaves no temporary file behind, and a completed one
     # only its tagged file
-    if os.path.isdir(plant.BUILD_DIR):
-        built = ([os.path.basename(plant.kernel_path())]
+    if os.path.isdir(kernels.BUILD_DIR):
+        built = ([os.path.basename(kernels.kernel_path())]
                  if case == "kernel missing" else [])
-        assert os.listdir(plant.BUILD_DIR) == built
+        assert os.listdir(kernels.BUILD_DIR) == built
