@@ -18,10 +18,9 @@ from .closed_loop import (
     ControllerMode,
     ScenarioConfig,
     ControlLoop,
-    NonlinearPlant,
     LinearPlant,
     run_scenario,
     sweep_harvest,
     metrics,
 )
-from .plant import CstrParams, PlantState, OperatingPoint
+from .plant import CstrParams, PlantState, OperatingPoint, NonlinearPlant

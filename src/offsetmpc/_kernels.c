@@ -8,7 +8,7 @@
 
    advance(x, y, u, u_ss, x_ss, constants, dt) -> True or (c, T, h)
 
-   is one plant step of closed_loop.NonlinearPlant in place,
+   is one plant step of plant.NonlinearPlant in place,
    kernels._advance_python compiled; its 7 arguments are 6 float64 buffers
    and dt. The buffers:
 
@@ -28,10 +28,10 @@
    and y = x - x_ss and returns True. Otherwise it writes neither buffer
    and returns the first state that left the region, from which the
    caller raises NonPhysicalState. The four stages of each substep share
-   rates, the CSTR stage, as kernels._rk4_python's share kernels._rates.
-   Every expression keeps the Python form's association and exp is
-   libm's, as CPython's math.exp is: each state is the Python form's bit
-   for bit.
+   rates, the CSTR stage, as kernels._advance_python's share
+   kernels._rates. Every expression keeps the Python form's association
+   and exp is libm's, as CPython's math.exp is: each state is the Python
+   form's bit for bit.
 
    interval(M_step, P, b_box, lo, hi, v, w, theta, z, n_x)
    -> (flag, objective, excursion)
@@ -111,9 +111,9 @@ left(double *s, double c, double T, double h)
     return 0;
 }
 
-/* The RK4 substep loop, kernels._rk4_python compiled: advances s = [c, T,
-   h] by n substeps and returns 1, or sets s to the input state of the
-   first stage that fails the region check and returns 0. */
+/* The RK4 substep loop of kernels._advance_python, compiled: advances s =
+   [c, T, h] by n substeps and returns 1, or sets s to the input state of
+   the first stage that fails the region check and returns 0. */
 static int
 rk4(const struct cstr *p, const struct substep *d, long n, double *s)
 {

@@ -426,8 +426,8 @@ def _build_grnn(rc, mode):
 
 
 def _fresh_plant(rc):
-    return cl.NonlinearPlant(plant_mod.PlantState(*rc.op.x_ss), rc.params,
-                             rc.op, dt=rc.model.dt)
+    return plant_mod.NonlinearPlant(plant_mod.PlantState(*rc.op.x_ss),
+                                    rc.params, rc.op, dt=rc.model.dt)
 
 
 def cmd_check(args):

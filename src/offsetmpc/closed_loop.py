@@ -12,9 +12,9 @@ free-path tests run in one call of the compiled kernel interval (see
 kernels.py); the log row, the steady test against the row before and the
 carry of [w; u; y_p; d_l] into the next interval's input run in one call
 of the kernel record, after interval or after the active-set table when a
-row is violated. The plant step is one call of the kernel advance, which
-steps NonlinearPlant's state and measurement buffers in place. Where the
-kernels cannot be built, all three run in their Python forms.
+row is violated; where the kernels cannot be built, both run in their
+Python forms. The plant is a plant.NonlinearPlant, whose step is one call
+of the kernel advance, or a LinearPlant.
 """
 
 import bisect
@@ -31,6 +31,8 @@ from . import kernels
 from . import ocp as ocp_mod
 from . import plant as plant_mod
 from .estimator import DisturbanceEstimator
+# callers may name the loop's CSTR closed_loop.NonlinearPlant
+from .plant import NonlinearPlant
 from .target import BoundExcursions, TargetCalculator
 
 
@@ -200,49 +202,6 @@ class ClosedLoopLog:
     table_misses: int = 0
     events_applied: list = field(default_factory=list)
     aborted: Optional[dict] = None
-
-
-class NonlinearPlant:
-    """CSTR truth in deviation coordinates around an operating point. The
-    plant owns two float64 buffers, its state [c, T, h] and its
-    measurement y_p = [c, T, h] - x_ss, and a step is one call of the
-    kernel advance (or its Python form), which steps both in place.
-    measure() returns the measurement buffer itself, valid until the next
-    step. state builds a PlantState of the buffer on demand. A step that
-    leaves the physical region raises NonPhysicalState and writes neither
-    buffer, so state stays the last good state."""
-
-    def __init__(self, state, params, op, dt=1.0):
-        if not dt > 0:
-            raise ValueError("dt must be > 0")
-        self.params = params
-        self.op = op
-        self.dt = dt
-        self._x = np.empty(3)
-        self._y = np.empty(3)
-        self.state = state
-
-    @property
-    def state(self):
-        return plant_mod.PlantState(*self._x.tolist())
-
-    @state.setter
-    def state(self, s):
-        self._x[:] = s.c, s.T, s.h
-        np.subtract(self._x, self.op.x_ss, out=self._y)
-
-    def measure(self):
-        return self._y
-
-    def step(self, u_dev):
-        left = (kernels.active or kernels.load()).advance(
-            self._x, self._y, np.ascontiguousarray(u_dev, dtype=float),
-            self.op.u_ss, self.op.x_ss, self.params.rk4_constants, self.dt)
-        if left is not True:
-            raise plant_mod._left_region(*left)
-
-    def apply_event(self, event):
-        self.params = plant_mod.apply_event(self.params, event)
 
 
 class LinearPlant:

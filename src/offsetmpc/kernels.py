@@ -1,13 +1,13 @@
 """The Python side of _kernels.c, the program's one compiled extension:
 the Python form of each of its kernels, and the code that builds it with
 gcc on first use and loads it. The kernels are advance, one plant
-interval of the CSTR in place; interval, the controller's estimator
-update, affine law and free-path tests; and record, its log row, steady
-count and carry. Each Python form gives its kernel's floats bit for bit,
-so the outputs do not depend on whether gcc is installed. The CSTR stage,
-the balances at one state, is written once in each language: _rates
-here, rates in _kernels.c. Every product sums left to right through
-_product, as the C loops do.
+interval of the CSTR in place, the step of plant.NonlinearPlant;
+interval, the controller's estimator update, affine law and free-path
+tests; and record, its log row, steady count and carry. Each Python form
+gives its kernel's floats bit for bit, so the outputs do not depend on
+whether gcc is installed. The CSTR stage, the balances at one state, is
+written once in each language: _rates here, rates in _kernels.c. Every
+product sums left to right through _product, as the C loops do.
 
 active is the handle the program reads: None until the first plant step
 or control interval of the process calls load(), then the compiled
@@ -55,15 +55,22 @@ def _rates(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
 
 def _advance_python(x, y, u, u_ss, x_ss, constants, dt):
     """One plant interval on float64 buffers: from the absolute inputs
-    (Tc, F) = u_ss + u and the constants CstrParams.rk4_constants, the
-    step constants, then _rk4_python's substeps of dt / substeps from the
-    state x = [c, T, h]. Writes the last state into x and y = x - x_ss and
-    returns True, or, when a stage's input state or the last state fails
-    the region check, writes neither and returns that state (c, T, h).
+    (Tc, F) = u_ss + u, where u is two numbers of any shape, and the
+    constants CstrParams.rk4_constants, the step constants, then substeps
+    RK4 substeps of dt / substeps from the state x = [c, T, h], each of
+    whose four stages takes its rates k_i = (dc, dT) from _rates at its
+    input state. Writes the last state into x and y = x - x_ss and returns
+    True, or, when a stage's input state or the last state fails the
+    region check, writes neither and returns that state (c, T, h).
     _kernels.c's advance is this, compiled."""
+    if u.size != 2:
+        # the compiled advance's check of the buffers' lengths
+        raise ValueError("advance: buffer sizes do not fit together")
     F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, mismatch, substeps = (
         constants.tolist())
-    Tc, F = (u_ss + u).tolist()
+    Tc, F = (u_ss + u.reshape(2)).tolist()
+    stage = (Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, 0.03 * F,
+             mismatch)
     # the level rate does not depend on the state
     dh = (F0 - outlet * F) / area
     hstep = float(dt) / substeps
@@ -74,46 +81,31 @@ def _advance_python(x, y, u, u_ss, x_ss, constants, dt):
     h_half = half * dh
     h_full = hstep * dh
     h_next = sixth * (dh + 2.0 * dh + 2.0 * dh + dh)
-    c, T, h, ok = _rk4_python(
-        *x.tolist(), Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, 0.03 * F,
-        hstep, half, sixth, h_half, h_full, h_next, mismatch, int(substeps))
-    if not (ok and _in_region(c, T, h)):
+    c, T, h = x.tolist()
+    for _ in range(int(substeps)):
+        k1 = _rates(c, T, h, *stage)
+        if k1 is None:
+            return c, T, h
+        c2, T2, h2 = c + half * k1[0], T + half * k1[1], h + h_half
+        k2 = _rates(c2, T2, h2, *stage)
+        if k2 is None:
+            return c2, T2, h2
+        c3, T3, h3 = c + half * k2[0], T + half * k2[1], h + h_half
+        k3 = _rates(c3, T3, h3, *stage)
+        if k3 is None:
+            return c3, T3, h3
+        c4, T4, h4 = c + hstep * k3[0], T + hstep * k3[1], h + h_full
+        k4 = _rates(c4, T4, h4, *stage)
+        if k4 is None:
+            return c4, T4, h4
+        c = c + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        T = T + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        h = h + h_next
+    if not _in_region(c, T, h):
         return c, T, h
     x[:] = c, T, h
     np.subtract(x, x_ss, out=y)
     return True
-
-
-def _rk4_python(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
-                extra_outlet, hstep, half, sixth, h_half, h_full, h_next,
-                mismatch, substeps):
-    """The RK4 substep loop of _advance_python: each of the four stages
-    takes its rates k_i = (dc, dT) from _rates at its input state. Returns
-    the state after the last substep and True, or the input state of the
-    first stage that fails the region check and False. _kernels.c's rk4
-    is this loop, compiled, which advance calls."""
-    stage = (Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, extra_outlet,
-             mismatch)
-    for _ in range(substeps):
-        k1 = _rates(c, T, h, *stage)
-        if k1 is None:
-            return c, T, h, False
-        c2, T2, h2 = c + half * k1[0], T + half * k1[1], h + h_half
-        k2 = _rates(c2, T2, h2, *stage)
-        if k2 is None:
-            return c2, T2, h2, False
-        c3, T3, h3 = c + half * k2[0], T + half * k2[1], h + h_half
-        k3 = _rates(c3, T3, h3, *stage)
-        if k3 is None:
-            return c3, T3, h3, False
-        c4, T4, h4 = c + hstep * k3[0], T + hstep * k3[1], h + h_full
-        k4 = _rates(c4, T4, h4, *stage)
-        if k4 is None:
-            return c4, T4, h4, False
-        c = c + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        T = T + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        h = h + h_next
-    return c, T, h, True
 
 
 def _product(A, x):

@@ -1,6 +1,9 @@
 """Nonlinear CSTR ground truth: exothermic first-order reaction in a
 cylindrical tank with level dynamics, stepped by classical RK4 in one
-call of the kernel advance (see kernels.py).
+call of the kernel advance (see kernels.py). NonlinearPlant makes that
+call, the one step path: the closed loop steps one in deviations from its
+OperatingPoint, and the one-shot step(s, u, p, dt) is one step of a
+NonlinearPlant at a zero operating point.
 
 States are concentration c (kmol/m3), temperature T (K), level h (m);
 inputs are coolant temperature T_c (K) and outlet flow F (m3/min). The
@@ -101,6 +104,17 @@ class OperatingPoint:
     x_ss: np.ndarray         # (c, T, h)
     u_ss: np.ndarray         # (T_c, F)
 
+    def __post_init__(self):
+        # read-only float64 copies, the buffers that the kernel advance
+        # reads, so a list or an integer array steps as floats do
+        for name, n in (("x_ss", 3), ("u_ss", 2)):
+            v = np.array(getattr(self, name), dtype=float)
+            if v.shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},), got "
+                                 f"{v.shape}")
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+
 
 def _left_region(c, T, h):
     return NonPhysicalState(
@@ -125,30 +139,63 @@ def derivatives(s, u, p):
     return np.array([*rates, (F0 - outlet * F) / area])
 
 
+class NonlinearPlant:
+    """CSTR truth in deviation coordinates around an operating point. The
+    plant owns two float64 buffers, its state [c, T, h] and its
+    measurement y_p = [c, T, h] - x_ss, and a step is one call of the
+    kernel advance, built and loaded on the first step, or
+    kernels._advance_python, which it reproduces bit for bit, when it
+    cannot be built (kernels.fallback_reason says why); advance steps both
+    buffers in place. measure() returns the measurement buffer itself,
+    valid until the next step. state builds a PlantState of the buffer on
+    demand. A step that leaves the physical region, at a stage's input
+    state or at the last state, raises NonPhysicalState and writes
+    neither buffer, so state stays the last good state."""
+
+    def __init__(self, state, params, op, dt=1.0):
+        if not dt > 0:
+            raise ValueError("dt must be > 0")
+        self.params = params
+        self.op = op
+        self.dt = dt
+        self._x = np.empty(3)
+        self._y = np.empty(3)
+        self.state = state
+
+    @property
+    def state(self):
+        return PlantState(*self._x.tolist())
+
+    @state.setter
+    def state(self, s):
+        self._x[:] = s.c, s.T, s.h
+        np.subtract(self._x, self.op.x_ss, out=self._y)
+
+    def measure(self):
+        return self._y
+
+    def step(self, u_dev):
+        left = (kernels.active or kernels.load()).advance(
+            self._x, self._y, np.ascontiguousarray(u_dev, dtype=float),
+            self.op.u_ss, self.op.x_ss, self.params.rk4_constants, self.dt)
+        if left is not True:
+            raise _left_region(*left)
+
+    def apply_event(self, event):
+        self.params = apply_event(self.params, event)
+
+
 # the operating point of a one-shot step: its input and state are absolute
-_ORIGIN_U = np.zeros(2)
-_ORIGIN_X = np.zeros(3)
-_ORIGIN_U.flags.writeable = _ORIGIN_X.flags.writeable = False
+_ZERO_OP = OperatingPoint(np.zeros(3), np.zeros(2))
 
 
 def step(s, u, p, dt):
     """Classical RK4 with dt/substeps internal step: the state after dt
-    from s at the absolute inputs u, through the kernel advance, built
-    and loaded on the first step, or kernels._advance_python, which it
-    reproduces bit for bit, when it cannot be built
-    (kernels.fallback_reason says why).
-    Raises NonPhysicalState when a stage's input state or the last state
-    fails the region check. closed_loop.NonlinearPlant steps its own
-    buffers through the same kernel."""
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    x = np.array([s.c, s.T, s.h], dtype=float)
-    left = (kernels.active or kernels.load()).advance(
-        x, np.empty(3), np.ascontiguousarray(u, dtype=float), _ORIGIN_U,
-        _ORIGIN_X, p.rk4_constants, float(dt))
-    if left is not True:
-        raise _left_region(*left)
-    return PlantState(*x.tolist())
+    from s at the absolute inputs u, one step of a NonlinearPlant at a
+    zero operating point."""
+    plant = NonlinearPlant(s, p, _ZERO_OP, dt)
+    plant.step(u)
+    return plant.state
 
 
 def measure(s, op):

@@ -15,8 +15,8 @@ from offsetmpc import kernels, plant
 
 @pytest.fixture
 def step_both(compiled_kernels, monkeypatch):
-    """plant.step through the compiled loop and through _rk4_python, the
-    loop it reproduces: the two must give the same state bit for bit, or
+    """plant.step through the compiled advance and through _advance_python,
+    the step it reproduces: the two must give the same state bit for bit, or
     raise the same NonPhysicalState message, which the returned function
     then returns or raises."""
     def outcome(active, s, u, p, dt):
@@ -624,6 +624,56 @@ def test_a_step_out_of_the_region_writes_nothing(tracking_rc,
         assert str(got.value) == str(want.value)
         assert plant_.state == s
         assert _bits(plant_.measure()) == _bits(y)
+
+
+def test_odd_inputs_and_operating_points_step_alike_in_both_kernels(
+        either_kernels):
+    """With the kernels on and off alike, an operating point of lists or
+    integers steps as its float64 arrays do, and one of the wrong shape is
+    a ValueError; an input of two numbers in any shape steps as a flat
+    one does, and one of one or three numbers is the compiled advance's
+    ValueError, in plant.step and NonlinearPlant.step. There is one
+    NonlinearPlant, plant's."""
+    assert cl.NonlinearPlant is plant.NonlinearPlant
+    s, p = plant.PlantState(c=0.878, T=324.5, h=0.659), plant.CstrParams()
+    x_ss, u_ss = [0.878, 324.5, 0.659], [300.0, 0.1]
+    ref = plant.NonlinearPlant(s, p, plant.OperatingPoint(np.array(x_ss),
+                                                          np.array(u_ss)))
+    ref.step(np.zeros(2))
+    # the same absolute input from each operating point
+    for op, u in ((plant.OperatingPoint(x_ss, u_ss), [0, 0]),
+                  (plant.OperatingPoint(np.array([1, 324, 1]),
+                                        np.array([300, 0])), [0, 0.1])):
+        assert op.x_ss.dtype == op.u_ss.dtype == np.float64
+        assert not (op.x_ss.flags.writeable or op.u_ss.flags.writeable)
+        plant_ = plant.NonlinearPlant(s, p, op)
+        plant_.step(u)
+        assert plant_.state == ref.state
+        assert _bits(plant_.measure()) == _bits(ref.state.as_array()
+                                                - op.x_ss)
+    for x_bad, u_bad in ((x_ss[:2], u_ss), (x_ss, [u_ss]), (x_ss, 300.0)):
+        with pytest.raises(ValueError, match="must have shape"):
+            plant.OperatingPoint(x_bad, u_bad)
+    want = plant.step(s, np.array(u_ss), p, 1.0)
+    assert want == ref.state
+    assert plant.step(s, np.array([u_ss]), p, 1.0) == want
+    for u in ([300.0], [300.0, 0.1, 0.0]):
+        with pytest.raises(ValueError,
+                           match="^advance: buffer sizes do not fit together$"):
+            plant.step(s, u, p, 1.0)
+        with pytest.raises(ValueError,
+                           match="^advance: buffer sizes do not fit together$"):
+            ref.step(np.array(u) - 300.0)
+
+
+def test_the_compiled_module_holds_the_python_kernels_names(
+        compiled_kernels):
+    """Every compiled kernel has its Python form in PYTHON_KERNELS, under
+    its name, and every Python form its compiled kernel; load() checks
+    only the second."""
+    compiled = {name for name, value in vars(compiled_kernels).items()
+                if not name.startswith("_") and callable(value)}
+    assert compiled == set(vars(kernels.PYTHON_KERNELS))
 
 
 def test_the_first_step_loads_the_compiled_loop(compiled_kernels,
