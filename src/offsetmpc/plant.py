@@ -1,9 +1,8 @@
 """Nonlinear CSTR ground truth: exothermic first-order reaction in a
 cylindrical tank with level dynamics, stepped by classical RK4 in one
-call of the kernel advance (see kernels.py). NonlinearPlant makes that
-call, the one step path: the closed loop steps one in deviations from its
-OperatingPoint, and the one-shot step(s, u, p, dt) is one step of a
-NonlinearPlant at a zero operating point.
+call of the kernel advance (see kernels.py), which NonlinearPlant.step
+alone makes: step(s, u, p, dt) is one step of a NonlinearPlant at a zero
+operating point.
 
 States are concentration c (kmol/m3), temperature T (K), level h (m);
 inputs are coolant temperature T_c (K) and outlet flow F (m3/min). The
@@ -143,14 +142,11 @@ class NonlinearPlant:
     """CSTR truth in deviation coordinates around an operating point. The
     plant owns two float64 buffers, its state [c, T, h] and its
     measurement y_p = [c, T, h] - x_ss, and a step is one call of the
-    kernel advance, built and loaded on the first step, or
-    kernels._advance_python, which it reproduces bit for bit, when it
-    cannot be built (kernels.fallback_reason says why); advance steps both
-    buffers in place. measure() returns the measurement buffer itself,
-    valid until the next step. state builds a PlantState of the buffer on
-    demand. A step that leaves the physical region, at a stage's input
-    state or at the last state, raises NonPhysicalState and writes
-    neither buffer, so state stays the last good state."""
+    kernel advance (or its Python form, see kernels.load), which steps
+    both in place. measure() returns the measurement buffer itself, valid
+    until the next step. state builds a PlantState of the buffer on
+    demand. A step that leaves the physical region raises NonPhysicalState
+    and writes neither buffer, so state stays the last good state."""
 
     def __init__(self, state, params, op, dt=1.0):
         if not dt > 0:
