@@ -276,11 +276,11 @@ def load_config(path):
             grnn_sigma=_sigma(gsec.get("sigma", "auto"), "scenario.grnn.sigma"),
             events=tuple(events),
             harvest=_boolean(ssec.get("harvest", False), "scenario.harvest"),
-            steady_M=_integer(steady.get("M", 5), "scenario.steady.M"),
-            steady_tol_y=_number(steady.get("tol_y", 1e-5),
-                                 "scenario.steady.tol_y"),
-            steady_tol_u=_number(steady.get("tol_u", 1e-5),
-                                 "scenario.steady.tol_u"))
+            # the keys the config sets: SteadyTest holds the defaults
+            steady=cl.SteadyTest(**{
+                key: (_integer if key == "M" else _number)(
+                    value, f"scenario.steady.{key}")
+                for key, value in steady.items()}))
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}")
     # run_scenario runs round(duration / dt) intervals
@@ -480,9 +480,7 @@ def cmd_sweep(args):
     out = _out_dir(args.out, rc.out_dir)
     samples, log = cl.sweep_harvest(
         rc.model, rc.dist, gains, rc.ocp_cfg, _fresh_plant(rc), setpoints,
-        cap=rc.sweep_cap, steady_M=rc.scenario.steady_M,
-        steady_tol_y=rc.scenario.steady_tol_y,
-        steady_tol_u=rc.scenario.steady_tol_u, pred=pred)
+        cap=rc.sweep_cap, steady=rc.scenario.steady, pred=pred)
     exc = log.target_excursions
     if exc.count:
         print(f"WARNING target outside bounds on {exc.count} of "

@@ -53,6 +53,29 @@ class ControllerMode(enum.Enum):
     LEARNED = "learned"
 
 
+@dataclass(frozen=True)
+class SteadyTest:
+    """When the loop counts an interval steady: once M >= 2 (an int, as
+    the kernel record reads it) consecutive intervals kept the setpoint and
+    moved no entry of y_p or u more than tol_y or tol_u (>= 0, not NaN)."""
+    M: int = 5
+    tol_y: float = 1e-5
+    tol_u: float = 1e-5
+
+    def __post_init__(self):
+        M = self.M
+        if not isinstance(M, numbers.Integral) or isinstance(M, bool):
+            raise ValueError(f"steady.M must be an integer, got {M!r}")
+        if M < 2:
+            raise ValueError("steady.M must be >= 2")
+        object.__setattr__(self, "M", int(M))
+        for name in ("tol_y", "tol_u"):
+            tol = float(getattr(self, name))
+            if not tol >= 0:
+                raise ValueError(f"steady.{name} must be >= 0")
+            object.__setattr__(self, name, tol)
+
+
 @dataclass
 class ScenarioConfig:
     duration: float                  # minutes
@@ -62,9 +85,7 @@ class ScenarioConfig:
     grnn_sigma: object = "auto"      # float or "auto"
     events: tuple = ()               # ((time, {param: value}), ...)
     harvest: bool = False
-    steady_M: int = 5
-    steady_tol_y: float = 1e-5
-    steady_tol_u: float = 1e-5
+    steady: SteadyTest = SteadyTest()
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -84,14 +105,8 @@ class ScenarioConfig:
             raise ValueError("schedule times must be strictly increasing")
         if self.duration < times[-1]:
             raise ValueError("duration does not cover the schedule")
-        if self.steady_M < 2:
-            raise ValueError("steady.M must be >= 2")
         if self.grnn_capacity < 1:
             raise ValueError("grnn.capacity must be >= 1")
-        if self.steady_tol_y < 0:
-            raise ValueError("steady.tol_y must be >= 0")
-        if self.steady_tol_u < 0:
-            raise ValueError("steady.tol_u must be >= 0")
         # an entry holds from 1e-9 before its start time
         self._starts = [t - 1e-9 for t in times]
 
@@ -262,8 +277,7 @@ class ControlLoop:
     """State of one running scenario; control_step advances it one interval."""
 
     def __init__(self, model, dist, gains, ocp_cfg, plant, mode,
-                 grnn=None, harvest=False, steady_M=5,
-                 steady_tol_y=1e-5, steady_tol_u=1e-5, pred=None):
+                 grnn=None, harvest=False, steady=SteadyTest(), pred=None):
         """pred is ocp.build_prediction(model, dist, ocp_cfg), built here
         when None; loops of one command share it read-only."""
         self.model = model
@@ -296,21 +310,13 @@ class ControlLoop:
         law = self.pred.law
         u_row = law.n_t + law.S.shape[0]
         self._u_rows = slice(u_row, u_row + model.n_u)   # u* in z
-        if steady_M < 2:
-            raise ValueError("M must be >= 2")
-        # the steady test: count consecutive quiet intervals, steady from M
-        self._steady = (steady_M, float(steady_tol_y), float(steady_tol_u))
-        self._count = 0
-        self._no_map = np.zeros(dist.n_d)
-        self._no_map.flags.writeable = False
+        self.steady = steady
+        self._count = 0              # consecutive quiet intervals
         self._last_harvest_r = None
-        self._lookup = None          # (grnn, r, d_learned) of the last predict
         # the setpoint object of the last interval, whether it can change,
-        # the map v's d_l part was taken from, and r as an array and a list
-        self._r_in = None
+        # the map then, and r as a list
+        self._r_in = self._r_grnn = self._r_list = None
         self._r_frozen = False
-        self._r_grnn = None
-        self._r = self._r_list = None
         self.records = Records(
             {"time": 1, "r": model.n_z, "y_p": model.n_y, "z_p": model.n_z,
              "u": model.n_u, "x_hat": model.n_x, "d_learned": dist.n_d,
@@ -322,29 +328,21 @@ class ControlLoop:
         self.rejected_harvests = 0
 
     def _take_setpoint(self, r_in):
-        """Write v's d_l and r parts for the setpoint r_in, after checking
-        its size, and keep r_in as the last setpoint."""
+        """Write v's r part for the setpoint r_in, after checking its size,
+        and its d_l part (zero without a map) when the map, which a harvest
+        replaces, or r's values changed; keep r_in as the last setpoint."""
         r = np.asarray(r_in, dtype=float).reshape(-1)
         if len(r) != self.model.n_z:
             # v takes r by slice assignment, which would broadcast one entry
             raise ValueError(f"setpoint has {len(r)} entries, the model "
                              f"controls {self.model.n_z}")
         r_list = r.tolist()
-        if self.grnn is not None:
-            # models are immutable, so the map changes only with the model
-            # (a harvest) or the setpoint
-            if (self._lookup is None or self._lookup[0] is not self.grnn
-                    or not _same(self._lookup[1], r_list)):
-                self._lookup = (self.grnn, r_list,
-                                grnn_mod.predict(self.grnn, r))
-            d_l = self._lookup[2]
-        else:
-            d_l = self._no_map
-        self._v[self._d_l_part] = d_l
+        if self.grnn is not None and (self.grnn is not self._r_grnn
+                                      or not _same(self._r_list, r_list)):
+            self._v[self._d_l_part] = grnn_mod.predict(self.grnn, r)
         self._v[self._r_part] = r
         self._r_in, self._r_frozen = r_in, _frozen(r_in)
-        self._r_grnn = self.grnn
-        self._r, self._r_list = r, r_list
+        self._r_grnn, self._r_list = self.grnn, r_list
 
     def control_step(self, r):
         """Advance one interval and write its row k of self.records;
@@ -355,7 +353,6 @@ class ControlLoop:
         if (r is not self._r_in or not self._r_frozen
                 or self.grnn is not self._r_grnn):
             self._take_setpoint(r)
-        r, r_list = self._r, self._r_list
         k = self.k
         # the plant's own buffer for a NonlinearPlant, which its step
         # overwrites: read from row k after the step
@@ -387,10 +384,10 @@ class ControlLoop:
         if k == len(log.values):
             log.reserve(2 * k)
         time = k * self.model.dt
-        M, tol_y, tol_u = self._steady
+        s = self.steady
         self._count = active.record(
             log.values, self.model.H, y_p, u, w, theta, z, v, k, time,
-            objective, n_active, self._count, M, tol_y, tol_u, n_x)
+            objective, n_active, self._count, s.M, s.tol_y, s.tol_u, n_x)
         # the row counts, its target excursion is counted and a sample is
         # taken only once the plant step has completed, so a failing step
         # leaves none of them
@@ -399,15 +396,15 @@ class ControlLoop:
         if excursion:
             self.targets.excursions.add(self.targets.pair(z[:law.n_t]))
         harvested = False
-        if (self.harvest and self._count >= M
+        if (self.harvest and self._count >= s.M
                 and (self._last_harvest_r is None
-                     or not _same(self._last_harvest_r, r_list))):
+                     or not _same(self._last_harvest_r, self._r_list))):
             try:
-                sample = harvest_sample(self.estimator, time, r,
+                sample = harvest_sample(self.estimator, time, v[self._r_part],
                                         log.values[k, self._y_p_cols], u,
                                         theta[n_x:len(w)])
                 self.harvested.append(sample)
-                self._last_harvest_r = r_list
+                self._last_harvest_r = self._r_list
                 log.values[k, -1] = harvested = True
                 if self.grnn is not None:
                     self.grnn = grnn_mod.add_sample(self.grnn, sample.r, sample.d_ss)
@@ -424,9 +421,7 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
     ControlLoop."""
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant, scenario.mode,
                        grnn=grnn, harvest=scenario.harvest,
-                       steady_M=scenario.steady_M,
-                       steady_tol_y=scenario.steady_tol_y,
-                       steady_tol_u=scenario.steady_tol_u, pred=pred)
+                       steady=scenario.steady, pred=pred)
     n_steps = int(round(scenario.duration / model.dt))
     loop.records.reserve(n_steps)
     log = ClosedLoopLog(records=loop.records)
@@ -447,16 +442,14 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
 
 
 def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
-                  steady_M=5, steady_tol_y=1e-5, steady_tol_u=1e-5,
-                  pred=None):
+                  steady=SteadyTest(), pred=None):
     """Visit each setpoint until steady and harvest one sample there;
     plant and estimator state carry over between setpoints. Any of ABORTS
     ends the sweep with the samples harvested so far. pred as for
     ControlLoop."""
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant,
                        ControllerMode.NOMINAL, harvest=True,
-                       steady_M=steady_M, steady_tol_y=steady_tol_y,
-                       steady_tol_u=steady_tol_u, pred=pred)
+                       steady=steady, pred=pred)
     log = ClosedLoopLog(records=loop.records)
     try:
         for r in setpoints:

@@ -68,6 +68,9 @@ def _advance_python(x, y, u, u_ss, x_ss, constants, dt):
         raise ValueError("advance: buffer sizes do not fit together")
     F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, mismatch, substeps = (
         constants.tolist())
+    # the compiled advance's check: a whole number that a C long holds
+    if not (1.0 <= substeps < 2.0 ** 63 and substeps == math.floor(substeps)):
+        raise ValueError("advance: substeps must be a whole number >= 1")
     Tc, F = (u_ss + u.reshape(2)).tolist()
     stage = (Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, 0.03 * F,
              mismatch)

@@ -156,8 +156,13 @@ def build_prediction(model, dist, cfg):
     qx_stack = np.concatenate([np.tile(cfg.q_x, N - 1), cfg.q_xN]) \
         if N > 1 else cfg.q_xN.copy()
     qu_stack = np.tile(cfg.q_u, N)
-    PsiTQx = Psi.T * qx_stack
-    H_j = PsiTQx @ Psi + np.diag(qu_stack)
+    # an H_j, or the 2 H_j factor_qp factors, that overflows is an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        PsiTQx = Psi.T * qx_stack
+        H_j = PsiTQx @ Psi + np.diag(qu_stack)
+        finite = np.isfinite(2.0 * H_j).all()
+    if not finite:
+        raise numerics.SingularMatrix("QP Hessian is not finite")
 
     I_u = np.eye(N * n_u)
     rows = [I_u, -I_u]

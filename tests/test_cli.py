@@ -487,15 +487,20 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, case, command):
     assert case.split(":")[0].rsplit(".", 1)[-1] in err, err
 
 
-# an allocation that no machine can make exits 4 with one line; each case
-# is (command, pattern, line) for the tracking config. Every size lies
-# beyond a 128 TiB address space, so numpy refuses it at once and nothing
-# is allocated: N = 1e7 asks build_prediction for 4.26 PiB, a duration of
-# 1e15 intervals asks the log block for 199 PiB, and one of 1e18 for more
-# bytes than numpy can index
+# an allocation that no machine can make, or a QP Hessian that overflows,
+# exits 4 with one line and no numpy warning; each case is (command,
+# pattern, line) for the tracking config. Every size lies beyond a 128 TiB
+# address space, so numpy refuses it at once and nothing is allocated: N =
+# 1e7 asks build_prediction for 4.26 PiB, a duration of 1e15 intervals
+# asks the log block for 199 PiB, and one of 1e18 for more bytes than
+# numpy can index. Terminal weights of 1e305 overflow H_j to inf
 IMPOSSIBLE = {
     "check ocp.N: 10000000": ("check", r"^  N: 10$", "  N: 10000000"),
     "run ocp.N: 10000000": ("run", r"^  N: 10$", "  N: 10000000"),
+    "check ocp.q_xN: 1e305": ("check", r"^  q_xN: .*$",
+                              "  q_xN: [1.0e+305, 1.0e+305, 1.0e+305]"),
+    "run ocp.q_xN: 1e305": ("run", r"^  q_xN: .*$",
+                            "  q_xN: [1.0e+305, 1.0e+305, 1.0e+305]"),
     "run scenario.duration: 1e15": ("run", r"^  duration: 120$",
                                     "  duration: 1e15"),
     "run scenario.duration: 1e18": ("run", r"^  duration: 120$",
@@ -503,6 +508,7 @@ IMPOSSIBLE = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(IMPOSSIBLE))
 def test_impossible_allocation_is_runtime_error(tmp_path, capsys, case):
     command, pattern, line = IMPOSSIBLE[case]
@@ -868,7 +874,7 @@ def test_integral_float_is_accepted_as_an_integer(tmp_path, capsys):
     ref = cli.load_config(str(TRACKING))
     for got, want in ((rc.params.substeps, ref.params.substeps),
                       (rc.sweep_cap, ref.sweep_cap),
-                      (rc.scenario.steady_M, ref.scenario.steady_M),
+                      (rc.scenario.steady.M, ref.scenario.steady.M),
                       (rc.scenario.grnn_capacity, ref.scenario.grnn_capacity),
                       (rc.ocp_cfg.N, ref.ocp_cfg.N)):
         assert type(got) is int and got == want

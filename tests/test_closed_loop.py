@@ -430,7 +430,8 @@ def test_sweep_insufficient_cap_raises(committed):
     with pytest.raises(cl.SteadyNotReached):
         cl.sweep_harvest(m, dist, gains, cfg,
                          cl.LinearPlant(m, dist, d_star=np.zeros(2)),
-                         [np.array([0.001, 0.1])], cap=4, steady_M=5)
+                         [np.array([0.001, 0.1])], cap=4,
+                         steady=cl.SteadyTest(M=5))
 
 
 def test_sweep_collects_one_sample_per_setpoint(committed):
@@ -1502,9 +1503,7 @@ def test_steady_column_matches_the_detector(twovar_rc, drift_rc,
     setpoints = cli._load_setpoints(str(CONFIGS / "sweep_ct_100.txt"), rc.op)
     samples, sweep = cl.sweep_harvest(
         rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg, cli._fresh_plant(rc),
-        setpoints, cap=rc.sweep_cap, steady_M=rc.scenario.steady_M,
-        steady_tol_y=rc.scenario.steady_tol_y,
-        steady_tol_u=rc.scenario.steady_tol_u)
+        setpoints, cap=rc.sweep_cap, steady=rc.scenario.steady)
     assert (len(samples), len(sweep.records)) == (100, 4366)
     assert len(sweep.records.values) == 8192
     rc = drift_rc
@@ -1517,7 +1516,53 @@ def test_steady_column_matches_the_detector(twovar_rc, drift_rc,
     for log, sc in ((sweep, twovar_rc.scenario), (run, scenario)):
         recs = log.records
         rows = zip(recs.column("r"), recs.column("y_p"), recs.column("u"))
-        flags = counter_flags(list(rows), sc.steady_M, sc.steady_tol_y,
-                              sc.steady_tol_u)
+        flags = counter_flags(list(rows), sc.steady.M, sc.steady.tol_y,
+                              sc.steady.tol_u)
         assert flags == recs.column("steady").astype(bool).tolist()
         assert 0 < sum(flags) < len(flags)
+
+
+# steady settings that SteadyTest rejects: M is an integer >= 2 (not a
+# float or a bool), each tolerance >= 0 and not NaN
+BAD_STEADY = {"M = 1": {"M": 1}, "M = 5.0": {"M": 5.0},
+              "M = True": {"M": True},
+              "tol_y = -1": {"tol_y": -1.0}, "tol_y = nan": {"tol_y": np.nan},
+              "tol_u = -1": {"tol_u": -1.0}, "tol_u = nan": {"tol_u": np.nan}}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STEADY))
+def test_the_steady_settings_are_checked_once_for_both_kernels(
+        committed, either_interval, case):
+    """A bad steady setting is one ValueError from SteadyTest, whether it
+    is given to ScenarioConfig, ControlLoop or sweep_harvest, with the
+    kernels on and off; a numpy integer M is kept as the int that record
+    reads, and steps as M = 5 does."""
+    m, dist, gains, cfg = committed
+
+    def loop(steady):
+        return cl.ControlLoop(m, dist, gains, cfg,
+                              cl.LinearPlant(m, dist, d_star=np.zeros(2)),
+                              cl.ControllerMode.NOMINAL, steady=steady)
+
+    sites = (lambda steady: steady,
+             lambda steady: cl.ScenarioConfig(
+                 duration=10.0, schedule=((0.0, (0.0, 0.0)),),
+                 mode="nominal", steady=steady),
+             loop,
+             lambda steady: cl.sweep_harvest(
+                 m, dist, gains, cfg,
+                 cl.LinearPlant(m, dist, d_star=np.zeros(2)),
+                 [np.zeros(2)], steady=steady))
+    for site in sites:
+        with pytest.raises(ValueError, match=r"^steady\.(M|tol_y|tol_u) "):
+            site(cl.SteadyTest(**BAD_STEADY[case]))
+    steady = cl.SteadyTest(M=np.int64(5))
+    assert type(steady.M) is int and steady == cl.SteadyTest()
+    logs = []
+    for test in (steady, cl.SteadyTest()):
+        run = loop(test)
+        for _ in range(8):
+            run.control_step((0.0, 0.0))
+        logs.append(run.records)
+    assert logs[0].column("steady").tolist() == [0.0] * 5 + [1.0] * 3
+    assert logs[0].values.tobytes() == logs[1].values.tobytes()

@@ -666,6 +666,25 @@ def test_odd_inputs_and_operating_points_step_alike_in_both_kernels(
             ref.step(np.array(u) - 300.0)
 
 
+def test_both_kernels_reject_a_substep_count_before_any_substep(
+        either_kernels):
+    """advance and its Python form raise the same ValueError for a substep
+    count that is not a whole number from 1 up to below 2**63, the range of
+    a C long, before any substep runs: x and y are left as they were."""
+    u_ss, x_ss = np.array([300.0, 0.1]), np.array([0.878, 324.5, 0.659])
+    for substeps in (2.5, 0.0, -1.0, np.nan, np.inf, 2.0 ** 63):
+        constants = plant.CstrParams().rk4_constants.copy()
+        constants[10] = substeps
+        x, y = np.array([0.9, 320.0, 0.7]), np.full(3, 7.0)
+        with pytest.raises(
+                ValueError,
+                match="^advance: substeps must be a whole number >= 1$"):
+            kernels.active.advance(x, y, np.zeros(2), u_ss, x_ss, constants,
+                                   1.0)
+        assert x.tolist() == [0.9, 320.0, 0.7]
+        assert y.tolist() == [7.0, 7.0, 7.0]
+
+
 def test_the_compiled_module_holds_the_python_kernels_names(
         compiled_kernels):
     """Every compiled kernel has its Python form in PYTHON_KERNELS, under
