@@ -33,7 +33,7 @@ from . import plant as plant_mod
 from .estimator import DisturbanceEstimator
 # callers may name the loop's CSTR closed_loop.NonlinearPlant
 from .plant import NonlinearPlant
-from .target import BoundExcursions, TargetCalculator
+from .target import BoundExcursions, TargetPair
 
 
 class CrossCheckFailed(Exception):
@@ -225,16 +225,16 @@ class LinearPlant:
 
     def __init__(self, model, dist, d_star, x0=None):
         self.model = model
-        self.dist = dist
+        self.C_d, self.B_d = dist.C_d, dist.B_d
         self.d_star = np.asarray(d_star, dtype=float)
         self.x = np.zeros(model.n_x) if x0 is None else np.asarray(x0, dtype=float).copy()
 
     def measure(self):
-        return self.model.C @ self.x + self.dist.C_d @ self.d_star
+        return self.model.C @ self.x + self.C_d @ self.d_star
 
     def step(self, u_dev):
         self.x = (self.model.A @ self.x + self.model.B @ np.asarray(u_dev, dtype=float)
-                  + self.dist.B_d @ self.d_star)
+                  + self.B_d @ self.d_star)
 
     def apply_event(self, event):
         if "d_star" in event and len(event) == 1:
@@ -281,14 +281,10 @@ class ControlLoop:
         """pred is ocp.build_prediction(model, dist, ocp_cfg), built here
         when None; loops of one command share it read-only."""
         self.model = model
-        self.dist = dist
         self.estimator = DisturbanceEstimator(model, dist, gains)
         self.pred = (ocp_mod.build_prediction(model, dist, ocp_cfg)
                      if pred is None else pred)
-        self.targets = TargetCalculator(model, dist,
-                                        u_bounds=ocp_cfg.u_bounds,
-                                        x_bounds=ocp_cfg.x_bounds,
-                                        T=self.pred.T)
+        self.excursions = BoundExcursions()
         self.table = ocp_mod.ActiveSetTable(self.pred)
         self.plant = plant
         # the learned map is looked up and grown only in learned mode
@@ -366,8 +362,8 @@ class ControlLoop:
         z = np.empty(len(law.P))
         active = kernels.active or kernels.load()
         flag, objective, excursion = active.interval(
-            self.estimator.M_step, law.P, self.pred.b_box, self.targets.lo,
-            self.targets.hi, v, w, theta, z, n_x)
+            self.estimator.M_step, law.P, self.pred.b_box, self.pred.lo,
+            self.pred.hi, v, w, theta, z, n_x)
         if not flag:
             raise ValueError("non-finite estimate")
         if flag == 1:
@@ -394,7 +390,7 @@ class ControlLoop:
         self.plant.step(u)
         log.n = k + 1
         if excursion:
-            self.targets.excursions.add(self.targets.pair(z[:law.n_t]))
+            self.excursions.add(TargetPair(z[:n_x], z[n_x:law.n_t]))
         harvested = False
         if (self.harvest and self._count >= s.M
                 and (self._last_harvest_r is None
@@ -469,7 +465,7 @@ def _counted(log, loop):
     """log with the loop's samples and counts."""
     log.harvested = loop.harvested
     log.rejected_harvests = loop.rejected_harvests
-    log.target_excursions = loop.targets.excursions
+    log.target_excursions = loop.excursions
     log.table_hits, log.table_misses = loop.table.hits, loop.table.misses
     return log
 

@@ -100,9 +100,9 @@ class AffineLaw:
 
 @dataclass
 class PredictionMatrices:
-    """Condensed-QP data fixed by (model, disturbance model, OCP config);
-    H_j, A_in, b_box, factor and law are shared read-only by every
-    CondensedQp and every ControlLoop of one command."""
+    """Condensed-QP data fixed by (model, disturbance model, OCP config),
+    shared by every CondensedQp and every ControlLoop of one command; its
+    arrays, factor's and law's are read-only."""
     Phi: np.ndarray
     Psi: np.ndarray
     Psi_d: np.ndarray
@@ -114,7 +114,8 @@ class PredictionMatrices:
     b_box: np.ndarray        # right-hand side of A_in at zero state offset
     factor: QpFactor         # of (H_j, A_in)
     law: AffineLaw
-    T: np.ndarray            # target map: [x_bar; u_bar] = T [d; r]
+    lo: np.ndarray           # target box [x; u], each bound 1e-12 wider,
+    hi: np.ndarray           # +-inf on x without x_bounds
 
 
 @dataclass
@@ -138,7 +139,8 @@ class QpSolution:
 
 def build_prediction(model, dist, cfg):
     """Phi = [A; A^2; ...; A^N]; Psi, Psi_d block lower-triangular Toeplitz
-    with blocks A^(i-j) B and A^(i-j) B_d."""
+    with blocks A^(i-j) B and A^(i-j) B_d. Raises numerics.SingularMatrix
+    when the QP Hessian is not finite or not positive definite."""
     n_x, n_u, n_d = model.n_x, model.n_u, dist.n_d
     N = cfg.N
     # the largest blocks first: a horizon too long for any memory fails
@@ -172,15 +174,24 @@ def build_prediction(model, dist, cfg):
         rhs += [np.tile(cfg.x_bounds[1], N), -np.tile(cfg.x_bounds[0], N)]
     A_in = np.vstack(rows)
     b_box = np.concatenate(rhs)
-    factor = factor_qp(H_j, A_in)
+    try:
+        factor = factor_qp(H_j, A_in)
+    except numerics.SingularMatrix as exc:
+        raise numerics.SingularMatrix(
+            "QP Hessian is not positive definite") from exc
     T = target_mod.target_map(model, dist)
     law = _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, A_in,
                       factor)
-    for shared in (H_j, A_in, b_box, factor.L, factor.Y, factor.S, T,
-                   law.P, law.S, law.K, law.Q):
-        shared.flags.writeable = False
-    return PredictionMatrices(Phi, Psi, Psi_d, qx_stack, qu_stack, PsiTQx,
-                              H_j, A_in, b_box, factor, law, T)
+    x_lo, x_hi = cfg.x_bounds or (np.full(n_x, -np.inf), np.full(n_x, np.inf))
+    lo = np.concatenate([x_lo, cfg.u_bounds[0]]) - 1e-12
+    hi = np.concatenate([x_hi, cfg.u_bounds[1]]) + 1e-12
+    pred = PredictionMatrices(Phi, Psi, Psi_d, qx_stack, qu_stack, PsiTQx,
+                              H_j, A_in, b_box, factor, law, lo, hi)
+    for held in (pred, factor, law):
+        for a in vars(held).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+    return pred
 
 
 def _affine_law(cfg, T, Phi, Psi_d, qx_stack, qu_stack, PsiTQx, A_in,

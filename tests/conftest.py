@@ -32,6 +32,17 @@ def python_kernels(monkeypatch):
     monkeypatch.setattr(kernels, "active", kernels.PYTHON_KERNELS)
 
 
+@pytest.fixture(params=["compiled", "python"])
+def either_interval(request, compiled_kernels, monkeypatch):
+    """ControlLoop.control_step through the compiled kernels, or through
+    kernels.PYTHON_KERNELS, which the compiled ones reproduce bit for
+    bit."""
+    monkeypatch.setattr(kernels, "active", compiled_kernels
+                        if request.param == "compiled"
+                        else kernels.PYTHON_KERNELS)
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def tracking_rc():
     return cli.load_config(str(CONFIGS / "cstr_tracking.yaml"))

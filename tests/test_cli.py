@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import scipy.linalg
 import yaml
 
-from offsetmpc import cli, grnn, ocp, target
+from offsetmpc import cli, grnn, kernels, ocp, target
 from offsetmpc import closed_loop as cl
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -163,8 +164,8 @@ def test_run_both_builds_the_loop_data_once(tmp_path, monkeypatch, capsys):
 
 
 def test_run_both_builds_the_target_map_once(tmp_path, monkeypatch, capsys):
-    """One target_map per command: build_prediction keeps it as pred.T and
-    both loops' TargetCalculators take it from there."""
+    """One target_map per command: build_prediction stacks it into the
+    affine law that both loops share."""
     calls = []
     real = target.target_map
 
@@ -182,6 +183,37 @@ def test_run_both_builds_the_target_map_once(tmp_path, monkeypatch, capsys):
     ])
     assert cli.main(["run", str(cfg), "--mode", "both"]) == 0
     assert len(calls) == 1
+
+
+def test_run_both_loops_see_one_target_box(tmp_path, monkeypatch, capsys):
+    """Both loops of run --mode both pass the interval kernel the same
+    pred.lo and pred.hi objects, which build_prediction made once."""
+    loops, boxes = [], set()
+    real_counted = cl._counted
+    real_interval = kernels.PYTHON_KERNELS.interval
+
+    def counted(log, loop):
+        loops.append(loop)
+        return real_counted(log, loop)
+
+    def interval(M_step, P, b_box, lo, hi, *rest):
+        boxes.add((id(lo), id(hi)))
+        return real_interval(M_step, P, b_box, lo, hi, *rest)
+
+    monkeypatch.setattr(cl, "_counted", counted)
+    monkeypatch.setattr(kernels, "active", types.SimpleNamespace(
+        **{**vars(kernels.PYTHON_KERNELS), "interval": interval}))
+    train = ROOT / "out" / "sweep_c_50_train.txt"
+    cfg = rewrite_config(tmp_path, "both.yaml", [
+        (r"^  duration: .*$", "  duration: 12"),
+        (r"^  schedule:\n(?:    - .*\n)+",
+         "  schedule:\n    - [0, 0.878, 324.5]\n"),
+        (r"train: [^}]*", f"train: {train}"),
+    ])
+    assert cli.main(["run", str(cfg), "--mode", "both"]) == 0
+    (nominal, learned) = loops
+    assert nominal is not learned and nominal.pred.lo is learned.pred.lo
+    assert boxes == {(id(nominal.pred.lo), id(nominal.pred.hi))}
 
 
 def test_singular_target_is_a_condition_failure(tmp_path, capsys):
@@ -487,13 +519,15 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, case, command):
     assert case.split(":")[0].rsplit(".", 1)[-1] in err, err
 
 
-# an allocation that no machine can make, or a QP Hessian that overflows,
-# exits 4 with one line and no numpy warning; each case is (command,
-# pattern, line) for the tracking config. Every size lies beyond a 128 TiB
-# address space, so numpy refuses it at once and nothing is allocated: N =
-# 1e7 asks build_prediction for 4.26 PiB, a duration of 1e15 intervals
-# asks the log block for 199 PiB, and one of 1e18 for more bytes than
-# numpy can index. Terminal weights of 1e305 overflow H_j to inf
+# an allocation that no machine can make, or a QP Hessian that overflows
+# or is not positive definite, exits 4 with one line and no numpy warning;
+# each case is (command, pattern, line) for the tracking config. Every
+# size lies beyond a 128 TiB address space, so numpy refuses it at once
+# and nothing is allocated: N = 1e7 asks build_prediction for 4.26 PiB, a
+# duration of 1e15 intervals asks the log block for 199 PiB, and one of
+# 1e18 for more bytes than numpy can index. Terminal weights of 1e305
+# overflow H_j to inf, and ones of 1e100 swamp its input weights so that
+# its Cholesky factor fails; the line of a q_xN case names the QP Hessian
 IMPOSSIBLE = {
     "check ocp.N: 10000000": ("check", r"^  N: 10$", "  N: 10000000"),
     "run ocp.N: 10000000": ("run", r"^  N: 10$", "  N: 10000000"),
@@ -501,6 +535,10 @@ IMPOSSIBLE = {
                               "  q_xN: [1.0e+305, 1.0e+305, 1.0e+305]"),
     "run ocp.q_xN: 1e305": ("run", r"^  q_xN: .*$",
                             "  q_xN: [1.0e+305, 1.0e+305, 1.0e+305]"),
+    "check ocp.q_xN: 1e100": ("check", r"^  q_xN: .*$",
+                              "  q_xN: [1.0e+100, 1.0e+100, 1.0e+100]"),
+    "run ocp.q_xN: 1e100": ("run", r"^  q_xN: .*$",
+                            "  q_xN: [1.0e+100, 1.0e+100, 1.0e+100]"),
     "run scenario.duration: 1e15": ("run", r"^  duration: 120$",
                                     "  duration: 1e15"),
     "run scenario.duration: 1e18": ("run", r"^  duration: 120$",
@@ -517,6 +555,8 @@ def test_impossible_allocation_is_runtime_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert err.startswith("runtime error:") and "Traceback" not in err, err
+    if "q_xN" in case:
+        assert "QP Hessian" in err, err
 
 
 def test_learned_run_reads_train_file_beside_config(tmp_path, monkeypatch,

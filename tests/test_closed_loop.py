@@ -988,17 +988,6 @@ def test_aborted_run_writes_its_rows_up_to_the_failure(committed, tmp_path):
 
 # ---- the free-path interval: compiled, with its numpy form as the oracle ----
 
-@pytest.fixture(params=["compiled", "python"])
-def either_interval(request, compiled_kernels, monkeypatch):
-    """ControlLoop.control_step through the compiled kernels, or through
-    kernels.PYTHON_KERNELS, which the compiled ones reproduce bit for
-    bit."""
-    monkeypatch.setattr(kernels, "active", compiled_kernels
-                        if request.param == "compiled"
-                        else kernels.PYTHON_KERNELS)
-    return request.param
-
-
 def test_a_switch_of_the_kernels_is_never_undone(tracking_rc, monkeypatch):
     """Kernels set before any load are the ones that run: the first
     control_step neither loads the compiled module nor replaces them."""
@@ -1161,7 +1150,7 @@ def test_returned_values_never_change_afterwards(twovar_rc, either_interval):
 
     setpoints = cli._load_setpoints(str(CONFIGS / "sweep_ct_100.txt"),
                                     rc.op)
-    exc = loop.targets.excursions
+    exc = loop.excursions
     for r in (setpoints[0], setpoints[60], setpoints[61]):
         for _ in range(rc.sweep_cap):
             counted = exc.count
@@ -1219,7 +1208,7 @@ def interval_arguments(rc):
                                                d_box, d_box)]
                             + [x_box[side][:2]]) for side in (0, 1)]
     fixed = (loop.estimator.M_step, loop.pred.law.P, loop.pred.b_box,
-             loop.targets.lo, loop.targets.hi)
+             loop.pred.lo, loop.pred.hi)
     return fixed, rc.model.n_x, loop.pred.law.n_t, v_box
 
 

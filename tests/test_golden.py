@@ -75,16 +75,23 @@ def fields(path):
 def worst_deviation(got_path, ref_path):
     got, ref = fields(got_path), fields(ref_path)
     assert len(got) == len(ref), f"{ref_path.name}: line count"
+    return max((row_deviation(g_row, r_row, f"{ref_path.name}:{n}")
+                for n, (g_row, r_row) in enumerate(zip(got, ref), 1)),
+               default=0.0)
+
+
+def row_deviation(got, ref, where):
+    """The largest |g - r| / max(1, |r|) over the numeric fields of one
+    row; the other fields must be equal."""
+    assert len(got) == len(ref), f"{where}: field count"
     worst = 0.0
-    for n, (g_row, r_row) in enumerate(zip(got, ref), 1):
-        assert len(g_row) == len(r_row), f"{ref_path.name}:{n}: field count"
-        for g, r in zip(g_row, r_row):
-            try:
-                g_val, r_val = float(g), float(r)
-            except ValueError:
-                assert g == r, f"{ref_path.name}:{n}: {g!r} != {r!r}"
-                continue
-            worst = max(worst, abs(g_val - r_val) / max(1.0, abs(r_val)))
+    for g, r in zip(got, ref):
+        try:
+            g_val, r_val = float(g), float(r)
+        except ValueError:
+            assert g == r, f"{where}: {g!r} != {r!r}"
+            continue
+        worst = max(worst, abs(g_val - r_val) / max(1.0, abs(r_val)))
     return worst
 
 
@@ -133,9 +140,19 @@ def test_committed_sweep_reproduces_with_the_python_loop(tmp_path, capsys,
     check_sweep(tmp_path, monkeypatch)
 
 
+# the first and the last of the sweep's 207 targets outside the box, as
+# TargetPair.text() writes them
+SWEEP_EXCURSIONS = (
+    "u_bar -5.1048157881001028 0 x_bar 0.02768389008052291 "
+    "0.80717103901793053 -0.15212628595864078",
+    "u_bar -5.3515330296519723 0 x_bar 0.030627632561641187 "
+    "0.62418135285014387 -0.16831696848444611")
+
+
 def check_sweep(tmp_path, monkeypatch):
-    """The sweep's samples, and its table hits, misses and phase-1 runs,
-    which are exact."""
+    """The sweep's samples; its table hits, misses and phase-1 runs and
+    its count of targets outside the box, which are exact; and the first
+    and the last of those targets."""
     logs, phase1 = [], []
     sweep_harvest, _phase1 = cl.sweep_harvest, ocp._phase1
 
@@ -155,6 +172,11 @@ def check_sweep(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     (log,) = logs
     assert (log.table_hits, log.table_misses, len(phase1)) == (214, 7, 4)
+    exc = log.target_excursions
+    assert (exc.count, len(log.records)) == (207, 4366)
+    for pair, ref in zip((exc.first, exc.last), SWEEP_EXCURSIONS):
+        worst = row_deviation(pair.text().split(), ref.split(), "excursion")
+        assert worst <= TOL, f"{pair.text()}: deviation {worst:.3e}"
     name = "sweep_ct_100_train.txt"
     worst = worst_deviation(tmp_path / name, ROOT / "out" / name)
     assert worst <= TOL, f"{name}: deviation {worst:.3e} > {TOL:.0e}"

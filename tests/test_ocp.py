@@ -493,7 +493,7 @@ def test_stacked_law_holds_the_target_and_the_law_as_read_only_rows(twovar):
     n_p = m.n_x + dist.n_d + m.n_z
     assert law.n_t == n_t and law.P.shape == (n_t + n_s + n_k + n_p, n_p)
     assert np.array_equal(law.P[:n_t],
-                          np.hstack([np.zeros((n_t, m.n_x)), pred.T]))
+                          np.hstack([np.zeros((n_t, m.n_x)), calc.T]))
     for view, rows in ((law.S, slice(n_t, n_t + n_s)),
                        (law.K, slice(n_t + n_s, n_t + n_s + n_k)),
                        (law.Q, slice(n_t + n_s + n_k, None))):
@@ -504,6 +504,27 @@ def test_stacked_law_holds_the_target_and_the_law_as_read_only_rows(twovar):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("x_box", [True, False], ids=["x_box", "no_x_box"])
+def test_every_array_of_the_prediction_data_is_read_only(twovar, x_box):
+    """Every loop of one command shares build_prediction's result, so each
+    array it holds, in its own fields, in factor's and in law's, is
+    read-only, a field added later included."""
+    m, dist, cfg, _, _ = twovar
+    if not x_box:
+        cfg = dataclasses.replace(cfg, x_bounds=None)
+    pred = ocp.build_prediction(m, dist, cfg)
+    held = [(type(part).__name__, f.name, getattr(part, f.name))
+            for part in (pred, pred.factor, pred.law)
+            for f in dataclasses.fields(part)]
+    arrays = [(owner, name, a) for owner, name, a in held
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == len(held) - 3    # all but factor, law and n_t
+    for owner, name, a in arrays:
+        assert not a.flags.writeable, (owner, name)
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
 
 
 # ---- partial enumeration: ActiveSetTable lookups against condense ->

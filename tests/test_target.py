@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import pathlib
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from offsetmpc import closed_loop as cl
+from offsetmpc import estimator as est_mod
+from offsetmpc import kernels, ocp, target
 from offsetmpc import model as mdl
-from offsetmpc import ocp, target
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -32,52 +34,87 @@ def test_target_satisfies_steady_equations(committed):
         assert np.linalg.norm(res_out) < 1e-9
 
 
-def test_bounds_warn_but_never_clip(committed):
-    m, dist, _, cfg = committed
-    # this setpoint needs a coolant move past the box; the pair must come
-    # back exact anyway, and the excursion is counted
-    r = np.array([0.04, 0.0])
-    free = target.TargetCalculator(m, dist).solve(np.zeros(2), r)
-    calc = target.TargetCalculator(m, dist, u_bounds=cfg.u_bounds)
-    boxed = calc.solve(np.zeros(2), r)
-    assert np.array_equal(free.u_bar, boxed.u_bar)
-    assert np.array_equal(free.x_bar, boxed.x_bar)
-    assert not (cfg.u_bounds[0] <= boxed.u_bar).all() or \
-           not (boxed.u_bar <= cfg.u_bounds[1]).all()
-    assert calc.excursions.count == 1
+def kernel_target(pred, M_step, d, r):
+    """(t, excursion): the target z[:n_t] of one call of the active
+    interval kernel and whether it leaves [pred.lo, pred.hi]. v is zero but
+    for d_l_k = d and r_k, so the estimate is zero and theta = [0; d; r]."""
+    law, n_in = pred.law, M_step.shape[1]
+    v = np.zeros(n_in + len(d) + len(r))
+    v[n_in:n_in + len(d)], v[n_in + len(d):] = d, r
+    w, theta, z = (np.empty(len(M_step)), np.empty(law.P.shape[1]),
+                   np.empty(len(law.P)))
+    active = kernels.active or kernels.load()
+    _, _, excursion = active.interval(M_step, law.P, pred.b_box, pred.lo,
+                                      pred.hi, v, w, theta, z,
+                                      len(M_step) - len(d))
+    return z[:law.n_t], excursion
+
+
+def test_a_target_outside_the_box_is_counted_never_clipped(committed,
+                                                           either_interval):
+    """This setpoint needs a coolant move past the input box: every
+    interval counts an excursion, and logs the exact pair, outside the box
+    and within 1e-12 of solve(d_total, r) relative to max(1, |value|)."""
+    m, dist, gains, cfg = committed
+    loop = cl.ControlLoop(m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, np.zeros(2)),
+                          cl.ControllerMode.NOMINAL)
+    for _ in range(3):
+        loop.control_step(np.array([0.04, 0.0]))
+    calc = target.TargetCalculator(m, dist)
+    for rec in loop.records:
+        want = calc.solve(rec.d_total, rec.r)
+        for g, w in ((rec.x_bar, want.x_bar), (rec.u_bar, want.u_bar)):
+            assert (np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w))).all()
+        assert ((rec.u_bar < cfg.u_bounds[0])
+                | (rec.u_bar > cfg.u_bounds[1])).any()
+    assert loop.excursions.count == 3
+    assert np.array_equal(loop.excursions.last.u_bar,
+                          loop.records[-1].u_bar)
 
 
 def test_repeat_excursions_counted_with_first_and_last(committed, caplog):
     """Every excursion counts, none is logged; the first and the last
-    offending pairs are kept, and a target inside the box is not counted."""
-    m, dist, _, cfg = committed
-    calc = target.TargetCalculator(m, dist, u_bounds=cfg.u_bounds,
-                                   x_bounds=cfg.x_bounds)
+    offending pairs are kept, and a target inside the box is not
+    counted."""
+    m, dist, gains, cfg = committed
+    loop = cl.ControlLoop(m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, np.zeros(2)),
+                          cl.ControllerMode.NOMINAL)
     with caplog.at_level(logging.DEBUG):
-        first = calc.solve(np.zeros(2), np.array([0.04, 0.0]))
-        calc.solve(np.zeros(2), np.array([0.04, 0.0]))
-        calc.solve(np.zeros(2), np.zeros(2))
-        last = calc.solve(np.zeros(2), np.array([0.05, 0.0]))
-    assert calc.excursions.count == 3
-    assert calc.excursions.first is first and calc.excursions.last is last
+        for r in ([0.04, 0.0], [0.04, 0.0], [0.0, 0.0], [0.05, 0.0]):
+            loop.control_step(np.array(r))
+    exc, recs = loop.excursions, loop.records
+    assert exc.count == 3
+    for pair, rec in ((exc.first, recs[0]), (exc.last, recs[3])):
+        assert np.array_equal(pair.x_bar, rec.x_bar)
+        assert np.array_equal(pair.u_bar, rec.u_bar)
     assert not caplog.records
 
 
-def test_excursion_needs_more_than_1e12_past_a_bound(committed):
-    """A target on a bound, or less than 1e-12 past it, stays inside the
-    box; 1e-11 past either bound of the input or the state box counts."""
-    m, dist, _, _ = committed
+def test_excursion_needs_more_than_1e12_past_a_bound(committed,
+                                                     either_interval):
+    """A target on a bound, or less than 1e-12 past it, stays inside
+    build_prediction's box lo/hi; 1e-11 past either bound of the input or
+    the state box leaves it, and the interval kernel says so."""
+    m, dist, gains, cfg = committed
+    M_step = est_mod.DisturbanceEstimator(m, dist, gains).M_step
     d, r = np.array([0.001, 0.1]), np.array([0.002, 0.3])
-    pair = target.TargetCalculator(m, dist).solve(d, r)
-    for v, which in ((pair.u_bar, "u_bounds"), (pair.x_bar, "x_bounds")):
+    t, _ = kernel_target(ocp.build_prediction(m, dist, cfg), M_step, d, r)
+    x, u = t[:m.n_x], t[m.n_x:]
+    for v, which, other in ((u, "u_bounds", {"x_bounds": None}),
+                            (x, "x_bounds", {"u_bounds": (u - 1.0, u + 1.0)})):
         for lo, hi, outside in ((v, v + 1.0, False), (v - 1.0, v, False),
                                 (v + 5e-13, v + 1.0, False),
                                 (v - 1.0, v - 5e-13, False),
                                 (v + 1e-11, v + 1.0, True),
                                 (v - 1.0, v - 1e-11, True)):
-            calc = target.TargetCalculator(m, dist, **{which: (lo, hi)})
-            calc.solve(d, r)
-            assert calc.excursions.count == int(outside), (which, lo - v)
+            boxed = dataclasses.replace(cfg, **{which: (lo, hi)}, **other)
+            pred = ocp.build_prediction(m, dist, boxed)
+            got, excursion = kernel_target(pred, M_step, d, r)
+            assert np.array_equal(got, t)
+            assert excursion is outside, (which, lo - v)
+            assert ((t < pred.lo) | (t > pred.hi)).any() == outside
 
 
 def test_singular_pair_raises():
@@ -100,15 +137,17 @@ def test_non_square_target_rejected(committed):
         target.TargetCalculator(m_one, dist)
 
 
-def test_check_of_the_stacked_product_matches_solve(twovar_rc):
+def test_stacked_product_gives_the_pair_of_solve(twovar_rc,
+                                                 either_interval):
     """On theta = [x_hat; d; r] of every interval of the committed twovar
-    runs and on random theta, pair(z) with z = (law.P theta)[:n_t] gives
-    the pair of solve(d, r) within 1e-12 relative to max(1, |value|), and
-    check(z) the same excursion verdict, returning the pair it counted or
-    None."""
+    runs and on random theta, t = (law.P theta)[:n_t] gives the pair of
+    solve(d, r) within 1e-12 relative to max(1, |value|), and the interval
+    kernel the verdict ((t < pred.lo) | (t > pred.hi)).any()."""
     rc = twovar_rc
     m, dist, cfg = rc.model, rc.dist, rc.ocp_cfg
-    law = ocp.build_prediction(m, dist, cfg).law
+    pred = ocp.build_prediction(m, dist, cfg)
+    law = pred.law
+    M_step = est_mod.DisturbanceEstimator(m, dist, rc.make_gains()).M_step
     thetas = []
     for mode in ("nominal", "learned"):
         log = cl.read_log_csv(str(ROOT / "out" / f"cstr_twovar_{mode}.csv"))
@@ -121,20 +160,15 @@ def test_check_of_the_stacked_product_matches_solve(twovar_rc):
             rng.uniform(x_lo, x_hi) * 1.3,
             [rng.uniform(-0.012, 0.004), rng.uniform(-1.0, 7.0)],
             [rng.uniform(-0.05, 0.045), rng.uniform(-4.5, 5.0)]]))
-    boxes = {"u_bounds": cfg.u_bounds, "x_bounds": cfg.x_bounds}
-    fast = target.TargetCalculator(m, dist, **boxes)
-    ref = target.TargetCalculator(m, dist, **boxes)
+    calc = target.TargetCalculator(m, dist)
     verdicts = set()
     for theta in thetas:
         d, r = theta[m.n_x:m.n_x + dist.n_d], theta[m.n_x + dist.n_d:]
-        before = fast.excursions.count
-        z = (law.P @ theta)[:law.n_t]
-        counted = fast.check(z)
-        assert counted is None or counted is fast.excursions.last
-        got = fast.pair(z)
-        want = ref.solve(d, r)
-        for g, w in ((got.x_bar, want.x_bar), (got.u_bar, want.u_bar)):
+        t = (law.P @ theta)[:law.n_t]
+        want = calc.solve(d, r)
+        for g, w in ((t[:m.n_x], want.x_bar), (t[m.n_x:], want.u_bar)):
             assert (np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w))).all()
-        assert fast.excursions.count == ref.excursions.count
-        verdicts.add(fast.excursions.count > before)
+        verdict = bool(((t < pred.lo) | (t > pred.hi)).any())
+        assert kernel_target(pred, M_step, d, r)[1] is verdict
+        verdicts.add(verdict)
     assert verdicts == {False, True}
