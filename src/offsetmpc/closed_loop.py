@@ -2,8 +2,9 @@
 solve, QP solve, plant step; plus steady-state data harvesting, per-segment
 metrics, value-function diagnostics, and log (de)serialization.
 
-Within a control interval k the order is: read y_p(k); look up the learned
-disturbance at the current setpoint; advance the estimator one step using
+Within a control interval k the order is: look up the learned disturbance
+at the setpoint, on the first interval after the setpoint or the map
+changed; read y_p(k); advance the estimator one step using
 the stored (u, y_p, learned d) from interval k-1; solve the target problem
 and the finite-horizon QP with the combined disturbance; apply the first
 input. At k=0 the stored values are zeros, from which the update gives the
@@ -17,9 +18,9 @@ Python forms. The plant is a plant.NonlinearPlant, whose step is one call
 of the kernel advance, or a LinearPlant.
 """
 
-import bisect
 import collections.abc
 import enum
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -92,8 +93,7 @@ class ScenarioConfig:
             self.mode = ControllerMode(self.mode)
         sched = []
         for t, r in self.schedule:
-            # a read-only copy, which a loop need not convert again while
-            # its entry holds
+            # a read-only copy, so the schedule stays as it was checked
             r = np.asarray(r, dtype=float).reshape(-1).copy()
             r.flags.writeable = False
             sched.append((float(t), r))
@@ -101,20 +101,15 @@ class ScenarioConfig:
         times = [t for t, _ in self.schedule]
         if not times or times[0] != 0.0:
             raise ValueError("schedule must start at t = 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        # not b > a, so that a NaN time fails too
+        if any(not b > a for a, b in zip(times, times[1:])):
             raise ValueError("schedule times must be strictly increasing")
+        if not math.isfinite(self.duration):
+            raise ValueError("duration must be finite")
         if self.duration < times[-1]:
             raise ValueError("duration does not cover the schedule")
         if self.grnn_capacity < 1:
             raise ValueError("grnn.capacity must be >= 1")
-        # an entry holds from 1e-9 before its start time
-        self._starts = [t - 1e-9 for t in times]
-
-    def setpoint_at(self, t):
-        """The setpoint of the last entry that has started at t, the first
-        entry's before it."""
-        i = bisect.bisect_right(self._starts, t) - 1
-        return self.schedule[max(i, 0)][1]
 
 
 @dataclass
@@ -252,16 +247,6 @@ def _same(a, b):
     return True
 
 
-def _frozen(r):
-    """Whether the setpoint r cannot change while a loop holds it: a tuple
-    of numbers, or a read-only array that owns its data (the base of a
-    read-only view may still be written)."""
-    if isinstance(r, tuple):
-        return all(isinstance(e, numbers.Real) for e in r)
-    return (isinstance(r, np.ndarray) and r.base is None
-            and not r.flags.writeable)
-
-
 def harvest_sample(estimator, time, r, y_p, u, d_total):
     """Training sample (r, steady combined disturbance) from the values of
     a steady interval, cross-checked against the algebraic steady-state
@@ -274,7 +259,8 @@ def harvest_sample(estimator, time, r, y_p, u, d_total):
 
 
 class ControlLoop:
-    """State of one running scenario; control_step advances it one interval."""
+    """State of one running scenario: set_setpoint gives it the setpoint
+    to track, 0 until then, and control_step advances it one interval."""
 
     def __init__(self, model, dist, gains, ocp_cfg, plant, mode,
                  grnn=None, harvest=False, steady=SteadyTest(), pred=None):
@@ -309,10 +295,9 @@ class ControlLoop:
         self.steady = steady
         self._count = 0              # consecutive quiet intervals
         self._last_harvest_r = None
-        # the setpoint object of the last interval, whether it can change,
-        # the map then, and r as a list
-        self._r_in = self._r_grnn = self._r_list = None
-        self._r_frozen = False
+        # r as a list, and whether the next interval looks the map up
+        self._r_list = [0.0] * model.n_z
+        self._lookup = True
         self.records = Records(
             {"time": 1, "r": model.n_z, "y_p": model.n_y, "z_p": model.n_z,
              "u": model.n_u, "x_hat": model.n_x, "d_learned": dist.n_d,
@@ -323,32 +308,30 @@ class ControlLoop:
         self.harvested = []
         self.rejected_harvests = 0
 
-    def _take_setpoint(self, r_in):
-        """Write v's r part for the setpoint r_in, after checking its size,
-        and its d_l part (zero without a map) when the map, which a harvest
-        replaces, or r's values changed; keep r_in as the last setpoint."""
-        r = np.asarray(r_in, dtype=float).reshape(-1)
+    def set_setpoint(self, r):
+        """Track r, n_z finite entries, from the next interval on, which
+        looks the learned map up at it; the loop keeps a copy."""
+        r = np.asarray(r, dtype=float).reshape(-1)
         if len(r) != self.model.n_z:
             # v takes r by slice assignment, which would broadcast one entry
             raise ValueError(f"setpoint has {len(r)} entries, the model "
                              f"controls {self.model.n_z}")
-        r_list = r.tolist()
-        if self.grnn is not None and (self.grnn is not self._r_grnn
-                                      or not _same(self._r_list, r_list)):
-            self._v[self._d_l_part] = grnn_mod.predict(self.grnn, r)
+        if not np.isfinite(r).all():
+            raise ValueError(f"setpoint {r.tolist()} is not finite")
         self._v[self._r_part] = r
-        self._r_in, self._r_frozen = r_in, _frozen(r_in)
-        self._r_grnn, self._r_list = self.grnn, r_list
+        self._r_list = r.tolist()
+        self._lookup = True
 
-    def control_step(self, r):
+    def control_step(self):
         """Advance one interval and write its row k of self.records;
-        returns (u, whether the interval harvested a sample). v's r and
-        d_l parts stay as the last interval wrote them when r is the same
-        object as then, one that cannot change (_frozen), and the map is
-        the same: the sweep's tuples and a scenario's schedule arrays."""
-        if (r is not self._r_in or not self._r_frozen
-                or self.grnn is not self._r_grnn):
-            self._take_setpoint(r)
+        returns (u, whether the interval harvested a sample). The first
+        interval after set_setpoint, or after a harvest grew the map,
+        writes v's d_l part from the map (zero without one)."""
+        if self._lookup:
+            if self.grnn is not None:
+                self._v[self._d_l_part] = grnn_mod.predict(
+                    self.grnn, self._v[self._r_part])
+            self._lookup = False
         k = self.k
         # the plant's own buffer for a NonlinearPlant, which its step
         # overwrites: read from row k after the step
@@ -404,6 +387,7 @@ class ControlLoop:
                 log.values[k, -1] = harvested = True
                 if self.grnn is not None:
                     self.grnn = grnn_mod.add_sample(self.grnn, sample.r, sample.d_ss)
+                    self._lookup = True
             except CrossCheckFailed:
                 self.rejected_harvests += 1
         self.k = k + 1
@@ -422,15 +406,22 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
     loop.records.reserve(n_steps)
     log = ClosedLoopLog(records=loop.records)
     pending = sorted(scenario.events, key=lambda e: e[0])
+    entries = collections.deque(scenario.schedule)
     for k in range(n_steps):
         t = k * model.dt
         while pending and t >= pending[0][0] - 1e-9:
             _, event = pending.pop(0)
             plant.apply_event(event)
             log.events_applied.append((t, dict(event)))
-        r = scenario.setpoint_at(t)
+        # a schedule entry starts as an event fires; of several starting
+        # in one interval, the last holds
+        r = None
+        while entries and t >= entries[0][0] - 1e-9:
+            _, r = entries.popleft()
+        if r is not None:
+            loop.set_setpoint(r)
         try:
-            loop.control_step(r)
+            loop.control_step()
         except ABORTS as exc:
             log.aborted = {"time": t, "reason": str(exc)}
             break
@@ -449,8 +440,9 @@ def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
     log = ClosedLoopLog(records=loop.records)
     try:
         for r in setpoints:
+            loop.set_setpoint(r)
             for _ in range(cap):
-                if loop.control_step(r)[1]:
+                if loop.control_step()[1]:
                     break
             else:
                 raise SteadyNotReached(f"no steady state within {cap} steps at "

@@ -417,7 +417,8 @@ def test_a_plant_step_imports_no_build_tools(compiled_kernels):
         "                      rc.ocp_cfg, cli._fresh_plant(rc),\n"
         "                      cl.ControllerMode.NOMINAL)\n"
         "assert kernels.active is None\n"
-        "loop.control_step(np.zeros(2))\n")
+        "loop.set_setpoint(np.zeros(2))\n"
+        "loop.control_step()\n")
     for first in (first_step, first_interval):
         code = (
             "import sys\n"

@@ -32,21 +32,29 @@ def zrec(time=0.0, r=None, y_p=None, z_p=None, u=None, steady=False):
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        scenario(10.0, [(5.0, np.zeros(2))], cl.ControllerMode.NOMINAL)
-    with pytest.raises(ValueError):
-        scenario(10.0, [(0.0, np.zeros(2)), (0.0, np.ones(2))],
-                 cl.ControllerMode.NOMINAL)
-    sc = scenario(10.0, [(0.0, np.zeros(2)), (4.0, np.ones(2))],
-                  cl.ControllerMode.NOMINAL)
-    assert np.array_equal(sc.setpoint_at(3.9), np.zeros(2))
-    assert np.array_equal(sc.setpoint_at(4.0), np.ones(2))
+    nominal = cl.ControllerMode.NOMINAL
+    z, one = np.zeros(2), np.ones(2)
+    for duration, schedule in (
+            (10.0, [(5.0, z)]),
+            (10.0, [(0.0, z), (0.0, one)]),
+            # a NaN time compares false with its neighbours
+            (10.0, [(np.nan, z), (4.0, one)]),
+            (10.0, [(0.0, z), (np.nan, one), (4.0, z)]),
+            (10.0, [(0.0, z), (4.0, one), (np.nan, z)]),
+            (np.nan, [(0.0, z)]),
+            (np.inf, [(0.0, z), (4.0, one)]),
+            (-np.inf, [(0.0, z)]),
+            (3.9, [(0.0, z), (4.0, one)])):
+        with pytest.raises(ValueError):
+            scenario(duration, schedule, nominal)
+    sc = scenario(10.0, [(0.0, z), (4.0, one)], nominal)
+    assert [(t, r.tolist()) for t, r in sc.schedule] == [
+        (0.0, [0.0, 0.0]), (4.0, [1.0, 1.0])]
 
 
 def scan_setpoint(schedule, t):
-    """The setpoint at t by a scan of the whole schedule, as setpoint_at
-    found it before its bisection: the last entry whose start, less 1e-9,
-    is <= t, else the first."""
+    """The setpoint at t by a scan of the whole schedule: the last entry
+    whose start, less 1e-9, is <= t, else the first."""
     r = schedule[0][1]
     for ts, rv in schedule:
         if t >= ts - 1e-9:
@@ -54,23 +62,36 @@ def scan_setpoint(schedule, t):
     return r
 
 
-def test_setpoint_at_matches_the_linear_scan():
-    """On 200 random strictly increasing schedules of 1 to 80 entries,
-    setpoint_at returns the entry the scan returns at every start ts, at
-    ts +- 1e-9 and ts +- 2e-9, and before 0."""
+def test_run_scenario_walks_the_schedule_as_the_linear_scan(committed):
+    """The r column of run_scenario's log at interval k is the setpoint the
+    scan gives at k dt, on a schedule with starts on, 1e-10 and 2e-9 past,
+    and 1e-9 and 2e-9 before interval starts and two entries inside one
+    interval, and on 60 random schedules drawn from such starts."""
+    m, dist, gains, cfg = committed
+    dt = m.dt
+    offsets = (0.0, 1e-10, 2e-9, -1e-9, -2e-9, 0.25 * dt, 0.5 * dt)
+    schedules = [[0.0, dt + 1e-10, 2 * dt + 2e-9, 3.25 * dt, 3.5 * dt,
+                  5 * dt - 1e-9, 6 * dt - 2e-9]]
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(1, 81))
-        gaps = rng.choice([1e-9, 2e-9, 0.5, 1.0, 7.25], n - 1)
-        times = np.concatenate([[0.0], np.cumsum(gaps)]).tolist()
-        sc = scenario(times[-1] + 1.0,
-                      [(t, np.full(2, float(i))) for i, t in enumerate(times)],
+    for _ in range(60):
+        starts = {k * dt + offsets[int(rng.integers(len(offsets)))]
+                  for k in rng.integers(1, 30, int(rng.integers(1, 25)))}
+        schedules.append([0.0] + sorted(t for t in starts if t > 0.0))
+    columns = []
+    for times in schedules:
+        sc = scenario(30 * dt,
+                      [(t, [0.001 * i, 0.01 * i]) for i, t in enumerate(times)],
                       cl.ControllerMode.NOMINAL)
-        probes = [-1.0, -2e-9, -1e-9] + [t + d for t in times
-                                         for d in (-2e-9, -1e-9, 0.0, 1e-9,
-                                                   2e-9)]
-        for t in probes:
-            assert sc.setpoint_at(t) is scan_setpoint(sc.schedule, t), t
+        log = cl.run_scenario(sc, m, dist, gains, cfg,
+                              cl.LinearPlant(m, dist, np.zeros(2)))
+        want = [scan_setpoint(sc.schedule, k * dt) for k in range(30)]
+        assert np.array_equal(log.records.column("r"), want), times
+        columns.append(log.records.column("r"))
+    # interval 1 takes the start 1e-10 past it, interval 3 the one 2e-9
+    # past interval 2, interval 4 the second of two inside one interval,
+    # and intervals 5 and 6 the starts 1e-9 and 2e-9 before them
+    assert columns[0][:7, 0].tolist() == [
+        0.001 * i for i in (0, 1, 1, 2, 4, 5, 6)]
 
 
 def test_origin_is_closed_loop_equilibrium(committed):
@@ -587,8 +608,9 @@ def test_nominal_loop_never_reads_or_grows_the_map(committed, monkeypatch):
     loop = cl.ControlLoop(m, dist, gains, cfg,
                           cl.LinearPlant(m, dist, d_star=np.array([0.01, 0.3])),
                           cl.ControllerMode.NOMINAL, grnn=g, harvest=True)
+    loop.set_setpoint(np.array([0.001, 0.1]))
     for _ in range(150):
-        if loop.control_step(np.array([0.001, 0.1]))[1]:
+        if loop.control_step()[1]:
             break
     assert len(loop.harvested) == 1
     assert not loop.records.column("d_learned").any()
@@ -797,10 +819,12 @@ def test_learned_map_is_looked_up_again_after_a_harvest(committed,
         return real(model, r)
 
     monkeypatch.setattr(grnn, "predict", counted)
-    setpoints = ([np.array([0.001, 0.1])] * 100
-                 + [np.array([-0.001, -0.1])] * 100)
-    harvested = [k for k, r in enumerate(setpoints)
-                 if loop.control_step(r)[1]]
+    harvested = []
+    for k in range(200):
+        if k in (0, 100):
+            loop.set_setpoint([0.001, 0.1] if k == 0 else [-0.001, -0.1])
+        if loop.control_step()[1]:
+            harvested.append(k)
     assert len(harvested) == 2 and len(loop.grnn.X) == 3
     assert looked_up == sorted({0, 100} | {k + 1 for k in harvested})
 
@@ -940,8 +964,8 @@ def test_sweep_keeps_every_row_as_the_log_grows(committed, monkeypatch):
     rows, capacities = [], set()
     real = cl.ControlLoop.control_step
 
-    def copied(loop, r):
-        out = real(loop, r)
+    def copied(loop):
+        out = real(loop)
         rec = loop.records
         k = loop.k - 1
         rows.append(rec.values[k].copy())
@@ -1006,7 +1030,8 @@ def test_a_switch_of_the_kernels_is_never_undone(tracking_rc, monkeypatch):
     rc = tracking_rc
     loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
                           cli._fresh_plant(rc), cl.ControllerMode.NOMINAL)
-    loop.control_step(np.zeros(rc.model.n_z))
+    loop.set_setpoint(np.zeros(rc.model.n_z))
+    loop.control_step()
     assert kernels.active is switched
     assert calls == {"advance": 1, "interval": 1, "record": 1}
 
@@ -1044,90 +1069,126 @@ def test_a_draining_tank_aborts_the_run_and_keeps_the_last_state(
     assert np.array_equal(plant_.measure(), plant.measure(s, rc.op))
 
 
-def test_a_setpoint_array_changed_in_place_is_read_again(committed):
-    """A writable setpoint array, or a read-only view of one, is read on
-    every interval: written between two intervals, the second logs and
-    tracks its new value, as a loop given a new array does."""
+def test_a_setpoint_written_after_it_was_set_changes_no_row(committed):
+    """The loop keeps a copy of the setpoint it is given: the caller's
+    array, written between two intervals, or a view of it, changes no
+    logged row; the loop tracks the new value once it is set again."""
     m, dist, gains, cfg = committed
     logs = []
-    for kind in ("writable", "read-only view", "new array"):
+    for kind in ("kept", "written", "view written"):
         loop = cl.ControlLoop(m, dist, gains, cfg,
                               cl.LinearPlant(m, dist, np.zeros(2)),
                               cl.ControllerMode.NOMINAL)
         data = np.array([0.001, 0.1])
-        r = data
-        if kind == "read-only view":
-            r = data.view()
-            r.flags.writeable = False
-        loop.control_step(r)
-        if kind == "new array":
-            r = data = data.copy()
-        data[:] = [0.002, -0.1]
-        loop.control_step(r)
+        loop.set_setpoint(data if kind != "view written" else data[:])
+        loop.control_step()
+        if kind != "kept":
+            data[:] = [0.002, -0.1]
+        loop.control_step()
+        loop.set_setpoint([0.002, -0.1])
+        loop.control_step()
         logs.append(loop.records)
-    assert logs[0].column("r").tolist() == [[0.001, 0.1], [0.002, -0.1]]
+    assert logs[0].column("r").tolist() == [[0.001, 0.1], [0.001, 0.1],
+                                            [0.002, -0.1]]
     assert all(np.array_equal(log.values, logs[0].values) for log in logs)
 
 
-def test_a_frozen_setpoint_is_taken_once_until_the_map_changes(
-        committed, monkeypatch):
-    """A tuple of numbers, or a schedule's read-only array, cannot change,
-    so the loop converts it and writes v's r and d_l parts only when the
-    object changes or a harvest gives a new map. The rows are those of a
-    loop given a new writable array every interval: in learned mode with
-    harvests, two setpoints of 100 intervals each take 2 harvests."""
+def test_a_non_finite_setpoint_is_rejected(twovar_rc):
+    """A setpoint with a NaN or an infinite entry raises one ValueError
+    naming it, and the loop keeps tracking the setpoint it had, where a
+    NaN setpoint ran the active set into MaxIterations."""
+    rc = twovar_rc
+    loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+                          cli._fresh_plant(rc), cl.ControllerMode.NOMINAL)
+    loop.set_setpoint((0.0, 0.0))
+    for r in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)):
+        with pytest.raises(ValueError, match=r"^setpoint .* is not finite$"):
+            loop.set_setpoint(r)
+    loop.control_step()
+    assert loop.records.column("r").tolist() == [[0.0, 0.0]]
+    sc = scenario(4.0, [(0.0, (0.0, 0.0)), (2.0, (np.nan, 0.0))],
+                  cl.ControllerMode.NOMINAL)
+    with pytest.raises(ValueError, match="is not finite"):
+        cl.run_scenario(sc, rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+                        cli._fresh_plant(rc))
+
+
+def counted_lookups(monkeypatch):
+    """The intervals, by index of the ControlLoop.control_step call, at
+    which grnn.predict runs; a lookup outside control_step fails the
+    test."""
+    steps, lookups = [], []
+    step, predict = cl.ControlLoop.control_step, grnn.predict
+
+    def counted_step(loop):
+        steps.append(loop.k)
+        try:
+            return step(loop)
+        finally:
+            steps.append(None)
+
+    def counted_predict(model, r):
+        assert steps and steps[-1] is not None, "a lookup outside an interval"
+        lookups.append(steps[-1])
+        return predict(model, r)
+
+    monkeypatch.setattr(cl.ControlLoop, "control_step", counted_step)
+    monkeypatch.setattr(grnn, "predict", counted_predict)
+    return steps, lookups
+
+
+def test_the_map_is_looked_up_once_per_setpoint_and_harvest(committed,
+                                                           monkeypatch):
+    """run_scenario's loop looks the map up on the first interval of each
+    schedule entry and on the interval after each harvest, which grows the
+    map, and never in nominal mode. Two entries of 100 intervals each take
+    2 harvests in either mode."""
     m, dist, gains, cfg = committed
-    taken = []
-    real = cl.ControlLoop._take_setpoint
-
-    def counted(loop, r):
-        taken.append(loop.k)
-        real(loop, r)
-
-    monkeypatch.setattr(cl.ControlLoop, "_take_setpoint", counted)
-    logs, takes = [], []
-    for kind in ("tuple", "array"):
+    _, lookups = counted_lookups(monkeypatch)
+    for mode in cl.ControllerMode:
+        lookups.clear()
         g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
                             np.array([0.003, -0.2]), np.zeros(2))
-        loop = cl.ControlLoop(m, dist, gains, cfg,
-                              cl.LinearPlant(m, dist,
-                                             d_star=np.array([0.01, -0.5])),
-                              cl.ControllerMode.LEARNED, grnn=g,
-                              harvest=True)
-        taken.clear()
-        first, second = (0.001, 0.1), (-0.001, -0.1)
-        harvested = []
-        for k in range(200):
-            r = first if k < 100 else second
-            if kind == "array":
-                r = np.array(r)
-            if loop.control_step(r)[1]:
-                harvested.append(k)
-        logs.append(loop.records.values[:200])
-        takes.append(list(taken))
-    assert len(harvested) == 2
-    assert takes == [sorted({0, 100} | {k + 1 for k in harvested}),
-                     list(range(200))]
-    assert np.array_equal(logs[0], logs[1])
-    # a scenario's schedule, whose entries are read-only arrays
-    taken.clear()
-    sc = scenario(200.0, [(0.0, first), (100.0, second)],
-                  cl.ControllerMode.LEARNED, harvest=True)
-    assert not sc.schedule[0][1].flags.writeable
+        sc = scenario(200.0, [(0.0, (0.001, 0.1)), (100.0, (-0.001, -0.1))],
+                      mode, harvest=True)
+        log = cl.run_scenario(
+            sc, m, dist, gains, cfg,
+            cl.LinearPlant(m, dist, d_star=np.array([0.01, -0.5])), grnn=g)
+        harvested = np.flatnonzero(log.records.column("harvested")).tolist()
+        assert len(harvested) == 2
+        assert lookups == (sorted({0, 100} | {k + 1 for k in harvested})
+                           if mode is cl.ControllerMode.LEARNED else [])
+
+
+def test_the_drivers_run_one_control_step_per_logged_row(committed,
+                                                        monkeypatch):
+    """The benchmark times ControlLoop.control_step as one interval, the
+    learned-map lookup included: run_scenario and sweep_harvest call it
+    once per row they log, and grnn.predict runs only inside it."""
+    m, dist, gains, cfg = committed
+    steps, lookups = counted_lookups(monkeypatch)
     g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
                         np.array([0.003, -0.2]), np.zeros(2))
-    log = cl.run_scenario(
-        sc, m, dist, gains, cfg,
-        cl.LinearPlant(m, dist, d_star=np.array([0.01, -0.5])), grnn=g)
-    assert np.array_equal(log.records.values, logs[0])
-    assert taken == takes[0]
+    sc = scenario(150.0, [(0.0, (0.001, 0.1)), (60.0, (-0.001, -0.1))],
+                  cl.ControllerMode.LEARNED, harvest=True)
+    log = cl.run_scenario(sc, m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, np.array([0.01, -0.5])),
+                          grnn=g)
+    assert len(log.records) == 150 and log.harvested
+    assert steps[::2] == list(range(150)) and len(lookups) > 2
+    steps.clear()
+    samples, log = cl.sweep_harvest(
+        m, dist, gains, cfg, cl.LinearPlant(m, dist, np.zeros(2)),
+        [np.array([0.001, 0.1]), np.zeros(2)], cap=150)
+    assert len(samples) == 2
+    assert steps[::2] == list(range(len(log.records)))
 
 
 def test_a_schedule_keeps_its_own_read_only_setpoints():
     r = np.array([0.001, 0.1])
     sc = scenario(10.0, [(0.0, r)], cl.ControllerMode.NOMINAL)
     r[0] = 0.5
-    kept = sc.setpoint_at(0.0)
+    kept = sc.schedule[0][1]
     assert kept.tolist() == [0.001, 0.1]
     assert not kept.flags.writeable and kept.base is None
 
@@ -1152,9 +1213,10 @@ def test_returned_values_never_change_afterwards(twovar_rc, either_interval):
                                     rc.op)
     exc = loop.excursions
     for r in (setpoints[0], setpoints[60], setpoints[61]):
+        loop.set_setpoint(r)
         for _ in range(rc.sweep_cap):
             counted = exc.count
-            u, harvested = loop.control_step(np.array(r))
+            u, harvested = loop.control_step()
             rec = loop.records[loop.k - 1]
             keep(u, u)
             keep(rec, *(getattr(rec, f) for f in cl.FIELDS
@@ -1183,14 +1245,16 @@ def test_returned_values_never_change_afterwards(twovar_rc, either_interval):
 @pytest.mark.parametrize("r", [[0.0], [0.0, 0.0, 0.0]], ids=["1", "3"])
 def test_setpoint_of_the_wrong_size_raises(committed, r):
     """A setpoint with another number of entries than the controlled
-    outputs raises before the interval runs, never broadcasts."""
+    outputs raises, never broadcasts, and leaves the loop's setpoint."""
     model, dist, gains, ocp_cfg = committed
     loop = cl.ControlLoop(model, dist, gains, ocp_cfg,
                           cl.LinearPlant(model, dist, np.zeros(dist.n_d)),
                           cl.ControllerMode.NOMINAL)
+    loop.set_setpoint([0.001, 0.1])
     with pytest.raises(ValueError, match="setpoint has"):
-        loop.control_step(np.array(r))
-    assert loop.k == 0 and len(loop.records) == 0
+        loop.set_setpoint(np.array(r))
+    loop.control_step()
+    assert loop.records.column("r").tolist() == [[0.001, 0.1]]
 
 
 def interval_arguments(rc):
@@ -1305,10 +1369,11 @@ def test_non_finite_estimate_gives_flag_0_and_stops_the_loop(
     loop = cl.ControlLoop(model, dist, rc.make_gains(), rc.ocp_cfg,
                           BrokenSensor(model, dist, np.zeros(dist.n_d)),
                           cl.ControllerMode.NOMINAL)
+    loop.set_setpoint(np.zeros(model.n_z))
     with np.errstate(invalid="ignore"):
-        loop.control_step(np.zeros(model.n_z))
+        loop.control_step()
         with pytest.raises(ValueError, match="non-finite estimate"):
-            loop.control_step(np.zeros(model.n_z))
+            loop.control_step()
     assert loop.k == 1 and len(loop.records) == 1
 
 
@@ -1550,8 +1615,9 @@ def test_the_steady_settings_are_checked_once_for_both_kernels(
     logs = []
     for test in (steady, cl.SteadyTest()):
         run = loop(test)
+        run.set_setpoint((0.0, 0.0))
         for _ in range(8):
-            run.control_step((0.0, 0.0))
+            run.control_step()
         logs.append(run.records)
     assert logs[0].column("steady").tolist() == [0.0] * 5 + [1.0] * 3
     assert logs[0].values.tobytes() == logs[1].values.tobytes()

@@ -59,8 +59,9 @@ def test_a_target_outside_the_box_is_counted_never_clipped(committed,
     loop = cl.ControlLoop(m, dist, gains, cfg,
                           cl.LinearPlant(m, dist, np.zeros(2)),
                           cl.ControllerMode.NOMINAL)
+    loop.set_setpoint([0.04, 0.0])
     for _ in range(3):
-        loop.control_step(np.array([0.04, 0.0]))
+        loop.control_step()
     calc = target.TargetCalculator(m, dist)
     for rec in loop.records:
         want = calc.solve(rec.d_total, rec.r)
@@ -83,7 +84,8 @@ def test_repeat_excursions_counted_with_first_and_last(committed, caplog):
                           cl.ControllerMode.NOMINAL)
     with caplog.at_level(logging.DEBUG):
         for r in ([0.04, 0.0], [0.04, 0.0], [0.0, 0.0], [0.05, 0.0]):
-            loop.control_step(np.array(r))
+            loop.set_setpoint(r)
+            loop.control_step()
     exc, recs = loop.excursions, loop.records
     assert exc.count == 3
     for pair, rec in ((exc.first, recs[0]), (exc.last, recs[3])):
