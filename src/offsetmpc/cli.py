@@ -31,6 +31,8 @@ EXIT_RUNTIME = 4
 
 # consecutive inadmissible draws after which sample_setpoints gives up
 MAX_REJECTED_DRAWS = 10_000
+C_RANGE = (0.84, 0.91)           # the c (kmol/m3) and T (K) it draws from
+T_RANGE = (321.0, 329.0)
 
 
 class ConfigError(Exception):
@@ -540,9 +542,8 @@ def cmd_grnn_fit(args):
     return EXIT_OK
 
 
-def sample_setpoints(n, seed, params, op, c_range=(0.84, 0.91),
-                     T_range=(321.0, 329.0)):
-    """Seeded uniform setpoints over the given ranges, rejecting pairs whose
+def sample_setpoints(n, seed, params, op):
+    """Seeded uniform setpoints over C_RANGE x T_RANGE, rejecting pairs whose
     steady level leaves [0.45, 1.15] m or whose temperature sits in the
     upper band where the level target collapses; visit order groups by
     1-K temperature band, ascending concentration. Raises ConfigError after
@@ -551,8 +552,8 @@ def sample_setpoints(n, seed, params, op, c_range=(0.84, 0.91),
     pts = []
     rejected = 0
     while len(pts) < n:
-        c = rng.uniform(*c_range)
-        T = rng.uniform(*T_range)
+        c = rng.uniform(*C_RANGE)
+        T = rng.uniform(*T_RANGE)
         if 0.45 <= plant_mod.steady_height(c, T, params) <= 1.15 and T <= 328.5:
             pts.append((c, T))
             rejected = 0
@@ -561,8 +562,8 @@ def sample_setpoints(n, seed, params, op, c_range=(0.84, 0.91),
             if rejected == MAX_REJECTED_DRAWS:
                 raise ConfigError(
                     f"no admissible setpoint in {MAX_REJECTED_DRAWS} draws in a "
-                    f"row over c in {c_range}, T in {T_range}")
-    pts.sort(key=lambda p: (round((p[1] - T_range[0]) / 1.0), p[0]))
+                    f"row over c in {C_RANGE}, T in {T_RANGE}")
+    pts.sort(key=lambda p: (round((p[1] - T_RANGE[0]) / 1.0), p[0]))
     return pts
 
 

@@ -93,11 +93,17 @@ class ScenarioConfig:
             self.mode = ControllerMode(self.mode)
         sched = []
         for t, r in self.schedule:
-            # a read-only copy, so the schedule stays as it was checked
+            # a read-only copy, so the schedule stays as it was checked, and
+            # checked here, so that no run stops part-way on a bad setpoint
             r = np.asarray(r, dtype=float).reshape(-1).copy()
+            if not np.isfinite(r).all():
+                raise ValueError(f"schedule setpoint {r.tolist()} at t = "
+                                 f"{float(t):g} is not finite")
             r.flags.writeable = False
             sched.append((float(t), r))
         self.schedule = tuple(sched)
+        if len({len(r) for _, r in sched}) > 1:
+            raise ValueError("schedule setpoints must have one length")
         times = [t for t, _ in self.schedule]
         if not times or times[0] != 0.0:
             raise ValueError("schedule must start at t = 0")
@@ -239,14 +245,6 @@ class LinearPlant:
                 f"linear plant only supports d_star overrides, got {event}")
 
 
-def _same(a, b):
-    """a == b for two lists of floats of one length; False on a NaN."""
-    for x, y in zip(a, b):
-        if not x == y:
-            return False
-    return True
-
-
 def harvest_sample(estimator, time, r, y_p, u, d_total):
     """Training sample (r, steady combined disturbance) from the values of
     a steady interval, cross-checked against the algebraic steady-state
@@ -260,7 +258,8 @@ def harvest_sample(estimator, time, r, y_p, u, d_total):
 
 class ControlLoop:
     """State of one running scenario: set_setpoint gives it the setpoint
-    to track, 0 until then, and control_step advances it one interval."""
+    to track, 0 until then, and arms its map lookup and its one sample;
+    control_step advances the loop one interval."""
 
     def __init__(self, model, dist, gains, ocp_cfg, plant, mode,
                  grnn=None, harvest=False, steady=SteadyTest(), pred=None):
@@ -294,10 +293,6 @@ class ControlLoop:
         self._u_rows = slice(u_row, u_row + model.n_u)   # u* in z
         self.steady = steady
         self._count = 0              # consecutive quiet intervals
-        self._last_harvest_r = None
-        # r as a list, and whether the next interval looks the map up
-        self._r_list = [0.0] * model.n_z
-        self._lookup = True
         self.records = Records(
             {"time": 1, "r": model.n_z, "y_p": model.n_y, "z_p": model.n_z,
              "u": model.n_u, "x_hat": model.n_x, "d_learned": dist.n_d,
@@ -307,10 +302,11 @@ class ControlLoop:
         self._y_p_cols = self.records.slices["y_p"]
         self.harvested = []
         self.rejected_harvests = 0
+        self.set_setpoint(np.zeros(model.n_z))
 
     def set_setpoint(self, r):
-        """Track r, n_z finite entries, from the next interval on, which
-        looks the learned map up at it; the loop keeps a copy."""
+        """Track r (n_z finite entries, copied) from the next interval on:
+        arm a map lookup at r and, when the loop harvests, one sample."""
         r = np.asarray(r, dtype=float).reshape(-1)
         if len(r) != self.model.n_z:
             # v takes r by slice assignment, which would broadcast one entry
@@ -319,18 +315,19 @@ class ControlLoop:
         if not np.isfinite(r).all():
             raise ValueError(f"setpoint {r.tolist()} is not finite")
         self._v[self._r_part] = r
-        self._r_list = r.tolist()
-        self._lookup = True
+        # what the next intervals owe r
+        self._lookup = self.grnn is not None
+        self._harvest_due = self.harvest
 
     def control_step(self):
         """Advance one interval and write its row k of self.records;
         returns (u, whether the interval harvested a sample). The first
         interval after set_setpoint, or after a harvest grew the map,
-        writes v's d_l part from the map (zero without one)."""
+        writes v's d_l part from the map (zero without one); the first
+        steady one takes the armed sample, unless the cross-check fails."""
         if self._lookup:
-            if self.grnn is not None:
-                self._v[self._d_l_part] = grnn_mod.predict(
-                    self.grnn, self._v[self._r_part])
+            self._v[self._d_l_part] = grnn_mod.predict(
+                self.grnn, self._v[self._r_part])
             self._lookup = False
         k = self.k
         # the plant's own buffer for a NonlinearPlant, which its step
@@ -375,15 +372,13 @@ class ControlLoop:
         if excursion:
             self.excursions.add(TargetPair(z[:n_x], z[n_x:law.n_t]))
         harvested = False
-        if (self.harvest and self._count >= s.M
-                and (self._last_harvest_r is None
-                     or not _same(self._last_harvest_r, self._r_list))):
+        if self._harvest_due and self._count >= s.M:
             try:
                 sample = harvest_sample(self.estimator, time, v[self._r_part],
                                         log.values[k, self._y_p_cols], u,
                                         theta[n_x:len(w)])
                 self.harvested.append(sample)
-                self._last_harvest_r = self._r_list
+                self._harvest_due = False
                 log.values[k, -1] = harvested = True
                 if self.grnn is not None:
                     self.grnn = grnn_mod.add_sample(self.grnn, sample.r, sample.d_ss)
@@ -430,10 +425,10 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
 
 def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
                   steady=SteadyTest(), pred=None):
-    """Visit each setpoint until steady and harvest one sample there;
-    plant and estimator state carry over between setpoints. Any of ABORTS
-    ends the sweep with the samples harvested so far. pred as for
-    ControlLoop."""
+    """Visit each setpoint, a repeated one included, until steady and
+    harvest one sample there; plant and estimator state carry over
+    between setpoints. Any of ABORTS ends the sweep with the samples
+    harvested so far. pred as for ControlLoop."""
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant,
                        ControllerMode.NOMINAL, harvest=True,
                        steady=steady, pred=pred)

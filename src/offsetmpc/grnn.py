@@ -163,14 +163,13 @@ def loo_error(model, sigma):
     return err / k
 
 
-def select_sigma(model, grid=None, curve=None):
-    """Leave-one-out sweep over an ascending sigma grid; ties keep the
+def select_sigma(model, curve=None):
+    """Leave-one-out sweep over SIGMA_GRID, ascending; ties keep the
     smaller sigma. Needs at least 2 samples, as loo_error does. A list
     passed as curve receives the sweep's (sigma, error) pairs, so a caller
     that also reports the curve sweeps once."""
-    grid = SIGMA_GRID if grid is None else np.asarray(grid, dtype=float)
     best_s, best_e = None, np.inf
-    for s in grid:
+    for s in SIGMA_GRID:
         e = loo_error(model, float(s))
         if curve is not None:
             curve.append((float(s), e))

@@ -266,6 +266,24 @@ def test_sweep_writes_training_file(tmp_path, capsys):
     assert np.allclose(rows[1][0], [0.0, 0.0], atol=1e-12)
 
 
+def test_sweep_harvests_one_sample_per_row_a_repeated_row_included(
+        tmp_path, capsys):
+    """Each row of the setpoints file owes one sample: rows 1, 2, 2 of
+    sweep_ct_100.txt give 3 samples, the repeated row's taken on its first
+    interval, since the loop is already steady there."""
+    rows = [line for line in (CONFIGS / "sweep_ct_100.txt").read_text()
+            .splitlines() if not line.startswith("#")]
+    sp = tmp_path / "repeated.txt"
+    sp.write_text("\n".join([rows[0], rows[1], rows[1]]) + "\n")
+    assert cli.main(["sweep", str(CONFIGS / "cstr_twovar.yaml"),
+                     "--setpoints", str(sp), "--out", str(tmp_path)]) == 0
+    samples = grnn.load_samples(str(tmp_path / "repeated_train.txt"))
+    assert len(samples) == 3
+    assert np.array_equal(samples[1][0], samples[2][0])
+    assert capsys.readouterr().out.startswith(
+        "harvested 3 samples over 113 steps")
+
+
 def test_sweep_reports_target_excursions_in_one_line(tmp_path, capsys):
     """This twovar setpoint's targets leave the input box on most of its
     intervals; stderr gets one line with the count, not one per

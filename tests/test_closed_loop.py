@@ -44,7 +44,14 @@ def test_schedule_validation():
             (np.nan, [(0.0, z)]),
             (np.inf, [(0.0, z), (4.0, one)]),
             (-np.inf, [(0.0, z)]),
-            (3.9, [(0.0, z), (4.0, one)])):
+            (3.9, [(0.0, z), (4.0, one)]),
+            # setpoints: non-finite at the first or a later entry, and of
+            # unequal lengths
+            (10.0, [(0.0, (np.nan, 0.0))]),
+            (10.0, [(0.0, z), (4.0, (0.0, np.inf))]),
+            (10.0, [(0.0, z), (4.0, (-np.inf, 0.0))]),
+            (10.0, [(0.0, z), (4.0, (0.0, 0.0, 0.0))]),
+            (10.0, [(0.0, (0.0,)), (4.0, z)])):
         with pytest.raises(ValueError):
             scenario(duration, schedule, nominal)
     sc = scenario(10.0, [(0.0, z), (4.0, one)], nominal)
@@ -124,6 +131,14 @@ def test_modeled_disturbance_is_rejected_without_offset(committed):
 # ---- steady detection: SteadyDetector's counter against the window rule it
 # replaced, kept here as the oracle ----
 
+def _same(a, b):
+    """a == b for two lists of floats of one length; False on a NaN."""
+    for x, y in zip(a, b):
+        if not x == y:
+            return False
+    return True
+
+
 def _within(a, b, tol):
     """max |a - b| <= tol for two lists of floats of one length; False on
     a NaN."""
@@ -155,7 +170,7 @@ class SteadyDetector:
         """Take one interval's r, y_p and u, each a list of floats; True
         if it ends a steady window."""
         last = self._last
-        if (last is not None and cl._same(r, last[0])
+        if (last is not None and _same(r, last[0])
                 and _within(y_p, last[1], self.tol_y)
                 and _within(u, last[2], self.tol_u)):
             self.count += 1
@@ -1096,7 +1111,9 @@ def test_a_setpoint_written_after_it_was_set_changes_no_row(committed):
 def test_a_non_finite_setpoint_is_rejected(twovar_rc):
     """A setpoint with a NaN or an infinite entry raises one ValueError
     naming it, and the loop keeps tracking the setpoint it had, where a
-    NaN setpoint ran the active set into MaxIterations."""
+    NaN setpoint ran the active set into MaxIterations. A schedule entry
+    with one is rejected as the scenario is built, before any interval
+    runs, not as it starts."""
     rc = twovar_rc
     loop = cl.ControlLoop(rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
                           cli._fresh_plant(rc), cl.ControllerMode.NOMINAL)
@@ -1106,11 +1123,10 @@ def test_a_non_finite_setpoint_is_rejected(twovar_rc):
             loop.set_setpoint(r)
     loop.control_step()
     assert loop.records.column("r").tolist() == [[0.0, 0.0]]
-    sc = scenario(4.0, [(0.0, (0.0, 0.0)), (2.0, (np.nan, 0.0))],
-                  cl.ControllerMode.NOMINAL)
-    with pytest.raises(ValueError, match="is not finite"):
-        cl.run_scenario(sc, rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
-                        cli._fresh_plant(rc))
+    with pytest.raises(ValueError, match=r"^schedule setpoint \[nan, 0.0\] "
+                       r"at t = 2 is not finite$"):
+        scenario(4.0, [(0.0, (0.0, 0.0)), (2.0, (np.nan, 0.0))],
+                 cl.ControllerMode.NOMINAL)
 
 
 def counted_lookups(monkeypatch):
@@ -1158,6 +1174,74 @@ def test_the_map_is_looked_up_once_per_setpoint_and_harvest(committed,
         assert len(harvested) == 2
         assert lookups == (sorted({0, 100} | {k + 1 for k in harvested})
                            if mode is cl.ControllerMode.LEARNED else [])
+
+
+A, B = (0.001, 0.1), (-0.001, -0.1)
+
+
+@pytest.mark.parametrize("schedule, times", [
+    ([(0.0, A), (50.0, B), (52.0, A)], [14.0, 64.0]),
+    ([(0.0, A), (50.0, A)], [14.0, 50.0])], ids=["A, B, A", "A, A"])
+def test_each_schedule_entry_owes_one_sample(committed, schedule, times):
+    """Every schedule entry owes one sample, also one whose setpoint an
+    earlier entry sampled: A after a B of 2 intervals, too short to
+    settle, is sampled again once steady; an entry that repeats A, which
+    keeps the count of quiet intervals, on its first interval."""
+    m, dist, gains, cfg = committed
+    sc = scenario(100.0, schedule, cl.ControllerMode.NOMINAL, harvest=True)
+    log = cl.run_scenario(sc, m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, np.array([0.01, -0.5])))
+    assert [s.time for s in log.harvested] == times
+    assert (np.flatnonzero(log.records.column("harvested")).tolist()
+            == [int(t) for t in times])
+
+
+def test_a_loop_that_does_not_harvest_never_harvests(committed):
+    """set_setpoint arms a sample only in a loop that harvests: a loop
+    without harvest, given A, A again and B, goes steady on each and takes
+    no sample, where one that harvests takes one on each."""
+    m, dist, gains, cfg = committed
+    for harvest in (True, False):
+        loop = cl.ControlLoop(m, dist, gains, cfg,
+                              cl.LinearPlant(m, dist, np.array([0.01, -0.5])),
+                              cl.ControllerMode.NOMINAL, harvest=harvest)
+        taken = []
+        for k in range(90):
+            if k % 30 == 0:
+                loop.set_setpoint(B if k == 60 else A)
+            if loop.control_step()[1]:
+                taken.append(k)
+        assert taken == ([14, 30, 72] if harvest else [])
+        assert len(loop.harvested) == len(taken)
+        assert loop.records.column("steady")[[29, 59, 89]].all()
+
+
+def test_a_rejected_sample_stays_owed(committed, monkeypatch, tmp_path):
+    """A sample whose cross-check fails is counted and leaves the
+    setpoint's sample owed: the next steady interval takes it, and the
+    summary reports the rejection."""
+    real = est_mod.DisturbanceEstimator.steady_state_from_io
+    calls = []
+
+    def off_once(self, y_p, u):
+        io = real(self, y_p, u)
+        calls.append(len(calls))
+        if len(calls) == 1:
+            return est_mod.AugmentedEstimate(io.x_hat, io.d_hat + 2e-4)
+        return io
+
+    monkeypatch.setattr(est_mod.DisturbanceEstimator, "steady_state_from_io",
+                        off_once)
+    m, dist, gains, cfg = committed
+    sc = scenario(40.0, [(0.0, A)], cl.ControllerMode.NOMINAL, harvest=True)
+    log = cl.run_scenario(sc, m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, np.array([0.01, -0.5])))
+    assert log.rejected_harvests == 1 and calls == [0, 1]
+    assert [s.time for s in log.harvested] == [15.0]
+    assert np.flatnonzero(log.records.column("harvested")).tolist() == [15]
+    path = tmp_path / "summary.txt"
+    cl.write_summary(log, str(path))
+    assert "rejected_harvests 1\n" in path.read_text()
 
 
 def test_the_drivers_run_one_control_step_per_logged_row(committed,
