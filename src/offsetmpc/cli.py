@@ -419,6 +419,10 @@ def _build_grnn(rc, mode):
     samples = []
     if rc.grnn_train:
         samples = grnn_mod.load_samples(rc.grnn_train)
+    if samples and len(samples[0][0]) != rc.model.n_z:
+        raise ConfigError(f"{rc.grnn_train}: samples have "
+                          f"{len(samples[0][0])} inputs, the setpoint has "
+                          f"{rc.model.n_z} entries")
     g = _sample_window(rc.scenario.grnn_capacity, rc.dist.n_d, samples,
                        rc.grnn_train)
     sigma = rc.scenario.grnn_sigma
@@ -455,7 +459,7 @@ def cmd_run(args):
         log = cl.run_scenario(scenario, rc.model, rc.dist, gains, rc.ocp_cfg,
                               _fresh_plant(rc), grnn=grnn, pred=pred)
         base = os.path.join(out, f"{rc.stem}_{mode.value}")
-        cl.write_log_csv(log, base + ".csv")
+        cl.write_log_csv(log.records, base + ".csv")
         m = cl.write_summary(log, base + "_summary.txt", dt=rc.model.dt)
         if log.aborted:
             print(f"{mode.value}: ABORTED at t={log.aborted['time']}: "
@@ -483,18 +487,20 @@ def cmd_sweep(args):
     samples, log = cl.sweep_harvest(
         rc.model, rc.dist, gains, rc.ocp_cfg, _fresh_plant(rc), setpoints,
         cap=rc.sweep_cap, steady=rc.scenario.steady, pred=pred)
-    exc = log.target_excursions
+    # the samples harvested before a stop too, as a run keeps its rows
+    sp_stem = os.path.splitext(os.path.basename(args.setpoints))[0]
+    dest = os.path.join(out, f"{sp_stem}_train.txt")
+    grnn_mod.write_samples(dest, [(s.r, s.d_ss) for s in samples])
+    exc = log.excursions
     if exc.count:
         print(f"WARNING target outside bounds on {exc.count} of "
               f"{len(log.records)} intervals: first {exc.first.text('%.6g')}, "
               f"last {exc.last.text('%.6g')}", file=sys.stderr)
     if log.aborted:
         print(f"sweep ABORTED at step {len(log.records)}: "
-              f"{log.aborted['reason']}", file=sys.stderr)
+              f"{log.aborted['reason']}; "
+              f"harvested {len(samples)} samples -> {dest}", file=sys.stderr)
         return EXIT_RUNTIME
-    sp_stem = os.path.splitext(os.path.basename(args.setpoints))[0]
-    dest = os.path.join(out, f"{sp_stem}_train.txt")
-    grnn_mod.write_samples(dest, [(s.r, s.d_ss) for s in samples])
     worst = max((s.residual for s in samples), default=0.0)
     print(f"harvested {len(samples)} samples over {len(log.records)} steps, "
           f"worst cross-check residual {worst:.3e} -> {dest}")
@@ -637,11 +643,10 @@ def main(argv=None):
             target_mod.SingularTarget) as exc:
         print(f"condition error: {exc}", file=sys.stderr)
         return EXIT_CONDITION
-    except (ocp_mod.Infeasible, ocp_mod.MaxIterations, cl.SteadyNotReached,
-            cl.CrossCheckFailed, plant_mod.NonPhysicalState,
-            plant_mod.UnknownEvent, grnn_mod.InsufficientData,
-            numerics.SingularMatrix, numerics.NoConvergence,
-            MemoryError) as exc:
+    except (ocp_mod.Infeasible, ocp_mod.MaxIterations, cl.CrossCheckFailed,
+            plant_mod.NonPhysicalState, plant_mod.UnknownEvent,
+            grnn_mod.InsufficientData, numerics.SingularMatrix,
+            numerics.NoConvergence, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -22,7 +22,7 @@ import collections.abc
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,10 +38,6 @@ from .target import BoundExcursions, TargetPair
 
 
 class CrossCheckFailed(Exception):
-    pass
-
-
-class SteadyNotReached(Exception):
     pass
 
 
@@ -112,6 +108,9 @@ class ScenarioConfig:
             raise ValueError("schedule times must be strictly increasing")
         if not math.isfinite(self.duration):
             raise ValueError("duration must be finite")
+        for t, _ in self.events:
+            if not math.isfinite(t):
+                raise ValueError(f"event time {t} is not finite")
         if self.duration < times[-1]:
             raise ValueError("duration does not cover the schedule")
         if self.grnn_capacity < 1:
@@ -162,8 +161,8 @@ class Records(collections.abc.Sequence):
     are written; the block may hold more. Indexing gives StepRecord row
     views, whose arrays are views of `values`."""
 
-    def __init__(self, widths=None, capacity=0):
-        self.widths = dict(widths or {})
+    def __init__(self, widths, capacity):
+        self.widths = dict(widths)
         self.slices = {}
         start = 0
         for name, width in self.widths.items():
@@ -208,18 +207,6 @@ class Records(collections.abc.Sequence):
             for name, sl in self.slices.items()})
 
 
-@dataclass
-class ClosedLoopLog:
-    records: Records = field(default_factory=Records)
-    harvested: list = field(default_factory=list)
-    rejected_harvests: int = 0
-    target_excursions: BoundExcursions = field(default_factory=BoundExcursions)
-    table_hits: int = 0              # the loop's ActiveSetTable counts
-    table_misses: int = 0
-    events_applied: list = field(default_factory=list)
-    aborted: Optional[dict] = None
-
-
 class LinearPlant:
     """The controller's own model driven by a constant modeled disturbance;
     lets exactness claims be tested without plant-model mismatch."""
@@ -257,9 +244,12 @@ def harvest_sample(estimator, time, r, y_p, u, d_total):
 
 
 class ControlLoop:
-    """State of one running scenario: set_setpoint gives it the setpoint
-    to track, 0 until then, and arms its map lookup and its one sample;
-    control_step advances the loop one interval."""
+    """State and log of one running scenario: set_setpoint gives it the
+    setpoint to track, 0 until then, and arms its map lookup and its one
+    sample; control_step advances the loop one interval. A run's result
+    is read here: records, harvested, rejected_harvests, excursions and
+    table.hits/misses, and events_applied and aborted, which run_scenario
+    and sweep_harvest write."""
 
     def __init__(self, model, dist, gains, ocp_cfg, plant, mode,
                  grnn=None, harvest=False, steady=SteadyTest(), pred=None):
@@ -302,6 +292,8 @@ class ControlLoop:
         self._y_p_cols = self.records.slices["y_p"]
         self.harvested = []
         self.rejected_harvests = 0
+        self.events_applied = []     # (time, event) as the run fired them
+        self.aborted = None          # {"time", "reason"} of a stopped run
         self.set_setpoint(np.zeros(model.n_z))
 
     def set_setpoint(self, r):
@@ -391,15 +383,14 @@ class ControlLoop:
 
 def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
                  pred=None):
-    """Deterministic replay of one scenario; events fire between intervals;
-    the run aborts with a diagnostic on any of ABORTS. pred as for
-    ControlLoop."""
+    """Deterministic replay of one scenario; returns its ControlLoop.
+    Events fire between intervals; any of ABORTS stops the run and sets
+    loop.aborted, its rows kept. pred as for ControlLoop."""
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant, scenario.mode,
                        grnn=grnn, harvest=scenario.harvest,
                        steady=scenario.steady, pred=pred)
     n_steps = int(round(scenario.duration / model.dt))
     loop.records.reserve(n_steps)
-    log = ClosedLoopLog(records=loop.records)
     pending = sorted(scenario.events, key=lambda e: e[0])
     entries = collections.deque(scenario.schedule)
     for k in range(n_steps):
@@ -407,7 +398,7 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
         while pending and t >= pending[0][0] - 1e-9:
             _, event = pending.pop(0)
             plant.apply_event(event)
-            log.events_applied.append((t, dict(event)))
+            loop.events_applied.append((t, dict(event)))
         # a schedule entry starts as an event fires; of several starting
         # in one interval, the last holds
         r = None
@@ -418,43 +409,37 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
         try:
             loop.control_step()
         except ABORTS as exc:
-            log.aborted = {"time": t, "reason": str(exc)}
+            loop.aborted = {"time": t, "reason": str(exc)}
             break
-    return _counted(log, loop)
+    return loop
 
 
 def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
                   steady=SteadyTest(), pred=None):
     """Visit each setpoint, a repeated one included, until steady and
     harvest one sample there; plant and estimator state carry over
-    between setpoints. Any of ABORTS ends the sweep with the samples
-    harvested so far. pred as for ControlLoop."""
+    between setpoints. Returns (samples, loop). A setpoint not steady
+    within cap intervals, or any of ABORTS, stops the sweep as it stops
+    a run: loop.aborted is set and the samples so far are kept. pred as
+    for ControlLoop."""
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant,
                        ControllerMode.NOMINAL, harvest=True,
                        steady=steady, pred=pred)
-    log = ClosedLoopLog(records=loop.records)
+    reason = None
     try:
         for r in setpoints:
             loop.set_setpoint(r)
-            for _ in range(cap):
-                if loop.control_step()[1]:
-                    break
-            else:
-                raise SteadyNotReached(f"no steady state within {cap} steps at "
-                                       f"setpoint {np.asarray(r)}")
+            if not any(loop.control_step()[1] for _ in range(cap)):
+                reason = (f"no steady state within {cap} steps at "
+                          f"setpoint {np.asarray(r)}")
+                break
     except ABORTS as exc:
-        # control_step raised before advancing k: k is the failing interval
-        log.aborted = {"time": loop.k * model.dt, "reason": str(exc)}
-    return loop.harvested, _counted(log, loop)
-
-
-def _counted(log, loop):
-    """log with the loop's samples and counts."""
-    log.harvested = loop.harvested
-    log.rejected_harvests = loop.rejected_harvests
-    log.target_excursions = loop.excursions
-    log.table_hits, log.table_misses = loop.table.hits, loop.table.misses
-    return log
+        reason = str(exc)
+    if reason is not None:
+        # a failing control_step does not advance k: k is the first
+        # interval without a row
+        loop.aborted = {"time": loop.k * model.dt, "reason": reason}
+    return loop.harvested, loop
 
 
 # ---- metrics ----
@@ -535,12 +520,11 @@ def lyapunov_trace(log, pred, cfg, tgt, d_hat):
 
 # ---- serialization ----
 
-def write_log_csv(log, path):
+def write_log_csv(records, path):
     """One record per row, full double precision; stable column order:
     time, r, y_p, z_p, u, x_hat, d_learned, d_supp, d_total, x_bar, u_bar,
     qp_objective, active_set_size, steady, harvested. Raises ValueError,
     before the file is opened, when d_total is not d_learned + d_supp."""
-    records = log.records
     if not np.array_equal(records.column("d_total"),
                           records.column("d_learned")
                           + records.column("d_supp")):
@@ -557,7 +541,7 @@ def write_log_csv(log, path):
 
 
 def read_log_csv(path):
-    """The log write_log_csv wrote; raises ValueError naming the file and
+    """The Records write_log_csv wrote; raises ValueError naming the file and
     the first field of FIELDS that has no column, or the file and the line
     of a row that is not one number per column."""
     rows = []
@@ -585,12 +569,12 @@ def read_log_csv(path):
     records = Records({name: len(groups[name]) for name in FIELDS}, len(rows))
     records.values[:] = table[:, [i for name in FIELDS for i in groups[name]]]
     records.n = len(rows)
-    return ClosedLoopLog(records=records)
+    return records
 
 
 def write_summary(log, path, dt=1.0, settle_tol=1e-3):
-    """Writes the summary; returns metrics(log), or None for a log without
-    rows."""
+    """Writes the summary of log, a ControlLoop; returns metrics(log), or
+    None for a log without rows."""
     m = None
     with open(path, "w") as fh:
         fh.write("# closed-loop summary\n")
@@ -620,7 +604,7 @@ def write_summary(log, path, dt=1.0, settle_tol=1e-3):
                         " ".join("%.17g" % v for v in s.d_ss), s.residual))
         if log.rejected_harvests:
             fh.write(f"rejected_harvests {log.rejected_harvests}\n")
-        exc = log.target_excursions
+        exc = log.excursions
         if exc.count:
             fh.write("target_bound_excursions %d first %s last %s\n"
                      % (exc.count, exc.first.text(), exc.last.text()))

@@ -136,8 +136,8 @@ def test_run_short_nominal(tmp_path, capsys):
         (r"^  schedule:\n(?:    - .*\n)+", "  schedule:\n    - [0, 0.878, 324.5]\n"),
     ])
     assert cli.main(["run", str(cfg), "--mode", "nominal"]) == 0
-    log = cl.read_log_csv(str(tmp_path / "out" / "short_run_nominal.csv"))
-    assert len(log.records) == 12
+    records = cl.read_log_csv(str(tmp_path / "out" / "short_run_nominal.csv"))
+    assert len(records) == 12
     assert (tmp_path / "out" / "short_run_nominal_summary.txt").exists()
 
 
@@ -189,18 +189,18 @@ def test_run_both_loops_see_one_target_box(tmp_path, monkeypatch, capsys):
     """Both loops of run --mode both pass the interval kernel the same
     pred.lo and pred.hi objects, which build_prediction made once."""
     loops, boxes = [], set()
-    real_counted = cl._counted
+    real_run = cl.run_scenario
     real_interval = kernels.PYTHON_KERNELS.interval
 
-    def counted(log, loop):
-        loops.append(loop)
-        return real_counted(log, loop)
+    def run(*args, **kwargs):
+        loops.append(real_run(*args, **kwargs))
+        return loops[-1]
 
     def interval(M_step, P, b_box, lo, hi, *rest):
         boxes.add((id(lo), id(hi)))
         return real_interval(M_step, P, b_box, lo, hi, *rest)
 
-    monkeypatch.setattr(cl, "_counted", counted)
+    monkeypatch.setattr(cl, "run_scenario", run)
     monkeypatch.setattr(kernels, "active", types.SimpleNamespace(
         **{**vars(kernels.PYTHON_KERNELS), "interval": interval}))
     train = ROOT / "out" / "sweep_c_50_train.txt"
@@ -282,6 +282,38 @@ def test_sweep_harvests_one_sample_per_row_a_repeated_row_included(
     assert np.array_equal(samples[1][0], samples[2][0])
     assert capsys.readouterr().out.startswith(
         "harvested 3 samples over 113 steps")
+
+
+def test_a_sweep_that_stops_keeps_its_samples(tmp_path, capsys):
+    """Rows 1, 2 and 100 of sweep_ct_100.txt with sweep.cap 100: row 100
+    is not steady within the cap. The sweep writes the 2 samples before
+    it, the bytes a sweep of rows 1 and 2 alone writes, says in one line
+    where and why it stopped, and exits 4."""
+    rows = [line for line in (CONFIGS / "sweep_ct_100.txt").read_text()
+            .splitlines() if not line.startswith("#")]
+    text, n = re.subn(r"^  cap: .*$", "  cap: 100",
+                      (CONFIGS / "cstr_twovar.yaml").read_text(), flags=re.M)
+    assert n == 1
+    cfg = tmp_path / "cap100.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    for name, picked in (("two", rows[:2]),
+                         ("stopped", [rows[0], rows[1], rows[99]])):
+        (tmp_path / f"{name}.txt").write_text("\n".join(picked) + "\n")
+    assert cli.main(["sweep", str(cfg), "--setpoints",
+                     str(tmp_path / "two.txt"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["sweep", str(cfg), "--setpoints",
+                     str(tmp_path / "stopped.txt"), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    dest = out / "stopped_train.txt"
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines()
+            if not line.startswith("WARNING target outside bounds")] == [
+        "sweep ABORTED at step 212: no steady state within 100 steps at "
+        f"setpoint [0.00575668 3.67771041]; harvested 2 samples -> {dest}"]
+    assert dest.read_bytes() == (out / "two_train.txt").read_bytes()
+    assert len(grnn.load_samples(str(dest))) == 2
 
 
 def test_sweep_reports_target_excursions_in_one_line(tmp_path, capsys):
@@ -653,6 +685,29 @@ def test_bad_train_file_error_names_the_file(tmp_path, capsys):
     assert cli.main(["run", "--mode", "learned", str(cfg)]) == 2
     assert capsys.readouterr().err == \
         f"error: {train}: line 3: non-numeric field\n"
+
+
+@pytest.mark.parametrize("n_in", [1, 3])
+def test_train_file_with_the_wrong_input_count_is_input_error(
+        tmp_path, capsys, n_in):
+    """The learned map is looked up at the setpoint, whose 2 entries
+    cstr_twovar.yaml controls: samples of 1 or 3 inputs are an input
+    error naming the file and both counts, not a map whose one input is
+    broadcast over the setpoint or a traceback from grnn.predict."""
+    train = tmp_path / "train.txt"
+    train.write_text(f"# inputs {n_in}\n" + "".join(
+        " ".join([f"{0.001 * (i + 1):g}"] * n_in + ["0.01", "0.3"]) + "\n"
+        for i in range(3)))
+    text, n = re.subn(r"train: [^}]*", f"train: {train}",
+                      (CONFIGS / "cstr_twovar.yaml").read_text())
+    assert n == 1
+    cfg = tmp_path / "inputs.yaml"
+    cfg.write_text(text)
+    assert cli.main(["run", "--mode", "learned", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {train}: samples have {n_in} inputs, the setpoint has 2 "
+        "entries\n")
 
 
 def fails_naming(capsys, argv, path):

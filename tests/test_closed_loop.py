@@ -59,6 +59,16 @@ def test_schedule_validation():
         (0.0, [0.0, 0.0]), (4.0, [1.0, 1.0])]
 
 
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+def test_an_event_at_a_non_finite_time_is_rejected(time):
+    """An event whose time is not finite would never fire at its time, so
+    ScenarioConfig rejects it, as it rejects such a schedule time."""
+    events = ((2.0, {"d_star": (0.0, 0.0)}), (time, {"d_star": (0.1, 0.0)}))
+    with pytest.raises(ValueError, match="^event time .* is not finite$"):
+        scenario(10.0, [(0.0, np.zeros(2))], cl.ControllerMode.NOMINAL,
+                 events=events)
+
+
 def scan_setpoint(schedule, t):
     """The setpoint at t by a scan of the whole schedule: the last entry
     whose start, less 1e-9, is <= t, else the first."""
@@ -354,7 +364,8 @@ def stacked(recs):
 
 
 def recs_to_log(recs):
-    return cl.ClosedLoopLog(records=stacked(recs))
+    """What metrics reads of a ControlLoop: its records."""
+    return types.SimpleNamespace(records=stacked(recs))
 
 
 def test_metrics_closed_forms():
@@ -402,10 +413,10 @@ def test_csv_round_trip(committed, tmp_path):
     log = cl.run_scenario(sc, m, dist, gains, cfg,
                           cl.LinearPlant(m, dist, d_star=np.array([0.01, 0.2])))
     path = tmp_path / "log.csv"
-    cl.write_log_csv(log, str(path))
+    cl.write_log_csv(log.records, str(path))
     back = cl.read_log_csv(str(path))
-    assert len(back.records) == len(log.records)
-    for a, b in zip(log.records, back.records):
+    assert len(back) == len(log.records)
+    for a, b in zip(log.records, back):
         assert a.time == b.time
         for field in ("r", "y_p", "z_p", "u", "x_hat", "d_learned",
                       "d_supp", "d_total", "x_bar", "u_bar"):
@@ -426,7 +437,7 @@ def test_runs_are_deterministic(committed, tmp_path):
                               cl.LinearPlant(m, dist,
                                              d_star=np.array([0.01, -0.3])))
         p = tmp_path / f"{tag}.csv"
-        cl.write_log_csv(log, str(p))
+        cl.write_log_csv(log.records, str(p))
         return p.read_text()
 
     assert run_once("a") == run_once("b")
@@ -449,10 +460,10 @@ def test_empty_log_round_trips_with_the_full_header(committed, tmp_path):
     log = cl.run_scenario(sc, m, dist, gains, cfg,
                           cl.LinearPlant(m, dist, d_star=np.zeros(2)))
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    cl.write_log_csv(log, str(first))
+    cl.write_log_csv(log.records, str(first))
     back = cl.read_log_csv(str(first))
-    assert len(back.records) == 0
-    assert back.records.widths == log.records.widths
+    assert len(back) == 0
+    assert back.widths == log.records.widths
     cl.write_log_csv(back, str(second))
     assert second.read_bytes() == first.read_bytes()
     header = first.read_text().splitlines()
@@ -461,13 +472,19 @@ def test_empty_log_round_trips_with_the_full_header(committed, tmp_path):
     assert header[0].endswith(",qp_objective,active_set_size,steady,harvested")
 
 
-def test_sweep_insufficient_cap_raises(committed):
+def test_sweep_insufficient_cap_stops_the_sweep(committed):
+    """A setpoint not steady within cap intervals stops the sweep as an
+    abort does: the rows and samples before it are kept, and aborted
+    gives the first interval without a row and the reason."""
     m, dist, gains, cfg = committed
-    with pytest.raises(cl.SteadyNotReached):
-        cl.sweep_harvest(m, dist, gains, cfg,
-                         cl.LinearPlant(m, dist, d_star=np.zeros(2)),
-                         [np.array([0.001, 0.1])], cap=4,
-                         steady=cl.SteadyTest(M=5))
+    samples, log = cl.sweep_harvest(
+        m, dist, gains, cfg, cl.LinearPlant(m, dist, d_star=np.zeros(2)),
+        [np.zeros(2), np.array([0.001, 0.1])], cap=8,
+        steady=cl.SteadyTest(M=5))
+    assert len(samples) == 1 and len(log.records) == log.k == 6 + 8
+    assert log.aborted == {
+        "time": log.k * m.dt,
+        "reason": "no steady state within 8 steps at setpoint [0.001 0.1  ]"}
 
 
 def test_sweep_collects_one_sample_per_setpoint(committed):
@@ -589,9 +606,10 @@ def test_sweep_failure_part_way_keeps_the_samples(committed):
     samples, log = cl.sweep_harvest(
         m, dist, gains, cfg, FailingPlant(m, dist, np.zeros(2), k_fail=10),
         setpoints, cap=150)
-    assert len(log.records) == 10
+    assert len(log.records) == log.k == 10
     assert len(samples) == 1 and log.harvested == samples
-    assert log.aborted == {"time": 10, "reason": "left the physical region"}
+    assert log.aborted == {"time": log.k * m.dt,
+                           "reason": "left the physical region"}
 
 
 def test_sweep_abort_time_is_in_minutes(tracking_rc):
@@ -651,8 +669,8 @@ def test_failing_interval_counts_no_target_excursion(committed):
                   cl.ControllerMode.NOMINAL)
     log = cl.run_scenario(sc, m, dist, gains, cfg,
                           FailingPlant(m, dist, np.zeros(2), k_fail=3))
-    assert len(log.records) == log.target_excursions.count == 3
-    assert np.array_equal(log.target_excursions.last.u_bar,
+    assert len(log.records) == log.excursions.count == 3
+    assert np.array_equal(log.excursions.last.u_bar,
                           log.records[-1].u_bar)
 
 
@@ -667,19 +685,19 @@ def test_summary_counts_target_excursions_only_when_present(committed,
         sc = scenario(5.0, [(0.0, r)], cl.ControllerMode.NOMINAL)
         log = cl.run_scenario(sc, m, dist, gains, cfg,
                               cl.LinearPlant(m, dist, d_star=np.zeros(2)))
-        assert log.target_excursions.count == expect
+        assert log.excursions.count == expect
         cl.write_summary(log, path)
         lines = [line for line in path.read_text().splitlines()
                  if line.startswith("target_bound_excursions")]
         if not expect:
             assert lines == []
             continue
-        first = log.target_excursions.first
+        first = log.excursions.first
         assert np.array_equal(first.u_bar, log.records[0].u_bar)
-        assert np.array_equal(log.target_excursions.last.u_bar,
+        assert np.array_equal(log.excursions.last.u_bar,
                               log.records[-1].u_bar)
         assert lines == ["target_bound_excursions 5 first %s last %s"
-                         % (first.text(), log.target_excursions.last.text())]
+                         % (first.text(), log.excursions.last.text())]
 
 
 def test_qp_runs_exactly_on_the_constrained_intervals(twovar_rc,
@@ -711,8 +729,8 @@ def test_qp_runs_exactly_on_the_constrained_intervals(twovar_rc,
     constrained = sum(rec.active_set_size > 0 for rec in log.records)
     assert 0 < constrained < len(log.records)
     assert calls == {"condense": 0, "solve_qp": 0}
-    assert log.table_misses + log.table_hits == constrained
-    assert log.table_hits >= 1 and log.table_misses >= 1
+    assert log.table.misses + log.table.hits == constrained
+    assert log.table.hits >= 1 and log.table.misses >= 1
 
 
 def test_failed_table_miss_aborts_the_run_and_stores_no_entry(twovar_rc,
@@ -751,7 +769,7 @@ def test_failed_table_miss_aborts_the_run_and_stores_no_entry(twovar_rc,
                            "reason": "active set did not converge"}
     assert len(log.records) == k
     assert np.array_equal(log.records.values[:k], full.records.values[:k])
-    assert (log.table_misses, log.table_hits) == (1, 0)
+    assert (log.table.misses, log.table.hits) == (1, 0)
     assert len(tables) == 1 and tables[0].entries == []
 
 
@@ -770,8 +788,8 @@ def test_sweep_log_counts_table_hits_and_misses(twovar_rc):
         setpoints, cap=rc.sweep_cap)
     assert log.aborted is None
     constrained = sum(rec.active_set_size > 0 for rec in log.records)
-    assert log.table_hits + log.table_misses == constrained
-    assert log.table_hits >= 1 and log.table_misses >= 1
+    assert log.table.hits + log.table.misses == constrained
+    assert log.table.hits >= 1 and log.table.misses >= 1
 
 
 def test_loops_sharing_prediction_data_count_excursions_apart(committed):
@@ -786,9 +804,9 @@ def test_loops_sharing_prediction_data_count_excursions_apart(committed):
                             cl.LinearPlant(m, dist, d_star=np.zeros(2)),
                             pred=shared)
             for shared in (pred, pred, None)]
-    counts = [log.target_excursions.count for log in logs]
+    counts = [log.excursions.count for log in logs]
     assert counts == [20, 20, 20]
-    assert logs[0].target_excursions is not logs[1].target_excursions
+    assert logs[0].excursions is not logs[1].excursions
 
 
 def test_learned_map_is_looked_up_once_per_setpoint(twovar_rc, monkeypatch):
@@ -927,16 +945,16 @@ def test_bad_log_row_names_the_file_and_line(tmp_path, edit, message):
 
 @pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)
 def test_committed_log_reads_back_to_the_same_bytes(path, tmp_path):
-    log = cl.read_log_csv(str(path))
-    assert len(log.records) > 0
+    records = cl.read_log_csv(str(path))
+    assert len(records) > 0
     out = tmp_path / path.name
-    cl.write_log_csv(log, str(out))
+    cl.write_log_csv(records, str(out))
     assert out.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)
 def test_column_metrics_equal_the_per_record_metrics(path):
-    log = cl.read_log_csv(str(path))
+    log = types.SimpleNamespace(records=cl.read_log_csv(str(path)))
     recs = list(log.records)
     assert cl.segment_bounds(log.records) == ref_segment_bounds(recs)
     for dt, settle_tol in ((1.0, 1e-3), (0.5, 1e-5), (1.0, 1e-12)):
@@ -964,7 +982,7 @@ def test_broken_invariant_raises_before_anything_is_written(committed,
     kept.write_text("an earlier log\n")
     for path in (fresh, kept):
         with pytest.raises(ValueError, match="d_total"):
-            cl.write_log_csv(log, str(path))
+            cl.write_log_csv(log.records, str(path))
     assert not fresh.exists()
     assert kept.read_text() == "an earlier log\n"
     with pytest.raises(ValueError, match="d_total"):
@@ -1018,7 +1036,7 @@ def test_aborted_run_writes_its_rows_up_to_the_failure(committed, tmp_path):
                    FailingPlant(m, dist, np.zeros(2), k_fail=6)):
         log = cl.run_scenario(sc, m, dist, gains, cfg, plant_)
         path = tmp_path / "log.csv"
-        cl.write_log_csv(log, str(path))
+        cl.write_log_csv(log.records, str(path))
         texts.append(path.read_text().splitlines())
     assert log.aborted == {"time": 6.0, "reason": "left the physical region"}
     assert len(texts[0]) == 11

@@ -171,8 +171,8 @@ def check_sweep(tmp_path, monkeypatch):
             str(ROOT / "configs" / "cstr_twovar.yaml"), "--out", str(tmp_path)]
     assert cli.main(argv) == 0
     (log,) = logs
-    assert (log.table_hits, log.table_misses, len(phase1)) == (214, 7, 4)
-    exc = log.target_excursions
+    assert (log.table.hits, log.table.misses, len(phase1)) == (214, 7, 4)
+    exc = log.excursions
     assert (exc.count, len(log.records)) == (207, 4366)
     for pair, ref in zip((exc.first, exc.last), SWEEP_EXCURSIONS):
         worst = row_deviation(pair.text().split(), ref.split(), "excursion")

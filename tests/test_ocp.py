@@ -535,9 +535,10 @@ def constrained_thetas():
     runs that end with an active row."""
     thetas = []
     for mode in ("nominal", "learned"):
-        log = cl.read_log_csv(str(ROOT / "out" / f"cstr_twovar_{mode}.csv"))
+        records = cl.read_log_csv(
+            str(ROOT / "out" / f"cstr_twovar_{mode}.csv"))
         thetas += [np.concatenate([rec.x_hat, rec.d_total, rec.r])
-                   for rec in log.records if rec.active_set_size]
+                   for rec in records if rec.active_set_size]
     assert len(thetas) >= 4
     return thetas
 

@@ -152,9 +152,10 @@ def test_stacked_product_gives_the_pair_of_solve(twovar_rc,
     M_step = est_mod.DisturbanceEstimator(m, dist, rc.make_gains()).M_step
     thetas = []
     for mode in ("nominal", "learned"):
-        log = cl.read_log_csv(str(ROOT / "out" / f"cstr_twovar_{mode}.csv"))
+        records = cl.read_log_csv(
+            str(ROOT / "out" / f"cstr_twovar_{mode}.csv"))
         thetas += [np.concatenate([rec.x_hat, rec.d_total, rec.r])
-                   for rec in log.records]
+                   for rec in records]
     rng = np.random.default_rng(41)
     (x_lo, x_hi) = cfg.x_bounds
     for _ in range(500):
