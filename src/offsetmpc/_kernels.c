@@ -16,12 +16,11 @@
      y (3, written), its measurement;
      u (2), the input in deviation from the operating input u_ss (2);
      x_ss (3), the operating state;
-     constants (11), CstrParams.rk4_constants: [F0, T0, c0, k0,
-       -E_over_R, area, rxn, jacket, outlet_factor,
-       concentration_mismatch, substeps].
+     constants (10), CstrParams.rk4_constants: [F0, T0, c0, k0,
+       -E_over_R, area, rxn, jacket, outlet_factor, substeps].
 
-   From the absolute input (Tc, F) = u_ss + u it computes 0.03 F, the
-   level rate dh and the level's increments, then runs `substeps` RK4
+   From the absolute input (Tc, F) = u_ss + u it computes the level rate
+   dh and the level's increments, then runs `substeps` RK4
    substeps of length dt / substeps from x. When every stage's input
    state and the last state are in the physical region (PlantState's
    check, which the stages add V > 0 to), it writes the last state into x
@@ -63,8 +62,7 @@
 
 /* the constants of a CSTR stage */
 struct cstr {
-    double Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, extra_outlet;
-    int mismatch;
+    double Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket;
 };
 
 /* the step of one RK4 substep, half and a sixth of it, and the level's
@@ -95,8 +93,6 @@ rates(const struct cstr *p, double c, double T, double h, double *dc,
         return 0;
     kT = p->k0 * exp(p->neg_E / T);
     *dc = p->F0 * (p->c0 - c) / V - kT * c;
-    if (p->mismatch)
-        *dc -= p->extra_outlet * c / V;
     *dT = p->F0 * (p->T0 - T) / V - p->rxn * kT * c + p->jacket * (p->Tc - T);
     return 1;
 }
@@ -171,7 +167,7 @@ get_floats(PyObject *obj, Py_buffer *view, int writable, const char *fn)
 static PyObject *
 advance(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const Py_ssize_t lengths[N_ADVANCE_BUFFERS] = {3, 3, 2, 2, 3, 11};
+    static const Py_ssize_t lengths[N_ADVANCE_BUFFERS] = {3, 3, 2, 2, 3, 10};
     Py_buffer buf[N_ADVANCE_BUFFERS];
     const double *u, *u_ss, *x_ss, *k;
     double *x, *y, s[3], dt, F, dh, n;
@@ -202,7 +198,7 @@ advance(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     x = buf[0].buf; y = buf[1].buf; u = buf[2].buf;
     u_ss = buf[3].buf; x_ss = buf[4].buf; k = buf[5].buf;
     /* the substep count, a whole number that a long holds */
-    n = k[10];
+    n = k[9];
     if (!(n >= 1.0 && n < (double)LONG_MAX && n == floor(n))) {
         PyErr_SetString(PyExc_ValueError,
                         "advance: substeps must be a whole number >= 1");
@@ -211,7 +207,7 @@ advance(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
     F = u_ss[1] + u[1];
     p = (struct cstr){u_ss[0] + u[0], k[0], k[1], k[2], k[3], k[4], k[5],
-                      k[6], k[7], 0.03 * F, k[9] != 0.0};
+                      k[6], k[7]};
     /* the level rate does not depend on the state */
     dh = (p.F0 - k[8] * F) / p.area;
     d.hstep = dt / n;

@@ -90,11 +90,11 @@ def _keys(section, known, path=None):
 
 def _section(parent, key, known, path=None, default=KeyError):
     """The mapping parent[key], required unless a default is given, whose
-    keys are all in known (any keys when known is None); path is parent's
-    own path, None at the top level."""
+    keys are all in known; path is parent's own path, None at the top
+    level."""
     where = _join(path, key)
-    section = _kind(_get(parent, key, path, default), where, dict)
-    return section if known is None else _keys(section, known, where)
+    return _keys(_kind(_get(parent, key, path, default), where, dict), known,
+                 where)
 
 
 def _matrix(value, shape, path):
@@ -160,18 +160,17 @@ def _sweep_cap(value):
     return cap
 
 
+# the plant parameters that the plant section and an event may set
+PLANT_KEYS = tuple(f.name for f in dataclasses.fields(plant_mod.CstrParams))
+
+
 def _coerce_params(section, path):
-    """Plant parameter values as proper numbers; YAML reads unsigned
-    exponents like 7.2e10 as strings."""
-    out = {}
-    for key, val in section.items():
-        if key == "substeps":
-            out[key] = _integer(val, f"{path}.{key}")
-        elif key == "concentration_mismatch":
-            out[key] = _boolean(val, f"{path}.{key}")
-        else:
-            out[key] = _number(val, f"{path}.{key}")
-    return out
+    """Plant parameter values as proper numbers, once every key is a
+    CstrParams field; YAML reads unsigned exponents like 7.2e10 as
+    strings."""
+    return {key: (_integer if key == "substeps" else _number)(
+                val, f"{path}.{key}")
+            for key, val in _keys(section, PLANT_KEYS, path).items()}
 
 
 def load_config(path):
@@ -232,11 +231,10 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"ocp: {exc}")
 
-    # any keys: CstrParams rejects one it does not take
-    psec = _section(raw, "plant", None)
+    psec = _kind(_get(raw, "plant"), "plant", dict)
     try:
         params = plant_mod.CstrParams(**_coerce_params(psec, "plant"))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"plant: {exc}")
 
     ssec = _section(raw, "scenario", ("duration", "mode", "schedule",
@@ -262,7 +260,7 @@ def load_config(path):
     for i in sorted(range(len(events)), key=lambda i: events[i][0]):
         try:
             event_params = plant_mod.apply_event(event_params, events[i][1])
-        except (ValueError, plant_mod.UnknownEvent) as exc:
+        except ValueError as exc:
             raise ConfigError(f"scenario.events[{i}]: {exc}")
     steady = _section(ssec, "steady", ("M", "tol_y", "tol_u"), "scenario", {})
     gsec = _section(ssec, "grnn", ("capacity", "sigma", "train"), "scenario",
@@ -290,16 +288,10 @@ def load_config(path):
         raise ConfigError(
             f"dt: {dt!r} is too small: scenario.duration / dt is not "
             f"finite for duration {scenario.duration!r}")
-    # run_scenario fires an event at the first interval start k dt at or
-    # past its time less 1e-9, so one past the last start never fires and
-    # one before 0 would fire at 0
-    last_start = (round(scenario.duration / dt, 0) - 1.0) * dt
-    for i, (time, _) in enumerate(events):
-        if not 0.0 <= time <= last_start + 1e-9:
-            raise ConfigError(
-                f"scenario.events[{i}].time: {time:.17g} is outside the run; "
-                f"an event must fall in [0, {last_start:.17g}], the first "
-                "to the last interval's start")
+    try:
+        cl.check_event_times(scenario, dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
     # relative training and output paths are read from the config's
     # directory, whatever the working directory
@@ -413,9 +405,9 @@ def _sample_window(capacity, n_out, samples, path):
         raise ConfigError(f"{path}: {exc}")
 
 
-def _build_grnn(rc, mode):
-    if mode is not cl.ControllerMode.LEARNED:
-        return None
+def _build_grnn(rc):
+    """The learned map of rc: its training samples in a window of
+    scenario.grnn.capacity, at scenario.grnn.sigma."""
     samples = []
     if rc.grnn_train:
         samples = grnn_mod.load_samples(rc.grnn_train)
@@ -451,13 +443,18 @@ def cmd_run(args):
              if args.mode == "both"
              else [cl.ControllerMode(args.mode) if args.mode
                    else rc.scenario.mode])
+    # built before the first mode runs, so a bad training file costs no
+    # interval and writes no file
+    learned = cl.ControllerMode.LEARNED
+    grnn = _build_grnn(rc) if learned in modes else None
     out = _out_dir(args.out, rc.out_dir)
     code = EXIT_OK
     for mode in modes:
         scenario = dataclasses.replace(rc.scenario, mode=mode)
-        grnn = _build_grnn(rc, mode)
         log = cl.run_scenario(scenario, rc.model, rc.dist, gains, rc.ocp_cfg,
-                              _fresh_plant(rc), grnn=grnn, pred=pred)
+                              _fresh_plant(rc),
+                              grnn=grnn if mode is learned else None,
+                              pred=pred)
         base = os.path.join(out, f"{rc.stem}_{mode.value}")
         cl.write_log_csv(log.records, base + ".csv")
         m = cl.write_summary(log, base + "_summary.txt", dt=rc.model.dt)

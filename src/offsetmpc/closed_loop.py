@@ -381,11 +381,30 @@ class ControlLoop:
         return u, harvested
 
 
+def check_event_times(scenario, dt):
+    """Raise ValueError, naming the first such event, when an event of
+    scenario falls outside [0, (round(duration / dt) - 1) dt], the first
+    to the last interval's start of a run with interval dt."""
+    # run_scenario fires an event at the first interval start k dt at or
+    # past its time less 1e-9, so one past the last start never fires and
+    # one before 0 would fire at 0
+    last_start = (round(scenario.duration / dt, 0) - 1.0) * dt
+    for i, (time, _) in enumerate(scenario.events):
+        if not 0.0 <= time <= last_start + 1e-9:
+            raise ValueError(
+                f"scenario.events[{i}].time: {time:.17g} is outside the run; "
+                f"an event must fall in [0, {last_start:.17g}], the first "
+                "to the last interval's start")
+
+
 def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
                  pred=None):
     """Deterministic replay of one scenario; returns its ControlLoop.
-    Events fire between intervals; any of ABORTS stops the run and sets
-    loop.aborted, its rows kept. pred as for ControlLoop."""
+    Events fire between intervals, and one that no interval start reaches
+    is a ValueError before the first (check_event_times); any of ABORTS
+    stops the run and sets loop.aborted, its rows kept. pred as for
+    ControlLoop."""
+    check_event_times(scenario, model.dt)
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant, scenario.mode,
                        grnn=grnn, harvest=scenario.harvest,
                        steady=scenario.steady, pred=pred)

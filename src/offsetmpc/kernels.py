@@ -31,26 +31,21 @@ def _in_region(c, T, h):
     return 0.0 < c < inf and 0.0 < T < inf and 0.0 < h < inf
 
 
-def _rates(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket,
-           extra_outlet, mismatch):
+def _rates(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket):
     """The CSTR stage: the rates (dc, dT) at state (c, T, h) and coolant
-    temperature Tc, from the constants of CstrParams.rk4_constants and
-    extra_outlet = 0.03 F, or None when the state or the volume it fills
-    is not finite and > 0 (a level so small that the volume underflows to
-    0 is not physical). With mismatch set, the outlet stream carries 1.03x
-    the bulk concentration, which adds an extra outlet term to the species
-    balance. The Arrhenius factor is math.exp's, whose argument is <= 0
-    once T is finite and > 0, so it cannot overflow. _kernels.c's rates is
-    this, compiled."""
+    temperature Tc, from the constants of CstrParams.rk4_constants, or
+    None when the state or the volume it fills is not finite and > 0 (a
+    level so small that the volume underflows to 0 is not physical). The
+    Arrhenius factor is math.exp's, whose argument is <= 0 once T is
+    finite and > 0, so it cannot overflow. _kernels.c's rates is this,
+    compiled."""
     V = area * h
     if not (0.0 < c < math.inf and 0.0 < T < math.inf and 0.0 < h < math.inf
             and V > 0.0):
         return None
     kT = k0 * math.exp(neg_E / T)
-    dc = F0 * (c0 - c) / V - kT * c
-    if mismatch:
-        dc -= extra_outlet * c / V
-    return dc, F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T)
+    return (F0 * (c0 - c) / V - kT * c,
+            F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T))
 
 
 def _advance_python(x, y, u, u_ss, x_ss, constants, dt):
@@ -66,14 +61,13 @@ def _advance_python(x, y, u, u_ss, x_ss, constants, dt):
     if u.size != 2:
         # the compiled advance's check of the buffers' lengths
         raise ValueError("advance: buffer sizes do not fit together")
-    F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, mismatch, substeps = (
+    F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, substeps = (
         constants.tolist())
     # the compiled advance's check: a whole number that a C long holds
     if not (1.0 <= substeps < 2.0 ** 63 and substeps == math.floor(substeps)):
         raise ValueError("advance: substeps must be a whole number >= 1")
     Tc, F = (u_ss + u.reshape(2)).tolist()
-    stage = (Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket, 0.03 * F,
-             mismatch)
+    stage = (Tc, F0, T0, c0, k0, neg_E, area, rxn, jacket)
     # the level rate does not depend on the state
     dh = (F0 - outlet * F) / area
     hstep = float(dt) / substeps

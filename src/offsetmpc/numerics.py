@@ -132,10 +132,10 @@ def pseudoinverse(A):
     return np.linalg.pinv(A)
 
 
-def matrix_rank(A, tol=RANK_RTOL):
-    """Number of singular values above tol * sigma_max.
+def matrix_rank(A):
+    """Number of singular values above RANK_RTOL * sigma_max.
 
-    tol is relative; sigma_max = 0 gives rank 0. Raises ValueError when A
+    sigma_max = 0 gives rank 0. Raises ValueError when A
     is not a matrix or holds NaN or Inf, and numpy.linalg.LinAlgError when
     the SVD does not converge.
     """
@@ -150,7 +150,7 @@ def matrix_rank(A, tol=RANK_RTOL):
     smax = s[0]
     if smax == 0.0:
         return 0
-    return int(np.sum(s > tol * smax))
+    return int(np.sum(s > RANK_RTOL * smax))
 
 
 def spectral_radius(A):

@@ -8,8 +8,7 @@ States are concentration c (kmol/m3), temperature T (K), level h (m);
 inputs are coolant temperature T_c (K) and outlet flow F (m3/min). The
 structural mismatch against the linear control model is injected through
 outlet_factor, which scales F wherever it enters the dynamics (the level
-equation); an alternative reading that perturbs the species balance instead
-is available as concentration_mismatch (default off).
+equation).
 """
 
 import dataclasses
@@ -44,7 +43,6 @@ class CstrParams:
     dH: float = -5e4         # reaction enthalpy, kJ/kmol (exothermic)
     outlet_factor: float = 1.0
     substeps: int = 20
-    concentration_mismatch: bool = False
 
     def __post_init__(self):
         positive = ("F0", "T0", "c0", "r", "k0", "E_over_R", "U", "rho",
@@ -72,13 +70,12 @@ class CstrParams:
         """The parameters and combinations of them that the RK4 step
         reads, computed once, since the dataclass is frozen: the read-only
         float64 buffer [F0, T0, c0, k0, -E_over_R, area, rxn, jacket,
-        outlet_factor, concentration_mismatch, substeps] that the kernel
-        advance takes, with the flag as 0 or 1."""
+        outlet_factor, substeps] that the kernel advance takes."""
         constants = np.array(
             [self.F0, self.T0, self.c0, self.k0, -self.E_over_R, self.area,
              self.dH / (self.rho * self.Cp),
              2.0 * self.U / (self.r * self.rho * self.Cp),
-             self.outlet_factor, self.concentration_mismatch, self.substeps],
+             self.outlet_factor, self.substeps],
             dtype=float)
         constants.flags.writeable = False
         return constants
@@ -129,10 +126,10 @@ def derivatives(s, u, p):
     bit for bit."""
     Tc, F = (float(v) for v in u)
     c, T, h = float(s.c), float(s.T), float(s.h)
-    F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, mismatch, _ = (
+    F0, T0, c0, k0, neg_E, area, rxn, jacket, outlet, _ = (
         p.rk4_constants.tolist())
     rates = kernels._rates(c, T, h, Tc, F0, T0, c0, k0, neg_E, area, rxn,
-                           jacket, 0.03 * F, mismatch)
+                           jacket)
     if rates is None:
         raise _left_region(c, T, h)
     return np.array([*rates, (F0 - outlet * F) / area])

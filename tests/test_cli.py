@@ -453,6 +453,17 @@ def test_the_program_never_imports_scipy(tmp_path):
     assert (tmp_path / "cstr_tracking_learned.csv").exists()
 
 
+def test_importing_grnn_loads_no_other_module_of_the_package():
+    """The package's __init__ imports nothing, so a module loads only what
+    it imports itself, and grnn imports no other module of the package."""
+    code = (
+        "import sys\n"
+        "import offsetmpc.grnn\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'offsetmpc' or m.startswith('offsetmpc.')))\n")
+    assert fresh_python(code) == "['offsetmpc', 'offsetmpc.grnn']"
+
+
 def test_a_plant_step_imports_no_build_tools(compiled_kernels):
     """With the kernels built, the first plant.step, or the first
     ControlLoop.control_step, in a fresh interpreter loads both without
@@ -710,6 +721,22 @@ def test_train_file_with_the_wrong_input_count_is_input_error(
         "entries\n")
 
 
+def test_run_both_reads_the_training_file_before_any_interval(tmp_path,
+                                                              capsys):
+    """run --mode both builds the learned map before the nominal run: a
+    training file the map cannot take exits 2 and writes no file."""
+    train = tmp_path / "train.txt"
+    train.write_text("# inputs 1\n0.001 0.01 0.3\n")
+    cfg = rewrite_config(tmp_path, "both.yaml", [
+        (r"train: \S+\}", f"train: {train}}}")])
+    assert cli.main(["run", "--mode", "both", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {train}: samples have 1 inputs, the setpoint has 2 "
+        "entries\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["both.yaml",
+                                                          "train.txt"]
+
+
 def fails_naming(capsys, argv, path):
     """main(argv) exits 2 with one 'error:' line that names path, or, for
     a config PyYAML cannot read, one that PyYAML's 'in "<path>"' line
@@ -937,13 +964,12 @@ def test_output_dir_resolves_against_config_dir(tmp_path, monkeypatch,
     assert not (tmp_path / "work" / "results").exists()
 
 
-# an event whose parameters are out of range or unknown exits 2 from
-# load_config, before any interval runs; the bad event is listed second but
-# applies first, so the message names its own index
+# an event whose parameters are out of range exits 2 from load_config,
+# before any interval runs; the bad event is listed second but applies
+# first, so the message names its own index
 BAD_EVENTS = {"k0: -1": "k0 must be > 0",
               "substeps: 0": "substeps must be >= 1",
-              "dH: 5": "dH must be < 0",
-              "foo: 1": "unknown plant parameter 'foo'"}
+              "dH: 5": "dH must be < 0"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_EVENTS))
@@ -1028,11 +1054,6 @@ def test_event_at_the_last_interval_start_is_applied(tmp_path, capsys):
 # true under bool(); each case is (key path, value)
 NOT_BOOLEAN = {
     "scenario.harvest": (("scenario", "harvest"), "false"),
-    "plant.concentration_mismatch": (("plant", "concentration_mismatch"),
-                                     "false"),
-    "scenario.events[0].set.concentration_mismatch": (
-        ("scenario", "events"),
-        [{"time": 10, "set": {"concentration_mismatch": "false"}}]),
     "scenario.harvest: 1": (("scenario", "harvest"), 1),
 }
 
@@ -1050,20 +1071,14 @@ def test_non_boolean_flag_is_config_error(tmp_path, capsys, case):
 def test_yaml_booleans_are_accepted(tmp_path):
     cfg = yaml.safe_load(TRACKING.read_text())
     cfg["scenario"]["harvest"] = True
-    cfg["plant"]["concentration_mismatch"] = True
-    cfg["scenario"]["events"] = [{"time": 10,
-                                  "set": {"concentration_mismatch": False}}]
     p = tmp_path / "flags.yaml"
     p.write_text(yaml.safe_dump(cfg))
     rc = cli.load_config(str(p))
     assert rc.scenario.harvest is True
-    assert rc.params.concentration_mismatch is True
-    assert rc.scenario.events == ((10.0, {"concentration_mismatch": False}),)
 
 
 # a key that no section reads exits 2 naming its path, one case per
-# section; plant keys fail through CstrParams. Each case is (key path,
-# value)
+# section (plant parameters below). Each case is (key path, value)
 UNKNOWN_KEYS = {
     "sweeep": (("sweeep",), {"cap": 5}),
     "operating_point.TT": (("operating_point", "TT"), 300.0),
@@ -1085,6 +1100,26 @@ UNKNOWN_KEYS = {
 @pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
 def test_unknown_key_is_config_error(tmp_path, capsys, case):
     keys, value = UNKNOWN_KEYS[case]
+    assert cli.main(["check", str(dumped_config(tmp_path, keys, value))]) == 2
+    assert capsys.readouterr().err == f"error: {case}: unknown key\n"
+
+
+# a plant parameter that CstrParams does not have, in the plant section or
+# in an event, exits 2 naming its path before its value is read, so a
+# boolean and a number give one message; the event is listed second
+UNKNOWN_PLANT_KEYS = {
+    "plant.foo": ("plant", "foo"),
+    "scenario.events[1].set.foo": ("scenario", "events"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+@pytest.mark.parametrize("case", sorted(UNKNOWN_PLANT_KEYS))
+def test_unknown_plant_key_is_config_error(tmp_path, capsys, case, value):
+    keys = UNKNOWN_PLANT_KEYS[case]
+    if keys[0] == "scenario":
+        value = [{"time": 50, "set": {"U": 50.0}},
+                 {"time": 20, "set": {"foo": value}}]
     assert cli.main(["check", str(dumped_config(tmp_path, keys, value))]) == 2
     assert capsys.readouterr().err == f"error: {case}: unknown key\n"
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import pathlib
+import re
 import types
 
 import numpy as np
@@ -67,6 +68,27 @@ def test_an_event_at_a_non_finite_time_is_rejected(time):
     with pytest.raises(ValueError, match="^event time .* is not finite$"):
         scenario(10.0, [(0.0, np.zeros(2))], cl.ControllerMode.NOMINAL,
                  events=events)
+
+
+@pytest.mark.parametrize("periods", [50.0, 9.5, -3.0])
+def test_run_scenario_rejects_an_event_no_interval_reaches(committed,
+                                                          periods):
+    """An event past the last interval's start, 9 dt in a 10-interval
+    run, or before 0 would not fire at its time: run_scenario raises the
+    CLI's message before its first interval."""
+    m, dist, gains, cfg = committed
+    time = periods * m.dt
+    events = ((2.0, {"d_star": (0.0, 0.0)}), (time, {"d_star": (0.1, 0.0)}))
+    sc = scenario(10 * m.dt, [(0.0, np.zeros(2))], cl.ControllerMode.NOMINAL,
+                  events=events)
+    plant = cl.LinearPlant(m, dist, np.zeros(2))
+    # an interval or an event would call one of these
+    plant.step = plant.apply_event = None
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"scenario.events[1].time: {time:.17g} is outside the run; an "
+            f"event must fall in [0, {9 * m.dt:.17g}], the first to the "
+            "last interval's start") + "$"):
+        cl.run_scenario(sc, m, dist, gains, cfg, plant)
 
 
 def scan_setpoint(schedule, t):
@@ -814,7 +836,7 @@ def test_learned_map_is_looked_up_once_per_setpoint(twovar_rc, monkeypatch):
     harvest, so grnn.predict runs on the first interval and on each interval
     whose setpoint differs from the previous one, and on no other."""
     rc = twovar_rc
-    g = cli._build_grnn(rc, cl.ControllerMode.LEARNED)
+    g = cli._build_grnn(rc)
     calls = []
     real = grnn.predict
 
@@ -1667,7 +1689,7 @@ def test_steady_column_matches_the_detector(twovar_rc, drift_rc,
                                    mode=cl.ControllerMode.LEARNED)
     run = cl.run_scenario(scenario, rc.model, rc.dist, rc.make_gains(),
                           rc.ocp_cfg, cli._fresh_plant(rc),
-                          grnn=cli._build_grnn(rc, scenario.mode))
+                          grnn=cli._build_grnn(rc))
     assert (len(run.harvested), len(run.records)) == (16, 1120)
     for log, sc in ((sweep, twovar_rc.scenario), (run, scenario)):
         recs = log.records

@@ -194,7 +194,7 @@ def test_matrix_rank_on_constructed_rank():
         assert numerics.matrix_rank(A) == r
 
 
-def ref_matrix_rank(A, tol=numerics.RANK_RTOL):
+def ref_matrix_rank(A):
     """The scipy.linalg.svdvals form that matrix_rank replaced."""
     A = np.asarray(A, dtype=float)
     if A.size == 0:
@@ -202,7 +202,7 @@ def ref_matrix_rank(A, tol=numerics.RANK_RTOL):
     s = scipy.linalg.svdvals(A)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > numerics.RANK_RTOL * s[0]))
 
 
 def test_matrix_rank_matches_svdvals_oracle(monkeypatch):

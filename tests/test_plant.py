@@ -209,17 +209,6 @@ def test_integer_substeps_step(substeps):
             s, u, plant.CstrParams(substeps=3), 1.0)
 
 
-def test_concentration_mismatch_term():
-    s = plant.PlantState(c=0.878, T=324.5, h=0.659)
-    u = np.array([300.0, 0.1])
-    base = plant.derivatives(s, u, plant.CstrParams())
-    tilted = plant.derivatives(s, u, plant.CstrParams(concentration_mismatch=True))
-    V = plant.CstrParams().area * s.h
-    assert tilted[0] - base[0] == pytest.approx(-0.03 * u[1] * s.c / V, rel=1e-9)
-    assert tilted[1] == base[1]
-    assert tilted[2] == base[2]
-
-
 # The RK4 step in array form, kept as the reference: plant.step's scalar
 # kernel must reproduce it bit for bit. exp gives the Arrhenius factor:
 # math.exp, as plant.step takes it, or np.exp, as plant.step took it
@@ -234,8 +223,6 @@ def _deriv_reference(x, u, p, exp=math.exp):
     V = p.area * h
     kT = p.k0 * exp(-p.E_over_R / T)
     dc = p.F0 * (p.c0 - c) / V - kT * c
-    if p.concentration_mismatch:
-        dc -= 0.03 * F * c / V
     dT = (p.F0 * (p.T0 - T) / V
           - p.dH / (p.rho * p.Cp) * kT * c
           + 2.0 * p.U / (p.r * p.rho * p.Cp) * (Tc - T))
@@ -266,9 +253,8 @@ def _step_reference_numpy_exp(s, u, p, dt):
     return _step_reference(s, u, p, dt, exp=np.exp)
 
 
-# every combination of outlet factor, mismatch reading, substeps and dt
-ORACLE_CASES = list(itertools.product((1.0, 1.03, 0.9), (False, True),
-                                      (1, 20), (0.5, 1.0)))
+# every combination of outlet factor, substeps and dt
+ORACLE_CASES = list(itertools.product((1.0, 1.03, 0.9), (1, 20), (0.5, 1.0)))
 
 
 def _oracle_draws():
@@ -276,9 +262,8 @@ def _oracle_draws():
     cycling through ORACLE_CASES."""
     rng = np.random.default_rng(4)
     for i in range(1200):
-        outlet, conc, substeps, dt = ORACLE_CASES[i % len(ORACLE_CASES)]
-        p = plant.CstrParams(outlet_factor=outlet, substeps=substeps,
-                             concentration_mismatch=conc)
+        outlet, substeps, dt = ORACLE_CASES[i % len(ORACLE_CASES)]
+        p = plant.CstrParams(outlet_factor=outlet, substeps=substeps)
         s = plant.PlantState(c=rng.uniform(0.5, 1.0),
                              T=rng.uniform(310.0, 340.0),
                              h=rng.uniform(0.1, 1.2))
@@ -306,7 +291,7 @@ def test_step_matches_array_reference_bit_for_bit(step_both):
 def test_step_moves_from_the_numpy_exp_form_by_at_most_1e_13(step_both):
     """math.exp in place of numpy's exp moves a step's result by rounding
     alone: on these draws at most 1e-13 relative in each of c, T and h
-    (16 of 3114 components moved, by at most 2.1e-14, on one machine),
+    (14 of 3111 components moved, by at most 4.0e-15, on one machine),
     and a step leaves the physical region in one form exactly when it
     does in the other."""
     n_steps = 0
@@ -378,7 +363,6 @@ def _closure_rates(p, u, calls):
     area = p.area
     rxn = p.dH / (p.rho * p.Cp)
     jacket = 2.0 * p.U / (p.r * p.rho * p.Cp)
-    extra_outlet = 0.03 * F if p.concentration_mismatch else None
     dh = (F0 - p.outlet_factor * F) / area
 
     def rates(c, T, h):
@@ -391,8 +375,6 @@ def _closure_rates(p, u, calls):
                 f"physical region")
         kT = k0 * math.exp(-E_over_R / T)
         dc = F0 * (c0 - c) / V - kT * c
-        if extra_outlet is not None:
-            dc -= extra_outlet * c / V
         dT = F0 * (T0 - T) / V - rxn * kT * c + jacket * (Tc - T)
         return dc, dT, dh
 
@@ -428,9 +410,8 @@ STAGE_FAILURES = {
                 plant.CstrParams(substeps=1), 0.5, 4),
     "substep 4, stage 2": (plant.PlantState(c=0.28, T=301.0, h=0.65),
                            [438.0, 0.18], plant.CstrParams(), 2.0, 14),
-    "substep 15, stage 3, concentration mismatch": (
-        plant.PlantState(c=0.83, T=336.0, h=0.63), [323.0, 0.09],
-        plant.CstrParams(concentration_mismatch=True), 0.5, 59),
+    "substep 15, stage 3": (plant.PlantState(c=0.83, T=336.0, h=0.63),
+                            [323.0, 0.09], plant.CstrParams(), 0.5, 59),
     "substep 10, stage 4": (plant.PlantState(c=0.83, T=333.0, h=0.38),
                             [350.0, 0.15], plant.CstrParams(), 0.5, 40),
     "end of substep 8": (plant.PlantState(c=0.4, T=301.0, h=0.27),
@@ -465,12 +446,11 @@ def test_step_fails_at_the_closure_forms_stage_with_its_message(case,
 def _kernel_draws(n):
     """n (state, inputs, params, dt) cycling through ORACLE_CASES, from a
     range wide enough that about half the steps leave the physical region
-    (10 842 of 20 000, at each of the four stages)."""
+    (10 864 of 20 000, at each of the four stages)."""
     rng = np.random.default_rng(19)
     for i in range(n):
-        outlet, conc, substeps, dt = ORACLE_CASES[i % len(ORACLE_CASES)]
-        p = plant.CstrParams(outlet_factor=outlet, substeps=substeps,
-                             concentration_mismatch=conc)
+        outlet, substeps, dt = ORACLE_CASES[i % len(ORACLE_CASES)]
+        p = plant.CstrParams(outlet_factor=outlet, substeps=substeps)
         s = plant.PlantState(c=rng.uniform(0.1, 1.0),
                              T=rng.uniform(300.0, 350.0),
                              h=rng.uniform(0.02, 1.2))
@@ -505,7 +485,7 @@ def test_compiled_advance_matches_python_on_20000_draws(compiled_kernels):
     inputs split into an operating input and a deviation: both return True
     and write the same x and y = x - x_ss, or both return the same state,
     the input of the stage or the last state that left the region, and
-    leave x and y as they were. 426 of the 10 842 failing draws fail only
+    leave x and y as they were. 444 of the 10 864 failing draws fail only
     at the last state."""
     u_ss = np.array([300.0, 0.1])
     x_ss = np.array([0.878, 324.5, 0.659])
@@ -526,7 +506,7 @@ def test_compiled_advance_matches_python_on_20000_draws(compiled_kernels):
             left += 1
         assert _bits(got[1]) == _bits(want[1])
         assert _bits(got[2]) == _bits(want[2])
-    assert left == 10842
+    assert left == 10864
 
 
 def test_compiled_advance_rejects_buffers_that_do_not_fit(compiled_kernels):
@@ -534,7 +514,7 @@ def test_compiled_advance_rejects_buffers_that_do_not_fit(compiled_kernels):
     constants = plant.CstrParams().rk4_constants
     args = (x, y, u, np.array([300.0, 0.1]), np.zeros(3), constants, 1.0)
     assert compiled_kernels.advance(*args) is True
-    for i, bad in ((0, np.zeros(4)), (2, np.zeros(3)), (5, constants[:10])):
+    for i, bad in ((0, np.zeros(4)), (2, np.zeros(3)), (5, constants[:9])):
         with pytest.raises(ValueError, match="do not fit together"):
             compiled_kernels.advance(*args[:i], bad, *args[i + 1:])
     for i, bad in ((0, x.astype(np.float32)), (2, [0.0, 0.0])):
@@ -545,7 +525,7 @@ def test_compiled_advance_rejects_buffers_that_do_not_fit(compiled_kernels):
         compiled_kernels.advance(constants.copy(), *args[1:5], constants, 1.0)
     for substeps in (0.0, 2.5, np.nan):
         bad = constants.copy()
-        bad[10] = substeps
+        bad[9] = substeps
         with pytest.raises(ValueError, match="substeps"):
             compiled_kernels.advance(*args[:5], bad, 1.0)
 
@@ -674,7 +654,7 @@ def test_both_kernels_reject_a_substep_count_before_any_substep(
     u_ss, x_ss = np.array([300.0, 0.1]), np.array([0.878, 324.5, 0.659])
     for substeps in (2.5, 0.0, -1.0, np.nan, np.inf, 2.0 ** 63):
         constants = plant.CstrParams().rk4_constants.copy()
-        constants[10] = substeps
+        constants[9] = substeps
         x, y = np.array([0.9, 320.0, 0.7]), np.full(3, 7.0)
         with pytest.raises(
                 ValueError,
