@@ -192,6 +192,11 @@ def load_config(path):
                 3, "operating_point"),
         _vector([_get(op_sec, k, "operating_point") for k in ("Tc", "F")],
                 2, "operating_point"))
+    # the plant starts at x_ss, so it must be a state the plant can take
+    try:
+        plant_mod.PlantState(*op.x_ss)
+    except plant_mod.NonPhysicalState as exc:
+        raise ConfigError(f"operating_point: {exc}")
 
     dt = _number(raw.get("dt", 1.0), "dt")
     msec = _section(raw, "model", ("A", "B", "C", "H"))
@@ -379,7 +384,7 @@ def _checked(path):
 
 
 def _out_dir(flag, default):
-    out = flag or os.environ.get("OFFSETMPC_OUT_DIR") or default
+    out = flag or default
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -457,7 +462,7 @@ def cmd_run(args):
                               pred=pred)
         base = os.path.join(out, f"{rc.stem}_{mode.value}")
         cl.write_log_csv(log.records, base + ".csv")
-        m = cl.write_summary(log, base + "_summary.txt", dt=rc.model.dt)
+        m = cl.write_summary(log, base + "_summary.txt")
         if log.aborted:
             print(f"{mode.value}: ABORTED at t={log.aborted['time']}: "
                   f"{log.aborted['reason']}", file=sys.stderr)
@@ -545,7 +550,7 @@ def cmd_grnn_fit(args):
     return EXIT_OK
 
 
-def sample_setpoints(n, seed, params, op):
+def sample_setpoints(n, seed, params):
     """Seeded uniform setpoints over C_RANGE x T_RANGE, rejecting pairs whose
     steady level leaves [0.45, 1.15] m or whose temperature sits in the
     upper band where the level target collapses; visit order groups by
@@ -576,7 +581,7 @@ def cmd_sample_setpoints(args):
     if args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     rc = load_config(args.config)
-    pts = sample_setpoints(args.n, args.seed, rc.params, rc.op)
+    pts = sample_setpoints(args.n, args.seed, rc.params)
     dest = args.out or f"setpoints_{args.n}_{args.seed}.txt"
     with open(dest, "w") as fh:
         fh.write("# absolute setpoints: c (kmol/m3), T (K)\n")

@@ -19,6 +19,7 @@ of the kernel advance, or a LinearPlant.
 """
 
 import collections.abc
+import copy
 import enum
 import math
 import numbers
@@ -211,11 +212,11 @@ class LinearPlant:
     """The controller's own model driven by a constant modeled disturbance;
     lets exactness claims be tested without plant-model mismatch."""
 
-    def __init__(self, model, dist, d_star, x0=None):
+    def __init__(self, model, dist, d_star):
         self.model = model
         self.C_d, self.B_d = dist.C_d, dist.B_d
         self.d_star = np.asarray(d_star, dtype=float)
-        self.x = np.zeros(model.n_x) if x0 is None else np.asarray(x0, dtype=float).copy()
+        self.x = np.zeros(model.n_x)
 
     def measure(self):
         return self.model.C @ self.x + self.C_d @ self.d_star
@@ -400,17 +401,22 @@ def check_event_times(scenario, dt):
 def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
                  pred=None):
     """Deterministic replay of one scenario; returns its ControlLoop.
-    Events fire between intervals, and one that no interval start reaches
-    is a ValueError before the first (check_event_times); any of ABORTS
+    Events fire between intervals. One that no interval start reaches is a
+    ValueError before the first (check_event_times), and so is one that
+    the plant cannot apply (plant.UnknownEvent or ValueError), raised by
+    applying the events in firing order to a copy of plant. Any of ABORTS
     stops the run and sets loop.aborted, its rows kept. pred as for
     ControlLoop."""
     check_event_times(scenario, model.dt)
+    pending = sorted(scenario.events, key=lambda e: e[0])
+    trial = copy.copy(plant)
+    for _, event in pending:
+        trial.apply_event(event)
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant, scenario.mode,
                        grnn=grnn, harvest=scenario.harvest,
                        steady=scenario.steady, pred=pred)
     n_steps = int(round(scenario.duration / model.dt))
     loop.records.reserve(n_steps)
-    pending = sorted(scenario.events, key=lambda e: e[0])
     entries = collections.deque(scenario.schedule)
     for k in range(n_steps):
         t = k * model.dt
@@ -463,6 +469,10 @@ def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
 
 # ---- metrics ----
 
+# a segment has settled once no |z - r| entry exceeds this for good
+SETTLE_TOL = 1e-3
+
+
 @dataclass
 class SegmentSummary:
     start: float
@@ -484,8 +494,11 @@ def segment_bounds(records):
     return list(zip(edges, edges[1:]))
 
 
-def metrics(log, dt=1.0, settle_tol=1e-3):
-    records = log.records
+def metrics(log):
+    """Per-segment and total tracking metrics of log, a ControlLoop, at
+    its model's dt; a segment has settled from the row after the last one
+    above SETTLE_TOL."""
+    records, dt = log.records, log.model.dt
     if not len(records):
         raise ValueError("empty log")
     time = records.column("time")
@@ -498,8 +511,7 @@ def metrics(log, dt=1.0, settle_tol=1e-3):
         ise = float((errs ** 2).sum() * dt)
         abs_errs = np.abs(errs)
         peak = float(abs_errs.max())
-        # settled from the row after the last one above the tolerance
-        above = np.flatnonzero(abs_errs.max(axis=1) > settle_tol)
+        above = np.flatnonzero(abs_errs.max(axis=1) > SETTLE_TOL)
         i = int(above[-1]) + 1 if above.size else 0
         settling = float(time[a + i] - time[a]) if i < b - a else None
         segments.append(SegmentSummary(
@@ -591,7 +603,7 @@ def read_log_csv(path):
     return records
 
 
-def write_summary(log, path, dt=1.0, settle_tol=1e-3):
+def write_summary(log, path):
     """Writes the summary of log, a ControlLoop; returns metrics(log), or
     None for a log without rows."""
     m = None
@@ -605,7 +617,7 @@ def write_summary(log, path, dt=1.0, settle_tol=1e-3):
             kv = " ".join(f"{k}={v}" for k, v in sorted(event.items()))
             fh.write("event time %.17g %s\n" % (t, kv))
         if log.records:
-            m = metrics(log, dt=dt, settle_tol=settle_tol)
+            m = metrics(log)
             for i, seg in enumerate(m["segments"]):
                 fh.write("segment %d start %.17g end %.17g r %s "
                          "terminal_e %s ise %.17g peak %.17g settling %s\n"

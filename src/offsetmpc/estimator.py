@@ -65,10 +65,6 @@ class DisturbanceEstimator:
                         gains.L_d @ dist.C_d])]])
         self.M_step.flags.writeable = False
 
-    def initial(self):
-        return AugmentedEstimate(np.zeros(self.model.n_x),
-                                 np.zeros(self.dist.n_d))
-
     def learned_step(self, est, u, y_p, d_learned):
         """One update; the nominal estimator is this with d_learned = 0.
         Its w is the kernel interval's, bit for bit: the same product

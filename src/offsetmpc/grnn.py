@@ -239,23 +239,16 @@ def write_samples(path, samples):
 
 def _write_samples(fh, samples):
     """The '# inputs k' directive, k from the first sample, then one row
-    per sample, as _parse_rows reads them; nothing for no samples."""
+    per sample, as load_samples reads them; nothing for no samples."""
     if samples:
         fh.write(f"# inputs {len(samples[0][0])}\n")
     write_rows(fh, ((*r, *d) for r, d in samples))
 
 
 def load_samples(path):
-    """Whitespace-separated numeric rows, '#' comments; the input/output
-    split comes from an '# inputs k' directive."""
-    with open_text(path) as fh:
-        return _parse_rows(path, enumerate(fh, start=1))
-
-
-def _parse_rows(path, lines):
-    """The samples [(r, d), ...] of the (line number, text) pairs of a
-    sample or model file: read_rows' rows, split after the first k fields
-    by the last '# inputs k' directive."""
+    """Whitespace-separated numeric rows, '#' comments, as read_rows reads
+    them; the samples [(r, d), ...] split after the first k fields by the
+    last '# inputs k' directive."""
     n_in = None
 
     def directive(lineno, text):
@@ -266,7 +259,8 @@ def _parse_rows(path, lines):
             except (IndexError, ValueError):
                 raise ParseError(f"{path}: line {lineno}: bad inputs directive")
 
-    rows = read_rows(path, lines, directive)
+    with open_text(path) as fh:
+        rows = read_rows(path, enumerate(fh, start=1), directive)
     if not rows:
         return []
     if n_in is None:
@@ -285,28 +279,3 @@ def write_model(path, model):
         fh.write("capacity %d\n" % model.capacity)
         fh.write("outputs %d\n" % model.n_out)
         _write_samples(fh, list(zip(model.X, model.Y)))
-
-
-def read_model(path):
-    """The model write_model wrote: its sigma, capacity and outputs lines,
-    then samples as load_samples reads them."""
-    header, rest = {}, []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            words = raw.split("#", 1)[0].split()
-            if words and words[0] in ("sigma", "capacity", "outputs"):
-                try:
-                    header[words[0]] = float(words[1])
-                    # a count must be whole, not truncated to one
-                    if (words[0] != "sigma"
-                            and not header[words[0]].is_integer()):
-                        raise ValueError(words[1])
-                except (IndexError, ValueError):
-                    raise ParseError(f"{path}: line {lineno}: bad {words[0]} "
-                                     "line")
-            else:
-                rest.append((lineno, raw))
-    if len(header) < 3:
-        raise ParseError(f"{path}: missing sigma/capacity/outputs header")
-    return from_samples(int(header["capacity"]), int(header["outputs"]),
-                        header["sigma"], _parse_rows(path, rest))

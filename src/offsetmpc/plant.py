@@ -151,18 +151,12 @@ class NonlinearPlant:
         self.params = params
         self.op = op
         self.dt = dt
-        self._x = np.empty(3)
-        self._y = np.empty(3)
-        self.state = state
+        self._x = np.array([state.c, state.T, state.h], dtype=float)
+        self._y = self._x - op.x_ss
 
     @property
     def state(self):
         return PlantState(*self._x.tolist())
-
-    @state.setter
-    def state(self, s):
-        self._x[:] = s.c, s.T, s.h
-        np.subtract(self._x, self.op.x_ss, out=self._y)
 
     def measure(self):
         return self._y
@@ -189,11 +183,6 @@ def step(s, u, p, dt):
     plant = NonlinearPlant(s, p, _ZERO_OP, dt)
     plant.step(u)
     return plant.state
-
-
-def measure(s, op):
-    """Full-state measurement in deviation coordinates."""
-    return np.array([s.c, s.T, s.h]) - op.x_ss
 
 
 def apply_event(p, event):

@@ -240,20 +240,6 @@ def test_singular_target_is_a_condition_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
-    text = TRACKING.read_text()
-    text = re.sub(r"^  duration: .*$", "  duration: 3", text, flags=re.M)
-    text = re.sub(r"^  schedule:\n(?:    - .*\n)+",
-                  "  schedule:\n    - [0, 0.878, 324.5]\n", text, flags=re.M)
-    text = re.sub(r"^output:\n  dir: .*\n", "", text, flags=re.M)
-    cfg = tmp_path / "envout.yaml"
-    cfg.write_text(text)
-    dest = tmp_path / "elsewhere"
-    monkeypatch.setenv("OFFSETMPC_OUT_DIR", str(dest))
-    assert cli.main(["run", str(cfg), "--mode", "nominal"]) == 0
-    assert (dest / "envout_nominal.csv").exists()
-
-
 def test_sweep_writes_training_file(tmp_path, capsys):
     sp = tmp_path / "three.txt"
     sp.write_text("0.877 324.5\n0.878 324.5\n0.879 324.5\n")
@@ -364,6 +350,8 @@ def test_sweep_with_tiny_cap_fails_runtime(tmp_path, capsys):
 
 
 def test_grnn_fit_round_trip(tmp_path, capsys):
+    """The model file, line by line: its sigma, capacity and outputs lines,
+    the inputs directive and one %.17g row per sample, in file order."""
     train = tmp_path / "train.txt"
     rng = np.random.default_rng(2)
     rows = [(rng.normal(size=2) * [0.002, 1.0], rng.normal(size=2))
@@ -371,9 +359,12 @@ def test_grnn_fit_round_trip(tmp_path, capsys):
     grnn.write_samples(str(train), rows)
     assert cli.main(["grnn-fit", str(train), "--sigma", "0.3",
                      "--out", str(tmp_path / "out")]) == 0
-    model = grnn.read_model(str(tmp_path / "out" / "train_model.txt"))
-    assert model.sigma == 0.3
-    assert len(model.X) == 8
+    lines = (tmp_path / "out" / "train_model.txt").read_text().splitlines()
+    assert lines[:5] == ["# fitted regression model",
+                         "sigma %.17g" % 0.3, "capacity 8", "outputs 2",
+                         "# inputs 2"]
+    assert lines[5:] == [" ".join("%.17g" % v for v in (*r, *d))
+                         for r, d in rows]
     assert (tmp_path / "out" / "train_loo.txt").exists()
     assert (tmp_path / "out" / "train_curve.txt").exists()
 
@@ -386,8 +377,9 @@ def test_grnn_fit_auto_sigma(tmp_path, capsys):
     grnn.write_samples(str(train), rows)
     assert cli.main(["grnn-fit", str(train), "--sigma", "auto",
                      "--out", str(tmp_path / "out")]) == 0
-    model = grnn.read_model(str(tmp_path / "out" / "auto_model.txt"))
-    assert model.sigma in grnn.SIGMA_GRID
+    lines = (tmp_path / "out" / "auto_model.txt").read_text().splitlines()
+    key, sigma = lines[1].split()
+    assert key == "sigma" and float(sigma) in grnn.SIGMA_GRID
 
 
 def test_grnn_fit_malformed_train_file(tmp_path, capsys):
@@ -561,6 +553,10 @@ OUT_OF_RANGE = {
     "scenario.steady.tol_u: -1": (r"tol_u: 1\.0e-5", "tol_u: -1"),
     "sweep.cap: 0": (r"cap: 200", "cap: 0"),
     "sweep.cap: -1": (r"cap: 200", "cap: -1"),
+    # an operating point outside the plant's physical region
+    "operating_point: c = -0.5": (r"^  c: 0\.878$", "  c: -0.5"),
+    "operating_point: T = 0": (r"^  T: 324\.5$", "  T: 0"),
+    "operating_point: h = 0": (r"^  h: 0\.659$", "  h: 0"),
 }
 
 
@@ -954,7 +950,6 @@ def test_output_dir_resolves_against_config_dir(tmp_path, monkeypatch,
     elsewhere = tmp_path / "work" / "elsewhere"
     elsewhere.mkdir(parents=True)
     monkeypatch.chdir(elsewhere)
-    monkeypatch.delenv("OFFSETMPC_OUT_DIR", raising=False)
     assert cli.main(["check", str(cfg)]) == 0
     assert cli.main(["run", str(cfg), "--mode", "nominal"]) == 0
     assert (tmp_path / "results" / "rel_nominal.csv").exists()

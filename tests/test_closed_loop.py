@@ -91,6 +91,34 @@ def test_run_scenario_rejects_an_event_no_interval_reaches(committed,
         cl.run_scenario(sc, m, dist, gains, cfg, plant)
 
 
+BAD_API_EVENTS = {
+    "unknown key": ("nonlinear", {"foo": 1.0}, plant.UnknownEvent),
+    "k0: -1": ("nonlinear", {"k0": -1.0}, ValueError),
+    "linear x": ("linear", {"x": 1.0}, plant.UnknownEvent),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_API_EVENTS))
+def test_run_scenario_rejects_a_bad_event_before_the_first_interval(
+        tracking_rc, case):
+    """An event at t = 5 that the plant cannot apply raises before the
+    first interval, and the plant keeps its state and parameters."""
+    kind, event, error = BAD_API_EVENTS[case]
+    rc = tracking_rc
+    sc = dataclasses.replace(rc.scenario, events=((5.0, event),))
+    if kind == "nonlinear":
+        plant_ = cli._fresh_plant(rc)
+        def snapshot(): return plant_.state, plant_.params
+    else:
+        plant_ = cl.LinearPlant(rc.model, rc.dist, np.array([0.01, -0.5]))
+        def snapshot(): return plant_.x.tolist(), plant_.d_star.tolist()
+    before = snapshot()
+    with pytest.raises(error):
+        cl.run_scenario(sc, rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+                        plant_)
+    assert snapshot() == before
+
+
 def scan_setpoint(schedule, t):
     """The setpoint at t by a scan of the whole schedule: the last entry
     whose start, less 1e-9, is <= t, else the first."""
@@ -386,14 +414,16 @@ def stacked(recs):
 
 
 def recs_to_log(recs):
-    """What metrics reads of a ControlLoop: its records."""
-    return types.SimpleNamespace(records=stacked(recs))
+    """What metrics reads of a ControlLoop: its records and its model's
+    dt, here 1."""
+    return types.SimpleNamespace(records=stacked(recs),
+                                 model=types.SimpleNamespace(dt=1.0))
 
 
 def test_metrics_closed_forms():
     offset = np.array([0.1, 0.0])
     recs = [zrec(time=float(k), z_p=offset) for k in range(50)]
-    m = cl.metrics(recs_to_log(recs), dt=1.0)
+    m = cl.metrics(recs_to_log(recs))
     seg = m["segments"][0]
     assert len(m["segments"]) == 1
     assert seg.ise == pytest.approx(50 * 0.01)
@@ -406,7 +436,7 @@ def test_metrics_settling_time():
     big = np.array([0.05, 0.0])
     recs = [zrec(time=float(k), z_p=big if k < 10 else np.zeros(2))
             for k in range(30)]
-    m = cl.metrics(recs_to_log(recs), dt=1.0, settle_tol=1e-3)
+    m = cl.metrics(recs_to_log(recs))
     assert m["segments"][0].settling == pytest.approx(10.0)
 
 
@@ -589,7 +619,7 @@ def test_learned_mode_with_exact_map_tracks_immediately(committed):
     sc = scenario(60.0, [(0.0, np.array([0.002, 0.3]))],
                   cl.ControllerMode.LEARNED)
     log = cl.run_scenario(sc, m, dist, gains, cfg,
-                          cl.LinearPlant(m, dist, d_star=d_star, x0=None),
+                          cl.LinearPlant(m, dist, d_star=d_star),
                           grnn=g)
     for rec in log.records:
         assert np.array_equal(rec.d_learned, d_star)
@@ -694,6 +724,28 @@ def test_failing_interval_counts_no_target_excursion(committed):
     assert len(log.records) == log.excursions.count == 3
     assert np.array_equal(log.excursions.last.u_bar,
                           log.records[-1].u_bar)
+
+
+def test_summary_uses_the_runs_dt(committed, tmp_path):
+    """A loop whose model steps 0.5 min writes its segment ends and ISE at
+    0.5, as the per-record metrics at 0.5 give them."""
+    m, dist, gains, cfg = committed
+    m = model_mod.LinearModel(m.A, m.B, m.C, m.H, 0.5)
+    sc = scenario(10.0, [(0.0, np.array([0.002, 0.3])),
+                         (5.0, np.array([-0.002, -0.3]))],
+                  cl.ControllerMode.NOMINAL)
+    log = cl.run_scenario(sc, m, dist, gains, cfg,
+                          cl.LinearPlant(m, dist, np.array([0.01, -0.5])))
+    path = tmp_path / "summary.txt"
+    got = cl.write_summary(log, path)
+    want = ref_metrics(list(log.records), dt=0.5)
+    lines = path.read_text().splitlines()
+    ends = [float(line.split()[5]) for line in lines
+            if line.startswith("segment ")]
+    assert ends == [seg.end for seg in want["segments"]] == [5.0, 10.0]
+    assert f"total_ise {want['total_ise']:.17g}" in lines
+    assert got["total_ise"] == cl.metrics(log)["total_ise"] \
+        == want["total_ise"]
 
 
 def test_summary_counts_target_excursions_only_when_present(committed,
@@ -975,12 +1027,15 @@ def test_committed_log_reads_back_to_the_same_bytes(path, tmp_path):
 
 
 @pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)
-def test_column_metrics_equal_the_per_record_metrics(path):
-    log = types.SimpleNamespace(records=cl.read_log_csv(str(path)))
-    recs = list(log.records)
-    assert cl.segment_bounds(log.records) == ref_segment_bounds(recs)
+def test_column_metrics_equal_the_per_record_metrics(path, monkeypatch):
+    records = cl.read_log_csv(str(path))
+    recs = list(records)
+    assert cl.segment_bounds(records) == ref_segment_bounds(recs)
     for dt, settle_tol in ((1.0, 1e-3), (0.5, 1e-5), (1.0, 1e-12)):
-        got = cl.metrics(log, dt=dt, settle_tol=settle_tol)
+        log = types.SimpleNamespace(records=records,
+                                    model=types.SimpleNamespace(dt=dt))
+        monkeypatch.setattr(cl, "SETTLE_TOL", settle_tol)
+        got = cl.metrics(log)
         want = ref_metrics(recs, dt=dt, settle_tol=settle_tol)
         assert got["total_ise"] == want["total_ise"]
         assert len(got["segments"]) == len(want["segments"])
@@ -1121,7 +1176,7 @@ def test_a_draining_tank_aborts_the_run_and_keeps_the_last_state(
             params = plant.apply_event(params, event)
         s = plant.step(s, rc.op.u_ss + rec.u, params, rc.model.dt)
     assert plant_.state == s
-    assert np.array_equal(plant_.measure(), plant.measure(s, rc.op))
+    assert np.array_equal(plant_.measure(), s.as_array() - rc.op.x_ss)
 
 
 def test_a_setpoint_written_after_it_was_set_changes_no_row(committed):

@@ -22,15 +22,13 @@ def make_est(x, d):
     return est_mod.AugmentedEstimate(np.asarray(x, float), np.asarray(d, float))
 
 
+# the zero estimate: the estimator at the operating point
+ZERO = make_est(np.zeros(3), np.zeros(2))
+
+
 def nominal(estimator, est, u, y_p):
     """The nominal update: the learned update with d_learned = 0."""
     return estimator.learned_step(est, u, y_p, np.zeros(2))
-
-
-def test_initial_is_zero(estimator):
-    e0 = estimator.initial()
-    assert np.array_equal(e0.x_hat, np.zeros(3))
-    assert np.array_equal(e0.d_hat, np.zeros(2))
 
 
 def test_update_is_linear_in_all_arguments(estimator):
@@ -70,7 +68,7 @@ def test_convergence_under_constant_io(estimator):
     y = np.array([0.02, -0.4, 0.05])
     u = np.array([1.0, -0.01])
     e_inf = as_vec(estimator.steady_state_from_io(y, u))
-    e = estimator.initial()
+    e = ZERO
     errs = []
     for _ in range(40):
         e = nominal(estimator, e, u, y)
@@ -89,8 +87,8 @@ def test_learned_split_preserves_total(estimator):
     u = np.array([0.5, 0.005])
     d_l = np.array([0.008, -0.2])
 
-    e_nom = estimator.initial()
-    e_lrn = estimator.initial()
+    e_nom = ZERO
+    e_lrn = ZERO
     for _ in range(60):
         e_nom = nominal(estimator, e_nom, u, y)
         e_lrn = estimator.learned_step(e_lrn, u, y, d_l)
@@ -140,7 +138,7 @@ def test_learned_step_matches_the_four_product_formula(estimator):
                 got = estimator.learned_step(est, u, y, d_l)
                 want = ref_learned_step(estimator, est, u, y, d_l)
                 assert_close(got, want, est, u, y, d_l)
-    got = want = estimator.initial()
+    got = want = ZERO
     for _ in range(30):
         u, y, d_l = rng.normal(size=2), rng.normal(size=3), rng.normal(size=2)
         prev = want
@@ -174,7 +172,7 @@ def test_non_finite_input_raises(estimator, where, bad):
     # inf times a zero gain is NaN
     with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                       match="non-finite"):
-        estimator.learned_step(estimator.initial(), **args)
+        estimator.learned_step(ZERO, **args)
 
 
 def ref_steady_state_from_io(estimator, y_p, u):

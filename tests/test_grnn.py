@@ -255,17 +255,18 @@ def test_samples_round_trip(tmp_path):
 
 
 def test_model_round_trip(tmp_path):
+    """write_model writes the sigma, capacity and outputs lines, then the
+    window as write_samples does: rows that read_rows reads back bit for
+    bit."""
     m, _ = linear_map_model(n=9)
     m = grnn.with_sigma(m, 0.37)
     path = tmp_path / "model.txt"
     grnn.write_model(str(path), m)
-    back = grnn.read_model(str(path))
-    assert back.sigma == m.sigma
-    assert back.capacity == m.capacity
-    assert back.n_out == m.n_out
-    assert len(back.X) == len(m.X)
-    q = np.array([0.11, -0.53])
-    assert np.array_equal(grnn.predict(back, q), grnn.predict(m, q))
+    lines = path.read_text().splitlines()
+    assert lines[1:5] == ["sigma %.17g" % 0.37, "capacity 50", "outputs 2",
+                          "# inputs 2"]
+    rows = grnn.read_rows(str(path), enumerate(lines[5:], start=6))
+    assert np.array_equal(rows, np.hstack([m.X, m.Y]))
 
 
 def test_load_samples_reports_bad_line(tmp_path):
@@ -284,23 +285,20 @@ def test_load_samples_rejects_ragged(tmp_path):
 
 
 @pytest.mark.parametrize("line, text, message", [
-    (5, "# inputs two", "bad inputs directive"),
-    (7, "0.1 0.2 1.0", "expected 4 fields, got 3"),
-    (6, "0.1 nan 1.0 2.0", "non-finite field"),
-    (3, "capacity 2.5", "bad capacity line"),
-    (4, "outputs 1.5", "bad outputs line"),
-], ids=["directive", "short row", "nan", "fractional capacity",
-        "fractional outputs"])
-def test_read_model_reports_bad_line(tmp_path, line, text, message):
-    """A model file's samples are read by the sample parser, so a bad line
-    is a ParseError naming the file and the line."""
+    (2, "# inputs two", "bad inputs directive"),
+    (4, "0.1 0.2 1.0", "expected 4 fields, got 3"),
+    (3, "0.1 nan 1.0 2.0", "non-finite field"),
+], ids=["directive", "short row", "nan"])
+def test_load_samples_names_the_bad_line(tmp_path, line, text, message):
+    """A bad directive or row of a sample file is a ParseError naming the
+    file and the line."""
     m, _ = linear_map_model(n=4)
-    path = tmp_path / "model.txt"
-    grnn.write_model(str(path), m)
+    path = tmp_path / "train.txt"
+    grnn.write_samples(str(path), list(zip(m.X, m.Y)))
     lines = path.read_text().splitlines()
-    assert lines[4] == "# inputs 2"
+    assert lines[1] == "# inputs 2"
     lines[line - 1] = text
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(grnn.ParseError) as exc:
-        grnn.read_model(str(path))
+        grnn.load_samples(str(path))
     assert str(exc.value) == f"{path}: line {line}: {message}"

@@ -164,11 +164,14 @@ def test_step_raises_when_tank_drains(step_both):
 
 
 def test_measure_is_deviation_from_op(tracking_rc):
-    op = tracking_rc.op
-    s = plant.PlantState(*op.x_ss)
-    assert np.array_equal(plant.measure(s, op), np.zeros(3))
+    """A new plant's measurement is its state less the operating point."""
+    op, p = tracking_rc.op, tracking_rc.params
+    at_op = plant.NonlinearPlant(plant.PlantState(*op.x_ss), p, op)
+    assert np.array_equal(at_op.measure(), np.zeros(3))
     s2 = plant.PlantState(op.x_ss[0] + 0.01, op.x_ss[1] - 2.0, op.x_ss[2] + 0.1)
-    assert np.allclose(plant.measure(s2, op), [0.01, -2.0, 0.1], atol=1e-12)
+    off_op = plant.NonlinearPlant(s2, p, op)
+    assert off_op.state == s2
+    assert np.allclose(off_op.measure(), [0.01, -2.0, 0.1], atol=1e-12)
 
 
 def test_apply_event_swaps_named_parameters():
@@ -541,8 +544,8 @@ def either_kernels(request, compiled_kernels, monkeypatch):
 def test_a_plant_steps_as_a_chain_of_one_shot_steps(tracking_rc,
                                                     either_kernels):
     """NonlinearPlant over 200 intervals, with an outlet_factor event at
-    interval 100: its state and measure() equal those of plant.step and
-    plant.measure chained from the same state, bit for bit. The inputs
+    interval 100: its state and measure() equal those of plant.step
+    chained from the same state, less op.x_ss, bit for bit. The inputs
     feed back the measured temperature and level, which holds the open-
     loop unstable operating point, plus noise."""
     rc = tracking_rc
@@ -560,7 +563,7 @@ def test_a_plant_steps_as_a_chain_of_one_shot_steps(tracking_rc,
         plant_.step(u)
         s = plant.step(s, op.u_ss + u, params, dt)
         assert plant_.state == s, k
-        assert _bits(plant_.measure()) == _bits(plant.measure(s, op)), k
+        assert _bits(plant_.measure()) == _bits(s.as_array() - op.x_ss), k
     assert params.outlet_factor == plant_.params.outlet_factor == 0.95
 
 
