@@ -259,14 +259,6 @@ def load_config(path):
         _keys(ev, ("time", "set"), where)
         events.append((_number(ev["time"], f"{where}.time"),
                        _coerce_params(ev["set"], f"{where}.set")))
-    # the parameters each event leaves must be valid, in the order the run
-    # applies the events, so a bad one fails here rather than mid-run
-    event_params = params
-    for i in sorted(range(len(events)), key=lambda i: events[i][0]):
-        try:
-            event_params = plant_mod.apply_event(event_params, events[i][1])
-        except ValueError as exc:
-            raise ConfigError(f"scenario.events[{i}]: {exc}")
     steady = _section(ssec, "steady", ("M", "tol_y", "tol_u"), "scenario", {})
     gsec = _section(ssec, "grnn", ("capacity", "sigma", "train"), "scenario",
                     {})
@@ -288,15 +280,6 @@ def load_config(path):
                 for key, value in steady.items()}))
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}")
-    # run_scenario runs round(duration / dt) intervals
-    if not math.isfinite(scenario.duration / dt):
-        raise ConfigError(
-            f"dt: {dt!r} is too small: scenario.duration / dt is not "
-            f"finite for duration {scenario.duration!r}")
-    try:
-        cl.check_event_times(scenario, dt)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
 
     # relative training and output paths are read from the config's
     # directory, whatever the working directory
@@ -307,7 +290,7 @@ def load_config(path):
                              _kind(train, "scenario.grnn.train", str))
     sweep_sec = _section(raw, "sweep", ("cap",), default={})
     out_sec = _section(raw, "output", ("dir",), default={})
-    return RunConfig(
+    rc = RunConfig(
         model=model, dist=dist, L_x=L_x, L_d=L_d, ocp_cfg=ocp_cfg,
         params=params, op=op, scenario=scenario,
         grnn_train=train,
@@ -315,6 +298,12 @@ def load_config(path):
         out_dir=os.path.join(config_dir, _kind(out_sec.get("dir", "out"),
                                                "output.dir", str)),
         stem=os.path.splitext(os.path.basename(path))[0])
+    # a run's own pre-flight, on the plant a run starts from
+    try:
+        cl.check_scenario(rc.scenario, _fresh_plant(rc), rc.model.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return rc
 
 
 def run_checks(rc, pred=None):
@@ -450,16 +439,13 @@ def cmd_run(args):
                    else rc.scenario.mode])
     # built before the first mode runs, so a bad training file costs no
     # interval and writes no file
-    learned = cl.ControllerMode.LEARNED
-    grnn = _build_grnn(rc) if learned in modes else None
+    grnn = _build_grnn(rc) if cl.ControllerMode.LEARNED in modes else None
     out = _out_dir(args.out, rc.out_dir)
     code = EXIT_OK
     for mode in modes:
         scenario = dataclasses.replace(rc.scenario, mode=mode)
         log = cl.run_scenario(scenario, rc.model, rc.dist, gains, rc.ocp_cfg,
-                              _fresh_plant(rc),
-                              grnn=grnn if mode is learned else None,
-                              pred=pred)
+                              _fresh_plant(rc), grnn=grnn, pred=pred)
         base = os.path.join(out, f"{rc.stem}_{mode.value}")
         cl.write_log_csv(log.records, base + ".csv")
         m = cl.write_summary(log, base + "_summary.txt")
@@ -645,10 +631,10 @@ def main(argv=None):
             target_mod.SingularTarget) as exc:
         print(f"condition error: {exc}", file=sys.stderr)
         return EXIT_CONDITION
-    except (ocp_mod.Infeasible, ocp_mod.MaxIterations, cl.CrossCheckFailed,
-            plant_mod.NonPhysicalState, plant_mod.UnknownEvent,
-            grnn_mod.InsufficientData, numerics.SingularMatrix,
-            numerics.NoConvergence, MemoryError) as exc:
+    except (ocp_mod.Infeasible, ocp_mod.MaxIterations,
+            plant_mod.NonPhysicalState, grnn_mod.InsufficientData,
+            numerics.SingularMatrix, numerics.NoConvergence,
+            MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

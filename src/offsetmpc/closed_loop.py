@@ -76,6 +76,7 @@ class SteadyTest:
 
 @dataclass
 class ScenarioConfig:
+    """A run; check_scenario checks its events against the run's dt."""
     duration: float                  # minutes
     schedule: tuple                  # ((start time, r vector), ...)
     mode: ControllerMode
@@ -109,9 +110,6 @@ class ScenarioConfig:
             raise ValueError("schedule times must be strictly increasing")
         if not math.isfinite(self.duration):
             raise ValueError("duration must be finite")
-        for t, _ in self.events:
-            if not math.isfinite(t):
-                raise ValueError(f"event time {t} is not finite")
         if self.duration < times[-1]:
             raise ValueError("duration does not cover the schedule")
         if self.grnn_capacity < 1:
@@ -209,13 +207,14 @@ class Records(collections.abc.Sequence):
 
 
 class LinearPlant:
-    """The controller's own model driven by a constant modeled disturbance;
-    lets exactness claims be tested without plant-model mismatch."""
+    """The controller's own model, stepped at its dt, driven by a constant
+    modeled disturbance d_star of n_d finite entries, checked as it is
+    set; lets exactness claims be tested without plant-model mismatch."""
 
     def __init__(self, model, dist, d_star):
-        self.model = model
+        self.model, self.dt = model, model.dt
         self.C_d, self.B_d = dist.C_d, dist.B_d
-        self.d_star = np.asarray(d_star, dtype=float)
+        self.apply_event({"d_star": d_star})
         self.x = np.zeros(model.n_x)
 
     def measure(self):
@@ -226,11 +225,16 @@ class LinearPlant:
                   + self.B_d @ self.d_star)
 
     def apply_event(self, event):
-        if "d_star" in event and len(event) == 1:
-            self.d_star = np.asarray(event["d_star"], dtype=float)
-        else:
+        if "d_star" not in event or len(event) != 1:
             raise plant_mod.UnknownEvent(
                 f"linear plant only supports d_star overrides, got {event}")
+        # a copy, so that the caller's array cannot undo the check
+        d_star = np.array(event["d_star"], dtype=float)
+        n_d = self.B_d.shape[1]
+        if d_star.shape != (n_d,) or not np.isfinite(d_star).all():
+            raise ValueError(f"d_star must be {n_d} finite entries, got "
+                             f"{d_star.tolist()}")
+        self.d_star = d_star
 
 
 def harvest_sample(estimator, time, r, y_p, u, d_total):
@@ -255,7 +259,11 @@ class ControlLoop:
     def __init__(self, model, dist, gains, ocp_cfg, plant, mode,
                  grnn=None, harvest=False, steady=SteadyTest(), pred=None):
         """pred is ocp.build_prediction(model, dist, ocp_cfg), built here
-        when None; loops of one command share it read-only."""
+        when None; loops of one command share it read-only. A plant that
+        steps other than model.dt is a ValueError."""
+        if plant.dt != model.dt:
+            raise ValueError(f"the plant steps {plant.dt!r}, the model's dt "
+                             f"is {model.dt!r}")
         self.model = model
         self.estimator = DisturbanceEstimator(model, dist, gains)
         self.pred = (ocp_mod.build_prediction(model, dist, ocp_cfg)
@@ -382,41 +390,50 @@ class ControlLoop:
         return u, harvested
 
 
-def check_event_times(scenario, dt):
-    """Raise ValueError, naming the first such event, when an event of
-    scenario falls outside [0, (round(duration / dt) - 1) dt], the first
-    to the last interval's start of a run with interval dt."""
+def check_scenario(scenario, plant, dt):
+    """The pre-flight of a run of scenario on plant at interval dt: returns
+    its interval count n = round(duration / dt) once n is finite, every
+    event falls in [0, (n - 1) dt], the first to the last interval's
+    start, and a copy of plant takes the events in firing order; else
+    raises ValueError, or the plant's UnknownEvent, naming the field."""
+    if not math.isfinite(scenario.duration / dt):
+        raise ValueError(
+            f"dt: {dt!r} is too small: scenario.duration / dt is not "
+            f"finite for duration {scenario.duration!r}")
+    n_steps = round(scenario.duration / dt)
     # run_scenario fires an event at the first interval start k dt at or
     # past its time less 1e-9, so one past the last start never fires and
-    # one before 0 would fire at 0
-    last_start = (round(scenario.duration / dt, 0) - 1.0) * dt
-    for i, (time, _) in enumerate(scenario.events):
+    # one before 0 would fire at 0; a NaN time falls in no range
+    last_start = (n_steps - 1) * dt
+    events = scenario.events
+    for i, (time, _) in enumerate(events):
         if not 0.0 <= time <= last_start + 1e-9:
             raise ValueError(
                 f"scenario.events[{i}].time: {time:.17g} is outside the run; "
                 f"an event must fall in [0, {last_start:.17g}], the first "
                 "to the last interval's start")
+    trial = copy.copy(plant)
+    for i in sorted(range(len(events)), key=lambda i: events[i][0]):
+        try:
+            trial.apply_event(events[i][1])
+        except (plant_mod.UnknownEvent, ValueError) as exc:
+            raise type(exc)(f"scenario.events[{i}]: {exc}") from None
+    return n_steps
 
 
 def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
                  pred=None):
     """Deterministic replay of one scenario; returns its ControlLoop.
-    Events fire between intervals. One that no interval start reaches is a
-    ValueError before the first (check_event_times), and so is one that
-    the plant cannot apply (plant.UnknownEvent or ValueError), raised by
-    applying the events in firing order to a copy of plant. Any of ABORTS
-    stops the run and sets loop.aborted, its rows kept. pred as for
-    ControlLoop."""
-    check_event_times(scenario, model.dt)
-    pending = sorted(scenario.events, key=lambda e: e[0])
-    trial = copy.copy(plant)
-    for _, event in pending:
-        trial.apply_event(event)
+    Events fire between intervals. check_scenario, the CLI's own check,
+    gives the interval count, and its errors raise before the first
+    interval with the plant untouched. Any of ABORTS stops the run and
+    sets loop.aborted, its rows kept. pred as for ControlLoop."""
+    n_steps = check_scenario(scenario, plant, model.dt)
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant, scenario.mode,
                        grnn=grnn, harvest=scenario.harvest,
                        steady=scenario.steady, pred=pred)
-    n_steps = int(round(scenario.duration / model.dt))
     loop.records.reserve(n_steps)
+    pending = sorted(scenario.events, key=lambda e: e[0])
     entries = collections.deque(scenario.schedule)
     for k in range(n_steps):
         t = k * model.dt
@@ -443,13 +460,18 @@ def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
                   steady=SteadyTest(), pred=None):
     """Visit each setpoint, a repeated one included, until steady and
     harvest one sample there; plant and estimator state carry over
-    between setpoints. Returns (samples, loop). A setpoint not steady
-    within cap intervals, or any of ABORTS, stops the sweep as it stops
-    a run: loop.aborted is set and the samples so far are kept. pred as
-    for ControlLoop."""
+    between setpoints. Returns (samples, loop). A setpoint that
+    set_setpoint refuses raises before the first interval. A setpoint
+    not steady within cap intervals, or any of ABORTS, stops the sweep
+    as it stops a run: loop.aborted is set and the samples so far are
+    kept. pred as for ControlLoop."""
+    setpoints = list(setpoints)
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant,
                        ControllerMode.NOMINAL, harvest=True,
                        steady=steady, pred=pred)
+    # each call replaces the last, and the sweep's own calls follow
+    for r in setpoints:
+        loop.set_setpoint(r)
     reason = None
     try:
         for r in setpoints:

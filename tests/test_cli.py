@@ -488,10 +488,13 @@ def test_a_plant_step_imports_no_build_tools(compiled_kernels):
 
 def test_grnn_fit_never_loads_the_compiled_plant_step(tmp_path):
     """grnn-fit and check run no plant step and no control interval, so
-    each, in a fresh interpreter, loads no compiled kernel."""
+    each, in a fresh interpreter, loads no compiled kernel; check builds
+    the plant a run starts from and applies the drift config's event to a
+    copy of it."""
     samples = str(ROOT / "out" / "sweep_c_50_train.txt")
     for argv in (["grnn-fit", samples, "--out", str(tmp_path)],
-                 ["check", str(ROOT / "configs" / "cstr_twovar.yaml")]):
+                 ["check", str(ROOT / "configs" / "cstr_twovar.yaml")],
+                 ["check", str(ROOT / "configs" / "cstr_drift.yaml")]):
         code = (
             "from offsetmpc import cli, kernels\n"
             f"assert cli.main({argv!r}) == 0\n"
@@ -1030,6 +1033,40 @@ def test_event_outside_the_run_is_config_error(tmp_path, capsys, time):
     assert err.startswith("error: scenario.events[1].time: "), err
     assert "outside the run" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "late_nominal.csv").exists()
+
+
+# check and run_scenario share one pre-flight: for each fault, check
+# prints "error: " and the very text that run_scenario raises on the
+# config's scenario and plant; each case is (pattern, line) for the
+# tracking config
+PREFLIGHT = {
+    "k0: -1": (r"^  harvest: false$", "  harvest: false\n  events:\n"
+               "    - {time: 50, set: {U: 50.0}}\n"
+               "    - {time: 20, set: {k0: -1}}"),
+    "substeps: 0": (r"^  harvest: false$", "  harvest: false\n  events:\n"
+                    "    - {time: 20, set: {substeps: 0}}"),
+    "late event": (r"^  harvest: false$", "  harvest: false\n  events:\n"
+                   "    - {time: 120, set: {U: 40.0}}"),
+    "dt: 1.0e-310": (r"^dt: .*$", "dt: 1.0e-310"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFLIGHT))
+def test_check_prints_what_run_scenario_raises(tmp_path, monkeypatch, capsys,
+                                               case):
+    cfg = rewrite_config(tmp_path, "preflight.yaml", [PREFLIGHT[case]])
+    assert cli.main(["check", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    # the same config, loaded without its pre-flight
+    with monkeypatch.context() as patched:
+        patched.setattr(cl, "check_scenario", lambda scenario, plant, dt: 0)
+        rc = cli.load_config(str(cfg))
+    plant = cli._fresh_plant(rc)
+    plant.step = None                # an interval would call it
+    with pytest.raises(ValueError) as raised:
+        cl.run_scenario(rc.scenario, rc.model, rc.dist, rc.make_gains(),
+                        rc.ocp_cfg, plant)
+    assert err == f"error: {raised.value}\n"
 
 
 def test_event_at_the_last_interval_start_is_applied(tmp_path, capsys):

@@ -60,24 +60,22 @@ def test_schedule_validation():
         (0.0, [0.0, 0.0]), (4.0, [1.0, 1.0])]
 
 
-@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
-def test_an_event_at_a_non_finite_time_is_rejected(time):
-    """An event whose time is not finite would never fire at its time, so
-    ScenarioConfig rejects it, as it rejects such a schedule time."""
-    events = ((2.0, {"d_star": (0.0, 0.0)}), (time, {"d_star": (0.1, 0.0)}))
-    with pytest.raises(ValueError, match="^event time .* is not finite$"):
-        scenario(10.0, [(0.0, np.zeros(2))], cl.ControllerMode.NOMINAL,
-                 events=events)
+def count_intervals(monkeypatch):
+    """A list to which each ControlLoop.control_step call appends its k."""
+    calls = []
+    control_step = cl.ControlLoop.control_step
+
+    def counted(loop):
+        calls.append(loop.k)
+        return control_step(loop)
+    monkeypatch.setattr(cl.ControlLoop, "control_step", counted)
+    return calls
 
 
-@pytest.mark.parametrize("periods", [50.0, 9.5, -3.0])
-def test_run_scenario_rejects_an_event_no_interval_reaches(committed,
-                                                          periods):
-    """An event past the last interval's start, 9 dt in a 10-interval
-    run, or before 0 would not fire at its time: run_scenario raises the
-    CLI's message before its first interval."""
+def assert_event_time_rejected(committed, time):
+    """run_scenario raises the CLI's message for an event at time, the
+    second of a 10-interval run, before its first interval."""
     m, dist, gains, cfg = committed
-    time = periods * m.dt
     events = ((2.0, {"d_star": (0.0, 0.0)}), (time, {"d_star": (0.1, 0.0)}))
     sc = scenario(10 * m.dt, [(0.0, np.zeros(2))], cl.ControllerMode.NOMINAL,
                   events=events)
@@ -91,18 +89,38 @@ def test_run_scenario_rejects_an_event_no_interval_reaches(committed,
         cl.run_scenario(sc, m, dist, gains, cfg, plant)
 
 
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+def test_an_event_at_a_non_finite_time_is_rejected(committed, time):
+    """An event whose time is not finite would never fire at its time, so
+    run_scenario rejects it as it rejects one outside the run."""
+    assert_event_time_rejected(committed, time)
+
+
+@pytest.mark.parametrize("periods", [50.0, 9.5, -3.0])
+def test_run_scenario_rejects_an_event_no_interval_reaches(committed,
+                                                          periods):
+    """An event past the last interval's start, 9 dt in a 10-interval
+    run, or before 0 would not fire at its time: run_scenario raises the
+    CLI's message before its first interval."""
+    assert_event_time_rejected(committed, periods * committed[0].dt)
+
+
 BAD_API_EVENTS = {
     "unknown key": ("nonlinear", {"foo": 1.0}, plant.UnknownEvent),
     "k0: -1": ("nonlinear", {"k0": -1.0}, ValueError),
     "linear x": ("linear", {"x": 1.0}, plant.UnknownEvent),
+    "linear d_star of 3 entries": ("linear", {"d_star": [0.01, -0.5, 0.3]},
+                                   ValueError),
+    "linear d_star nan": ("linear", {"d_star": [np.nan, 0.0]}, ValueError),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_API_EVENTS))
 def test_run_scenario_rejects_a_bad_event_before_the_first_interval(
-        tracking_rc, case):
-    """An event at t = 5 that the plant cannot apply raises before the
-    first interval, and the plant keeps its state and parameters."""
+        tracking_rc, monkeypatch, case):
+    """An event at t = 5 that the plant cannot apply raises, naming the
+    event, before the first interval, and the plant keeps its state and
+    parameters."""
     kind, event, error = BAD_API_EVENTS[case]
     rc = tracking_rc
     sc = dataclasses.replace(rc.scenario, events=((5.0, event),))
@@ -113,10 +131,77 @@ def test_run_scenario_rejects_a_bad_event_before_the_first_interval(
         plant_ = cl.LinearPlant(rc.model, rc.dist, np.array([0.01, -0.5]))
         def snapshot(): return plant_.x.tolist(), plant_.d_star.tolist()
     before = snapshot()
-    with pytest.raises(error):
+    intervals = count_intervals(monkeypatch)
+    with pytest.raises(error, match=r"^scenario\.events\[0\]: "):
         cl.run_scenario(sc, rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
                         plant_)
-    assert snapshot() == before
+    assert intervals == [] and snapshot() == before
+
+
+@pytest.mark.parametrize("d_star", [[np.nan, 0.0], [0.0, np.inf],
+                                    [0.01, -0.5, 0.3], [[0.01, -0.5]]])
+def test_linear_plant_checks_its_d_star(committed, d_star):
+    m, dist, _, _ = committed
+    with pytest.raises(ValueError, match="^d_star must be 2 finite entries"):
+        cl.LinearPlant(m, dist, d_star)
+
+
+def test_linear_plant_keeps_a_copy_of_its_d_star(committed):
+    m, dist, _, _ = committed
+    d_star = np.array([0.01, -0.5])
+    plant_ = cl.LinearPlant(m, dist, d_star)
+    d_star[0] = np.nan
+    assert plant_.d_star.tolist() == [0.01, -0.5]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([np.nan, 0.0], "setpoint [nan, 0.0] is not finite"),
+    ([0.01, 0.0, 0.0], "setpoint has 3 entries, the model controls 2")])
+def test_sweep_checks_every_setpoint_before_the_first_interval(
+        tracking_rc, monkeypatch, bad, message):
+    """A bad second setpoint raises set_setpoint's message before the
+    sweep's first interval, the plant untouched; a generator of setpoints
+    is read once."""
+    rc = tracking_rc
+    plant_ = cli._fresh_plant(rc)
+    before = plant_.state, plant_.params
+    intervals = count_intervals(monkeypatch)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        cl.sweep_harvest(rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
+                         plant_, (r for r in ([0.01, 0.0], bad)))
+    assert intervals == [] and (plant_.state, plant_.params) == before
+
+
+def test_sweep_reads_a_generator_of_setpoints_once(committed):
+    m, dist, gains, cfg = committed
+    rows = [np.zeros(2), np.array([0.001, 0.1])]
+    samples = [cl.sweep_harvest(m, dist, gains, cfg,
+                                cl.LinearPlant(m, dist, np.zeros(2)),
+                                setpoints, cap=150)[0]
+               for setpoints in (rows, (r for r in rows))]
+    assert len(samples[0]) == 2
+    assert [s.time for s in samples[0]] == [s.time for s in samples[1]]
+
+
+@pytest.mark.parametrize("run", ["run_scenario", "sweep_harvest"])
+def test_a_plant_that_steps_another_dt_is_refused(tracking_rc, monkeypatch,
+                                                  run):
+    """A plant stepping 0.5 under a model with dt = 1.0 would part the
+    log's time column from the plant's clock: the loop refuses it before
+    the first interval, the plant untouched."""
+    rc = tracking_rc
+    plant_ = plant.NonlinearPlant(plant.PlantState(*rc.op.x_ss), rc.params,
+                                  rc.op, dt=0.5)
+    before = plant_.state, plant_.params
+    intervals = count_intervals(monkeypatch)
+    args = (rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg, plant_)
+    with pytest.raises(ValueError, match=r"^the plant steps 0\.5, the "
+                       r"model's dt is 1\.0$"):
+        if run == "run_scenario":
+            cl.run_scenario(rc.scenario, *args)
+        else:
+            cl.sweep_harvest(*args, [np.zeros(2)])
+    assert intervals == [] and (plant_.state, plant_.params) == before
 
 
 def scan_setpoint(schedule, t):
