@@ -437,9 +437,15 @@ def cmd_run(args):
              if args.mode == "both"
              else [cl.ControllerMode(args.mode) if args.mode
                    else rc.scenario.mode])
-    # built before the first mode runs, so a bad training file costs no
-    # interval and writes no file
+    # built and checked before the first mode runs, so a bad training
+    # file, or a setpoint the map cannot predict, costs no interval and
+    # writes no file
     grnn = _build_grnn(rc) if cl.ControllerMode.LEARNED in modes else None
+    if grnn is not None:
+        try:
+            cl.check_map(rc.scenario, grnn)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
     out = _out_dir(args.out, rc.out_dir)
     code = EXIT_OK
     for mode in modes:

@@ -736,6 +736,46 @@ def test_run_both_reads_the_training_file_before_any_interval(tmp_path,
                                                           "train.txt"]
 
 
+UNPREDICTABLE = ("error: scenario.schedule[1]: the learned map's prediction "
+                 "at this setpoint, [nan, nan], is not finite\n")
+
+
+def test_run_refuses_a_setpoint_the_map_cannot_predict(tmp_path, capsys):
+    """run --mode both checks the learned map at every schedule setpoint
+    before the nominal run: a setpoint c = 1e200, at which the map's
+    prediction is not finite, exits 2 with one line, raises no numpy
+    warning and writes no file."""
+    cfg = rewrite_config(tmp_path, "far.yaml", [
+        (r"^    - \[15, 0\.882, 324\.5\]$", "    - [15, 1.0e+200, 324.5]")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--mode", "both", str(cfg)]) == 2
+    assert capsys.readouterr().err == UNPREDICTABLE
+    assert [p.name for p in tmp_path.rglob("*")] == ["far.yaml"]
+
+
+def test_run_learned_on_twovar_refuses_a_setpoint_far_off_the_map(tmp_path):
+    """run --mode learned on cstr_twovar.yaml with schedule[1] at c =
+    1e200, in a fresh interpreter: one error line, exit 2, no output."""
+    text = (CONFIGS / "cstr_twovar.yaml").read_text()
+    for pat, rep in [(r"^    - \[15, 0\.8805, 326\.0\]$",
+                      "    - [15, 1.0e+200, 326.0]"),
+                     (r"train: \.\./out/", f"train: {ROOT / 'out'}/"),
+                     (r"^  dir: .*$", f"  dir: {tmp_path / 'out'}")]:
+        text, n = re.subn(pat, rep, text, flags=re.M)
+        assert n == 1, pat
+    cfg = tmp_path / "twovar.yaml"
+    cfg.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "offsetmpc.cli", "run", "--mode", "learned",
+         str(cfg)], capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "",
+                                                           UNPREDICTABLE)
+    assert not (tmp_path / "out").exists()
+
+
 def fails_naming(capsys, argv, path):
     """main(argv) exits 2 with one 'error:' line that names path, or, for
     a config PyYAML cannot read, one that PyYAML's 'in "<path>"' line

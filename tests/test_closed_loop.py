@@ -3,6 +3,7 @@ import dataclasses
 import pathlib
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -970,27 +971,23 @@ def test_loops_sharing_prediction_data_count_excursions_apart(committed):
 
 def test_learned_map_is_looked_up_once_per_setpoint(twovar_rc, monkeypatch):
     """The committed twovar learned run: the model does not change without a
-    harvest, so grnn.predict runs on the first interval and on each interval
-    whose setpoint differs from the previous one, and on no other."""
+    harvest, so grnn.predict runs once per distinct schedule setpoint, in
+    schedule order, all before the first interval; the last entry, which
+    repeats the first setpoint, reads the stored prediction."""
     rc = twovar_rc
     g = cli._build_grnn(rc)
-    calls = []
-    real = grnn.predict
-
-    def counted(model, r):
-        calls.append(1)
-        return real(model, r)
-
-    monkeypatch.setattr(grnn, "predict", counted)
+    _, lookups = counted_lookups(monkeypatch)
     log = cl.run_scenario(
         rc.scenario, rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg,
         cl.NonlinearPlant(plant.PlantState(*rc.op.x_ss), rc.params, rc.op,
                           dt=rc.model.dt), grnn=g)
     assert log.aborted is None and not rc.scenario.harvest
-    changes = sum(not np.array_equal(a.r, b.r)
-                  for a, b in zip(log.records, log.records[1:]))
-    assert 0 < changes < len(log.records) - 1
-    assert len(calls) == changes + 1
+    distinct = []
+    for _, r in rc.scenario.schedule:
+        if r.tolist() not in distinct:
+            distinct.append(r.tolist())
+    assert len(distinct) == len(rc.scenario.schedule) - 1 == 11
+    assert lookups == [(None, r) for r in distinct]
 
 
 def test_learned_map_is_looked_up_again_after_a_harvest(committed,
@@ -1019,6 +1016,75 @@ def test_learned_map_is_looked_up_again_after_a_harvest(committed,
             harvested.append(k)
     assert len(harvested) == 2 and len(loop.grnn.X) == 3
     assert looked_up == sorted({0, 100} | {k + 1 for k in harvested})
+
+
+@pytest.mark.parametrize("case", ["A, B, A, B", "A, B, A, B harvesting",
+                                  "cstr_drift.yaml"])
+def test_the_store_never_serves_a_stale_map(committed, drift_rc,
+                                            either_interval, case):
+    """Every logged row's d_learned is, bit for bit, grnn.predict at the
+    row's setpoint of the map in force at that interval: the map the run
+    started from, grown by each sample harvested on an earlier interval.
+    The schedules revisit their setpoints, without harvests and with one
+    per entry, and cstr_drift.yaml harvests in learned mode."""
+    if case == "cstr_drift.yaml":
+        rc = drift_rc
+        g = cli._build_grnn(rc)
+        log = cl.run_scenario(rc.scenario, rc.model, rc.dist,
+                              rc.make_gains(), rc.ocp_cfg,
+                              cli._fresh_plant(rc), grnn=g)
+    else:
+        m, dist, gains, cfg = committed
+        g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
+                            np.array([0.003, -0.2]), np.zeros(2))
+        sc = scenario(160.0, [(0.0, A), (40.0, B), (80.0, A), (120.0, B)],
+                      cl.ControllerMode.LEARNED,
+                      harvest=case.endswith("harvesting"))
+        log = cl.run_scenario(
+            sc, m, dist, gains, cfg,
+            cl.LinearPlant(m, dist, d_star=np.array([0.01, -0.5])), grnn=g)
+    assert log.aborted is None
+    assert len(log.harvested) == {"A, B, A, B": 0, "A, B, A, B harvesting": 4,
+                                  "cstr_drift.yaml": 16}[case]
+    samples = iter(log.harvested)
+    R, d_l = log.records.column("r"), log.records.column("d_learned")
+    for k, harvested in enumerate(log.records.column("harvested")):
+        assert d_l[k].tobytes() == grnn.predict(g, R[k]).tobytes(), k
+        if harvested:
+            s = next(samples)
+            g = grnn.add_sample(g, s.r, s.d_ss)
+    assert next(samples, None) is None
+
+
+def test_a_setpoint_the_map_cannot_predict_is_refused(committed,
+                                                      monkeypatch):
+    """A schedule setpoint at which the learned map's prediction is not
+    finite raises ValueError naming the entry before the first interval,
+    with the plant untouched and no numpy warning; a nominal run of the
+    same schedule does not read the map, and reaches that entry."""
+    m, dist, gains, cfg = committed
+    g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
+                        np.array([0.003, -0.2]), np.zeros(2))
+    g = grnn.add_sample(g, np.array([0.001, 0.1]), np.zeros(2))
+    sc = scenario(20.0, [(0.0, A), (5.0, B), (10.0, (1e200, 0.0))],
+                  cl.ControllerMode.LEARNED)
+    plant = cl.LinearPlant(m, dist, np.zeros(2))
+    # an interval would call it
+    plant.step = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "scenario.schedule[2]: the learned map's prediction at this "
+                "setpoint, [nan, nan], is not finite")):
+            cl.run_scenario(sc, m, dist, gains, cfg, plant, grnn=g)
+        with pytest.raises(ValueError, match=r"^scenario\.schedule\[2\]: "):
+            cl.check_map(sc, g)
+    calls = count_intervals(monkeypatch)
+    plant = cl.LinearPlant(m, dist, np.zeros(2))
+    sc.mode = cl.ControllerMode.NOMINAL
+    monkeypatch.setattr(grnn, "predict", None)
+    cl.run_scenario(sc, m, dist, gains, cfg, plant, grnn=g)
+    assert calls[:11] == list(range(11))
 
 
 # ---- the columnar log: the per-record metrics it replaced, kept here as
@@ -1310,8 +1376,9 @@ def test_a_non_finite_setpoint_is_rejected(twovar_rc):
 
 
 def counted_lookups(monkeypatch):
-    """The intervals, by index of the ControlLoop.control_step call, at
-    which grnn.predict runs; a lookup outside control_step fails the
+    """The calls of grnn.predict as (interval, setpoint as a list): the
+    index of the ControlLoop.control_step call that made it, or None for
+    a call before the first interval; a call between intervals fails the
     test."""
     steps, lookups = [], []
     step, predict = cl.ControlLoop.control_step, grnn.predict
@@ -1324,8 +1391,8 @@ def counted_lookups(monkeypatch):
             steps.append(None)
 
     def counted_predict(model, r):
-        assert steps and steps[-1] is not None, "a lookup outside an interval"
-        lookups.append(steps[-1])
+        assert not steps or steps[-1] is not None, "a lookup between intervals"
+        lookups.append((steps[-1] if steps else None, np.asarray(r).tolist()))
         return predict(model, r)
 
     monkeypatch.setattr(cl.ControlLoop, "control_step", counted_step)
@@ -1335,13 +1402,17 @@ def counted_lookups(monkeypatch):
 
 def test_the_map_is_looked_up_once_per_setpoint_and_harvest(committed,
                                                            monkeypatch):
-    """run_scenario's loop looks the map up on the first interval of each
-    schedule entry and on the interval after each harvest, which grows the
-    map, and never in nominal mode. Two entries of 100 intervals each take
-    2 harvests in either mode."""
+    """run_scenario predicts the map once per distinct schedule setpoint
+    before its first interval. Inside control_step the map is predicted
+    only on the interval after each harvest, which grows the map and
+    empties the store, and on the first visit to a setpoint after one; in
+    nominal mode never. Two entries of 100 intervals each take 2 harvests
+    in either mode, one in each entry."""
     m, dist, gains, cfg = committed
-    _, lookups = counted_lookups(monkeypatch)
+    steps, lookups = counted_lookups(monkeypatch)
+    a, b = [0.001, 0.1], [-0.001, -0.1]
     for mode in cl.ControllerMode:
+        steps.clear()
         lookups.clear()
         g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
                             np.array([0.003, -0.2]), np.zeros(2))
@@ -1350,9 +1421,10 @@ def test_the_map_is_looked_up_once_per_setpoint_and_harvest(committed,
         log = cl.run_scenario(
             sc, m, dist, gains, cfg,
             cl.LinearPlant(m, dist, d_star=np.array([0.01, -0.5])), grnn=g)
-        harvested = np.flatnonzero(log.records.column("harvested")).tolist()
-        assert len(harvested) == 2
-        assert lookups == (sorted({0, 100} | {k + 1 for k in harvested})
+        h1, h2 = np.flatnonzero(log.records.column("harvested")).tolist()
+        assert h1 + 1 < 100 < h2
+        assert lookups == ([(None, a), (None, b), (h1 + 1, a), (100, b),
+                            (h2 + 1, b)]
                            if mode is cl.ControllerMode.LEARNED else [])
 
 
@@ -1426,9 +1498,10 @@ def test_a_rejected_sample_stays_owed(committed, monkeypatch, tmp_path):
 
 def test_the_drivers_run_one_control_step_per_logged_row(committed,
                                                         monkeypatch):
-    """The benchmark times ControlLoop.control_step as one interval, the
-    learned-map lookup included: run_scenario and sweep_harvest call it
-    once per row they log, and grnn.predict runs only inside it."""
+    """The benchmark times ControlLoop.control_step as one interval:
+    run_scenario and sweep_harvest call it once per row they log, and
+    grnn.predict runs inside it or, to fill the store of predictions
+    once per distinct setpoint, before the first interval."""
     m, dist, gains, cfg = committed
     steps, lookups = counted_lookups(monkeypatch)
     g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
@@ -1439,7 +1512,9 @@ def test_the_drivers_run_one_control_step_per_logged_row(committed,
                           cl.LinearPlant(m, dist, np.array([0.01, -0.5])),
                           grnn=g)
     assert len(log.records) == 150 and log.harvested
-    assert steps[::2] == list(range(150)) and len(lookups) > 2
+    assert steps[::2] == list(range(150))
+    assert lookups[:2] == [(None, [0.001, 0.1]), (None, [-0.001, -0.1])]
+    assert len(lookups) > 2 and None not in [k for k, _ in lookups[2:]]
     steps.clear()
     samples, log = cl.sweep_harvest(
         m, dist, gains, cfg, cl.LinearPlant(m, dist, np.zeros(2)),
