@@ -5,7 +5,13 @@ Configs are YAML with all quantities in absolute physical units; conversion
 to deviation coordinates around the operating point happens here, so the
 numeric core never sees absolute values. Exit codes: 0 success, 2 config or
 input-file errors, 3 condition-check failure, 4 runtime failure.
+
+grnn-fit reads a sample file and nothing else, so this module imports at
+its top only what grnn-fit runs (numpy and grnn). yaml and the
+controller's modules are imported in the functions that use them.
 """
+
+from __future__ import annotations
 
 import argparse
 import dataclasses
@@ -14,15 +20,8 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
-from . import closed_loop as cl
 from . import grnn as grnn_mod
-from . import model as model_mod
-from . import numerics
-from . import ocp as ocp_mod
-from . import plant as plant_mod
-from . import target as target_mod
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +38,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False, repr=False)
 class RunConfig:
     model: model_mod.LinearModel
     dist: model_mod.DisturbanceModel
@@ -55,6 +54,7 @@ class RunConfig:
     stem: str
 
     def make_gains(self):
+        from . import model as model_mod
         return model_mod.EstimatorGains(self.L_x, self.L_d, self.model,
                                         self.dist)
 
@@ -160,25 +160,33 @@ def _sweep_cap(value):
     return cap
 
 
-# the plant parameters that the plant section and an event may set
-PLANT_KEYS = tuple(f.name for f in dataclasses.fields(plant_mod.CstrParams))
-
-
 def _coerce_params(section, path):
     """Plant parameter values as proper numbers, once every key is a
-    CstrParams field; YAML reads unsigned exponents like 7.2e10 as
-    strings."""
+    CstrParams field, one the plant section and an event may set; YAML
+    reads unsigned exponents like 7.2e10 as strings."""
+    from . import plant as plant_mod
+    known = [f.name for f in dataclasses.fields(plant_mod.CstrParams)]
     return {key: (_integer if key == "substeps" else _number)(
                 val, f"{path}.{key}")
-            for key, val in _keys(section, PLANT_KEYS, path).items()}
+            for key, val in _keys(section, known, path).items()}
 
 
 def load_config(path):
-    # bytes, which PyYAML decodes itself: a config that is not UTF-8 is a
-    # YAMLError naming the file and the byte position
+    import yaml
+
+    from . import closed_loop as cl
+    from . import model as model_mod
+    from . import ocp as ocp_mod
+    from . import plant as plant_mod
+
+    # libyaml's parser when PyYAML was built with it, about 6x faster than
+    # the pure-Python one; both build the same objects. Bytes, which
+    # PyYAML decodes itself: a config that is not UTF-8 is a YAMLError
+    # naming the file and the byte position
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "rb") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}")
     if not isinstance(raw, dict):
@@ -247,8 +255,21 @@ def load_config(path):
     schedule = []
     for i, row in enumerate(_kind(_get(ssec, "schedule", "scenario"),
                                   "scenario.schedule", list)):
-        row = _vector(row, 3, f"scenario.schedule[{i}]")
-        schedule.append((row[0], (row[1] - op.x_ss[0], row[2] - op.x_ss[1])))
+        where = f"scenario.schedule[{i}]"
+        row = _vector(row, 3, where)
+        # the absolute state the setpoint asks the plant to hold must be
+        # one it can take, as the operating point must; steady_height
+        # divides by T, and may overflow, in which case its h is refused
+        c, T = row[1], row[2]
+        if not T > 0:
+            raise ConfigError(f"{where}: T must be > 0, got {float(T)!r}")
+        with np.errstate(all="ignore"):
+            h = plant_mod.steady_height(c, T, params)
+        try:
+            plant_mod.PlantState(c, T, h)
+        except plant_mod.NonPhysicalState as exc:
+            raise ConfigError(f"{where}: {exc}")
+        schedule.append((row[0], (c - op.x_ss[0], T - op.x_ss[1])))
     events = []
     for i, ev in enumerate(_kind(ssec.get("events", []), "scenario.events",
                                  list)):
@@ -310,6 +331,10 @@ def run_checks(rc, pred=None):
     """The four admissibility conditions; returns (all_pass, report lines,
     estimator gains), the gains None when the estimator is unstable. pred
     is ocp.build_prediction's data for rc, built here when None."""
+    from . import model as model_mod
+    from . import ocp as ocp_mod
+    from . import target as target_mod
+
     lines = []
     ok = True
 
@@ -362,6 +387,8 @@ def _checked(path):
     """The config at path, its prediction data and the estimator gains;
     the gains are None, after the report is printed, unless every check
     passes."""
+    from . import ocp as ocp_mod
+
     rc = load_config(path)
     pred = ocp_mod.build_prediction(rc.model, rc.dist, rc.ocp_cfg)
     ok, lines, gains = run_checks(rc, pred)
@@ -418,6 +445,7 @@ def _build_grnn(rc):
 
 
 def _fresh_plant(rc):
+    from . import plant as plant_mod
     return plant_mod.NonlinearPlant(plant_mod.PlantState(*rc.op.x_ss),
                                     rc.params, rc.op, dt=rc.model.dt)
 
@@ -430,6 +458,8 @@ def cmd_check(args):
 
 
 def cmd_run(args):
+    from . import closed_loop as cl
+
     rc, pred, gains = _checked(args.config)
     if gains is None:
         return EXIT_CONDITION
@@ -472,6 +502,8 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    from . import closed_loop as cl
+
     rc, pred, gains = _checked(args.config)
     if gains is None:
         return EXIT_CONDITION
@@ -548,6 +580,8 @@ def sample_setpoints(n, seed, params):
     upper band where the level target collapses; visit order groups by
     1-K temperature band, ascending concentration. Raises ConfigError after
     MAX_REJECTED_DRAWS rejections in a row."""
+    from . import plant as plant_mod
+
     rng = np.random.default_rng(seed)
     pts = []
     rejected = 0
@@ -627,22 +661,32 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     # the one place an error becomes an exit code; an OSError's message
-    # names the file that could not be opened, read or written
+    # names the file that could not be opened, read or written. The
+    # controller's modules are imported only once an error has escaped,
+    # since grnn-fit runs without them
     try:
         return args.func(args)
-    except (ConfigError, grnn_mod.ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (model_mod.UnstableEstimator, model_mod.SingularClosedLoop,
-            target_mod.SingularTarget) as exc:
-        print(f"condition error: {exc}", file=sys.stderr)
-        return EXIT_CONDITION
-    except (ocp_mod.Infeasible, ocp_mod.MaxIterations,
-            plant_mod.NonPhysicalState, grnn_mod.InsufficientData,
-            numerics.SingularMatrix, numerics.NoConvergence,
-            MemoryError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except Exception as exc:
+        from . import model as model_mod
+        from . import numerics
+        from . import ocp as ocp_mod
+        from . import plant as plant_mod
+        from . import target as target_mod
+
+        for kinds, code, prefix in (
+                ((ConfigError, grnn_mod.ParseError, OSError), EXIT_CONFIG,
+                 "error"),
+                ((model_mod.UnstableEstimator, model_mod.SingularClosedLoop,
+                  target_mod.SingularTarget), EXIT_CONDITION,
+                 "condition error"),
+                ((ocp_mod.Infeasible, ocp_mod.MaxIterations,
+                  plant_mod.NonPhysicalState, grnn_mod.InsufficientData,
+                  numerics.SingularMatrix, numerics.NoConvergence,
+                  MemoryError), EXIT_RUNTIME, "runtime error")):
+            if isinstance(exc, kinds):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -78,7 +78,7 @@ class SteadyTest:
             object.__setattr__(self, name, tol)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ScenarioConfig:
     """A run; check_scenario checks its events against the run's dt."""
     duration: float                  # minutes
@@ -143,7 +143,7 @@ class StepRecord:
             raise ValueError("d_total must equal d_learned + d_supp exactly")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class HarvestSample:
     r: np.ndarray
     d_ss: np.ndarray
@@ -535,7 +535,7 @@ def sweep_harvest(model, dist, gains, ocp_cfg, plant, setpoints, cap=200,
 SETTLE_TOL = 1e-3
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SegmentSummary:
     start: float
     end: float
@@ -583,7 +583,7 @@ def metrics(log):
     return {"segments": segments, "total_ise": total_ise}
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class LyapunovTrace:
     values: list
     margins: list              # J(k+1) - J(k) + stage(k)

@@ -10,7 +10,7 @@ from . import kernels, numerics
 from .model import estimator_error_matrix, steady_io_matrix
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AugmentedEstimate:
     """x_hat and d_hat as views of the stacked estimate w = [x_hat; d_hat],
     which the next update multiplies."""

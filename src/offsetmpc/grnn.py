@@ -29,7 +29,7 @@ SIGMA_GRID = np.logspace(-2.0, 1.0, 31)
 LOO_BLOCK = 32
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False, repr=False)
 class GrnnModel:
     X: np.ndarray            # (k, n_in) window inputs, oldest first
     Y: np.ndarray            # (k, n_out) window outputs

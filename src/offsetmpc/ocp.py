@@ -33,7 +33,7 @@ TOL_FEAS = 1e-9
 TABLE_SIZE = 25
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class OcpConfig:
     N: int
     q_x: np.ndarray          # diagonal state weights
@@ -72,7 +72,7 @@ class OcpConfig:
         return self.q_u.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class QpFactor:
     """Solver data fixed by a Hessian H and inequality rows G: the lower
     Cholesky factor L of 2H, Y = (2H)^-1 G' and S = G Y, the matrix whose
@@ -83,7 +83,7 @@ class QpFactor:
     S: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AffineLaw:
     """The interval's problem as fixed maps of theta = [x_hat; d; r] while
     no inequality row is active (the empty-active-set critical region of
@@ -98,7 +98,7 @@ class AffineLaw:
     Q: np.ndarray            # objective at u*: theta'Q theta, Q symmetric
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PredictionMatrices:
     """Condensed-QP data fixed by (model, disturbance model, OCP config),
     shared by every CondensedQp and every ControlLoop of one command; its
@@ -118,7 +118,7 @@ class PredictionMatrices:
     hi: np.ndarray           # +-inf on x without x_bounds
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CondensedQp:
     H_j: np.ndarray
     f_j: np.ndarray
@@ -128,7 +128,7 @@ class CondensedQp:
     factor: Optional[QpFactor] = None    # solve_qp factors when None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class QpSolution:
     u_seq: np.ndarray
     active_set: list
@@ -338,7 +338,7 @@ def _kkt_residual(H, f, G, h, x, W, lam):
     return max(r_stat, r_prim, r_comp, r_dual)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ActiveSetLaw:
     """The QP's solution on a fixed working set W as a law over theta:
     with r_u = law.S theta - b_box the slack of the unconstrained

@@ -95,7 +95,7 @@ class PlantState:
         return np.array([self.c, self.T, self.h])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OperatingPoint:
     x_ss: np.ndarray         # (c, T, h)
     u_ss: np.ndarray         # (T_c, F)

@@ -14,7 +14,7 @@ class SingularTarget(Exception):
     """Target matrix rank-deficient: reference unreachable."""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TargetPair:
     x_bar: np.ndarray
     u_bar: np.ndarray
@@ -24,7 +24,7 @@ class TargetPair:
                                       " ".join(fmt % v for v in self.x_bar))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BoundExcursions:
     """Targets that left the input or state box: how many, and the first
     and the last of them."""

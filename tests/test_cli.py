@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 import yaml
 
-from offsetmpc import cli, grnn, kernels, ocp, target
+from offsetmpc import cli, grnn, kernels, model, ocp, target
 from offsetmpc import closed_loop as cl
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -445,6 +445,71 @@ def test_the_program_never_imports_scipy(tmp_path):
     assert (tmp_path / "cstr_tracking_learned.csv").exists()
 
 
+CONTROLLER = ["offsetmpc.closed_loop", "offsetmpc.estimator",
+              "offsetmpc.kernels", "offsetmpc.model", "offsetmpc.numerics",
+              "offsetmpc.ocp", "offsetmpc.plant", "offsetmpc.target"]
+LEAN = ["offsetmpc", "offsetmpc.cli", "offsetmpc.grnn"]
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, compiled_kernels):
+    """Each subcommand, in a fresh interpreter, loads a fixed set of the
+    package's modules, and yaml only if it reads a config: grnn-fit loads
+    cli and grnn alone, so a module-level import added to cli fails here.
+    run and sweep step the plant, so they also load the compiled
+    kernels."""
+    sp = tmp_path / "one.txt"
+    sp.write_text("0.878 324.5\n")
+    cases = [
+        (["grnn-fit", ROOT / "out" / "sweep_c_50_train.txt",
+          "--out", tmp_path], LEAN, False),
+        (["check", TRACKING], LEAN + CONTROLLER, True),
+        (["run", "--mode", "both", TRACKING, "--out", tmp_path],
+         LEAN + CONTROLLER + ["offsetmpc._kernels"], True),
+        (["sweep", TRACKING, "--setpoints", sp, "--out", tmp_path],
+         LEAN + CONTROLLER + ["offsetmpc._kernels"], True),
+        (["sample-setpoints", TRACKING, "-n", "2", "--out", tmp_path / "sp"],
+         LEAN + CONTROLLER, True),
+    ]
+    for argv, modules, reads_yaml in cases:
+        code = (
+            "import sys\n"
+            "from offsetmpc import cli\n"
+            f"assert cli.main({[str(a) for a in argv]!r}) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'offsetmpc' or m.startswith('offsetmpc.')),\n"
+            "      'yaml' in sys.modules)\n")
+        assert fresh_python(code) == f"{sorted(modules)} {reads_yaml}", argv
+
+
+def lean_main(*argv):
+    """(exit code, stdout, stderr) of the program run in a fresh
+    interpreter, where only the modules the subcommand imports are
+    loaded when its error reaches main."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "offsetmpc.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_grnn_fit_errors_keep_their_exit_codes_in_a_fresh_interpreter(
+        tmp_path):
+    """grnn-fit loads no controller module, so its errors reach main's
+    handler with only cli and grnn loaded: one sample with --sigma auto is
+    a runtime error (exit 4), a non-numeric sample file an input error
+    (exit 2), each one line."""
+    one = tmp_path / "one.txt"
+    one.write_text("# inputs 1\n0.001 0.01 0.3\n")
+    assert lean_main("grnn-fit", one, "--sigma", "auto",
+                     "--out", tmp_path / "out") == (
+        4, "", "runtime error: need at least 2 samples\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# inputs 1\n0.001 0.01 x\n")
+    assert lean_main("grnn-fit", bad, "--out", tmp_path / "out") == (
+        2, "", f"error: {bad}: line 2: non-numeric field\n")
+
+
 def test_importing_grnn_loads_no_other_module_of_the_package():
     """The package's __init__ imports nothing, so a module loads only what
     it imports itself, and grnn imports no other module of the package."""
@@ -742,11 +807,11 @@ UNPREDICTABLE = ("error: scenario.schedule[1]: the learned map's prediction "
 
 def test_run_refuses_a_setpoint_the_map_cannot_predict(tmp_path, capsys):
     """run --mode both checks the learned map at every schedule setpoint
-    before the nominal run: a setpoint c = 1e200, at which the map's
-    prediction is not finite, exits 2 with one line, raises no numpy
-    warning and writes no file."""
+    before the nominal run: a setpoint T = 1e200 K, a state the plant can
+    take but at which the map's prediction is not finite, exits 2 with one
+    line, raises no numpy warning and writes no file."""
     cfg = rewrite_config(tmp_path, "far.yaml", [
-        (r"^    - \[15, 0\.882, 324\.5\]$", "    - [15, 1.0e+200, 324.5]")])
+        (r"^    - \[15, 0\.882, 324\.5\]$", "    - [15, 0.882, 1.0e+200]")])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["run", "--mode", "both", str(cfg)]) == 2
@@ -755,11 +820,11 @@ def test_run_refuses_a_setpoint_the_map_cannot_predict(tmp_path, capsys):
 
 
 def test_run_learned_on_twovar_refuses_a_setpoint_far_off_the_map(tmp_path):
-    """run --mode learned on cstr_twovar.yaml with schedule[1] at c =
-    1e200, in a fresh interpreter: one error line, exit 2, no output."""
+    """run --mode learned on cstr_twovar.yaml with schedule[1] at T =
+    1e200 K, in a fresh interpreter: one error line, exit 2, no output."""
     text = (CONFIGS / "cstr_twovar.yaml").read_text()
     for pat, rep in [(r"^    - \[15, 0\.8805, 326\.0\]$",
-                      "    - [15, 1.0e+200, 326.0]"),
+                      "    - [15, 0.8805, 1.0e+200]"),
                      (r"train: \.\./out/", f"train: {ROOT / 'out'}/"),
                      (r"^  dir: .*$", f"  dir: {tmp_path / 'out'}")]:
         text, n = re.subn(pat, rep, text, flags=re.M)
@@ -774,6 +839,50 @@ def test_run_learned_on_twovar_refuses_a_setpoint_far_off_the_map(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "",
                                                            UNPREDICTABLE)
     assert not (tmp_path / "out").exists()
+
+
+LEFT = "left the physical region"
+
+
+# the level of a setpoint state is numpy's exp in steady_height, so the
+# message is checked up to the level's leading digits
+@pytest.mark.parametrize("row, head, tail", [
+    ("1.0e+200, 326.0", "state (1e+200, 326.0, -4.18", LEFT),
+    ("-1, 326.0", "state (-1.0, 326.0, -8.36", LEFT),
+    ("0, 326.0", "state (0.0, 326.0, inf) ", LEFT),
+    ("1.0, 326.0", "state (1.0, 326.0, 0.0) ", LEFT),
+    ("0.8805, 1.0e-320", "state (0.8805, 1e-320, inf) ", LEFT),
+    ("0.8805, 0", "T must be > 0, got 0.0", ""),
+    ("0.8805, -5", "T must be > 0, got -5.0", ""),
+], ids=["c 1e200", "c -1", "c 0", "c at feed", "T tiny", "T 0", "T -5"])
+def test_a_setpoint_the_plant_cannot_hold_is_config_error(tmp_path, capsys,
+                                                          row, head, tail):
+    """A schedule setpoint whose steady state (c, T, steady_height(c, T))
+    is not physical, the rule the operating point is held to, exits 2 with
+    one line naming the entry and writes no file; before this check a
+    nominal run at c = 1e200 ran 15 intervals and exited 4."""
+    text, n = re.subn(r"^    - \[15, 0\.8805, 326\.0\]$", f"    - [15, {row}]",
+                      (CONFIGS / "cstr_twovar.yaml").read_text(), flags=re.M)
+    assert n == 1
+    text, n = re.subn(r"^  dir: .*$", f"  dir: {tmp_path / 'out'}", text,
+                      flags=re.M)
+    assert n == 1
+    cfg = tmp_path / "twovar.yaml"
+    cfg.write_text(text)
+    assert cli.main(["run", "--mode", "nominal", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario.schedule[1]: {head}"), err
+    assert err.endswith(f"{tail}\n") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_committed_setpoint_is_one_the_plant_can_hold():
+    """The 48 schedule setpoints of the four committed configs pass the
+    setpoint check."""
+    rows = 0
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        rows += len(cli.load_config(str(path)).scenario.schedule)
+    assert rows == 48
 
 
 def fails_naming(capsys, argv, path):
@@ -817,6 +926,47 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     cfg = tmp_path / "latin.yaml"
     cfg.write_bytes(TRACKING.read_bytes().replace(b"# ", b"# \xe9", 1))
     fails_naming(capsys, ["check", cfg], cfg)
+
+
+@pytest.fixture(params=["installed", "python"])
+def yaml_loader(request, monkeypatch):
+    """The loader load_config picks: libyaml's CSafeLoader where PyYAML has
+    it, or, with CSafeLoader taken out of yaml as in a PyYAML built without
+    libyaml, the pure-Python SafeLoader."""
+    if request.param == "python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("text", [
+    b"model: [unclosed\n",
+    b"a:\n\t- 1\n",
+    TRACKING.read_bytes().replace(b"# ", b"# \xe9", 1),
+], ids=["unclosed", "tab", "not utf-8"])
+def test_yaml_errors_name_the_config_under_either_loader(
+        tmp_path, capsys, yaml_loader, text):
+    """A config neither loader can read exits 2 with one 'config is not
+    valid YAML' line that PyYAML's 'in "<path>"' line follows; the two
+    loaders word the error differently."""
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(text)
+    fails_naming(capsys, ["check", cfg], cfg)
+
+
+def test_load_config_parses_with_the_loader_available(monkeypatch,
+                                                      yaml_loader):
+    """load_config parses with CSafeLoader when PyYAML has it and with
+    SafeLoader when not, and the two read every committed config alike."""
+    used = []
+    real = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda stream, Loader: (
+        used.append(Loader), real(stream, Loader))[1])
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        cli.load_config(str(path))
+        text = path.read_bytes()
+        assert (real(text, Loader=yaml_loader)
+                == real(text, Loader=yaml.SafeLoader)), path.name
+    assert used == [yaml_loader] * 4
 
 
 @pytest.mark.parametrize("command", ["check", "sweep", "run"])
@@ -922,13 +1072,13 @@ def test_run_and_sweep_build_the_gains_once(tmp_path, monkeypatch, capsys):
     """The checks hand their gains to the command instead of building them
     a second time."""
     built = []
-    real = cli.model_mod.EstimatorGains
+    real = model.EstimatorGains
 
     def counting(*args, **kwargs):
         built.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli.model_mod, "EstimatorGains", counting)
+    monkeypatch.setattr(model, "EstimatorGains", counting)
     cfg = rewrite_config(tmp_path, "once.yaml", [
         (r"^  duration: .*$", "  duration: 3"),
         (r"^  schedule:\n(?:    - .*\n)+", "  schedule:\n    - [0, 0.878, 324.5]\n"),
