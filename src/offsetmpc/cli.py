@@ -171,6 +171,22 @@ def _coerce_params(section, path):
             for key, val in _keys(section, known, path).items()}
 
 
+def _check_setpoint(c, T, params, where):
+    """Refuse, naming where, a setpoint (c, T) whose absolute state (c, T,
+    steady_height(c, T)) the plant cannot take, the rule the operating
+    point is held to; steady_height divides by T, and may overflow, in
+    which case its h is refused."""
+    from . import plant as plant_mod
+    if not T > 0:
+        raise ConfigError(f"{where}: T must be > 0, got {float(T)!r}")
+    with np.errstate(all="ignore"):
+        h = plant_mod.steady_height(c, T, params)
+    try:
+        plant_mod.PlantState(c, T, h)
+    except plant_mod.NonPhysicalState as exc:
+        raise ConfigError(f"{where}: {exc}")
+
+
 def load_config(path):
     import yaml
 
@@ -257,18 +273,8 @@ def load_config(path):
                                   "scenario.schedule", list)):
         where = f"scenario.schedule[{i}]"
         row = _vector(row, 3, where)
-        # the absolute state the setpoint asks the plant to hold must be
-        # one it can take, as the operating point must; steady_height
-        # divides by T, and may overflow, in which case its h is refused
         c, T = row[1], row[2]
-        if not T > 0:
-            raise ConfigError(f"{where}: T must be > 0, got {float(T)!r}")
-        with np.errstate(all="ignore"):
-            h = plant_mod.steady_height(c, T, params)
-        try:
-            plant_mod.PlantState(c, T, h)
-        except plant_mod.NonPhysicalState as exc:
-            raise ConfigError(f"{where}: {exc}")
+        _check_setpoint(c, T, params, where)
         schedule.append((row[0], (c - op.x_ss[0], T - op.x_ss[1])))
     events = []
     for i, ev in enumerate(_kind(ssec.get("events", []), "scenario.events",
@@ -405,15 +411,22 @@ def _out_dir(flag, default):
     return out
 
 
-def _load_setpoints(path, op):
-    # the sample files' row rules, whose comments here are free text
+def _load_setpoints(path, op, params):
+    """The setpoints of a file of absolute (c, T) rows as deviations from
+    op, each held to the rule of a schedule setpoint under params."""
+    # the sample files' row rules, whose comments here are free text, on
+    # the lines that hold a row, so that a refused row is named by its line
     with grnn_mod.open_text(path) as fh:
-        pts = grnn_mod.read_rows(path, enumerate(fh, start=1))
+        lines = [(lineno, raw) for lineno, raw in enumerate(fh, start=1)
+                 if raw.partition("#")[0].strip()]
+    pts = grnn_mod.read_rows(path, lines)
     if not pts:
         raise ConfigError("setpoints file has no setpoints")
     if len(pts[0]) != 2:
         raise ConfigError(f"setpoints file must have 2 columns (c, T), "
                           f"got {len(pts[0])}")
+    for (lineno, _), (c, T) in zip(lines, pts):
+        _check_setpoint(c, T, params, f"{path}: line {lineno}")
     return [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in pts]
 
 
@@ -469,7 +482,8 @@ def cmd_run(args):
                    else rc.scenario.mode])
     # built and checked before the first mode runs, so a bad training
     # file, or a setpoint the map cannot predict, costs no interval and
-    # writes no file
+    # writes no file; the map keeps the predictions the check made, which
+    # run_scenario's own check_map then reads
     grnn = _build_grnn(rc) if cl.ControllerMode.LEARNED in modes else None
     if grnn is not None:
         try:
@@ -507,7 +521,7 @@ def cmd_sweep(args):
     rc, pred, gains = _checked(args.config)
     if gains is None:
         return EXIT_CONDITION
-    setpoints = _load_setpoints(args.setpoints, rc.op)
+    setpoints = _load_setpoints(args.setpoints, rc.op, rc.params)
     # made before the sweep, so an unwritable --out costs no interval
     out = _out_dir(args.out, rc.out_dir)
     samples, log = cl.sweep_harvest(

@@ -3,23 +3,22 @@ solve, QP solve, plant step; plus steady-state data harvesting, per-segment
 metrics, value-function diagnostics, and log (de)serialization.
 
 Within a control interval k the order is: take the learned disturbance
-at the setpoint from the loop's store of map predictions, on the first
-interval after the setpoint or the map changed; read y_p(k); advance the
-estimator one step using the stored (u, y_p, learned d) from interval
-k-1; solve the target problem and the finite-horizon QP with the combined
-disturbance; apply the first input. At k=0 the stored values are zeros,
-from which the update gives the initial (zero) estimate. run_scenario
-fills the store before the first interval, one grnn.predict per distinct
-schedule setpoint; a harvest replaces the map and empties the store, so
-the lookup predicts only at a setpoint the new map has not yet been
-predicted at. The update, the affine law's product and its free-path
-tests run in one call of the compiled kernel interval (see
-kernels.py); the log row, the steady test against the row before and the
-carry of [w; u; y_p; d_l] into the next interval's input run in one call
-of the kernel record, after interval or after the active-set table when a
-row is violated; where the kernels cannot be built, both run in their
-Python forms. The plant is a plant.NonlinearPlant, whose step is one call
-of the kernel advance, or a LinearPlant.
+at the setpoint from grnn.lookup, on the first interval after the
+setpoint or the map changed; read y_p(k); advance the estimator one step
+using the stored (u, y_p, learned d) from interval k-1; solve the target
+problem and the finite-horizon QP with the combined disturbance; apply
+the first input. At k=0 the stored values are zeros, from which the
+update gives the initial (zero) estimate. A map keeps its lookups, so
+after check_map's at the schedule's setpoints before the first interval,
+an interval predicts only once a harvest has replaced the map. The
+update, the affine law's product and its free-path tests run in one call
+of the compiled kernel interval (see kernels.py); the log row, the steady
+test against the row before and the carry of [w; u; y_p; d_l] into the
+next interval's input run in one call of the kernel record, after
+interval or after the active-set table when a row is violated; where the
+kernels cannot be built, both run in their Python forms. The plant is a
+plant.NonlinearPlant, whose step is one call of the kernel advance, or a
+LinearPlant.
 """
 
 import collections.abc
@@ -255,12 +254,10 @@ def harvest_sample(estimator, time, r, y_p, u, d_total):
 class ControlLoop:
     """State and log of one running scenario: set_setpoint gives it the
     setpoint to track, 0 until then, and arms its map lookup and its one
-    sample; control_step advances the loop one interval. predictions is
-    the store the lookup reads: the map's prediction at a setpoint, keyed
-    by the setpoint's bytes, emptied when a harvest replaces the map. A
-    run's result is read here: records, harvested, rejected_harvests,
-    excursions and table.hits/misses, and events_applied and aborted,
-    which run_scenario and sweep_harvest write."""
+    sample; control_step advances the loop one interval. A run's result
+    is read here: records, harvested, rejected_harvests, excursions and
+    table.hits/misses, and events_applied and aborted, which run_scenario
+    and sweep_harvest write."""
 
     def __init__(self, model, dist, gains, ocp_cfg, plant, mode,
                  grnn=None, harvest=False, steady=SteadyTest(), pred=None):
@@ -279,7 +276,6 @@ class ControlLoop:
         self.plant = plant
         # the learned map is looked up and grown only in learned mode
         self.grnn = grnn if mode is ControllerMode.LEARNED else None
-        self.predictions = {}
         self.harvest = harvest
         self.k = 0
         # the interval's input v = [w_{k-1}; u_{k-1}; y_{k-1}; d_l_{k-1};
@@ -331,17 +327,12 @@ class ControlLoop:
         """Advance one interval and write its row k of self.records;
         returns (u, whether the interval harvested a sample). The first
         interval after set_setpoint, or after a harvest grew the map,
-        writes v's d_l part from the map (zero without one): the stored
-        prediction at the setpoint, or, when predictions has none, a
-        grnn.predict it then stores; the first steady one takes the armed
+        writes v's d_l part from the map (zero without one), its
+        grnn.lookup at the setpoint; the first steady one takes the armed
         sample, unless the cross-check fails."""
         if self._lookup:
-            r = self._v[self._r_part]
-            key = r.tobytes()
-            d_l = self.predictions.get(key)
-            if d_l is None:
-                d_l = self.predictions[key] = grnn_mod.predict(self.grnn, r)
-            self._v[self._d_l_part] = d_l
+            self._v[self._d_l_part] = grnn_mod.lookup(self.grnn,
+                                                      self._v[self._r_part])
             self._lookup = False
         k = self.k
         # the plant's own buffer for a NonlinearPlant, which its step
@@ -396,8 +387,6 @@ class ControlLoop:
                 log.values[k, -1] = harvested = True
                 if self.grnn is not None:
                     self.grnn = grnn_mod.add_sample(self.grnn, sample.r, sample.d_ss)
-                    # the stored predictions are the old map's
-                    self.predictions = {}
                     self._lookup = True
             except CrossCheckFailed:
                 self.rejected_harvests += 1
@@ -437,33 +426,26 @@ def check_scenario(scenario, plant, dt):
 
 
 def check_map(scenario, grnn):
-    """The pre-flight of a learned run of scenario with map grnn: returns
-    the store its loop starts from, grnn.predict at each distinct schedule
-    setpoint keyed by the setpoint's bytes, once every prediction is
-    finite; else raises ValueError naming the schedule entry."""
-    predictions = {}
-    for i, (_, r) in enumerate(scenario.schedule):
-        key = r.tobytes()
-        if key in predictions:
-            continue
-        # a setpoint far outside the window overflows its distances; the
-        # prediction is refused below, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_l = grnn_mod.predict(grnn, r)
-        if not np.isfinite(d_l).all():
-            raise ValueError(f"scenario.schedule[{i}]: the learned map's "
-                             f"prediction at this setpoint, {d_l.tolist()}, "
-                             "is not finite")
-        predictions[key] = d_l
-    return predictions
+    """The pre-flight of a learned run of scenario with map grnn: raises
+    ValueError naming the first schedule entry at which the map's
+    grnn.lookup, which the map keeps for its loop, is not finite."""
+    # a setpoint far outside the window overflows its distances; the
+    # prediction is refused below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (_, r) in enumerate(scenario.schedule):
+            d_l = grnn_mod.lookup(grnn, r)
+            if not np.isfinite(d_l).all():
+                raise ValueError(
+                    f"scenario.schedule[{i}]: the learned map's prediction "
+                    f"at this setpoint, {d_l.tolist()}, is not finite")
 
 
 def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
                  pred=None):
     """Deterministic replay of one scenario; returns its ControlLoop.
-    Events fire between intervals. check_scenario, the CLI's own check,
-    gives the interval count, and check_map, which the CLI runs too, the
-    learned loop's store of predictions; their errors raise before the
+    Events fire between intervals. check_scenario and check_map, which
+    the CLI runs too, give the interval count and check the learned map,
+    whose predictions then stay with it; their errors raise before the
     first interval with the plant untouched. Any of ABORTS stops the run
     and sets loop.aborted, its rows kept. pred as for ControlLoop."""
     n_steps = check_scenario(scenario, plant, model.dt)
@@ -471,7 +453,7 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
                        grnn=grnn, harvest=scenario.harvest,
                        steady=scenario.steady, pred=pred)
     if loop.grnn is not None:
-        loop.predictions = check_map(scenario, loop.grnn)
+        check_map(scenario, loop.grnn)
     loop.records.reserve(n_steps)
     pending = sorted(scenario.events, key=lambda e: e[0])
     entries = collections.deque(scenario.schedule)

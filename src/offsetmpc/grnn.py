@@ -3,7 +3,7 @@
 Predictions are weighted averages of stored outputs, with weights decaying
 in the standardized input distance. The window is FIFO so the map tracks a
 plant whose characteristics drift. Models are immutable; add_sample returns
-a new instance.
+a new instance, which keeps the predictions lookup makes of it.
 """
 
 import dataclasses
@@ -70,6 +70,11 @@ class GrnnModel:
         d2.flags.writeable = False
         return d2
 
+    @functools.cached_property
+    def predictions(self):
+        """lookup's store, keyed by the setpoint's float64 bytes."""
+        return {}
+
 
 def make_model(capacity, n_out, sigma=0.5):
     empty = np.zeros((0, 0))
@@ -134,11 +139,30 @@ def _kernel_mean(d2, Y, sigma):
 
 
 def predict(model, r):
+    """The map's output at r, zeros for an empty window; r must have as many
+    entries as the window has inputs, else ValueError."""
     if not len(model.X):
         return np.zeros(model.n_out)
-    qn = (np.asarray(r, dtype=float).reshape(-1) - model.mean) / model.spread
+    r = np.asarray(r, dtype=float).reshape(-1)
+    if len(r) != model.X.shape[1]:
+        # the standardization would broadcast a single entry
+        raise ValueError(f"setpoint has {len(r)} entries, the map takes "
+                         f"{model.X.shape[1]} inputs")
+    qn = (r - model.mean) / model.spread
     return _kernel_mean(((model.Xn - qn) ** 2).sum(axis=1), model.Y,
                         model.sigma)
+
+
+def lookup(model, r):
+    """predict(model, r), read-only, computed once per model and setpoint
+    and kept in model.predictions. predict is called through this module,
+    so a wrapper set on grnn.predict sees each computation."""
+    r = np.asarray(r, dtype=float).reshape(-1)
+    d = model.predictions.get(r.tobytes())
+    if d is None:
+        d = model.predictions[r.tobytes()] = predict(model, r)
+        d.flags.writeable = False
+    return d
 
 
 def loo_error(model, sigma):

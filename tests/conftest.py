@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from offsetmpc import cli, kernels
+from offsetmpc import cli, grnn, kernels
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -41,6 +41,21 @@ def either_interval(request, compiled_kernels, monkeypatch):
                         if request.param == "compiled"
                         else kernels.PYTHON_KERNELS)
     return request.param
+
+
+@pytest.fixture
+def predict_calls(monkeypatch):
+    """The (map, setpoint as a list) of each grnn.predict call; the list
+    holds the maps, so no two of them share an id."""
+    calls = []
+    predict = grnn.predict
+
+    def counted(model, r):
+        calls.append((model, np.asarray(r, dtype=float).tolist()))
+        return predict(model, r)
+
+    monkeypatch.setattr(grnn, "predict", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

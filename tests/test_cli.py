@@ -873,6 +873,61 @@ def test_a_setpoint_the_plant_cannot_hold_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("row, head, tail", [
+    ("1e200 325", "state (1e+200, 325.0, -4.", LEFT),
+    ("-1 325", "state (-1.0, 325.0, -", LEFT),
+    ("0.87 0", "T must be > 0, got 0.0", ""),
+], ids=["c 1e200", "c -1", "T 0"])
+def test_a_sweep_setpoint_the_plant_cannot_hold_is_config_error(
+        tmp_path, monkeypatch, capsys, row, head, tail):
+    """A row of the setpoints file is held to the schedule's setpoint
+    rule: a row whose steady state is not physical exits 2 with one line
+    naming the file and the row's line, before any interval, and writes
+    no train file; before this check the c = 1e200 sweep ran 24 intervals,
+    wrote the first row's sample and exited 4."""
+    sp = tmp_path / "bad.txt"
+    sp.write_text(f"# c T\n0.877 324.5\n\n{row}\n")
+    monkeypatch.setattr(cl.ControlLoop, "control_step", None)
+    assert cli.main(["sweep", str(CONFIGS / "cstr_twovar.yaml"),
+                     "--setpoints", str(sp), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sp}: line 4: {head}"), err
+    assert err.endswith(f"{tail}\n") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_learned_run_predicts_each_setpoint_once(tmp_path, predict_calls,
+                                                   capsys):
+    """run --mode both on cstr_twovar.yaml predicts its one map once per
+    distinct schedule setpoint, in schedule order: run_scenario's
+    check_map reads what the CLI's made. Each was predicted twice before
+    the map kept its own predictions."""
+    config = CONFIGS / "cstr_twovar.yaml"
+    assert cli.main(["run", "--mode", "both", str(config), "--out",
+                     str(tmp_path)]) == 0
+    distinct = []
+    for _, r in cli.load_config(str(config)).scenario.schedule:
+        if r.tolist() not in distinct:
+            distinct.append(r.tolist())
+    assert len(distinct) == 11
+    assert [r for _, r in predict_calls] == distinct
+    assert len({id(model) for model, _ in predict_calls}) == 1
+
+
+def test_a_harvesting_run_never_predicts_a_map_twice_at_a_setpoint(
+        tmp_path, predict_calls, capsys):
+    """The learned cstr_drift.yaml run harvests, and each harvest gives
+    the loop a new map: no map is predicted twice at one setpoint."""
+    assert cli.main(["run", "--mode", "learned",
+                     str(CONFIGS / "cstr_drift.yaml"), "--out",
+                     str(tmp_path)]) == 0
+    assert "harvested 16 " in capsys.readouterr().out
+    assert len({id(model) for model, _ in predict_calls}) == 17
+    assert len({(id(model), tuple(r)) for model, r in predict_calls}) == \
+        len(predict_calls)
+
+
 def fails_naming(capsys, argv, path):
     """main(argv) exits 2 with one 'error:' line that names path, or, for
     a config PyYAML cannot read, one that PyYAML's 'in "<path>"' line
@@ -1015,10 +1070,11 @@ def test_setpoints_read_as_numpy_loadtxt_reads_them(tmp_path, capsys):
     fresh = tmp_path / "fresh.txt"
     assert cli.main(["sample-setpoints", str(TRACKING), "-n", "5", "--seed",
                      "3", "--out", str(fresh)]) == 0
-    op = cli.load_config(str(TRACKING)).op
+    rc = cli.load_config(str(TRACKING))
+    op = rc.op
     for path in SETPOINT_FILES + [fresh]:
         want = np.loadtxt(path, comments="#", ndmin=2)
-        got = cli._load_setpoints(str(path), op)
+        got = cli._load_setpoints(str(path), op, rc.params)
         assert np.array_equal(np.array(got) + op.x_ss[:2], want)
         assert got == [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in want]
 
@@ -1031,8 +1087,9 @@ def test_setpoint_comment_is_free_text(tmp_path, capsys, comment):
     sp = tmp_path / "sp.txt"
     sp.write_text(f"{comment}\n0.878 324.5\n")
     want = np.loadtxt(sp, comments="#", ndmin=2)
-    op = cli.load_config(str(TRACKING)).op
-    got = cli._load_setpoints(str(sp), op)
+    rc = cli.load_config(str(TRACKING))
+    op = rc.op
+    got = cli._load_setpoints(str(sp), op, rc.params)
     assert got == [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in want]
 
 

@@ -973,7 +973,7 @@ def test_learned_map_is_looked_up_once_per_setpoint(twovar_rc, monkeypatch):
     """The committed twovar learned run: the model does not change without a
     harvest, so grnn.predict runs once per distinct schedule setpoint, in
     schedule order, all before the first interval; the last entry, which
-    repeats the first setpoint, reads the stored prediction."""
+    repeats the first setpoint, reads the prediction the map kept."""
     rc = twovar_rc
     g = cli._build_grnn(rc)
     _, lookups = counted_lookups(monkeypatch)
@@ -1085,6 +1085,23 @@ def test_a_setpoint_the_map_cannot_predict_is_refused(committed,
     monkeypatch.setattr(grnn, "predict", None)
     cl.run_scenario(sc, m, dist, gains, cfg, plant, grnn=g)
     assert calls[:11] == list(range(11))
+
+
+def test_a_map_of_other_inputs_than_the_setpoint_is_refused(committed):
+    """A learned run whose map takes 1 input, on a model that controls 2
+    outputs, raises ValueError before the first interval; before predict
+    checked the setpoint's length, it ran on a prediction broadcast over
+    the setpoint."""
+    m, dist, gains, cfg = committed
+    g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2), [0.003],
+                        np.zeros(2))
+    plant = cl.LinearPlant(m, dist, np.zeros(2))
+    # an interval would call it
+    plant.step = None
+    sc = scenario(5.0, [(0.0, A)], cl.ControllerMode.LEARNED)
+    with pytest.raises(ValueError, match=r"^setpoint has 2 entries, the map "
+                       r"takes 1 inputs$"):
+        cl.run_scenario(sc, m, dist, gains, cfg, plant, grnn=g)
 
 
 # ---- the columnar log: the per-record metrics it replaced, kept here as
@@ -1404,10 +1421,10 @@ def test_the_map_is_looked_up_once_per_setpoint_and_harvest(committed,
                                                            monkeypatch):
     """run_scenario predicts the map once per distinct schedule setpoint
     before its first interval. Inside control_step the map is predicted
-    only on the interval after each harvest, which grows the map and
-    empties the store, and on the first visit to a setpoint after one; in
-    nominal mode never. Two entries of 100 intervals each take 2 harvests
-    in either mode, one in each entry."""
+    only on the interval after each harvest, which gives the loop a new
+    map without predictions, and on the first visit to a setpoint after
+    one; in nominal mode never. Two entries of 100 intervals each take 2
+    harvests in either mode, one in each entry."""
     m, dist, gains, cfg = committed
     steps, lookups = counted_lookups(monkeypatch)
     a, b = [0.001, 0.1], [-0.001, -0.1]
@@ -1500,8 +1517,8 @@ def test_the_drivers_run_one_control_step_per_logged_row(committed,
                                                         monkeypatch):
     """The benchmark times ControlLoop.control_step as one interval:
     run_scenario and sweep_harvest call it once per row they log, and
-    grnn.predict runs inside it or, to fill the store of predictions
-    once per distinct setpoint, before the first interval."""
+    grnn.predict runs inside it or, in check_map's lookups once per
+    distinct setpoint, before the first interval."""
     m, dist, gains, cfg = committed
     steps, lookups = counted_lookups(monkeypatch)
     g = grnn.add_sample(grnn.make_model(capacity=5, n_out=2),
@@ -1549,7 +1566,7 @@ def test_returned_values_never_change_afterwards(twovar_rc, either_interval):
         made.append((obj, [np.array(a) for a in arrays]))
 
     setpoints = cli._load_setpoints(str(CONFIGS / "sweep_ct_100.txt"),
-                                    rc.op)
+                                    rc.op, rc.params)
     exc = loop.excursions
     for r in (setpoints[0], setpoints[60], setpoints[61]):
         loop.set_setpoint(r)
@@ -1893,7 +1910,8 @@ def test_steady_column_matches_the_detector(twovar_rc, drift_rc,
     on the way, and on the drift run in learned mode, whose harvests
     change the map."""
     rc = twovar_rc
-    setpoints = cli._load_setpoints(str(CONFIGS / "sweep_ct_100.txt"), rc.op)
+    setpoints = cli._load_setpoints(str(CONFIGS / "sweep_ct_100.txt"), rc.op,
+                                    rc.params)
     samples, sweep = cl.sweep_harvest(
         rc.model, rc.dist, rc.make_gains(), rc.ocp_cfg, cli._fresh_plant(rc),
         setpoints, cap=rc.sweep_cap, steady=rc.scenario.steady)

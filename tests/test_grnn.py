@@ -302,3 +302,61 @@ def test_load_samples_names_the_bad_line(tmp_path, line, text, message):
     with pytest.raises(grnn.ParseError) as exc:
         grnn.load_samples(str(path))
     assert str(exc.value) == f"{path}: line {line}: {message}"
+
+
+# ---- lookup: the model keeps its own predictions ----
+
+def test_lookup_is_predict_computed_once(predict_calls):
+    """lookup returns predict's array bit for bit, read-only; a second
+    lookup at the same setpoint, through any array type that holds it,
+    returns the same array and makes no predict call."""
+    m, _ = linear_map_model()
+    rng = np.random.default_rng(5)
+    for q in rng.normal(scale=2.0, size=(8, 2)):
+        want = grnn.predict(m, q)
+        predict_calls.clear()
+        got = grnn.lookup(m, q)
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        assert predict_calls == [(m, q.tolist())]
+        for again in (q.copy(), q.tolist(), tuple(q)):
+            assert grnn.lookup(m, again) is got
+        assert len(predict_calls) == 1
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    empty = grnn.make_model(capacity=5, n_out=2)
+    assert grnn.lookup(empty, [0.1, 0.2]).tolist() == [0.0, 0.0]
+
+
+def test_a_new_model_starts_without_predictions(predict_calls):
+    """The models that add_sample, with_sigma and from_samples return
+    start with an empty store, so a lookup on them predicts again, and
+    a lookup on one leaves the others' stores as they were."""
+    m, _ = linear_map_model()
+    q = np.array([0.2, -0.3])
+    grnn.lookup(m, q)
+    children = [grnn.add_sample(m, [0.5, 0.5], [1.0, 1.0]),
+                grnn.with_sigma(m, m.sigma),
+                grnn.from_samples(m.capacity, 2, m.sigma,
+                                  list(zip(m.X, m.Y)))]
+    for child in children:
+        assert child.predictions == {}
+        predict_calls.clear()
+        grnn.lookup(child, q)
+        assert predict_calls == [(child, q.tolist())]
+    assert list(m.predictions) == [q.tobytes()]
+
+
+@pytest.mark.parametrize("r", [[0.1], [0.1, 0.2, 0.3], []],
+                         ids=["1", "3", "0"])
+def test_predict_refuses_a_setpoint_of_the_wrong_length(r):
+    """On a window of 2 inputs, a setpoint of another length is a
+    ValueError, not a standardization broadcast over it; nothing is
+    stored. The empty map, whose input count is unknown, predicts zeros."""
+    m, _ = linear_map_model()
+    for fn in (grnn.predict, grnn.lookup):
+        with pytest.raises(ValueError, match=(
+                rf"^setpoint has {len(r)} entries, the map takes 2 inputs$")):
+            fn(m, r)
+    assert m.predictions == {}
+    empty = grnn.make_model(capacity=5, n_out=2)
+    assert grnn.predict(empty, r).tolist() == [0.0, 0.0]
