@@ -647,6 +647,67 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, case, command):
     assert case.split(":")[0].rsplit(".", 1)[-1] in err, err
 
 
+HUGE_SAMPLES = "# inputs 1\n1e308 0 0\n-1e308 0 0\n1.7e308 0 0\n"
+
+# each place where a caught exception becomes the one error line, with the
+# prefix it adds: (command, pattern, line, message) for the tracking
+# config, or for the file HUGE_SAMPLES under grnn-fit; the YAML message is
+# PyYAML's own, read back from the loader
+REFUSALS = {
+    "yaml": ("check", r"^dt: .*$", "dt: [1", None),
+    "operating_point": (
+        "check", r"^  c: 0\.878$", "  c: -0.5",
+        "operating_point: state (-0.5, 324.5, 0.659) left the physical "
+        "region"),
+    "model": ("check", r"^dt: .*$", "dt: 0", "model: dt must be > 0"),
+    "ocp": ("check", r"^  u_min: .*$", "  u_min: [320.0, 0.07]",
+            "ocp: u bounds must satisfy lo < hi"),
+    "plant": ("check", r"^  k0: .*$", "  k0: -1", "plant: k0 must be > 0"),
+    "scenario": ("check", r"^  duration: .*$", "  duration: 5",
+                 "scenario: duration does not cover the schedule"),
+    "pre-flight": (
+        "check", r"^  harvest: false$",
+        "  harvest: false\n  events:\n    - {time: 120, set: {U: 40.0}}",
+        "scenario.events[0].time: 120 is outside the run; an event must "
+        "fall in [0, 119], the first to the last interval's start"),
+    "schedule setpoint": (
+        "check", r"^    - \[15, 0\.882, 324\.5\]$", "    - [15, 0, 324.5]",
+        "scenario.schedule[1]: state (0.0, 324.5, inf) left the physical "
+        "region"),
+    "sample window": ("grnn-fit", None, None,
+                      "{file}: sample inputs overflow the window's "
+                      "standardization"),
+    "learned map": (
+        "run --mode learned", r"^    - \[15, 0\.882, 324\.5\]$",
+        "    - [15, 0.882, 1.0e+200]",
+        "scenario.schedule[1]: the learned map's prediction at this "
+        "setpoint, [nan, nan], is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_each_refusal_prints_its_whole_line(tmp_path, capsys, case):
+    """Exit 2 and the whole of stderr, prefix included, for each refusal."""
+    command, pattern, line, message = REFUSALS[case]
+    if command == "grnn-fit":
+        path = tmp_path / "huge.txt"
+        path.write_text(HUGE_SAMPLES)
+        argv = [command, path, "--out", tmp_path / "fit"]
+    else:
+        path = rewrite_config(tmp_path, "refused.yaml", [(pattern, line)])
+        argv = [*command.split(), path]
+    if message is None:
+        with open(path, "rb") as fh, pytest.raises(yaml.YAMLError) as raised:
+            yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                         yaml.SafeLoader))
+        message = f"config is not valid YAML: {raised.value}"
+    else:
+        message = message.format(file=path)
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # an allocation that no machine can make, or a QP Hessian that overflows
 # or is not positive definite, exits 4 with one line and no numpy warning;
 # each case is (command, pattern, line) for the tracking config. Every
