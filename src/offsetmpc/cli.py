@@ -14,6 +14,7 @@ controller's modules are imported in the functions that use them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -36,6 +37,18 @@ T_RANGE = (321.0, 329.0)
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _refused(where, kinds=ValueError):
+    """An exception of kinds raised in the block, raised again as the
+    ConfigError "<where>: <message>", or its bare message when where is
+    None."""
+    try:
+        yield
+    except kinds as exc:
+        raise ConfigError(f"{where}: {exc}" if where is not None
+                          else str(exc))
 
 
 @dataclasses.dataclass(eq=False, repr=False)
@@ -160,15 +173,16 @@ def _sweep_cap(value):
     return cap
 
 
-def _coerce_params(section, path):
-    """Plant parameter values as proper numbers, once every key is a
-    CstrParams field, one the plant section and an event may set; YAML
-    reads unsigned exponents like 7.2e10 as strings."""
-    from . import plant as plant_mod
-    known = [f.name for f in dataclasses.fields(plant_mod.CstrParams)]
-    return {key: (_integer if key == "substeps" else _number)(
-                val, f"{path}.{key}")
-            for key, val in _keys(section, known, path).items()}
+def _fields(cls, section, path):
+    """The entries of section, once every key is a field of the dataclass
+    cls, each parsed as its field's declared type: an int field by
+    _integer, any other by _number, since YAML reads unsigned exponents
+    like 7.2e10 as strings. cls's module must not postpone annotations,
+    so that a field's type is the class itself, not its name."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    return {key: (_integer if types[key] is int else _number)(
+                value, f"{path}.{key}")
+            for key, value in _keys(section, types, path).items()}
 
 
 def _check_setpoint(c, T, params, where):
@@ -181,10 +195,8 @@ def _check_setpoint(c, T, params, where):
         raise ConfigError(f"{where}: T must be > 0, got {float(T)!r}")
     with np.errstate(all="ignore"):
         h = plant_mod.steady_height(c, T, params)
-    try:
+    with _refused(where, plant_mod.NonPhysicalState):
         plant_mod.PlantState(c, T, h)
-    except plant_mod.NonPhysicalState as exc:
-        raise ConfigError(f"{where}: {exc}")
 
 
 def load_config(path):
@@ -200,11 +212,9 @@ def load_config(path):
     # PyYAML decodes itself: a config that is not UTF-8 is a YAMLError
     # naming the file and the byte position
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    try:
-        with open(path, "rb") as fh:
-            raw = yaml.load(fh, Loader=loader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}")
+    with (open(path, "rb") as fh,
+          _refused("config is not valid YAML", yaml.YAMLError)):
+        raw = yaml.load(fh, Loader=loader)
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     _keys(raw, ("operating_point", "dt", "model", "disturbance", "estimator",
@@ -217,10 +227,8 @@ def load_config(path):
         _vector([_get(op_sec, k, "operating_point") for k in ("Tc", "F")],
                 2, "operating_point"))
     # the plant starts at x_ss, so it must be a state the plant can take
-    try:
+    with _refused("operating_point", plant_mod.NonPhysicalState):
         plant_mod.PlantState(*op.x_ss)
-    except plant_mod.NonPhysicalState as exc:
-        raise ConfigError(f"operating_point: {exc}")
 
     dt = _number(raw.get("dt", 1.0), "dt")
     msec = _section(raw, "model", ("A", "B", "C", "H"))
@@ -234,11 +242,9 @@ def load_config(path):
     esec = _section(raw, "estimator", ("Lx", "Ld"))
     L_x = _matrix(_get(esec, "Lx", "estimator"), (3, 3), "estimator.Lx")
     L_d = _matrix(_get(esec, "Ld", "estimator"), (2, 3), "estimator.Ld")
-    try:
+    with _refused("model", (model_mod.DimensionMismatch, ValueError)):
         model = model_mod.LinearModel(A, B, C, H, dt)
         dist = model_mod.DisturbanceModel(Bd, Cd)
-    except (model_mod.DimensionMismatch, ValueError) as exc:
-        raise ConfigError(f"model: {exc}")
 
     osec = _section(raw, "ocp", ("N", "q_x", "q_u", "q_xN", "u_min", "u_max",
                                  "x_min", "x_max"))
@@ -249,7 +255,7 @@ def load_config(path):
         x_min = _vector(_get(osec, "x_min", "ocp"), 3, "ocp.x_min")
         x_max = _vector(_get(osec, "x_max", "ocp"), 3, "ocp.x_max")
         x_bounds = (x_min - op.x_ss, x_max - op.x_ss)
-    try:
+    with _refused("ocp"):
         ocp_cfg = ocp_mod.OcpConfig(
             N=_integer(_get(osec, "N", "ocp"), "ocp.N"),
             q_x=_vector(_get(osec, "q_x", "ocp"), 3, "ocp.q_x"),
@@ -257,14 +263,11 @@ def load_config(path):
             q_xN=_vector(_get(osec, "q_xN", "ocp"), 3, "ocp.q_xN"),
             u_bounds=(u_min - op.u_ss, u_max - op.u_ss),
             x_bounds=x_bounds)
-    except ValueError as exc:
-        raise ConfigError(f"ocp: {exc}")
 
     psec = _kind(_get(raw, "plant"), "plant", dict)
-    try:
-        params = plant_mod.CstrParams(**_coerce_params(psec, "plant"))
-    except ValueError as exc:
-        raise ConfigError(f"plant: {exc}")
+    with _refused("plant"):
+        params = plant_mod.CstrParams(
+            **_fields(plant_mod.CstrParams, psec, "plant"))
 
     ssec = _section(raw, "scenario", ("duration", "mode", "schedule",
                                       "events", "harvest", "steady", "grnn"))
@@ -285,11 +288,15 @@ def load_config(path):
         where = f"scenario.events[{i}]"
         _keys(ev, ("time", "set"), where)
         events.append((_number(ev["time"], f"{where}.time"),
-                       _coerce_params(ev["set"], f"{where}.set")))
-    steady = _section(ssec, "steady", ("M", "tol_y", "tol_u"), "scenario", {})
+                       _fields(plant_mod.CstrParams, ev["set"],
+                               f"{where}.set")))
+    # the keys the config sets: SteadyTest holds the defaults
+    steady = _fields(cl.SteadyTest, _kind(ssec.get("steady", {}),
+                                          "scenario.steady", dict),
+                     "scenario.steady")
     gsec = _section(ssec, "grnn", ("capacity", "sigma", "train"), "scenario",
                     {})
-    try:
+    with _refused("scenario"):
         scenario = cl.ScenarioConfig(
             duration=_number(_get(ssec, "duration", "scenario"),
                              "scenario.duration"),
@@ -300,13 +307,7 @@ def load_config(path):
             grnn_sigma=_sigma(gsec.get("sigma", "auto"), "scenario.grnn.sigma"),
             events=tuple(events),
             harvest=_boolean(ssec.get("harvest", False), "scenario.harvest"),
-            # the keys the config sets: SteadyTest holds the defaults
-            steady=cl.SteadyTest(**{
-                key: (_integer if key == "M" else _number)(
-                    value, f"scenario.steady.{key}")
-                for key, value in steady.items()}))
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}")
+            steady=cl.SteadyTest(**steady))
 
     # relative training and output paths are read from the config's
     # directory, whatever the working directory
@@ -326,10 +327,8 @@ def load_config(path):
                                                "output.dir", str)),
         stem=os.path.splitext(os.path.basename(path))[0])
     # a run's own pre-flight, on the plant a run starts from
-    try:
-        cl.check_scenario(rc.scenario, _fresh_plant(rc), rc.model.dt)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    with _refused(None):
+        cl.check_scenario(rc.scenario, _fresh_plant(rc))
     return rc
 
 
@@ -414,29 +413,24 @@ def _out_dir(flag, default):
 def _load_setpoints(path, op, params):
     """The setpoints of a file of absolute (c, T) rows as deviations from
     op, each held to the rule of a schedule setpoint under params."""
-    # the sample files' row rules, whose comments here are free text, on
-    # the lines that hold a row, so that a refused row is named by its line
+    # the sample files' row rules, whose comments here are free text
     with grnn_mod.open_text(path) as fh:
-        lines = [(lineno, raw) for lineno, raw in enumerate(fh, start=1)
-                 if raw.partition("#")[0].strip()]
-    pts = grnn_mod.read_rows(path, lines)
-    if not pts:
-        raise ConfigError("setpoints file has no setpoints")
-    if len(pts[0]) != 2:
-        raise ConfigError(f"setpoints file must have 2 columns (c, T), "
-                          f"got {len(pts[0])}")
-    for (lineno, _), (c, T) in zip(lines, pts):
+        rows = grnn_mod.read_rows(path, enumerate(fh, start=1))
+    if not rows:
+        raise ConfigError(f"{path}: no setpoints")
+    if len(rows[0][1]) != 2:
+        raise ConfigError(f"{path}: expected 2 columns (c, T), "
+                          f"got {len(rows[0][1])}")
+    for lineno, (c, T) in rows:
         _check_setpoint(c, T, params, f"{path}: line {lineno}")
-    return [(c - op.x_ss[0], T - op.x_ss[1]) for c, T in pts]
+    return [(c - op.x_ss[0], T - op.x_ss[1]) for _, (c, T) in rows]
 
 
 def _sample_window(capacity, n_out, samples, path):
     """A model whose window holds the last capacity samples read from path;
     a sample the window cannot take is an input error."""
-    try:
+    with _refused(path):
         return grnn_mod.from_samples(capacity, n_out, 0.5, samples)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
 
 
 def _build_grnn(rc):
@@ -486,10 +480,8 @@ def cmd_run(args):
     # run_scenario's own check_map then reads
     grnn = _build_grnn(rc) if cl.ControllerMode.LEARNED in modes else None
     if grnn is not None:
-        try:
+        with _refused(None):
             cl.check_map(rc.scenario, grnn)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
     out = _out_dir(args.out, rc.out_dir)
     code = EXIT_OK
     for mode in modes:

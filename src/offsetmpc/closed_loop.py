@@ -394,12 +394,13 @@ class ControlLoop:
         return u, harvested
 
 
-def check_scenario(scenario, plant, dt):
-    """The pre-flight of a run of scenario on plant at interval dt: returns
-    its interval count n = round(duration / dt) once n is finite, every
-    event falls in [0, (n - 1) dt], the first to the last interval's
-    start, and a copy of plant takes the events in firing order; else
-    raises ValueError, or the plant's UnknownEvent, naming the field."""
+def check_scenario(scenario, plant):
+    """The pre-flight of a run of scenario on plant, at interval dt =
+    plant.dt: returns its interval count n = round(duration / dt) once n is
+    finite, every event falls in [0, (n - 1) dt], the first to the last
+    interval's start, and a copy of plant takes the events in firing order;
+    else raises ValueError, or the plant's UnknownEvent, naming the field."""
+    dt = plant.dt
     if not math.isfinite(scenario.duration / dt):
         raise ValueError(
             f"dt: {dt!r} is too small: scenario.duration / dt is not "
@@ -448,7 +449,7 @@ def run_scenario(scenario, model, dist, gains, ocp_cfg, plant, grnn=None,
     whose predictions then stay with it; their errors raise before the
     first interval with the plant untouched. Any of ABORTS stops the run
     and sets loop.aborted, its rows kept. pred as for ControlLoop."""
-    n_steps = check_scenario(scenario, plant, model.dt)
+    n_steps = check_scenario(scenario, plant)
     loop = ControlLoop(model, dist, gains, ocp_cfg, plant, scenario.mode,
                        grnn=grnn, harvest=scenario.harvest,
                        steady=scenario.steady, pred=pred)

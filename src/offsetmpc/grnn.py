@@ -231,10 +231,11 @@ def open_text(path):
 
 
 def read_rows(path, lines, comment=None):
-    """The rows of the (line number, text) pairs of a numeric text file:
-    finite floats, as many per row as in the first, with '#' starting a
-    comment, which comment(lineno, text) is given when passed ('' for a
-    line without one). A ParseError names path and the line."""
+    """The rows of the (line number, text) pairs of a numeric text file,
+    each as its (line number, values): finite floats, as many per row as
+    in the first, with '#' starting a comment, which comment(lineno, text)
+    is given when passed ('' for a line without one). A ParseError names
+    path and the line."""
     rows = []
     for lineno, raw in lines:
         body, _, text = raw.partition("#")
@@ -248,10 +249,10 @@ def read_rows(path, lines, comment=None):
             raise ParseError(f"{path}: line {lineno}: non-numeric field")
         if not all(map(math.isfinite, vals)):
             raise ParseError(f"{path}: line {lineno}: non-finite field")
-        if rows and len(vals) != len(rows[0]):
-            raise ParseError(f"{path}: line {lineno}: expected {len(rows[0])} "
-                             f"fields, got {len(vals)}")
-        rows.append(vals)
+        if rows and len(vals) != len(rows[0][1]):
+            raise ParseError(f"{path}: line {lineno}: expected "
+                             f"{len(rows[0][1])} fields, got {len(vals)}")
+        rows.append((lineno, vals))
     return rows
 
 
@@ -290,10 +291,10 @@ def load_samples(path):
     if n_in is None:
         raise ParseError(f"{path}: input dimension unknown: no '# inputs k' "
                          "directive")
-    if not 0 < n_in < len(rows[0]):
+    if not 0 < n_in < len(rows[0][1]):
         raise ParseError(f"{path}: inputs directive {n_in} inconsistent with "
-                         f"{len(rows[0])}-column rows")
-    return [(np.array(vals[:n_in]), np.array(vals[n_in:])) for vals in rows]
+                         f"{len(rows[0][1])}-column rows")
+    return [(np.array(v[:n_in]), np.array(v[n_in:])) for _, v in rows]
 
 
 def write_model(path, model):

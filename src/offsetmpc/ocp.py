@@ -140,8 +140,18 @@ class QpSolution:
 def build_prediction(model, dist, cfg):
     """Phi = [A; A^2; ...; A^N]; Psi, Psi_d block lower-triangular Toeplitz
     with blocks A^(i-j) B and A^(i-j) B_d. Raises numerics.SingularMatrix
-    when the QP Hessian is not finite or not positive definite."""
+    when the QP Hessian is not finite or not positive definite, and
+    model.DimensionMismatch when a weight or bound of cfg does not have
+    the model's n_x or n_u entries."""
     n_x, n_u, n_d = model.n_x, model.n_u, dist.n_d
+    sizes = [("q_x", cfg.q_x, n_x), ("q_xN", cfg.q_xN, n_x),
+             ("q_u", cfg.q_u, n_u)]
+    sizes += [("u_bounds", b, n_u) for b in cfg.u_bounds]
+    sizes += [("x_bounds", b, n_x) for b in cfg.x_bounds or ()]
+    for name, v, n in sizes:
+        if v.shape != (n,):
+            raise model_mod.DimensionMismatch(
+                f"{name} has shape {v.shape}, the model needs ({n},)")
     N = cfg.N
     # the largest blocks first: a horizon too long for any memory fails
     # here, before N matrix powers are built

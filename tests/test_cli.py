@@ -318,16 +318,22 @@ def test_sweep_reports_target_excursions_in_one_line(tmp_path, capsys):
     assert found and 0 < int(found[1]) <= int(found[2])
 
 
-@pytest.mark.parametrize("text", ["", "# absolute setpoints: c T\n\n"],
-                         ids=["empty", "comment only"])
-def test_sweep_without_setpoints_is_config_error(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, message", [
+    ("", "no setpoints"),
+    ("# absolute setpoints: c T\n\n", "no setpoints"),
+    ("# c T h\n0.877 324.5 0.659\n", "expected 2 columns (c, T), got 3"),
+], ids=["empty", "comment only", "3 columns"])
+def test_sweep_without_setpoints_is_config_error(tmp_path, capsys, text,
+                                                 message):
+    """The one error line names the file, as every input-file error does."""
     sp = tmp_path / "none.txt"
     sp.write_text(text)
     cfg = rewrite_config(tmp_path, "nosp.yaml", [])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["sweep", str(cfg), "--setpoints", str(sp)]) == 2
-    assert capsys.readouterr().err == "error: setpoints file has no setpoints\n"
+    assert capsys.readouterr().err == f"error: {sp}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("row", ["0.88 nan", "inf 324.5", "0.88 -inf"])
@@ -1286,6 +1292,9 @@ def test_bad_event_is_config_error(tmp_path, capsys, case):
 
 # an integer field with a fractional part exits 2 instead of truncating
 FRACTIONAL = {"plant.substeps": (r"^  substeps: 20$", "  substeps: 2.5"),
+              "scenario.events[0].set.substeps": (
+                  r"^  harvest: false$", "  harvest: false\n  events:\n"
+                  "    - {time: 20, set: {substeps: 2.5}}"),
               "sweep.cap": (r"cap: 200", "cap: 2.5"),
               "scenario.steady.M": (r"\{M: 5,", "{M: 5.5,"),
               "scenario.grnn.capacity": (r"capacity: 50", "capacity: 50.5"),
@@ -1359,7 +1368,7 @@ def test_check_prints_what_run_scenario_raises(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     # the same config, loaded without its pre-flight
     with monkeypatch.context() as patched:
-        patched.setattr(cl, "check_scenario", lambda scenario, plant, dt: 0)
+        patched.setattr(cl, "check_scenario", lambda scenario, plant: 0)
         rc = cli.load_config(str(cfg))
     plant = cli._fresh_plant(rc)
     plant.step = None                # an interval would call it

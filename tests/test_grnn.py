@@ -257,7 +257,7 @@ def test_samples_round_trip(tmp_path):
 def test_model_round_trip(tmp_path):
     """write_model writes the sigma, capacity and outputs lines, then the
     window as write_samples does: rows that read_rows reads back bit for
-    bit."""
+    bit, each with its line number."""
     m, _ = linear_map_model(n=9)
     m = grnn.with_sigma(m, 0.37)
     path = tmp_path / "model.txt"
@@ -266,7 +266,8 @@ def test_model_round_trip(tmp_path):
     assert lines[1:5] == ["sigma %.17g" % 0.37, "capacity 50", "outputs 2",
                           "# inputs 2"]
     rows = grnn.read_rows(str(path), enumerate(lines[5:], start=6))
-    assert np.array_equal(rows, np.hstack([m.X, m.Y]))
+    assert [lineno for lineno, _ in rows] == list(range(6, 15))
+    assert np.array_equal([vals for _, vals in rows], np.hstack([m.X, m.Y]))
 
 
 def test_load_samples_reports_bad_line(tmp_path):

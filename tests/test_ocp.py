@@ -240,6 +240,34 @@ def test_config_validation():
                       u_bounds=(np.array([2.0, 2.0]), np.array([1.0, 1.0])))
 
 
+# a weight or bound of the wrong length for the model, as (field, value,
+# entries the model needs); each one broadcast, or failed only at the
+# first interval, before build_prediction checked them
+WRONG_LENGTH = {
+    "q_x": (np.ones(2), 3),
+    "q_xN": (np.ones(4), 3),
+    "q_u": (np.ones(3), 2),
+    "u_bounds": ((-np.ones(3), np.ones(3)), 2),
+    "x_bounds": ((-np.ones(2), np.ones(2)), 3),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WRONG_LENGTH))
+def test_prediction_refuses_a_config_that_does_not_fit_the_model(
+        twovar_rc, field):
+    """A DimensionMismatch naming the field and both shapes, raised before
+    the prediction blocks are allocated: at a horizon of 1e7, whose blocks
+    numpy refuses as a MemoryError, the mismatch is still what raises."""
+    value, n = WRONG_LENGTH[field]
+    cfg = dataclasses.replace(twovar_rc.ocp_cfg, N=10_000_000,
+                              **{field: value})
+    with pytest.raises(mdl.DimensionMismatch) as raised:
+        ocp.build_prediction(twovar_rc.model, twovar_rc.dist, cfg)
+    got = (value[0] if isinstance(value, tuple) else value).shape
+    assert str(raised.value) == (f"{field} has shape {got}, the model needs "
+                                 f"({n},)")
+
+
 
 # ---- reference: the dense-KKT active-set solver that the prefactored one
 # replaced, kept as the oracle ----
