@@ -1650,21 +1650,22 @@ def same_floats(a, b):
             and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
 
 
-def test_compiled_interval_matches_numpy_on_20000_draws(twovar_rc,
-                                                        compiled_kernels):
-    """The two forms give the same floats: w, theta and z, zeros' signs
-    included, and the same flag, objective and excursion, on every draw.
-    Both sum each product left to right, so against numpy's matmul, which
-    the two do not share, the Python form's w = M_step v[:n_in] and z = P
-    theta agree within 1e-12 relative to max(1, |value|). 2 786 draws take
-    the free path and 8 857 leave the target box."""
-    fixed, n_x, _, (lo, hi) = interval_arguments(twovar_rc)
+def compare_interval(rc, interval, n):
+    """The compiled interval against _interval_python on n draws of v over
+    interval_arguments' box: the two forms give the same floats, w, theta
+    and z, zeros' signs included, and the same flag, objective and
+    excursion, on every draw. Both sum each product left to right, so
+    against numpy's matmul, which the two do not share, the Python form's
+    w = M_step v[:n_in] and z = P theta agree within 1e-12 relative to
+    max(1, |value|). Returns how many draws take the free path and how
+    many leave the target box."""
+    fixed, n_x, _, (lo, hi) = interval_arguments(rc)
     M_step, P = fixed[0], fixed[1]
     rng = np.random.default_rng(22)
     free = outside = 0
-    for _ in range(20000):
+    for _ in range(n):
         v = rng.uniform(lo, hi)
-        got = run_interval(compiled_kernels.interval, fixed, v, n_x)
+        got = run_interval(interval, fixed, v, n_x)
         want = run_interval(kernels._interval_python, fixed, v, n_x)
         assert got[:3] == want[:3]
         assert all(same_floats(a, b) for a, b in zip(got[3:], want[3:]))
@@ -1673,7 +1674,13 @@ def test_compiled_interval_matches_numpy_on_20000_draws(twovar_rc,
             assert (np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))).all()
         free += want[0] == 1
         outside += want[2]
-    assert (free, outside) == (2786, 8857)
+    return free, outside
+
+
+def test_compiled_interval_matches_numpy_on_20000_draws(twovar_rc,
+                                                        compiled_kernels):
+    assert compare_interval(twovar_rc, compiled_kernels.interval,
+                            20000) == (2786, 8857)
 
 
 def test_learned_step_is_the_interval_update_bit_for_bit(twovar_rc,
@@ -1783,27 +1790,24 @@ def record_arguments(rc):
     return model.H, n_x, n_d, width, boxes
 
 
-def test_compiled_record_matches_python_on_20000_draws(twovar_rc,
-                                                      compiled_kernels):
-    """Each draw fills a 3-row block with noise and writes row k in {0, 1,
-    2} through both forms. The previous row (at k = 0 the last) holds the same r (a zero with
-    the other sign), or one that differs in one entry's last ulp or
-    anywhere, and y_p and u moved by 0 or up to 1e-4; the tolerances are
-    1e-5 or exactly the largest moves, and a tenth of the draws put a NaN,
-    +0.0 or -0.0 into y_p, u or r. With the twovar loop's 0/1 selector H
-    and with a dense H, the blocks, v and counts are the same floats.
-    8 035 draws are quiet and 5 085 steady; 2 840 are quiet with a move
-    exactly at its tolerance and 192 with a +0.0 against a -0.0 in r; no
-    r that differs in its last ulp is quiet, and no row 0 is, though the
-    block's last row, which row 0 must not read, would be."""
-    H, n_x, n_d, width, boxes = record_arguments(twovar_rc)
+def compare_record(rc, record, n):
+    """The compiled record against _record_python on n draws. Each draw
+    fills a 3-row block with noise and writes row k in {0, 1, 2} through
+    both forms. The previous row (at k = 0 the last) holds the same r (a
+    zero with the other sign), or one that differs in one entry's last ulp
+    or anywhere, and y_p and u moved by 0 or up to 1e-4; the tolerances
+    are 1e-5 or exactly the largest moves, and a tenth of the draws put a
+    NaN, +0.0 or -0.0 into y_p, u or r. With the loop's H and with a dense
+    H, the blocks, v and counts are the same floats. Returns the tally of
+    quiet and steady draws, by kind."""
+    H, n_x, n_d, width, boxes = record_arguments(rc)
     n_y, n_z = H.shape[1], H.shape[0]
     n_u, n_w = len(boxes["u"][0]), n_x + n_d
     r_at, y_at, zp_at = 1, 1 + n_z, 1 + n_z + n_y
     u_at = zp_at + n_z
     rng = np.random.default_rng(24)
     tally = collections.Counter()
-    for _ in range(20000):
+    for _ in range(n):
         v, y_p, u = (rng.uniform(*boxes[name]) for name in ("v", "y_p", "u"))
         r = v[len(v) - n_z:]
         w = v[:n_w].copy()
@@ -1841,8 +1845,8 @@ def test_compiled_record_matches_python_on_20000_draws(twovar_rc,
         for H_draw in (H, rng.uniform(-1.0, 1.0, H.shape)):
             got_values, got_v = values.copy(), v.copy()
             want_values, want_v = values.copy(), v.copy()
-            got = compiled_kernels.record(got_values, H_draw, y_p, u, w,
-                                          theta, z, got_v, *args)
+            got = record(got_values, H_draw, y_p, u, w, theta, z, got_v,
+                         *args)
             with np.errstate(invalid="ignore"):
                 want = kernels._record_python(want_values, H_draw, y_p, u,
                                               w, theta, z, want_v, *args)
@@ -1855,6 +1859,17 @@ def test_compiled_record_matches_python_on_20000_draws(twovar_rc,
         tally["edge, quiet"] += edge and want > 0
         tally["signed zero in r, quiet"] += (r == 0.0).any() and want > 0
         tally["k = 0, quiet"] += k == 0 and want > 0
+    return tally
+
+
+def test_compiled_record_matches_python_on_20000_draws(twovar_rc,
+                                                      compiled_kernels):
+    """With the twovar loop's 0/1 selector H and with a dense H: 8 035
+    draws are quiet and 5 085 steady; 2 840 are quiet with a move exactly
+    at its tolerance and 192 with a +0.0 against a -0.0 in r; no r that
+    differs in its last ulp is quiet, and no row 0 is, though the block's
+    last row, which row 0 must not read, would be."""
+    tally = compare_record(twovar_rc, compiled_kernels.record, 20000)
     assert tally == {"quiet": 8035, "steady": 5085, "ulp, quiet": 0,
                      "edge, quiet": 2840, "signed zero in r, quiet": 192,
                      "k = 0, quiet": 0}
