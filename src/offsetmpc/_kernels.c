@@ -53,11 +53,25 @@
    into v for the next interval's update; it returns the new count.
    Every entry it writes is a copy of an input, but for z_p, whose sums
    run left to right as the fallback's do: all of it is the fallback's
-   bit for bit. */
+   bit for bit.
+
+   log_text(values, n) -> str
+
+   is the body of closed_loop.write_log_csv, kernels._log_text_python
+   compiled; its 2 arguments are the log block values (rows x width) and
+   the count n <= rows of its written rows. It returns rows [0, n) as
+   text, each field as Python's "%.17g" % x writes it, fields joined by
+   "," and each row ended by "\n". A field is formatted by
+   PyOS_double_to_string(x, 'g', 17, 0, NULL), the routine that "%.17g"
+   itself calls, so the text is the fallback's byte for byte: it does not
+   read the C locale, and it writes a NaN as "nan" whatever its sign bit.
+   A field with the same 64 bits as the field above it is a copy of that
+   field's text, since the same bits always give the same text. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* the constants of a CSTR stage */
@@ -461,6 +475,98 @@ done:
     return out;
 }
 
+/* the longest text of a field, -2.2250738585072014e-308: a sign, 17
+   digits, the point and a 5-character exponent */
+#define FIELD_MAX 24
+
+/* The block values (2-D, C-contiguous float64) and n, 0 <= n <= its rows;
+   see the header. The text is allocated once, at FIELD_MAX and a
+   separator per field and a newline per row, and shrunk to what was
+   written. */
+static PyObject *
+log_text(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* per column, the bits of the field last formatted and where its text
+       was last written */
+    struct field {
+        uint64_t bits;
+        Py_ssize_t at, len;
+    } *above = NULL;
+    Py_buffer view;
+    const double *row;
+    Py_ssize_t n, width, i, j;
+    uint64_t bits;
+    char *text, *p, *s;
+    PyObject *out = NULL;
+
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "log_text takes 2 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    n = PyLong_AsSsize_t(args[1]);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    if (get_floats(args[0], &view, 0, "log_text"))
+        return NULL;
+    if (view.ndim != 2 || n < 0 || n > view.shape[0]) {
+        PyErr_SetString(PyExc_ValueError,
+                        "log_text: buffer sizes do not fit together");
+        goto done;
+    }
+    width = view.shape[1];
+    if (n > 0 && width > (PY_SSIZE_T_MAX / n - 1) / (FIELD_MAX + 1)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    above = PyMem_New(struct field, width);
+    if (above == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    out = PyUnicode_New(n * (width * (FIELD_MAX + 1) + 1), 127);
+    if (out == NULL)
+        goto done;
+    text = p = (char *)PyUnicode_1BYTE_DATA(out);
+    for (i = 0; i < n; i++) {
+        row = (const double *)view.buf + i * width;
+        for (j = 0; j < width; j++) {
+            if (j > 0)
+                *p++ = ',';
+            memcpy(&bits, &row[j], sizeof(bits));
+            if (i == 0 || bits != above[j].bits) {
+                s = PyOS_double_to_string(row[j], 'g', 17, 0, NULL);
+                if (s == NULL)
+                    goto fail;
+                above[j].bits = bits;
+                above[j].len = (Py_ssize_t)strlen(s);
+                if (above[j].len > FIELD_MAX) {
+                    PyMem_Free(s);
+                    PyErr_SetString(PyExc_SystemError,
+                                    "log_text: a field is longer than "
+                                    "FIELD_MAX");
+                    goto fail;
+                }
+                memcpy(p, s, above[j].len);
+                PyMem_Free(s);
+            }
+            else
+                memcpy(p, text + above[j].at, above[j].len);
+            above[j].at = p - text;
+            p += above[j].len;
+        }
+        *p++ = '\n';
+    }
+    if (PyUnicode_Resize(&out, p - text) == 0)
+        goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    PyMem_Free(above);
+    PyBuffer_Release(&view);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"advance", (PyCFunction)(void (*)(void))advance, METH_FASTCALL,
      "One plant interval of NonlinearPlant.step in place: "
@@ -471,6 +577,9 @@ static PyMethodDef methods[] = {
     {"record", (PyCFunction)(void (*)(void))record, METH_FASTCALL,
      "The log row, steady count and carry of ControlLoop.control_step: "
      "kernels._record_python, compiled."},
+    {"log_text", (PyCFunction)(void (*)(void))log_text, METH_FASTCALL,
+     "The body of write_log_csv, rows [0, n) of the log block as text: "
+     "kernels._log_text_python, compiled."},
     {NULL, NULL, 0, NULL}
 };
 

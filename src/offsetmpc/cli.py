@@ -543,7 +543,7 @@ def cmd_grnn_fit(args):
     sigma = _sigma(args.sigma, "--sigma")
     samples = grnn_mod.load_samples(args.samples)
     if not samples:
-        raise ConfigError("no samples in file")
+        raise ConfigError(f"{args.samples}: no samples")
     n_out = samples[0][1].shape[0]
     g = _sample_window(len(samples), n_out, samples, args.samples)
     # made before the fit, so an unwritable --out costs no sweep

@@ -18,7 +18,8 @@ next interval's input run in one call of the kernel record, after
 interval or after the active-set table when a row is violated; where the
 kernels cannot be built, both run in their Python forms. The plant is a
 plant.NonlinearPlant, whose step is one call of the kernel advance, or a
-LinearPlant.
+LinearPlant. write_log_csv formats the log's rows in one call of the
+kernel log_text.
 """
 
 import collections.abc
@@ -608,12 +609,11 @@ def write_log_csv(records, path):
     header = []
     for name, width in records.widths.items():
         header += [name] if width == 1 else [f"{name}_{i}" for i in range(width)]
-    # %.17g writes a flag as the integer it holds
-    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    body = (kernels.active or kernels.load()).log_text(records.values,
+                                                        len(records))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % tuple(vals)
-                      for vals in records.values[:len(records)].tolist())
+        fh.write(body)
 
 
 def read_log_csv(path):

@@ -1,18 +1,24 @@
 """The Python side of _kernels.c, the program's one compiled extension:
 the Python form of each of its kernels, and the code that builds it with
-gcc on first use and loads it. The kernels are advance, one plant
-interval of the CSTR in place, the step of plant.NonlinearPlant;
-interval, the controller's estimator update, affine law and free-path
-tests; and record, its log row, steady count and carry. Each Python form
-gives its kernel's floats bit for bit, so the outputs do not depend on
-whether gcc is installed. The CSTR stage, the balances at one state, is
-written once in each language: _rates here, rates in _kernels.c. Every
-product sums left to right through _product, as the C loops do.
+gcc on first use and loads it. The kernels are
+- advance(x, y, u, u_ss, x_ss, constants, dt), one plant interval of the
+  CSTR in place, the step of plant.NonlinearPlant;
+- interval(M_step, P, b_box, lo, hi, v, w, theta, z, n_x), the
+  controller's estimator update, affine law and free-path tests;
+- record(values, H, y_p, u, w, theta, z, v, k, time, objective, n_active,
+  count, M, tol_y, tol_u, n_x), its log row, steady count and carry;
+- log_text(values, n), the text of the log block's first n rows, the body
+  of closed_loop.write_log_csv.
+Each Python form gives its kernel's floats bit for bit, or its text byte
+for byte, so the outputs do not depend on whether gcc is installed. The
+CSTR stage, the balances at one state, is written once in each language:
+_rates here, rates in _kernels.c. Every product sums left to right
+through _product, as the C loops do.
 
-active is the handle the program reads: None until the first plant step
-or control interval of the process calls load(), then the compiled
-module or PYTHON_KERNELS. A handle set before the first load is never
-replaced. This module imports no other module of the package.
+active is the handle the program reads: None until the first plant step,
+control interval or log write of the process calls load(), then the
+compiled module or PYTHON_KERNELS. A handle set before the first load is
+never replaced. This module imports no other module of the package.
 """
 
 import importlib.machinery
@@ -194,6 +200,19 @@ def _record_python(values, H, y_p, u, w, theta, z, v, k, time, objective,
     return count
 
 
+def _log_text_python(values, n):
+    """Rows [0, n) of the 2-D log block values as the body of
+    closed_loop.write_log_csv: each field as "%.17g" writes it (a flag as
+    the integer it holds), fields joined by "," and each row ended by a
+    newline. Raises ValueError unless 0 <= n <= len(values). _kernels.c's
+    log_text is this, compiled, byte for byte."""
+    if values.ndim != 2 or not 0 <= n <= len(values):
+        # the compiled log_text's check of its block
+        raise ValueError("log_text: buffer sizes do not fit together")
+    fmt = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return "".join(fmt % tuple(row) for row in values[:n].tolist())
+
+
 # ---- the compiled kernels: _kernels.c, built with gcc on first use ----
 
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -208,9 +227,11 @@ KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared",
 # built
 PYTHON_KERNELS = types.SimpleNamespace(advance=_advance_python,
                                        interval=_interval_python,
-                                       record=_record_python)
-# the kernels that run: None until the first plant step or control interval
-# of the process loads them, then the compiled module or PYTHON_KERNELS
+                                       record=_record_python,
+                                       log_text=_log_text_python)
+# the kernels that run: None until the first plant step, control interval or
+# log write of the process loads them, then the compiled module or
+# PYTHON_KERNELS
 active = None
 fallback_reason = None   # why PYTHON_KERNELS run, when they do
 

@@ -336,6 +336,20 @@ def test_sweep_without_setpoints_is_config_error(tmp_path, capsys, text,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ["", "# inputs 2\n\n# no rows\n"],
+                         ids=["empty", "directive only"])
+def test_grnn_fit_without_samples_names_the_file(tmp_path, capsys, text):
+    """A sample file with no rows, or one that holds only its '# inputs k'
+    directive, exits 2 with one error line that names the file, as every
+    input-file error does, and writes nothing."""
+    train = tmp_path / "none.txt"
+    train.write_text(text)
+    out = tmp_path / "fit"
+    assert cli.main(["grnn-fit", str(train), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {train}: no samples\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row", ["0.88 nan", "inf 324.5", "0.88 -inf"])
 def test_non_finite_setpoint_is_config_error(tmp_path, capsys, row):
     sp = tmp_path / "bad.txt"

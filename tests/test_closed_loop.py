@@ -1917,6 +1917,159 @@ def test_compiled_record_rejects_buffers_that_do_not_fit(twovar_rc,
         record(np.zeros((4, width)))
 
 
+# ---- the log's text: compiled, with its Python form as the oracle ----
+
+# fields that need care: zeros of both signs, the integers where %.17g
+# turns to an exponent, the extremes, subnormals, infinities and NaNs with
+# and without the sign bit
+LOG_EDGES = np.array([0.0, -0.0, 1.0, 1e16, 1e17, -1e16, 9.999999999999999e16,
+                      0.1, 1e-4, 1e-5, -2.2250738585072014e-308,
+                      2.2250738585072009e-308, 5e-324, -5e-324,
+                      1.7976931348623157e308, np.inf, -np.inf, np.nan,
+                      -np.nan])
+
+
+def log_blocks(n):
+    """n seeded (block, rows to write) draws for log_text: blocks of 0-11
+    rows and 1-29 columns, with every field's bits drawn at random (so the
+    exponents span every range, subnormals, infinities and NaNs with any
+    payload and sign included), a LOG_EDGES value or a number of a random
+    magnitude. Rows and fields are then copied down from the row above, as
+    a log's setpoint, learned disturbance and flags are, and a column may
+    be one value throughout. The rows past the count are written too,
+    which log_text must not read."""
+    rng = np.random.default_rng(41)
+    for _ in range(n):
+        shape = (int(rng.integers(0, 12)), int(rng.integers(1, 30)))
+        block = rng.integers(0, 2 ** 64, shape, dtype=np.uint64).view(
+            np.float64)
+        edge = rng.uniform(size=shape) < 0.3
+        block[edge] = rng.choice(LOG_EDGES, int(edge.sum()))
+        scaled = rng.uniform(size=shape) < 0.3
+        block[scaled] = rng.normal(size=int(scaled.sum())) * 10.0 ** (
+            rng.uniform(-20, 20, int(scaled.sum())).round())
+        for i in range(1, shape[0]):
+            down = rng.uniform(size=shape[1]) < rng.choice([0.0, 0.5, 1.0])
+            block[i, down] = block[i - 1, down]
+        if shape[0] and rng.uniform() < 0.3:
+            block[:, int(rng.integers(0, shape[1]))] = rng.choice(LOG_EDGES)
+        yield block, int(rng.integers(0, shape[0] + 1))
+
+
+def compare_log_text(log_text, n):
+    """The compiled log_text against _log_text_python on the first n
+    log_blocks: the same text on every draw, one line per written row.
+    Returns the tally of the written fields by kind: the ones whose bits
+    repeat the field above, which the compiled form copies, and the
+    subnormals, infinities and NaNs with and without the sign bit."""
+    tally = collections.Counter()
+    for block, rows in log_blocks(n):
+        got = log_text(block, rows)
+        want = kernels._log_text_python(block, rows)
+        assert type(got) is str and got == want, (block, rows)
+        assert got.count("\n") == rows
+        written = block[:rows]
+        bits = written.view(np.int64)
+        tally["repeats the field above"] += int((bits[1:] == bits[:-1]).sum())
+        tally["subnormal"] += int(((written != 0.0)
+                                   & (np.abs(written) < 2.0 ** -1022)).sum())
+        tally["infinite"] += int(np.isinf(written).sum())
+        nan = np.isnan(written)
+        tally["NaN, sign bit set"] += int((nan & np.signbit(written)).sum())
+        tally["NaN, sign bit clear"] += int((nan & ~np.signbit(written)).sum())
+    return tally
+
+
+def test_compiled_log_text_matches_python_on_3000_blocks(compiled_kernels):
+    """Every kind of field, and the copies of the field above, occur
+    among the 130 927 written fields; the draws include blocks without
+    rows and blocks with one row or one column."""
+    tally = compare_log_text(compiled_kernels.log_text, 3000)
+    assert tally == {"repeats the field above": 49789, "subnormal": 4565,
+                     "infinite": 3100, "NaN, sign bit set": 1544,
+                     "NaN, sign bit clear": 1484}
+    shapes = [(block.shape, rows) for block, rows in log_blocks(3000)]
+    assert any(rows == 0 for _, rows in shapes)
+    assert any(rows == 1 for _, rows in shapes)
+    assert any(shape[1] == 1 and rows > 1 for shape, rows in shapes)
+
+
+def test_compiled_log_text_writes_each_field_as_percent_17g(
+        compiled_kernels):
+    """Field by field, a block of the edge values and the rows below it:
+    a zero below the other zero, a NaN below the other NaN and a number
+    below its neighbour are formatted, not copied; a repeated field is
+    copied. Each field is what "%.17g" writes, so a NaN is "nan" whatever
+    its sign bit, and -0.0 is "-0"."""
+    block = np.array([LOG_EDGES, -LOG_EDGES, -LOG_EDGES,
+                      np.nextafter(-LOG_EDGES, 0.0)])
+    for rows in range(len(block) + 1):
+        text = compiled_kernels.log_text(block, rows)
+        assert text == kernels._log_text_python(block, rows)
+        assert text == "".join(",".join("%.17g" % x for x in row) + "\n"
+                               for row in block[:rows].tolist())
+    assert text.splitlines()[0].split(",")[:2] == ["0", "-0"]
+    assert text.splitlines()[1].split(",")[-2:] == ["nan", "nan"]
+    for rows in (0, 3):
+        one = np.ascontiguousarray(block[:, 5:6])
+        assert compiled_kernels.log_text(one, rows) == (
+            kernels._log_text_python(one, rows))
+
+
+@pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)
+def test_compiled_log_text_writes_the_committed_logs(path, compiled_kernels):
+    """The body of each committed log, read back, in both forms."""
+    records = cl.read_log_csv(str(path))
+    body = path.read_text().split("\n", 1)[1]
+    for log_text in (compiled_kernels.log_text, kernels._log_text_python):
+        assert log_text(records.values, len(records)) == body
+
+
+def test_log_text_refuses_a_block_that_does_not_fit(compiled_kernels):
+    """Both forms refuse a block that is not 2-D, and a row count below 0
+    or above its rows, with one ValueError; the compiled form also
+    refuses what it cannot read as a C-contiguous float64 block."""
+    block = np.zeros((4, 3))
+    for args in ((block[0], 1), (block, 5), (block, -1),
+                 (np.zeros((2, 2, 2)), 1)):
+        for log_text in (compiled_kernels.log_text,
+                         kernels._log_text_python):
+            with pytest.raises(
+                    ValueError,
+                    match="^log_text: buffer sizes do not fit together$"):
+                log_text(*args)
+    log_text = compiled_kernels.log_text
+    for args, error in (((block.T, 1), ValueError),
+                        ((block.astype(np.float32), 1), TypeError),
+                        ((block.tolist(), 1), TypeError),
+                        ((block, 1.0), TypeError)):
+        with pytest.raises(error):
+            log_text(*args)
+    with pytest.raises(TypeError, match="2 arguments"):
+        log_text(block)
+
+
+def test_the_drift_log_reads_back_bit_for_bit(drift_rc, either_interval,
+                                             tmp_path):
+    """The drift run, with its event, harvests and flags, written by
+    write_log_csv and read back by read_log_csv: every value, zeros'
+    signs included, and the widths, as the run left them."""
+    rc = drift_rc
+    log = cl.run_scenario(rc.scenario, rc.model, rc.dist, rc.make_gains(),
+                          rc.ocp_cfg, cli._fresh_plant(rc),
+                          grnn=cli._build_grnn(rc))
+    records = log.records
+    assert log.events_applied and log.harvested
+    assert records.column("harvested").any()
+    assert records.column("steady").any()
+    path = tmp_path / "drift.csv"
+    cl.write_log_csv(records, str(path))
+    back = cl.read_log_csv(str(path))
+    assert back.widths == records.widths
+    assert np.array_equal(back.values.view(np.int64),
+                          records.values[:len(records)].view(np.int64))
+
+
 def test_steady_column_matches_the_detector(twovar_rc, drift_rc,
                                             either_interval):
     """The steady column, which record writes from row k-1 of the log

@@ -55,6 +55,7 @@ twovar = cli.load_config(str(root / "configs" / "cstr_twovar.yaml"))
 test_plant.compare_advance(active.advance, {draws})
 test_closed_loop.compare_interval(twovar, active.interval, {draws})
 test_closed_loop.compare_record(twovar, active.record, {draws})
+test_closed_loop.compare_log_text(active.log_text, {draws})
 print("kernels clean")
 """
 
