@@ -1186,12 +1186,17 @@ def test_bad_log_row_names_the_file_and_line(tmp_path, edit, message):
 
 
 @pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)
-def test_committed_log_reads_back_to_the_same_bytes(path, tmp_path):
+def test_committed_log_reads_back_to_the_same_bytes(path, tmp_path,
+                                                    compiled_kernels,
+                                                    monkeypatch):
+    """Written with the compiled log_text and with its Python form."""
     records = cl.read_log_csv(str(path))
     assert len(records) > 0
     out = tmp_path / path.name
-    cl.write_log_csv(records, str(out))
-    assert out.read_bytes() == path.read_bytes()
+    for active in (compiled_kernels, kernels.PYTHON_KERNELS):
+        monkeypatch.setattr(kernels, "active", active)
+        cl.write_log_csv(records, str(out))
+        assert out.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)
@@ -2010,19 +2015,6 @@ def test_compiled_log_text_writes_each_field_as_percent_17g(
                                for row in block[:rows].tolist())
     assert text.splitlines()[0].split(",")[:2] == ["0", "-0"]
     assert text.splitlines()[1].split(",")[-2:] == ["nan", "nan"]
-    for rows in (0, 3):
-        one = np.ascontiguousarray(block[:, 5:6])
-        assert compiled_kernels.log_text(one, rows) == (
-            kernels._log_text_python(one, rows))
-
-
-@pytest.mark.parametrize("path", COMMITTED_LOGS, ids=lambda p: p.name)
-def test_compiled_log_text_writes_the_committed_logs(path, compiled_kernels):
-    """The body of each committed log, read back, in both forms."""
-    records = cl.read_log_csv(str(path))
-    body = path.read_text().split("\n", 1)[1]
-    for log_text in (compiled_kernels.log_text, kernels._log_text_python):
-        assert log_text(records.values, len(records)) == body
 
 
 def test_log_text_refuses_a_block_that_does_not_fit(compiled_kernels):
