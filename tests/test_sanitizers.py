@@ -77,8 +77,9 @@ def test_the_kernels_run_clean_under_asan_and_ubsan(tmp_path):
     if asan is None:
         pytest.skip("gcc -print-file-name=libasan.so gives no path: this "
                     "gcc has no AddressSanitizer runtime")
+    preload = [path for path in (asan, runtime("libubsan.so")) if path]
     env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0",
-               LD_PRELOAD=f"{asan} {runtime('libubsan.so')}")
+               LD_PRELOAD=" ".join(preload))
     proc = subprocess.run(
         [sys.executable, "-c",
          CHILD.format(flags=SANITIZED_FLAGS, draws=DRAWS),
